@@ -3,10 +3,16 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build bench-build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is its own module and frozen between benchmark PRs: vet and
+# build it against this tree, so a refactor that breaks an API it imports
+# fails here instead of in the benchmark pipeline.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -102,4 +108,4 @@ docs-check:
 links-check:
 	./scripts/check-links.sh
 
-ci: vet fmt-check docs-check links-check build test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke
+ci: vet fmt-check docs-check links-check build bench-build test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke

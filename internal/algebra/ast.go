@@ -1,9 +1,10 @@
 // Package algebra defines the query AST for the paper's uncertainty
 // algebra UA[conf, repair-key, σ̂] (Definitions 2.1 and 6.2/Section 6) and
-// two exact evaluators: one over the nonsuccinct possible-worlds model
-// (the reference semantics of Section 2) and one over U-relational
-// databases (the parsimonious translation of Section 3). The approximate
-// evaluator with error bounds lives in internal/core.
+// two evaluators: an exact one over the nonsuccinct possible-worlds model
+// (the reference semantics of Section 2) and the plan walker over
+// U-relational databases (the parsimonious translation of Section 3).
+// The walker is exact by default; internal/core turns it into the
+// approximate evaluator of Theorem 6.7 by supplying sampling Estimators.
 package algebra
 
 import (

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/expr"
+	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
@@ -19,6 +20,14 @@ import (
 type URelResult struct {
 	Rel      *urel.Relation
 	Complete bool
+	// Errs and Singular are the Lemma 6.4 annotations approximate
+	// evaluation propagates next to the relation (see bounds.go): per-tuple
+	// membership-error bounds µ and the tuples depending on a potential
+	// ε₀-singularity, keyed by rel.Tuple.Key. Both are nil on a reliable
+	// result — always under exact evaluation, and below the first σ̂ of an
+	// approximate one.
+	Errs     provenance.ErrMap
+	Singular map[string]bool
 	Ops      urel.StatsMap
 	// SpilledBytes and SpillFiles report out-of-core activity (WithSpill):
 	// total bytes written to spill files and the number of spill files
@@ -28,11 +37,13 @@ type URelResult struct {
 	SpillFiles   int
 }
 
-// URelEvaluator evaluates UA queries exactly on a U-relational database:
-// positive relational algebra by the parsimonious translation, conf by
-// exact #P computation (dnf), σ̂ by its defining composition with exact
-// confidences. The evaluator works on a clone of the database, so
-// repair-key never mutates the caller's variable table.
+// URelEvaluator is the plan walker: it evaluates UA queries on a
+// U-relational database — positive relational algebra and repair-key by
+// the parsimonious translation, conf and σ̂ through its Estimators (exact
+// #P computation unless WithEstimators installs sampling ones), with the
+// Lemma 6.4 annotations of unreliable inputs propagated alongside. The
+// evaluator works on a clone of the database, so repair-key never mutates
+// the caller's variable table.
 //
 // A pool-backed evaluator (NewParallelURelEvaluator) runs the partitioned
 // operator implementations across its workers and evaluates independent
@@ -60,6 +71,10 @@ type URelEvaluator struct {
 	// high-water mark: over-budget intermediates move to spill files
 	// instead of aborting the evaluation (see WithSpill).
 	spill *urel.Spill
+	// est evaluates conf and σ̂; estConcurrent reports whether it may be
+	// called from concurrently evaluated branches (see WithEstimators).
+	est           Estimators
+	estConcurrent bool
 }
 
 // NewURelEvaluator clones db and returns a sequential evaluator over the
@@ -82,6 +97,9 @@ func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluato
 		ctrs:      ctrs,
 		exec:      urel.NewExec(pool, ctrs),
 		branchSem: make(chan struct{}, pool.Workers()),
+		est:       exactEstimators{},
+		// exactEstimators is stateless.
+		estConcurrent: true,
 	}
 }
 
@@ -112,6 +130,21 @@ func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 	e.spill = s
 	return e
 }
+
+// WithEstimators replaces the exact conf / σ̂ implementations, turning the
+// evaluator into an approximate one. concurrent reports whether est may be
+// called from concurrently evaluated plan branches; when false, branches
+// containing conf or σ̂ evaluate sequentially (in plan order, so estimators
+// that consume shared state stay deterministic). Returns e for chaining.
+func (e *URelEvaluator) WithEstimators(est Estimators, concurrent bool) *URelEvaluator {
+	e.est, e.estConcurrent = est, concurrent
+	return e
+}
+
+// Exec exposes the operator executor of the evaluation in progress, for
+// Estimators: their projections and lineage scans must run through it to
+// be counted, budgeted and spilled like the walker's own operators.
+func (e *URelEvaluator) Exec() *urel.Exec { return e.exec }
 
 // Eval evaluates the query and returns the result relation.
 func (e *URelEvaluator) Eval(q Query) (URelResult, error) {
@@ -154,7 +187,8 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 // eval evaluates one plan node, bracketing it with the cooperative
 // checks: cancellation before the node runs, and the memory limit after —
 // a budget tripped mid-operator must surface before the parent operator
-// (an exact conf's #P computation, say) consumes the partial output.
+// (an exact conf's #P computation, a sampled conf's estimation budget)
+// consumes the partial output.
 func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
@@ -180,6 +214,9 @@ func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 	return res, nil
 }
 
+// evalNode is the one switch over plan node types. Each operator's
+// Lemma 6.4 propagation rule sits next to it as a BoundRule; Bounded
+// consults the rule only when an input is annotated (bounds.go).
 func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 	switch n := q.(type) {
 	case Base:
@@ -194,14 +231,22 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}, nil
+		out := URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}
+		// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
+		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
+			return in.Errs[k], in.Singular[k]
+		}, in), nil
 
 	case Project:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete}, nil
+		out := URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete}
+		if !in.Reliable() {
+			out.Errs, out.Singular = ProjectBounds(in, n.Targets)
+		}
+		return out, nil
 
 	case Product:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -212,14 +257,32 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: p, Complete: l.Complete && r.Complete}, nil
+		nl := len(l.Rel.Schema())
+		out := URelResult{Rel: p, Complete: l.Complete && r.Complete}
+		return out.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
+			return pairBound(l, row[:nl], r, row[nl:])
+		}, l, r), nil
 
 	case Join:
 		l, r, err := e.evalPair(n.L, n.R)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}, nil
+		out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}
+		// An output row is the left row followed by the right row's
+		// non-shared attributes; rIdx finds the whole right row in it.
+		nl, outSchema := len(l.Rel.Schema()), out.Rel.Schema()
+		rIdx := make([]int, len(r.Rel.Schema()))
+		for i, a := range r.Rel.Schema() {
+			rIdx[i] = outSchema.Index(a)
+		}
+		rrow := make(rel.Tuple, len(rIdx))
+		return out.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
+			for i, j := range rIdx {
+				rrow[i] = row[j]
+			}
+			return pairBound(l, row[:nl], r, rrow)
+		}, l, r), nil
 
 	case Union:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -230,7 +293,11 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: u, Complete: l.Complete && r.Complete}, nil
+		out := URelResult{Rel: u, Complete: l.Complete && r.Complete}
+		// (t, R ∪ S) ≺ (t, R), (t, S): a tuple of both sides sums both.
+		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
+			return l.Errs[k] + r.Errs[k], l.Singular[k] || r.Singular[k]
+		}, l, r), nil
 
 	case DiffC:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -244,12 +311,23 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: d, Complete: true}, nil
+		// Difference is not in the positive fragment of Lemma 6.4; the
+		// conservative bound adds the right side's worst tuple error for
+		// each left tuple (a right tuple wrongly present/absent can flip
+		// a left tuple's membership in the result).
+		rWorst, rSingular := r.Errs.Max(), len(r.Singular) > 0
+		out := URelResult{Rel: d, Complete: true}
+		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
+			return l.Errs[k] + rWorst, l.Singular[k] || rSingular
+		}, l, r), nil
 
 	case RepairKey:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
+		}
+		if !in.Reliable() {
+			return URelResult{}, fmt.Errorf("algebra: repair-key over unreliable input is not supported (paper footnote 3)")
 		}
 		e.nextRK++
 		prefix := "rk" + strconv.Itoa(e.nextRK)
@@ -264,30 +342,35 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		c, err := e.exec.ConfExact(in.Rel, e.db.Vars, n.PCol())
-		if err != nil {
-			return URelResult{}, err
-		}
-		return URelResult{Rel: urel.FromComplete(c), Complete: true}, nil
+		return e.est.Conf(e, in, n.PCol())
 
 	case Poss:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true}, nil
+		// poss and cert keep data tuples, so the annotations pass through.
+		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true,
+			Errs: in.Errs, Singular: in.Singular}, nil
 
 	case Cert:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true}, nil
+		// cert is a conf = 1 test: a singularity for approximation
+		// (Example 5.7), so every Estimators computes it exactly.
+		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true,
+			Errs: in.Errs, Singular: in.Singular}, nil
 
 	case Let:
 		def, err := e.eval(n.Def)
 		if err != nil {
 			return URelResult{}, err
+		}
+		// A binding's annotations could not flow to its Base references.
+		if !def.Reliable() {
+			return URelResult{}, fmt.Errorf("algebra: let-binding %q of an unreliable relation is not supported; apply σ̂ in the body", n.Name)
 		}
 		oldRel, hadRel := e.db.Rels[n.Name]
 		oldC := e.db.Complete[n.Name]
@@ -308,11 +391,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		out, err := e.approxSelectExact(in.Rel, n)
-		if err != nil {
-			return URelResult{}, err
-		}
-		return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
+		return e.est.ApproxSelect(e, in, n)
 
 	default:
 		return URelResult{}, fmt.Errorf("algebra: unknown query node %T", q)
@@ -321,18 +400,16 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 
 // evalPair evaluates the two inputs of a binary operator. When the pool
 // has more than one worker, a branch token is available, and both
-// branches are effect-free — no RepairKey (mutates the shared variable
-// table and the rk counter) and no Let (rebinds a name in the shared
-// database) — the branches evaluate concurrently; otherwise strictly
-// left-then-right. Concurrent branches change only wall-clock time: each
-// branch's own operators are deterministic, the branches share no mutable
-// state, and error priority (left first) matches the sequential path.
-// Cancellation stays at node granularity — every eval call checks the
-// evaluator's context.
+// branches are branchSafe, the branches evaluate concurrently; otherwise
+// strictly left-then-right. Concurrent branches change only wall-clock
+// time: each branch's own operators are deterministic, the branches share
+// no mutable state, and error priority (left first) matches the
+// sequential path. Cancellation stays at node granularity — every eval
+// call checks the evaluator's context.
 func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
 	// Out-of-core execution forces sequential branches: the Exec's
 	// spill-residency bookkeeping assumes one operator at a time.
-	if e.spill == nil && e.pool.Workers() > 1 && branchSafe(l) && branchSafe(r) {
+	if e.spill == nil && e.pool.Workers() > 1 && e.branchSafe(l) && e.branchSafe(r) {
 		select {
 		case e.branchSem <- struct{}{}:
 			defer func() { <-e.branchSem }()
@@ -369,58 +446,71 @@ func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
 
 // branchSafe reports whether a plan branch can run concurrently with a
 // sibling: it must not contain RepairKey (which registers variables in
-// the shared table and consumes the evaluator's deterministic rk counter)
-// or Let (which temporarily rebinds a relation name in the shared
-// database).
-func branchSafe(q Query) bool {
+// the shared table and consumes the evaluator's deterministic rk counter),
+// Let (which temporarily rebinds a relation name in the shared database),
+// or — unless the evaluator's Estimators declared themselves concurrent —
+// Conf / ApproxSelect.
+func (e *URelEvaluator) branchSafe(q Query) bool {
 	safe := true
 	Walk(q, func(n Query) {
 		switch n.(type) {
 		case RepairKey, Let:
 			safe = false
+		case Conf, ApproxSelect:
+			safe = safe && e.estConcurrent
 		}
 	})
 	return safe
 }
 
-// approxSelectExact evaluates σ̂ by its defining composition with exact
-// confidence computation: this is the Q (as opposed to Q∼) semantics of
-// Section 6.
-func (e *URelEvaluator) approxSelectExact(in *urel.Relation, n ApproxSelect) (*rel.Relation, error) {
-	confRels, err := BuildConfArgs(e.exec, in, n.Args, func(r *urel.Relation, pcol string) (*rel.Relation, error) {
-		return e.exec.ConfExact(r, e.db.Vars, pcol)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return JoinAndFilter(confRels, n)
+// Estimators are the two operators that separate approximate from exact
+// evaluation (Theorem 6.7): everything else in a UA plan is the same
+// parsimonious translation either way. Both receive the evaluator (for
+// its Exec and variable table) and the evaluated input, and return the
+// operator's node result — annotations included, which is how
+// unreliability enters a plan. The default is exact: conf by #P
+// computation, σ̂ by its defining composition.
+type Estimators interface {
+	Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error)
+	ApproxSelect(e *URelEvaluator, in URelResult, n ApproxSelect) (URelResult, error)
 }
 
-// BuildConfArgs computes, for each conf[Āᵢ] argument, the confidence
-// relation ρ_{P→Pi}(conf(π_{Āᵢ}(in))) using the supplied conf
-// implementation (exact or approximate), with the projections routed
-// through x (nil selects a sequential Exec).
-func BuildConfArgs(x *urel.Exec, in *urel.Relation, args []ConfArg, conf func(*urel.Relation, string) (*rel.Relation, error)) ([]*rel.Relation, error) {
-	if x == nil {
-		x = urel.NewExec(nil, nil)
+// exactEstimators is the Q (as opposed to Q∼) semantics of Section 6. It
+// is stateless, so concurrent branches may share it.
+type exactEstimators struct{}
+
+func (exactEstimators) Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error) {
+	c, err := e.exec.ConfExact(in.Rel, e.db.Vars, pcol)
+	if err != nil {
+		return URelResult{}, err
 	}
-	out := make([]*rel.Relation, len(args))
-	for i, a := range args {
+	return URelResult{Rel: urel.FromComplete(c), Complete: true}, nil
+}
+
+// ApproxSelect computes, for each conf[Āᵢ] argument, the confidence
+// relation ρ_{P→Pi}(conf(π_{Āᵢ}(in))), joins them and filters by the
+// predicate.
+func (exactEstimators) ApproxSelect(e *URelEvaluator, in URelResult, n ApproxSelect) (URelResult, error) {
+	confRels := make([]*rel.Relation, len(n.Args))
+	for i, a := range n.Args {
 		targets := make([]expr.Target, len(a.Attrs))
 		for j, attr := range a.Attrs {
-			if !in.Schema().Has(attr) {
-				return nil, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", attr, in.Schema())
+			if !in.Rel.Schema().Has(attr) {
+				return URelResult{}, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", attr, in.Rel.Schema())
 			}
 			targets[j] = expr.Keep(attr)
 		}
-		proj := x.Project(in, targets)
-		c, err := conf(proj, PColName(i))
+		c, err := e.exec.ConfExact(e.exec.Project(in.Rel, targets), e.db.Vars, PColName(i))
 		if err != nil {
-			return nil, err
+			return URelResult{}, err
 		}
-		out[i] = c
+		confRels[i] = c
 	}
-	return out, nil
+	out, err := JoinAndFilter(confRels, n)
+	if err != nil {
+		return URelResult{}, err
+	}
+	return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
 }
 
 // PColName returns the confidence column name for σ̂ argument i: P1, P2, …

@@ -162,9 +162,25 @@ func TestOpsPerEvaluation(t *testing.T) {
 	}
 }
 
+// sequentialEstimators is exact estimation that (like the sampling
+// estimators of internal/core) must not be called from concurrent
+// branches; calls counts invocations.
+type sequentialEstimators struct {
+	exactEstimators
+	calls int
+}
+
+func (s *sequentialEstimators) Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error) {
+	s.calls++ // unsynchronized on purpose: -race flags a concurrent call
+	return s.exactEstimators.Conf(e, in, pcol)
+}
+
 // TestBranchSafety pins the concurrency guard: repair-key and let make a
-// branch unsafe, pure operator trees are safe.
+// branch unsafe, pure operator trees are safe, and conf / σ̂ branches are
+// safe exactly when the evaluator's Estimators are concurrent.
 func TestBranchSafety(t *testing.T) {
+	db := parallelDB()
+	branchSafe := NewURelEvaluator(db).branchSafe
 	pure := Join{L: Base{Name: "R"}, R: Base{Name: "S"}}
 	if !branchSafe(pure) {
 		t.Error("pure operator tree reported unsafe")
@@ -177,5 +193,42 @@ func TestBranchSafety(t *testing.T) {
 	}
 	if branchSafe(Select{In: RepairKey{In: Base{Name: "T"}, Weight: "W"}, Pred: expr.Ge(expr.A("G"), expr.CInt(0))}) {
 		t.Error("nested repair-key branch reported safe")
+	}
+
+	confBranch := Conf{In: pure, As: "P"}
+	shatBranch := Select{
+		In: ApproxSelect{
+			In:   Base{Name: "R"},
+			Args: []ConfArg{{Attrs: []string{"K"}}},
+			Pred: predapprox.Linear([]float64{1}, 0.5),
+		},
+		Pred: expr.Ge(expr.A("K"), expr.CInt(0)),
+	}
+	if !branchSafe(confBranch) || !branchSafe(shatBranch) {
+		t.Error("conf / σ̂ branch reported unsafe under the exact estimators")
+	}
+	est := &sequentialEstimators{}
+	seq := NewParallelURelEvaluator(db, sched.New(4)).WithEstimators(est, false)
+	if seq.branchSafe(confBranch) || seq.branchSafe(shatBranch) {
+		t.Error("conf / σ̂ branch reported safe under non-concurrent estimators")
+	}
+	if !seq.branchSafe(pure) {
+		t.Error("sampling-free branch reported unsafe under non-concurrent estimators")
+	}
+	// The guard is what evalPair acts on: two conf branches under
+	// non-concurrent estimators run one after the other (this test runs
+	// under -race in `make race`), and the result matches the exact one.
+	q := Join{L: confBranch, R: Conf{In: Base{Name: "R"}, As: "P2"}}
+	got, err := seq.Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewURelEvaluator(db).Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.calls != 2 || exactFingerprint(got) != exactFingerprint(want) {
+		t.Errorf("sequential estimators: %d conf calls, result equal to exact: %v",
+			est.calls, exactFingerprint(got) == exactFingerprint(want))
 	}
 }

@@ -12,19 +12,19 @@ import (
 	"repro/internal/urel"
 )
 
-// approxConf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output
+// Conf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output
 // is a complete relation with an estimated P column; per-tuple membership
 // bounds are inherited from the input (the P value itself carries the
 // (ε,δ) relative-error guarantee). Estimation is fanned out across the
 // engine's worker pool: every tuple becomes a job keyed by its lineage
 // row, so its PRNG streams — and hence its estimate — depend only on
 // Options.Seed, not on the worker count or on other tuples.
-func (run *evalRun) approxConf(in *evalResult, pcol string) (*evalResult, error) {
-	if run.engine.opts.stratifiedConf() {
-		return run.approxConfStrat(in, pcol)
+func (run *evalRun) Conf(ev *algebra.URelEvaluator, in algebra.URelResult, pcol string) (algebra.URelResult, error) {
+	if in.Rel.Schema().Has(pcol) {
+		return algebra.URelResult{}, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.Rel.Schema())
 	}
-	if in.rel.Schema().Has(pcol) {
-		return nil, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.rel.Schema())
+	if run.engine.opts.stratifiedConf() {
+		return run.approxConfStrat(ev, in, pcol)
 	}
 	eps, delta := run.engine.opts.confEps(), run.engine.opts.confDelta()
 	// Stream the lineage groups: one pass builds the estimation jobs and
@@ -34,53 +34,49 @@ func (run *evalRun) approxConf(in *evalResult, pcol string) (*evalResult, error)
 	// tuples sharing a clause set — within this operator, elsewhere in the
 	// plan, or in an earlier query against a shared engine cache — share
 	// one estimation.
-	type rowConf struct {
-		row rel.Tuple
-		cv  *confValue
-	}
 	var tuples []rowConf
 	var jobs []*estimateJob
-	var jobErr error
 	run.batch = make(map[contentKey]*estimateJob)
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	for tc := range run.exec.LineageSeq(in.rel) {
+	for tc := range ev.Exec().LineageSeq(in.Rel) {
 		// The singleton shortcut is always on here: a single clause's
 		// weight is its exact probability (the estimator would return it
 		// deterministically anyway).
 		cv, job, err := run.newJob(tc.F, budget, true)
 		if err != nil {
-			jobErr = err
-			break
+			return algebra.URelResult{}, err
 		}
 		if job != nil {
 			jobs = append(jobs, job)
 		}
 		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
 	}
-	if jobErr != nil {
-		return nil, jobErr
-	}
 	if err := run.runEstimates(jobs); err != nil {
-		return nil, err
+		return algebra.URelResult{}, err
 	}
-	out := urel.NewRelation(rel.NewSchema(append(in.rel.Schema().Clone(), pcol)...))
-	errs := provenance.Reliable()
-	sing := map[string]bool{}
+	return confResult(in, pcol, tuples), nil
+}
+
+// rowConf is one distinct data tuple of a conf input with its confidence.
+type rowConf struct {
+	row rel.Tuple
+	cv  *confValue
+}
+
+// confResult assembles a conf operator's output from the estimated
+// tuples: in's rows extended by the P column, each inheriting the bound of
+// the input tuple it extends.
+func confResult(in algebra.URelResult, pcol string, tuples []rowConf) algebra.URelResult {
+	out := urel.NewRelation(rel.NewSchema(append(in.Rel.Schema().Clone(), pcol)...))
 	for _, t := range tuples {
 		outRow := make(rel.Tuple, len(t.row)+1)
 		copy(outRow, t.row)
 		outRow[len(t.row)] = rel.Float(t.cv.estimate())
 		out.AddOwned(nil, outRow)
-		inKey := t.row.Key()
-		outKey := outRow.Key()
-		if v := in.errs.Get(inKey); v > 0 {
-			errs.Set(outKey, v)
-		}
-		if in.singular[inKey] {
-			sing[outKey] = true
-		}
 	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	return algebra.URelResult{Rel: out, Complete: true}.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
+		return in.BoundOf(row[:len(row)-1])
+	}, in)
 }
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
@@ -136,13 +132,13 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 	return cv.est.Bounds(delta)
 }
 
-// approxSelect implements σ̂ under approximation (Definition 6.2): for
+// ApproxSelect implements σ̂ under approximation (Definition 6.2): for
 // every joined combination of the conf arguments' possible tuples, the
 // clause sets are estimated for `rounds` Karp–Luby rounds, the predicate
 // is decided on the estimates with ε = max(ε₀, ε_ψ(p̂)), and the
 // membership error of an emitted tuple is bounded per Lemma 6.4(2) by
 // Σᵢ δᵢ(ε) plus the provenance error of the conf inputs.
-func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalResult, error) {
+func (run *evalRun) ApproxSelect(ev *algebra.URelEvaluator, in algebra.URelResult, n algebra.ApproxSelect) (algebra.URelResult, error) {
 	roundBudget := func(clauses int) int64 { return run.rounds * int64(clauses) }
 	var jobs []*estimateJob
 	var sjobs []*stratJob
@@ -161,41 +157,21 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 	argSchemas := make([]rel.Schema, len(n.Args))
 	for i, a := range n.Args {
 		for _, attr := range a.Attrs {
-			if !in.rel.Schema().Has(attr) {
-				return nil, fmt.Errorf("core: σ̂ conf attribute %q not in schema %v", attr, in.rel.Schema())
+			if !in.Rel.Schema().Has(attr) {
+				return algebra.URelResult{}, fmt.Errorf("core: σ̂ conf attribute %q not in schema %v", attr, in.Rel.Schema())
 			}
 		}
-		proj := run.exec.Project(in.rel, keepTargets(a.Attrs))
-		// Provenance error of each projected tuple: sum over distinct
-		// input data tuples projecting onto it.
-		provErr := map[string]float64{}
-		provSing := map[string]bool{}
-		seen := map[string]map[string]bool{}
-		attrIdx := make([]int, len(a.Attrs))
-		for j, attr := range a.Attrs {
-			attrIdx[j] = in.rel.Schema().Index(attr)
-		}
-		for _, ut := range in.rel.Tuples() {
-			outRow := make(rel.Tuple, len(attrIdx))
-			for j, idx := range attrIdx {
-				outRow[j] = ut.Row[idx]
-			}
-			ok, ik := outRow.Key(), ut.Row.Key()
-			if seen[ok] == nil {
-				seen[ok] = map[string]bool{}
-			}
-			if seen[ok][ik] {
-				continue
-			}
-			seen[ok][ik] = true
-			provErr[ok] += in.errs.Get(ik)
-			if in.singular[ik] {
-				provSing[ok] = true
-			}
+		targets := keepTargets(a.Attrs)
+		proj := ev.Exec().Project(in.Rel, targets)
+		// Provenance error of each projected tuple: the fan-in sum over
+		// the distinct input data tuples projecting onto it.
+		var provErr provenance.ErrMap
+		var provSing map[string]bool
+		if !in.Reliable() {
+			provErr, provSing = algebra.ProjectBounds(in, targets)
 		}
 		var tuples []argTuple
-		var jobErr error
-		for tc := range run.exec.LineageSeq(proj) {
+		for tc := range ev.Exec().LineageSeq(proj) {
 			// The balanced refinement scheme of the end of Section 5:
 			// run.rounds rounds of |F| trials each. NoSingletonShortcut
 			// forces even single-clause lineages through the estimator
@@ -218,15 +194,13 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 				}
 			}
 			if err != nil {
-				jobErr = err
-				break
+				return algebra.URelResult{}, err
 			}
-			cv.provErr = provErr[tc.Row.Key()]
-			cv.singular = provSing[tc.Row.Key()]
+			if provErr != nil {
+				k := tc.Row.Key()
+				cv.provErr, cv.singular = provErr[k], provSing[k]
+			}
 			tuples = append(tuples, argTuple{row: tc.Row, cv: cv, attr: proj.Schema()})
-		}
-		if jobErr != nil {
-			return nil, jobErr
 		}
 		argTuples[i] = tuples
 		argSchemas[i] = proj.Schema()
@@ -236,10 +210,10 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 	// worker busy across argument boundaries.
 	if strat {
 		if err := run.runStratEstimates(sjobs, stratTarget{adaptive: false}); err != nil {
-			return nil, err
+			return algebra.URelResult{}, err
 		}
 	} else if err := run.runEstimates(jobs); err != nil {
-		return nil, err
+		return algebra.URelResult{}, err
 	}
 
 	// Output schema: union of argument attributes in order of first
@@ -283,9 +257,9 @@ func (run *evalRun) approxSelect(in *evalResult, n algebra.ApproxSelect) (*evalR
 		return nil
 	}
 	if err := emit(0, map[string]rel.Value{}); err != nil {
-		return nil, err
+		return algebra.URelResult{}, err
 	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	return algebra.URelResult{Rel: out, Complete: true, Errs: errs, Singular: sing}, nil
 }
 
 // argTuple is one possible tuple of a σ̂ conf argument together with its

@@ -2,11 +2,13 @@
 // engine: approximate evaluation of UA[conf, repair-key, σ̂] queries on
 // U-relational databases with per-tuple error bounds.
 //
-// The engine evaluates positive relational algebra and repair-key exactly
-// on the U-relational representation (they are cheap — Proposition 3.3),
-// approximates confidence with the Karp–Luby FPRAS (Section 4), decides σ̂
-// predicates with the margin machinery of Section 5, and accounts
-// membership-error bounds through provenance per Lemma 6.4. The top-level
+// The plan itself is walked by algebra.URelEvaluator — positive relational
+// algebra and repair-key exactly on the U-relational representation (they
+// are cheap — Proposition 3.3), with Lemma 6.4's bounds propagated next to
+// the operators. This package supplies the walker's sampling Estimators: it
+// approximates confidence with the Karp–Luby FPRAS (Section 4) and decides
+// σ̂ predicates with the margin machinery of Section 5, bounding each
+// decision's membership error per Lemma 6.4(2). The top-level
 // EvalApprox implements Theorem 6.7's strategy: evaluate with a round
 // budget l, record per-tuple error bounds, and double l until every
 // non-singular output tuple's bound is below the target δ.
@@ -17,10 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/algebra"
-	"repro/internal/expr"
 	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
@@ -373,24 +373,33 @@ func (e *Engine) EvalExact(q algebra.Query) (algebra.URelResult, error) {
 // over-budget intermediates spill to disk and the evaluation completes);
 // Options.MaxTrials does not apply — exact evaluation samples nothing.
 func (e *Engine) EvalExactContext(ctx context.Context, q algebra.Query) (algebra.URelResult, error) {
-	mem := urel.NewMemBudget(e.opts.MaxMemory)
-	ev := algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem)
 	spill, err := e.newSpill()
 	if err != nil {
 		return algebra.URelResult{}, err
 	}
 	if spill != nil {
 		defer spill.Close()
-		ev.WithSpill(spill)
 	}
-	res, err := ev.EvalContext(ctx, q)
-	if err != nil {
-		var me *urel.MemLimitError
-		if errors.As(err, &me) {
-			return res, &LimitError{Resource: "memory", Limit: me.Limit, Used: me.Used}
-		}
+	res, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory), spill).EvalContext(ctx, q)
+	return res, limitErr(err)
+}
+
+// newWalker builds the plan walker of one evaluation pass over a fresh
+// clone of the database, on the engine's worker pool, under the
+// evaluation's memory budget and spill manager (either may be nil). Exact
+// and approximate evaluation differ only in the walker's Estimators.
+func (e *Engine) newWalker(mem *urel.MemBudget, spill *urel.Spill) *algebra.URelEvaluator {
+	return algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem).WithSpill(spill)
+}
+
+// limitErr maps the walker's tripped-budget error to the engine's typed
+// *LimitError; every other error passes through.
+func limitErr(err error) error {
+	var me *urel.MemLimitError
+	if errors.As(err, &me) {
+		return &LimitError{Resource: "memory", Limit: me.Limit, Used: me.Used}
 	}
-	return res, err
+	return err
 }
 
 // newSpill creates the evaluation's spill manager when out-of-core
@@ -464,22 +473,24 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if spill != nil {
 		defer spill.Close()
 	}
-	// One operator-statistics collector spans all restarts, so Stats.Ops
-	// reports the evaluation's total exact-algebra work.
-	ctrs := urel.NewCounters()
+	// Operator statistics sum over all restarts, so Stats.Ops reports the
+	// evaluation's total exact-algebra work.
+	ops := urel.StatsMap{}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		run := &evalRun{engine: e, ctx: ctx, db: e.db.Clone(), rounds: l, cache: cache,
-			limits: limits, spill: spill, exec: urel.NewExec(e.pool, ctrs)}
-		if limits != nil {
-			run.exec.WithBudget(limits.mem).WithSpill(spill)
-		}
-		res, err := run.eval(q)
+		// One pass is one walk of the plan with the sampling conf / σ̂ of
+		// this round budget. The walker's epilogue brings a shed result
+		// relation home: callers read it once the spill directory is gone.
+		run := &evalRun{engine: e, ctx: ctx, rounds: l, cache: cache, limits: limits}
+		ev := e.newWalker(limits.mem, spill).WithEstimators(run, false)
+		run.db = ev.DB()
+		res, err := ev.EvalContext(ctx, q)
 		if err != nil {
-			return nil, err
+			return nil, limitErr(err)
 		}
+		ops.Add(res.Ops)
 		trials += run.trials
 		reused += run.reused
 		cacheHits += run.cacheHits
@@ -489,8 +500,8 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		// converge and are excluded (the theorem only covers tuples
 		// without singularities in their provenance).
 		worst := run.worstDecision
-		for k, v := range res.errs {
-			if res.singular[k] {
+		for k, v := range res.Errs {
+			if res.Singular[k] {
 				continue
 			}
 			if v > worst {
@@ -522,17 +533,9 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 				Strata:          run.strata,
 				EarlyStops:      run.earlyStops,
 				ExactFactored:   run.exactFactored,
-				Ops:             ctrs.Snapshot(),
-			}
-			if spill != nil {
-				stats.SpilledBytes = spill.Bytes()
-				stats.SpillFiles = spill.Files()
-			}
-			// The result relation may itself have been shed; callers read
-			// it directly once the spill directory is gone.
-			run.exec.Ensure(res.rel)
-			if err := run.exec.Err(); err != nil {
-				return nil, err
+				Ops:             ops,
+				SpilledBytes:    res.SpilledBytes,
+				SpillFiles:      res.SpillFiles,
 			}
 			return finishResult(res, stats), nil
 		}
@@ -570,44 +573,41 @@ func (e *Engine) theorem67Cap(q algebra.Query) int64 {
 	return cap66
 }
 
-func finishResult(r *evalResult, stats Stats) *Result {
+func finishResult(r algebra.URelResult, stats Stats) *Result {
 	clamped := provenance.ErrMap{}
-	for k, v := range r.errs {
+	for k, v := range r.Errs {
 		clamped[k] = math.Min(1, v)
 	}
 	return &Result{
-		Rel:      r.rel,
-		Complete: r.complete,
+		Rel:      r.Rel,
+		Complete: r.Complete,
 		Errors:   clamped,
-		Singular: r.singular,
+		Singular: r.Singular,
 		Stats:    stats,
 	}
 }
 
-// evalRun is one pass of approximate evaluation at a fixed round budget.
+// evalRun is the sampling state of one pass of approximate evaluation at
+// a fixed round budget. It is the pass's algebra.Estimators: the plan
+// walker calls its Conf and ApproxSelect (approx.go) in plan order — never
+// from concurrent branches, because the batch maps and counters below are
+// unsynchronized and σ̂ decisions are counted in plan order.
 type evalRun struct {
 	engine *Engine
-	// ctx is checked at every operator of the pass and between estimation
-	// chunks (sched.Pool.ForEachCtx), bounding cancellation latency.
-	ctx    context.Context
+	// ctx is checked between estimation chunks (sched.Pool.ForEachCtx),
+	// bounding cancellation latency inside one operator.
+	ctx context.Context
+	// db is the walker's clone of the database: lineage is estimated
+	// against its variable table, which the pass's repair-keys grow.
 	db     *urel.Database
 	rounds int64
-	nextRK int
 	// cache, when non-nil, resumes estimation tasks from snapshots stored
 	// under the same lineage-content keys — by a previous restart of this
 	// EvalApprox, or by any earlier evaluation when the engine carries a
 	// shared cache (Options.NoResume disables it).
 	cache *Cache
-	// limits carries the evaluation's resource accounting (nil when no
-	// limit is configured); see limits.go.
+	// limits carries the evaluation's resource accounting; see limits.go.
 	limits *evalLimits
-	// spill, when non-nil, is the evaluation's out-of-core manager
-	// (Options.SpillDir): the memory budget sheds intermediates to it
-	// instead of aborting.
-	spill *urel.Spill
-	// exec runs the exact-algebra operators of this pass across the
-	// engine's worker pool, recording per-operator statistics.
-	exec *urel.Exec
 	// fper fingerprints lineage content against this pass's variable
 	// table (lazily built — plan construction is sequential).
 	fper *fingerprinter
@@ -635,311 +635,4 @@ type evalRun struct {
 	// is still unreliable.
 	worstDecision float64
 	singularDrops int
-}
-
-// evalResult carries a relation plus its unreliability metadata.
-type evalResult struct {
-	rel      *urel.Relation
-	complete bool
-	errs     provenance.ErrMap
-	singular map[string]bool
-}
-
-func reliableResult(r *urel.Relation, complete bool) *evalResult {
-	return &evalResult{rel: r, complete: complete, errs: provenance.Reliable(), singular: map[string]bool{}}
-}
-
-// eval evaluates one plan node, bracketing it with the cooperative
-// checks: cancellation before the node runs, and the memory limit after —
-// a budget tripped mid-operator must surface before the parent operator
-// consumes the (partial) output, so e.g. a conf over a tripped join never
-// spends its estimation budget on a result that would be discarded.
-func (run *evalRun) eval(q algebra.Query) (*evalResult, error) {
-	if run.ctx != nil {
-		if err := run.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	res, err := run.evalNode(q)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.exec.Err(); err != nil {
-		// A spill I/O failure means some operator saw incomplete inputs;
-		// the pass is abandoned, never silently wrong.
-		return nil, err
-	}
-	if err := run.memoryErr(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func (run *evalRun) evalNode(q algebra.Query) (*evalResult, error) {
-	switch n := q.(type) {
-	case algebra.Base:
-		r, ok := run.db.Rels[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown relation %q", n.Name)
-		}
-		return reliableResult(r, run.db.Complete[n.Name]), nil
-
-	case algebra.Select:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		out := run.exec.Select(in.rel, n.Pred)
-		// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
-		errs := provenance.Reliable()
-		sing := map[string]bool{}
-		for _, ut := range out.Tuples() {
-			k := ut.Row.Key()
-			if v := in.errs.Get(k); v > 0 {
-				errs.Set(k, v)
-			}
-			if in.singular[k] {
-				sing[k] = true
-			}
-		}
-		return &evalResult{rel: out, complete: in.complete, errs: errs, singular: sing}, nil
-
-	case algebra.Project:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		out := run.exec.Project(in.rel, n.Targets)
-		// (t.Ā, π_Ā(R)) ≺ (t, R): each output tuple accumulates the
-		// bounds of every input tuple projecting onto it (Example 6.5's
-		// fan-in sum). Distinct (D, row) pairs of the input can collapse
-		// to one output pair; sum over distinct input data tuples.
-		errs := provenance.Reliable()
-		sing := map[string]bool{}
-		seen := map[string]map[string]bool{}
-		for _, ut := range in.rel.Tuples() {
-			inKey := ut.Row.Key()
-			outRow := projectRow(in.rel, ut.Row, n.Targets)
-			outKey := outRow.Key()
-			if seen[outKey] == nil {
-				seen[outKey] = map[string]bool{}
-			}
-			if seen[outKey][inKey] {
-				continue
-			}
-			seen[outKey][inKey] = true
-			if v := in.errs.Get(inKey); v > 0 {
-				errs.Add(outKey, v)
-			}
-			if in.singular[inKey] {
-				sing[outKey] = true
-			}
-		}
-		return &evalResult{rel: out, complete: in.complete, errs: errs, singular: sing}, nil
-
-	case algebra.Product:
-		l, err := run.eval(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run.eval(n.R)
-		if err != nil {
-			return nil, err
-		}
-		out, err := run.exec.Product(l.rel, r.rel)
-		if err != nil {
-			return nil, err
-		}
-		return combineBinary(out, l, r, func(row rel.Tuple) (rel.Tuple, rel.Tuple) {
-			return row[:len(l.rel.Schema())], row[len(l.rel.Schema()):]
-		}), nil
-
-	case algebra.Join:
-		l, err := run.eval(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run.eval(n.R)
-		if err != nil {
-			return nil, err
-		}
-		out := run.exec.Join(l.rel, r.rel)
-		lSchema, rSchema := l.rel.Schema(), r.rel.Schema()
-		outSchema := out.Schema()
-		rIdx := make([]int, len(rSchema))
-		for i, a := range rSchema {
-			rIdx[i] = outSchema.Index(a)
-		}
-		return combineBinary(out, l, r, func(row rel.Tuple) (rel.Tuple, rel.Tuple) {
-			lrow := row[:len(lSchema)]
-			rrow := make(rel.Tuple, len(rSchema))
-			for i, j := range rIdx {
-				rrow[i] = row[j]
-			}
-			return lrow, rrow
-		}), nil
-
-	case algebra.Union:
-		l, err := run.eval(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run.eval(n.R)
-		if err != nil {
-			return nil, err
-		}
-		out, err := run.exec.Union(l.rel, r.rel)
-		if err != nil {
-			return nil, err
-		}
-		errs := provenance.Reliable()
-		sing := map[string]bool{}
-		for _, ut := range out.Tuples() {
-			k := ut.Row.Key()
-			if v := l.errs.Get(k) + r.errs.Get(k); v > 0 {
-				errs.Set(k, v)
-			}
-			if l.singular[k] || r.singular[k] {
-				sing[k] = true
-			}
-		}
-		return &evalResult{rel: out, complete: l.complete && r.complete, errs: errs, singular: sing}, nil
-
-	case algebra.DiffC:
-		l, err := run.eval(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run.eval(n.R)
-		if err != nil {
-			return nil, err
-		}
-		if !l.complete || !r.complete {
-			return nil, fmt.Errorf("core: −c requires inputs complete by c")
-		}
-		out, err := run.exec.DiffComplete(l.rel, r.rel)
-		if err != nil {
-			return nil, err
-		}
-		// Difference is not in the positive fragment of Lemma 6.4; the
-		// conservative bound adds the right side's worst tuple error for
-		// each left tuple (a right tuple wrongly present/absent can flip
-		// a left tuple's membership in the result).
-		rWorst := r.errs.Max()
-		errs := provenance.Reliable()
-		sing := map[string]bool{}
-		rSingular := len(r.singular) > 0
-		for _, ut := range out.Tuples() {
-			k := ut.Row.Key()
-			if v := l.errs.Get(k) + rWorst; v > 0 {
-				errs.Set(k, v)
-			}
-			if l.singular[k] || rSingular {
-				sing[k] = true
-			}
-		}
-		return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
-
-	case algebra.RepairKey:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		if !in.errs.IsReliable() {
-			return nil, fmt.Errorf("core: repair-key over unreliable input is not supported (paper footnote 3)")
-		}
-		run.nextRK++
-		rk, err := run.exec.RepairKey(in.rel, n.Key, n.Weight, run.db.Vars, "rk"+strconv.Itoa(run.nextRK))
-		if err != nil {
-			return nil, err
-		}
-		return reliableResult(rk, false), nil
-
-	case algebra.Conf:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		return run.approxConf(in, n.PCol())
-
-	case algebra.Poss:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		out := urel.FromComplete(run.exec.Poss(in.rel))
-		return &evalResult{rel: out, complete: true, errs: in.errs.Clone(), singular: in.singular}, nil
-
-	case algebra.Cert:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		// cert is a conf = 1 test: a singularity for approximation
-		// (Example 5.7). The engine computes it exactly.
-		out := urel.FromComplete(run.exec.CertExact(in.rel, run.db.Vars))
-		return &evalResult{rel: out, complete: true, errs: in.errs.Clone(), singular: in.singular}, nil
-
-	case algebra.Let:
-		def, err := run.eval(n.Def)
-		if err != nil {
-			return nil, err
-		}
-		oldRel, hadRel := run.db.Rels[n.Name]
-		oldC := run.db.Complete[n.Name]
-		run.db.Rels[n.Name] = def.rel
-		run.db.Complete[n.Name] = def.complete
-		// The binding's unreliability must flow to Base references; keep
-		// it in a side table.
-		if !def.errs.IsReliable() || len(def.singular) > 0 {
-			return nil, fmt.Errorf("core: let-binding %q of an unreliable relation is not supported; apply σ̂ in the body", n.Name)
-		}
-		res, err := run.eval(n.In)
-		if hadRel {
-			run.db.Rels[n.Name] = oldRel
-			run.db.Complete[n.Name] = oldC
-		} else {
-			delete(run.db.Rels, n.Name)
-			delete(run.db.Complete, n.Name)
-		}
-		return res, err
-
-	case algebra.ApproxSelect:
-		in, err := run.eval(n.In)
-		if err != nil {
-			return nil, err
-		}
-		return run.approxSelect(in, n)
-
-	default:
-		return nil, fmt.Errorf("core: unknown query node %T", q)
-	}
-}
-
-// projectRow applies projection targets to one row of r.
-func projectRow(r *urel.Relation, row rel.Tuple, targets []expr.Target) rel.Tuple {
-	env := expr.Env{Schema: r.Schema(), Tuple: row}
-	out := make(rel.Tuple, len(targets))
-	for i, tg := range targets {
-		out[i] = tg.Expr.Eval(env)
-	}
-	return out
-}
-
-// combineBinary builds the error/singularity maps of a product or join
-// result: µ(⟨r,s⟩) = µ(r) + µ(s), per the ≺ cases for ×.
-func combineBinary(out *urel.Relation, l, r *evalResult, split func(rel.Tuple) (rel.Tuple, rel.Tuple)) *evalResult {
-	errs := provenance.Reliable()
-	sing := map[string]bool{}
-	for _, ut := range out.Tuples() {
-		lrow, rrow := split(ut.Row)
-		k := ut.Row.Key()
-		if v := l.errs.Get(lrow.Key()) + r.errs.Get(rrow.Key()); v > 0 {
-			errs.Set(k, v)
-		}
-		if l.singular[lrow.Key()] || r.singular[rrow.Key()] {
-			sing[k] = true
-		}
-	}
-	return &evalResult{rel: out, complete: l.complete && r.complete, errs: errs, singular: sing}
 }

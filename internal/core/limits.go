@@ -34,7 +34,8 @@ func (e *LimitError) Error() string {
 }
 
 // evalLimits carries one evaluation's resource accounting across every pass
-// of the doubling loop. The zero-limit fields disable their checks.
+// of the doubling loop. The zero-limit fields disable their checks (mem is
+// nil without a memory limit; the plan walker checks it between operators).
 type evalLimits struct {
 	maxTrials int64
 	sampled   atomic.Int64
@@ -42,14 +43,7 @@ type evalLimits struct {
 }
 
 func newEvalLimits(opts Options) *evalLimits {
-	if opts.MaxTrials <= 0 && opts.MaxMemory <= 0 {
-		return nil
-	}
-	l := &evalLimits{maxTrials: opts.MaxTrials}
-	if opts.MaxMemory > 0 {
-		l.mem = urel.NewMemBudget(opts.MaxMemory)
-	}
-	return l
+	return &evalLimits{maxTrials: opts.MaxTrials, mem: urel.NewMemBudget(opts.MaxMemory)}
 }
 
 // chargeTrials reserves n sampled trials against the evaluation's budget,
@@ -66,24 +60,4 @@ func (run *evalRun) chargeTrials(n int64) error {
 		return &LimitError{Resource: "trials", Limit: lim.maxTrials, Used: used}
 	}
 	return nil
-}
-
-// memoryErr reports the evaluation's memory limit as a *LimitError once
-// the running bytes estimate trips it; nil otherwise. Checked between
-// operators (the partitioned operators additionally stop producing output
-// mid-range once the budget trips — see urel.MemBudget).
-func (run *evalRun) memoryErr() error {
-	if run.limits == nil || run.limits.mem == nil || !run.limits.mem.Exceeded() {
-		return nil
-	}
-	if run.spill != nil {
-		// Out-of-core execution: the budget is a residency high-water mark,
-		// never an abort — shedding happens inside the Exec.
-		return nil
-	}
-	return &LimitError{
-		Resource: "memory",
-		Limit:    run.limits.mem.Limit(),
-		Used:     run.limits.mem.Used(),
-	}
 }

@@ -3,17 +3,15 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 
+	"repro/internal/algebra"
 	"repro/internal/dnf"
 	"repro/internal/karpluby"
-	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
-	"repro/internal/urel"
 )
 
 // Stratified estimation path (Options.Strata / ConfThreshold / ConfTopK).
@@ -210,12 +208,6 @@ type stratTarget struct {
 	decided func(*stratJob) bool
 }
 
-// runStratEstimates drives every job to its stopping condition with
-// Neyman-allocated sampling waves across the engine's worker pool, then
-// publishes chunk-aligned per-stratum snapshots to the run's cache. Like
-// runEstimates, an aborted batch (context cancellation, tripped trial
-// limit) publishes nothing — the cache only ever holds complete wave
-// boundaries.
 // stratTask is one (job, stratum, chunk) sampling unit of a wave.
 type stratTask struct {
 	j     *stratJob
@@ -224,6 +216,12 @@ type stratTask struct {
 	n     int64
 }
 
+// runStratEstimates drives every job to its stopping condition with
+// Neyman-allocated sampling waves across the engine's worker pool, then
+// publishes chunk-aligned per-stratum snapshots to the run's cache. Like
+// runEstimates, an aborted batch (context cancellation, tripped trial
+// limit) publishes nothing — the cache only ever holds complete wave
+// boundaries.
 func (run *evalRun) runStratEstimates(jobs []*stratJob, tgt stratTarget) error {
 	defer func() { run.sbatch = nil }()
 	pending := make([]*stratJob, 0, len(jobs))
@@ -443,34 +441,22 @@ func minActiveChunk(j *stratJob) int64 {
 // stopping. Threshold/top-k never filter the output: every tuple still
 // appears with its estimate; the options only govern how much sampling
 // effort a tuple receives once its decision is settled.
-func (run *evalRun) approxConfStrat(in *evalResult, pcol string) (*evalResult, error) {
-	if in.rel.Schema().Has(pcol) {
-		return nil, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.rel.Schema())
-	}
+func (run *evalRun) approxConfStrat(ev *algebra.URelEvaluator, in algebra.URelResult, pcol string) (algebra.URelResult, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
-	type rowConf struct {
-		row rel.Tuple
-		cv  *confValue
-	}
 	var tuples []rowConf
 	var jobs []*stratJob
-	var jobErr error
 	run.sbatch = make(map[contentKey]*stratJob)
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	for tc := range run.exec.LineageSeq(in.rel) {
+	for tc := range ev.Exec().LineageSeq(in.Rel) {
 		cv, job, err := run.newStratJob(tc.F, budget, true)
 		if err != nil {
-			jobErr = err
-			break
+			return algebra.URelResult{}, err
 		}
 		if job != nil {
 			jobs = append(jobs, job)
 		}
 		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
-	}
-	if jobErr != nil {
-		return nil, jobErr
 	}
 	tgt := stratTarget{adaptive: true, eps: eps, delta: delta}
 	if opts.ConfThreshold > 0 || opts.ConfTopK > 0 {
@@ -481,26 +467,9 @@ func (run *evalRun) approxConfStrat(in *evalResult, pcol string) (*evalResult, e
 		tgt.decided = confDecider(all, opts.ConfThreshold, opts.ConfTopK, delta)
 	}
 	if err := run.runStratEstimates(jobs, tgt); err != nil {
-		return nil, err
+		return algebra.URelResult{}, err
 	}
-	out := urel.NewRelation(rel.NewSchema(append(in.rel.Schema().Clone(), pcol)...))
-	errs := provenance.Reliable()
-	sing := map[string]bool{}
-	for _, t := range tuples {
-		outRow := make(rel.Tuple, len(t.row)+1)
-		copy(outRow, t.row)
-		outRow[len(t.row)] = rel.Float(t.cv.estimate())
-		out.AddOwned(nil, outRow)
-		inKey := t.row.Key()
-		outKey := outRow.Key()
-		if v := in.errs.Get(inKey); v > 0 {
-			errs.Set(outKey, v)
-		}
-		if in.singular[inKey] {
-			sing[outKey] = true
-		}
-	}
-	return &evalResult{rel: out, complete: true, errs: errs, singular: sing}, nil
+	return confResult(in, pcol, tuples), nil
 }
 
 // confDecider builds the wave-boundary early-stopping hook for threshold

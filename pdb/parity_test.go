@@ -1,0 +1,104 @@
+package pdb_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/workload"
+
+	"repro/pdb"
+)
+
+// evalFingerprint hashes everything an approximate evaluation reports that
+// is deterministic under one seed: rows in result order with exact float
+// bit patterns, per-row error bounds and singular flags, and the trial /
+// restart / decision counters.
+func evalFingerprint(res *pdb.Result) string {
+	var b strings.Builder
+	cols := res.Columns()
+	for row := range res.Rows() {
+		for _, c := range cols {
+			switch v := row.Value(c).(type) {
+			case float64:
+				fmt.Fprintf(&b, "|%x", math.Float64bits(v))
+			default:
+				fmt.Fprintf(&b, "|%v", v)
+			}
+		}
+		fmt.Fprintf(&b, "|%s|%x|%v\n", row.Condition(), math.Float64bits(row.ErrorBound()), row.Singular())
+	}
+	st := res.Stats()
+	fmt.Fprintf(&b, "trials=%d restarts=%d decisions=%d", st.SampledTrials, st.Restarts, st.Decisions)
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
+}
+
+// corpusGolden holds evalFingerprint of every corpus scenario (500 rows,
+// generator seed 11, ε = 0.1) per "scenario/seed/strata", recorded at the
+// commit before exact and approximate evaluation were merged into one plan
+// walker. Estimates are a function of the seed alone, so a refactor of the
+// evaluator that leaves the urel.Exec call sequence and PRNG consumption
+// untouched must reproduce them bit for bit, for any worker count.
+var corpusGolden = map[string]string{
+	"sensor-dedup/1/0":       "71ac62cef71a25bd",
+	"sensor-dedup/1/8":       "7728175e114d155a",
+	"sensor-dedup/7/0":       "82edaccd08616b18",
+	"sensor-dedup/7/8":       "7728175e114d155a",
+	"sensor-dedup/42/0":      "96b600c43a185305",
+	"sensor-dedup/42/8":      "7728175e114d155a",
+	"entity-resolution/1/0":  "369ea1b163d9ef64",
+	"entity-resolution/1/8":  "061d23c3c56ab325",
+	"entity-resolution/7/0":  "757a97546027e719",
+	"entity-resolution/7/8":  "061d23c3c56ab325",
+	"entity-resolution/42/0": "9d0b36c84dc4ff70",
+	"entity-resolution/42/8": "061d23c3c56ab325",
+	"repair-whatif/1/0":      "1d67b0ceb8b34fac",
+	"repair-whatif/1/8":      "51b78b4d95d0399d",
+	"repair-whatif/7/0":      "1d67b0ceb8b34fac",
+	"repair-whatif/7/8":      "51b78b4d95d0399d",
+	"repair-whatif/42/0":     "1d67b0ceb8b34fac",
+	"repair-whatif/42/8":     "51b78b4d95d0399d",
+}
+
+// TestCorpusFingerprintGolden pins approximate evaluation of the workload
+// corpus to the recorded fingerprints across seeds, worker counts and the
+// flat / stratified estimation paths.
+func TestCorpusFingerprintGolden(t *testing.T) {
+	ctx := context.Background()
+	for _, sc := range workload.Scenarios() {
+		paths, err := sc.Generate(t.TempDir(), 500, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := pdb.Open(paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := db.Prepare(sc.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 7, 42} {
+			for _, strata := range []int{0, 8} {
+				key := fmt.Sprintf("%s/%d/%d", sc.Name, seed, strata)
+				for _, workers := range []int{1, 4} {
+					opts := []pdb.Option{pdb.WithSeed(seed), pdb.WithWorkers(workers), pdb.WithEpsilon(0.1)}
+					if strata > 0 {
+						opts = append(opts, pdb.WithStrata(strata))
+					}
+					res, err := q.Eval(ctx, opts...)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", key, workers, err)
+					}
+					if got := evalFingerprint(res); got != corpusGolden[key] {
+						t.Errorf("%q: %q, // workers=%d: fingerprint differs from golden %q",
+							key, got, workers, corpusGolden[key])
+					}
+				}
+			}
+		}
+	}
+}

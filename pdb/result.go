@@ -143,14 +143,34 @@ func newExactResult(r algebra.URelResult) *Result {
 }
 
 // sortRows fixes a deterministic, content-based row order (conditions
-// first, then values) independent of evaluation order.
+// first, then values) independent of evaluation order. Each row's value
+// key is built once up front: the comparator only compares strings.
 func (r *Result) sortRows() {
-	sort.Slice(r.rows, func(i, j int) bool {
-		if r.rows[i].cond != r.rows[j].cond {
-			return r.rows[i].cond < r.rows[j].cond
-		}
-		return r.rows[i].vals.Key() < r.rows[j].vals.Key()
-	})
+	keys := make([]string, len(r.rows))
+	for i, row := range r.rows {
+		keys[i] = row.vals.Key()
+	}
+	sort.Sort(rowOrder{r.rows, keys})
+}
+
+// rowOrder sorts rows and their precomputed value keys together.
+type rowOrder struct {
+	rows []Row
+	keys []string
+}
+
+func (o rowOrder) Len() int { return len(o.rows) }
+
+func (o rowOrder) Less(i, j int) bool {
+	if o.rows[i].cond != o.rows[j].cond {
+		return o.rows[i].cond < o.rows[j].cond
+	}
+	return o.keys[i] < o.keys[j]
+}
+
+func (o rowOrder) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
 }
 
 // Columns returns the result schema in order.
