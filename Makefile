@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build bench-build bench-smoke test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ build:
 # fails here instead of in the benchmark pipeline.
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+# Two seconds of the end-to-end benchmark's conf-flat workload (the
+# sampling kernel is most of each op), untraced: exits 1 when the op
+# stream fails its (ε, δ) check against the exact oracle.
+bench-smoke:
+	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
 
 test:
 	$(GO) test ./...
@@ -108,4 +114,4 @@ docs-check:
 links-check:
 	./scripts/check-links.sh
 
-ci: vet fmt-check docs-check links-check build bench-build test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke
+ci: vet fmt-check docs-check links-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke

@@ -86,12 +86,14 @@ func TestRunQueryFile(t *testing.T) {
 
 func TestRunTimeout(t *testing.T) {
 	dir := t.TempDir()
-	// 40 independent coin flips (repair-key per ID), conf[∅] ≈ 1, and a σ̂
-	// threshold only 0.01 away: the margin forces ~250k doubling rounds —
-	// far longer than the timeout.
+	// 400 independent coin flips (repair-key per ID), conf[∅] ≈ 1, and a σ̂
+	// threshold only 0.01 away: the margin drives the doubling loop to its
+	// round cap over a 400-clause lineage — millions of trials, far longer
+	// than the timeout (40 flips stopped being enough when the sampling
+	// kernel got ~10× faster).
 	var sb strings.Builder
 	sb.WriteString("ID,Present,W\n")
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		fmt.Fprintf(&sb, "%d,1,1\n%d,0,1\n", i, i)
 	}
 	rel := writeFile(t, dir, "r.csv", sb.String())

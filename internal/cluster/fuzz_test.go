@@ -109,6 +109,14 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.uv(protocolVersion + 1)
 			return e.b
 		}(), "protocol version"},
+		// A peer from before the kernel rewrite: same frames, different
+		// sampling stream for the same (seed, chunk).
+		{"version 1 peer", msgHello, func() []byte {
+			var e enc
+			e.u32(protocolMagic)
+			e.uv(1)
+			return e.b
+		}(), "protocol version 1, want 2"},
 		{"truncated", msgHello, []byte{0x70, 0x64}, "truncated"},
 		{"empty", msgHello, nil, "truncated"},
 	}
@@ -127,17 +135,19 @@ func TestCheckHelloRejects(t *testing.T) {
 // SHALL: version skew is typed in the other direction too — a client
 // talking to a future shard learns the versions, not a mystery error.
 func TestHandshakeRejectsServerVersionSkew(t *testing.T) {
-	var resp bytes.Buffer
-	var ack enc
-	ack.uv(protocolVersion + 5)
-	_ = writeFrame(&resp, msgHelloAck, ack.b)
-	rw := struct {
-		io.Reader
-		io.Writer
-	}{bytes.NewReader(resp.Bytes()), io.Discard}
-	err := handshake(rw)
-	if err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Errorf("skewed ack: err = %v, want version mismatch", err)
+	for _, v := range []uint64{protocolVersion + 5, 1} {
+		var resp bytes.Buffer
+		var ack enc
+		ack.uv(v)
+		_ = writeFrame(&resp, msgHelloAck, ack.b)
+		rw := struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(resp.Bytes()), io.Discard}
+		err := handshake(rw)
+		if err == nil || !strings.Contains(err.Error(), "protocol version") {
+			t.Errorf("ack with version %d: err = %v, want version mismatch", v, err)
+		}
 	}
 }
 

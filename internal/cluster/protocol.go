@@ -43,8 +43,13 @@ const (
 )
 
 const (
-	protocolMagic   uint32 = 0x70646263 // "pdbc"
-	protocolVersion        = 1
+	protocolMagic uint32 = 0x70646263 // "pdbc"
+	// protocolVersion names the frame layout AND the sampling stream: a
+	// shard must draw, for a given (seed, chunk), exactly the trials the
+	// coordinator would. Version 2 is the compiled lazy kernel on PCG
+	// chunk streams; a version-1 peer would answer with valid-looking
+	// counts from another stream, so the handshake refuses it.
+	protocolVersion = 2
 	// maxFrame bounds a frame; a sample batch over a large clause set is
 	// the biggest legitimate message.
 	maxFrame = 1 << 28

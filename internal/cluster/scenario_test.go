@@ -188,7 +188,12 @@ func TestClusterShardFailoverBitParity(t *testing.T) {
 		{"flat", grpConfProgram, []pdb.Option{pdb.WithConfBudget(0.05, 0.05), pdb.WithSeed(42)}},
 		{"stratified", grpConfProgram, []pdb.Option{pdb.WithConfBudget(0.05, 0.05), pdb.WithSeed(42), pdb.WithStrata(4)}},
 		{"sigma-hat", `aselect[p1 >= 0.05 over conf[Grp]](project[Grp](product(R, S)))`,
-			[]pdb.Option{pdb.WithEpsilon(0.1), pdb.WithDelta(0.1), pdb.WithSeed(7)}},
+			// The seed picks the doubling trajectory: one whose budgets outgrow
+			// a chunk spreads each task over several shards, so some victim
+			// carries traffic. (1 does on the current stream — 0 of 700 runs
+			// missed every victim; 7, used before the kernel rewrite changed
+			// the stream, had come to stay within one chunk and missed 1 in 20.)
+			[]pdb.Option{pdb.WithEpsilon(0.1), pdb.WithDelta(0.1), pdb.WithSeed(1)}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {

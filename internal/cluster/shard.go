@@ -334,7 +334,7 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 		}
 		hits, reused := s.cachedHits(key, len(t.clauses))
 		if !reused {
-			rng := rand.New(rand.NewSource(sched.ChunkSeed(t.seed, u.chunk.Index)))
+			rng := sched.NewRand(sched.ChunkSeed(t.seed, u.chunk.Index))
 			hits = samplers[u.task].sampleChunk(rng, u.chunk.N)
 			s.chunksSampled.Add(1)
 			s.trialsSampled.Add(u.chunk.N)

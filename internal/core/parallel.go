@@ -219,7 +219,7 @@ func (run *evalRun) runEstimates(jobs []*estimateJob) error {
 			chunkHits = j.tailHits + sh.Hits()
 			chunkTrials = t.c.N
 		} else {
-			rng = rand.New(rand.NewSource(sched.ChunkSeed(j.seed, t.c.Index)))
+			rng = sched.NewRand(sched.ChunkSeed(j.seed, t.c.Index))
 			sh = j.est.Shard(rng)
 			sh.Add(int(t.c.N))
 			chunkHits = sh.Hits()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 	"strconv"
 	"testing"
@@ -117,7 +116,7 @@ func TestSequentialChunkReferenceMatch(t *testing.T) {
 		taskSeed := sched.TaskSeedWords(seed, key.hi, key.lo)
 		total := karpluby.TrialsFor(0.1, 0.1, est.ClauseCount())
 		for _, c := range sched.Chunks(total, chunkTrials(est.ClauseCount())) {
-			sh := est.Shard(rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
+			sh := est.Shard(sched.NewRand(sched.ChunkSeed(taskSeed, c.Index)))
 			sh.Add(int(c.N))
 			est.Merge(sh)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/algebra"
@@ -367,7 +366,7 @@ func (run *evalRun) runStratEstimates(jobs []*stratJob, tgt stratTarget) error {
 			if err := run.chargeTrials(t.n); err != nil {
 				return err
 			}
-			rng := rand.New(rand.NewSource(sched.ChunkSeed(t.j.seeds[t.s], t.chunk)))
+			rng := sched.NewRand(sched.ChunkSeed(t.j.seeds[t.s], t.chunk))
 			sh := t.j.est.Shard(t.s, rng)
 			sh.Add(int(t.n))
 			t.j.mu.Lock()

@@ -92,63 +92,63 @@ func shatFixtures() (*urel.Database, *urel.Database, map[string]algebra.Query, m
 	return db, hardDB, easy, hard
 }
 
-// shatGolden holds fullFingerprint per "fixture/seed/strata", recorded at
-// the commit before exact and approximate evaluation were merged into one
-// plan walker (same contract as pdb's corpusGolden).
+// shatGolden holds fullFingerprint per "fixture/seed/strata" (same
+// contract and re-recording procedure as pdb's corpusGolden; last
+// re-recorded with it).
 var shatGolden = map[string]string{
-	"cert/1/0":            "aca739d641c621d8",
+	"cert/1/0":            "90e77fac5b7d99bf",
 	"cert/1/8":            "abbc11ffa224d5f5",
-	"cert/42/0":           "7d71e9a3b4f41102",
+	"cert/42/0":           "b0943e44f9cf33b8",
 	"cert/42/8":           "abbc11ffa224d5f5",
-	"cert/7/0":            "ef8c644c3266baff",
+	"cert/7/0":            "af9301a9ea7427dd",
 	"cert/7/8":            "abbc11ffa224d5f5",
-	"conf-over-shat/1/0":  "53ffa48b35b18f6e",
+	"conf-over-shat/1/0":  "d9821ed385af1393",
 	"conf-over-shat/1/8":  "da1cb48627716d61",
-	"conf-over-shat/42/0": "d9821ed385af1393",
+	"conf-over-shat/42/0": "0711d6a4868b0ef1",
 	"conf-over-shat/42/8": "da1cb48627716d61",
-	"conf-over-shat/7/0":  "af242f710b47966f",
+	"conf-over-shat/7/0":  "3d493df5db2a5f38",
 	"conf-over-shat/7/8":  "da1cb48627716d61",
-	"diff/1/0":            "7d7439f75531fc7b",
+	"diff/1/0":            "40ea112b7deafdd3",
 	"diff/1/8":            "116df607bd191aff",
-	"diff/42/0":           "40ea112b7deafdd3",
+	"diff/42/0":           "4dbca10f82739341",
 	"diff/42/8":           "116df607bd191aff",
-	"diff/7/0":            "4f5f3654c8dd544f",
+	"diff/7/0":            "2c14624f619fed73",
 	"diff/7/8":            "116df607bd191aff",
-	"hard-conf/1/0":       "da9867def626d241",
-	"hard-conf/1/8":       "e18862c68e342c1c",
-	"hard-conf/42/0":      "2a55a76d6289ac99",
-	"hard-conf/42/8":      "a60f8d8eb8df9124",
-	"hard-conf/7/0":       "7c91290adc2ee83c",
-	"hard-conf/7/8":       "aa01ded979b056d2",
-	"hard-shat/1/0":       "2a93aee9c0acfa5b",
-	"hard-shat/1/8":       "ea83ebedbf24d4c2",
-	"hard-shat/42/0":      "85ae19ea2632548c",
-	"hard-shat/42/8":      "ccd484b5cd79f068",
-	"hard-shat/7/0":       "bb40a073896c4526",
-	"hard-shat/7/8":       "83a3285201a8b1d2",
-	"join/1/0":            "2c99d199c2f6bc69",
+	"hard-conf/1/0":       "8a8131d1d13e99a9",
+	"hard-conf/1/8":       "e1ba953c09ef4cc0",
+	"hard-conf/42/0":      "25838a90158a5f8b",
+	"hard-conf/42/8":      "cef8554bfefe4c95",
+	"hard-conf/7/0":       "4dfff3a11b5f14f0",
+	"hard-conf/7/8":       "8b348c2e3d75c6e9",
+	"hard-shat/1/0":       "bcc139c3d6523e06",
+	"hard-shat/1/8":       "aef941bd82452e50",
+	"hard-shat/42/0":      "853fec49c6aeb1d8",
+	"hard-shat/42/8":      "d6d8eec3e36bb951",
+	"hard-shat/7/0":       "9dcaf16b5ffd8cd1",
+	"hard-shat/7/8":       "3b9aec7485c5512d",
+	"join/1/0":            "56f54f601e96fb35",
 	"join/1/8":            "c4942e4b16e1b56d",
-	"join/42/0":           "56f54f601e96fb35",
+	"join/42/0":           "8a7df3dbcaef75d4",
 	"join/42/8":           "c4942e4b16e1b56d",
-	"join/7/0":            "7f379a9633025920",
+	"join/7/0":            "51238b1566d1f297",
 	"join/7/8":            "c4942e4b16e1b56d",
-	"nested-shat/1/0":     "8577049612f16454",
+	"nested-shat/1/0":     "ebb87842e7002769",
 	"nested-shat/1/8":     "ddfca3e8e22b9bc9",
-	"nested-shat/42/0":    "ebb87842e7002769",
+	"nested-shat/42/0":    "42cac449398d3d99",
 	"nested-shat/42/8":    "ddfca3e8e22b9bc9",
-	"nested-shat/7/0":     "77adc9dcf667a6bc",
+	"nested-shat/7/0":     "00ab50b94edeb4f3",
 	"nested-shat/7/8":     "ddfca3e8e22b9bc9",
-	"poss/1/0":            "dae433e2b336b208",
+	"poss/1/0":            "f331d389c3515b2a",
 	"poss/1/8":            "4141cbcf36043512",
-	"poss/42/0":           "4d74145c52f437f5",
+	"poss/42/0":           "b0d78cf200799cca",
 	"poss/42/8":           "4141cbcf36043512",
-	"poss/7/0":            "7eddbe80553504cf",
+	"poss/7/0":            "d99b318239c1d14f",
 	"poss/7/8":            "4141cbcf36043512",
-	"select/1/0":          "100b9501e1565efb",
+	"select/1/0":          "392194abc76f00c0",
 	"select/1/8":          "5ec3b2c5439d7673",
-	"select/42/0":         "392194abc76f00c0",
+	"select/42/0":         "1930290a447f9685",
 	"select/42/8":         "5ec3b2c5439d7673",
-	"select/7/0":          "52abafd7afbd51fc",
+	"select/7/0":          "9a2856abe4ed25b3",
 	"select/7/8":          "5ec3b2c5439d7673",
 }
 

@@ -6,7 +6,9 @@
 // The estimator draws a clause f ∈ F with probability p_f/M (where
 // M = Σ p_f), extends it to a total assignment f* over the variables of F,
 // and returns 1 iff f is the smallest-index clause consistent with f*. The
-// estimator is unbiased for p/M, so p̂ = X·M/m after m trials.
+// estimator is unbiased for p/M, so p̂ = X·M/m after m trials. The trial
+// itself — one implementation for the flat and the stratified estimator,
+// over a clause set compiled into flat arrays — is in kernel.go.
 //
 // The Estimator is incremental: Figure 3's adaptive algorithm adds batches
 // of |F| trials per round and re-derives the current error bound
@@ -17,43 +19,26 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/dnf"
 	"repro/internal/vars"
 )
 
 // Estimator is an incremental Karp–Luby confidence estimator for a single
-// clause set F. It is not safe for concurrent use; for parallel sampling,
-// derive per-goroutine shards with Shard and fold their counts back with
-// Merge.
+// clause set F: a sampler over the compiled clause set (kernel.go) drawing
+// from all of F, plus the chunk-plan cursor. It is not safe for concurrent
+// use; for parallel sampling, derive per-goroutine shards with Shard and
+// fold their counts back with Merge.
 type Estimator struct {
-	f     dnf.F
-	table *vars.Table
-	// vars holds the variables mentioned by F in content-canonical order
-	// (sorted by registered name, not by id): world extension consumes the
-	// PRNG in this order, so the trial stream — and hence the estimate —
-	// depends only on the clause-set content and the table's
-	// distributions, never on the order variables happened to be
-	// registered in. This is what lets content-keyed caches share state
-	// across databases built in different orders.
-	vars   []vars.Var
-	m      float64   // M = Σ p_f
-	cum    []float64 // cumulative clause weights for sampling
-	rng    *rand.Rand
-	hits   int64 // Σ X_i
-	trials int64 // m
+	sampler
 
-	// chunks is the round-aligned chunk-plan cursor: the counts above are
-	// known to cover plan chunks [0, chunks) of the scheduling layer's
+	// chunks is the round-aligned chunk-plan cursor: the counts are known
+	// to cover plan chunks [0, chunks) of the scheduling layer's
 	// deterministic chunk plan. The estimator itself never derives it —
 	// it is carried by State/Resume and advanced by the scheduler so a
 	// snapshot can be extended with only the delta chunks of a larger
 	// budget.
 	chunks int
-
-	// scratch buffers reused across trials to avoid allocation
-	world map[vars.Var]int32
 }
 
 // ErrEmpty is returned when the clause set has zero total weight (no
@@ -69,61 +54,34 @@ var ErrEmpty = errors.New("karpluby: empty clause set")
 // "template" whose trials all come from shards); calling Step, Add, or
 // Confidence-style sampling on a nil-rng estimator panics.
 func NewEstimator(f dnf.F, table *vars.Table, rng *rand.Rand) (*Estimator, error) {
-	f = f.Dedup()
 	if len(f) == 0 {
 		return nil, ErrEmpty
 	}
-	e := &Estimator{
-		f:     f,
-		table: table,
-		vars:  f.Vars(),
-		rng:   rng,
-		world: make(map[vars.Var]int32),
+	k, _ := compile(f, table, true)
+	all := make([]int32, k.clauses())
+	for i := range all {
+		all[i] = int32(i)
 	}
-	// Content-canonical variable order; see the field comment.
-	sort.Slice(e.vars, func(i, j int) bool {
-		return table.Info(e.vars[i]).Name < table.Info(e.vars[j]).Name
-	})
-	e.cum = make([]float64, len(f))
-	total := 0.0
-	for i, a := range f {
-		total += a.Weight(table)
-		e.cum[i] = total
-	}
-	e.m = total
-	if total <= 0 {
+	d := k.newDraw(all)
+	if d.m <= 0 {
 		return nil, ErrEmpty
 	}
-	return e, nil
+	return &Estimator{sampler: newSampler(k, &d, rng)}, nil
 }
 
 // ClauseCount returns |F| after deduplication.
-func (e *Estimator) ClauseCount() int { return len(e.f) }
+func (e *Estimator) ClauseCount() int { return e.k.clauses() }
 
 // M returns the total clause weight Σ p_f.
-func (e *Estimator) M() float64 { return e.m }
-
-// Trials returns the number of estimator invocations so far.
-func (e *Estimator) Trials() int64 { return e.trials }
-
-// Hits returns the number of successful trials Σ X_i so far.
-func (e *Estimator) Hits() int64 { return e.hits }
+func (e *Estimator) M() float64 { return e.d.m }
 
 // Shard returns a fresh estimator over the same clause set that samples
-// from rng. The shard shares the parent's immutable clause data (clauses,
-// cumulative weights, variable list) but has its own trial counters and
-// scratch space, so shards of one estimator may run on separate goroutines
-// concurrently. Fold a finished shard's counts back with Merge.
+// from rng. The shard shares the parent's immutable compiled clause data
+// but has its own trial counters and scratch space, so shards of one
+// estimator may run on separate goroutines concurrently. Fold a finished
+// shard's counts back with Merge.
 func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
-	return &Estimator{
-		f:     e.f,
-		table: e.table,
-		vars:  e.vars,
-		m:     e.m,
-		cum:   e.cum,
-		rng:   rng,
-		world: make(map[vars.Var]int32, len(e.vars)),
-	}
+	return &Estimator{sampler: newSampler(e.k, e.d, rng)}
 }
 
 // State is a resumable snapshot of an estimator's trial counts. It is the
@@ -221,7 +179,7 @@ func (e *Estimator) AdvanceTo(chunk int) {
 // trials regardless of which PRNG stream produced each one, provided the
 // shard streams are independent.
 func (e *Estimator) Merge(o *Estimator) {
-	if len(o.f) != len(e.f) || o.m != e.m {
+	if o.k.clauses() != e.k.clauses() || o.d.m != e.d.m {
 		panic("karpluby: merging estimators over different clause sets")
 	}
 	e.hits += o.hits
@@ -243,91 +201,24 @@ func (e *Estimator) Absorb(hits, trials int64) {
 	e.trials += trials
 }
 
-// sampleOnce runs one Karp–Luby trial (Definition 4.1) and returns 0 or 1.
-func (e *Estimator) sampleOnce() int {
-	// Step 1: choose f with probability p_f/M.
-	u := e.rng.Float64() * e.m
-	idx := sort.SearchFloat64s(e.cum, u)
-	if idx == len(e.cum) {
-		idx = len(e.cum) - 1
-	}
-	chosen := e.f[idx]
-
-	// Step 2: extend to a total assignment f* over vars(F): keep the
-	// chosen clause's bindings, sample every other variable per W.
-	for k := range e.world {
-		delete(e.world, k)
-	}
-	for _, b := range chosen {
-		e.world[b.Var] = b.Alt
-	}
-	for _, v := range e.vars {
-		if _, ok := e.world[v]; ok {
-			continue
-		}
-		e.world[v] = e.sampleAlt(v)
-	}
-
-	// Step 3: return 1 iff chosen is the smallest-index clause consistent
-	// with f*.
-	for i := 0; i < idx; i++ {
-		if e.consistent(e.f[i]) {
-			return 0
-		}
-	}
-	return 1
-}
-
-// sampleAlt draws an alternative of v according to its probabilities.
-func (e *Estimator) sampleAlt(v vars.Var) int32 {
-	u := e.rng.Float64()
-	probs := e.table.Info(v).Probs
-	acc := 0.0
-	for alt, p := range probs {
-		acc += p
-		if u < acc {
-			return int32(alt)
-		}
-	}
-	return int32(len(probs) - 1)
-}
-
-// consistent reports whether the current sampled world extends clause a.
-func (e *Estimator) consistent(a vars.Assignment) bool {
-	for _, b := range a {
-		if got, ok := e.world[b.Var]; !ok || got != b.Alt {
-			return false
-		}
-	}
-	return true
-}
-
 // Step runs |F| more trials — one round of the inner loop of the paper's
 // Figure 3 algorithm. It makes Estimator satisfy the Approximable
 // interface of the predapprox package.
-func (e *Estimator) Step() { e.Add(len(e.f)) }
-
-// Add runs n more trials.
-func (e *Estimator) Add(n int) {
-	for i := 0; i < n; i++ {
-		e.hits += int64(e.sampleOnce())
-	}
-	e.trials += int64(n)
-}
+func (e *Estimator) Step() { e.Add(e.ClauseCount()) }
 
 // Estimate returns the current estimate p̂ = X·M/m. With zero trials it
 // returns M as a safe upper bound (p ≤ M always).
 func (e *Estimator) Estimate() float64 {
 	if e.trials == 0 {
-		return math.Min(e.m, 1)
+		return math.Min(e.d.m, 1)
 	}
-	return float64(e.hits) * e.m / float64(e.trials)
+	return float64(e.hits) * e.d.m / float64(e.trials)
 }
 
 // Delta returns the paper's error bound for the current trial count:
 // δ(ε) = 2·exp(−m·ε²/(3·|F|)), i.e. Pr[|p̂−p| ≥ ε·p] ≤ Delta(ε).
 func (e *Estimator) Delta(eps float64) float64 {
-	return DeltaBound(eps, e.trials, len(e.f))
+	return DeltaBound(eps, e.trials, e.ClauseCount())
 }
 
 // Bounds returns a confidence interval [lo, hi] for p at failure
@@ -337,11 +228,11 @@ func (e *Estimator) Delta(eps float64) float64 {
 // 1−δ (the upper end is min(M, 1) when ε ≥ 1). It makes Estimator
 // satisfy the predapprox.Bounded interface for threshold decisions.
 func (e *Estimator) Bounds(delta float64) (lo, hi float64) {
-	max := math.Min(e.m, 1)
+	max := math.Min(e.d.m, 1)
 	if e.trials == 0 || delta <= 0 || delta >= 1 {
 		return 0, max
 	}
-	eps := math.Sqrt(3 * float64(len(e.f)) * math.Log(2/delta) / float64(e.trials))
+	eps := math.Sqrt(3 * float64(e.ClauseCount()) * math.Log(2/delta) / float64(e.trials))
 	p := e.Estimate()
 	lo = p / (1 + eps)
 	if eps >= 1 {
@@ -375,16 +266,15 @@ func TrialsFor(eps, delta float64, clauses int) int64 {
 // Confidence runs the full FPRAS: it draws TrialsFor(eps, delta, |F|)
 // samples and returns p̂ with Pr[|p̂−p| ≥ ε·p] ≤ δ.
 func Confidence(f dnf.F, table *vars.Table, eps, delta float64, rng *rand.Rand) (float64, error) {
-	f = f.Dedup()
 	if len(f) == 0 {
 		return 0, nil
-	}
-	if len(f[0]) == 0 {
-		return 1, nil
 	}
 	e, err := NewEstimator(f, table, rng)
 	if err != nil {
 		return 0, err
+	}
+	if e.k.certain() {
+		return 1, nil
 	}
 	e.Add(int(TrialsFor(eps, delta, e.ClauseCount())))
 	return e.Estimate(), nil

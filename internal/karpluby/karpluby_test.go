@@ -236,29 +236,3 @@ func TestMultiValuedVariables(t *testing.T) {
 		t.Errorf("estimate %v vs exact %v", got, exact)
 	}
 }
-
-func BenchmarkEstimatorTrial(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tab := vars.NewTable()
-	for i := 0; i < 20; i++ {
-		tab.Add("v"+string(rune('a'+i)), []float64{0.5, 0.5}, nil)
-	}
-	var f dnf.F
-	for c := 0; c < 30; c++ {
-		var bs []vars.Binding
-		for l := 0; l < 4; l++ {
-			bs = append(bs, vars.Binding{Var: vars.Var(rng.Intn(20)), Alt: int32(rng.Intn(2))})
-		}
-		if a, err := vars.NewAssignment(bs...); err == nil {
-			f = append(f, a)
-		}
-	}
-	e, err := NewEstimator(f, tab, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Add(1)
-	}
-}

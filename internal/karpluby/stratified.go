@@ -93,12 +93,10 @@ func PlanStrata(f dnf.F, table *vars.Table, maxStrata int) [][]int {
 	return out
 }
 
-// stratum is one clause band of a Stratified estimator: its global clause
-// indices, stratum-local cumulative weights, and mergeable counts.
+// stratum is one clause band of a Stratified estimator: the draw over its
+// clauses (m is M_j = Σ_{f∈F_j} p_f) and mergeable counts.
 type stratum struct {
-	idx []int     // global clause indices, ascending
-	cum []float64 // cumulative weights of f[idx[0..k]]
-	m   float64   // M_j = Σ_{f∈F_j} p_f
+	draw
 
 	hits   int64
 	trials int64
@@ -113,10 +111,8 @@ type stratum struct {
 // parallel sampling derive per-goroutine StratumShards with Shard and
 // fold their counts back with MergeShard.
 type Stratified struct {
-	f      dnf.F
-	table  *vars.Table
-	vars   []vars.Var // content-canonical order (sorted by name), as in Estimator
-	m      float64    // M = Σ_j M_j
+	k      *kernel // all of F, shared read-only by every shard
+	m      float64 // M = Σ_j M_j
 	strata []stratum
 }
 
@@ -147,29 +143,22 @@ func NewStratified(f dnf.F, table *vars.Table, plan [][]int) (*Stratified, error
 	if covered != len(f) {
 		return nil, fmt.Errorf("karpluby: stratification plan covers %d of %d clauses", covered, len(f))
 	}
-	s := &Stratified{
-		f:     f,
-		table: table,
-		vars:  f.Vars(),
+	// The plan indexes f, so nothing may be dropped here; the kernel's
+	// internal clause order is its own, and each stratum draws from the
+	// internal positions of its clauses.
+	k, order := compile(f, table, false)
+	pos := make([]int32, len(f)) // incoming clause index → internal position
+	for p, c := range order {
+		pos[c] = int32(p)
 	}
-	// Content-canonical variable order: world extension consumes the PRNG
-	// in this order, so trial streams depend only on clause-set content —
-	// the same invariant Estimator maintains (see its vars field).
-	sort.Slice(s.vars, func(i, j int) bool {
-		return table.Info(s.vars[i]).Name < table.Info(s.vars[j]).Name
-	})
-	s.strata = make([]stratum, len(plan))
+	s := &Stratified{k: k, strata: make([]stratum, len(plan))}
 	for j, str := range plan {
-		st := &s.strata[j]
-		st.idx = str
-		st.cum = make([]float64, len(str))
-		total := 0.0
-		for k, gi := range str {
-			total += f[gi].Weight(table)
-			st.cum[k] = total
+		at := make([]int32, len(str))
+		for i, gi := range str {
+			at[i] = pos[gi]
 		}
-		st.m = total
-		s.m += total
+		s.strata[j].draw = k.newDraw(at)
+		s.m += s.strata[j].m
 	}
 	if s.m <= 0 {
 		return nil, ErrEmpty
@@ -178,13 +167,13 @@ func NewStratified(f dnf.F, table *vars.Table, plan [][]int) (*Stratified, error
 }
 
 // ClauseCount returns |F|.
-func (s *Stratified) ClauseCount() int { return len(s.f) }
+func (s *Stratified) ClauseCount() int { return s.k.clauses() }
 
 // StratumCount returns the number of strata K.
 func (s *Stratified) StratumCount() int { return len(s.strata) }
 
 // StratumClauses returns |F_j|.
-func (s *Stratified) StratumClauses(j int) int { return len(s.strata[j].idx) }
+func (s *Stratified) StratumClauses(j int) int { return len(s.strata[j].pos) }
 
 // StratumM returns M_j, stratum j's total clause weight. A stratum with
 // M_j = 0 contributes exactly 0 to the estimate and is never sampled
@@ -264,16 +253,13 @@ func (s *Stratified) ResumeStratum(j int, st StratumState) error {
 
 // StratumShard samples trials for one stratum of a Stratified estimator
 // on its own PRNG and scratch space, so shards of one estimator may run
-// on separate goroutines concurrently. Fold a finished shard's counts
-// back with MergeShard.
+// on separate goroutines concurrently. It is the kernel's sampler drawing
+// clauses from the stratum with probability p_f/M_j and testing
+// minimality against ALL of F — that is what makes the stratum masses p_j
+// partition p. Fold a finished shard's counts back with MergeShard.
 type StratumShard struct {
-	par *Stratified
-	s   *stratum
-	rng *rand.Rand
-
-	hits   int64
-	trials int64
-	world  map[vars.Var]int32
+	sampler
+	s *stratum
 }
 
 // Shard returns a sampling shard for stratum j drawing from rng. The
@@ -283,91 +269,7 @@ func (s *Stratified) Shard(j int, rng *rand.Rand) *StratumShard {
 	if st.m <= 0 {
 		panic("karpluby: Shard on an inactive stratum")
 	}
-	return &StratumShard{
-		par:   s,
-		s:     st,
-		rng:   rng,
-		world: make(map[vars.Var]int32, len(s.vars)),
-	}
-}
-
-// Hits returns the shard's hit count.
-func (sh *StratumShard) Hits() int64 { return sh.hits }
-
-// Trials returns the shard's trial count.
-func (sh *StratumShard) Trials() int64 { return sh.trials }
-
-// Add runs n more trials on the shard.
-func (sh *StratumShard) Add(n int) {
-	for i := 0; i < n; i++ {
-		sh.hits += int64(sh.sampleOnce())
-	}
-	sh.trials += int64(n)
-}
-
-// sampleOnce runs one stratified Karp–Luby trial: draw a clause from this
-// stratum with probability p_f/M_j, extend it to a total assignment over
-// vars(F), and return 1 iff the drawn clause is the smallest-index clause
-// of all of F consistent with the extension. The draw sequence replicates
-// Estimator.sampleOnce exactly — one Float64 for the clause, then one per
-// unbound variable in canonical order — so a single-stratum plan consumes
-// the identical PRNG stream and produces bit-identical counts to the flat
-// estimator.
-func (sh *StratumShard) sampleOnce() int {
-	u := sh.rng.Float64() * sh.s.m
-	k := sort.SearchFloat64s(sh.s.cum, u)
-	if k == len(sh.s.cum) {
-		k = len(sh.s.cum) - 1
-	}
-	gi := sh.s.idx[k]
-	chosen := sh.par.f[gi]
-
-	for v := range sh.world {
-		delete(sh.world, v)
-	}
-	for _, b := range chosen {
-		sh.world[b.Var] = b.Alt
-	}
-	for _, v := range sh.par.vars {
-		if _, ok := sh.world[v]; ok {
-			continue
-		}
-		sh.world[v] = sh.sampleAlt(v)
-	}
-
-	// Minimality against ALL of F, not just this stratum: that is what
-	// makes the stratum masses p_j partition p.
-	for i := 0; i < gi; i++ {
-		if sh.consistent(sh.par.f[i]) {
-			return 0
-		}
-	}
-	return 1
-}
-
-// sampleAlt draws an alternative of v according to its probabilities,
-// consuming the PRNG identically to Estimator.sampleAlt.
-func (sh *StratumShard) sampleAlt(v vars.Var) int32 {
-	u := sh.rng.Float64()
-	probs := sh.par.table.Info(v).Probs
-	acc := 0.0
-	for alt, p := range probs {
-		acc += p
-		if u < acc {
-			return int32(alt)
-		}
-	}
-	return int32(len(probs) - 1)
-}
-
-// consistent reports whether the current sampled world extends clause a.
-func (sh *StratumShard) consistent(a vars.Assignment) bool {
-	for _, b := range a {
-		if got, ok := sh.world[b.Var]; !ok || got != b.Alt {
-			return false
-		}
-	}
-	return true
+	return &StratumShard{sampler: newSampler(s.k, &st.draw, rng), s: st}
 }
 
 // MergeShard folds shard sh's counts into stratum j. Merging is exact and
@@ -757,7 +659,7 @@ func EstimateAdaptive(f dnf.F, table *vars.Table, o AdaptiveOptions) (AdaptiveRe
 			seed := StratumSeed(o.Seed, j)
 			start := s.StratumChunks(j)
 			for i := 0; i < c; i++ {
-				rng := rand.New(rand.NewSource(sched.ChunkSeed(seed, start+i)))
+				rng := sched.NewRand(sched.ChunkSeed(seed, start+i))
 				sh := s.Shard(j, rng)
 				sh.Add(int(sizes[j]))
 				s.MergeShard(j, sh)

@@ -15,6 +15,8 @@ package sched
 
 import (
 	"context"
+	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -226,4 +228,31 @@ func TaskSeedWords(base int64, hi, lo uint64) int64 {
 // a chunk samples the same stream no matter which worker executes it.
 func ChunkSeed(taskSeed int64, chunk int) int64 {
 	return int64(splitmix64(uint64(taskSeed) + 0x9e3779b97f4a7c15*uint64(chunk+1)))
+}
+
+// pcgSource adapts math/rand/v2's PCG generator — 16 bytes of state — to
+// math/rand's Source64, so chunk streams keep the *rand.Rand type every
+// sampling signature takes without paying math/rand's 607-word
+// additive-lagged-Fibonacci state (≈ 4.9 KB and a seeding loop) per
+// 4096-trial chunk.
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Uint64() uint64 { return s.pcg.Uint64() }
+func (s *pcgSource) Int63() int64   { return int64(s.pcg.Uint64() >> 1) }
+
+// Seed derives both PCG state words from seed, so streams of different
+// seeds differ in the low word too (streams sharing it would share the
+// low half of every LCG state).
+func (s *pcgSource) Seed(seed int64) {
+	s.pcg.Seed(uint64(seed), splitmix64(uint64(seed)+0x9e3779b97f4a7c15))
+}
+
+// NewRand returns the PRNG for a derived seed (normally a ChunkSeed). It
+// is the one constructor of chunk streams: the engine, the stratified
+// driver, the cluster shards and the sequential references all call it,
+// which is what keeps a chunk's stream identical wherever it is sampled.
+func NewRand(seed int64) *rand.Rand {
+	src := new(pcgSource)
+	src.Seed(seed)
+	return rand.New(src)
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,42 @@ func TestSeedDerivationDeterministicAndDistinct(t *testing.T) {
 	if ChunkSeed(s, 3) != ChunkSeed(s, 3) {
 		t.Error("ChunkSeed is not deterministic")
 	}
+}
+
+// NewRand is the one chunk-stream constructor: equal seeds replay the
+// same stream, neighbouring seeds do not, uniform draws look uniform, and
+// building one costs a few words — not math/rand's 5 KB lagged-Fibonacci
+// state.
+func TestNewRandStreams(t *testing.T) {
+	a, b, c := NewRand(42), NewRand(42), NewRand(43)
+	same := true
+	sum := 0.0
+	const n = 10000
+	for i := 0; i < n; i++ {
+		x := a.Float64()
+		if x < 0 || x >= 1 {
+			t.Fatalf("Float64 = %v outside [0,1)", x)
+		}
+		if x != b.Float64() {
+			t.Fatal("equal seeds diverge")
+		}
+		same = same && x == c.Float64()
+		sum += x
+	}
+	if same {
+		t.Error("seeds 42 and 43 give one stream")
+	}
+	if mean := sum / n; mean < 0.48 || mean > 0.52 {
+		t.Errorf("mean of %d uniforms = %v", n, mean)
+	}
+	if a.Uint64() != b.Uint64() || a.Int63() != b.Int63() {
+		t.Error("Uint64/Int63 diverge on equal seeds")
+	}
+	var keep *rand.Rand
+	if allocs := testing.AllocsPerRun(100, func() { keep = NewRand(7) }); allocs > 2 {
+		t.Errorf("NewRand allocates %v times, want ≤ 2", allocs)
+	}
+	_ = keep
 }
 
 // Chunk plans of nested budgets must share their full-size prefix, and
