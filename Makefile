@@ -14,11 +14,15 @@ build:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-# Two seconds of the end-to-end benchmark's conf-flat workload (the
-# sampling kernel is most of each op), untraced: exits 1 when the op
-# stream fails its (ε, δ) check against the exact oracle.
+# Two seconds each of the end-to-end benchmark's conf-flat workload (one
+# lane per task, the whole Chernoff budget in one wave) and sigma-strat
+# workload (σ̂ over stratified tasks: Neyman-allocated doubling waves),
+# untraced — the two wave policies of the one estimation driver. Either
+# exits 1 when its op stream fails its (ε, δ) check against the exact
+# oracle.
 bench-smoke:
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
+	bash benchmark/run.sh -workload sigma-strat -seconds 2 -notrace
 
 test:
 	$(GO) test ./...

@@ -283,7 +283,7 @@ func run() error {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newHTTPServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() {
 		logger.Printf("serving %d relation(s) %v on %s", len(tables), db.Relations(), *addr)
@@ -353,4 +353,23 @@ func splitPeers(s string) []string {
 		}
 	}
 	return peers
+}
+
+// Connection-level timeouts. A client that has not finished its request
+// headers, or that holds a keep-alive connection without sending anything,
+// has not reached admission control or a per-request deadline yet, so
+// nothing else bounds it. Request bodies and responses are left to the
+// per-request deadline (internal/server).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -289,13 +289,13 @@ func (c *Coordinator) SampleChunks(ctx context.Context, tasks []core.RemoteTask)
 				continue // dedupe: an earlier copy already counted
 			}
 			rc := o.counts[i]
-			if rc.Trials != u.trials {
+			if !validCounts(rc, u.trials) {
 				// A malformed count must not poison the estimate;
 				// treat it as that unit failing and fail over.
 				mis := &Error{
 					Shard:    o.d.executor(c),
 					Attempts: 1,
-					Err:      fmt.Errorf("shard returned %d trials for a task assigned %d", rc.Trials, u.trials),
+					Err:      fmt.Errorf("shard returned impossible counts %+v for a task assigned %d trials", rc, u.trials),
 				}
 				c.failovers.Add(1)
 				if u.inflight > 0 {
@@ -322,6 +322,17 @@ func (c *Coordinator) SampleChunks(ctx context.Context, tasks []core.RemoteTask)
 		}
 	}
 	return out, nil
+}
+
+// validCounts reports whether rc can be the summed counts of chunks
+// totalling trials trials. Every field crossed the wire as an unchecked
+// uvarint (a value above MaxInt64 arrives negative), and core's estimators
+// reject impossible counts outright, so a violating unit is never merged.
+func validCounts(rc core.RemoteCounts, trials int64) bool {
+	return rc.Trials == trials &&
+		0 <= rc.PartialHits && rc.PartialHits <= rc.Hits && rc.Hits <= rc.Trials &&
+		rc.PartialHits <= rc.PartialTrials && rc.PartialTrials <= rc.Trials &&
+		0 <= rc.ReusedTrials && rc.ReusedTrials <= rc.Trials
 }
 
 // executor names a dispatch's target for error messages.

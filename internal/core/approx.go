@@ -15,43 +15,61 @@ import (
 // Conf implements conf_{ε,δ} (Section 4 / Corollary 4.3): the output
 // is a complete relation with an estimated P column; per-tuple membership
 // bounds are inherited from the input (the P value itself carries the
-// (ε,δ) relative-error guarantee). Estimation is fanned out across the
-// engine's worker pool: every tuple becomes a job keyed by its lineage
-// row, so its PRNG streams — and hence its estimate — depend only on
-// Options.Seed, not on the worker count or on other tuples.
+// (ε,δ) relative-error guarantee). Every tuple becomes an estimation task
+// keyed by its lineage content, so its PRNG streams — and hence its
+// estimate — depend only on Options.Seed, not on the worker count or on
+// other tuples, and tuples sharing a clause set — within this operator,
+// elsewhere in the plan, or in an earlier query against a shared engine
+// cache — share one estimation.
+//
+// By default each task spends the paper's Chernoff budget on the flat
+// estimator. With Options.Strata (or a threshold/top-k option) set, tasks
+// are stratified and adaptive instead: factoring pre-pass, per-stratum
+// Neyman waves, empirical-Bernstein stopping below the same budget, and
+// optional threshold/top-k early stopping. Threshold/top-k never filter
+// the output: every tuple still appears with its estimate; the options
+// only govern how much sampling effort a tuple receives once its decision
+// is settled.
 func (run *evalRun) Conf(ev *algebra.URelEvaluator, in algebra.URelResult, pcol string) (algebra.URelResult, error) {
 	if in.Rel.Schema().Has(pcol) {
 		return algebra.URelResult{}, fmt.Errorf("core: conf column %q already in schema %v", pcol, in.Rel.Schema())
 	}
-	if run.engine.opts.stratifiedConf() {
-		return run.approxConfStrat(ev, in, pcol)
+	opts := run.engine.opts
+	eps, delta := opts.confEps(), opts.confDelta()
+	maxStrata := 0
+	if opts.stratifiedConf() {
+		maxStrata = opts.strataCount()
 	}
-	eps, delta := run.engine.opts.confEps(), run.engine.opts.confDelta()
-	// Stream the lineage groups: one pass builds the estimation jobs and
+	// Stream the lineage groups: one pass builds the estimation tasks and
 	// keeps only (row, value) per distinct tuple — the clause sets flow
 	// straight into the estimators instead of surviving in a second
-	// materialized []TupleConf. Jobs are keyed by lineage content, so
-	// tuples sharing a clause set — within this operator, elsewhere in the
-	// plan, or in an earlier query against a shared engine cache — share
-	// one estimation.
+	// materialized []TupleConf.
 	var tuples []rowConf
-	var jobs []*estimateJob
-	run.batch = make(map[contentKey]*estimateJob)
+	var tasks []*task
+	run.batch = make(map[contentKey]*task)
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
 	for tc := range ev.Exec().LineageSeq(in.Rel) {
 		// The singleton shortcut is always on here: a single clause's
 		// weight is its exact probability (the estimator would return it
 		// deterministically anyway).
-		cv, job, err := run.newJob(tc.F, budget, true)
+		cv, t, err := run.newTask(tc.F, budget, true, maxStrata)
 		if err != nil {
 			return algebra.URelResult{}, err
 		}
-		if job != nil {
-			jobs = append(jobs, job)
+		if t != nil {
+			tasks = append(tasks, t)
 		}
 		tuples = append(tuples, rowConf{row: tc.Row, cv: cv})
 	}
-	if err := run.runEstimates(jobs); err != nil {
+	tgt := target{adaptive: maxStrata > 0, eps: eps, delta: delta}
+	if opts.ConfThreshold > 0 || opts.ConfTopK > 0 {
+		all := make([]*confValue, len(tuples))
+		for i, t := range tuples {
+			all[i] = t.cv
+		}
+		tgt.decided = confDecider(all, opts.ConfThreshold, opts.ConfTopK, delta)
+	}
+	if err := run.runEstimates(tasks, tgt); err != nil {
 		return algebra.URelResult{}, err
 	}
 	return confResult(in, pcol, tuples), nil
@@ -79,17 +97,70 @@ func confResult(in algebra.URelResult, pcol string, tuples []rowConf) algebra.UR
 	}, in)
 }
 
+// confDecider builds the wave-boundary early-stopping hook for threshold
+// and top-k conf queries. A task settles when every tuple sharing its
+// clause set is decided under every enabled criterion:
+//
+//   - threshold τ: the tuple's confidence interval at level delta lies
+//     entirely above or entirely below τ;
+//   - top-k: interval separation against the other tuples of the same
+//     operator — the tuple is definitely in the top k (at most k−1 other
+//     intervals reach above its lower bound) or definitely out (at least
+//     k other lower bounds lie at or above its upper bound).
+//
+// The hook reads only merged counts and is called only at wave
+// boundaries, so its verdicts are deterministic for any worker count.
+func confDecider(all []*confValue, tau float64, topk int, delta float64) func(*task) bool {
+	decidedCV := func(cv *confValue) bool {
+		lo, hi := cv.bounds(delta)
+		if tau > 0 && !(lo > tau || hi < tau) {
+			return false
+		}
+		if topk > 0 {
+			above, reach := 0, 0
+			for _, o := range all {
+				if o == cv {
+					continue
+				}
+				olo, ohi := o.bounds(delta)
+				if ohi > lo {
+					reach++ // could still outrank cv
+				}
+				if olo >= hi {
+					above++ // definitely outranks cv
+				}
+			}
+			in := reach <= topk-1
+			out := above >= topk
+			if !in && !out {
+				return false
+			}
+		}
+		return true
+	}
+	return func(t *task) bool {
+		if len(t.cvs) == 0 {
+			return false
+		}
+		for _, cv := range t.cvs {
+			if !decidedCV(cv) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
-// exact probability (empty or singleton lineage), a live flat Karp–Luby
-// estimator, or — on the stratified path — a stratified estimator over
-// the factored residue plus the exactly-computed part of the lineage
-// (combined as p = exactPart + (1−exactPart)·p_R, see dnf.Factor).
+// exact probability (empty or singleton lineage), or a task's estimate of
+// the sampled clause set plus the exactly-computed part of the lineage
+// (combined as p = exactPart + (1−exactPart)·p_R, see dnf.Factor; 0 for a
+// flat task, which factors nothing).
 type confValue struct {
 	exact     bool
 	value     float64
-	est       *karpluby.Estimator
-	strat     *karpluby.Stratified
-	exactPart float64 // exact factored part, stratified path only
+	t         *task   // nil when exact
+	exactPart float64 // exact factored part
 	provErr   float64 // Σ µ over the input tuples in this term's provenance
 	singular  bool
 }
@@ -98,38 +169,42 @@ func (cv *confValue) estimate() float64 {
 	if cv.exact {
 		return cv.value
 	}
-	if cv.strat != nil {
-		r := math.Min(1, math.Max(0, cv.strat.Estimate()))
-		return cv.exactPart + (1-cv.exactPart)*r
+	est := cv.t.est
+	if cv.t.flat() {
+		if est.Trials() == 0 {
+			return est.Estimate()
+		}
+		// The flat estimator's p̂ = X·M/m, in this operation order and
+		// unclamped (M may exceed 1).
+		return float64(est.Hits()) * est.M() / float64(est.Trials())
 	}
-	return cv.est.Estimate()
+	r := math.Min(1, math.Max(0, est.Estimate()))
+	return cv.exactPart + (1-cv.exactPart)*r
 }
 
-// delta returns the per-value error bound δᵢ(ε) after the run's rounds.
-// On the stratified path the residue's relative-error bound carries to
-// the combined value unchanged (factor.go), so no adjustment is needed.
+// delta returns the per-value error bound δᵢ(ε) after the run's rounds:
+// the paper's Chernoff bound for a flat task, the empirical-Bernstein bound
+// for a stratified one — where the residue's relative-error bound carries
+// to the combined value unchanged (factor.go), so no adjustment is needed.
 func (cv *confValue) delta(eps float64) float64 {
-	if cv.exact {
+	switch {
+	case cv.exact:
 		return 0
+	case cv.t.flat():
+		return karpluby.DeltaBound(eps, cv.t.est.Trials(), cv.t.est.ClauseCount())
 	}
-	if cv.strat != nil {
-		return cv.strat.Delta(eps)
-	}
-	return cv.est.Delta(eps)
+	return cv.t.est.Delta(eps)
 }
 
 // bounds returns a 1−delta confidence interval for the combined value,
-// used by threshold/top-k early stopping.
+// used by threshold/top-k early stopping (stratified tasks only).
 func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 	if cv.exact {
 		return cv.value, cv.value
 	}
-	if cv.strat != nil {
-		lo, hi = cv.strat.Bounds(delta)
-		e := cv.exactPart
-		return e + (1-e)*lo, e + (1-e)*hi
-	}
-	return cv.est.Bounds(delta)
+	lo, hi = cv.t.est.Bounds(delta)
+	e := cv.exactPart
+	return e + (1-e)*lo, e + (1-e)*hi
 }
 
 // ApproxSelect implements σ̂ under approximation (Definition 6.2): for
@@ -140,18 +215,12 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 // Σᵢ δᵢ(ε) plus the provenance error of the conf inputs.
 func (run *evalRun) ApproxSelect(ev *algebra.URelEvaluator, in algebra.URelResult, n algebra.ApproxSelect) (algebra.URelResult, error) {
 	roundBudget := func(clauses int) int64 { return run.rounds * int64(clauses) }
-	var jobs []*estimateJob
-	var sjobs []*stratJob
+	var tasks []*task
 	// One batch spans every argument: content-equal lineages across (and
-	// within) arguments share a single estimation job. With Strata set,
-	// σ̂ estimations run on the stratified path (factoring pre-pass +
-	// Neyman allocation of the same per-pass trial budget).
-	strat := run.engine.opts.Strata > 0
-	if strat {
-		run.sbatch = make(map[contentKey]*stratJob)
-	} else {
-		run.batch = make(map[contentKey]*estimateJob)
-	}
+	// within) arguments share a single estimation task. With Strata set,
+	// σ̂ tasks are stratified (factoring pre-pass + Neyman allocation of
+	// the same per-pass trial budget).
+	run.batch = make(map[contentKey]*task)
 	// Build each argument's projected lineage with provenance errors.
 	argTuples := make([][]argTuple, len(n.Args))
 	argSchemas := make([]rel.Schema, len(n.Args))
@@ -176,25 +245,13 @@ func (run *evalRun) ApproxSelect(ev *algebra.URelEvaluator, in algebra.URelResul
 			// run.rounds rounds of |F| trials each. NoSingletonShortcut
 			// forces even single-clause lineages through the estimator
 			// (ablation knob).
-			var cv *confValue
-			var err error
-			if strat {
-				var sj *stratJob
-				cv, sj, err = run.newStratJob(tc.F,
-					roundBudget, !run.engine.opts.NoSingletonShortcut)
-				if sj != nil {
-					sjobs = append(sjobs, sj)
-				}
-			} else {
-				var job *estimateJob
-				cv, job, err = run.newJob(tc.F,
-					roundBudget, !run.engine.opts.NoSingletonShortcut)
-				if job != nil {
-					jobs = append(jobs, job)
-				}
-			}
+			cv, t, err := run.newTask(tc.F, roundBudget,
+				!run.engine.opts.NoSingletonShortcut, run.engine.opts.Strata)
 			if err != nil {
 				return algebra.URelResult{}, err
+			}
+			if t != nil {
+				tasks = append(tasks, t)
 			}
 			if provErr != nil {
 				k := tc.Row.Key()
@@ -205,14 +262,10 @@ func (run *evalRun) ApproxSelect(ev *algebra.URelEvaluator, in algebra.URelResul
 		argTuples[i] = tuples
 		argSchemas[i] = proj.Schema()
 	}
-	// Spend every argument tuple's trial budget in one pooled batch: the
-	// scheduler sees all (tuple, chunk) tasks at once and keeps every
+	// Spend every argument tuple's trial budget in one batch: the
+	// scheduler sees all (tuple, chunk) units at once and keeps every
 	// worker busy across argument boundaries.
-	if strat {
-		if err := run.runStratEstimates(sjobs, stratTarget{adaptive: false}); err != nil {
-			return algebra.URelResult{}, err
-		}
-	} else if err := run.runEstimates(jobs); err != nil {
+	if err := run.runEstimates(tasks, target{}); err != nil {
 		return algebra.URelResult{}, err
 	}
 

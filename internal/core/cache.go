@@ -44,10 +44,10 @@ import (
 // future reuse — a missing entry means sampling from scratch, which is
 // always correct.
 //
-// A Cache is safe for concurrent use: it is written by pool workers (the
-// worker that merges a task's last chunk publishes the task's new state),
-// read during plan construction, and — when owned by a long-lived engine —
-// shared by any number of concurrent evaluations.
+// A Cache is safe for concurrent use: it is written when an operator's
+// estimation batch completes, read during plan construction, and — when
+// owned by a long-lived engine — shared by any number of concurrent
+// evaluations.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -128,7 +128,7 @@ func (c *Cache) Stats() CacheStats {
 // republishes the grown state, the entry has simply degraded to its
 // full-chunk prefix — still valid — rather than silently pairing stale
 // partial counts with an advanced PRNG. (The normal path re-stores the
-// new tail when the job's last chunk merges.)
+// new tail when the batch completes.)
 func (c *Cache) lookup(key contentKey, clauses int, chunkSize, total, seed int64) (karpluby.State, bool) {
 	c.mu.Lock()
 	var st karpluby.State

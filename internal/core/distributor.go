@@ -9,23 +9,24 @@ import (
 )
 
 // A Distributor executes estimation chunk batches remotely. It is the
-// seam the cluster layer plugs into: when an engine carries one, every
-// runEstimates / stratified-wave batch is handed to it as typed work
-// units instead of the local worker pool, and the returned integer counts
-// are absorbed into the same merge targets. Because a chunk's PRNG stream
-// is fixed by (task seed, plan index) and merged counts are commutative
-// integer sums, results are bit-identical to local execution for any
-// placement of chunks onto shards — which also licenses implementations
-// to re-place chunks mid-batch (failover to a surviving shard, hedged
-// duplicates, coordinator-local fallback) without changing a bit, as
-// long as each chunk's counts are merged exactly once.
+// seam the cluster layer plugs into: when an engine carries one, the
+// estimation driver hands it every wave — one RemoteTask per lane —
+// instead of sampling on the local worker pool, and validates and absorbs
+// the returned integer counts exactly as it does the pool's. Because a
+// chunk's PRNG stream is fixed by (task seed, plan index) and merged
+// counts are commutative integer sums, results are bit-identical to local
+// execution for any placement of chunks onto shards — which also licenses
+// implementations to re-place chunks mid-batch (failover to a surviving
+// shard, hedged duplicates, coordinator-local fallback) without changing
+// a bit, as long as each chunk's counts are merged exactly once.
 //
 // The contract per task: for every listed chunk, sample exactly Chunk.N
 // trials from the stream seeded by sched.ChunkSeed(Seed, Chunk.Index)
 // over the shipped clause set and variable table (probabilities bit-exact,
-// clause order preserved), and return the summed counts. A task with
-// MaxStrata > 0 is stratified: the executor re-derives the deterministic
-// karpluby.PlanStrata partition and samples the Stratum-th band.
+// clause order preserved), and return the summed counts. The executor
+// re-derives the deterministic karpluby.PlanStrata partition (MaxStrata
+// bands; the single stratum of a flat task when MaxStrata is 0) and
+// samples the Stratum-th band.
 type Distributor interface {
 	// SampleChunks executes every task and returns one RemoteCounts per
 	// task, in task order. An error aborts the batch; implementations
@@ -42,17 +43,15 @@ type RemoteTask struct {
 	// 64-bit words that key the engine's estimator cache. Shards use them
 	// as cache and placement keys.
 	KeyHi, KeyLo uint64
-	// Seed is the task seed chunk streams derive from. On the stratified
-	// path it is already the stratum-resolved seed
-	// (karpluby.StratumSeed(taskSeed, Stratum)).
+	// Seed is the lane seed chunk streams derive from — already
+	// stratum-resolved (karpluby.StratumSeed(taskSeed, Stratum)).
 	Seed int64
 	// ChunkSize is the full plan chunk size (round-aligned; only a
 	// trailing chunk may be smaller).
 	ChunkSize int64
-	// MaxStrata and Stratum select the stratified path: with MaxStrata
-	// > 0 the executor rebuilds PlanStrata(Clauses, table, MaxStrata) and
-	// samples stratum Stratum; with MaxStrata == 0 the flat estimator
-	// samples the whole clause set.
+	// MaxStrata and Stratum name the lane: the executor rebuilds
+	// PlanStrata(Clauses, table, MaxStrata) and samples stratum Stratum.
+	// MaxStrata == 0 is a flat task: one stratum, the whole clause set.
 	MaxStrata int
 	Stratum   int
 	// Clauses is the canonical (content-ordered, deduplicated) clause

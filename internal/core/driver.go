@@ -1,0 +1,393 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+
+	"repro/internal/sched"
+)
+
+// The estimation driver: one loop spends the trial budgets of a batch of
+// tasks (one conf or σ̂ operator) in sampling waves.
+//
+//	sweep:   on merged counts only — settle tasks whose threshold/top-k
+//	         decision, empirical-Bernstein (ε,δ) bound, or budget is
+//	         reached;
+//	wave:    plan the next chunks of every unsettled task's lanes — a
+//	         one-lane fixed budget in one wave, K lanes by Neyman
+//	         allocation;
+//	execute: sample the wave's (lane, chunk) units — on the engine's
+//	         worker pool, or through its Distributor;
+//	absorb:  validate the per-lane counts and fold them into the tasks.
+//
+// Determinism: every chunk's PRNG stream is fixed by (engine seed, content
+// key, stratum index, chunk plan index); allocation and stopping decisions
+// are pure functions of the merged integer counts and happen only at wave
+// boundaries, after all of a wave's chunks merged. Results are therefore
+// bit-identical for any worker count and either executor, and a run resumed
+// from cached per-lane snapshots continues exactly the trajectory the
+// interrupted run would have taken.
+
+// target parameterizes one batch.
+type target struct {
+	// adaptive selects the convergence-driven loop (stratified conf
+	// operators): sample waves until the empirical Delta(eps) ≤ delta or
+	// the budget cap is spent. With adaptive false (flat conf, σ̂ passes),
+	// exactly the remaining budget is spent.
+	adaptive   bool
+	eps, delta float64
+	// decided, when non-nil, is the threshold/top-k early-stopping hook,
+	// called on merged counts at wave boundaries only (so its verdicts
+	// are deterministic for any worker count).
+	decided func(*task) bool
+}
+
+// laneWave is one lane's share of a wave: full whole chunks from plan index
+// start — the lane's cursor — then, when rem > 0, one undersized chunk of
+// rem trials. skip trials of the first of them were already drawn by an
+// earlier budget (the lane's open chunk), so only the rest is due. rng is
+// set by the pool executor to the PRNG of a chunk the wave leaves open.
+type laneWave struct {
+	t     *task
+	lane  int
+	start int
+	full  int
+	rem   int64
+	skip  int64
+	rng   *rand.Rand
+}
+
+// assigned returns the trials the wave asks the lane to draw.
+func (lw *laneWave) assigned() int64 {
+	return int64(lw.full)*lw.t.lanes[lw.lane].chunkSize + lw.rem - lw.skip
+}
+
+// chunks appends the wave's plan chunks to dst, each with the trials still
+// to draw from its stream.
+func (lw *laneWave) chunks(dst []sched.Chunk) []sched.Chunk {
+	first := len(dst)
+	for i := 0; i < lw.full; i++ {
+		dst = append(dst, sched.Chunk{Index: lw.start + i, N: lw.t.lanes[lw.lane].chunkSize})
+	}
+	if lw.rem > 0 {
+		dst = append(dst, sched.Chunk{Index: lw.start + lw.full, N: lw.rem})
+	}
+	dst[first].N -= lw.skip
+	return dst
+}
+
+// runEstimates drives every task to its stopping condition, then publishes
+// per-lane snapshots to the run's cache and accounts the batch's trials.
+//
+// Cancelling the run's context aborts the batch between chunks and returns
+// ctx.Err(); a tripped sampled-trials limit aborts it with a *LimitError
+// before the over-budget chunk samples; counts a Distributor returns that
+// cannot be the sum of the assigned chunks abort it with a *countsError.
+// An aborted batch publishes nothing, so the cross-run cache only ever
+// holds complete wave boundaries.
+func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
+	defer func() { run.batch = nil }()
+	ctx := run.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	execute := run.samplePool
+	if run.engine.dist != nil {
+		execute = run.sampleRemote
+	}
+	pending := tasks
+	for {
+		// Sweep: settle tasks on merged, deterministic state.
+		var still []*task
+		for _, t := range pending {
+			spent := t.est.Trials()
+			switch { // settled by the first case that holds
+			case tgt.decided != nil && tgt.decided(t):
+			case tgt.adaptive && t.est.Delta(tgt.eps) <= tgt.delta:
+			case spent >= t.budget:
+			default:
+				still = append(still, t)
+				continue
+			}
+			if spent < t.budget {
+				run.earlyStops++
+			}
+		}
+		pending = still
+		var wave []laneWave
+		for _, t := range pending {
+			wave = t.planWave(tgt, wave)
+		}
+		if len(wave) == 0 {
+			// Everything settled, or caps exhausted below chunk granularity.
+			break
+		}
+		counts, err := execute(ctx, wave)
+		if err != nil {
+			return err
+		}
+		for i := range wave {
+			if err := run.absorb(&wave[i], counts[i]); err != nil {
+				return err
+			}
+		}
+	}
+	for _, t := range tasks {
+		run.trials += t.est.Trials() - t.startTrials
+		run.reused += t.startTrials
+		if run.cache == nil || t.est.Trials() == t.startTrials {
+			continue
+		}
+		for s := range t.lanes {
+			l := &t.lanes[s]
+			hits, trials, open := t.est.StratumHits(s), t.est.StratumTrials(s), l.partial
+			if !t.flat() {
+				// Stratified snapshots are chunk-aligned: the open chunk is
+				// dropped rather than carried as a mid-chunk tail, costing at
+				// most one chunk of re-sampling per stratum per restart.
+				hits, trials, open = hits-open.hits, trials-open.trials, openChunk{}
+			}
+			if trials > 0 {
+				run.cache.store(l.key, t.est.StratumClauses(s), l.chunkSize,
+					trials, hits, open.hits, open.trials, open.rng, run.engine.opts.Seed)
+			}
+		}
+	}
+	return nil
+}
+
+// planWave appends t's share of the next wave. All decisions read merged
+// counts at wave boundaries, so the trajectory — and the exact pass total —
+// is bit-identical for any worker count.
+func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
+	emit := func(s, full int, rem int64) {
+		wave = append(wave, laneWave{t: t, lane: s, start: t.est.StratumChunks(s), full: full, rem: rem})
+	}
+	switch {
+	case tgt.adaptive:
+		sizes := make([]int64, len(t.lanes))
+		for s := range sizes {
+			sizes[s] = t.lanes[s].chunkSize
+		}
+		for s, c := range t.est.NextWave(sizes, t.budget) {
+			if c > 0 {
+				emit(s, c, 0)
+			}
+		}
+	case len(t.lanes) == 1:
+		// One lane has nothing to allocate: the rest of the budget's chunk
+		// plan in one wave. The chunk at the cursor may already be open —
+		// the previous budget drew its first partial.trials trials — and
+		// then only its remainder is due (see samplePool).
+		l := &t.lanes[0]
+		start := t.est.StratumChunks(0)
+		full := sched.FullChunks(t.budget, l.chunkSize)
+		wave = append(wave, laneWave{t: t, start: start, full: full - start,
+			rem: t.budget - int64(full)*l.chunkSize, skip: l.partial.trials})
+	default:
+		// σ̂ fixed-budget passes are variance-aware too: instead of
+		// Neyman-splitting the whole remainder on the (possibly
+		// uniform-prior) θ̂ estimates in one shot, spend it in doubling
+		// waves — each intermediate wave doubles the cumulative spend and
+		// re-allocates on the counts merged so far, so the split sharpens as
+		// variance estimates tighten. Intermediate waves emit whole chunks
+		// only (a partial chunk does not advance the lane's cursor, so
+		// re-allocating at its index would re-sample a prefix of its
+		// stream); the final wave spends exactly the remainder and may end
+		// on one partial chunk per lane. (A probe wave that cannot be tiled
+		// by whole chunks falls back to one chunk, which can overshoot the
+		// pass target by at most one chunk — the sweep then settles the
+		// task.)
+		spent := t.est.Trials()
+		remaining := t.budget - spent
+		probe := max(spent, t.minActiveChunk())
+		if probe >= remaining {
+			for s, a := range t.est.Allocate(remaining) {
+				if a > 0 {
+					emit(s, int(a/t.lanes[s].chunkSize), a%t.lanes[s].chunkSize)
+				}
+			}
+			break
+		}
+		alloc := t.est.Allocate(probe)
+		added := false
+		for s, a := range alloc {
+			if full := int(a / t.lanes[s].chunkSize); full > 0 {
+				emit(s, full, 0)
+				added = true
+			}
+		}
+		if !added {
+			// Every share rounded below one chunk: probe the lane with the
+			// largest share (ties to the lowest index) so the wave always
+			// makes progress.
+			best, bestA := -1, int64(-1)
+			for s, a := range alloc {
+				if a > bestA {
+					best, bestA = s, a
+				}
+			}
+			emit(best, 1, 0)
+		}
+	}
+	return wave
+}
+
+// minActiveChunk returns the smallest chunk size among lanes with positive
+// mass — the floor of an intermediate σ̂ wave, so the doubling schedule
+// always starts with at least one whole chunk of probing.
+func (t *task) minActiveChunk() int64 {
+	least := int64(0)
+	for s := range t.lanes {
+		if size := t.lanes[s].chunkSize; t.est.StratumM(s) > 0 && (least == 0 || size < least) {
+			least = size
+		}
+	}
+	return least
+}
+
+// samplePool executes a wave on the engine's worker pool. All lanes'
+// chunks are flattened into one unit list, so the pool load-balances
+// across tuples and within a single large tuple alike. Each unit samples
+// on a shard of the live estimator; counts are integer sums, hence
+// independent of scheduling order and worker count. Every unit is charged
+// against the trial limit immediately before it samples.
+func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCounts, error) {
+	type unit struct {
+		lw int
+		c  sched.Chunk
+	}
+	var units []unit
+	var cs []sched.Chunk
+	for i := range wave {
+		cs = wave[i].chunks(cs[:0])
+		for _, c := range cs {
+			units = append(units, unit{lw: i, c: c})
+		}
+	}
+	counts := make([]RemoteCounts, len(wave))
+	var mu sync.Mutex
+	// fn only fails on a tripped resource limit, so the possible errors are
+	// *LimitError and ctx.Err().
+	err := run.engine.pool.ForEachCtx(ctx, len(units), func(i int) error {
+		u := units[i]
+		lw := &wave[u.lw]
+		l := &lw.t.lanes[lw.lane]
+		if err := run.chargeTrials(u.c.N); err != nil {
+			return err
+		}
+		var rng *rand.Rand
+		drawn := int64(0)
+		if lw.skip > 0 && u.c.Index == lw.start {
+			// Mid-chunk continuation: the previous budget already drew the
+			// first skip trials of this chunk's stream; continue the saved
+			// PRNG for the remainder. The drawn sequence is bit-identical to
+			// sampling the whole chunk from its seed, at that many fewer
+			// sampled trials (those counts arrived via the resumed snapshot).
+			rng, drawn = l.partial.rng, lw.skip
+		} else {
+			rng = sched.NewRand(sched.ChunkSeed(l.seed, u.c.Index))
+		}
+		sh := lw.t.est.Shard(lw.lane, rng)
+		sh.Add(int(u.c.N))
+		mu.Lock()
+		rc := &counts[u.lw]
+		rc.Hits += sh.Hits()
+		rc.Trials += u.c.N
+		if drawn+u.c.N < l.chunkSize {
+			// Only a plan's trailing chunk can be undersized; its counts
+			// stay out of the resumable prefix, but travel with their PRNG
+			// so the next run can finish the chunk mid-stream.
+			rc.PartialHits += sh.Hits()
+			rc.PartialTrials += u.c.N
+			lw.rng = rng
+		}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return counts, nil
+}
+
+// sampleRemote executes a wave through the engine's Distributor: one
+// RemoteTask per lane, one scatter. The coordinator keeps everything else —
+// exact algebra, factoring, chunk planning, wave allocation, stopping
+// decisions, cache publication — so a remote run takes exactly the
+// trajectory a local run would. The whole wave's assigned trials are
+// charged against the trial limit before dispatch (conservatively
+// including any trials a shard may end up serving from its chunk cache).
+func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]RemoteCounts, error) {
+	rts := make([]RemoteTask, len(wave))
+	var total int64
+	for i, lw := range wave {
+		l := &lw.t.lanes[lw.lane]
+		rts[i] = RemoteTask{
+			KeyHi: lw.t.key.hi, KeyLo: lw.t.key.lo,
+			Seed:      l.seed,
+			ChunkSize: l.chunkSize,
+			MaxStrata: lw.t.maxStrata,
+			Stratum:   lw.lane,
+			Clauses:   lw.t.f,
+			Vars:      run.db.Vars,
+			Chunks:    lw.chunks(nil),
+		}
+		total += lw.assigned()
+	}
+	if err := run.chargeTrials(total); err != nil {
+		return nil, err
+	}
+	counts, err := run.engine.dist.SampleChunks(ctx, rts)
+	if err != nil {
+		return nil, err
+	}
+	if len(counts) != len(rts) {
+		return nil, fmt.Errorf("core: distributor returned %d results for %d tasks", len(counts), len(rts))
+	}
+	return counts, nil
+}
+
+// countsError reports per-lane counts that cannot be the sum of the chunks
+// the lane was assigned — a buggy or hostile executor. The batch aborts
+// before anything is merged or published.
+type countsError struct {
+	assigned int64
+	got      RemoteCounts
+}
+
+func (e *countsError) Error() string {
+	return fmt.Sprintf("core: executor returned impossible counts %+v for %d assigned trials", e.got, e.assigned)
+}
+
+// absorb folds one lane's wave counts into its task — the one place counts
+// enter an estimator, whichever executor produced them — and advances the
+// lane's cursor past the wave's whole chunks (the wave barrier guarantees
+// every chunk below the new cursor has merged).
+func (run *evalRun) absorb(lw *laneWave, rc RemoteCounts) error {
+	assigned := lw.assigned()
+	if rc.Trials != assigned || rc.PartialHits < 0 || rc.PartialHits > rc.Hits || rc.Hits > rc.Trials ||
+		rc.PartialHits > rc.PartialTrials || rc.PartialTrials > rc.Trials ||
+		rc.ReusedTrials < 0 || rc.ReusedTrials > rc.Trials {
+		return &countsError{assigned: assigned, got: rc}
+	}
+	lw.t.est.AbsorbStratum(lw.lane, rc.Hits, rc.Trials)
+	l := &lw.t.lanes[lw.lane]
+	if lw.full > 0 {
+		// The cursor moves: whatever chunk was open at it is now whole.
+		lw.t.est.AdvanceStratum(lw.lane, lw.start+lw.full)
+		l.partial = openChunk{}
+	}
+	l.partial.hits += rc.PartialHits
+	l.partial.trials += rc.PartialTrials
+	if lw.rng != nil {
+		l.partial.rng = lw.rng
+	}
+	// The batch's final accounting adds the full trial delta to run.trials;
+	// trials a shard served from its chunk cache are reused, not sampled.
+	run.trials -= rc.ReusedTrials
+	run.reused += rc.ReusedTrials
+	return nil
+}

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"repro/internal/algebra"
+	"repro/internal/karpluby"
+	"repro/internal/predapprox"
+	"repro/internal/rel"
+	"repro/internal/sched"
+	"repro/internal/urel"
+	"repro/internal/vars"
+)
+
+// loopbackDistributor is an in-process core.Distributor: it rebuilds every
+// RemoteTask the way a shard does — the stratification plan from the
+// shipped clause set (one stratum when MaxStrata is 0), each chunk's stream
+// from sched.ChunkSeed(Seed, Index) — and returns the summed counts. No
+// PRNG tail crosses it, exactly as none crosses the wire.
+type loopbackDistributor struct{ calls int }
+
+func (d *loopbackDistributor) SampleChunks(_ context.Context, tasks []RemoteTask) ([]RemoteCounts, error) {
+	d.calls++
+	out := make([]RemoteCounts, len(tasks))
+	for i, t := range tasks {
+		strata := t.MaxStrata
+		if strata == 0 {
+			strata = 1
+		}
+		est, err := karpluby.NewStratified(t.Clauses, t.Vars, karpluby.PlanStrata(t.Clauses, t.Vars, strata))
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range t.Chunks {
+			sh := est.Shard(t.Stratum, sched.NewRand(sched.ChunkSeed(t.Seed, c.Index)))
+			sh.Add(int(c.N))
+			out[i].Hits += sh.Hits()
+			out[i].Trials += c.N
+			if c.N < t.ChunkSize {
+				out[i].PartialHits += sh.Hits()
+				out[i].PartialTrials += c.N
+			}
+		}
+	}
+	return out, nil
+}
+
+// matrixDB holds three tuples, each with its own 14-clause chain over
+// skewed variables: one hard component per tuple (too large for the exact
+// factoring limits), so both the flat and the stratified sampler run.
+func matrixDB() *urel.Database {
+	db := urel.NewDatabase()
+	r := urel.NewRelation(rel.NewSchema("ID"))
+	for id := 0; id < 3; id++ {
+		vs := make([]vars.Var, 15)
+		for i := range vs {
+			p := math.Pow(0.5, float64(1+(i+id)%8))
+			vs[i] = db.Vars.Add("m"+strconv.Itoa(id)+"_"+strconv.Itoa(i), []float64{p, 1 - p}, nil)
+		}
+		for i := 0; i < 14; i++ {
+			r.Add(vars.MustAssignment(
+				vars.Binding{Var: vs[i], Alt: 0},
+				vars.Binding{Var: vs[i+1], Alt: 0},
+			), rel.Tuple{rel.Int(int64(id))})
+		}
+	}
+	db.AddURelation("R", r, false)
+	return db
+}
+
+// TestDriverMatrix pins what the estimation driver owes its callers,
+// whichever executor samples: one result per (query, options, cache
+// history) — bit-identical on the worker pool and through a Distributor,
+// for any worker count — Stats that do not depend on the worker count, and
+// a tripped trial limit that surfaces as a *LimitError with nothing
+// published to the cache.
+func TestDriverMatrix(t *testing.T) {
+	conf := algebra.Conf{In: algebra.Base{Name: "R"}}
+	shat := algebra.ApproxSelect{
+		In:   algebra.Base{Name: "R"},
+		Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
+		Pred: predapprox.Linear([]float64{1}, 0.26),
+	}
+	cases := []struct {
+		name      string
+		q         algebra.Query
+		opts      Options
+		maxTrials int64 // trips inside the first estimation batch
+	}{
+		{"flat-conf", conf, Options{Eps0: 0.05, Delta: 0.1}, 10000},
+		{"flat-shat", shat, Options{Eps0: 0.05, Delta: 0.1, MaxRounds: 1 << 13}, 10},
+		{"strata8-conf", conf, Options{Eps0: 0.05, Delta: 0.1, Strata: 8}, 10000},
+		{"strata8-shat", shat, Options{Eps0: 0.05, Delta: 0.1, Strata: 8, MaxRounds: 1 << 13}, 10},
+		{"threshold-conf", conf, Options{Eps0: 0.05, Delta: 0.1, ConfThreshold: 0.27}, 10000},
+	}
+	db := matrixDB()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// grown asks for a tighter δ: larger conf budgets, more σ̂
+			// restarts — the prefix-resume case of the shared cache.
+			grown := tc.opts
+			grown.Delta, grown.ConfEps = 0.001, 0.025
+			phases := []struct {
+				name string
+				opts Options
+			}{{"cold", tc.opts}, {"warm", tc.opts}, {"grown", grown}}
+			want := make([][]string, len(phases))
+			poolTrials := make([]int64, len(phases))
+			for _, remote := range []bool{false, true} {
+				var wantStats []Stats
+				for _, workers := range []int{1, 4} {
+					cache := NewCache(0)
+					for pi, ph := range phases {
+						opts := ph.opts
+						opts.Seed, opts.Workers = 11, workers
+						eng := NewEngine(db, opts)
+						eng.SetCache(cache)
+						var dist *loopbackDistributor
+						if remote {
+							dist = &loopbackDistributor{}
+							eng.SetDistributor(dist)
+						}
+						res, err := eng.EvalApprox(tc.q)
+						if err != nil {
+							t.Fatalf("remote=%v workers=%d %s: %v", remote, workers, ph.name, err)
+						}
+						where := "remote=" + strconv.FormatBool(remote) + " workers=" + strconv.Itoa(workers) + " " + ph.name
+						if pi == 0 && res.Stats.EstimatorTrials == 0 {
+							t.Fatalf("%s: sampled nothing; fixture too easy", where)
+						}
+						if remote && pi == 0 && dist.calls == 0 {
+							t.Fatalf("%s: the distributor was never called", where)
+						}
+						if got := resultFingerprint(t, res); want[pi] == nil {
+							want[pi] = got
+						} else if !reflect.DeepEqual(got, want[pi]) {
+							t.Errorf("%s: result differs from the pool, workers=1 run:\n got %v\nwant %v", where, got, want[pi])
+						}
+						if len(wantStats) <= pi {
+							wantStats = append(wantStats, res.Stats)
+						} else if !reflect.DeepEqual(res.Stats, wantStats[pi]) {
+							t.Errorf("%s: Stats depend on the worker count:\n got %+v\nwant %+v", where, res.Stats, wantStats[pi])
+						}
+						if !remote {
+							poolTrials[pi] = res.Stats.EstimatorTrials
+						} else if res.Stats.EstimatorTrials < poolTrials[pi] {
+							// The pool continues a trailing partial chunk from
+							// its saved PRNG; a distributor re-samples it.
+							t.Errorf("%s: sampled %d trials, fewer than the pool's %d", where, res.Stats.EstimatorTrials, poolTrials[pi])
+						}
+					}
+					if workers == 1 {
+						cold, warm, grown := wantStats[0], wantStats[1], wantStats[2]
+						for pi, st := range wantStats {
+							t.Logf("remote=%v %s: sampled=%d reused=%d cache-hits=%d restarts=%d strata=%d early-stops=%d",
+								remote, phases[pi].name, st.EstimatorTrials, st.ReusedTrials, st.CacheHits, st.Restarts, st.Strata, st.EarlyStops)
+						}
+						if warm.EstimatorTrials >= cold.EstimatorTrials || warm.ReusedTrials == 0 {
+							t.Errorf("remote=%v: warm run sampled %d trials (cold %d), reused %d", remote, warm.EstimatorTrials, cold.EstimatorTrials, warm.ReusedTrials)
+						}
+						if grown.EstimatorTrials == 0 || grown.ReusedTrials == 0 {
+							t.Errorf("remote=%v: grown run sampled %d trials, reused %d; want both positive", remote, grown.EstimatorTrials, grown.ReusedTrials)
+						}
+					}
+				}
+			}
+			for _, remote := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					opts := tc.opts
+					opts.Seed, opts.Workers, opts.MaxTrials = 11, workers, tc.maxTrials
+					eng := NewEngine(db, opts)
+					cache := NewCache(0)
+					eng.SetCache(cache)
+					if remote {
+						eng.SetDistributor(&loopbackDistributor{})
+					}
+					_, err := eng.EvalApprox(tc.q)
+					var le *LimitError
+					if !errors.As(err, &le) || le.Resource != "trials" {
+						t.Errorf("remote=%v workers=%d: MaxTrials=%d gave %v, want a trials *LimitError", remote, workers, tc.maxTrials, err)
+					}
+					if n := cache.len(); n != 0 {
+						t.Errorf("remote=%v workers=%d: aborted evaluation published %d cache entries", remote, workers, n)
+					}
+				}
+			}
+		})
+	}
+}

@@ -612,10 +612,8 @@ type evalRun struct {
 	// table (lazily built — plan construction is sequential).
 	fper *fingerprinter
 	// batch dedups content-equal estimation tasks within one operator's
-	// job batch; see newJob.
-	batch map[contentKey]*estimateJob
-	// sbatch is batch's counterpart for stratified jobs; see newStratJob.
-	sbatch map[contentKey]*stratJob
+	// batch; see newTask.
+	batch map[contentKey]*task
 	// trials counts trials sampled this pass; reused counts trials whose
 	// integer sums were carried over from cache snapshots instead;
 	// cacheHits counts tasks that resumed from a snapshot.
@@ -624,7 +622,7 @@ type evalRun struct {
 	cacheHits int64
 	decisions int
 	// strata / earlyStops / exactFactored feed the Stats fields of the
-	// same names (final-pass values, like decisions); see stratified.go.
+	// same names (final-pass values, like decisions); see task.go.
 	strata        int64
 	earlyStops    int64
 	exactFactored int64

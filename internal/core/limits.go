@@ -50,7 +50,8 @@ func newEvalLimits(opts Options) *evalLimits {
 // returning a *LimitError once the cumulative count (across all restarts)
 // would exceed Options.MaxTrials. Called by pool workers immediately
 // before sampling a chunk, so enforcement latency is bounded by the
-// in-flight chunks of the other workers.
+// in-flight chunks of the other workers (and by the remote executor for a
+// whole wave before it is scattered).
 func (run *evalRun) chargeTrials(n int64) error {
 	lim := run.limits
 	if lim == nil || lim.maxTrials <= 0 {

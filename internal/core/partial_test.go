@@ -28,14 +28,14 @@ func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalR
 	t.Helper()
 	_, f := partialFixture()
 	run := &evalRun{engine: eng, db: eng.db.Clone(), rounds: 1, cache: cache}
-	cv, job, err := run.newJob(f, func(int) int64 { return budget }, false)
+	cv, job, err := run.newTask(f, func(int) int64 { return budget }, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job == nil {
 		t.Fatal("fixture unexpectedly classified as exact")
 	}
-	if err := run.runEstimates([]*estimateJob{job}); err != nil {
+	if err := run.runEstimates([]*task{job}, target{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := job.est.Trials(); got != budget {

@@ -1,0 +1,215 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+
+	"repro/internal/dnf"
+	"repro/internal/karpluby"
+	"repro/internal/rel"
+	"repro/internal/sched"
+)
+
+// minChunkTrials is the smallest trial chunk the scheduler hands a worker.
+// Large enough to amortize per-chunk setup (one PRNG + one estimator
+// shard), small enough that a single heavy tuple still splits into many
+// chunks and saturates the pool.
+const minChunkTrials = 4096
+
+// chunkTrials returns the chunk size for a clause set of k clauses: a
+// whole number of Figure-3 rounds (k trials each) totalling at least
+// minChunkTrials trials. Round-aligned chunks keep the paper's
+// per-round error bookkeeping intact, and the size depends only on k —
+// never on the worker count — so the chunk plan (and therefore every
+// chunk's PRNG stream) is identical no matter how many workers run it.
+func chunkTrials(k int) int64 {
+	rounds := (minChunkTrials + k - 1) / k
+	return int64(rounds) * int64(k)
+}
+
+// task is one pending Karp–Luby estimation: a stratified merge target over
+// the canonical clause set, one lane per stratum, and the trial budget.
+// The confValues of every tuple sharing the task (same canonical clause
+// set, possibly different exact-factored parts) are attached for
+// threshold/top-k decisions.
+//
+// A flat task (Options.Strata and the threshold/top-k options all unset) is
+// the one-lane case — the estimator is built over the single-stratum plan,
+// which samples the flat Karp–Luby stream bit for bit — and differs from a
+// stratified one in a handful of values, not in code path: no dnf.Factor
+// pre-pass, maxStrata 0 on the wire, the content key itself as the lane's
+// cache key, the paper's Chernoff δ(ε) and unclamped estimate (confValue),
+// and a cache snapshot that keeps the budget's trailing partial chunk.
+type task struct {
+	est       *karpluby.Stratified
+	key       contentKey
+	f         dnf.F // canonical clause set, shipped to shards in remote mode
+	maxStrata int   // band bound of the plan; 0 marks a flat task
+	lanes     []lane
+
+	budget      int64 // trial cap (adaptive) or pass target (fixed)
+	startTrials int64 // trials resumed from cache across lanes
+	cvs         []*confValue
+}
+
+func (t *task) flat() bool { return t.maxStrata == 0 }
+
+// lane is one chunk-stream family of a task — one stratum's trials: chunk
+// c of the lane samples the stream seeded by sched.ChunkSeed(seed, c), in
+// chunks of chunkSize trials (only a plan's trailing chunk may be smaller),
+// and its counts are cached under key.
+type lane struct {
+	seed      int64
+	chunkSize int64
+	key       contentKey
+
+	partial openChunk
+}
+
+// openChunk is the chunk at a lane's cursor while it is undersized: counts
+// that are merged into the estimator's totals but lie outside its
+// chunk-aligned prefix. rng, when non-nil, is the PRNG that sampled them,
+// positioned right after the last trial, so a larger budget can finish the
+// chunk mid-stream (in-process flat tasks only; see Cache).
+type openChunk struct {
+	hits, trials int64
+	rng          *rand.Rand
+}
+
+// stratKey derives the cache key of one stratum of a stratified task. It
+// mixes the residue's content key with the band bound and the stratum
+// index: the stratification plan is a deterministic function of
+// (canonical residue, maxStrata), so this triple uniquely identifies the
+// stratum's clause subset — two plans with different band bounds can
+// never alias each other's entries.
+func stratKey(key contentKey, maxStrata, j int) contentKey {
+	salt := rel.Mix64(uint64(maxStrata)*0x9e3779b97f4a7c15 + uint64(j) + 1)
+	return contentKey{
+		hi: rel.HashCombine(key.hi, salt),
+		lo: rel.HashCombine(key.lo, rel.Mix64(salt)),
+	}
+}
+
+// newTask classifies one clause set as an exact confidence value or an
+// estimation task with the trial budget given by trials(|F|).
+//
+// With maxStrata > 0 the clause set first goes through the dnf.Factor
+// pre-pass: independent easy subformulas are computed exactly and only the
+// hard residue is sampled, with the exact part folded back in as
+// p = E + (1−E)·p_R (the relative (ε,δ) guarantee on p_R carries to p —
+// see factor.go). Empty, tautological, zero-weight and — when
+// shortcutSingleton — single-clause sets are exact values.
+//
+// What is left is canonicalized (content order — see content.go) and
+// partitioned into weight strata (karpluby.PlanStrata, a deterministic
+// function of the canonical clause set and the band bound; one stratum for
+// a flat task). Every lane's seed is derived from Options.Seed, the content
+// fingerprint and the stratum index, so equal seeds give bit-identical
+// estimates for any worker count, and content-equal tasks sample identical
+// streams wherever they appear. When the run has an estimator cache
+// (Options resume, the default), each lane resumes from the snapshot left
+// under its key — by an earlier restart, an earlier Eval call on a shared
+// engine cache, or a different query over the same lineage.
+//
+// Within one batch (one conf or σ̂ operator), content-equal clause sets
+// share a single task: the second and later sightings return a confValue
+// bound to the first one's task (each keeps its own exact-factored part),
+// so duplicated lineage is estimated once.
+func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSingleton bool, maxStrata int) (*confValue, *task, error) {
+	f = f.Dedup()
+	switch {
+	case len(f) == 0:
+		return &confValue{exact: true, value: 0}, nil, nil
+	case len(f[0]) == 0:
+		return &confValue{exact: true, value: 1}, nil, nil
+	}
+	exactPart := 0.0
+	if maxStrata > 0 {
+		fac := dnf.Factor(f, run.db.Vars, dnf.DefaultFactorLimits)
+		run.exactFactored += int64(fac.ExactComponents)
+		f, exactPart = fac.Residue, fac.Exact
+	}
+	switch {
+	case len(f) == 0:
+		return &confValue{exact: true, value: exactPart}, nil, nil
+	case len(f) == 1 && shortcutSingleton:
+		v := exactPart + (1-exactPart)*f[0].Weight(run.db.Vars)
+		return &confValue{exact: true, value: v}, nil, nil
+	}
+	if run.fper == nil {
+		run.fper = newFingerprinter(run.db.Vars)
+	}
+	f, key := run.fper.canonicalF(f)
+	if shared, ok := run.batch[key]; ok {
+		// Same canonical clause set, same budget function → same task.
+		cv := &confValue{t: shared, exactPart: exactPart}
+		shared.cvs = append(shared.cvs, cv)
+		return cv, nil, nil
+	}
+	est, err := karpluby.NewStratified(f, run.db.Vars, karpluby.PlanStrata(f, run.db.Vars, max(maxStrata, 1)))
+	if err != nil {
+		if errors.Is(err, karpluby.ErrEmpty) {
+			// Zero-weight clause set: its confidence is exactly 0.
+			return &confValue{exact: true, value: exactPart}, nil, nil
+		}
+		return nil, nil, err
+	}
+	t := &task{
+		est:       est,
+		key:       key,
+		f:         f,
+		maxStrata: maxStrata,
+		lanes:     make([]lane, est.StratumCount()),
+		budget:    trials(est.ClauseCount()),
+	}
+	// A flat lane's entry covers exactly one budget, so an equal budget
+	// replays it whole; a stratified task's budget is a cap over all its
+	// lanes, and each lane resumes whatever chunk-aligned prefix is cached.
+	lookupTotal := t.budget
+	if !t.flat() {
+		run.strata += int64(len(t.lanes))
+		lookupTotal = math.MaxInt64
+	}
+	taskSeed := sched.TaskSeedWords(run.engine.opts.Seed, key.hi, key.lo)
+	resumed := false
+	for j := range t.lanes {
+		l := &t.lanes[j]
+		l.seed = karpluby.StratumSeed(taskSeed, j)
+		l.chunkSize = chunkTrials(est.StratumClauses(j))
+		l.key = key
+		if !t.flat() {
+			l.key = stratKey(key, maxStrata, j)
+		}
+		if run.cache == nil || est.StratumM(j) <= 0 {
+			continue
+		}
+		st, ok := run.cache.lookup(l.key, est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
+		if !ok {
+			continue
+		}
+		if st.PartialRNG != nil && (!t.flat() || run.engine.dist != nil) {
+			// A mid-chunk PRNG tail is continued only by the in-process
+			// executor, on a flat task. Everywhere else drop it and let
+			// that chunk be re-sampled in full from its seed — still
+			// bit-identical, at one chunk of extra sampling.
+			st.Hits -= st.PartialHits
+			st.Trials -= st.PartialTrials
+			st.PartialHits, st.PartialTrials, st.PartialRNG = 0, 0, nil
+		}
+		if est.ResumeStratum(j, karpluby.StratumState{Hits: st.Hits, Trials: st.Trials, Chunks: st.Chunks}) == nil {
+			l.partial = openChunk{st.PartialHits, st.PartialTrials, st.PartialRNG}
+			t.startTrials += st.Trials
+			resumed = true
+		}
+	}
+	if resumed {
+		run.cacheHits++
+	}
+	cv := &confValue{t: t, exactPart: exactPart}
+	t.cvs = append(t.cvs, cv)
+	if run.batch != nil {
+		run.batch[key] = t
+	}
+	return cv, t, nil
+}

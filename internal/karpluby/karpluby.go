@@ -186,21 +186,6 @@ func (e *Estimator) Merge(o *Estimator) {
 	e.trials += o.trials
 }
 
-// Absorb folds raw remote trial counts into e. It is Merge for counts
-// that crossed a process boundary: a shard rebuilt an estimator over the
-// same clause set (same canonical order, same bit-exact probabilities,
-// same seed scheme), sampled the assigned chunks, and shipped back the
-// integer (hits, trials) sums. Because the estimate and bounds depend
-// only on those sums, absorbing is exact and order-independent just like
-// Merge; the same-clause-set contract is the caller's to uphold.
-func (e *Estimator) Absorb(hits, trials int64) {
-	if hits < 0 || trials < 0 || hits > trials {
-		panic("karpluby: absorbing invalid remote counts")
-	}
-	e.hits += hits
-	e.trials += trials
-}
-
 // Step runs |F| more trials — one round of the inner loop of the paper's
 // Figure 3 algorithm. It makes Estimator satisfy the Approximable
 // interface of the predapprox package.

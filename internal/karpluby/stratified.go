@@ -283,8 +283,8 @@ func (s *Stratified) MergeShard(j int, sh *StratumShard) {
 	s.strata[j].trials += sh.trials
 }
 
-// AbsorbStratum folds raw remote trial counts into stratum j — the
-// cross-process form of MergeShard, mirroring Estimator.Absorb: a shard
+// AbsorbStratum folds raw trial counts into stratum j — MergeShard for
+// counts that did not come from a shard of this estimator: another process
 // rebuilt the same stratification plan from the same canonical clause set
 // and bit-exact probabilities, sampled the assigned chunks of stratum j,
 // and shipped back the integer sums, which combine exactly.

@@ -69,15 +69,15 @@ echo "$cl"
 
 echo "== coordinator stats and metrics report per-shard activity"
 stats="$(curl -sf "http://$coord/v1/stats")"
-echo "$stats" | grep -q '"cluster"'
-echo "$stats" | grep -q '"shards_total":2'
-echo "$stats" | grep -qE '"batches":[1-9]'
+grep -q '"cluster"' <<<"$stats"
+grep -q '"shards_total":2' <<<"$stats"
+grep -qE '"batches":[1-9]' <<<"$stats"
 metrics="$(curl -sf "http://$coord/metrics")"
-echo "$metrics" | grep -q '^# TYPE pdb_cluster_shard_rpcs_total counter$'
-echo "$metrics" | grep -qE "^pdb_cluster_shard_rpcs_total\{shard=\"$shard1\"\} [1-9]"
-echo "$metrics" | grep -qE "^pdb_cluster_shard_rpcs_total\{shard=\"$shard2\"\} [1-9]"
-echo "$metrics" | grep -q "^pdb_cluster_shard_healthy{shard=\"$shard1\"} 1$"
-echo "$metrics" | grep -qE '^pdb_cluster_batches_total [1-9]'
+grep -q '^# TYPE pdb_cluster_shard_rpcs_total counter$' <<<"$metrics"
+grep -qE "^pdb_cluster_shard_rpcs_total\{shard=\"$shard1\"\} [1-9]" <<<"$metrics"
+grep -qE "^pdb_cluster_shard_rpcs_total\{shard=\"$shard2\"\} [1-9]" <<<"$metrics"
+grep -q "^pdb_cluster_shard_healthy{shard=\"$shard1\"} 1$" <<<"$metrics"
+grep -qE '^pdb_cluster_batches_total [1-9]' <<<"$metrics"
 
 echo "== SIGHUP quota reload tightens a tenant without a restart"
 # Tighten the file, reload, then overdraw: the first sampling query is
@@ -109,15 +109,15 @@ echo "$fcl"
 [ -n "$fcl" ]
 [ "$fcl" = "$fsn" ]
 metrics="$(curl -sf "http://$coord/metrics")"
-echo "$metrics" | grep -q "^pdb_cluster_shard_healthy{shard=\"$shard2\"} 0$"
-echo "$metrics" | grep -qE "^pdb_cluster_shard_failures_total\{shard=\"$shard2\"\} [1-9]"
-echo "$metrics" | grep -qE '^pdb_cluster_failovers_total [1-9]'
+grep -q "^pdb_cluster_shard_healthy{shard=\"$shard2\"} 0$" <<<"$metrics"
+grep -qE "^pdb_cluster_shard_failures_total\{shard=\"$shard2\"\} [1-9]" <<<"$metrics"
+grep -qE '^pdb_cluster_failovers_total [1-9]' <<<"$metrics"
 # Degraded but serving: the node stays ready while one shard survives.
 curl -sf "http://$coord/readyz" | grep '"ready":true' >/dev/null
 
 echo "== warm queries (cached, no sampling) still succeed with a shard down"
 out="$(curl -sf "http://$coord/v1/query" -d "$req")"
-echo "$out" | grep -q '"sampled_trials":0'
+grep -q '"sampled_trials":0' <<<"$out"
 [ "$(echo "$out" | grep '"row"')" = "$cl" ]
 
 echo "== killing the last shard yields a fast typed error and a 503 readyz"
@@ -126,8 +126,8 @@ wait "$shard1_pid" 2>/dev/null || true
 dreq='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":31}'
 body="$(curl -s -m 120 "http://$coord/v1/query" -d "$dreq")"
 echo "$body"
-echo "$body" | grep -q '"kind":"internal"'
-echo "$body" | grep -qE 'cluster shard|no healthy shard'
+grep -q '"kind":"internal"' <<<"$body"
+grep -qE 'cluster shard|no healthy shard' <<<"$body"
 # A breaker opens on its third consecutive exhausted-retry failure, and how
 # the first failing query's re-dispatches split between the two dead shards
 # is a race (it charges each 1 to 3 failures); two more failing queries

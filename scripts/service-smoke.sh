@@ -51,19 +51,19 @@ echo "$out2" | grep -qE '"cache_hits":[1-9]'
 echo "== stats endpoint"
 stats="$(curl -sf "http://$addr/v1/stats")"
 echo "$stats"
-echo "$stats" | grep -qE '"cache_hits":[1-9]'
-echo "$stats" | grep -q '"requests":2'
+grep -qE '"cache_hits":[1-9]' <<<"$stats"
+grep -q '"requests":2' <<<"$stats"
 
 echo "== /metrics serves Prometheus text exposition with moving counters"
 ctype="$(curl -sf -o /dev/null -w '%{content_type}' "http://$addr/metrics")"
 case "$ctype" in text/plain*version=0.0.4*) ;; *) echo "bad content type: $ctype"; exit 1;; esac
 metrics="$(curl -sf "http://$addr/metrics")"
-echo "$metrics" | grep -q '^# TYPE pdb_http_requests_total counter$'
-echo "$metrics" | grep -q '^pdb_http_requests_total{route="/v1/query",status="200"} 2$'
-echo "$metrics" | grep -qE '^pdb_engine_sampled_trials_total [1-9]'
-echo "$metrics" | grep -qE '^pdb_engine_reused_trials_total [1-9]'
-echo "$metrics" | grep -qE '^pdb_engine_cache_hits_total [1-9]'
-echo "$metrics" | grep -qE '^pdb_http_request_duration_seconds_count\{route="/v1/query"\} 2$'
+grep -q '^# TYPE pdb_http_requests_total counter$' <<<"$metrics"
+grep -q '^pdb_http_requests_total{route="/v1/query",status="200"} 2$' <<<"$metrics"
+grep -qE '^pdb_engine_sampled_trials_total [1-9]' <<<"$metrics"
+grep -qE '^pdb_engine_reused_trials_total [1-9]' <<<"$metrics"
+grep -qE '^pdb_engine_cache_hits_total [1-9]' <<<"$metrics"
+grep -qE '^pdb_http_request_duration_seconds_count\{route="/v1/query"\} 2$' <<<"$metrics"
 
 echo "== over-quota tenant gets 429 + Retry-After; other traffic unaffected"
 # A fresh seed: cached estimator state is seed-guarded, so the bursty
@@ -78,7 +78,7 @@ body="$(curl -s -D "$hdrs" -H 'X-Pdb-Tenant: bursty' "http://$addr/v1/query" -d 
 echo "$body"
 grep -i '^HTTP/' "$hdrs" | grep -q 429
 grep -iqE '^Retry-After: [1-9]' "$hdrs"
-echo "$body" | grep -q '"kind":"overloaded"'
+grep -q '"kind":"overloaded"' <<<"$body"
 curl -sf "http://$addr/v1/query" -d "$req" >/dev/null   # untenanted: still 200
 curl -sf "http://$addr/metrics" | grep '^pdb_tenant_rejections_total{tenant="bursty",reason="rate"} 1$' >/dev/null
 
