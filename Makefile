@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build bench-smoke test race bench bench-json conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,20 +69,12 @@ chaos-smoke:
 storage-smoke:
 	./scripts/storage-smoke.sh
 
-# One pass over every benchmark — the trajectory baseline CI uploads as an
-# artifact; not a statistically stable measurement. -benchmem puts B/op
-# and allocs/op into the baseline so the benchstat gate can flag
-# allocation regressions on the exact-algebra hot path, not just time.
+# The developer sweep: one pass over every per-package micro-benchmark, to
+# see that they all still run. One iteration is not a measurement — for
+# numbers, run one benchmark at a time-based -benchtime, or the end-to-end
+# suite (bash benchmark/run.sh; docs/BENCHMARKS.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
-
-# Render the full benchmark sweep as BENCH_koch08.json — the committed
-# structured snapshot (and a CI artifact). Includes the stratified
-# Karp-Luby trial-savings numbers reported via b.ReportMetric.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./... > bench-json.tmp
-	$(GO) run ./scripts/benchjson < bench-json.tmp > BENCH_koch08.json
-	@rm -f bench-json.tmp
 
 # Exhaustive statistical conformance sweep: many seeds through the
 # workload corpus on both estimation paths, asserting empirical (ε, δ)

@@ -95,3 +95,17 @@ func ProjectBounds(in URelResult, targets []expr.Target) (provenance.ErrMap, map
 	}
 	return errs, sing
 }
+
+// selectBound is the provenance part of σ̂'s rule, Lemma 6.4(2) —
+// µ(t) = Σᵢ δᵢ(ε) + Σᵢ µ(tᵢ), and t is singular when the decision or any
+// tᵢ is — for one combination of argument tuples tᵢ = rows[i][combo[i]],
+// annotated by args[i] (ProjectBounds of the σ̂ input). The decision's
+// Σᵢ δᵢ(ε) is added by Estimates.Decide.
+func selectBound(args []URelResult, rows [][]rel.Tuple, combo []int) (mu float64, singular bool) {
+	for a, i := range combo {
+		m, s := args[a].BoundOf(rows[a][i])
+		mu += m
+		singular = singular || s
+	}
+	return mu, singular
+}

@@ -1,27 +1,30 @@
 package algebra
 
 import (
+	"iter"
 	"strings"
 	"testing"
 
+	"repro/internal/dnf"
 	"repro/internal/predapprox"
-	"repro/internal/provenance"
+	"repro/internal/sched"
+	"repro/internal/vars"
 )
 
-// unreliableEstimators is exact evaluation whose σ̂ outputs claim a
-// membership-error bound of 0.1 per tuple, like a sampled σ̂ would.
+// unreliableEstimators is exact evaluation whose σ̂ decisions claim an
+// error bound of 0.1 each, like a sampled σ̂ would.
 type unreliableEstimators struct{ exactEstimators }
 
-func (u unreliableEstimators) ApproxSelect(e *URelEvaluator, in URelResult, n ApproxSelect) (URelResult, error) {
-	out, err := u.exactEstimators.ApproxSelect(e, in, n)
-	if err != nil {
-		return out, err
-	}
-	out.Errs = provenance.ErrMap{}
-	for _, ut := range out.Rel.Tuples() {
-		out.Errs[ut.Row.Key()] = 0.1
-	}
-	return out, nil
+func (u unreliableEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error) {
+	est, err := u.exactEstimators.Estimate(table, args, decide)
+	return unreliableEstimates{est}, err
+}
+
+type unreliableEstimates struct{ Estimates }
+
+func (u unreliableEstimates) Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (bool, float64, bool) {
+	keep, mu, singular := u.Estimates.Decide(pred, combo, mu, singular)
+	return keep, mu + 0.1, singular
 }
 
 // TestRejectedLetRestoresBinding pins the let fix: binding an unreliable
@@ -30,7 +33,7 @@ func (u unreliableEstimators) ApproxSelect(e *URelEvaluator, in URelResult, n Ap
 // answers the next query from its original database.
 func TestRejectedLetRestoresBinding(t *testing.T) {
 	db := parallelDB()
-	ev := NewURelEvaluator(db).WithEstimators(unreliableEstimators{}, false)
+	ev := NewURelEvaluator(db).WithEstimators(unreliableEstimators{exactEstimators{sched.New(1)}}, false)
 	want := exactFingerprint(URelResult{Rel: db.Rels["R"]})
 	shat := ApproxSelect{
 		In:   Base{Name: "R"},

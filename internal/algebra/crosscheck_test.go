@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -85,6 +86,35 @@ func randQuery(rng *rand.Rand, depth int) Query {
 	}
 }
 
+// randApproxSelect wraps a random plan in a two-argument σ̂ over distinct
+// attribute sets of the plan's schema (one may be empty: conf[∅]), with a
+// random linear predicate; ok is false when the plan does not type-check.
+func randApproxSelect(rng *rand.Rand, db *urel.Database, in Query) (q Query, ok bool) {
+	schema, err := InferSchema(in, db)
+	if err != nil {
+		return nil, false
+	}
+	var args [2]ConfArg
+	for {
+		for i := range args {
+			args[i].Attrs = nil
+			for _, a := range schema {
+				if rng.Intn(2) == 0 {
+					args[i].Attrs = append(args[i].Attrs, a)
+				}
+			}
+		}
+		if strings.Join(args[0].Attrs, ",") != strings.Join(args[1].Attrs, ",") {
+			break
+		}
+	}
+	return ApproxSelect{
+		In:   in,
+		Args: args[:],
+		Pred: predapprox.Linear([]float64{1, 1}, 0.1+rng.Float64()),
+	}, true
+}
+
 // normalizeQuery wraps plans so both branches have compatible schemas for
 // Union/Join: we restrict to plans that keep attribute B available by
 // construction above (projections to B, joins on B). A plan whose schemas
@@ -112,10 +142,20 @@ func evalBothWays(t *testing.T, db *urel.Database, q Query) (uconf, wconf *rel.R
 // and the possible-worlds reference produce identical confidence tables.
 func TestEvaluatorsAgreeOnRandomPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	checked := 0
-	for trial := 0; trial < 60; trial++ {
+	checked, shats := 0, 0
+	for trial := 0; trial < 90; trial++ {
 		db := randDB(rng)
 		q := randQuery(rng, 1+rng.Intn(2))
+		if trial%3 == 0 {
+			// σ̂'s output is complete: the confidence tables compared below
+			// hold its rows (P1, P2 included) at confidence 1.
+			shat, ok := randApproxSelect(rng, db, q)
+			if !ok {
+				continue
+			}
+			q = shat
+			shats++
+		}
 		uconf, wconf, skip := evalBothWays(t, db, q)
 		if skip {
 			continue
@@ -137,18 +177,24 @@ func TestEvaluatorsAgreeOnRandomPlans(t *testing.T) {
 			}
 		}
 	}
-	if checked < 25 {
-		t.Fatalf("too few valid random plans: %d", checked)
+	if checked < 25 || shats < 15 {
+		t.Fatalf("too few valid random plans: %d, %d of them σ̂", checked, shats)
 	}
 }
 
 // findMatch finds in wconf a tuple whose data columns (all but last) equal
-// tp's, tolerating confidence differences which are checked separately.
+// tp's, tolerating confidence differences which are checked separately —
+// and last-ulp differences in numeric data columns, which under σ̂ are
+// confidences too (P1…Pk, summed in a different order by each evaluator).
 func findMatch(wconf *rel.Relation, tp rel.Tuple) rel.Tuple {
+next:
 	for _, cand := range wconf.Tuples() {
-		if cand[:len(cand)-1].Equal(tp[:len(tp)-1]) {
-			return cand
+		for i, v := range tp[:len(tp)-1] {
+			if !rel.Equal(cand[i], v) && !(math.Abs(cand[i].AsFloat()-v.AsFloat()) <= 1e-9) {
+				continue next
+			}
 		}
+		return cand
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/expr"
 	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
@@ -71,8 +70,9 @@ type URelEvaluator struct {
 	// high-water mark: over-budget intermediates move to spill files
 	// instead of aborting the evaluation (see WithSpill).
 	spill *urel.Spill
-	// est evaluates conf and σ̂; estConcurrent reports whether it may be
-	// called from concurrently evaluated branches (see WithEstimators).
+	// est supplies the confidences of conf and σ̂; estConcurrent reports
+	// whether it may be called from concurrently evaluated branches (see
+	// WithEstimators).
 	est           Estimators
 	estConcurrent bool
 }
@@ -97,7 +97,7 @@ func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluato
 		ctrs:      ctrs,
 		exec:      urel.NewExec(pool, ctrs),
 		branchSem: make(chan struct{}, pool.Workers()),
-		est:       exactEstimators{},
+		est:       exactEstimators{pool},
 		// exactEstimators is stateless.
 		estConcurrent: true,
 	}
@@ -131,20 +131,16 @@ func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 	return e
 }
 
-// WithEstimators replaces the exact conf / σ̂ implementations, turning the
-// evaluator into an approximate one. concurrent reports whether est may be
-// called from concurrently evaluated plan branches; when false, branches
-// containing conf or σ̂ evaluate sequentially (in plan order, so estimators
-// that consume shared state stay deterministic). Returns e for chaining.
+// WithEstimators replaces the exact confidence computation under conf and
+// σ̂ (estimate.go), turning the evaluator into an approximate one.
+// concurrent reports whether est may be called from concurrently evaluated
+// plan branches; when false, branches containing conf or σ̂ evaluate
+// sequentially (in plan order, so estimators that consume shared state stay
+// deterministic). Returns e for chaining.
 func (e *URelEvaluator) WithEstimators(est Estimators, concurrent bool) *URelEvaluator {
 	e.est, e.estConcurrent = est, concurrent
 	return e
 }
-
-// Exec exposes the operator executor of the evaluation in progress, for
-// Estimators: their projections and lineage scans must run through it to
-// be counted, budgeted and spilled like the walker's own operators.
-func (e *URelEvaluator) Exec() *urel.Exec { return e.exec }
 
 // Eval evaluates the query and returns the result relation.
 func (e *URelEvaluator) Eval(q Query) (URelResult, error) {
@@ -184,34 +180,44 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 	return res, nil
 }
 
-// eval evaluates one plan node, bracketing it with the cooperative
-// checks: cancellation before the node runs, and the memory limit after —
-// a budget tripped mid-operator must surface before the parent operator
-// (an exact conf's #P computation, a sampled conf's estimation budget)
-// consumes the partial output.
+// eval evaluates one plan node, bracketing it with the cooperative check:
+// a cancelled evaluation starts no further node, and a budget tripped
+// mid-operator must surface before the parent operator (an exact conf's #P
+// computation, a sampled conf's estimation budget) consumes the partial
+// output.
 func (e *URelEvaluator) eval(q Query) (URelResult, error) {
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return URelResult{}, err
-		}
+	if err := e.check(); err != nil {
+		return URelResult{}, err
 	}
 	res, err := e.evalNode(q)
+	if err == nil {
+		err = e.check()
+	}
 	if err != nil {
 		return URelResult{}, err
+	}
+	return res, nil
+}
+
+// check is the cooperative check between operators: cancellation, spill
+// I/O failure and the memory limit.
+func (e *URelEvaluator) check() error {
+	if e.ctx != nil {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
 	}
 	if err := e.exec.Err(); err != nil {
 		// A spill I/O failure means some operator saw incomplete inputs;
 		// the whole evaluation is abandoned, never silently wrong.
-		return URelResult{}, err
+		return err
 	}
 	// Under out-of-core execution the budget is a residency high-water
 	// mark, not an abort condition — only spill I/O failures end the run.
 	if e.spill == nil {
-		if err := e.mem.Err(); err != nil {
-			return URelResult{}, err
-		}
+		return e.mem.Err()
 	}
-	return res, nil
+	return nil
 }
 
 // evalNode is the one switch over plan node types. Each operator's
@@ -342,7 +348,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return e.est.Conf(e, in, n.PCol())
+		return e.conf(in, n.PCol())
 
 	case Poss:
 		in, err := e.eval(n.In)
@@ -391,7 +397,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		return e.est.ApproxSelect(e, in, n)
+		return e.approxSelect(in, n)
 
 	default:
 		return URelResult{}, fmt.Errorf("algebra: unknown query node %T", q)
@@ -461,85 +467,4 @@ func (e *URelEvaluator) branchSafe(q Query) bool {
 		}
 	})
 	return safe
-}
-
-// Estimators are the two operators that separate approximate from exact
-// evaluation (Theorem 6.7): everything else in a UA plan is the same
-// parsimonious translation either way. Both receive the evaluator (for
-// its Exec and variable table) and the evaluated input, and return the
-// operator's node result — annotations included, which is how
-// unreliability enters a plan. The default is exact: conf by #P
-// computation, σ̂ by its defining composition.
-type Estimators interface {
-	Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error)
-	ApproxSelect(e *URelEvaluator, in URelResult, n ApproxSelect) (URelResult, error)
-}
-
-// exactEstimators is the Q (as opposed to Q∼) semantics of Section 6. It
-// is stateless, so concurrent branches may share it.
-type exactEstimators struct{}
-
-func (exactEstimators) Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error) {
-	c, err := e.exec.ConfExact(in.Rel, e.db.Vars, pcol)
-	if err != nil {
-		return URelResult{}, err
-	}
-	return URelResult{Rel: urel.FromComplete(c), Complete: true}, nil
-}
-
-// ApproxSelect computes, for each conf[Āᵢ] argument, the confidence
-// relation ρ_{P→Pi}(conf(π_{Āᵢ}(in))), joins them and filters by the
-// predicate.
-func (exactEstimators) ApproxSelect(e *URelEvaluator, in URelResult, n ApproxSelect) (URelResult, error) {
-	confRels := make([]*rel.Relation, len(n.Args))
-	for i, a := range n.Args {
-		targets := make([]expr.Target, len(a.Attrs))
-		for j, attr := range a.Attrs {
-			if !in.Rel.Schema().Has(attr) {
-				return URelResult{}, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", attr, in.Rel.Schema())
-			}
-			targets[j] = expr.Keep(attr)
-		}
-		c, err := e.exec.ConfExact(e.exec.Project(in.Rel, targets), e.db.Vars, PColName(i))
-		if err != nil {
-			return URelResult{}, err
-		}
-		confRels[i] = c
-	}
-	out, err := JoinAndFilter(confRels, n)
-	if err != nil {
-		return URelResult{}, err
-	}
-	return URelResult{Rel: urel.FromComplete(out), Complete: true}, nil
-}
-
-// PColName returns the confidence column name for σ̂ argument i: P1, P2, …
-func PColName(i int) string { return "P" + strconv.Itoa(i+1) }
-
-// JoinAndFilter joins the per-argument confidence relations naturally and
-// keeps the rows satisfying the σ̂ predicate over (P1,…,Pk).
-func JoinAndFilter(confRels []*rel.Relation, n ApproxSelect) (*rel.Relation, error) {
-	joined := urel.FromComplete(confRels[0])
-	for _, c := range confRels[1:] {
-		joined = urel.Join(joined, urel.FromComplete(c))
-	}
-	schema := joined.Schema()
-	pIdx := make([]int, len(n.Args))
-	for i := range n.Args {
-		pIdx[i] = schema.Index(PColName(i))
-		if pIdx[i] < 0 {
-			return nil, fmt.Errorf("algebra: internal: missing conf column %s", PColName(i))
-		}
-	}
-	out := rel.NewRelation(schema)
-	x := make([]float64, len(n.Args))
-	for _, ut := range joined.Tuples() {
-		for i, j := range pIdx {
-			x[i] = ut.Row[j].AsFloat()
-		}
-		if n.Pred.Eval(x) {
-			out.Add(ut.Row)
-		}
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/expr"
+	"repro/internal/predapprox"
 	"repro/internal/rel"
 	"repro/internal/urel"
 	"repro/internal/worlds"
@@ -236,10 +237,11 @@ func (e *WorldsEvaluator) eval(db *worlds.Database, q Query) (*worlds.Database, 
 			})
 			confRels[i] = db.Conf(proj, PColName(i))
 		}
-		sel, err := JoinAndFilter(confRels, n)
+		schema, err := approxSelectSchema(db.Worlds[0].Rels[in].Schema(), n)
 		if err != nil {
 			return nil, "", err
 		}
+		sel := joinAndFilter(confRels, schema, n.Pred)
 		out := e.fresh()
 		res := db.Map(out, func(worlds.World) *rel.Relation { return sel.Clone() })
 		res.Complete[out] = true
@@ -260,6 +262,27 @@ func (e *WorldsEvaluator) evalPair(db *worlds.Database, l, r Query) (*worlds.Dat
 		return nil, "", "", err
 	}
 	return db2, ln, rn, nil
+}
+
+// joinAndFilter is the reference's own σ̂ composition, independent of the
+// walker's: the natural join of the per-argument confidence relations in
+// σ̂'s column order (P1,…,Pk last), filtered by pred over the Pi.
+func joinAndFilter(confRels []*rel.Relation, schema rel.Schema, pred predapprox.Pred) *rel.Relation {
+	joined := confRels[0]
+	for _, c := range confRels[1:] {
+		joined = worlds.JoinWorldwise(joined, c)
+	}
+	out := rel.NewRelation(schema)
+	x := make([]float64, len(confRels))
+	for _, t := range joined.Project(schema...).Tuples() {
+		for i, v := range t[len(t)-len(x):] {
+			x[i] = v.AsFloat()
+		}
+		if pred.Eval(x) {
+			out.Add(t)
+		}
+	}
+	return out
 }
 
 func keepTargets(attrs []string) []expr.Target {

@@ -1,12 +1,14 @@
 package algebra
 
 import (
+	"iter"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/dnf"
 	"repro/internal/expr"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
@@ -170,9 +172,9 @@ type sequentialEstimators struct {
 	calls int
 }
 
-func (s *sequentialEstimators) Conf(e *URelEvaluator, in URelResult, pcol string) (URelResult, error) {
+func (s *sequentialEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error) {
 	s.calls++ // unsynchronized on purpose: -race flags a concurrent call
-	return s.exactEstimators.Conf(e, in, pcol)
+	return s.exactEstimators.Estimate(table, args, decide)
 }
 
 // TestBranchSafety pins the concurrency guard: repair-key and let make a
@@ -207,7 +209,7 @@ func TestBranchSafety(t *testing.T) {
 	if !branchSafe(confBranch) || !branchSafe(shatBranch) {
 		t.Error("conf / σ̂ branch reported unsafe under the exact estimators")
 	}
-	est := &sequentialEstimators{}
+	est := &sequentialEstimators{exactEstimators: exactEstimators{sched.New(1)}}
 	seq := NewParallelURelEvaluator(db, sched.New(4)).WithEstimators(est, false)
 	if seq.branchSafe(confBranch) || seq.branchSafe(shatBranch) {
 		t.Error("conf / σ̂ branch reported safe under non-concurrent estimators")

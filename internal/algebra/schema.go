@@ -3,7 +3,6 @@ package algebra
 import (
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/rel"
 	"repro/internal/urel"
 )
@@ -142,23 +141,7 @@ func inferSchema(q Query, env map[string]rel.Schema) (rel.Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		var out []string
-		seen := map[string]bool{}
-		for _, arg := range n.Args {
-			for _, a := range arg.Attrs {
-				if !s.Has(a) {
-					return nil, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", a, s)
-				}
-				if !seen[a] {
-					seen[a] = true
-					out = append(out, a)
-				}
-			}
-		}
-		for i := range n.Args {
-			out = append(out, PColName(i))
-		}
-		return rel.NewSchema(out...), nil
+		return approxSelectSchema(s, n)
 
 	case Let:
 		def, err := inferSchema(n.Def, env)
@@ -280,6 +263,30 @@ func nodeLabel(q Query) string {
 	}
 }
 
+// approxSelectSchema is σ̂'s output schema over an input of schema in: the
+// union of the conf arguments' attributes in order of first appearance,
+// then P1,…,Pk. It is the one place that rule lives — static inference and
+// the walker's σ̂ both call it.
+func approxSelectSchema(in rel.Schema, n ApproxSelect) (rel.Schema, error) {
+	var out []string
+	seen := map[string]bool{}
+	for _, arg := range n.Args {
+		for _, a := range arg.Attrs {
+			if !in.Has(a) {
+				return nil, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", a, in)
+			}
+			if !seen[a] {
+				seen[a] = true
+				out = append(out, a)
+			}
+		}
+	}
+	for i := range n.Args {
+		out = append(out, PColName(i))
+	}
+	return rel.NewSchema(out...), nil
+}
+
 func schemaString(s rel.Schema) string {
 	out := "("
 	for i, a := range s {
@@ -289,13 +296,4 @@ func schemaString(s rel.Schema) string {
 		out += a
 	}
 	return out + ")"
-}
-
-// attrsOfTargets is a helper for static checks on projection targets.
-func attrsOfTargets(targets []expr.Target) []string {
-	var out []string
-	for _, tg := range targets {
-		out = tg.Expr.Attrs(out)
-	}
-	return out
 }

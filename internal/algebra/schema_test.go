@@ -146,11 +146,3 @@ func TestExplain(t *testing.T) {
 		t.Error("bare Explain should not annotate schemas")
 	}
 }
-
-func TestAttrsOfTargets(t *testing.T) {
-	ts := []expr.Target{expr.Keep("A"), expr.As("X", expr.Add(expr.A("B"), expr.A("C")))}
-	got := attrsOfTargets(ts)
-	if len(got) != 3 {
-		t.Errorf("attrs = %v", got)
-	}
-}

@@ -332,7 +332,7 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 			MaxStrata: lw.t.maxStrata,
 			Stratum:   lw.lane,
 			Clauses:   lw.t.f,
-			Vars:      run.db.Vars,
+			Vars:      run.table,
 			Chunks:    lw.chunks(nil),
 		}
 		total += lw.assigned()

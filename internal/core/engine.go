@@ -25,6 +25,7 @@ import (
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
+	"repro/internal/vars"
 )
 
 // Options configures approximate evaluation.
@@ -484,9 +485,7 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		// this round budget. The walker's epilogue brings a shed result
 		// relation home: callers read it once the spill directory is gone.
 		run := &evalRun{engine: e, ctx: ctx, rounds: l, cache: cache, limits: limits}
-		ev := e.newWalker(limits.mem, spill).WithEstimators(run, false)
-		run.db = ev.DB()
-		res, err := ev.EvalContext(ctx, q)
+		res, err := e.newWalker(limits.mem, spill).WithEstimators(run, false).EvalContext(ctx, q)
 		if err != nil {
 			return nil, limitErr(err)
 		}
@@ -589,17 +588,17 @@ func finishResult(r algebra.URelResult, stats Stats) *Result {
 
 // evalRun is the sampling state of one pass of approximate evaluation at
 // a fixed round budget. It is the pass's algebra.Estimators: the plan
-// walker calls its Conf and ApproxSelect (approx.go) in plan order — never
-// from concurrent branches, because the batch maps and counters below are
-// unsynchronized and σ̂ decisions are counted in plan order.
+// walker calls its Estimate (approx.go) once per conf and σ̂, in plan order
+// — never from concurrent branches, because the batch maps and counters
+// below are unsynchronized and σ̂ decisions are counted in plan order.
 type evalRun struct {
 	engine *Engine
 	// ctx is checked between estimation chunks (sched.Pool.ForEachCtx),
 	// bounding cancellation latency inside one operator.
 	ctx context.Context
-	// db is the walker's clone of the database: lineage is estimated
-	// against its variable table, which the pass's repair-keys grow.
-	db     *urel.Database
+	// table is the walker's variable table, which the pass's repair-keys
+	// grow: the current batch's lineage is estimated against it.
+	table  *vars.Table
 	rounds int64
 	// cache, when non-nil, resumes estimation tasks from snapshots stored
 	// under the same lineage-content keys — by a previous restart of this

@@ -27,7 +27,7 @@ func partialFixture() (*urel.Database, dnf.F) {
 func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalRun, float64, int64) {
 	t.Helper()
 	_, f := partialFixture()
-	run := &evalRun{engine: eng, db: eng.db.Clone(), rounds: 1, cache: cache}
+	run := &evalRun{engine: eng, table: eng.db.Vars, rounds: 1, cache: cache}
 	cv, job, err := run.newTask(f, func(int) int64 { return budget }, false, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 	}
 	exactPart := 0.0
 	if maxStrata > 0 {
-		fac := dnf.Factor(f, run.db.Vars, dnf.DefaultFactorLimits)
+		fac := dnf.Factor(f, run.table, dnf.DefaultFactorLimits)
 		run.exactFactored += int64(fac.ExactComponents)
 		f, exactPart = fac.Residue, fac.Exact
 	}
@@ -134,11 +134,11 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 	case len(f) == 0:
 		return &confValue{exact: true, value: exactPart}, nil, nil
 	case len(f) == 1 && shortcutSingleton:
-		v := exactPart + (1-exactPart)*f[0].Weight(run.db.Vars)
+		v := exactPart + (1-exactPart)*f[0].Weight(run.table)
 		return &confValue{exact: true, value: v}, nil, nil
 	}
 	if run.fper == nil {
-		run.fper = newFingerprinter(run.db.Vars)
+		run.fper = newFingerprinter(run.table)
 	}
 	f, key := run.fper.canonicalF(f)
 	if shared, ok := run.batch[key]; ok {
@@ -147,7 +147,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 		shared.cvs = append(shared.cvs, cv)
 		return cv, nil, nil
 	}
-	est, err := karpluby.NewStratified(f, run.db.Vars, karpluby.PlanStrata(f, run.db.Vars, max(maxStrata, 1)))
+	est, err := karpluby.NewStratified(f, run.table, karpluby.PlanStrata(f, run.table, max(maxStrata, 1)))
 	if err != nil {
 		if errors.Is(err, karpluby.ErrEmpty) {
 			// Zero-weight clause set: its confidence is exactly 0.

@@ -16,11 +16,7 @@ import (
 // The hash respects Compare-equality: values that are Equal hash
 // identically — Int(1) and Float(1) collide because numerics hash their
 // widened float64 bits, and ±0 and all NaN payloads are canonicalized
-// first. This is one deliberate divergence from the legacy Key() strings,
-// which rendered -0.0 ("f-0") and +0.0 ("f0") distinctly even though
-// Compare (and hence Tuple.Equal) treats them as equal: hashed dedup
-// collapses ±0 onto one tuple, making the index self-consistent with the
-// package's equality relation.
+// first, exactly as Compare and Key() identify them.
 
 const (
 	hashOffset64 uint64 = 14695981039346656037 // FNV-1a offset basis

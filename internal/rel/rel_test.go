@@ -251,3 +251,46 @@ func TestTupleKeyMatchesEquality(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEqualKeyHashAgree pins the one equality of values on the numeric
+// edge cases: Equal ⇔ equal Key() ⇒ equal Hash, and Compare stays a total
+// order (antisymmetric) with NaN equal only to itself.
+func TestEqualKeyHashAgree(t *testing.T) {
+	vals := []Value{
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000fff)),
+		Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(0), Float(math.Copysign(0, -1)), Int(0),
+		Int(1), Float(1),
+		Int(1<<53 + 1), Int(1 << 53), Float(1 << 53),
+		Null(), Bool(false), String("NaN"), String("0"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			eq := Equal(a, b)
+			if Compare(a, b) != -Compare(b, a) {
+				t.Errorf("Compare(%v, %v) = %d but reversed %d", a, b, Compare(a, b), Compare(b, a))
+			}
+			if (a.Key() == b.Key()) != eq {
+				t.Errorf("%v vs %v: Equal %v but keys %q, %q", a, b, eq, a.Key(), b.Key())
+			}
+			if eq && a.Hash(HashSeed) != b.Hash(HashSeed) {
+				t.Errorf("%v and %v are Equal but hash differently", a, b)
+			}
+		}
+	}
+	if nan := Float(math.NaN()); Equal(nan, Int(1)) || Compare(nan, Float(math.Inf(-1))) >= 0 {
+		t.Error("NaN must equal only NaN and sort before every other number")
+	}
+	// A relation deduplicates by Hash + Equal; its rows' keys must agree.
+	r := NewRelation(NewSchema("X"))
+	for _, v := range vals {
+		r.Add(Tuple{v})
+	}
+	keys := map[string]bool{}
+	for _, row := range r.Tuples() {
+		keys[row.Key()] = true
+	}
+	if len(keys) != r.Len() {
+		t.Errorf("%d distinct rows but %d distinct keys", r.Len(), len(keys))
+	}
+}

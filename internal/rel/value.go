@@ -135,9 +135,9 @@ func (v Value) String() string {
 }
 
 // Key renders a canonical, injective encoding of the value, suitable for
-// use as a map key. Numeric values that are equal under Compare produce
-// the same key (ints are widened to float form when they are integral
-// floats' equals).
+// use as a map key: two values have the same key exactly when they are
+// Equal. Numerics render their widened float64 — so Int(1) and Float(1)
+// agree — with −0 canonicalized onto +0, as in Hash.
 func (v Value) Key() string {
 	switch v.kind {
 	case NullKind:
@@ -147,10 +147,12 @@ func (v Value) Key() string {
 			return "b1"
 		}
 		return "b0"
-	case IntKind:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
-	case FloatKind:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+	case IntKind, FloatKind:
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // −0 is Equal to +0
+		}
+		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
 	case StringKind:
 		return "s" + v.s
 	default:
@@ -160,7 +162,8 @@ func (v Value) Key() string {
 
 // Compare orders values. NULL sorts before everything; bools before
 // numbers before strings. Ints and floats compare numerically with each
-// other. It returns -1, 0 or +1.
+// other, as float64s; NaN equals only NaN and sorts before every other
+// number, so the order is total. It returns -1, 0 or +1.
 func Compare(a, b Value) int {
 	ra, rb := compareRank(a.kind), compareRank(b.kind)
 	if ra != rb {
@@ -188,6 +191,12 @@ func Compare(a, b Value) int {
 			return -1
 		case af > bf:
 			return 1
+		case af == bf:
+			return 0
+		case af == af: // only b is NaN
+			return 1
+		case bf == bf: // only a is NaN
+			return -1
 		default:
 			return 0
 		}

@@ -16,6 +16,7 @@ package urel
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"sort"
 
 	"repro/internal/dnf"
@@ -313,17 +314,12 @@ func (db *Database) AddURelation(name string, r *Relation, complete bool) {
 	db.Complete[name] = complete
 }
 
-// Clone returns a deep copy, including the variable table, so query
-// evaluation never mutates the input database.
+// Clone returns a copy an evaluation can rebind names in (Let) and grow the
+// variable table of (repair-key) without touching db: the variable table
+// and the two maps are copied, the relations — immutable once stored — are
+// shared.
 func (db *Database) Clone() *Database {
-	out := &Database{Vars: db.Vars.Clone(), Rels: make(map[string]*Relation, len(db.Rels)), Complete: make(map[string]bool, len(db.Complete))}
-	for n, r := range db.Rels {
-		out.Rels[n] = r.Clone()
-	}
-	for n, c := range db.Complete {
-		out.Complete[n] = c
-	}
-	return out
+	return &Database{Vars: db.Vars.Clone(), Rels: maps.Clone(db.Rels), Complete: maps.Clone(db.Complete)}
 }
 
 // String renders the database: each U-relation with its D column
