@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
 
 build:
 	$(GO) build ./...
@@ -110,4 +110,26 @@ docs-check:
 links-check:
 	./scripts/check-links.sh
 
-ci: vet fmt-check docs-check links-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke
+# One hashed identity: evaluation decides "are these the same?" by a 64-bit
+# hash looked up in rel.Index and confirmed by value equality — never by a
+# Key() string, never through a second hand-rolled hash chain. The check is
+# a grep over the evaluation path's non-test files; a legitimate new use is
+# added to KEYS_ALLOW (an extended regex over "file:line:text"), with a
+# reason, rather than slipping in. Key() itself remains for display, the
+# pdb result order, the possible-worlds reference and the corpus generator.
+KEYS_FILES = $(filter-out %_test.go,$(wildcard \
+	internal/algebra/*.go internal/core/*.go internal/dnf/*.go \
+	internal/karpluby/*.go internal/provenance/*.go \
+	$(addprefix internal/urel/,urel.go exec.go spill.go membudget.go)))
+CHAIN_FILES = $(filter-out %_test.go internal/rel/index.go,$(wildcard *.go cmd/*/*.go pdb/*.go internal/*/*.go))
+# Nothing is exempt today (the pattern matches no line); exempt a line as
+# KEYS_ALLOW = ^internal/pkg/file\.go:[0-9]+:.*the exact call
+KEYS_ALLOW = ^$$
+
+keys-check:
+	@bad="$$( { grep -nE '\.Key\(\)' $(KEYS_FILES); grep -nF 'map[uint64]int32' $(CHAIN_FILES); } | grep -vE '$(KEYS_ALLOW)' )"; \
+	if [ -n "$$bad" ]; then \
+		echo "a second identity mechanism (Key() string or hand-rolled hash chain) on the evaluation path:"; \
+		echo "$$bad"; exit 1; fi
+
+ci: vet fmt-check docs-check links-check keys-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke

@@ -358,8 +358,9 @@ func splitPeers(s string) []string {
 // Connection-level timeouts. A client that has not finished its request
 // headers, or that holds a keep-alive connection without sending anything,
 // has not reached admission control or a per-request deadline yet, so
-// nothing else bounds it. Request bodies and responses are left to the
-// per-request deadline (internal/server).
+// nothing else bounds it. A query's body is bounded by the handler's own
+// read deadline (internal/server: the tenant's slot is held while it is
+// read); evaluation and the response by the per-request deadline.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute

@@ -1,8 +1,9 @@
 package algebra
 
 import (
+	"iter"
+
 	"repro/internal/expr"
-	"repro/internal/provenance"
 	"repro/internal/rel"
 )
 
@@ -11,20 +12,111 @@ import (
 // passed through an approximate σ̂ carries, per data tuple, a bound µ on
 // the probability that the tuple's membership differs from the exact
 // query's, and a flag for tuples depending on a potential ε₀-singularity.
-// All of it is data-driven: a result with empty annotations is reliable,
-// and operators over reliable inputs skip the accounting — and its
-// rel.Tuple.Key strings — entirely.
+// All of it is data-driven: a result without annotated tuples is reliable,
+// and operators over reliable inputs skip the accounting entirely.
+
+// Bounds are the Lemma 6.4 annotations of one result: its annotated data
+// tuples — µ > 0 or singular — each once, found through the same hashed
+// rel.Index as every relation's tuples, with µ and the flag beside them.
+// µ is not clamped during propagation (a sum of bounds may exceed 1);
+// readers clamp for reporting. A nil *Bounds annotates nothing.
+type Bounds struct {
+	idx      rel.Index
+	rows     []rel.Tuple
+	mu       []float64
+	singular []bool
+}
+
+func newBounds() *Bounds { return &Bounds{idx: rel.NewIndex(0)} }
+
+// Len returns the number of annotated tuples.
+func (b *Bounds) Len() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.rows)
+}
+
+// find returns row's position under hash h (or -1) and the chain head.
+func (b *Bounds) find(h uint64, row rel.Tuple) (pos, head int32) {
+	head = b.idx.First(h)
+	for p := head; p >= 0; p = b.idx.Next(p) {
+		if b.rows[p].Equal(row) {
+			return p, head
+		}
+	}
+	return -1, head
+}
+
+// at returns the position of row's annotation under hash h = row.Hash(),
+// creating a zero one — over a copy of row when clone is set — if absent.
+func (b *Bounds) at(h uint64, row rel.Tuple, clone bool) int32 {
+	pos, head := b.find(h, row)
+	if pos < 0 {
+		b.idx.Append(h, head)
+		if clone {
+			row = row.Clone()
+		}
+		pos = int32(len(b.rows))
+		b.rows, b.mu, b.singular = append(b.rows, row), append(b.mu, 0), append(b.singular, false)
+	}
+	return pos
+}
+
+// set annotates row, which out's relation owns.
+func (b *Bounds) set(row rel.Tuple, mu float64, singular bool) {
+	pos := b.at(row.Hash(), row, false)
+	b.mu[pos], b.singular[pos] = mu, singular
+}
+
+// BoundOf returns one data tuple's annotation: its unclamped µ and whether
+// it depends on a potential singularity; (0, false) for a reliable tuple.
+func (b *Bounds) BoundOf(row rel.Tuple) (mu float64, singular bool) {
+	if b.Len() == 0 {
+		return 0, false
+	}
+	if pos, _ := b.find(row.Hash(), row); pos >= 0 {
+		return b.mu[pos], b.singular[pos]
+	}
+	return 0, false
+}
+
+// All iterates the annotated tuples in the order they were first
+// annotated, with their unclamped µ.
+func (b *Bounds) All() iter.Seq2[rel.Tuple, float64] {
+	return func(yield func(rel.Tuple, float64) bool) {
+		for i := 0; i < b.Len(); i++ {
+			if !yield(b.rows[i], b.mu[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Worst returns the largest µ over the annotated tuples and whether any of
+// them is singular. With skipSingular the singular tuples' µ are left out:
+// Theorem 6.7 covers only tuples without singularities in their
+// provenance, so neither termination nor reporting counts them.
+func (b *Bounds) Worst(skipSingular bool) (mu float64, anySingular bool) {
+	for i := 0; i < b.Len(); i++ {
+		anySingular = anySingular || b.singular[i]
+		if b.mu[i] > mu && !(skipSingular && b.singular[i]) {
+			mu = b.mu[i]
+		}
+	}
+	return mu, anySingular
+}
 
 // Reliable reports whether r carries no annotation (µ ≡ 0, no singular
 // tuple).
-func (r URelResult) Reliable() bool { return len(r.Errs) == 0 && len(r.Singular) == 0 }
+func (r URelResult) Reliable() bool { return r.Bounds.Len() == 0 }
 
-// BoundRule gives one output tuple's annotation, from the tuple's row and
-// key, in terms of the operator's input annotations.
-type BoundRule func(row rel.Tuple, key string) (mu float64, singular bool)
+// BoundRule gives one output tuple's annotation in terms of the operator's
+// input annotations.
+type BoundRule func(row rel.Tuple) (mu float64, singular bool)
 
 // Bounded annotates out — an operator's result over ins — by rule. When
-// every input is reliable it returns out untouched, with nil maps.
+// every input is reliable it returns out untouched, with nil Bounds.
 func (out URelResult) Bounded(rule BoundRule, ins ...URelResult) URelResult {
 	reliable := true
 	for _, in := range ins {
@@ -33,32 +125,20 @@ func (out URelResult) Bounded(rule BoundRule, ins ...URelResult) URelResult {
 	if reliable {
 		return out
 	}
-	out.Errs, out.Singular = provenance.ErrMap{}, map[string]bool{}
+	out.Bounds = newBounds()
 	for _, ut := range out.Rel.Tuples() {
-		k := ut.Row.Key()
-		mu, singular := rule(ut.Row, k)
-		if mu > 0 {
-			out.Errs[k] = mu
-		}
-		if singular {
-			out.Singular[k] = true
+		// A data tuple recurs once per D it pairs with; the rule is a
+		// function of the row alone, so the repeats set the same values.
+		if mu, singular := rule(ut.Row); mu > 0 || singular {
+			out.Bounds.set(ut.Row, mu, singular)
 		}
 	}
 	return out
 }
 
-// BoundOf looks up one data tuple's annotation in r.
-func (r URelResult) BoundOf(row rel.Tuple) (float64, bool) {
-	if r.Reliable() {
-		return 0, false
-	}
-	k := row.Key()
-	return r.Errs[k], r.Singular[k]
-}
-
 // pairBound is the ≺ rule for × (and ⋈, a selection over it):
 // µ(⟨r,s⟩) = µ(r) + µ(s).
-func pairBound(l URelResult, lrow rel.Tuple, r URelResult, rrow rel.Tuple) (float64, bool) {
+func pairBound(l *Bounds, lrow rel.Tuple, r *Bounds, rrow rel.Tuple) (float64, bool) {
 	lm, ls := l.BoundOf(lrow)
 	rm, rs := r.BoundOf(rrow)
 	return lm + rm, ls || rs
@@ -68,32 +148,32 @@ func pairBound(l URelResult, lrow rel.Tuple, r URelResult, rrow rel.Tuple) (floa
 // output tuple accumulates the bounds of every input tuple projecting onto
 // it (Example 6.5's fan-in sum). Distinct (D, row) pairs of the input can
 // collapse to one output pair; the sum runs over distinct input data
-// tuples. It returns the annotations of π_targets(in) — also the
-// provenance error of a σ̂ argument's projected tuples.
-func ProjectBounds(in URelResult, targets []expr.Target) (provenance.ErrMap, map[string]bool) {
-	errs, sing := provenance.ErrMap{}, map[string]bool{}
-	seen := map[string]map[string]bool{}
+// tuples, in their order in in.Rel. It returns the annotations of
+// π_targets(in) — also the provenance error of a σ̂ argument's projected
+// tuples.
+func ProjectBounds(in URelResult, targets []expr.Target) *Bounds {
+	if in.Reliable() {
+		return nil
+	}
+	out := newBounds()
+	counted := make([]bool, in.Bounds.Len())
 	env := expr.Env{Schema: in.Rel.Schema()}
 	outRow := make(rel.Tuple, len(targets))
 	for _, ut := range in.Rel.Tuples() {
+		i, _ := in.Bounds.find(ut.Row.Hash(), ut.Row)
+		if i < 0 || counted[i] {
+			continue // a reliable tuple adds nothing; an annotated one adds once
+		}
+		counted[i] = true
 		env.Tuple = ut.Row
-		for i, tg := range targets {
-			outRow[i] = tg.Expr.Eval(env)
+		for c, tg := range targets {
+			outRow[c] = tg.Expr.Eval(env)
 		}
-		inKey, outKey := ut.Row.Key(), outRow.Key()
-		if seen[outKey] == nil {
-			seen[outKey] = map[string]bool{}
-		}
-		if seen[outKey][inKey] {
-			continue
-		}
-		seen[outKey][inKey] = true
-		errs.Add(outKey, in.Errs[inKey])
-		if in.Singular[inKey] {
-			sing[outKey] = true
-		}
+		o := out.at(outRow.Hash(), outRow, true)
+		out.mu[o] += in.Bounds.mu[i]
+		out.singular[o] = out.singular[o] || in.Bounds.singular[i]
 	}
-	return errs, sing
+	return out
 }
 
 // selectBound is the provenance part of σ̂'s rule, Lemma 6.4(2) —
@@ -101,7 +181,7 @@ func ProjectBounds(in URelResult, targets []expr.Target) (provenance.ErrMap, map
 // tᵢ is — for one combination of argument tuples tᵢ = rows[i][combo[i]],
 // annotated by args[i] (ProjectBounds of the σ̂ input). The decision's
 // Σᵢ δᵢ(ε) is added by Estimates.Decide.
-func selectBound(args []URelResult, rows [][]rel.Tuple, combo []int) (mu float64, singular bool) {
+func selectBound(args []*Bounds, rows [][]rel.Tuple, combo []int) (mu float64, singular bool) {
 	for a, i := range combo {
 		m, s := args[a].BoundOf(rows[a][i])
 		mu += m

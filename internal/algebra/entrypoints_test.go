@@ -72,9 +72,9 @@ func TestEntryPointsShareOneWalk(t *testing.T) {
 			if approx.Complete != exact.Complete {
 				t.Errorf("fixture %d (%s): completeness %v vs exact %v", i, f.q, approx.Complete, exact.Complete)
 			}
-			if len(approx.Errors) != 0 || len(approx.Singular) != 0 || approx.Stats.EstimatorTrials != 0 {
-				t.Errorf("fixture %d (%s): sampling-free plan reports errors=%v singular=%v trials=%d",
-					i, f.q, approx.Errors, approx.Singular, approx.Stats.EstimatorTrials)
+			if approx.Bounds.Len() != 0 || approx.Stats.EstimatorTrials != 0 {
+				t.Errorf("fixture %d (%s): sampling-free plan reports %d annotated tuples, trials=%d",
+					i, f.q, approx.Bounds.Len(), approx.Stats.EstimatorTrials)
 			}
 			if !reflect.DeepEqual(approx.Stats.Ops, exact.Ops) {
 				t.Errorf("fixture %d (%s): operator statistics differ:\napprox %v\nexact  %v", i, f.q, approx.Stats.Ops, exact.Ops)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dnf"
 	"repro/internal/predapprox"
-	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
@@ -119,8 +118,8 @@ func (e *URelEvaluator) conf(in URelResult, pcol string) (URelResult, error) {
 	out := URelResult{Rel: withColumn(in.Rel.Schema(), pcol, rows[0], func(i int) rel.Value {
 		return rel.Float(est.P(0, i))
 	}), Complete: true}
-	return out.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
-		return in.BoundOf(row[:len(row)-1])
+	return out.Bounded(func(row rel.Tuple) (float64, bool) {
+		return in.Bounds.BoundOf(row[:len(row)-1])
 	}, in), nil
 }
 
@@ -154,13 +153,11 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 	}
 	k := len(n.Args)
 	projs := make([]*urel.Relation, k)
-	prov := make([]URelResult, k)
+	prov := make([]*Bounds, k)
 	for a, arg := range n.Args {
 		targets := keepTargets(arg.Attrs)
 		projs[a] = e.exec.Project(in.Rel, targets)
-		if !in.Reliable() {
-			prov[a].Errs, prov[a].Singular = ProjectBounds(in, targets)
-		}
+		prov[a] = ProjectBounds(in, targets)
 	}
 	rows, est, err := e.estimate(projs, true)
 	if err != nil {
@@ -188,8 +185,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 		src[c] = joined.Schema().Index(attr)
 	}
 	pos := src[len(src)-k:]
-	out := URelResult{Rel: urel.NewRelation(schema), Complete: true,
-		Errs: provenance.ErrMap{}, Singular: map[string]bool{}}
+	out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds()}
 	combo := make([]int, k)
 	for _, ut := range joined.Tuples() {
 		for a, j := range pos {
@@ -209,13 +205,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 		}
 		out.Rel.AddOwned(nil, row)
 		if mu > 0 || singular {
-			key := row.Key()
-			if mu > 0 {
-				out.Errs[key] = mu
-			}
-			if singular {
-				out.Singular[key] = true
-			}
+			out.Bounds.set(row, mu, singular)
 		}
 	}
 	return out, nil

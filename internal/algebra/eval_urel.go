@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
@@ -19,15 +18,13 @@ import (
 type URelResult struct {
 	Rel      *urel.Relation
 	Complete bool
-	// Errs and Singular are the Lemma 6.4 annotations approximate
-	// evaluation propagates next to the relation (see bounds.go): per-tuple
-	// membership-error bounds µ and the tuples depending on a potential
-	// ε₀-singularity, keyed by rel.Tuple.Key. Both are nil on a reliable
-	// result — always under exact evaluation, and below the first σ̂ of an
-	// approximate one.
-	Errs     provenance.ErrMap
-	Singular map[string]bool
-	Ops      urel.StatsMap
+	// Bounds are the Lemma 6.4 annotations approximate evaluation
+	// propagates next to the relation (see bounds.go): per data tuple, the
+	// membership-error bound µ and whether it depends on a potential
+	// ε₀-singularity. Nil on a reliable result — always under exact
+	// evaluation, and below the first σ̂ of an approximate one.
+	Bounds *Bounds
+	Ops    urel.StatsMap
 	// SpilledBytes and SpillFiles report out-of-core activity (WithSpill):
 	// total bytes written to spill files and the number of spill files
 	// created. Zero without spilling. Like Ops, set only on top-level
@@ -239,20 +236,15 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		out := URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}
 		// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
-		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
-			return in.Errs[k], in.Singular[k]
-		}, in), nil
+		return out.Bounded(in.Bounds.BoundOf, in), nil
 
 	case Project:
 		in, err := e.eval(n.In)
 		if err != nil {
 			return URelResult{}, err
 		}
-		out := URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete}
-		if !in.Reliable() {
-			out.Errs, out.Singular = ProjectBounds(in, n.Targets)
-		}
-		return out, nil
+		return URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete,
+			Bounds: ProjectBounds(in, n.Targets)}, nil
 
 	case Product:
 		l, r, err := e.evalPair(n.L, n.R)
@@ -265,8 +257,8 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		nl := len(l.Rel.Schema())
 		out := URelResult{Rel: p, Complete: l.Complete && r.Complete}
-		return out.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
-			return pairBound(l, row[:nl], r, row[nl:])
+		return out.Bounded(func(row rel.Tuple) (float64, bool) {
+			return pairBound(l.Bounds, row[:nl], r.Bounds, row[nl:])
 		}, l, r), nil
 
 	case Join:
@@ -283,11 +275,11 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 			rIdx[i] = outSchema.Index(a)
 		}
 		rrow := make(rel.Tuple, len(rIdx))
-		return out.Bounded(func(row rel.Tuple, _ string) (float64, bool) {
+		return out.Bounded(func(row rel.Tuple) (float64, bool) {
 			for i, j := range rIdx {
 				rrow[i] = row[j]
 			}
-			return pairBound(l, row[:nl], r, rrow)
+			return pairBound(l.Bounds, row[:nl], r.Bounds, rrow)
 		}, l, r), nil
 
 	case Union:
@@ -301,8 +293,8 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		out := URelResult{Rel: u, Complete: l.Complete && r.Complete}
 		// (t, R ∪ S) ≺ (t, R), (t, S): a tuple of both sides sums both.
-		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
-			return l.Errs[k] + r.Errs[k], l.Singular[k] || r.Singular[k]
+		return out.Bounded(func(row rel.Tuple) (float64, bool) {
+			return pairBound(l.Bounds, row, r.Bounds, row)
 		}, l, r), nil
 
 	case DiffC:
@@ -321,10 +313,11 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		// conservative bound adds the right side's worst tuple error for
 		// each left tuple (a right tuple wrongly present/absent can flip
 		// a left tuple's membership in the result).
-		rWorst, rSingular := r.Errs.Max(), len(r.Singular) > 0
+		rWorst, rSingular := r.Bounds.Worst(false)
 		out := URelResult{Rel: d, Complete: true}
-		return out.Bounded(func(_ rel.Tuple, k string) (float64, bool) {
-			return l.Errs[k] + rWorst, l.Singular[k] || rSingular
+		return out.Bounded(func(row rel.Tuple) (float64, bool) {
+			mu, singular := l.Bounds.BoundOf(row)
+			return mu + rWorst, singular || rSingular
 		}, l, r), nil
 
 	case RepairKey:
@@ -356,8 +349,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 			return URelResult{}, err
 		}
 		// poss and cert keep data tuples, so the annotations pass through.
-		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true,
-			Errs: in.Errs, Singular: in.Singular}, nil
+		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true, Bounds: in.Bounds}, nil
 
 	case Cert:
 		in, err := e.eval(n.In)
@@ -366,8 +358,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}
 		// cert is a conf = 1 test: a singularity for approximation
 		// (Example 5.7), so every Estimators computes it exactly.
-		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true,
-			Errs: in.Errs, Singular: in.Singular}, nil
+		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true, Bounds: in.Bounds}, nil
 
 	case Let:
 		def, err := e.eval(n.Def)

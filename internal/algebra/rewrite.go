@@ -142,16 +142,20 @@ func (e *URelEvaluator) EvalConfConjunctionEGD(c ConjunctionWithEGD, pcol string
 		return URelResult{}, err
 	}
 	// Outer difference on the group attributes: missing ¬ψ groups mean 0.
-	negByGroup := make(map[string]float64, confNeg.Rel.Len())
+	// conf emits one row per group, so negGroups' positions are confNeg's.
 	pIdx := confNeg.Rel.Schema().Index(pcol)
+	negGroups := rel.NewRelation(confNeg.Rel.Schema()[:pIdx])
 	for _, ut := range confNeg.Rel.Tuples() {
-		negByGroup[ut.Row[:pIdx].Key()] = ut.Row[pIdx].AsFloat()
+		negGroups.AddOwned(ut.Row[:pIdx])
 	}
 	result := cloneSchemaRelation(confPhi.Rel)
 	pIdxPhi := confPhi.Rel.Schema().Index(pcol)
 	for _, ut := range confPhi.Rel.Tuples() {
 		row := ut.Row.Clone()
-		p := row[pIdxPhi].AsFloat() - negByGroup[row[:pIdxPhi].Key()]
+		p := row[pIdxPhi].AsFloat()
+		if i := negGroups.Pos(row[:pIdxPhi]); i >= 0 {
+			p -= confNeg.Rel.Tuples()[i].Row[pIdx].AsFloat()
+		}
 		if p < 0 {
 			p = 0 // numeric guard; Pr[φ] ≥ Pr[φ∧¬ψ] always
 		}

@@ -87,7 +87,7 @@ func TestPossCertOverApproxSelect(t *testing.T) {
 	if poss.Rel.Len() != 2 || !poss.Complete {
 		t.Errorf("poss over σ̂: len=%d complete=%v", poss.Rel.Len(), poss.Complete)
 	}
-	if poss.Errors.Max() == 0 {
+	if worst, _ := poss.Bounds.Worst(false); worst == 0 {
 		t.Error("poss should carry σ̂ bounds")
 	}
 	cert, err := eng.EvalApprox(algebra.Cert{In: shat})

@@ -293,38 +293,32 @@ type Result struct {
 	Rel *urel.Relation
 	// Complete reports c(result).
 	Complete bool
-	// Errors maps a data tuple's key (rel.Tuple.Key) to its
-	// membership-error bound µ; missing keys mean 0. Bounds are clamped
-	// to [0,1] for reporting.
-	Errors provenance.ErrMap
-	// Singular holds the keys of tuples whose σ̂ decisions hit the ε₀
-	// floor: the point may be an ε₀-singularity and Theorem 6.7's
-	// guarantee does not cover it.
-	Singular map[string]bool
+	// Bounds are the Lemma 6.4 annotations of the result's data tuples:
+	// the membership-error bound µ (unclamped — read it through
+	// TupleError) and whether the tuple's σ̂ decisions hit the ε₀ floor,
+	// so that the point may be an ε₀-singularity Theorem 6.7's guarantee
+	// does not cover. Nil when no tuple is annotated.
+	Bounds *algebra.Bounds
 	// Stats reports evaluation effort.
 	Stats Stats
 }
 
-// TupleError returns the clamped error bound of tuple t.
+// TupleError returns the error bound of tuple t, clamped to [0, 1].
 func (r *Result) TupleError(t rel.Tuple) float64 {
-	return math.Min(1, r.Errors.Get(t.Key()))
+	mu, _ := r.Bounds.BoundOf(t)
+	return math.Min(1, mu)
 }
 
 // IsSingular reports whether t depends on a (potential) singularity.
-func (r *Result) IsSingular(t rel.Tuple) bool { return r.Singular[t.Key()] }
+func (r *Result) IsSingular(t rel.Tuple) bool {
+	_, singular := r.Bounds.BoundOf(t)
+	return singular
+}
 
 // MaxNonSingularError returns the worst clamped bound over non-singular
 // tuples.
 func (r *Result) MaxNonSingularError() float64 {
-	worst := 0.0
-	for k, v := range r.Errors {
-		if r.Singular[k] {
-			continue
-		}
-		if v > worst {
-			worst = v
-		}
-	}
+	worst, _ := r.Bounds.Worst(true)
 	return math.Min(1, worst)
 }
 
@@ -498,15 +492,8 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		// tuple's accumulated bound must be ≤ δ. Singular tuples never
 		// converge and are excluded (the theorem only covers tuples
 		// without singularities in their provenance).
-		worst := run.worstDecision
-		for k, v := range res.Errs {
-			if res.Singular[k] {
-				continue
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		worst, _ := res.Bounds.Worst(true)
+		worst = max(worst, run.worstDecision)
 		done := worst <= e.opts.Delta || l >= maxL
 		if e.opts.Progress != nil {
 			e.opts.Progress(Progress{
@@ -536,7 +523,7 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 				SpilledBytes:    res.SpilledBytes,
 				SpillFiles:      res.SpillFiles,
 			}
-			return finishResult(res, stats), nil
+			return &Result{Rel: res.Rel, Complete: res.Complete, Bounds: res.Bounds, Stats: stats}, nil
 		}
 		l *= 2
 		if l > maxL {
@@ -570,20 +557,6 @@ func (e *Engine) theorem67Cap(q algebra.Query) int64 {
 		return 1
 	}
 	return cap66
-}
-
-func finishResult(r algebra.URelResult, stats Stats) *Result {
-	clamped := provenance.ErrMap{}
-	for k, v := range r.Errs {
-		clamped[k] = math.Min(1, v)
-	}
-	return &Result{
-		Rel:      r.Rel,
-		Complete: r.Complete,
-		Errors:   clamped,
-		Singular: r.Singular,
-		Stats:    stats,
-	}
 }
 
 // evalRun is the sampling state of one pass of approximate evaluation at

@@ -211,7 +211,7 @@ func TestApproxSelectSingularFlagged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Singular) > 0 || res.Stats.SingularDrops > 0 {
+		if _, singular := res.Bounds.Worst(false); singular || res.Stats.SingularDrops > 0 {
 			flagged++
 		}
 	}
@@ -254,8 +254,8 @@ func TestProjectionFanInErrors(t *testing.T) {
 	if res.MaxNonSingularError() > 0.1 {
 		t.Errorf("fan-in bound %v > δ", res.MaxNonSingularError())
 	}
-	if len(res.Singular) != 0 {
-		t.Errorf("unexpected singular flags: %v", res.Singular)
+	if _, singular := res.Bounds.Worst(false); singular {
+		t.Errorf("unexpected singular flags")
 	}
 }
 
@@ -284,7 +284,6 @@ func TestProjectionFanInSumsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perTuple := selRes.Errors
 	eng2 := NewEngine(db, Options{Eps0: 0.05, Delta: 0.2, Seed: 11, InitialRounds: 64, MaxRounds: 64})
 	projRes, err := eng2.EvalApprox(proj)
 	if err != nil {
@@ -294,12 +293,12 @@ func TestProjectionFanInSumsBounds(t *testing.T) {
 		t.Fatal("expected single projected tuple")
 	}
 	var projErr float64
-	for _, v := range projRes.Errors {
-		projErr = v
+	for row := range projRes.Bounds.All() {
+		projErr = projRes.TupleError(row)
 	}
 	sum := 0.0
-	for _, v := range perTuple {
-		sum += v
+	for row := range selRes.Bounds.All() {
+		sum += selRes.TupleError(row)
 	}
 	if sum == 0 {
 		t.Fatal("expected nonzero per-tuple bounds (multi-clause lineage)")

@@ -45,8 +45,8 @@ func resultFingerprint(t *testing.T, r *Result) []string {
 				line += "|" + strconv.FormatFloat(v.AsFloat(), 'x', -1, 64)
 			}
 		}
-		line += "|err=" + strconv.FormatFloat(r.Errors.Get(ut.Row.Key()), 'x', -1, 64)
-		line += "|sing=" + strconv.FormatBool(r.Singular[ut.Row.Key()])
+		line += "|err=" + strconv.FormatFloat(r.TupleError(ut.Row), 'x', -1, 64)
+		line += "|sing=" + strconv.FormatBool(r.IsSingular(ut.Row))
 		out = append(out, line)
 	}
 	sort.Strings(out)
@@ -167,7 +167,7 @@ func TestParallelStressRace(t *testing.T) {
 	// enough that membership may wobble, but the evaluation itself must be
 	// race-free and produce some output with bounded errors.
 	for _, ut := range sel.Rel.Tuples() {
-		if e := sel.Errors.Get(ut.Row.Key()); e < 0 || e > 1 {
+		if e := sel.TupleError(ut.Row); e < 0 || e > 1 {
 			t.Errorf("tuple %s has error bound %v outside [0,1]", ut.Row.Key(), e)
 		}
 	}

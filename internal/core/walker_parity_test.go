@@ -36,11 +36,13 @@ func fullFingerprint(r *Result) string {
 		b.WriteByte('\n')
 	}
 	var lines []string
-	for k, v := range r.Errors {
-		lines = append(lines, fmt.Sprintf("err %s=%x", k, math.Float64bits(v)))
-	}
-	for k, v := range r.Singular {
-		lines = append(lines, fmt.Sprintf("sing %s=%v", k, v))
+	for row, mu := range r.Bounds.All() {
+		if mu > 0 {
+			lines = append(lines, fmt.Sprintf("err %s=%x", row.Key(), math.Float64bits(r.TupleError(row))))
+		}
+		if r.IsSingular(row) {
+			lines = append(lines, fmt.Sprintf("sing %s=%v", row.Key(), true))
+		}
 	}
 	for op, s := range r.Stats.Ops {
 		lines = append(lines, fmt.Sprintf("op %s=%+v", op, s))
@@ -213,9 +215,9 @@ func TestUnionProductOverApproxSelect(t *testing.T) {
 	tight := shatOverR() // threshold 0.93: within ε₀ of p, singular
 	tight.Pred = predapprox.Linear([]float64{1}, 0.93)
 	l, r := eval(clear), eval(tight)
-	if l.Rel.Len() != 3 || r.Rel.Len() != 3 || len(l.Singular) != 0 || len(r.Singular) != 3 {
+	if l.Rel.Len() != 3 || r.Rel.Len() != 3 || singularCount(l) != 0 || singularCount(r) != 3 {
 		t.Fatalf("fixture: want 3 clear and 3 singular tuples, got %d (%d singular) and %d (%d singular)",
-			l.Rel.Len(), len(l.Singular), r.Rel.Len(), len(r.Singular))
+			l.Rel.Len(), singularCount(l), r.Rel.Len(), singularCount(r))
 	}
 
 	// Equal lineage under one seed gives equal estimates, so both σ̂ emit
@@ -255,7 +257,18 @@ func TestUnionProductOverApproxSelect(t *testing.T) {
 	}
 	// The flag is an OR, not a constant: two clear factors stay clear.
 	pc := eval(algebra.Product{L: clear, R: algebra.Project{In: clear, Targets: renamed.Targets}})
-	if pc.Rel.Len() != 9 || len(pc.Singular) != 0 {
-		t.Errorf("product of clear σ̂ results: %d tuples, %d singular, want 9 and 0", pc.Rel.Len(), len(pc.Singular))
+	if pc.Rel.Len() != 9 || singularCount(pc) != 0 {
+		t.Errorf("product of clear σ̂ results: %d tuples, %d singular, want 9 and 0", pc.Rel.Len(), singularCount(pc))
 	}
+}
+
+// singularCount counts r's annotated tuples flagged singular.
+func singularCount(r *Result) int {
+	n := 0
+	for row := range r.Bounds.All() {
+		if r.IsSingular(row) {
+			n++
+		}
+	}
+	return n
 }

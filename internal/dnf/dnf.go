@@ -18,8 +18,8 @@ package dnf
 
 import (
 	"sort"
-	"strings"
 
+	"repro/internal/rel"
 	"repro/internal/vars"
 )
 
@@ -65,21 +65,50 @@ func (f F) Vars() []vars.Var {
 
 // Dedup removes duplicate clauses and clauses subsumed by the empty
 // assignment: if any clause is empty the whole disjunction is certain.
+// The first occurrence of a clause survives, in input order.
 func (f F) Dedup() F {
-	seen := make(map[string]bool, len(f))
-	out := make(F, 0, len(f))
-	for _, a := range f {
-		if len(a) == 0 {
-			return F{vars.Assignment{}}
-		}
-		k := a.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, a)
-	}
+	out, _ := f.dedup()
 	return out
+}
+
+// setKey is the 128-bit commutative fingerprint of a deduplicated clause
+// set — two sums over mixed 64-bit clause hashes, the standard core's
+// content keys set — so equal sets key equally however their clauses are
+// ordered. It is the Shannon memo's key.
+type setKey struct{ hi, lo uint64 }
+
+// dedup is Dedup, returning the surviving set's fingerprint as well: both
+// come out of one hashing pass.
+func (f F) dedup() (F, setKey) {
+	hashes := make([]uint64, len(f))
+	for i, a := range f {
+		if len(a) == 0 {
+			return F{vars.Assignment{}}, setKey{}
+		}
+		hashes[i] = a.Hash()
+	}
+	return f.dedupHashed(hashes)
+}
+
+// dedupHashed deduplicates non-empty clauses under their precomputed
+// hashes: clause i is dropped when an equal clause precedes it on its hash
+// chain.
+func (f F) dedupHashed(hashes []uint64) (F, setKey) {
+	ix := rel.BuildIndex(hashes)
+	out := make(F, 0, len(f))
+	var key setKey
+clauses:
+	for i, a := range f {
+		for p := ix.First(hashes[i]); int(p) < i; p = ix.Next(p) {
+			if f[p].Equal(a) {
+				continue clauses
+			}
+		}
+		out = append(out, a)
+		key.hi += rel.Mix64(hashes[i])
+		key.lo += rel.Mix64(^hashes[i])
+	}
+	return out, key
 }
 
 // Confidence computes the exact probability that a random world extends at
@@ -96,7 +125,7 @@ func Confidence(f F, t *vars.Table) float64 {
 	comps := components(f)
 	p := 1.0
 	for _, comp := range comps {
-		pc := shannon(comp, t, make(map[string]float64))
+		pc := shannon(comp, t, make(map[setKey]float64))
 		p *= 1 - pc
 	}
 	return 1 - p
@@ -114,7 +143,7 @@ func ConfidenceNoFactoring(f F, t *vars.Table) float64 {
 	if len(f[0]) == 0 {
 		return 1
 	}
-	return shannon(f, t, make(map[string]float64))
+	return shannon(f, t, make(map[setKey]float64))
 }
 
 // components partitions the clause set into connected components under the
@@ -164,17 +193,16 @@ func components(f F) []F {
 
 // shannon computes the probability of the disjunction by expanding on the
 // most frequent variable: p(F) = Σ_alt Pr[X=alt] · p(F | X=alt). Results
-// are memoized on a canonical key of the residual clause set.
-func shannon(f F, t *vars.Table, memo map[string]float64) float64 {
+// are memoized on the fingerprint of the residual clause set.
+func shannon(f F, t *vars.Table, memo map[setKey]float64) float64 {
 	// Normal form: drop duplicates; detect certainty.
-	f = f.Dedup()
+	f, key := f.dedup()
 	if len(f) == 0 {
 		return 0
 	}
 	if len(f[0]) == 0 {
 		return 1
 	}
-	key := fKey(f)
 	if p, ok := memo[key]; ok {
 		return p
 	}
@@ -222,16 +250,6 @@ func condition(f F, x vars.Var, alt int32) F {
 		}
 	}
 	return out
-}
-
-// fKey builds a canonical memoization key: sorted clause keys.
-func fKey(f F) string {
-	keys := make([]string, len(f))
-	for i, a := range f {
-		keys[i] = a.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
 }
 
 // ConfidenceByEnumeration computes the confidence by enumerating every

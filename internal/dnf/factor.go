@@ -81,7 +81,7 @@ func Factor(f F, t *vars.Table, lim FactorLimits) Factored {
 		if len(comp) == 1 {
 			pc = comp[0].Weight(t)
 		} else {
-			pc = shannon(comp, t, make(map[string]float64))
+			pc = shannon(comp, t, make(map[setKey]float64))
 		}
 		missAll *= 1 - pc
 		out.ExactComponents++

@@ -47,16 +47,18 @@ func E9ProvenanceBounds(w io.Writer, cfg Config) (Summary, error) {
 			if err != nil {
 				return s, err
 			}
-			for _, v := range selRes.Errors {
-				perTuple = append(perTuple, v)
+			for row, mu := range selRes.Bounds.All() {
+				if mu > 0 {
+					perTuple = append(perTuple, selRes.TupleError(row))
+				}
 			}
 			projRes, err := core.NewEngine(db, opts).EvalApproxContext(cfg.ctx(), proj)
 			if err != nil {
 				return s, err
 			}
 			var pb float64
-			for _, v := range projRes.Errors {
-				pb = v
+			for row := range projRes.Bounds.All() {
+				pb = projRes.TupleError(row)
 			}
 			fanIn = append(fanIn, pb)
 
@@ -140,7 +142,7 @@ func E10QueryApprox(w io.Writer, cfg Config) (Summary, error) {
 			if !approxIDs.Equal(exactIDs) {
 				wrong = 1
 			}
-			if len(res.Singular) > 0 || res.Stats.SingularDrops > 0 {
+			if _, singular := res.Bounds.Worst(false); singular || res.Stats.SingularDrops > 0 {
 				wrong = 0 // excluded by Theorem 6.7's non-singularity premise
 			}
 			errRate = append(errRate, wrong)

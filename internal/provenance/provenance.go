@@ -1,76 +1,14 @@
-// Package provenance implements the error-bound accounting of Section 6 of
-// the paper: the provenance relation ≺ links result tuples to the input
-// tuples whose membership can change them, and Lemma 6.4 bounds the
-// probability that a tuple's membership differs between the exact query Q
-// and its approximate version Q∼ by the sum of the error bounds of its
-// provenance plus k·δ'(max(ε_φ, ε₀), l) for each approximate selection on
-// the path.
-//
-// An ErrMap attaches an error bound µ(t) (an upper bound on
-// Pr[t ∈ Q ⇎ t ∈ Q∼]) to each data tuple of a relation, keyed by the
-// tuple's canonical key. Reliable relations have µ ≡ 0, represented by an
-// empty map; the propagation rules mirror the ≺ cases:
-//
-//	(t.Ā, π_Ā(R)) ≺ (t, R)   — projection sums contributors (Example 6.5)
-//	(t, σ_φ(R))   ≺ (t, R)   — selection preserves µ
-//	(t, R ∪ S)    ≺ both     — union sums both sides
-//	(⟨r,s⟩, R×S)  ≺ (r,R),(s,S) — product adds the factors' µ
+// Package provenance holds the closed-form error bounds of Section 6 of
+// the paper: the balanced per-value Karp–Luby bound δ'(ε, l) that every
+// approximate selection adds to its output tuples (Lemma 6.4), and the
+// overall bound of Proposition 6.6 with its inversion, Theorem 6.7's round
+// cap. The propagation of the per-tuple bounds µ along the provenance
+// relation ≺ lives beside the operators, in algebra (bounds.go).
 package provenance
 
 import (
 	"math"
 )
-
-// ErrMap maps a tuple key (rel.Tuple.Key) to its membership-error bound µ.
-// A missing key means µ = 0 (reliable). Bounds are not clamped during
-// propagation — they are probabilities' upper bounds and may exceed 1;
-// callers clamp for reporting.
-type ErrMap map[string]float64
-
-// Reliable returns the µ ≡ 0 map.
-func Reliable() ErrMap { return ErrMap{} }
-
-// Get returns µ(key).
-func (m ErrMap) Get(key string) float64 { return m[key] }
-
-// Add accumulates err onto key.
-func (m ErrMap) Add(key string, err float64) {
-	if err != 0 {
-		m[key] += err
-	}
-}
-
-// Set overwrites the bound for key.
-func (m ErrMap) Set(key string, err float64) {
-	if err != 0 {
-		m[key] = err
-	} else {
-		delete(m, key)
-	}
-}
-
-// Max returns the largest bound in the map (0 if empty).
-func (m ErrMap) Max() float64 {
-	worst := 0.0
-	for _, v := range m {
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// Clone copies the map.
-func (m ErrMap) Clone() ErrMap {
-	out := make(ErrMap, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// IsReliable reports whether all bounds are zero.
-func (m ErrMap) IsReliable() bool { return len(m) == 0 }
 
 // DeltaPrime is the paper's balanced per-value error bound
 // δ'(ε, l) = 2·e^{−l·ε²/3}, the Karp–Luby Chernoff bound after l rounds

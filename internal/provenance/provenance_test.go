@@ -6,35 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestErrMapBasics(t *testing.T) {
-	m := Reliable()
-	if !m.IsReliable() || m.Max() != 0 {
-		t.Error("fresh map should be reliable")
-	}
-	m.Add("a", 0.1)
-	m.Add("a", 0.2)
-	if math.Abs(m.Get("a")-0.3) > 1e-12 {
-		t.Errorf("Add accumulate = %v", m.Get("a"))
-	}
-	m.Set("b", 0.5)
-	if m.Max() != 0.5 {
-		t.Errorf("Max = %v", m.Max())
-	}
-	m.Set("b", 0)
-	if _, ok := m["b"]; ok {
-		t.Error("Set(0) should delete")
-	}
-	m.Add("c", 0)
-	if _, ok := m["c"]; ok {
-		t.Error("Add(0) should not create an entry")
-	}
-	cl := m.Clone()
-	cl.Add("a", 1)
-	if math.Abs(m.Get("a")-0.3) > 1e-12 {
-		t.Error("Clone not independent")
-	}
-}
-
 func TestDeltaPrime(t *testing.T) {
 	if DeltaPrime(0.1, 0) != 1 {
 		t.Error("zero rounds must give trivial bound")

@@ -6,12 +6,14 @@ import (
 	"sync"
 )
 
-// 64-bit hashing of values and tuples. The hot relational operators (join
-// build–probe, set-semantics dedup, lineage grouping) key their hash
-// tables on these hashes instead of the canonical Key() strings: hashing
-// never allocates, and the string forms are kept only for display and for
-// stable external maps (provenance error bounds). Collisions are resolved
-// by value equality (Compare), which is deterministic.
+// 64-bit hashing of values and tuples. Every identity the engine decides
+// during evaluation — set-semantics dedup, join build–probe, lineage
+// grouping, repair-key groups, clause dedup, the Lemma 6.4 annotations —
+// is one of these hashes looked up in an Index (index.go) and confirmed by
+// value equality (Compare), which is deterministic; hashing never
+// allocates. The canonical Key() strings are not on that path: they remain
+// for display, the public result order, the possible-worlds reference
+// evaluator and the corpus generator.
 //
 // The hash respects Compare-equality: values that are Equal hash
 // identically — Int(1) and Float(1) collide because numerics hash their

@@ -138,23 +138,17 @@ func (t Tuple) Compare(u Tuple) int {
 
 // Relation is a set-semantics relation: a schema plus a set of tuples.
 // Insertion order is preserved for display, but duplicates (under value
-// equality) are collapsed.
-//
-// The dedup index is keyed by 64-bit tuple hashes with chained collision
-// lists (index holds the most recent position per hash, next links earlier
-// ones), so membership tests allocate nothing: candidates filtered by hash
-// are confirmed by value equality, which is deterministic, so the set
-// semantics are exactly those of the canonical Key() strings.
+// equality) are collapsed through the hashed Index, so membership tests
+// allocate nothing.
 type Relation struct {
 	schema Schema
 	tuples []Tuple
-	index  map[uint64]int32 // tuple hash -> most recent position with it
-	next   []int32          // position -> previous position with same hash, -1 ends
+	idx    Index // tuple hash -> positions in tuples
 }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{schema: schema.Clone(), index: make(map[uint64]int32)}
+	return &Relation{schema: schema.Clone(), idx: NewIndex(0)}
 }
 
 // FromRows builds a relation from a schema and rows; duplicates collapse.
@@ -176,21 +170,6 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // slice must not be modified.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// find returns the position of the stored tuple equal to t under hash h,
-// or -1.
-func (r *Relation) find(h uint64, t Tuple) int32 {
-	head, ok := r.index[h]
-	if !ok {
-		return -1
-	}
-	for i := head; i >= 0; i = r.next[i] {
-		if r.tuples[i].Equal(t) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Add inserts a tuple (set semantics). It reports whether the tuple was
 // new. It panics when the tuple arity does not match the schema, which is
 // always a programming error.
@@ -201,25 +180,26 @@ func (r *Relation) Add(t Tuple) bool {
 	return r.addHashed(t.Hash(), t, true)
 }
 
-// addHashed inserts t under its precomputed hash, cloning only when the
-// caller retains ownership. The duplicate probe and the chain link share
-// one index lookup.
-func (r *Relation) addHashed(h uint64, t Tuple, clone bool) bool {
-	head, chained := r.index[h]
-	if chained {
-		for j := head; j >= 0; j = r.next[j] {
-			if r.tuples[j].Equal(t) {
-				return false
-			}
+// find returns the position of the stored tuple equal to t under hash h,
+// or -1, together with the head of h's chain for addHashed's link.
+func (r *Relation) find(h uint64, t Tuple) (pos, head int32) {
+	head = r.idx.First(h)
+	for p := head; p >= 0; p = r.idx.Next(p) {
+		if r.tuples[p].Equal(t) {
+			return p, head
 		}
 	}
-	pos := int32(len(r.tuples))
-	if chained {
-		r.next = append(r.next, head)
-	} else {
-		r.next = append(r.next, -1)
+	return -1, head
+}
+
+// addHashed inserts t under its precomputed hash, cloning only when the
+// caller retains ownership.
+func (r *Relation) addHashed(h uint64, t Tuple, clone bool) bool {
+	pos, head := r.find(h, t)
+	if pos >= 0 {
+		return false
 	}
-	r.index[h] = pos
+	r.idx.Append(h, head)
 	if clone {
 		t = t.Clone()
 	}
@@ -237,20 +217,23 @@ func (r *Relation) AddOwned(t Tuple) bool {
 	return r.addHashed(t.Hash(), t, false)
 }
 
-// Contains reports whether the relation contains the tuple.
-func (r *Relation) Contains(t Tuple) bool {
-	return r.find(t.Hash(), t) >= 0
+// Pos returns the position in Tuples of the stored tuple equal to t, or
+// -1. Callers keeping per-tuple data in a parallel slice address it by
+// this position.
+func (r *Relation) Pos(t Tuple) int {
+	pos, _ := r.find(t.Hash(), t)
+	return int(pos)
 }
 
-// Lookup returns the stored tuple equal to t, if any. This matters when
-// callers need the canonical instance (e.g. for attached metadata keyed by
-// position).
+// Contains reports whether the relation contains the tuple.
+func (r *Relation) Contains(t Tuple) bool { return r.Pos(t) >= 0 }
+
+// Lookup returns the stored tuple equal to t, if any.
 func (r *Relation) Lookup(t Tuple) (Tuple, bool) {
-	i := r.find(t.Hash(), t)
-	if i < 0 {
-		return nil, false
+	if i := r.Pos(t); i >= 0 {
+		return r.tuples[i], true
 	}
-	return r.tuples[i], true
+	return nil, false
 }
 
 // Value returns the value of attribute a in tuple t under this relation's

@@ -40,6 +40,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -133,6 +134,8 @@ type Server struct {
 	adm     *admission // nil when admission control is disabled
 	tenants *tenantSet
 	now     func() time.Time // injectable clock for quota tests
+	// bodyReadTimeout is the package constant; tests shorten it.
+	bodyReadTimeout time.Duration
 
 	// quotas/defaultQuota are the live quota table, initialized from the
 	// Config and swappable at runtime via ReloadQuotas. Reads take the
@@ -157,6 +160,13 @@ type Server struct {
 // maxPreparedQueries bounds the prepared-program cache.
 const maxPreparedQueries = 256
 
+// bodyReadTimeout bounds reading a query's body. The request's own
+// deadline is a field of the body, and the tenant's concurrency slot is
+// already held while it is read, so until the body is in nothing else
+// bounds a client that trickles it; a body that misses the bound is
+// answered 408. A fixed value like cmd/pdbserve's connection timeouts.
+const bodyReadTimeout = 10 * time.Second
+
 // New builds a Server over cfg.Engine.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
@@ -175,15 +185,16 @@ func New(cfg Config) (*Server, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:          cfg,
-		eng:          cfg.Engine,
-		mux:          http.NewServeMux(),
-		tenants:      newTenantSet(),
-		now:          time.Now,
-		start:        time.Now(),
-		prepared:     make(map[string]*pdb.Query),
-		quotas:       cfg.Quotas,
-		defaultQuota: cfg.DefaultQuota,
+		cfg:             cfg,
+		eng:             cfg.Engine,
+		mux:             http.NewServeMux(),
+		tenants:         newTenantSet(),
+		now:             time.Now,
+		start:           time.Now(),
+		bodyReadTimeout: bodyReadTimeout,
+		prepared:        make(map[string]*pdb.Query),
+		quotas:          cfg.Quotas,
+		defaultQuota:    cfg.DefaultQuota,
 	}
 	if cfg.MaxInFlight > 0 {
 		s.adm = newAdmission(cfg.MaxInFlight, cfg.AdmissionQueue, cfg.AdmissionWait)
@@ -291,6 +302,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection (read
+// deadlines).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
@@ -626,12 +641,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseTenant()
 
+	// The tenant slot is held from here on, and the request's own deadline
+	// arrives inside the body: bound the read, so a stalled client gives
+	// the slot back. The deadline is lifted again before evaluation — the
+	// connection's background read (client-disconnect detection) would
+	// otherwise trip it and cancel the request.
 	var req queryRequest
+	rc := http.NewResponseController(w)
+	// Writers that cannot set deadlines (recorders) are not connections.
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, "decode", fmt.Errorf("decoding request body: %w", err))
+		status := http.StatusBadRequest
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			status = http.StatusRequestTimeout
+		}
+		s.fail(w, r, status, "decode", fmt.Errorf("decoding request body: %w", err))
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	if req.Program == "" {
 		s.fail(w, r, http.StatusBadRequest, "decode", errors.New("request has no program"))
 		return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -141,6 +142,80 @@ func TestTenantConcurrencyQuota(t *testing.T) {
 	release()
 	if status, _, _ := postAs(t, ts, "small", body); status != http.StatusOK {
 		t.Errorf("small after release: status %d, want 200", status)
+	}
+}
+
+// tenantInFlight reads a tenant's held concurrency slots.
+func tenantInFlight(s *Server, name string) int {
+	s.tenants.mu.Lock()
+	defer s.tenants.mu.Unlock()
+	if st := s.tenants.states[name]; st != nil {
+		return st.inFlight
+	}
+	return 0
+}
+
+// TestStalledBodyReleasesTenantSlot pins the body read deadline: a client
+// that sends its headers and then stalls mid-body holds its tenant's only
+// concurrency slot just until the body read deadline, is answered
+// 408/decode, and the tenant's next request is admitted. (Without the
+// deadline the first request would sit in the JSON decoder, slot held, for
+// as long as the client cared to keep the connection open.)
+func TestStalledBodyReleasesTenantSlot(t *testing.T) {
+	srv := testServer(t, Config{
+		TenantHeader: tenantHdr,
+		Quotas:       map[string]Quota{"small": {MaxConcurrent: 1}},
+	})
+	srv.bodyReadTimeout = 150 * time.Millisecond
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := fmt.Sprintf(`{"program": %q, "seed": 7}`, testProgram)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Complete headers promising the whole body, then only its first bytes.
+	fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: pdb\r\n%s: small\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		tenantHdr, len(body), body[:10])
+
+	// While the body is outstanding the slot is taken.
+	deadline := time.Now().Add(5 * time.Second)
+	for tenantInFlight(srv, "small") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled request never acquired its tenant slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if status, er, _ := postAs(t, ts, "small", body); status != http.StatusTooManyRequests {
+		t.Fatalf("second request while the first holds the slot: status %d (%+v), want 429", status, er)
+	}
+
+	// The stalled request times out of the body read on its own.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading the stalled request's response: %v", err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("decoding error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestTimeout || er.Kind != "decode" {
+		t.Errorf("stalled body: status %d kind %q, want 408 decode", resp.StatusCode, er.Kind)
+	}
+	// The response is written inside the handler, the slot released when it
+	// returns: wait for the release rather than racing it.
+	for tenantInFlight(srv, "small") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("tenant slot still held after the body read timed out")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if status, er, _ := postAs(t, ts, "small", body); status != http.StatusOK {
+		t.Errorf("next request of the tenant: status %d (%+v), want 200", status, er)
 	}
 }
 

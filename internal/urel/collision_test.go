@@ -1,0 +1,131 @@
+package urel
+
+import (
+	"testing"
+
+	"repro/internal/dnf"
+	"repro/internal/rel"
+	"repro/internal/vars"
+)
+
+// These tests drive every rel.Index consumer of the package through its
+// hashed entry point with ONE hash for unequal keys. Identity must come
+// from value equality alone; a colliding hash may cost a comparison, never
+// merge two things.
+
+const forcedHash = 0xC0111DE
+
+func TestRelationForcedCollisions(t *testing.T) {
+	r := NewRelation(rel.NewSchema("A", "B"))
+	x := vars.MustAssignment(vars.Binding{Var: 0, Alt: 0})
+	y := vars.MustAssignment(vars.Binding{Var: 0, Alt: 1})
+	row1 := rel.Tuple{rel.Int(1), rel.String("p")}
+	row2 := rel.Tuple{rel.Int(2), rel.String("p")}
+	for i, p := range []struct {
+		d    vars.Assignment
+		row  rel.Tuple
+		want bool
+	}{
+		{x, row1, true},
+		{x, row2, true},  // same D, other row
+		{y, row1, true},  // same row, other D
+		{x, row1, false}, // exact duplicate
+		{nil, row1, true},
+		{y, rel.Tuple{rel.Float(1), rel.String("p")}, false}, // value-equal to (y, row1)
+	} {
+		if got := r.addPair(forcedHash, p.d, p.row, true); got != p.want {
+			t.Errorf("insert %d (%v, %v): added = %v, want %v", i, p.d, p.row, got, p.want)
+		}
+	}
+	if r.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 distinct pairs", r.Len())
+	}
+	if pos, _ := r.find(forcedHash, y, row1); pos != 2 {
+		t.Errorf("find(y, row1) = %d, want position 2", pos)
+	}
+	if pos, _ := r.find(forcedHash, y, row2); pos != -1 {
+		t.Errorf("find of an absent pair = %d, want -1", pos)
+	}
+
+	// The stored hashes travel: a clone, and a spilled-and-hydrated copy,
+	// keep the four pairs apart and still reject the duplicates.
+	check := func(name string, c *Relation) {
+		t.Helper()
+		if got, want := relFingerprint(c), relFingerprint(r); got != want {
+			t.Errorf("%s differs:\n%s\nwant\n%s", name, got, want)
+		}
+		if c.addPair(forcedHash, x, row2, true) || !c.addPair(forcedHash, y, row2, true) {
+			t.Errorf("%s: dedup under the colliding hash is wrong after the copy", name)
+		}
+	}
+	check("clone", r.Clone())
+	sp, err := NewSpill(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	c := r.Clone()
+	sp.spillOut(c)
+	if err := c.hydrate(); err != nil {
+		t.Fatal(err)
+	}
+	check("hydrated copy", c)
+}
+
+func TestLineageGrouperForcedCollisions(t *testing.T) {
+	g := newLineageGrouper(0)
+	rowA := rel.Tuple{rel.String("a")}
+	rowB := rel.Tuple{rel.String("b")}
+	d := func(alt int32) vars.Assignment { return vars.MustAssignment(vars.Binding{Var: 0, Alt: alt}) }
+	g.addClause(forcedHash, rowA, d(0))
+	g.addClause(forcedHash, rowB, d(1))
+	g.addClause(forcedHash, rowA, d(2))
+	g.add(forcedHash, rowB, dnf.F{d(3), d(4)})
+	g.add(forcedHash, rel.Tuple{rel.String("c")}, dnf.F{d(5)})
+	if len(g.groups) != 3 {
+		t.Fatalf("%d groups, want 3 (a, b, c in first-appearance order)", len(g.groups))
+	}
+	for i, want := range []struct {
+		row  string
+		alts []int32
+	}{{"a", []int32{0, 2}}, {"b", []int32{1, 3, 4}}, {"c", []int32{5}}} {
+		grp := g.groups[i]
+		if grp.Row[0].AsString() != want.row || len(grp.F) != len(want.alts) {
+			t.Fatalf("group %d = %v with %d clauses, want %q with %d", i, grp.Row, len(grp.F), want.row, len(want.alts))
+		}
+		for j, alt := range want.alts {
+			if grp.F[j][0].Alt != alt {
+				t.Errorf("group %q clause %d binds alt %d, want %d (input order)", want.row, j, grp.F[j][0].Alt, alt)
+			}
+		}
+	}
+}
+
+// TestWitnessIndexForcedCollisions covers repair-key's group and
+// alternative tables: tuples that differ on the indexed columns stay
+// apart under one hash, tuples that agree on them share a witness whatever
+// their other columns hold.
+func TestWitnessIndexForcedCollisions(t *testing.T) {
+	tuples := []UTuple{
+		{Row: rel.Tuple{rel.String("k"), rel.String("alt1"), rel.Int(3)}},
+		{Row: rel.Tuple{rel.String("k"), rel.String("alt2"), rel.Int(3)}},
+		{Row: rel.Tuple{rel.String("k"), rel.String("alt1"), rel.Int(9)}}, // alt1 again, other weight
+		{Row: rel.Tuple{rel.String("j"), rel.String("alt1"), rel.Int(3)}}, // alt1 of another group
+	}
+	alts := newWitnessIndex(len(tuples))
+	cols := []int{0, 1} // every column but the weight
+	var got []int32
+	for i, ut := range tuples {
+		first, head := alts.locate(forcedHash, tuples, ut.Row, cols)
+		if first < 0 {
+			alts.add(forcedHash, head, i)
+			first = int32(i)
+		}
+		got = append(got, first)
+	}
+	for i, want := range []int32{0, 1, 0, 3} {
+		if got[i] != want {
+			t.Errorf("tuple %d: witness %d, want %d", i, got[i], want)
+		}
+	}
+}

@@ -344,8 +344,8 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 }
 
 // Join implements the natural join R ⋈ S as a partitioned hash join: the
-// build side's join-column hashes are computed in parallel and chained
-// into buckets in insertion order; the probe side is scanned in fixed
+// build side's join-column hashes are computed in parallel and indexed in
+// insertion order (rel.BuildIndex); the probe side is scanned in fixed
 // ranges, each worker emitting its range's output pairs; ranges merge in
 // order. Bucket candidates filtered by the 64-bit join-key hash are
 // confirmed by value equality on the join columns.
@@ -372,24 +372,15 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 		bExtraIdx[i] = b.schema.Index(c)
 	}
 
-	// Build phase: hash S's join columns in parallel; chain buckets so
-	// traversal visits S in insertion order (reverse construction).
+	// Build phase: hash S's join columns in parallel, then index them so a
+	// chain visits S in insertion order.
 	bh := make([]uint64, len(b.tuples))
 	x.forRanges(len(b.tuples), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			bh[i] = b.tuples[i].Row.HashAt(bIdx)
 		}
 	})
-	bHead := make(map[uint64]int32, len(b.tuples))
-	bNext := make([]int32, len(b.tuples))
-	for i := len(b.tuples) - 1; i >= 0; i-- {
-		if head, ok := bHead[bh[i]]; ok {
-			bNext[i] = head
-		} else {
-			bNext[i] = -1
-		}
-		bHead[bh[i]] = int32(i)
-	}
+	build := rel.BuildIndex(bh)
 
 	// Probe phase: fixed ranges of R, merged in range order.
 	la := len(a.schema)
@@ -401,11 +392,7 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 		// emitted pairs (a skewed key's chain is unbounded); see Product.
 		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
 			ta := a.tuples[i]
-			head, ok := bHead[ta.Row.HashAt(aIdx)]
-			if !ok {
-				continue
-			}
-			for j := head; j >= 0; j = bNext[j] {
+			for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
 				tb := b.tuples[j]
 				if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
 					continue
@@ -462,7 +449,7 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 	}
 	out := NewRelation(a.schema)
 	for i, t := range a.tuples {
-		if b.find(a.hashes[i], t.D, t.Row) < 0 {
+		if pos, _ := b.find(a.hashes[i], t.D, t.Row); pos < 0 {
 			out.addPair(a.hashes[i], nil, t.Row, false)
 		}
 	}
@@ -484,75 +471,57 @@ func (x *Exec) Poss(r *Relation) *rel.Relation {
 	return out
 }
 
-// lineageGrouper is the one chained-hash grouping structure behind every
-// lineage path (single-pass, per-range local, and merge): groups keyed by
-// 64-bit row hash with equality confirmation, in first-appearance order.
-// Keeping a single implementation is what guarantees the three paths stay
-// in lock-step — the worker-count bit-identity invariant depends on them
+// lineageGrouper is the one grouping structure behind every lineage path
+// (single-pass, per-range local, and merge): groups found through a
+// rel.Index over the row hashes, in first-appearance order. Keeping a
+// single implementation is what guarantees the three paths stay in
+// lock-step — the worker-count bit-identity invariant depends on them
 // producing identical output.
 type lineageGrouper struct {
-	head   map[uint64]int32
-	next   []int32
+	idx    rel.Index
 	groups []TupleConf
 	hashes []uint64
 	bytes  int64 // running footprint estimate (clause headers + per-group overhead)
 }
 
 func newLineageGrouper(sizeHint int) *lineageGrouper {
-	return &lineageGrouper{head: make(map[uint64]int32, sizeHint)}
+	return &lineageGrouper{idx: rel.NewIndex(sizeHint)}
 }
 
-// locate returns the group position for (h, row) (or -1) together with
-// the chain head, so callers probe and link with a single index lookup.
-func (g *lineageGrouper) locate(h uint64, row rel.Tuple) (gi, head int32, chained bool) {
-	head, chained = g.head[h]
-	if chained {
-		for j := head; j >= 0; j = g.next[j] {
-			if g.groups[j].Row.Equal(row) {
-				return j, head, true
-			}
+// at returns the position of row's group under hash h, creating an empty
+// group in first-appearance order when absent.
+func (g *lineageGrouper) at(h uint64, row rel.Tuple) int32 {
+	head := g.idx.First(h)
+	for p := head; p >= 0; p = g.idx.Next(p) {
+		if g.groups[p].Row.Equal(row) {
+			return p
 		}
 	}
-	return -1, head, chained
-}
-
-// insert creates a new group for (h, row) in first-appearance order,
-// taking ownership of f. The caller has already established (via locate)
-// that the group is absent and passes the chain head along.
-func (g *lineageGrouper) insert(h uint64, head int32, chained bool, row rel.Tuple, f dnf.F) {
-	pos := int32(len(g.groups))
-	if chained {
-		g.next = append(g.next, head)
-	} else {
-		g.next = append(g.next, -1)
-	}
-	g.head[h] = pos
-	g.groups = append(g.groups, TupleConf{Row: row, F: f})
+	g.idx.Append(h, head)
+	g.groups = append(g.groups, TupleConf{Row: row})
 	g.hashes = append(g.hashes, h)
-	g.bytes += pairOverheadBytes + int64(len(f))*clauseHeaderBytes
+	g.bytes += pairOverheadBytes
+	return int32(len(g.groups) - 1)
 }
 
-// add appends the clauses to (h, row)'s group, creating it when absent.
+// add appends the clauses to (h, row)'s group; a new group takes ownership
+// of f.
 func (g *lineageGrouper) add(h uint64, row rel.Tuple, f dnf.F) {
-	gi, head, chained := g.locate(h, row)
-	if gi >= 0 {
-		g.groups[gi].F = append(g.groups[gi].F, f...)
-		g.bytes += int64(len(f)) * clauseHeaderBytes
-		return
+	grp := &g.groups[g.at(h, row)]
+	if grp.F == nil {
+		grp.F = f
+	} else {
+		grp.F = append(grp.F, f...)
 	}
-	g.insert(h, head, chained, row, f)
+	g.bytes += int64(len(f)) * clauseHeaderBytes
 }
 
 // addClause is add for a single clause, avoiding a slice header per tuple
 // on the append path.
 func (g *lineageGrouper) addClause(h uint64, row rel.Tuple, d vars.Assignment) {
-	gi, head, chained := g.locate(h, row)
-	if gi >= 0 {
-		g.groups[gi].F = append(g.groups[gi].F, d)
-		g.bytes += clauseHeaderBytes
-		return
-	}
-	g.insert(h, head, chained, row, dnf.F{d})
+	grp := &g.groups[g.at(h, row)]
+	grp.F = append(grp.F, d)
+	g.bytes += clauseHeaderBytes
 }
 
 // lineage is the grouping core of Lineage/LineageSeq/ConfExact/CertExact:
@@ -672,11 +641,41 @@ func (x *Exec) CertExact(r *Relation, table *vars.Table) *rel.Relation {
 	return out
 }
 
+// witnessIndex identifies the tuples of one input by a subset of their
+// columns: each distinct sub-tuple is represented by the first input tuple
+// carrying it, its equality witness.
+type witnessIndex struct {
+	idx   rel.Index
+	first []int32 // position -> input tuple that introduced it
+}
+
+func newWitnessIndex(n int) witnessIndex {
+	return witnessIndex{idx: rel.NewIndex(n), first: make([]int32, 0, n)}
+}
+
+// locate returns the witness agreeing with row on cols under hash h (or
+// -1), and the chain head for add.
+func (w *witnessIndex) locate(h uint64, tuples []UTuple, row rel.Tuple, cols []int) (first, head int32) {
+	head = w.idx.First(h)
+	for p := head; p >= 0; p = w.idx.Next(p) {
+		if row.EqualAt(cols, tuples[w.first[p]].Row, cols) {
+			return w.first[p], head
+		}
+	}
+	return -1, head
+}
+
+// add makes input tuple i the witness of its sub-tuple, absent so far.
+func (w *witnessIndex) add(h uint64, head int32, i int) {
+	w.idx.Append(h, head)
+	w.first = append(w.first, int32(i))
+}
+
 // RepairKey implements repair-key (see the package-level wrapper for the
-// full contract). Group and alternative lookup go through hashed chain
-// indexes over the key/residual columns; the display strings the fresh
-// variable names need are built once per group and per alternative, never
-// per tuple.
+// full contract). Groups and alternatives are found through witnessIndex
+// tables over the key and the non-weight columns; the display strings the
+// fresh variable names need are built once per group and per alternative,
+// never per tuple.
 func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.Table, prefix string) (*Relation, error) {
 	x.ensure(r)
 	keyIdx := make([]int, len(key))
@@ -712,19 +711,17 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	type alt struct {
 		weight float64
 		name   string
-		repr   int // first input tuple of this alternative (equality witness)
 	}
 	type group struct {
 		display string
-		repr    int // first input tuple of this group (equality witness)
 		alts    []alt
-		altHead map[uint64]int32
-		altNext []int32
 		total   float64
 		v       vars.Var
 	}
-	gHead := make(map[uint64]int32)
-	var gNext []int32
+	// A group is identified by the key columns, an alternative by every
+	// column but the weight: its group's key plus the residual.
+	groups, alts := newWitnessIndex(0), newWitnessIndex(len(r.tuples))
+	altIdx := append(append([]int(nil), keyIdx...), resIdx...)
 	var orderedGroups []*group
 	// tupleAlt[i] is the alternative index of input tuple i in its group.
 	tupleAlt := make([]int, len(r.tuples))
@@ -732,58 +729,31 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 
 	for i, t := range r.tuples {
 		gh := t.Row.HashAt(keyIdx)
-		var g *group
-		if hd, ok := gHead[gh]; ok {
-			for j := hd; j >= 0; j = gNext[j] {
-				cand := orderedGroups[j]
-				if t.Row.EqualAt(keyIdx, r.tuples[cand.repr].Row, keyIdx) {
-					g = cand
-					break
-				}
-			}
+		first, head := groups.locate(gh, r.tuples, t.Row, keyIdx)
+		if first < 0 {
+			groups.add(gh, head, i)
+			tupleGroup[i] = &group{display: displayKey(t.Row, keyIdx)}
+			orderedGroups = append(orderedGroups, tupleGroup[i])
+		} else {
+			tupleGroup[i] = tupleGroup[first]
 		}
-		if g == nil {
-			g = &group{display: displayKey(t.Row, keyIdx), repr: i, altHead: make(map[uint64]int32)}
-			pos := int32(len(orderedGroups))
-			if hd, ok := gHead[gh]; ok {
-				gNext = append(gNext, hd)
-			} else {
-				gNext = append(gNext, -1)
-			}
-			gHead[gh] = pos
-			orderedGroups = append(orderedGroups, g)
-		}
+		g := tupleGroup[i]
 		w := t.Row[wIdx]
 		if !w.IsNumeric() || w.AsFloat() <= 0 {
 			return nil, fmt.Errorf("urel: repair-key weight %v is not a positive number", w)
 		}
-		rh := t.Row.HashAt(resIdx)
-		ai := -1
-		if hd, ok := g.altHead[rh]; ok {
-			for j := hd; j >= 0; j = g.altNext[j] {
-				if t.Row.EqualAt(resIdx, r.tuples[g.alts[j].repr].Row, resIdx) {
-					ai = int(j)
-					break
-				}
-			}
-		}
-		if ai >= 0 {
-			if g.alts[ai].weight != w.AsFloat() {
+		ah := rel.HashCombine(gh, t.Row.HashAt(resIdx))
+		first, head = alts.locate(ah, r.tuples, t.Row, altIdx)
+		if first < 0 {
+			alts.add(ah, head, i)
+			tupleAlt[i] = len(g.alts)
+			g.alts = append(g.alts, alt{weight: w.AsFloat(), name: displayKey(t.Row, resIdx)})
+		} else {
+			tupleAlt[i] = tupleAlt[first]
+			if g.alts[tupleAlt[i]].weight != w.AsFloat() {
 				return nil, fmt.Errorf("urel: repair-key group %s has conflicting weights for one alternative", g.display)
 			}
-			tupleAlt[i] = ai
-		} else {
-			ai = len(g.alts)
-			if hd, ok := g.altHead[rh]; ok {
-				g.altNext = append(g.altNext, hd)
-			} else {
-				g.altNext = append(g.altNext, -1)
-			}
-			g.altHead[rh] = int32(ai)
-			g.alts = append(g.alts, alt{weight: w.AsFloat(), name: displayKey(t.Row, resIdx), repr: i})
-			tupleAlt[i] = ai
 		}
-		tupleGroup[i] = g
 	}
 	for _, g := range orderedGroups {
 		g.total = 0

@@ -112,7 +112,7 @@ func (s *Spill) spillOut(r *Relation) {
 		r.sp.n = len(r.tuples)
 		s.written.Add(n)
 	}
-	r.tuples, r.hashes, r.next, r.index = nil, nil, nil, nil
+	r.tuples, r.hashes, r.idx = nil, nil, rel.Index{}
 	r.spilled = true
 }
 
@@ -129,10 +129,9 @@ func (r *Relation) hydrate() error {
 		return fmt.Errorf("urel: rehydrating relation: %w", err)
 	}
 	defer f.Close()
-	r.index = make(map[uint64]int32, r.sp.n)
+	r.idx = rel.NewIndex(r.sp.n)
 	r.tuples = make([]UTuple, 0, r.sp.n)
 	r.hashes = make([]uint64, 0, r.sp.n)
-	r.next = make([]int32, 0, r.sp.n)
 	r.bytes = 0
 	br := bufio.NewReaderSize(f, 1<<16)
 	for i := 0; i < r.sp.n; i++ {

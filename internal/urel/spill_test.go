@@ -49,7 +49,7 @@ func TestSpillRoundTrip(t *testing.T) {
 	if !r.Spilled() {
 		t.Fatal("relation not spilled")
 	}
-	if r.tuples != nil || r.index != nil {
+	if r.tuples != nil || r.hashes != nil {
 		t.Fatal("spilled relation retains in-memory tuple storage")
 	}
 	if r.Len() != wantLen {

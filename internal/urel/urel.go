@@ -18,6 +18,7 @@ import (
 	"iter"
 	"maps"
 	"sort"
+	"strings"
 
 	"repro/internal/dnf"
 	"repro/internal/expr"
@@ -32,30 +33,23 @@ type UTuple struct {
 	Row rel.Tuple
 }
 
-// utHash is the 64-bit dedup key of a (D, row) pair. It replaces the old
-// canonical key string on every hot path; collisions are resolved by value
-// equality (see Relation.find), so set semantics match the equality
-// relation of rel.Compare (which, unlike the legacy key strings, also
-// identifies -0.0 with +0.0 — see rel/hash.go).
+// utHash is the 64-bit dedup key of a (D, row) pair; candidates it selects
+// are confirmed by value equality (Relation.find), so set semantics are
+// those of rel.Compare and vars.Assignment.Equal.
 func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 	return rel.HashCombine(row.Hash(), d.Hash())
 }
 
 // Relation is a U-relation: a schema and a set of (D, tuple) pairs with
-// set semantics on the pair.
-//
-// The dedup index is keyed by 64-bit pair hashes with chained collision
-// lists (index maps a hash to the most recent position carrying it, next
-// links back to earlier ones), so inserts and membership tests allocate no
-// key strings. Stored pair hashes are kept in hashes so clones, unions and
+// set semantics on the pair, deduplicated through a rel.Index over the
+// pair hashes. Stored pair hashes are kept in hashes so clones, unions and
 // selections never rehash.
 type Relation struct {
 	schema rel.Schema
 	tuples []UTuple
-	hashes []uint64         // utHash per tuple, aligned with tuples
-	index  map[uint64]int32 // pair hash -> most recent position with it
-	next   []int32          // position -> previous position with same hash, -1 ends
-	bytes  int64            // running footprint estimate, maintained on insert
+	hashes []uint64  // utHash per tuple, aligned with tuples
+	idx    rel.Index // pair hash -> positions in tuples
+	bytes  int64     // running footprint estimate, maintained on insert
 
 	// Out-of-core state (see spill.go): when spilled, the tuple storage
 	// above is dropped and sp locates the file holding the pairs; bytes
@@ -67,7 +61,7 @@ type Relation struct {
 // NewRelation creates an empty U-relation with the given data schema (the
 // D column is implicit).
 func NewRelation(schema rel.Schema) *Relation {
-	return &Relation{schema: schema.Clone(), index: make(map[uint64]int32)}
+	return &Relation{schema: schema.Clone(), idx: rel.NewIndex(0)}
 }
 
 // FromComplete lifts a classical complete relation into a U-relation where
@@ -101,18 +95,15 @@ func (r *Relation) Tuples() []UTuple {
 }
 
 // find returns the position of the stored pair equal to (d, row) under
-// hash h, or -1.
-func (r *Relation) find(h uint64, d vars.Assignment, row rel.Tuple) int32 {
-	head, ok := r.index[h]
-	if !ok {
-		return -1
-	}
-	for i := head; i >= 0; i = r.next[i] {
-		if r.tuples[i].D.Equal(d) && r.tuples[i].Row.Equal(row) {
-			return i
+// hash h, or -1, together with the head of h's chain for addPair's link.
+func (r *Relation) find(h uint64, d vars.Assignment, row rel.Tuple) (pos, head int32) {
+	head = r.idx.First(h)
+	for p := head; p >= 0; p = r.idx.Next(p) {
+		if r.tuples[p].D.Equal(d) && r.tuples[p].Row.Equal(row) {
+			return p, head
 		}
 	}
-	return -1
+	return -1, head
 }
 
 // Add inserts a (D, tuple) pair under set semantics and reports whether it
@@ -138,24 +129,13 @@ func (r *Relation) AddOwned(d vars.Assignment, row rel.Tuple) bool {
 // defensively copied (the public Add contract); operators inserting rows
 // they own — or rows already owned by another relation, which are never
 // mutated after insertion — pass clone=false and save two allocations per
-// tuple. The duplicate probe and the chain link share one index lookup —
-// this is the hottest insert path in the engine.
+// tuple. This is the hottest insert path in the engine.
 func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone bool) bool {
-	head, chained := r.index[h]
-	if chained {
-		for j := head; j >= 0; j = r.next[j] {
-			if r.tuples[j].D.Equal(d) && r.tuples[j].Row.Equal(row) {
-				return false
-			}
-		}
+	pos, head := r.find(h, d, row)
+	if pos >= 0 {
+		return false
 	}
-	pos := int32(len(r.tuples))
-	if chained {
-		r.next = append(r.next, head)
-	} else {
-		r.next = append(r.next, -1)
-	}
-	r.index[h] = pos
+	r.idx.Append(h, head)
 	if clone {
 		d, row = d.Clone(), row.Clone()
 	}
@@ -182,18 +162,13 @@ func (r *Relation) IsComplete() bool {
 // bookkeeping (tuple list, hashes, dedup index).
 func (r *Relation) Clone() *Relation {
 	r.mustResident("Clone")
-	out := &Relation{
+	return &Relation{
 		schema: r.schema.Clone(),
 		tuples: append([]UTuple(nil), r.tuples...),
 		hashes: append([]uint64(nil), r.hashes...),
-		next:   append([]int32(nil), r.next...),
-		index:  make(map[uint64]int32, len(r.index)),
+		idx:    r.idx.Clone(),
 		bytes:  r.bytes,
 	}
-	for h, i := range r.index {
-		out.index[h] = i
-	}
-	return out
 }
 
 // Select implements [[σ_φ R]] := σ_φ(U_R): the condition is evaluated on
@@ -274,18 +249,7 @@ func displayKey(row rel.Tuple, idx []int) string {
 	for i, j := range idx {
 		parts[i] = row[j].String()
 	}
-	return joinStrings(parts, ",")
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, ",")
 }
 
 // Database is a U-relational database: named U-relations over one shared
@@ -333,7 +297,7 @@ func (db *Database) String() string {
 	out := ""
 	for _, n := range names {
 		r := db.Rels[n]
-		out += "U_" + n + "(D; " + joinStrings(r.schema, ", ") + ")\n"
+		out += "U_" + n + "(D; " + strings.Join(r.schema, ", ") + ")\n"
 		rows := make([]string, 0, len(r.tuples))
 		for _, t := range r.tuples {
 			rows = append(rows, "  "+t.D.Format(db.Vars)+"  "+t.Row.String())
