@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke ci
+.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -132,4 +132,9 @@ keys-check:
 		echo "a second identity mechanism (Key() string or hand-rolled hash chain) on the evaluation path:"; \
 		echo "$$bad"; exit 1; fi
 
-ci: vet fmt-check docs-check links-check keys-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke
+# Non-test Go lines per package — the figure a simplicity PR quotes before
+# and after. Last in `ci`, so the PR log carries it.
+loc:
+	@./scripts/loc.sh
+
+ci: vet fmt-check docs-check links-check keys-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke loc

@@ -76,6 +76,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
+	"repro/internal/urel"
 	"repro/pdb"
 )
 
@@ -104,7 +105,6 @@ func run() error {
 	strictTenants := fs.Bool("strict-tenants", false, "reject tenants without a -tenant entry (403, allowlist mode)")
 	shard := fs.Bool("shard", false, "run as a cluster shard server (binary TCP protocol on -addr; no relations loaded)")
 	shardWorkers := fs.Int("shard-workers", 0, "shard sampling workers (0 = GOMAXPROCS)")
-	shardCache := fs.Int("shard-cache", 0, "shard chunk-count cache entries (0 = default, negative disables)")
 	coordinator := fs.Bool("coordinator", false, "scatter sampling work across the -peers shard servers")
 	peersFlag := fs.String("peers", "", "comma-separated shard addresses (host:port); implies -coordinator")
 	clusterTimeout := fs.Duration("cluster-timeout", 0, "per-shard, per-attempt RPC deadline (0 = 2m)")
@@ -154,7 +154,7 @@ func run() error {
 
 	logger := log.New(os.Stderr, "pdbserve: ", log.LstdFlags)
 	if *shard {
-		return runShard(*addr, *shardWorkers, *shardCache, logger)
+		return runShard(*addr, *shardWorkers, logger)
 	}
 	peers := splitPeers(*peersFlag)
 	if *coordinator && len(peers) == 0 {
@@ -204,6 +204,13 @@ func run() error {
 		quotas, defaultQuota = q, dq
 	}
 
+	if *spillDir != "" {
+		// A killed predecessor never ran Spill.Close; its directories are
+		// the ones whose recorded owner is gone.
+		if n := urel.SweepSpills(*spillDir); n > 0 {
+			logger.Printf("spill sweep: removed %d dead-owner directories under %s", n, *spillDir)
+		}
+	}
 	db, err := pdb.Open(tables)
 	if err != nil {
 		return err
@@ -312,12 +319,8 @@ func run() error {
 // runShard serves the binary shard protocol until SIGINT/SIGTERM. A
 // shard holds no relations — tasks arrive self-contained over the wire —
 // so it needs no -table/-datadir.
-func runShard(addr string, workers, cacheChunks int, logger *log.Logger) error {
-	sh := cluster.NewShard(cluster.ShardConfig{
-		Workers:     workers,
-		CacheChunks: cacheChunks,
-		Logger:      logger,
-	})
+func runShard(addr string, workers int, logger *log.Logger) error {
+	sh := cluster.NewShard(cluster.ShardConfig{Workers: workers, Logger: logger})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -339,8 +342,7 @@ func runShard(addr string, workers, cacheChunks int, logger *log.Logger) error {
 		return err
 	}
 	st := sh.Stats()
-	logger.Printf("shard bye (%d requests, %d trials sampled, %d reused)",
-		st.Requests, st.TrialsSampled, st.TrialsReused)
+	logger.Printf("shard bye (%d requests, %d trials sampled)", st.Requests, st.TrialsSampled)
 	return nil
 }
 

@@ -12,8 +12,8 @@ import (
 // evaluation end to end — planning, scatter over loopback TCP, shard-side
 // sampling, gather, merge — at 1, 2, and 4 in-process shards, with the
 // single-node engine as the zero-RPC baseline. The seed varies per
-// iteration so every run genuinely samples instead of replaying shard
-// chunk caches.
+// iteration so every run genuinely samples instead of replaying the
+// engine's estimator cache.
 func BenchmarkClusterScatterGather(b *testing.B) {
 	db := skewDB(b)
 	for _, shards := range []int{0, 1, 2, 4} {

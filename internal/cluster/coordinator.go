@@ -13,8 +13,8 @@ import (
 
 // Config configures a coordinator.
 type Config struct {
-	// Peers are the shard addresses (host:port). Order matters only for
-	// chunk round-robin spreading; ring placement hashes the addresses.
+	// Peers are the shard addresses (host:port). Order decides only which
+	// peer a chunk lands on, never a result bit.
 	Peers []string
 	// DialTimeout bounds connection establishment per attempt
 	// (0 = 5s).
@@ -30,8 +30,6 @@ type Config struct {
 	// RetryBackoff is the base delay before a retry, doubling per
 	// attempt (0 = 100ms).
 	RetryBackoff time.Duration
-	// VNodes is the number of ring points per peer (0 = 64).
-	VNodes int
 
 	// BreakerThreshold is how many consecutive exhausted-retry failures
 	// trip a shard's circuit breaker; a tripped shard is skipped at plan
@@ -44,8 +42,8 @@ type Config struct {
 	// an explicit Probe call).
 	ProbeInterval time.Duration
 	// HedgeAfter controls straggler hedging: after this delay a slow
-	// shard's in-flight work unit is re-issued to a second shard and the
-	// first complete response wins (duplicates are discarded by
+	// shard's in-flight work unit is re-issued to a shard it has not tried
+	// and the first complete response wins (duplicates are discarded by
 	// chunk-range dedupe, which is safe because chunk counts are
 	// deterministic). 0 derives the delay from a p95 of observed RPC
 	// latencies; negative disables hedging.
@@ -83,13 +81,11 @@ var ErrNoHealthyShards = errors.New("no healthy shards and local fallback is dis
 // Coordinator scatters estimation batches across shard servers and
 // gathers their counts. It implements core.Distributor. Connections are
 // pooled per peer and re-established transparently. Failure handling is
-// layered: per-RPC retries with backoff, then chunk-range failover to
-// surviving shards, then (optionally) coordinator-local sampling — all
-// without changing a single output bit, because any executor samples a
-// chunk's fixed PRNG stream identically.
+// per-RPC retries with backoff, then relaunching the orphaned work unit on
+// its next executor (dispatch.go) — all without changing a single output
+// bit, because any executor samples a chunk's fixed PRNG stream identically.
 type Coordinator struct {
 	cfg  Config
-	ring *ring
 	peer []*peer
 
 	// local is the fallback sampler (an in-process Shard with no
@@ -151,9 +147,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	switch {
 	case cfg.BreakerThreshold == 0:
 		cfg.BreakerThreshold = 3
@@ -165,7 +158,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		ring:      newRing(cfg.Peers, cfg.VNodes),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -232,7 +224,7 @@ func (c *Coordinator) Probe(ctx context.Context) (healthy int) {
 
 // probeLoop is the background half-open prober: every ProbeInterval it
 // pings each open-breaker peer once with a short deadline; success
-// re-admits the peer into the placement view.
+// re-admits the peer into plans and recovery.
 func (c *Coordinator) probeLoop() {
 	defer close(c.probeDone)
 	t := time.NewTicker(c.cfg.ProbeInterval)

@@ -116,7 +116,15 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(1)
 			return e.b
-		}(), "protocol version 1, want 2"},
+		}(), "protocol version 1, want 3"},
+		// A peer from before shards went stateless: same stream, but a
+		// fifth (reused-trials) count per record and keyed tasks.
+		{"version 2 peer", msgHello, func() []byte {
+			var e enc
+			e.u32(protocolMagic)
+			e.uv(2)
+			return e.b
+		}(), "protocol version 2, want 3"},
 		{"truncated", msgHello, []byte{0x70, 0x64}, "truncated"},
 		{"empty", msgHello, nil, "truncated"},
 	}

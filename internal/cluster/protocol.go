@@ -47,9 +47,12 @@ const (
 	// protocolVersion names the frame layout AND the sampling stream: a
 	// shard must draw, for a given (seed, chunk), exactly the trials the
 	// coordinator would. Version 2 is the compiled lazy kernel on PCG
-	// chunk streams; a version-1 peer would answer with valid-looking
-	// counts from another stream, so the handshake refuses it.
-	protocolVersion = 2
+	// chunk streams (a version-1 peer would answer with valid-looking
+	// counts from another stream); version 3 drops what only a stateful
+	// shard needed — the task's content key and the reused-trials count.
+	// The handshake refuses any other version, so coordinator and shards
+	// upgrade together.
+	protocolVersion = 3
 	// maxFrame bounds a frame; a sample batch over a large clause set is
 	// the biggest legitimate message.
 	maxFrame = 1 << 28
@@ -240,14 +243,13 @@ func (d *dec) str() string {
 	return s
 }
 
-// encodeTask serializes one RemoteTask. Variable ids are remapped to a
-// dense local space in ascending original-id order — an order-preserving
-// remap, so clause binding order (and with it the multiplication order of
-// clause weights) is untouched and every derived float is bit-identical
-// on the shard.
+// encodeTask serializes one RemoteTask — all of it but the content key,
+// which places the task and is no input to sampling. Variable ids are
+// remapped to a dense local space in ascending original-id order — an
+// order-preserving remap, so clause binding order (and with it the
+// multiplication order of clause weights) is untouched and every derived
+// float is bit-identical on the shard.
 func encodeTask(e *enc, t core.RemoteTask) {
-	e.u64(t.KeyHi)
-	e.u64(t.KeyLo)
 	e.i64(t.Seed)
 	e.uv(uint64(t.ChunkSize))
 	e.uv(uint64(t.MaxStrata))
@@ -307,21 +309,18 @@ func sortVars(vs []vars.Var) {
 // wireTask is a decoded RemoteTask on the shard side: a self-contained
 // clause set over a freshly restored variable table.
 type wireTask struct {
-	keyHi, keyLo uint64
-	seed         int64
-	chunkSize    int64
-	maxStrata    int
-	stratum      int
-	clauses      dnf.F
-	table        *vars.Table
-	chunks       []sched.Chunk
+	seed      int64
+	chunkSize int64
+	maxStrata int
+	stratum   int
+	clauses   dnf.F
+	table     *vars.Table
+	chunks    []sched.Chunk
 }
 
 // decodeTask parses one task payload section.
 func decodeTask(d *dec) (wireTask, error) {
 	var t wireTask
-	t.keyHi = d.u64()
-	t.keyLo = d.u64()
 	t.seed = d.i64()
 	t.chunkSize = int64(d.uv())
 	t.maxStrata = int(d.uv())
@@ -425,7 +424,6 @@ func encodeSampleResult(counts []core.RemoteCounts) []byte {
 		e.uv(uint64(c.Trials))
 		e.uv(uint64(c.PartialHits))
 		e.uv(uint64(c.PartialTrials))
-		e.uv(uint64(c.ReusedTrials))
 	}
 	return e.b
 }
@@ -444,7 +442,6 @@ func decodeSampleResult(payload []byte) ([]core.RemoteCounts, error) {
 			Trials:        int64(d.uv()),
 			PartialHits:   int64(d.uv()),
 			PartialTrials: int64(d.uv()),
-			ReusedTrials:  int64(d.uv()),
 		}
 	}
 	return counts, d.err

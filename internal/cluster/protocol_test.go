@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dnf"
-	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/vars"
 )
@@ -49,7 +48,7 @@ func TestSampleRequestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d tasks, want 1", len(got))
 	}
 	w := got[0]
-	if w.keyHi != orig.KeyHi || w.keyLo != orig.KeyLo || w.seed != orig.Seed ||
+	if w.seed != orig.Seed ||
 		w.chunkSize != orig.ChunkSize || w.maxStrata != orig.MaxStrata || w.stratum != orig.Stratum {
 		t.Errorf("scalar fields diverge: %+v", w)
 	}
@@ -98,7 +97,7 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 
 func TestSampleResultRoundTrip(t *testing.T) {
 	in := []core.RemoteCounts{
-		{Hits: 1, Trials: 4096, PartialHits: 0, PartialTrials: 0, ReusedTrials: 4096},
+		{Hits: 1, Trials: 4096, PartialHits: 0, PartialTrials: 0},
 		{Hits: 12345, Trials: 1 << 40, PartialHits: 7, PartialTrials: 100},
 	}
 	out, err := decodeSampleResult(encodeSampleResult(in))
@@ -112,33 +111,5 @@ func TestSampleResultRoundTrip(t *testing.T) {
 		if out[i] != in[i] {
 			t.Errorf("record %d: %+v, want %+v", i, out[i], in[i])
 		}
-	}
-}
-
-// Placement SHALL be a pure function of (peer set, content key, chunk
-// index): the same inputs place identically across coordinators, and
-// every peer owns a reasonable share of a large chunk population.
-func TestPlacementDeterministicAndSpread(t *testing.T) {
-	addrs := []string{"a:1", "b:1", "c:1"}
-	r1, r2 := newRing(addrs, 64), newRing(addrs, 64)
-	counts := make(map[int]int)
-	for i := 0; i < 3000; i++ {
-		hi := rel.Mix64(uint64(i) * 0x9e3779b97f4a7c15)
-		lo := rel.Mix64(hi + 1)
-		p := r1.place(hi, lo, i%7)
-		if q := r2.place(hi, lo, i%7); q != p {
-			t.Fatalf("placement not deterministic: %d vs %d", p, q)
-		}
-		counts[p]++
-	}
-	for p, n := range counts {
-		if n < 500 {
-			t.Errorf("peer %d owns only %d/3000 placements", p, n)
-		}
-	}
-	// Chunk indexes round-robin away from the owner: consecutive chunks of
-	// one task land on different peers.
-	if a, b := r1.place(1, 2, 0), r1.place(1, 2, 1); a == b {
-		t.Error("consecutive chunks placed on the same peer in a 3-peer ring")
 	}
 }

@@ -405,6 +405,49 @@ func TestClusterHedgedStragglerBitParity(t *testing.T) {
 	}
 }
 
+// SHALL: a hedge goes where its unit has not been — never back to a peer
+// the unit already failed on.
+//
+// WHEN shard A cuts every sample response, shard B answers far beyond the
+// hedge delay and shard C is healthy THEN a unit that failed on A and was
+// relaunched on B is hedged to C, the hedge wins (only C can win one: A
+// never answers and B is the straggler), and the rows match single-node.
+func TestHedgeSkipsTriedPeers(t *testing.T) {
+	db := skewDB(t)
+	opts := []pdb.Option{pdb.WithConfBudget(0.05, 0.05), pdb.WithSeed(42)}
+	want := evalClustered(t, db, grpConfProgram, nil, opts...)
+	backends := startShards(t, 3)
+	proxy := func(backend string, def faultproxy.Policy) *faultproxy.Proxy {
+		fp := faultproxy.New(backend, faultproxy.Script{Default: def}, 7)
+		if err := fp.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fp.Close() })
+		return fp
+	}
+	a := proxy(backends[0], faultproxy.Policy{Action: faultproxy.Truncate, CutFrames: 1, CutBytes: 3})
+	b := proxy(backends[1], faultproxy.Policy{Action: faultproxy.Pass, Latency: 400 * time.Millisecond})
+	got, cs := evalOn(t, db, grpConfProgram, pdb.ClusterOptions{
+		Peers:            []string{a.Addr(), b.Addr(), backends[2]},
+		Retries:          0,
+		BreakerThreshold: -1, // A keeps admitting: only the tried set can steer a hedge off it
+		ProbeInterval:    -1,
+		HedgeAfter:       50 * time.Millisecond,
+	}, opts...)
+	if got != want {
+		t.Errorf("rows diverge from single-node\n got: %q\nwant: %q", got, want)
+	}
+	if a.Stats().Cut == 0 {
+		t.Fatal("shard A carried no traffic; the scenario proved nothing")
+	}
+	if cs.Failovers == 0 || cs.Hedges == 0 {
+		t.Errorf("failovers = %d, hedges = %d; want both positive", cs.Failovers, cs.Hedges)
+	}
+	if cs.HedgeWins == 0 {
+		t.Error("no hedge won: a unit that failed on A and straggled on B was not hedged to C")
+	}
+}
+
 // SHALL: a tripped breaker re-admits the shard automatically once
 // background probes see it healthy again — no operator action, no
 // restart.
@@ -571,41 +614,5 @@ func TestClusterTransientFailureRetried(t *testing.T) {
 	}
 	if !cs.Shards[0].Healthy {
 		t.Error("recovered shard reported unhealthy")
-	}
-}
-
-// SHALL: shard-side chunk caches serve repeated scatters without
-// re-sampling, and the coordinator reports the reuse.
-//
-// WHEN the same fixed-budget query evaluates twice on fresh engines
-// against the same shards THEN the second run's shard stats show reused
-// trials and unchanged sampled-trial counts.
-func TestClusterShardCacheReuse(t *testing.T) {
-	db := skewDB(t)
-	sh := cluster.NewShard(cluster.ShardConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go sh.Serve(ln)
-	defer sh.Close()
-	peers := []string{ln.Addr().String()}
-	opts := []pdb.Option{pdb.WithConfBudget(0.05, 0.05), pdb.WithSeed(42)}
-
-	first := evalClustered(t, db, grpConfProgram, peers, opts...)
-	sampledAfterFirst := sh.Stats().TrialsSampled
-	if sampledAfterFirst == 0 {
-		t.Fatal("first clustered run sampled nothing on the shard")
-	}
-	second := evalClustered(t, db, grpConfProgram, peers, opts...)
-	if first != second {
-		t.Errorf("repeated run diverges:\n got: %q\nwant: %q", second, first)
-	}
-	st := sh.Stats()
-	if st.TrialsSampled != sampledAfterFirst {
-		t.Errorf("second run re-sampled: %d → %d trials", sampledAfterFirst, st.TrialsSampled)
-	}
-	if st.TrialsReused == 0 {
-		t.Error("second run reported no reused trials")
 	}
 }

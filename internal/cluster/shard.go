@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -19,34 +18,25 @@ import (
 type ShardConfig struct {
 	// Workers sizes the sampling pool (0 = GOMAXPROCS, like the engine).
 	Workers int
-	// CacheChunks bounds the shard-local chunk-count cache (entries;
-	// 0 = DefaultCacheChunks, negative disables caching).
-	CacheChunks int
 	// Logger receives connection-level diagnostics; nil disables them.
 	Logger *log.Logger
 }
 
-// DefaultCacheChunks is the default chunk-count cache bound.
-const DefaultCacheChunks = 1 << 16
-
 // Shard is a sampling server: it owns no data and no query planning —
 // it receives self-contained estimation tasks (clause set, bit-exact
 // probabilities, seed, chunk list), samples the assigned chunk streams on
-// a local worker pool, and returns integer counts. A chunk's result is a
-// pure function of (content key, seed, plan index, trial count), so the
-// shard memoizes chunk counts in a bounded LRU: a re-scattered chunk —
-// after a coordinator restart or cache eviction — is served without
-// re-sampling and reported as reused.
+// a local worker pool, and returns integer counts. It remembers nothing
+// between requests: a response is a pure function of its request, so any
+// shard can stand in for any other, and reuse across queries is the
+// coordinator's estimator cache alone.
 type Shard struct {
 	cfg  ShardConfig
 	pool *sched.Pool
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]bool
-	closed  bool
-	lru     *list.List // of *chunkEntry, front = most recent
-	entries map[chunkKey]*list.Element
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]bool
+	closed bool
 
 	wg sync.WaitGroup
 
@@ -54,63 +44,31 @@ type Shard struct {
 	tasks         atomic.Int64
 	chunksSampled atomic.Int64
 	trialsSampled atomic.Int64
-	trialsReused  atomic.Int64
-}
-
-// chunkKey identifies one sampled chunk: the task's content fingerprint,
-// its (stratum-resolved) seed and stratification coordinates, and the
-// chunk's plan index and trial count.
-type chunkKey struct {
-	hi, lo    uint64
-	seed      int64
-	maxStrata int32
-	stratum   int32
-	index     int32
-	n         int64
-}
-
-type chunkEntry struct {
-	key     chunkKey
-	clauses int // collision guard: |F| of the task that produced it
-	hits    int64
 }
 
 // ShardStats is a snapshot of a shard's counters.
 type ShardStats struct {
 	Requests      int64 // sample RPCs served
 	Tasks         int64 // estimation tasks across all RPCs
-	ChunksSampled int64 // chunks actually sampled
-	TrialsSampled int64 // trials actually sampled
-	TrialsReused  int64 // trials served from the chunk cache
-	CacheEntries  int   // chunk cache occupancy
+	ChunksSampled int64 // chunks sampled
+	TrialsSampled int64 // trials sampled
+	// TrialsReused is always 0 — shards are stateless. The field remains
+	// only because the frozen benchmark/ladder.go reads it.
+	TrialsReused int64
 }
 
 // NewShard builds a shard server.
 func NewShard(cfg ShardConfig) *Shard {
-	if cfg.CacheChunks == 0 {
-		cfg.CacheChunks = DefaultCacheChunks
-	}
-	return &Shard{
-		cfg:     cfg,
-		pool:    sched.New(cfg.Workers),
-		conns:   map[net.Conn]bool{},
-		lru:     list.New(),
-		entries: map[chunkKey]*list.Element{},
-	}
+	return &Shard{cfg: cfg, pool: sched.New(cfg.Workers), conns: map[net.Conn]bool{}}
 }
 
 // Stats returns a snapshot of the shard's counters.
 func (s *Shard) Stats() ShardStats {
-	s.mu.Lock()
-	entries := len(s.entries)
-	s.mu.Unlock()
 	return ShardStats{
 		Requests:      s.requests.Load(),
 		Tasks:         s.tasks.Load(),
 		ChunksSampled: s.chunksSampled.Load(),
 		TrialsSampled: s.trialsSampled.Load(),
-		TrialsReused:  s.trialsReused.Load(),
-		CacheEntries:  entries,
 	}
 }
 
@@ -262,9 +220,8 @@ func (t *wireTask) build() (*karpluby.Stratified, error) {
 }
 
 // sample executes one task batch: every (task, chunk) pair fans out
-// across the shard's worker pool, chunk counts come from the LRU cache
-// when a previous scatter already sampled them, and per-task sums are
-// returned in request order.
+// across the shard's worker pool and per-task sums are returned in request
+// order.
 func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 	s.requests.Add(1)
 	s.tasks.Add(int64(len(tasks)))
@@ -294,25 +251,11 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 	err := s.pool.ForEachCtx(context.Background(), len(units), func(i int) error {
 		u := units[i]
 		t := &tasks[u.task]
-		key := chunkKey{
-			hi: t.keyHi, lo: t.keyLo,
-			seed:      t.seed,
-			maxStrata: int32(t.maxStrata),
-			stratum:   int32(t.stratum),
-			index:     int32(u.chunk.Index),
-			n:         u.chunk.N,
-		}
-		hits, reused := s.cachedHits(key, len(t.clauses))
-		if !reused {
-			sh := ests[u.task].Shard(t.stratum, sched.NewRand(sched.ChunkSeed(t.seed, u.chunk.Index)))
-			sh.Add(int(u.chunk.N))
-			hits = sh.Hits()
-			s.chunksSampled.Add(1)
-			s.trialsSampled.Add(u.chunk.N)
-			s.storeHits(key, len(t.clauses), hits)
-		} else {
-			s.trialsReused.Add(u.chunk.N)
-		}
+		sh := ests[u.task].Shard(t.stratum, sched.NewRand(sched.ChunkSeed(t.seed, u.chunk.Index)))
+		sh.Add(int(u.chunk.N))
+		hits := sh.Hits()
+		s.chunksSampled.Add(1)
+		s.trialsSampled.Add(u.chunk.N)
 		mu.Lock()
 		c := &counts[u.task]
 		c.Hits += hits
@@ -321,9 +264,6 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 			c.PartialHits += hits
 			c.PartialTrials += u.chunk.N
 		}
-		if reused {
-			c.ReusedTrials += u.chunk.N
-		}
 		mu.Unlock()
 		return nil
 	})
@@ -331,45 +271,4 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 		return nil, err
 	}
 	return counts, nil
-}
-
-// cachedHits looks a chunk up in the LRU; the clause count guards against
-// fingerprint collisions, as in the engine's estimator cache.
-func (s *Shard) cachedHits(key chunkKey, clauses int) (int64, bool) {
-	if s.cfg.CacheChunks < 0 {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return 0, false
-	}
-	ent := el.Value.(*chunkEntry)
-	if ent.clauses != clauses {
-		return 0, false
-	}
-	s.lru.MoveToFront(el)
-	return ent.hits, true
-}
-
-func (s *Shard) storeHits(key chunkKey, clauses int, hits int64) {
-	if s.cfg.CacheChunks < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*chunkEntry).hits = hits
-		el.Value.(*chunkEntry).clauses = clauses
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[key] = s.lru.PushFront(&chunkEntry{key: key, clauses: clauses, hits: hits})
-	for len(s.entries) > s.cfg.CacheChunks {
-		back := s.lru.Back()
-		ent := back.Value.(*chunkEntry)
-		s.lru.Remove(back)
-		delete(s.entries, ent.key)
-	}
 }

@@ -34,10 +34,8 @@ func TestImpossibleRemoteCountsRejected(t *testing.T) {
 		"partialHits>hits":      func(rc *RemoteCounts) { rc.PartialHits = rc.Hits + 1 },
 		"partialHits>partial":   func(rc *RemoteCounts) { rc.PartialTrials = rc.PartialHits - 1 },
 		"partialTrials>trials":  func(rc *RemoteCounts) { rc.PartialTrials = rc.Trials + 1 },
-		"reusedTrials>trials":   func(rc *RemoteCounts) { rc.ReusedTrials = rc.Trials + 1 },
-		"reusedTrials<0":        func(rc *RemoteCounts) { rc.ReusedTrials = -1 },
 		"partialHits<0":         func(rc *RemoteCounts) { rc.PartialHits = -1 },
-		"everything overflowed": func(rc *RemoteCounts) { *rc = RemoteCounts{-1, -1, -1, -1, -1} },
+		"everything overflowed": func(rc *RemoteCounts) { *rc = RemoteCounts{-1, -1, -1, -1} },
 	}
 	db := matrixDB()
 	for name, lie := range lies {

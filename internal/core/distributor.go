@@ -40,8 +40,8 @@ type Distributor interface {
 // plan chunks to sample.
 type RemoteTask struct {
 	// KeyHi/KeyLo are the task's lineage-content fingerprint — the same
-	// 64-bit words that key the engine's estimator cache. Shards use them
-	// as cache and placement keys.
+	// 64-bit words that key the engine's estimator cache. A distributor
+	// places the task's chunks by them; executors never see them.
 	KeyHi, KeyLo uint64
 	// Seed is the lane seed chunk streams derive from — already
 	// stratum-resolved (karpluby.StratumSeed(taskSeed, Stratum)).
@@ -72,10 +72,6 @@ type RemoteCounts struct {
 	// undersized chunk, if one was assigned — the coordinator subtracts
 	// them when publishing chunk-aligned cache snapshots.
 	PartialHits, PartialTrials int64
-	// ReusedTrials counts trials served from a shard-local chunk cache
-	// instead of being sampled (a subset of Trials); the coordinator
-	// reports them as reused, not sampled.
-	ReusedTrials int64
 }
 
 // SetDistributor attaches a distributor: estimation batches scatter to it

@@ -318,8 +318,7 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 // exact algebra, factoring, chunk planning, wave allocation, stopping
 // decisions, cache publication — so a remote run takes exactly the
 // trajectory a local run would. The whole wave's assigned trials are
-// charged against the trial limit before dispatch (conservatively
-// including any trials a shard may end up serving from its chunk cache).
+// charged against the trial limit before dispatch.
 func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]RemoteCounts, error) {
 	rts := make([]RemoteTask, len(wave))
 	var total int64
@@ -369,8 +368,7 @@ func (e *countsError) Error() string {
 func (run *evalRun) absorb(lw *laneWave, rc RemoteCounts) error {
 	assigned := lw.assigned()
 	if rc.Trials != assigned || rc.PartialHits < 0 || rc.PartialHits > rc.Hits || rc.Hits > rc.Trials ||
-		rc.PartialHits > rc.PartialTrials || rc.PartialTrials > rc.Trials ||
-		rc.ReusedTrials < 0 || rc.ReusedTrials > rc.Trials {
+		rc.PartialHits > rc.PartialTrials || rc.PartialTrials > rc.Trials {
 		return &countsError{assigned: assigned, got: rc}
 	}
 	lw.t.est.AbsorbStratum(lw.lane, rc.Hits, rc.Trials)
@@ -385,9 +383,5 @@ func (run *evalRun) absorb(lw *laneWave, rc RemoteCounts) error {
 	if lw.rng != nil {
 		l.partial.rng = lw.rng
 	}
-	// The batch's final accounting adds the full trial delta to run.trials;
-	// trials a shard served from its chunk cache are reused, not sampled.
-	run.trials -= rc.ReusedTrials
-	run.reused += rc.ReusedTrials
 	return nil
 }

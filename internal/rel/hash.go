@@ -31,7 +31,7 @@ const HashSeed uint64 = hashOffset64
 // Mix64 is the SplitMix64 finalizer (Steele et al.): a cheap bijective
 // 64-bit mixer used to spread word-sized inputs across the hash space.
 // It is the one copy of the primitive — the scheduler's seed derivation
-// (sched.TaskSeed/ChunkSeed) builds on it too.
+// (sched.TaskSeedWords/ChunkSeed) builds on it too.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -178,47 +178,17 @@ func FullChunks(total, size int64) int {
 	return int(total / size)
 }
 
-// PlanChunks returns the total number of chunks in the plan for
-// (total, size), counting a trailing partial chunk.
-func PlanChunks(total, size int64) int {
-	if total <= 0 {
-		return 0
-	}
-	if size <= 0 {
-		return 1
-	}
-	return int((total + size - 1) / size)
-}
-
 // splitmix64 is the SplitMix64 finalizer (Steele et al., "Fast splittable
 // pseudorandom number generators"), shared with the relational hashing
 // layer (rel.Mix64 is the single implementation). It drives all seed
 // derivation below; delegating keeps the derived seed streams unchanged.
 func splitmix64(x uint64) uint64 { return rel.Mix64(x) }
 
-// TaskSeed derives a per-task PRNG seed from a base seed (Options.Seed)
-// and a task key (e.g. an operator index plus a tuple's lineage key). The
-// derivation hashes the key with FNV-1a and mixes it with the base seed,
-// so distinct tuples get decorrelated streams while equal (seed, key)
-// pairs always yield the same stream.
-func TaskSeed(base int64, key string) int64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	return int64(splitmix64(uint64(base) ^ h))
-}
-
-// TaskSeedWords is TaskSeed for callers whose task identity is already a
-// hash (two 64-bit words, e.g. the engine's lineage-content fingerprints)
-// rather than a string: it mixes the words into the base seed with the same
-// SplitMix64 finalizer. Equal (base, hi, lo) triples always yield the same
-// stream; distinct fingerprints get decorrelated streams.
+// TaskSeedWords derives a per-task PRNG seed from a base seed
+// (Options.Seed) and the task's identity — two 64-bit hash words, e.g. the
+// engine's lineage-content fingerprint — by mixing the words into the base
+// seed with the SplitMix64 finalizer. Equal (base, hi, lo) triples always
+// yield the same stream; distinct fingerprints get decorrelated streams.
 func TaskSeedWords(base int64, hi, lo uint64) int64 {
 	return int64(splitmix64(uint64(base) ^ splitmix64(hi) ^ splitmix64(lo+0x9e3779b97f4a7c15)))
 }

@@ -96,16 +96,16 @@ func TestChunksPlan(t *testing.T) {
 }
 
 func TestSeedDerivationDeterministicAndDistinct(t *testing.T) {
-	if TaskSeed(1, "conf:1:k") != TaskSeed(1, "conf:1:k") {
-		t.Error("TaskSeed is not deterministic")
+	s := TaskSeedWords(7, 1, 2)
+	if s != TaskSeedWords(7, 1, 2) {
+		t.Error("TaskSeedWords is not deterministic")
 	}
-	if TaskSeed(1, "a") == TaskSeed(1, "b") {
-		t.Error("TaskSeed collides across keys")
+	if s == TaskSeedWords(7, 2, 1) || s == TaskSeedWords(7, 1, 3) {
+		t.Error("TaskSeedWords collides across keys")
 	}
-	if TaskSeed(1, "a") == TaskSeed(2, "a") {
-		t.Error("TaskSeed ignores the base seed")
+	if s == TaskSeedWords(8, 1, 2) {
+		t.Error("TaskSeedWords ignores the base seed")
 	}
-	s := TaskSeed(7, "t")
 	if ChunkSeed(s, 0) == ChunkSeed(s, 1) {
 		t.Error("ChunkSeed collides across chunk indices")
 	}
@@ -214,9 +214,6 @@ func TestFullAndPlanChunkCounts(t *testing.T) {
 	for _, c := range cases {
 		if got := FullChunks(c.total, c.size); got != c.full {
 			t.Errorf("FullChunks(%d,%d) = %d, want %d", c.total, c.size, got, c.full)
-		}
-		if got := PlanChunks(c.total, c.size); got != c.plan {
-			t.Errorf("PlanChunks(%d,%d) = %d, want %d", c.total, c.size, got, c.plan)
 		}
 		if got := len(Chunks(c.total, c.size)); got != c.plan {
 			t.Errorf("len(Chunks(%d,%d)) = %d, want %d", c.total, c.size, got, c.plan)

@@ -180,7 +180,7 @@ func newServerMetrics(reg *metrics.Registry, eng *pdb.Engine, adm *admission) *s
 			}
 		}
 		reg.CounterFunc("pdb_cluster_failovers_total",
-			"Chunk ranges re-dispatched to a surviving shard (or locally) after their owner exhausted retries.",
+			"Dispatches that failed or lied while owing work, relaunched on the next untried shard (or locally).",
 			clusterCounter(func(cs *pdb.ClusterStats) int64 { return cs.Failovers }))
 		reg.CounterFunc("pdb_cluster_hedges_total",
 			"Hedged duplicate dispatches launched against straggling shards.",

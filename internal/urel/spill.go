@@ -3,11 +3,15 @@ package urel
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"strconv"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/rel"
 	"repro/internal/vars"
@@ -38,14 +42,60 @@ type Spill struct {
 	err     error
 }
 
+// spillPattern names spill directories; ownerFile, inside one, holds the
+// pid of the process that created it.
+const (
+	spillPattern = "pdb-spill-*"
+	ownerFile    = "owner.pid"
+)
+
 // NewSpill creates a fresh spill directory under parent ("" selects the
-// system temp directory).
+// system temp directory) and records the owning process in it, so that a
+// later SweepSpills can tell a crashed owner's leftovers from a live one's.
 func NewSpill(parent string) (*Spill, error) {
-	dir, err := os.MkdirTemp(parent, "pdb-spill-*")
+	dir, err := os.MkdirTemp(parent, spillPattern)
+	if err == nil {
+		if err = os.WriteFile(filepath.Join(dir, ownerFile), []byte(strconv.Itoa(os.Getpid())), 0o600); err != nil {
+			os.RemoveAll(dir)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("urel: creating spill directory: %w", err)
 	}
 	return &Spill{dir: dir}, nil
+}
+
+// SweepSpills removes the spill directories under parent whose recorded
+// owner is no longer alive — what a killed process (Close never ran) left
+// behind — and returns how many it removed. A directory with a live owner
+// is never touched, so servers may share a parent; nor is one with no
+// readable owner record, which may be a NewSpill in progress.
+func SweepSpills(parent string) int {
+	dirs, _ := filepath.Glob(filepath.Join(parent, spillPattern))
+	removed := 0
+	for _, dir := range dirs {
+		b, err := os.ReadFile(filepath.Join(dir, ownerFile))
+		if err != nil {
+			continue
+		}
+		if pid, err := strconv.Atoi(string(b)); err == nil && !processAlive(pid) && os.RemoveAll(dir) == nil {
+			removed++
+		}
+	}
+	return removed
+}
+
+// processAlive reports whether pid names a running process. Only a
+// definite "no such process" counts as dead: a process this one may not
+// signal, or a platform without signal 0, reads as alive.
+func processAlive(pid int) bool {
+	p, err := os.FindProcess(pid)
+	if err != nil {
+		return false
+	}
+	defer p.Release()
+	err = p.Signal(syscall.Signal(0))
+	return !errors.Is(err, os.ErrProcessDone) && !errors.Is(err, syscall.ESRCH)
 }
 
 // Dir returns the spill directory path.

@@ -1,6 +1,10 @@
 package urel
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/expr"
@@ -212,5 +216,62 @@ func TestSpillRepairKeyParity(t *testing.T) {
 	}
 	if gotD != wantD {
 		t.Error("spilled DiffComplete differs from in-memory run")
+	}
+}
+
+// SweepSpills removes exactly the spill directories a dead process left
+// behind: a live owner's (two servers may share the parent), an ownerless
+// one (a NewSpill in progress) and anything that is not a spill directory
+// all stay.
+func TestSweepSpillsRemovesOnlyDeadOwners(t *testing.T) {
+	parent := t.TempDir()
+	live, err := NewSpill(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pid that is certainly dead: a child that has exited and been reaped.
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mkdir := func(name, owner string) string {
+		dir := filepath.Join(parent, name)
+		if err := os.Mkdir(dir, 0o700); err != nil {
+			t.Fatal(err)
+		}
+		if owner != "" {
+			if err := os.WriteFile(filepath.Join(dir, ownerFile), []byte(owner), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	deadPid := strconv.Itoa(child.Process.Pid)
+	stale := mkdir("pdb-spill-stale", deadPid)
+	if err := os.WriteFile(filepath.Join(stale, "rel-000001.spill"), []byte("leftover"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	kept := []string{
+		live.Dir(),
+		mkdir("pdb-spill-ownerless", ""),
+		mkdir("pdb-spill-garbled", "not a pid"),
+		mkdir("other-dir", deadPid),
+	}
+	if n := SweepSpills(parent); n != 1 {
+		t.Errorf("SweepSpills removed %d directories, want 1", n)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("dead owner's directory survived the sweep (stat: %v)", err)
+	}
+	for _, dir := range kept {
+		if _, err := os.Stat(dir); err != nil {
+			t.Errorf("sweep removed %s: %v", dir, err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(live.Dir()); !os.IsNotExist(err) {
+		t.Errorf("Close left the spill directory behind (stat: %v)", err)
 	}
 }

@@ -11,14 +11,14 @@ import (
 
 // ClusterOptions configures horizontal sharding for an Engine: the shard
 // peer set and the failure-handling envelope. Estimation chunk batches
-// scatter across the peers (consistent-hash placement by lineage-content
-// fingerprint, chunks round-robin from the owner); exact algebra,
-// planning, caching, tenancy, and the HTTP surface all stay on the
-// coordinator process. Results are bit-identical to single-node
-// execution for any peer count under one seed — a property the failure
-// machinery preserves: a chunk re-dispatched to a different shard (or
-// sampled by the coordinator itself) replays the same fixed PRNG stream
-// and contributes the same counts.
+// scatter across the peers (each task's chunks round-robin over the
+// healthy peers, from a hash of its lineage-content fingerprint); exact
+// algebra, planning, caching, tenancy, and the HTTP surface all stay on
+// the coordinator process, and shards keep no state. Results are
+// bit-identical to single-node execution for any peer count under one
+// seed — a property the failure machinery preserves: a chunk relaunched
+// on a different shard (or sampled by the coordinator itself) replays
+// the same fixed PRNG stream and contributes the same counts.
 type ClusterOptions struct {
 	// Peers are shard server addresses (host:port), as served by
 	// `pdbserve -shard`.
@@ -47,8 +47,8 @@ type ClusterOptions struct {
 	// re-admission (0 = 2s; negative disables background probing).
 	ProbeInterval time.Duration
 	// HedgeAfter enables hedged requests for stragglers: a shard RPC
-	// still unanswered after this delay is duplicated to a second shard
-	// and the first complete response wins (the duplicate is discarded —
+	// still unanswered after this delay is duplicated to a shard its work
+	// has not tried and the first complete response wins (the duplicate is discarded —
 	// deterministic chunk counts make the race bit-neutral). 0 adapts
 	// the delay from observed latencies (1.5 × p95); negative disables
 	// hedging.
@@ -156,8 +156,8 @@ type ClusterStats struct {
 	Batches int64
 	// MergeNanos is the cumulative time spent merging gathered counts.
 	MergeNanos int64
-	// Failovers counts chunk-range re-dispatches to a surviving shard
-	// after a peer exhausted its retry budget.
+	// Failovers counts dispatches that failed or returned impossible
+	// counts while owing work, relaunched on an untried shard (or locally).
 	Failovers int64
 	// Hedges and HedgeWins count straggler hedges issued and hedges
 	// whose duplicate finished first.
