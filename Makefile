@@ -132,9 +132,10 @@ keys-check:
 		echo "a second identity mechanism (Key() string or hand-rolled hash chain) on the evaluation path:"; \
 		echo "$$bad"; exit 1; fi
 
-# Non-test Go lines per package — the figure a simplicity PR quotes before
-# and after. Last in `ci`, so the PR log carries it.
+# Non-test Go lines per package — the figure a simplicity PR quotes. Last in
+# `ci`, so the PR log carries it; `make loc BASE=origin/main` prints
+# `before → after` against that ref instead.
 loc:
-	@./scripts/loc.sh
+	@./scripts/loc.sh $(BASE)
 
 ci: vet fmt-check docs-check links-check keys-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke loc

@@ -11,20 +11,31 @@ import (
 	"time"
 )
 
-// Config configures a coordinator.
+// Config configures a coordinator: the shard peer set and the
+// failure-handling envelope. It is the public pdb.ClusterOptions.
+// Estimation chunk batches scatter across the peers (each task's chunks
+// round-robin over the healthy peers, from a hash of its lineage-content
+// fingerprint); exact algebra, planning, caching, tenancy, and the HTTP
+// surface all stay on the coordinator process, and shards keep no state.
+// Results are bit-identical to single-node execution for any peer count
+// under one seed — a property the failure machinery preserves: a chunk
+// relaunched on a different shard (or sampled by the coordinator itself)
+// replays the same fixed PRNG stream and contributes the same counts.
 type Config struct {
-	// Peers are the shard addresses (host:port). Order decides only which
-	// peer a chunk lands on, never a result bit.
+	// Peers are the shard server addresses (host:port), as served by
+	// `pdbserve -shard`. Order decides only which peer a chunk lands on,
+	// never a result bit.
 	Peers []string
 	// DialTimeout bounds connection establishment per attempt
 	// (0 = 5s).
 	DialTimeout time.Duration
 	// RequestTimeout is the per-shard, per-attempt deadline covering
-	// write + remote sampling + read (0 = 2m). A shard that blows it is
-	// retried, then failed over — the coordinator never hangs on it.
+	// write + remote sampling + read (0 = 2m). A shard that exceeds it is
+	// retried, failed over to the surviving shards, and only then reported
+	// via *Error — evaluations never hang on a dead shard.
 	RequestTimeout time.Duration
 	// Retries is how many times a failed shard RPC is retried on a fresh
-	// connection before its work fails over to the surviving shards
+	// connection before its chunk ranges fail over to the surviving shards
 	// (negative = 0; default 2).
 	Retries int
 	// RetryBackoff is the base delay before a retry, doubling per
@@ -32,46 +43,53 @@ type Config struct {
 	RetryBackoff time.Duration
 
 	// BreakerThreshold is how many consecutive exhausted-retry failures
-	// trip a shard's circuit breaker; a tripped shard is skipped at plan
-	// time until a background probe re-admits it (0 = 3, negative
-	// disables the breaker).
+	// trip a shard's circuit breaker. A tripped shard is skipped at plan
+	// time — queries stop paying its timeouts — until a background probe
+	// re-admits it. 0 = 3; negative disables the breaker.
 	BreakerThreshold int
 	// ProbeInterval is how often the background prober pings tripped
-	// shards for re-admission (0 = 2s, negative disables probing —
+	// shards for re-admission (0 = 2s; negative disables probing —
 	// tripped shards then re-admit only via a successful racing RPC or
 	// an explicit Probe call).
 	ProbeInterval time.Duration
-	// HedgeAfter controls straggler hedging: after this delay a slow
-	// shard's in-flight work unit is re-issued to a shard it has not tried
-	// and the first complete response wins (duplicates are discarded by
-	// chunk-range dedupe, which is safe because chunk counts are
-	// deterministic). 0 derives the delay from a p95 of observed RPC
-	// latencies; negative disables hedging.
+	// HedgeAfter controls straggler hedging: a shard RPC still unanswered
+	// after this delay is duplicated to a shard its work has not tried and
+	// the first complete response wins (the duplicate is discarded by
+	// chunk-range dedupe — deterministic chunk counts make the race
+	// bit-neutral). 0 adapts the delay from observed latencies
+	// (1.5 × p95); negative disables hedging.
 	HedgeAfter time.Duration
-	// LocalFallback lets the coordinator sample chunk ranges itself when
-	// no shard is healthy (or every shard failed mid-batch), so a query
-	// succeeds as long as the coordinator lives. Results stay
-	// bit-identical — local sampling round-trips tasks through the wire
-	// codec so it replays exactly what a shard would.
+	// LocalFallback lets the coordinator sample chunk ranges in-process
+	// when no shard is healthy (or every shard failed mid-batch), so
+	// evaluations degrade to single-node speed instead of failing when the
+	// whole shard fleet is down. Results stay bit-identical — local
+	// sampling round-trips tasks through the wire codec so it replays
+	// exactly what a shard would.
 	LocalFallback bool
-	// LocalWorkers sizes the local-fallback sampling pool
-	// (0 = GOMAXPROCS). Ignored unless LocalFallback is set.
-	LocalWorkers int
 }
 
-// Error is the typed failure of a shard RPC: which shard, how many
-// attempts, and the final underlying error. The pdb layer surfaces it as
-// *pdb.ClusterError.
+// Error reports a failed shard interaction: which shard, how many
+// attempts were made, and the final transport or protocol error. It is
+// the public pdb.ClusterError, returned (wrapped) by Eval on a clustered
+// engine when a shard stays unreachable past its retry budget and no
+// failover target remains — a typed, bounded-time failure, never a hang.
 type Error struct {
-	Shard    string
+	// Shard is the peer address that failed ("cluster" for cluster-wide
+	// failures — no healthy shard left — and "local" for coordinator-local
+	// fallback failures).
+	Shard string
+	// Attempts is the number of RPC attempts made against it.
 	Attempts int
-	Err      error
+	// Err is the final underlying error.
+	Err error
 }
 
+// Error implements the error interface, under the public type's name.
 func (e *Error) Error() string {
-	return fmt.Sprintf("cluster: shard %s failed after %d attempt(s): %v", e.Shard, e.Attempts, e.Err)
+	return fmt.Sprintf("pdb: cluster shard %s failed after %d attempt(s): %v", e.Shard, e.Attempts, e.Err)
 }
 
+// Unwrap returns the underlying transport or protocol error.
 func (e *Error) Unwrap() error { return e.Err }
 
 // ErrNoHealthyShards is the terminal failure of a batch that ran out of
@@ -473,36 +491,61 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 // on first use.
 func (c *Coordinator) localShard() *Shard {
 	c.localOnce.Do(func() {
-		c.local = NewShard(ShardConfig{Workers: c.cfg.LocalWorkers})
+		c.local = NewShard(ShardConfig{})
 	})
 	return c.local
 }
 
-// ShardStatus is one peer's health and traffic counters.
+// ShardStatus is one shard's health and traffic counters, as seen from the
+// coordinator (the public pdb.ClusterShardStatus). The JSON names are the
+// shard entries of GET /v1/stats.
 type ShardStatus struct {
-	Addr      string
-	Healthy   bool   // last RPC (if any) succeeded
-	Breaker   string // circuit-breaker state: closed, half-open, open
-	RPCs      int64
-	Failures  int64 // RPCs that exhausted all retries
-	Retries   int64
-	BytesSent int64
-	BytesRecv int64
-	LastError string
+	// Addr is the shard's address.
+	Addr string `json:"addr"`
+	// Healthy reports whether the shard's most recent RPC succeeded.
+	Healthy bool `json:"healthy"`
+	// Breaker is the shard's circuit-breaker state: "closed" (admitting
+	// work), "half-open" (a re-admission probe is in flight), or "open"
+	// (skipped at plan time).
+	Breaker string `json:"breaker"`
+	// RPCs, Failures, and Retries count RPC attempts against the shard,
+	// RPCs that exhausted every retry, and individual retry attempts.
+	RPCs     int64 `json:"rpcs"`
+	Failures int64 `json:"failures"`
+	Retries  int64 `json:"retries"`
+	// BytesSent and BytesRecv count wire traffic to and from the shard.
+	BytesSent int64 `json:"bytes_sent"`
+	BytesRecv int64 `json:"bytes_recv"`
+	// LastError is the most recent RPC error message (empty when none).
+	LastError string `json:"last_error,omitempty"`
 }
 
-// Stats is a snapshot of the coordinator's counters.
+// Stats is a snapshot of the coordinator's scatter-gather activity (the
+// public pdb.ClusterStats). The JSON names are the "cluster" section of
+// GET /v1/stats.
 type Stats struct {
-	Batches        int64 // scatter-gather batches dispatched
-	MergeNanos     int64 // cumulative time merging gathered counts
-	Failovers      int64 // chunk-range re-dispatches after a shard failed
-	Hedges         int64 // hedged duplicate dispatches issued
-	HedgeWins      int64 // hedged dispatches that finished first
-	LocalFallbacks int64 // dispatches sampled coordinator-locally
-	Probes         int64 // breaker re-admission probes sent
-	ProbeFailures  int64 // probes that failed
-	LocalFallback  bool  // whether coordinator-local sampling is enabled
-	Shards         []ShardStatus
+	// Batches counts scatter-gather round trips.
+	Batches int64 `json:"batches"`
+	// MergeNanos is the cumulative time spent merging gathered counts.
+	MergeNanos int64 `json:"merge_nanos"`
+	// Failovers counts dispatches that failed or returned impossible
+	// counts while owing work, relaunched on an untried shard (or locally).
+	Failovers int64 `json:"failovers"`
+	// Hedges and HedgeWins count straggler hedges issued and hedges
+	// whose duplicate finished first.
+	Hedges    int64 `json:"hedges"`
+	HedgeWins int64 `json:"hedge_wins"`
+	// LocalFallbacks counts dispatches the coordinator sampled itself
+	// because no shard was available.
+	LocalFallbacks int64 `json:"local_fallbacks"`
+	// Probes and ProbeFailures count breaker re-admission probes.
+	Probes        int64 `json:"probes"`
+	ProbeFailures int64 `json:"probe_failures"`
+	// LocalFallback reports whether coordinator-local sampling is
+	// enabled.
+	LocalFallback bool `json:"local_fallback"`
+	// Shards holds one entry per configured peer, in peer order.
+	Shards []ShardStatus `json:"shards"`
 }
 
 // Stats returns a snapshot of coordinator and per-shard counters.

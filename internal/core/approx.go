@@ -30,20 +30,19 @@ import (
 //
 // A σ̂ batch (Definition 6.2) follows the balanced refinement scheme of the
 // end of Section 5: run.rounds rounds of |F| trials per task, stratified
-// under Options.Strata. NoSingletonShortcut forces even single-clause
-// lineages through the estimator (ablation knob).
+// under Options.Strata.
 func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (algebra.Estimates, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	shortcut, maxStrata := true, 0
+	maxStrata := 0
 	if opts.stratifiedConf() {
 		maxStrata = opts.strataCount()
 	}
 	tgt := target{adaptive: maxStrata > 0, eps: eps, delta: delta}
 	if decide {
 		budget = func(clauses int) int64 { return run.rounds * int64(clauses) }
-		shortcut, maxStrata, tgt = !opts.NoSingletonShortcut, opts.Strata, target{}
+		maxStrata, tgt = opts.Strata, target{}
 	}
 	run.table = table
 	run.batch = make(map[contentKey]*task)
@@ -51,7 +50,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	var tasks []*task
 	for a, groups := range args {
 		for f := range groups {
-			cv, t, err := run.newTask(f, budget, shortcut, maxStrata)
+			cv, t, err := run.newTask(f, budget, maxStrata)
 			if err != nil {
 				return nil, err
 			}
@@ -192,23 +191,17 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 // combination's argument tuples.
 func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (bool, float64, bool) {
 	run := e.run
-	run.decisions++
+	run.stats.Decisions++
 	est := make([]float64, len(combo))
 	for a, i := range combo {
 		est[a] = e.cvs[a][i].estimate()
 	}
 	margin := pred.Margin(est)
 	eps := math.Max(run.engine.opts.Eps0, margin)
-	decisionErr, indep := 0.0, 1.0
 	singular = singular || margin < run.engine.opts.Eps0
+	decisionErr := 0.0
 	for a, i := range combo {
-		d := e.cvs[a][i].delta(eps)
-		decisionErr += d
-		indep *= 1 - math.Min(1, d)
-	}
-	if run.engine.opts.IndependentBounds {
-		// Lemma 5.1's sharper combination for independent estimators.
-		decisionErr = 1 - indep
+		decisionErr += e.cvs[a][i].delta(eps)
 	}
 	bound := decisionErr + mu
 	if !singular && bound > run.worstDecision {
@@ -216,7 +209,7 @@ func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singul
 	}
 	keep := pred.Eval(est)
 	if !keep && singular {
-		run.singularDrops++
+		run.stats.SingularDrops++
 	}
 	return keep, bound, singular
 }

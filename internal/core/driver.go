@@ -112,7 +112,7 @@ func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 				continue
 			}
 			if spent < t.budget {
-				run.earlyStops++
+				run.stats.EarlyStops++
 			}
 		}
 		pending = still
@@ -135,8 +135,8 @@ func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 		}
 	}
 	for _, t := range tasks {
-		run.trials += t.est.Trials() - t.startTrials
-		run.reused += t.startTrials
+		run.stats.EstimatorTrials += t.est.Trials() - t.startTrials
+		run.stats.ReusedTrials += t.startTrials
 		if run.cache == nil || t.est.Trials() == t.startTrials {
 			continue
 		}

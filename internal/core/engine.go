@@ -92,13 +92,6 @@ type Options struct {
 	// returning a memory *LimitError. Results are bit-identical to an
 	// unspilled run. Ignored when MaxMemory is 0.
 	SpillDir string
-	// NoSingletonShortcut disables the optimization that treats
-	// single-clause lineages as exact values (δᵢ = 0) in σ̂ decisions:
-	// with it set, every σ̂ confidence goes through the Karp–Luby
-	// estimator. Standalone conf operators always shortcut singletons
-	// (the estimator would return the clause weight deterministically
-	// anyway). Ablation knob for the benchmark suite.
-	NoSingletonShortcut bool
 	// Strata enables clause-stratified Karp–Luby estimation with at most
 	// Strata weight bands per clause set (see karpluby.PlanStrata): conf
 	// operators switch to the adaptive loop — Neyman allocation of
@@ -122,12 +115,6 @@ type Options struct {
 	// operator). Like ConfThreshold it implies the stratified conf path.
 	// 0 disables.
 	ConfTopK int
-	// IndependentBounds combines per-decision error bounds with the
-	// independence form 1 − Π(1−δᵢ) of Lemma 5.1 instead of the union
-	// bound Σδᵢ. Valid because the estimators of one decision are
-	// independently seeded runs; kept off by default to match the
-	// algorithm as printed in Figure 3.
-	IndependentBounds bool
 	// Progress, when non-nil, is called synchronously after every pass of
 	// the doubling loop with a snapshot of the evaluation's progress. The
 	// hook must be fast and must not call back into the engine.
@@ -232,7 +219,8 @@ func (o Options) confDelta() float64 {
 	return o.Delta
 }
 
-// Stats reports work done by an approximate evaluation.
+// Stats reports work done by an approximate evaluation. One value lives
+// for the whole doubling loop and is filled in where the work happens.
 type Stats struct {
 	// FinalRounds is the l at which the doubling loop stopped.
 	FinalRounds int64
@@ -256,25 +244,19 @@ type Stats struct {
 	// reuse as well as cross-restart reuse.
 	CacheHits int64
 	// Decisions is the number of σ̂ predicate decisions taken in the
-	// final evaluation.
+	// final pass.
 	Decisions int
-	// SingularDrops counts σ̂ decisions that came out negative while
-	// flagged as potential ε₀-singularities: the dropped tuple's absence
-	// is not covered by the δ guarantee.
+	// SingularDrops counts σ̂ decisions of the final pass that came out
+	// negative while flagged as potential ε₀-singularities: the dropped
+	// tuple's absence is not covered by the δ guarantee.
 	SingularDrops int
-	// Strata is the total number of clause strata across the stratified
-	// estimation tasks of the final pass (0 on the unstratified path).
-	Strata int64
-	// EarlyStops counts stratified estimation tasks of the final pass
-	// that stopped before spending their trial cap — a threshold/top-k
-	// decision settled, or the empirical-Bernstein bound converged below
-	// δ ahead of the Chernoff budget.
-	EarlyStops int64
-	// ExactFactored counts independent lineage subformulas the factoring
-	// pre-pass of the final pass computed exactly instead of sampling
-	// (the distinction between sampled and exact-factored confidence
-	// mass).
-	ExactFactored int64
+	// The stratified tasks of the final pass (all 0 on the unstratified
+	// path): their clause strata in total; how many of them stopped before
+	// spending their trial cap — a threshold/top-k decision settled, or the
+	// empirical-Bernstein bound converged below δ ahead of the Chernoff
+	// budget; and the independent lineage subformulas their factoring
+	// pre-pass computed exactly instead of sampling.
+	Strata, EarlyStops, ExactFactored int64
 	// Ops aggregates per-operator work (tuple counts, estimated bytes
 	// materialized) across every pass of the evaluation, including
 	// restarted passes.
@@ -439,8 +421,6 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if maxL <= 0 {
 		maxL = e.theorem67Cap(q)
 	}
-	var trials, reused, cacheHits int64
-	restarts := 0
 	// The estimator cache persists across the loop's restarts: each
 	// restart resumes the previous restart's per-task snapshots and
 	// samples only the delta chunks of its enlarged budgets. With a
@@ -470,23 +450,26 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	}
 	// Operator statistics sum over all restarts, so Stats.Ops reports the
 	// evaluation's total exact-algebra work.
-	ops := urel.StatsMap{}
+	out := &Result{Stats: Stats{Ops: urel.StatsMap{}}}
+	st := &out.Stats
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// One pass is one walk of the plan with the sampling conf / σ̂ of
-		// this round budget. The walker's epilogue brings a shed result
-		// relation home: callers read it once the spill directory is gone.
-		run := &evalRun{engine: e, ctx: ctx, rounds: l, cache: cache, limits: limits}
+		// this round budget, counting into st; the fields that describe one
+		// pass start over, so they end up the final pass's. The walker's
+		// epilogue brings a shed result relation home: callers read it once
+		// the spill directory is gone.
+		st.FinalRounds = l
+		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
+		run := &evalRun{engine: e, ctx: ctx, rounds: l, cache: cache, limits: limits, stats: st}
 		res, err := e.newWalker(limits.mem, spill).WithEstimators(run, false).EvalContext(ctx, q)
 		if err != nil {
 			return nil, limitErr(err)
 		}
-		ops.Add(res.Ops)
-		trials += run.trials
-		reused += run.reused
-		cacheHits += run.cacheHits
+		st.Ops.Add(res.Ops)
+		st.SpilledBytes, st.SpillFiles = res.SpilledBytes, res.SpillFiles
 		// Termination criterion of Theorem 6.7: every non-singular
 		// decision (positive or negative) and every non-singular result
 		// tuple's accumulated bound must be ≤ δ. Singular tuples never
@@ -497,39 +480,22 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		done := worst <= e.opts.Delta || l >= maxL
 		if e.opts.Progress != nil {
 			e.opts.Progress(Progress{
-				Restart:       restarts,
+				Restart:       st.Restarts,
 				Rounds:        l,
 				MaxRounds:     maxL,
 				WorstBound:    worst,
-				SampledTrials: trials,
-				ReusedTrials:  reused,
-				Decisions:     run.decisions,
+				SampledTrials: st.EstimatorTrials,
+				ReusedTrials:  st.ReusedTrials,
+				Decisions:     st.Decisions,
 				Done:          done,
 			})
 		}
 		if done {
-			stats := Stats{
-				FinalRounds:     l,
-				Restarts:        restarts,
-				EstimatorTrials: trials,
-				ReusedTrials:    reused,
-				CacheHits:       cacheHits,
-				Decisions:       run.decisions,
-				SingularDrops:   run.singularDrops,
-				Strata:          run.strata,
-				EarlyStops:      run.earlyStops,
-				ExactFactored:   run.exactFactored,
-				Ops:             ops,
-				SpilledBytes:    res.SpilledBytes,
-				SpillFiles:      res.SpillFiles,
-			}
-			return &Result{Rel: res.Rel, Complete: res.Complete, Bounds: res.Bounds, Stats: stats}, nil
+			out.Rel, out.Complete, out.Bounds = res.Rel, res.Complete, res.Bounds
+			return out, nil
 		}
-		l *= 2
-		if l > maxL {
-			l = maxL
-		}
-		restarts++
+		l = min(2*l, maxL)
+		st.Restarts++
 	}
 }
 
@@ -586,23 +552,13 @@ type evalRun struct {
 	// batch dedups content-equal estimation tasks within one operator's
 	// batch; see newTask.
 	batch map[contentKey]*task
-	// trials counts trials sampled this pass; reused counts trials whose
-	// integer sums were carried over from cache snapshots instead;
-	// cacheHits counts tasks that resumed from a snapshot.
-	trials    int64
-	reused    int64
-	cacheHits int64
-	decisions int
-	// strata / earlyStops / exactFactored feed the Stats fields of the
-	// same names (final-pass values, like decisions); see task.go.
-	strata        int64
-	earlyStops    int64
-	exactFactored int64
+	// stats is the evaluation's Stats: the pass counts its trials, cache
+	// hits, decisions and stratified-task figures straight into it.
+	stats *Stats
 	// worstDecision is the largest non-singular per-decision error bound
 	// seen, including negative decisions (whose tuples do not appear in
 	// the result and so carry no entry in the error map). The doubling
 	// loop must not terminate while any decision — positive or negative —
 	// is still unreliable.
 	worstDecision float64
-	singularDrops int
 }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/urel"
 )
 
-// LimitError reports that an evaluation exceeded one of its per-query
-// resource limits (Options.MaxTrials / Options.MaxMemory). The evaluation
-// is aborted cooperatively — between operators, and between estimation
-// chunks inside the worker pool — so Used may exceed Limit by at most the
-// granularity of one chunk or one operator's output range.
+// LimitError reports an evaluation aborted because it exceeded one of its
+// per-query resource limits (Options.MaxTrials / Options.MaxMemory; the
+// public pdb.LimitError). Enforcement is cooperative — between operators,
+// and between estimation chunks inside the worker pool — so Used may exceed
+// Limit by one chunk or one operator's output range. An aborted evaluation
+// leaves engines, caches, and queries fully usable.
 type LimitError struct {
 	// Resource names the exhausted limit: "trials" or "memory".
 	Resource string
@@ -21,16 +22,9 @@ type LimitError struct {
 	Used  int64
 }
 
-// Error implements the error interface.
+// Error implements the error interface, under the public type's name.
 func (e *LimitError) Error() string {
-	switch e.Resource {
-	case "trials":
-		return fmt.Sprintf("core: sampled-trials limit exceeded: %d > %d", e.Used, e.Limit)
-	case "memory":
-		return fmt.Sprintf("core: memory limit exceeded: ~%d bytes materialized > %d", e.Used, e.Limit)
-	default:
-		return fmt.Sprintf("core: %s limit exceeded: %d > %d", e.Resource, e.Used, e.Limit)
-	}
+	return fmt.Sprintf("pdb: %s limit exceeded: %d > %d", e.Resource, e.Used, e.Limit)
 }
 
 // evalLimits carries one evaluation's resource accounting across every pass

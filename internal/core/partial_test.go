@@ -27,8 +27,8 @@ func partialFixture() (*urel.Database, dnf.F) {
 func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalRun, float64, int64) {
 	t.Helper()
 	_, f := partialFixture()
-	run := &evalRun{engine: eng, table: eng.db.Vars, rounds: 1, cache: cache}
-	cv, job, err := run.newTask(f, func(int) int64 { return budget }, false, 0)
+	run := &evalRun{engine: eng, table: eng.db.Vars, rounds: 1, cache: cache, stats: &Stats{}}
+	cv, job, err := run.newTask(f, func(int) int64 { return budget }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestPartialChunkReplay(t *testing.T) {
 				t.Errorf("workers=%d budget=%d: resumed estimate %v != scratch %v",
 					workers, b, est, scratch[b])
 			}
-			if wantSampled := b - prev; run.trials != wantSampled {
+			if wantSampled := b - prev; run.stats.EstimatorTrials != wantSampled {
 				t.Errorf("workers=%d budget=%d: sampled %d trials, want exactly the delta %d (reused=%d)",
-					workers, b, run.trials, wantSampled, run.reused)
+					workers, b, run.stats.EstimatorTrials, wantSampled, run.stats.ReusedTrials)
 			}
-			if run.reused != prev {
-				t.Errorf("workers=%d budget=%d: reused %d trials, want %d", workers, b, run.reused, prev)
+			if run.stats.ReusedTrials != prev {
+				t.Errorf("workers=%d budget=%d: reused %d trials, want %d", workers, b, run.stats.ReusedTrials, prev)
 			}
 			prev = b
 		}

@@ -98,8 +98,8 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // pre-pass: independent easy subformulas are computed exactly and only the
 // hard residue is sampled, with the exact part folded back in as
 // p = E + (1−E)·p_R (the relative (ε,δ) guarantee on p_R carries to p —
-// see factor.go). Empty, tautological, zero-weight and — when
-// shortcutSingleton — single-clause sets are exact values.
+// see factor.go). Empty, tautological, zero-weight and single-clause sets
+// are exact values.
 //
 // What is left is canonicalized (content order — see content.go) and
 // partitioned into weight strata (karpluby.PlanStrata, a deterministic
@@ -116,7 +116,7 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // share a single task: the second and later sightings return a confValue
 // bound to the first one's task (each keeps its own exact-factored part),
 // so duplicated lineage is estimated once.
-func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSingleton bool, maxStrata int) (*confValue, *task, error) {
+func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata int) (*confValue, *task, error) {
 	f = f.Dedup()
 	switch {
 	case len(f) == 0:
@@ -127,13 +127,13 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 	exactPart := 0.0
 	if maxStrata > 0 {
 		fac := dnf.Factor(f, run.table, dnf.DefaultFactorLimits)
-		run.exactFactored += int64(fac.ExactComponents)
+		run.stats.ExactFactored += int64(fac.ExactComponents)
 		f, exactPart = fac.Residue, fac.Exact
 	}
 	switch {
 	case len(f) == 0:
 		return &confValue{exact: true, value: exactPart}, nil, nil
-	case len(f) == 1 && shortcutSingleton:
+	case len(f) == 1:
 		v := exactPart + (1-exactPart)*f[0].Weight(run.table)
 		return &confValue{exact: true, value: v}, nil, nil
 	}
@@ -168,7 +168,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 	// lanes, and each lane resumes whatever chunk-aligned prefix is cached.
 	lookupTotal := t.budget
 	if !t.flat() {
-		run.strata += int64(len(t.lanes))
+		run.stats.Strata += int64(len(t.lanes))
 		lookupTotal = math.MaxInt64
 	}
 	taskSeed := sched.TaskSeedWords(run.engine.opts.Seed, key.hi, key.lo)
@@ -204,7 +204,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, shortcutSin
 		}
 	}
 	if resumed {
-		run.cacheHits++
+		run.stats.CacheHits++
 	}
 	cv := &confValue{t: t, exactPart: exactPart}
 	t.cvs = append(t.cvs, cv)

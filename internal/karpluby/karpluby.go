@@ -206,33 +206,6 @@ func (e *Estimator) Delta(eps float64) float64 {
 	return DeltaBound(eps, e.trials, e.ClauseCount())
 }
 
-// Bounds returns a confidence interval [lo, hi] for p at failure
-// probability delta, by inverting DeltaBound: at the current trial count
-// the relative half-width ε(δ) = √(3·|F|·ln(2/δ)/m) satisfies
-// Pr[|p̂−p| ≥ ε·p] ≤ δ, so p ∈ [p̂/(1+ε), p̂/(1−ε)] with probability
-// 1−δ (the upper end is min(M, 1) when ε ≥ 1). It makes Estimator
-// satisfy the predapprox.Bounded interface for threshold decisions.
-func (e *Estimator) Bounds(delta float64) (lo, hi float64) {
-	max := math.Min(e.d.m, 1)
-	if e.trials == 0 || delta <= 0 || delta >= 1 {
-		return 0, max
-	}
-	eps := math.Sqrt(3 * float64(e.ClauseCount()) * math.Log(2/delta) / float64(e.trials))
-	p := e.Estimate()
-	lo = p / (1 + eps)
-	if eps >= 1 {
-		return lo, max
-	}
-	hi = p / (1 - eps)
-	if hi > max {
-		hi = max
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // DeltaBound is the Chernoff-derived bound δ(ε) = 2·exp(−m·ε²/(3·|F|)).
 func DeltaBound(eps float64, trials int64, clauses int) float64 {
 	if trials == 0 {

@@ -20,16 +20,6 @@ type Approximable interface {
 	Delta(eps float64) float64
 }
 
-// Bounded is an optional extension of Approximable for estimators that
-// can produce two-sided confidence intervals (karpluby.Estimator via
-// Chernoff inversion, karpluby.Stratified via empirical-Bernstein
-// widths). DecideThreshold uses it to stop refining as soon as the whole
-// interval clears the decision threshold.
-type Bounded interface {
-	// Bounds returns lo ≤ p ≤ hi with probability ≥ 1−delta.
-	Bounds(delta float64) (lo, hi float64)
-}
-
 // Exact wraps a value known exactly (δᵢ ≡ 0); the paper: "exact attribute
 // values from the database can be viewed as constants".
 type Exact float64
@@ -42,9 +32,6 @@ func (e Exact) Estimate() float64 { return float64(e) }
 
 // Delta returns 0: exact values carry no error.
 func (Exact) Delta(float64) float64 { return 0 }
-
-// Bounds returns the degenerate interval [v, v].
-func (e Exact) Bounds(float64) (float64, float64) { return float64(e), float64(e) }
 
 // Decision is the outcome of the predicate-approximation algorithm.
 type Decision struct {
@@ -81,11 +68,6 @@ type Options struct {
 	// theoretical bound ⌈3·log(2k/δ)/ε₀²⌉ plus slack. Theorem 5.8
 	// guarantees termination by then because δᵢ(max(ε₀, ·)) → 0.
 	MaxRounds int
-	// Independent selects the product form 1−Π(1−δᵢ) of Lemma 5.1 for
-	// combining per-value errors (valid when the approximations are
-	// independently distributed, as repeated Karp–Luby runs are) instead
-	// of the union bound Σδᵢ.
-	Independent bool
 }
 
 // maxRounds returns the effective round cap.
@@ -96,22 +78,6 @@ func (o Options) maxRounds(k int) int {
 	// l = ⌈3·log(2k/δ)/ε₀²⌉ rounds suffice: then δ'(ε₀, l) ≤ δ/k.
 	l := int(math.Ceil(3 * math.Log(2*float64(k)/o.Delta) / (o.Eps0 * o.Eps0)))
 	return l + 2
-}
-
-// combine merges per-value error bounds per Lemma 5.1.
-func (o Options) combine(deltas []float64) float64 {
-	if o.Independent {
-		q := 1.0
-		for _, d := range deltas {
-			q *= 1 - math.Min(d, 1)
-		}
-		return 1 - q
-	}
-	s := 0.0
-	for _, d := range deltas {
-		s += d
-	}
-	return s
 }
 
 // Decide runs the predicate-approximation algorithm of Figure 3: refine
@@ -133,7 +99,6 @@ func Decide(pred Pred, apx []Approximable, opts Options) (Decision, error) {
 		return Decision{}, fmt.Errorf("predapprox: predicate arity %d exceeds %d approximable values", pred.Arity(), k)
 	}
 	est := make([]float64, k)
-	deltas := make([]float64, k)
 	maxRounds := opts.maxRounds(k)
 
 	// settled[i] marks values whose bound can no longer dominate the
@@ -158,14 +123,14 @@ func Decide(pred Pred, apx []Approximable, opts Options) (Decision, error) {
 		// otherwise (the atoms negate themselves), i.e. ε_ψ(p̂).
 		margin := pred.Margin(est)
 		eps := math.Max(opts.Eps0, margin)
+		bound := 0.0 // the union bound Σδᵢ(ε) of Lemma 5.1
 		for i, a := range apx {
-			deltas[i] = a.Delta(eps)
+			bound += a.Delta(eps)
 			if !settled[i] && a.Delta(opts.Eps0)*float64(k) <= opts.Delta {
 				settled[i] = true
 				nSettled++
 			}
 		}
-		bound := opts.combine(deltas)
 		d = Decision{
 			Value:           pred.Eval(est),
 			ErrorBound:      math.Min(0.5, bound),
@@ -197,7 +162,6 @@ func DecideNaive(pred Pred, apx []Approximable, opts Options) (Decision, error) 
 	k := len(apx)
 	rounds := int(math.Ceil(3 * math.Log(2*float64(k)/opts.Delta) / (opts.Eps0 * opts.Eps0)))
 	est := make([]float64, k)
-	deltas := make([]float64, k)
 	for r := 0; r < rounds; r++ {
 		for _, a := range apx {
 			a.Step()
@@ -208,76 +172,18 @@ func DecideNaive(pred Pred, apx []Approximable, opts Options) (Decision, error) 
 	}
 	margin := pred.Margin(est)
 	eps := math.Max(opts.Eps0, margin)
-	for i, a := range apx {
-		deltas[i] = a.Delta(eps)
+	bound := 0.0
+	for _, a := range apx {
+		bound += a.Delta(eps)
 	}
 	return Decision{
 		Value:           pred.Eval(est),
-		ErrorBound:      math.Min(0.5, opts.combine(deltas)),
+		ErrorBound:      math.Min(0.5, bound),
 		Epsilon:         eps,
 		Rounds:          rounds,
 		Estimates:       append([]float64(nil), est...),
 		HitEpsilonFloor: margin < opts.Eps0,
 	}, nil
-}
-
-// ThresholdDecision is the outcome of DecideThreshold.
-type ThresholdDecision struct {
-	// Value is the decided comparison p > tau (meaningful when Decided).
-	Value bool
-	// Decided reports whether the interval separated from the threshold
-	// before the round cap; when false, Value is the best guess p̂ > tau.
-	Decided bool
-	// Rounds is the number of refinement rounds executed.
-	Rounds int
-	// Lo, Hi are the final confidence interval and Estimate the final p̂.
-	Lo, Hi, Estimate float64
-}
-
-// DecideThreshold refines a single Bounded approximable value only until
-// its confidence interval clears the threshold tau from either side:
-// lo > tau decides p > tau, hi < tau decides p ≤ tau, each holding with
-// probability ≥ 1−delta. This is the early-stopping primitive behind
-// threshold and top-k queries — a tuple whose confidence is far from tau
-// stops after a handful of rounds instead of converging to full (ε,δ)
-// accuracy. maxRounds caps the loop for values too close to tau to
-// separate (a threshold singularity); 0 selects 64 rounds.
-func DecideThreshold(a interface {
-	Approximable
-	Bounded
-}, tau, delta float64, maxRounds int) (ThresholdDecision, error) {
-	if tau <= 0 || tau >= 1 {
-		return ThresholdDecision{}, fmt.Errorf("predapprox: threshold must be in (0,1), got %v", tau)
-	}
-	if delta <= 0 || delta >= 1 {
-		return ThresholdDecision{}, fmt.Errorf("predapprox: δ must be in (0,1), got %v", delta)
-	}
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
-	var d ThresholdDecision
-	for round := 1; ; round++ {
-		a.Step()
-		lo, hi := a.Bounds(delta)
-		d = ThresholdDecision{
-			Value:    a.Estimate() > tau,
-			Rounds:   round,
-			Lo:       lo,
-			Hi:       hi,
-			Estimate: a.Estimate(),
-		}
-		switch {
-		case lo > tau:
-			d.Value, d.Decided = true, true
-			return d, nil
-		case hi < tau:
-			d.Value, d.Decided = false, true
-			return d, nil
-		}
-		if round >= maxRounds {
-			return d, nil
-		}
-	}
 }
 
 // IsSingular conservatively decides whether p is an ε₀-singularity

@@ -219,22 +219,6 @@ func TestHitEpsilonFloorFlagged(t *testing.T) {
 	}
 }
 
-func TestIndependentCombination(t *testing.T) {
-	// 1 − Π(1−δᵢ) ≤ Σδᵢ: the independent bound is tighter.
-	opts := Options{Independent: true}
-	union := Options{}
-	deltas := []float64{0.1, 0.2, 0.05}
-	di := opts.combine(deltas)
-	du := union.combine(deltas)
-	if di >= du {
-		t.Errorf("independent bound %v should beat union bound %v", di, du)
-	}
-	want := 1 - 0.9*0.8*0.95
-	if math.Abs(di-want) > 1e-12 {
-		t.Errorf("independent combine = %v, want %v", di, want)
-	}
-}
-
 func TestDecideTerminatesAtSingularity(t *testing.T) {
 	// True value exactly on the boundary: the margin never stabilizes
 	// above ε₀, but the round cap guarantees termination with δᵢ(ε₀)

@@ -79,21 +79,6 @@ func TestMarginMonotoneInDistance(t *testing.T) {
 	}
 }
 
-func TestDecideIndependentOption(t *testing.T) {
-	phi := Linear([]float64{1, -1}, 0)
-	// Two exact values: both options agree and give zero bounds.
-	for _, ind := range []bool{false, true} {
-		d, err := Decide(phi, []Approximable{Exact(0.8), Exact(0.2)},
-			Options{Eps0: 0.05, Delta: 0.1, Independent: ind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.Value || d.ErrorBound != 0 {
-			t.Errorf("independent=%v: %+v", ind, d)
-		}
-	}
-}
-
 // A custom Approximable whose Delta never shrinks: the round cap must
 // terminate Decide anyway.
 type stubborn struct{ v float64 }

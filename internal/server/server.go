@@ -420,25 +420,18 @@ type queryRow struct {
 	Condition  string         `json:"condition,omitempty"`
 }
 
-// queryTrailer is the final NDJSON line: evaluation statistics.
+// queryTrailer is the final NDJSON line: the evaluation's pdb.Stats, whose
+// JSON names are declared on the struct, beside what only the response
+// knows.
 type queryTrailer struct {
-	Stats queryStats `json:"stats"`
+	Stats trailerStats `json:"stats"`
 }
 
-type queryStats struct {
+type trailerStats struct {
 	Rows          int     `json:"rows"`
 	MaxErrorBound float64 `json:"max_error_bound"`
-	FinalRounds   int64   `json:"final_rounds,omitempty"`
-	Restarts      int     `json:"restarts,omitempty"`
-	SampledTrials int64   `json:"sampled_trials"`
-	ReusedTrials  int64   `json:"reused_trials"`
-	CacheHits     int64   `json:"cache_hits"`
-	Strata        int64   `json:"strata,omitempty"`
-	EarlyStops    int64   `json:"early_stops,omitempty"`
-	ExactFactored int64   `json:"exact_factored,omitempty"`
-	SpilledBytes  int64   `json:"spilled_bytes,omitempty"`
-	SpillFiles    int     `json:"spill_files,omitempty"`
-	ElapsedMS     int64   `json:"elapsed_ms"`
+	pdb.Stats
+	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
 // fail writes one JSON error (the response must not have been started).
@@ -761,19 +754,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			flush()
 		}
 	}
-	_ = enc.Encode(queryTrailer{Stats: queryStats{
+	_ = enc.Encode(queryTrailer{Stats: trailerStats{
 		Rows:          res.Len(),
 		MaxErrorBound: res.MaxErrorBound(),
-		FinalRounds:   st.FinalRounds,
-		Restarts:      st.Restarts,
-		SampledTrials: st.SampledTrials,
-		ReusedTrials:  st.ReusedTrials,
-		CacheHits:     st.CacheHits,
-		Strata:        st.Strata,
-		EarlyStops:    st.EarlyStops,
-		ExactFactored: st.ExactFactored,
-		SpilledBytes:  st.SpilledBytes,
-		SpillFiles:    st.SpillFiles,
+		Stats:         st,
 		ElapsedMS:     time.Since(start).Milliseconds(),
 	}})
 	flush()
@@ -799,28 +783,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"ok": true, "tenants": n})
 }
 
-// statsResponse is the body of GET /v1/stats.
+// statsResponse is the body of GET /v1/stats. The engine and cluster
+// sections are the engine's own records, encoded by their struct tags.
 type statsResponse struct {
-	Engine    engineStats    `json:"engine"`
-	Server    serverStats    `json:"server"`
-	Admission admissionStats `json:"admission"`
+	Engine    pdb.EngineStats `json:"engine"`
+	Server    serverStats     `json:"server"`
+	Admission admissionStats  `json:"admission"`
 	// Cluster is present only on a sharded deployment.
-	Cluster *clusterStats `json:"cluster,omitempty"`
-}
-
-type engineStats struct {
-	Evals          int64 `json:"evals"`
-	InFlight       int64 `json:"in_flight"`
-	SampledTrials  int64 `json:"sampled_trials"`
-	ReusedTrials   int64 `json:"reused_trials"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEntries   int   `json:"cache_entries"`
-	CacheCapacity  int   `json:"cache_capacity"`
-	CacheEvictions int64 `json:"cache_evictions"`
-	LimitTrips     int64 `json:"limit_trips"`
-	EarlyStops     int64 `json:"early_stops"`
-	ExactFactored  int64 `json:"exact_factored"`
+	Cluster *clusterReport `json:"cluster,omitempty"`
 }
 
 type serverStats struct {
@@ -837,88 +807,17 @@ type admissionStats struct {
 	Waiting     int  `json:"waiting"`
 }
 
-type clusterStats struct {
-	Batches        int64              `json:"batches"`
-	MergeNanos     int64              `json:"merge_nanos"`
-	Failovers      int64              `json:"failovers"`
-	Hedges         int64              `json:"hedges"`
-	HedgeWins      int64              `json:"hedge_wins"`
-	LocalFallbacks int64              `json:"local_fallbacks"`
-	Probes         int64              `json:"probes"`
-	ProbeFailures  int64              `json:"probe_failures"`
-	LocalFallback  bool               `json:"local_fallback"`
-	Shards         []clusterShardJSON `json:"shards"`
-	ShardsTotal    int                `json:"shards_total"`
-	ShardsDown     int                `json:"shards_down"`
-}
-
-type clusterShardJSON struct {
-	Addr      string `json:"addr"`
-	Healthy   bool   `json:"healthy"`
-	Breaker   string `json:"breaker"`
-	RPCs      int64  `json:"rpcs"`
-	Failures  int64  `json:"failures"`
-	Retries   int64  `json:"retries"`
-	BytesSent int64  `json:"bytes_sent"`
-	BytesRecv int64  `json:"bytes_recv"`
-	LastError string `json:"last_error,omitempty"`
-}
-
-// clusterSection maps the engine's cluster snapshot onto the stats body;
-// nil on a single-node deployment.
-func clusterSection(cs *pdb.ClusterStats) *clusterStats {
-	if cs == nil {
-		return nil
-	}
-	out := &clusterStats{
-		Batches:        cs.Batches,
-		MergeNanos:     cs.MergeNanos,
-		Failovers:      cs.Failovers,
-		Hedges:         cs.Hedges,
-		HedgeWins:      cs.HedgeWins,
-		LocalFallbacks: cs.LocalFallbacks,
-		Probes:         cs.Probes,
-		ProbeFailures:  cs.ProbeFailures,
-		LocalFallback:  cs.LocalFallback,
-		ShardsTotal:    len(cs.Shards),
-	}
-	for _, sh := range cs.Shards {
-		if !sh.Healthy {
-			out.ShardsDown++
-		}
-		out.Shards = append(out.Shards, clusterShardJSON{
-			Addr:      sh.Addr,
-			Healthy:   sh.Healthy,
-			Breaker:   sh.Breaker,
-			RPCs:      sh.RPCs,
-			Failures:  sh.Failures,
-			Retries:   sh.Retries,
-			BytesSent: sh.BytesSent,
-			BytesRecv: sh.BytesRecv,
-			LastError: sh.LastError,
-		})
-	}
-	return out
+// clusterReport is the coordinator's snapshot beside two counts derived
+// from it: the configured shards, and those whose last RPC failed.
+type clusterReport struct {
+	*pdb.ClusterStats
+	ShardsTotal int `json:"shards_total"`
+	ShardsDown  int `json:"shards_down"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	es := s.eng.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(statsResponse{
-		Engine: engineStats{
-			Evals:          es.Evals,
-			InFlight:       es.InFlight,
-			SampledTrials:  es.SampledTrials,
-			ReusedTrials:   es.ReusedTrials,
-			CacheHits:      es.CacheHits,
-			CacheMisses:    es.CacheMisses,
-			CacheEntries:   es.CacheEntries,
-			CacheCapacity:  es.CacheCapacity,
-			CacheEvictions: es.CacheEvictions,
-			LimitTrips:     es.LimitTrips,
-			EarlyStops:     es.EarlyStops,
-			ExactFactored:  es.ExactFactored,
-		},
+	resp := statsResponse{
+		Engine: s.eng.Stats(),
 		Server: serverStats{
 			Requests:     s.requests.Load(),
 			Failures:     s.failures.Load(),
@@ -931,8 +830,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InFlight:    s.adm.inFlight(),
 			Waiting:     s.adm.waitingNow(),
 		},
-		Cluster: clusterSection(es.Cluster),
-	})
+	}
+	if cs := resp.Engine.Cluster; cs != nil {
+		resp.Cluster = &clusterReport{ClusterStats: cs, ShardsTotal: len(cs.Shards)}
+		for _, sh := range cs.Shards {
+			if !sh.Healthy {
+				resp.Cluster.ShardsDown++
+			}
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,352 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/pdb"
+)
+
+// The wire contract of the two JSON bodies clients parse: the NDJSON
+// trailer of POST /v1/query and the body of GET /v1/stats. Each scenario
+// pins the exact keys of an object, in order — so both which keys exist and
+// which of them survive a zero value — written WHEN / THEN against the HTTP
+// surface. The values are covered by the other tests of this package.
+
+// wireServer serves one database holding a fixture per trailer scenario,
+// through peers in-process shard servers when peers > 0.
+func wireServer(t *testing.T, cfg Config, peers int) (*httptest.Server, *pdb.Engine) {
+	t.Helper()
+	var obs [][]any
+	var obsP []float64
+	for s := 0; s < 4; s++ {
+		for r := 0; r < 4; r++ {
+			obs = append(obs, []any{fmt.Sprintf("s%d", s), r})
+			obsP = append(obsP, 0.3)
+		}
+	}
+	// R × S: one hard 12-clause lineage component per group (hardServer).
+	probsR := []float64{0.9, 0.6, 0.05, 0.02, 0.002, 0.0005}
+	rowsR := make([][]any, len(probsR))
+	for i := range probsR {
+		rowsR[i] = []any{int64(i), int64(i / 2)}
+	}
+	// A, B: a join far larger than a 16 KiB memory budget (pdb's spillDB).
+	var a, b [][]any
+	for i := 0; i < 400; i++ {
+		a = append(a, []any{i % 40, i})
+		b = append(b, []any{i % 40, i, float64(i)/7 + 0.5})
+	}
+	db, err := pdb.NewBuilder().
+		Independent("Obs", []string{"Sensor", "Reading"}, obs, obsP).
+		Independent("R", []string{"ID", "Grp"}, rowsR, probsR).
+		Independent("S", []string{"SID"},
+			[][]any{{int64(1)}, {int64(2)}, {int64(3)}, {int64(4)}, {int64(5)}, {int64(6)}},
+			[]float64{0.8, 0.3, 0.04, 0.01, 0.002, 0.001}).
+		// T: conf[ID] is 1 − 0.5² = 0.75, exactly a σ̂ threshold below
+		// (core's TestApproxSelectSingularFlagged fixture).
+		Independent("T", []string{"ID", "K"}, [][]any{{0, 1}, {0, 2}}, []float64{0.5, 0.5}).
+		Table("A", []string{"K", "X"}, a...).
+		Table("B", []string{"K", "J", "Y"}, b...).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts []pdb.EngineOption
+	if peers > 0 {
+		addrs := make([]string, peers)
+		for i := range addrs {
+			sh := cluster.NewShard(cluster.ShardConfig{})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = ln.Addr().String()
+			go sh.Serve(ln)
+			t.Cleanup(func() { sh.Close() })
+		}
+		opts = append(opts, pdb.WithEngineCluster(pdb.ClusterOptions{Peers: addrs}))
+	}
+	eng, err := db.Engine(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	cfg.Engine = eng
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts, eng
+}
+
+const singularProgram = `aselect[p1 >= 0.75 over conf[ID]](T);`
+
+// objectKeys returns the keys of one JSON object in encoding order, with
+// each key's raw value.
+func objectKeys(t *testing.T, raw []byte) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v, %v): %s", tok, err, raw)
+	}
+	var keys []string
+	vals := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		vals[tok.(string)] = v
+	}
+	return keys, vals
+}
+
+// rawTrailer posts one query and returns the raw bytes of the trailer's
+// "stats" object.
+func rawTrailer(t *testing.T, ts *httptest.Server, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	var last []byte
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	_, vals := objectKeys(t, last)
+	if vals["stats"] == nil {
+		t.Fatalf("last line is not a trailer: %s", last)
+	}
+	return vals["stats"]
+}
+
+// SHALL: the trailer's keys are rows, max_error_bound, sampled_trials,
+// reused_trials, cache_hits and elapsed_ms always, and final_rounds,
+// restarts, decisions, singular_drops, strata, early_stops, exact_factored,
+// spilled_bytes and spill_files only when non-zero.
+func TestWireTrailerKeys(t *testing.T) {
+	ts, _ := wireServer(t, Config{SpillDir: t.TempDir()}, 0)
+	q := func(program, rest string) string {
+		return fmt.Sprintf(`{"program": %q%s}`, program, rest)
+	}
+	for _, tc := range []struct {
+		when     string
+		body     string
+		then     []string
+		contains string
+	}{
+		{when: "a conf query runs cold",
+			body: q(testProgram, `, "seed": 7`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "elapsed_ms"}},
+		{when: "a conf query replays from the cache",
+			body:     q(testProgram, `, "seed": 7`),
+			then:     []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "elapsed_ms"},
+			contains: `"sampled_trials":0`},
+		{when: "a query is evaluated exactly, so every counter is zero",
+			body:     q(testProgram, `, "exact": true`),
+			then:     []string{"rows", "max_error_bound", "sampled_trials", "reused_trials", "cache_hits", "elapsed_ms"},
+			contains: `"sampled_trials":0,"reused_trials":0,"cache_hits":0`},
+		{when: "a conf query is stratified with a threshold over hard lineage",
+			body: q(hardProgram, `, "seed": 11, "strata": 8, "threshold": 0.5, "conf_epsilon": 0.05, "conf_delta": 0.05`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "strata", "early_stops", "elapsed_ms"}},
+		{when: "a stratified conf query factors easy lineage exactly",
+			body: q(testProgram, `, "seed": 7, "strata": 4`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "exact_factored", "elapsed_ms"}},
+		{when: "a σ̂ query restarts with doubled round budgets",
+			body: q(singularProgram, `, "seed": 3`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "elapsed_ms"}},
+		{when: "a σ̂ query drops its boundary tuple as a potential singularity",
+			body: q(singularProgram, `, "seed": 4`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "singular_drops", "elapsed_ms"}},
+		{when: "an over-budget exact join spills",
+			body: q(`project[K, X, Y](union(join(A, B), join(A, B)));`, `, "exact": true, "max_memory_bytes": 16384`),
+			then: []string{"rows", "max_error_bound", "sampled_trials", "reused_trials", "cache_hits", "spilled_bytes", "spill_files", "elapsed_ms"}},
+	} {
+		t.Run("WHEN "+tc.when, func(t *testing.T) {
+			raw := rawTrailer(t, ts, tc.body)
+			keys, vals := objectKeys(t, raw)
+			if !reflect.DeepEqual(keys, tc.then) {
+				t.Errorf("THEN the trailer's keys are\n  %v, got\n  %v", tc.then, keys)
+			}
+			if !bytes.Contains(raw, []byte(tc.contains)) {
+				t.Errorf("THEN the trailer contains %s, got %s", tc.contains, raw)
+			}
+			for _, k := range []string{"final_rounds", "restarts", "decisions", "singular_drops", "strata",
+				"early_stops", "exact_factored", "spilled_bytes", "spill_files"} {
+				if v, ok := vals[k]; ok && string(v) == "0" {
+					t.Errorf("THEN %s is omitted when zero, got %s", k, raw)
+				}
+			}
+		})
+	}
+}
+
+// SHALL: a σ̂ answer that dropped tuples as potential ε₀-singularities — the
+// decisions Theorem 6.7's δ does not cover — says so over HTTP. WHEN a σ̂
+// query whose pdb.Result reports SingularDrops > 0 is posted. THEN the
+// trailer reports the same singular_drops and decisions.
+func TestWireTrailerReportsSingularDrops(t *testing.T) {
+	ts, eng := wireServer(t, Config{}, 0)
+	q, err := eng.Prepare(singularProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 32; seed++ {
+		res, err := q.Eval(context.Background(), pdb.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Stats()
+		if want.SingularDrops == 0 {
+			continue
+		}
+		raw := rawTrailer(t, ts, fmt.Sprintf(`{"program": %q, "seed": %d}`, singularProgram, seed))
+		var got struct {
+			Decisions     *int `json:"decisions"`
+			SingularDrops *int `json:"singular_drops"`
+		}
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Decisions == nil || *got.Decisions != want.Decisions ||
+			got.SingularDrops == nil || *got.SingularDrops != want.SingularDrops {
+			t.Errorf("seed %d: trailer %s, want decisions %d and singular_drops %d",
+				seed, raw, want.Decisions, want.SingularDrops)
+		}
+		return
+	}
+	t.Fatal("fixture: no seed in 1..32 drops the boundary tuple as singular")
+}
+
+// SHALL: GET /v1/stats has the sections engine, server and admission, and
+// cluster on a sharded deployment only; every key of every section is
+// present on a server that has done no work, except max_in_flight (without
+// admission control) and a shard's last_error (before any error).
+func TestWireStatsKeys(t *testing.T) {
+	sections := func(t *testing.T, ts *httptest.Server) ([]string, map[string]json.RawMessage) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return objectKeys(t, raw)
+	}
+	expect := func(t *testing.T, what string, raw json.RawMessage, want ...string) {
+		t.Helper()
+		if got, _ := objectKeys(t, raw); !reflect.DeepEqual(got, want) {
+			t.Errorf("THEN the keys of %s are\n  %v, got\n  %v", what, want, got)
+		}
+	}
+	engine := []string{"evals", "in_flight", "sampled_trials", "reused_trials", "cache_hits", "cache_misses",
+		"cache_entries", "cache_capacity", "cache_evictions", "limit_trips", "early_stops", "exact_factored"}
+	server := []string{"requests", "failures", "rows_streamed", "uptime_ms"}
+
+	t.Run("WHEN a single-node server has served nothing", func(t *testing.T) {
+		ts, _ := wireServer(t, Config{}, 0)
+		top, sec := sections(t, ts)
+		if want := []string{"engine", "server", "admission"}; !reflect.DeepEqual(top, want) {
+			t.Errorf("THEN the sections are %v, got %v", want, top)
+		}
+		expect(t, "engine", sec["engine"], engine...)
+		expect(t, "server", sec["server"], server...)
+		expect(t, "admission", sec["admission"], "enabled", "in_flight", "waiting")
+	})
+
+	t.Run("WHEN admission control is on and one shard has sampled a query", func(t *testing.T) {
+		ts, _ := wireServer(t, Config{MaxInFlight: 2}, 1)
+		rawTrailer(t, ts, fmt.Sprintf(`{"program": %q, "seed": 7}`, testProgram))
+		top, sec := sections(t, ts)
+		if want := []string{"engine", "server", "admission", "cluster"}; !reflect.DeepEqual(top, want) {
+			t.Errorf("THEN the sections are %v, got %v", want, top)
+		}
+		expect(t, "engine", sec["engine"], engine...)
+		expect(t, "server", sec["server"], server...)
+		expect(t, "admission", sec["admission"], "enabled", "max_in_flight", "in_flight", "waiting")
+		expect(t, "cluster", sec["cluster"], "batches", "merge_nanos", "failovers", "hedges", "hedge_wins",
+			"local_fallbacks", "probes", "probe_failures", "local_fallback", "shards", "shards_total", "shards_down")
+		_, cl := objectKeys(t, sec["cluster"])
+		var shards []json.RawMessage
+		if err := json.Unmarshal(cl["shards"], &shards); err != nil || len(shards) != 1 {
+			t.Fatalf("THEN cluster.shards has one entry, got %s (%v)", cl["shards"], err)
+		}
+		expect(t, "a shard entry", shards[0], "addr", "healthy", "breaker", "rpcs", "failures", "retries",
+			"bytes_sent", "bytes_recv")
+		if !bytes.Contains(sec["cluster"], []byte(`"shards_total":1,"shards_down":0`)) {
+			t.Errorf("THEN the cluster section counts its shards, got %s", sec["cluster"])
+		}
+	})
+}
+
+// jsonKeys returns the JSON names a struct type encodes to, embedded
+// structs flattened as encoding/json flattens them.
+func jsonKeys(typ reflect.Type) []string {
+	if typ.Kind() == reflect.Pointer {
+		typ = typ.Elem()
+	}
+	var keys []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous && name == "":
+			keys = append(keys, jsonKeys(f.Type)...)
+		case name != "-":
+			keys = append(keys, name)
+		}
+	}
+	return keys
+}
+
+// SHALL: docs/API.md documents every field of both bodies. The fields are
+// read off the tagged structs the handlers encode, so a field added to
+// pdb.Stats, pdb.EngineStats or the cluster snapshot fails here until the
+// document names it.
+func TestWireDocsNameEveryField(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []any{trailerStats{}, statsResponse{}, pdb.EngineStats{}, serverStats{},
+		admissionStats{}, clusterReport{}, pdb.ClusterShardStatus{}} {
+		typ := reflect.TypeOf(body)
+		for _, key := range jsonKeys(typ) {
+			if !bytes.Contains(doc, []byte("`"+key+"`")) {
+				t.Errorf("docs/API.md does not name `%s` (%s)", key, typ)
+			}
+		}
+	}
+}

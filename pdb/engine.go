@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -33,14 +34,11 @@ type Engine struct {
 	// processes (see WithEngineCluster); it implements core.Distributor.
 	coord *cluster.Coordinator
 
-	evals         atomic.Int64
-	sampledTrials atomic.Int64
-	reusedTrials  atomic.Int64
-	cacheHits     atomic.Int64
-	inFlight      atomic.Int64
-	limitTrips    atomic.Int64
-	earlyStops    atomic.Int64
-	exactFactored atomic.Int64
+	inFlight atomic.Int64
+	// mu guards totals, the cumulative fields of EngineStats (Stats reads
+	// the cache, in-flight and cluster fields live).
+	mu     sync.Mutex
+	totals EngineStats
 }
 
 // defaultEngineCacheSize bounds the estimator cache of an Engine built
@@ -100,77 +98,72 @@ func (e *Engine) Prepare(src string) (*Query, error) {
 }
 
 // EngineStats is a point-in-time snapshot of an engine's cumulative work
-// and the effectiveness of its cross-query estimator cache.
+// and the effectiveness of its cross-query estimator cache. The JSON names
+// are the "engine" section of GET /v1/stats (docs/API.md).
 type EngineStats struct {
 	// Evals counts completed approximate evaluations (failed or cancelled
 	// evaluations are not counted).
-	Evals int64
+	Evals int64 `json:"evals"`
+	// InFlight is the number of evaluations running on the engine right
+	// now (admitted but not yet completed, failed, or cancelled).
+	InFlight int64 `json:"in_flight"`
 	// SampledTrials and ReusedTrials aggregate the per-evaluation
 	// Stats.SampledTrials / Stats.ReusedTrials over all completed
 	// evaluations: reused trials were served from the engine cache (or
 	// from a restart's own snapshots) instead of being re-sampled.
-	SampledTrials int64
-	ReusedTrials  int64
+	SampledTrials int64 `json:"sampled_trials"`
+	ReusedTrials  int64 `json:"reused_trials"`
 	// CacheHits counts estimation tasks (across all evaluations) that
 	// resumed from a cached snapshot.
-	CacheHits int64
-	// CacheEntries / CacheEvictions / CacheMisses describe the engine
+	CacheHits int64 `json:"cache_hits"`
+	// CacheMisses / CacheEntries / CacheEvictions describe the engine
 	// cache itself; CacheCapacity is its configured entry bound (entries
 	// pinned at capacity with rising evictions means the working set no
 	// longer fits).
-	CacheEntries   int
-	CacheCapacity  int
-	CacheMisses    int64
-	CacheEvictions int64
-	// InFlight is the number of evaluations running on the engine right
-	// now (admitted but not yet completed, failed, or cancelled).
-	InFlight int64
+	CacheMisses    int64 `json:"cache_misses"`
+	CacheEntries   int   `json:"cache_entries"`
+	CacheCapacity  int   `json:"cache_capacity"`
+	CacheEvictions int64 `json:"cache_evictions"`
 	// LimitTrips counts evaluations aborted by a per-query resource limit
 	// (WithMaxTrials / WithMaxMemory) — the service's 422/overload signal.
-	LimitTrips int64
+	LimitTrips int64 `json:"limit_trips"`
 	// EarlyStops aggregates Stats.EarlyStops over completed evaluations:
 	// estimation tasks settled before their full trial budget by
 	// threshold/top-k decisions or empirical-Bernstein convergence.
-	EarlyStops int64
+	EarlyStops int64 `json:"early_stops"`
 	// ExactFactored aggregates Stats.ExactFactored: independent lineage
 	// subformulas the factoring pre-pass computed exactly instead of
 	// sampling.
-	ExactFactored int64
+	ExactFactored int64 `json:"exact_factored"`
 	// Cluster holds per-shard scatter-gather statistics on a clustered
 	// engine (WithEngineCluster); nil on a single-node engine.
-	Cluster *ClusterStats
+	Cluster *ClusterStats `json:"-"`
 }
 
 // Stats returns the engine's cumulative statistics. Safe to call
 // concurrently with evaluations.
 func (e *Engine) Stats() EngineStats {
+	e.mu.Lock()
+	st := e.totals
+	e.mu.Unlock()
 	cs := e.cache.Stats()
-	return EngineStats{
-		Cluster:        e.ClusterStats(),
-		Evals:          e.evals.Load(),
-		SampledTrials:  e.sampledTrials.Load(),
-		ReusedTrials:   e.reusedTrials.Load(),
-		CacheHits:      e.cacheHits.Load(),
-		CacheEntries:   cs.Entries,
-		CacheCapacity:  e.cache.Cap(),
-		CacheMisses:    cs.Misses,
-		CacheEvictions: cs.Evictions,
-		InFlight:       e.inFlight.Load(),
-		LimitTrips:     e.limitTrips.Load(),
-		EarlyStops:     e.earlyStops.Load(),
-		ExactFactored:  e.exactFactored.Load(),
-	}
+	st.CacheMisses, st.CacheEntries, st.CacheCapacity, st.CacheEvictions = cs.Misses, cs.Entries, e.cache.Cap(), cs.Evictions
+	st.InFlight = e.inFlight.Load()
+	st.Cluster = e.ClusterStats()
+	return st
 }
 
 // record folds one completed evaluation's statistics into the engine's
 // cumulative counters.
 func (e *Engine) record(s Stats) {
-	e.evals.Add(1)
-	e.sampledTrials.Add(s.SampledTrials)
-	e.reusedTrials.Add(s.ReusedTrials)
-	e.cacheHits.Add(s.CacheHits)
-	e.earlyStops.Add(s.EarlyStops)
-	e.exactFactored.Add(s.ExactFactored)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.totals.Evals++
+	e.totals.SampledTrials += s.SampledTrials
+	e.totals.ReusedTrials += s.ReusedTrials
+	e.totals.CacheHits += s.CacheHits
+	e.totals.EarlyStops += s.EarlyStops
+	e.totals.ExactFactored += s.ExactFactored
 }
 
 // beginEval marks an evaluation in flight on the engine; the returned
@@ -185,6 +178,8 @@ func (e *Engine) beginEval() func() {
 func (e *Engine) recordFailure(err error) {
 	var le *LimitError
 	if errors.As(err, &le) {
-		e.limitTrips.Add(1)
+		e.mu.Lock()
+		e.totals.LimitTrips++
+		e.mu.Unlock()
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/pdb"
 )
@@ -316,5 +318,43 @@ func TestEngineOperabilityStats(t *testing.T) {
 	}
 	if es := eng.Stats(); es.LimitTrips != 1 || es.InFlight != 0 {
 		t.Errorf("stats after limit trip: %+v", es)
+	}
+}
+
+// TestClusterErrorThroughEval pins the clustered failure type end to end
+// (TestLimitErrors does the same for *pdb.LimitError): with the only shard
+// unreachable and no local fallback, Query.Eval fails with an error in
+// which errors.As finds a *pdb.ClusterError naming the shard and its
+// attempts; once that failure has tripped the shard's breaker, the next
+// Eval fails cluster-wide, wrapping pdb.ErrNoHealthyShards.
+func TestClusterErrorThroughEval(t *testing.T) {
+	ctx := context.Background()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close() // nothing listens there any more
+	eng, err := engineDB(t).Engine(pdb.WithEngineCluster(pdb.ClusterOptions{
+		Peers: []string{dead}, DialTimeout: time.Second, Retries: 1, RetryBackoff: time.Millisecond,
+		BreakerThreshold: 1, ProbeInterval: -1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q, err := eng.Prepare(sensorConfProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *pdb.ClusterError
+	if _, err = q.Eval(ctx, pdb.WithSeed(2)); !errors.As(err, &ce) || ce.Shard != dead || ce.Attempts != 2 || ce.Err == nil {
+		t.Fatalf("Eval with the shard down: err = %v, want a *pdb.ClusterError naming %s after 2 attempts", err, dead)
+	}
+	if _, err = q.Eval(ctx, pdb.WithSeed(2)); !errors.As(err, &ce) || ce.Shard != "cluster" || !errors.Is(err, pdb.ErrNoHealthyShards) {
+		t.Errorf("Eval with the breaker open: err = %v, want a cluster-wide *pdb.ClusterError wrapping pdb.ErrNoHealthyShards", err)
+	}
+	if err := eng.PingCluster(ctx); !errors.As(err, &ce) || ce.Shard != dead {
+		t.Errorf("PingCluster: err = %v, want a *pdb.ClusterError naming %s", err, dead)
 	}
 }

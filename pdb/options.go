@@ -7,23 +7,10 @@ import (
 )
 
 // LimitError reports an evaluation aborted because it exceeded one of its
-// per-query resource limits (WithMaxTrials / WithMaxMemory). Enforcement
-// is cooperative — between operators and between estimation chunks — so
-// Used may exceed Limit by one scheduling granule. An aborted evaluation
-// leaves engines, caches, and queries fully usable.
-type LimitError struct {
-	// Resource names the exhausted limit: "trials" or "memory".
-	Resource string
-	// Limit is the configured bound; Used is the consumption observed
-	// when the limit tripped (sampled trials, or estimated bytes).
-	Limit int64
-	Used  int64
-}
-
-// Error implements the error interface.
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("pdb: %s limit exceeded: %d > %d", e.Resource, e.Used, e.Limit)
-}
+// per-query resource limits (WithMaxTrials / WithMaxMemory): Resource names
+// the limit ("trials" or "memory"), Limit is the configured bound and Used
+// the consumption observed when it tripped. Declared where it is raised.
+type LimitError = core.LimitError
 
 // OptionError reports an evaluation option that was rejected at
 // construction, before any evaluation work started.

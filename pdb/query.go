@@ -2,7 +2,6 @@ package pdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -85,13 +84,12 @@ func (q *Query) Eval(ctx context.Context, opts ...Option) (*Result, error) {
 	}
 	res, err := eng.EvalApproxContext(ctx, q.plan)
 	if err != nil {
-		err = translateClusterError(translateLimitError(err))
 		if q.eng != nil {
 			q.eng.recordFailure(err)
 		}
 		return nil, err
 	}
-	out := newApproxResult(res)
+	out := newResult(res.Rel, res.Complete, res.Bounds, approxStats(res.Stats))
 	if q.eng != nil {
 		q.eng.record(out.stats)
 	}
@@ -124,21 +122,11 @@ func (q *Query) EvalExact(ctx context.Context, opts ...Option) (*Result, error) 
 	}
 	res, err := core.NewEngine(q.db.udb, copts).EvalExactContext(ctx, q.plan)
 	if err != nil {
-		err = translateLimitError(err)
 		if q.eng != nil {
 			q.eng.recordFailure(err)
 		}
 		return nil, err
 	}
-	return newExactResult(res), nil
-}
-
-// translateLimitError maps the engine's limit error to the public typed
-// *LimitError; any other error passes through unchanged.
-func translateLimitError(err error) error {
-	var le *core.LimitError
-	if errors.As(err, &le) {
-		return &LimitError{Resource: le.Resource, Limit: le.Limit, Used: le.Used}
-	}
-	return err
+	return newResult(res.Rel, res.Complete, nil,
+		Stats{Ops: res.Ops, SpilledBytes: res.SpilledBytes, SpillFiles: res.SpillFiles}), nil
 }

@@ -3,6 +3,7 @@ package pdb
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strings"
 
@@ -13,61 +14,57 @@ import (
 )
 
 // OpStats reports one relational operator's aggregate work across an
-// evaluation: how many times it ran, how many tuples it consumed and
-// produced, and an estimate of the bytes materialized for its outputs
-// (value and condition payloads plus per-tuple bookkeeping — an estimate
-// of working-set size, not an allocator measurement).
-type OpStats struct {
-	Calls     int64
-	TuplesIn  int64
-	TuplesOut int64
-	Bytes     int64
-}
+// evaluation: how many times it ran (Calls), how many tuples it consumed
+// and produced (TuplesIn, TuplesOut), and an estimate of the bytes
+// materialized for its outputs (Bytes: value and condition payloads plus
+// per-tuple bookkeeping — an estimate of working-set size, not an allocator
+// measurement). Declared where it is counted.
+type OpStats = urel.OpStats
 
 // Stats reports the work an evaluation did. For approximate evaluation all
 // fields are populated; exact evaluation fills only Ops and the spill
-// fields.
+// fields. The JSON names are the NDJSON trailer's (docs/API.md).
 type Stats struct {
 	// FinalRounds is the round budget l the doubling loop stopped at.
-	FinalRounds int64
+	FinalRounds int64 `json:"final_rounds,omitempty"`
 	// Restarts is the number of doubling restarts.
-	Restarts int
+	Restarts int `json:"restarts,omitempty"`
 	// SampledTrials is the number of Karp–Luby trials actually sampled;
 	// ReusedTrials counts trials resumed from estimator snapshots instead
 	// — snapshots of this evaluation's earlier restarts, or of earlier
 	// evaluations when the query is bound to an Engine cache.
-	SampledTrials int64
-	ReusedTrials  int64
+	SampledTrials int64 `json:"sampled_trials"`
+	ReusedTrials  int64 `json:"reused_trials"`
 	// CacheHits is the number of estimation tasks that resumed from a
 	// cached snapshot (cross-restart, and cross-query on an Engine).
-	CacheHits int64
+	CacheHits int64 `json:"cache_hits"`
 	// Decisions is the number of σ̂ predicate decisions in the final pass.
-	Decisions int
+	Decisions int `json:"decisions,omitempty"`
 	// SingularDrops counts negative σ̂ decisions flagged as potential
 	// ε₀-singularities (their absence is not covered by the δ guarantee).
-	SingularDrops int
+	SingularDrops int `json:"singular_drops,omitempty"`
 	// Strata is the number of sampling strata active in the final pass
 	// (0 unless stratified estimation — WithStrata / WithThreshold /
 	// WithTopK — was used).
-	Strata int64
+	Strata int64 `json:"strata,omitempty"`
 	// EarlyStops counts estimation tasks of the final pass that settled
 	// before spending their full trial budget (threshold/top-k decisions
 	// or empirical-Bernstein convergence).
-	EarlyStops int64
+	EarlyStops int64 `json:"early_stops,omitempty"`
 	// ExactFactored counts independent lineage subformulas the factoring
 	// pre-pass computed exactly instead of sampling (final pass).
-	ExactFactored int64
+	ExactFactored int64 `json:"exact_factored,omitempty"`
 	// Ops maps operator names (join, product, select, project, union,
 	// diffc, repairkey, lineage, conf, cert, poss) to their aggregate
 	// work, summed over every pass of the evaluation. It makes operator
 	// throughput — and the effect of WithWorkers on the exact-algebra
 	// path — observable from the public API.
-	Ops map[string]OpStats
+	Ops map[string]OpStats `json:"-"`
 	// SpilledBytes and SpillFiles report out-of-core activity
 	// (WithSpillDir): total bytes written to spill files and the number of
 	// spill files created across the evaluation. Zero without spilling.
-	SpilledBytes int64
-	SpillFiles   int
+	SpilledBytes int64 `json:"spilled_bytes,omitempty"`
+	SpillFiles   int   `json:"spill_files,omitempty"`
 }
 
 // Result is the outcome of one evaluation: a deterministic ordered set of
@@ -89,54 +86,42 @@ type Row struct {
 	singular bool
 }
 
-// opStatsFrom converts the engine's operator statistics to the public
-// mirror type.
-func opStatsFrom(m urel.StatsMap) map[string]OpStats {
-	if len(m) == 0 {
-		return nil
+// approxStats is the one place the engine's record is copied into the
+// facade's: the two differ in one field name (core's EstimatorTrials is the
+// public SampledTrials), which the frozen benchmark/ module reads on both
+// sides.
+func approxStats(s core.Stats) Stats {
+	return Stats{
+		FinalRounds:   s.FinalRounds,
+		Restarts:      s.Restarts,
+		SampledTrials: s.EstimatorTrials,
+		ReusedTrials:  s.ReusedTrials,
+		CacheHits:     s.CacheHits,
+		Decisions:     s.Decisions,
+		SingularDrops: s.SingularDrops,
+		Strata:        s.Strata,
+		EarlyStops:    s.EarlyStops,
+		ExactFactored: s.ExactFactored,
+		Ops:           s.Ops,
+		SpilledBytes:  s.SpilledBytes,
+		SpillFiles:    s.SpillFiles,
 	}
-	out := make(map[string]OpStats, len(m))
-	for op, s := range m {
-		out[op] = OpStats{Calls: s.Calls, TuplesIn: s.TuplesIn, TuplesOut: s.TuplesOut, Bytes: s.Bytes}
-	}
-	return out
 }
 
-func newApproxResult(r *core.Result) *Result {
-	out := &Result{cols: append([]string(nil), r.Rel.Schema()...), complete: r.Complete}
-	out.stats = Stats{
-		FinalRounds:   r.Stats.FinalRounds,
-		Restarts:      r.Stats.Restarts,
-		SampledTrials: r.Stats.EstimatorTrials,
-		ReusedTrials:  r.Stats.ReusedTrials,
-		CacheHits:     r.Stats.CacheHits,
-		Decisions:     r.Stats.Decisions,
-		SingularDrops: r.Stats.SingularDrops,
-		Strata:        r.Stats.Strata,
-		EarlyStops:    r.Stats.EarlyStops,
-		ExactFactored: r.Stats.ExactFactored,
-		Ops:           opStatsFrom(r.Stats.Ops),
-		SpilledBytes:  r.Stats.SpilledBytes,
-		SpillFiles:    r.Stats.SpillFiles,
-	}
-	for _, ut := range r.Rel.Tuples() {
+// newResult assembles a Result from an evaluated U-relation, its Lemma 6.4
+// annotations (nil after exact evaluation: every bound is 0) and the
+// evaluation's statistics.
+func newResult(r *urel.Relation, complete bool, bounds *algebra.Bounds, stats Stats) *Result {
+	out := &Result{cols: append([]string(nil), r.Schema()...), complete: complete, stats: stats}
+	for _, ut := range r.Tuples() {
+		mu, singular := bounds.BoundOf(ut.Row)
 		out.rows = append(out.rows, Row{
 			res:      out,
 			vals:     ut.Row,
 			cond:     ut.D.Key(),
-			errBound: r.TupleError(ut.Row),
-			singular: r.IsSingular(ut.Row),
+			errBound: math.Min(1, mu),
+			singular: singular,
 		})
-	}
-	out.sortRows()
-	return out
-}
-
-func newExactResult(r algebra.URelResult) *Result {
-	out := &Result{cols: append([]string(nil), r.Rel.Schema()...), complete: r.Complete}
-	out.stats = Stats{Ops: opStatsFrom(r.Ops), SpilledBytes: r.SpilledBytes, SpillFiles: r.SpillFiles}
-	for _, ut := range r.Rel.Tuples() {
-		out.rows = append(out.rows, Row{res: out, vals: ut.Row, cond: ut.D.Key()})
 	}
 	out.sortRows()
 	return out
