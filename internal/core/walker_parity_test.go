@@ -17,12 +17,12 @@ import (
 	"repro/internal/workload"
 )
 
-// fullFingerprint hashes every deterministic output of an approximate
+// shatFingerprint hashes every deterministic result of an approximate
 // evaluation: tuples in result order with float bit patterns, the complete
 // error and singular maps (they may hold keys of tuples a later operator
-// dropped, and the doubling loop reads those too), the trial / restart /
-// decision counters, and the per-operator statistics.
-func fullFingerprint(r *Result) string {
+// dropped, and the doubling loop reads those too), completeness and the
+// trial / restart / decision counters.
+func shatFingerprint(r *Result) string {
 	var b strings.Builder
 	for _, ut := range r.Rel.Tuples() {
 		b.WriteString(ut.D.Key())
@@ -44,14 +44,23 @@ func fullFingerprint(r *Result) string {
 			lines = append(lines, fmt.Sprintf("sing %s=%v", row.Key(), true))
 		}
 	}
-	for op, s := range r.Stats.Ops {
-		lines = append(lines, fmt.Sprintf("op %s=%+v", op, s))
-	}
 	sort.Strings(lines)
 	b.WriteString(strings.Join(lines, "\n"))
 	fmt.Fprintf(&b, "\ncomplete=%v trials=%d restarts=%d decisions=%d", r.Complete,
 		r.Stats.EstimatorTrials, r.Stats.Restarts, r.Stats.Decisions)
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))[:16]
+}
+
+// opsFingerprint renders the per-operator statistics in operator order, as
+// "op=calls/tuples-in/tuples-out/bytes" — kept readable rather than hashed,
+// so a change that is allowed to shrink them shows by how much.
+func opsFingerprint(r *Result) string {
+	var lines []string
+	for op, s := range r.Stats.Ops {
+		lines = append(lines, fmt.Sprintf("%s=%d/%d/%d/%d", op, s.Calls, s.TuplesIn, s.TuplesOut, s.Bytes))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, " ")
 }
 
 // shatOverR is the σ̂ the conf_over_shat fixtures share: keep the IDs of R
@@ -94,64 +103,124 @@ func shatFixtures() (*urel.Database, *urel.Database, map[string]algebra.Query, m
 	return db, hardDB, easy, hard
 }
 
-// shatGolden holds fullFingerprint per "fixture/seed/strata" (same
+// shatGolden holds shatFingerprint per "fixture/seed/strata" (same
 // contract and re-recording procedure as pdb's corpusGolden; last
-// re-recorded with it).
+// re-recorded when the operator statistics moved out into shatOpsGolden).
 var shatGolden = map[string]string{
-	"cert/1/0":            "90e77fac5b7d99bf",
-	"cert/1/8":            "abbc11ffa224d5f5",
-	"cert/42/0":           "b0943e44f9cf33b8",
-	"cert/42/8":           "abbc11ffa224d5f5",
-	"cert/7/0":            "af9301a9ea7427dd",
-	"cert/7/8":            "abbc11ffa224d5f5",
-	"conf-over-shat/1/0":  "d9821ed385af1393",
-	"conf-over-shat/1/8":  "da1cb48627716d61",
-	"conf-over-shat/42/0": "0711d6a4868b0ef1",
-	"conf-over-shat/42/8": "da1cb48627716d61",
-	"conf-over-shat/7/0":  "3d493df5db2a5f38",
-	"conf-over-shat/7/8":  "da1cb48627716d61",
-	"diff/1/0":            "40ea112b7deafdd3",
-	"diff/1/8":            "116df607bd191aff",
-	"diff/42/0":           "4dbca10f82739341",
-	"diff/42/8":           "116df607bd191aff",
-	"diff/7/0":            "2c14624f619fed73",
-	"diff/7/8":            "116df607bd191aff",
-	"hard-conf/1/0":       "8a8131d1d13e99a9",
-	"hard-conf/1/8":       "e1ba953c09ef4cc0",
-	"hard-conf/42/0":      "25838a90158a5f8b",
-	"hard-conf/42/8":      "cef8554bfefe4c95",
-	"hard-conf/7/0":       "4dfff3a11b5f14f0",
-	"hard-conf/7/8":       "8b348c2e3d75c6e9",
-	"hard-shat/1/0":       "bcc139c3d6523e06",
-	"hard-shat/1/8":       "aef941bd82452e50",
-	"hard-shat/42/0":      "853fec49c6aeb1d8",
-	"hard-shat/42/8":      "d6d8eec3e36bb951",
-	"hard-shat/7/0":       "9dcaf16b5ffd8cd1",
-	"hard-shat/7/8":       "3b9aec7485c5512d",
-	"join/1/0":            "56f54f601e96fb35",
-	"join/1/8":            "c4942e4b16e1b56d",
-	"join/42/0":           "8a7df3dbcaef75d4",
-	"join/42/8":           "c4942e4b16e1b56d",
-	"join/7/0":            "51238b1566d1f297",
-	"join/7/8":            "c4942e4b16e1b56d",
-	"nested-shat/1/0":     "ebb87842e7002769",
-	"nested-shat/1/8":     "ddfca3e8e22b9bc9",
-	"nested-shat/42/0":    "42cac449398d3d99",
-	"nested-shat/42/8":    "ddfca3e8e22b9bc9",
-	"nested-shat/7/0":     "00ab50b94edeb4f3",
-	"nested-shat/7/8":     "ddfca3e8e22b9bc9",
-	"poss/1/0":            "f331d389c3515b2a",
-	"poss/1/8":            "4141cbcf36043512",
-	"poss/42/0":           "b0d78cf200799cca",
-	"poss/42/8":           "4141cbcf36043512",
-	"poss/7/0":            "d99b318239c1d14f",
-	"poss/7/8":            "4141cbcf36043512",
-	"select/1/0":          "392194abc76f00c0",
-	"select/1/8":          "5ec3b2c5439d7673",
-	"select/42/0":         "1930290a447f9685",
-	"select/42/8":         "5ec3b2c5439d7673",
-	"select/7/0":          "9a2856abe4ed25b3",
-	"select/7/8":          "5ec3b2c5439d7673",
+	"cert/1/0":            "9a3f519ca13a8b30",
+	"cert/1/8":            "e6f0555a9393a1fe",
+	"cert/42/0":           "9d6a75673255672b",
+	"cert/42/8":           "e6f0555a9393a1fe",
+	"cert/7/0":            "9a3f5bd610a5c584",
+	"cert/7/8":            "e6f0555a9393a1fe",
+	"conf-over-shat/1/0":  "900b25cd0ffe9e59",
+	"conf-over-shat/1/8":  "7c4c09bbef559c14",
+	"conf-over-shat/42/0": "4d8d4e75fa3d3344",
+	"conf-over-shat/42/8": "7c4c09bbef559c14",
+	"conf-over-shat/7/0":  "787f5b1a5f66295b",
+	"conf-over-shat/7/8":  "7c4c09bbef559c14",
+	"diff/1/0":            "d34c8b0bbb9fb6d4",
+	"diff/1/8":            "c724dc911788ead4",
+	"diff/42/0":           "1a51232f15b9dad4",
+	"diff/42/8":           "c724dc911788ead4",
+	"diff/7/0":            "de8462b1b7b049e6",
+	"diff/7/8":            "c724dc911788ead4",
+	"hard-conf/1/0":       "37f4a2e4c4d9068c",
+	"hard-conf/1/8":       "7d9a81ffcc14c568",
+	"hard-conf/42/0":      "36d79c20d9b9af22",
+	"hard-conf/42/8":      "ee9afb3d8b511850",
+	"hard-conf/7/0":       "b3e45c4aa99ed27c",
+	"hard-conf/7/8":       "58bfea65bff1a8b1",
+	"hard-shat/1/0":       "60c1bfb9b1db3a29",
+	"hard-shat/1/8":       "4d3b43f4030b7b23",
+	"hard-shat/42/0":      "00701e0bd4259a08",
+	"hard-shat/42/8":      "6538e617c309a0df",
+	"hard-shat/7/0":       "5e833a9b71d53ec7",
+	"hard-shat/7/8":       "94d0fbe00dc52c0b",
+	"join/1/0":            "b237c4a94e05d0a0",
+	"join/1/8":            "8508f56afd8342fd",
+	"join/42/0":           "d371d8cb27e39f25",
+	"join/42/8":           "8508f56afd8342fd",
+	"join/7/0":            "1a5d64137798fed2",
+	"join/7/8":            "8508f56afd8342fd",
+	"nested-shat/1/0":     "8f8969b24caeaa82",
+	"nested-shat/1/8":     "37dd11e8af553e96",
+	"nested-shat/42/0":    "e97504da24343b0f",
+	"nested-shat/42/8":    "37dd11e8af553e96",
+	"nested-shat/7/0":     "9dab3c08716c336c",
+	"nested-shat/7/8":     "37dd11e8af553e96",
+	"poss/1/0":            "9a3f519ca13a8b30",
+	"poss/1/8":            "e6f0555a9393a1fe",
+	"poss/42/0":           "9d6a75673255672b",
+	"poss/42/8":           "e6f0555a9393a1fe",
+	"poss/7/0":            "9a3f5bd610a5c584",
+	"poss/7/8":            "e6f0555a9393a1fe",
+	"select/1/0":          "b279cfd04047e2a9",
+	"select/1/8":          "719139b71e5322a4",
+	"select/42/0":         "9dc29f97653562a8",
+	"select/42/8":         "719139b71e5322a4",
+	"select/7/0":          "070eb88b1e6d3af9",
+	"select/7/8":          "719139b71e5322a4",
+}
+
+// shatOpsGolden holds opsFingerprint per "fixture/seed/strata": the exact
+// algebra each evaluation ran, summed over its passes (recorded with
+// shatGolden, same procedure).
+var shatOpsGolden = map[string]string{
+	"cert/1/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
+	"cert/1/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
+	"cert/42/0":           "cert=2/8/8/480 lineage=2/16/8/864 project=2/16/16/1728",
+	"cert/42/8":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
+	"cert/7/0":            "cert=2/8/8/480 lineage=2/16/8/864 project=2/16/16/1728",
+	"cert/7/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
+	"conf-over-shat/1/0":  "lineage=2/12/8/768 project=2/12/12/1264",
+	"conf-over-shat/1/8":  "lineage=2/12/8/768 project=2/12/12/1264",
+	"conf-over-shat/42/0": "lineage=4/24/16/1536 project=4/24/24/2528",
+	"conf-over-shat/42/8": "lineage=2/12/8/768 project=2/12/12/1264",
+	"conf-over-shat/7/0":  "lineage=4/24/16/1536 project=4/24/24/2528",
+	"conf-over-shat/7/8":  "lineage=2/12/8/768 project=2/12/12/1264",
+	"diff/1/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
+	"diff/1/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
+	"diff/42/0":           "diffc=2/10/6/600 lineage=2/16/8/864 project=4/24/24/2528",
+	"diff/42/8":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
+	"diff/7/0":            "diffc=2/10/6/600 lineage=2/16/8/864 project=4/24/24/2528",
+	"diff/7/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
+	"hard-conf/1/0":       "lineage=1/120/6/3240",
+	"hard-conf/1/8":       "lineage=1/120/6/3240",
+	"hard-conf/42/0":      "lineage=1/120/6/3240",
+	"hard-conf/42/8":      "lineage=1/120/6/3240",
+	"hard-conf/7/0":       "lineage=1/120/6/3240",
+	"hard-conf/7/8":       "lineage=1/120/6/3240",
+	"hard-shat/1/0":       "lineage=1/120/6/3240 project=1/120/120/13872",
+	"hard-shat/1/8":       "lineage=4/480/24/12960 project=4/480/480/55488",
+	"hard-shat/42/0":      "lineage=2/240/12/6480 project=2/240/240/27744",
+	"hard-shat/42/8":      "lineage=4/480/24/12960 project=4/480/480/55488",
+	"hard-shat/7/0":       "lineage=2/240/12/6480 project=2/240/240/27744",
+	"hard-shat/7/8":       "lineage=3/360/18/9720 project=3/360/360/41616",
+	"join/1/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
+	"join/1/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
+	"join/42/0":           "join=2/12/4/720 lineage=2/16/8/864 project=2/16/16/1728",
+	"join/42/8":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
+	"join/7/0":            "join=2/12/4/720 lineage=2/16/8/864 project=2/16/16/1728",
+	"join/7/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
+	"nested-shat/1/0":     "lineage=2/12/8/768 project=3/16/16/1664",
+	"nested-shat/1/8":     "lineage=2/12/8/768 project=3/16/16/1664",
+	"nested-shat/42/0":    "lineage=4/24/16/1536 project=6/32/32/3328",
+	"nested-shat/42/8":    "lineage=2/12/8/768 project=3/16/16/1664",
+	"nested-shat/7/0":     "lineage=4/24/16/1536 project=6/32/32/3328",
+	"nested-shat/7/8":     "lineage=2/12/8/768 project=3/16/16/1664",
+	"poss/1/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
+	"poss/1/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
+	"poss/42/0":           "lineage=2/16/8/864 poss=2/8/8/480 project=2/16/16/1728",
+	"poss/42/8":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
+	"poss/7/0":            "lineage=2/16/8/864 poss=2/8/8/480 project=2/16/16/1728",
+	"poss/7/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
+	"select/1/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
+	"select/1/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
+	"select/42/0":         "lineage=2/16/8/864 project=2/16/16/1728 select=2/8/4/560",
+	"select/42/8":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
+	"select/7/0":          "lineage=2/16/8/864 project=2/16/16/1728 select=2/8/4/560",
+	"select/7/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 }
 
 // TestShatFixturesGolden pins the σ̂ fixtures — estimates, propagated
@@ -175,9 +244,13 @@ func TestShatFixturesGolden(t *testing.T) {
 					if strata > 0 && res.Stats.EstimatorTrials > 0 {
 						sampled = true
 					}
-					if got := fullFingerprint(res); got != shatGolden[key] {
+					if got := shatFingerprint(res); got != shatGolden[key] {
 						t.Errorf("%q: %q, // workers=%d: fingerprint differs from golden %q",
 							key, got, workers, shatGolden[key])
+					}
+					if got := opsFingerprint(res); got != shatOpsGolden[key] {
+						t.Errorf("%q: %q, // workers=%d: operator statistics differ from golden %q",
+							key, got, workers, shatOpsGolden[key])
 					}
 				}
 			}
