@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build bench-smoke test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
+.PHONY: build bench-build bench-smoke bench-pairs test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,14 @@ bench-build:
 bench-smoke:
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
 	bash benchmark/run.sh -workload sigma-strat -seconds 2 -notrace
+
+# Alternated BASE / working-tree pairs of the end-to-end benchmark (seeds
+# 1..PAIRS): per workload and metric both medians, their ratio and the
+# BENCHMARK.json bound; exits 1 on a broken bound. Not part of `ci` — ten
+# pairs take about 45 minutes. make bench-pairs BASE=origin/main PAIRS=10
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench-pairs.sh $(or $(BASE),origin/main) $(PAIRS)
 
 test:
 	$(GO) test ./...

@@ -40,6 +40,9 @@ type Estimates interface {
 	// results add the decision's Σᵢ δᵢ(ε) and its own singularity. Negative
 	// decisions carry a bound too, which is the implementation's to track.
 	Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (keep bool, outMu float64, outSingular bool)
+	// Refine spends a batch the walker kept (see replay) again on a later
+	// pass of the same plan, at that pass's budgets.
+	Refine() error
 }
 
 // exactEstimators is the Q (as opposed to Q∼) semantics of Section 6:
@@ -79,6 +82,8 @@ func (e *exactEstimates) Decide(pred predapprox.Pred, combo []int, mu float64, s
 	return pred.Eval(e.x), mu, singular
 }
 
+func (e *exactEstimates) Refine() error { return nil }
+
 // PColName returns the confidence column name for σ̂ argument i: P1, P2, …
 func PColName(i int) string { return "P" + strconv.Itoa(i+1) }
 
@@ -100,6 +105,9 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 		}
 	}
 	est, err := e.est.Estimate(e.db.Vars, args, decide)
+	if err == nil && e.rec != nil {
+		e.rec.batches = append(e.rec.batches, est)
+	}
 	return rows, est, err
 }
 
@@ -145,8 +153,16 @@ func withColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int)
 // naturally through Exec.Join (a hash join — counted, and charged to the
 // memory budget), each carrying its position in place of its P value so a
 // combination can be handed to Estimates.Decide; combinations are decided
-// in join order, which is argument-0-major lineage order.
+// in join order, which is argument-0-major lineage order. Over a memoized
+// input only the decisions depend on the round budget: the input's memo
+// entry keeps the rest, and a later pass decides again over the kept join.
 func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult, error) {
+	var kept *prefixEntry
+	if !e.estConcurrent && !HasApproxSelect(n.In) {
+		if kept = e.memo[e.next-1]; kept.shat != nil { // n.In's, just replayed
+			return kept.shat()
+		}
+	}
 	schema, err := approxSelectSchema(in.Rel.Schema(), n)
 	if err != nil {
 		return URelResult{}, err
@@ -185,28 +201,37 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 		src[c] = joined.Schema().Index(attr)
 	}
 	pos := src[len(src)-k:]
-	out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds()}
-	combo := make([]int, k)
-	for _, ut := range joined.Tuples() {
-		for a, j := range pos {
-			combo[a] = int(ut.Row[j].AsInt())
+	decide := func() (URelResult, error) {
+		if e.exec.Ensure(joined); e.exec.Err() != nil { // a later pass may find it shed
+			return URelResult{}, e.exec.Err()
 		}
-		mu, singular := selectBound(prov, rows, combo)
-		keep, mu, singular := est.Decide(n.Pred, combo, mu, singular)
-		if !keep {
-			continue
+		out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds()}
+		combo := make([]int, k)
+		for _, ut := range joined.Tuples() {
+			for a, j := range pos {
+				combo[a] = int(ut.Row[j].AsInt())
+			}
+			mu, singular := selectBound(prov, rows, combo)
+			keep, mu, singular := est.Decide(n.Pred, combo, mu, singular)
+			if !keep {
+				continue
+			}
+			row := make(rel.Tuple, len(src))
+			for c, j := range src {
+				row[c] = ut.Row[j]
+			}
+			for a, i := range combo {
+				row[len(row)-k+a] = rel.Float(est.P(a, i))
+			}
+			out.Rel.AddOwned(nil, row)
+			if mu > 0 || singular {
+				out.Bounds.set(row, mu, singular)
+			}
 		}
-		row := make(rel.Tuple, len(src))
-		for c, j := range src {
-			row[c] = ut.Row[j]
-		}
-		for a, i := range combo {
-			row[len(row)-k+a] = rel.Float(est.P(a, i))
-		}
-		out.Rel.AddOwned(nil, row)
-		if mu > 0 || singular {
-			out.Bounds.set(row, mu, singular)
-		}
+		return out, nil
 	}
-	return out, nil
+	if kept != nil {
+		kept.batches, kept.shat = append(kept.batches, est), decide
+	}
+	return decide()
 }

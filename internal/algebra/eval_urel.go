@@ -3,6 +3,7 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strconv"
 
 	"repro/internal/rel"
@@ -72,6 +73,20 @@ type URelEvaluator struct {
 	// WithEstimators).
 	est           Estimators
 	estConcurrent bool
+	// memo holds plan's σ̂-free sub-plans in walk order (see replay); next
+	// is the walk's position in it, rec the entry being recorded.
+	plan Query
+	memo []*prefixEntry
+	next int
+	rec  *prefixEntry
+}
+
+// prefixEntry is a memoized sub-plan's result, the batches replay refines
+// (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
+type prefixEntry struct {
+	res     URelResult
+	batches []Estimates
+	shat    func() (URelResult, error)
 }
 
 // NewURelEvaluator clones db and returns a sequential evaluator over the
@@ -87,12 +102,9 @@ func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluato
 	if pool == nil {
 		pool = sched.New(1)
 	}
-	ctrs := urel.NewCounters()
 	return &URelEvaluator{
 		db:        db.Clone(),
 		pool:      pool,
-		ctrs:      ctrs,
-		exec:      urel.NewExec(pool, ctrs),
 		branchSem: make(chan struct{}, pool.Workers()),
 		est:       exactEstimators{pool},
 		// exactEstimators is stateless.
@@ -135,7 +147,7 @@ func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 // sequentially (in plan order, so estimators that consume shared state stay
 // deterministic). Returns e for chaining.
 func (e *URelEvaluator) WithEstimators(est Estimators, concurrent bool) *URelEvaluator {
-	e.est, e.estConcurrent = est, concurrent
+	e.est, e.estConcurrent, e.plan = est, concurrent, nil
 	return e
 }
 
@@ -150,14 +162,18 @@ func (e *URelEvaluator) Eval(q Query) (URelResult, error) {
 // computation on one operator's lineage is not interruptible — the check
 // granularity is the plan node.
 func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, error) {
-	if err := Validate(q); err != nil {
-		return URelResult{}, err
+	// The same plan under sampling Estimators is a doubling loop's next
+	// pass: the Exec (spill registry, Ops) carries over and the walk
+	// replays. Otherwise Ops restart, so they report this call's work.
+	if e.estConcurrent || !reflect.DeepEqual(e.plan, q) {
+		if err := Validate(q); err != nil {
+			return URelResult{}, err
+		}
+		e.ctrs = urel.NewCounters()
+		e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
+		e.plan, e.memo = q, nil
 	}
-	// Fresh statistics per evaluation, so URelResult.Ops reports this
-	// call's work even when the evaluator is reused for several queries.
-	e.ctrs = urel.NewCounters()
-	e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
-	e.ctx = ctx
+	e.ctx, e.next = ctx, 0
 	res, err := e.eval(q)
 	if err != nil {
 		return res, err
@@ -183,6 +199,9 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 // computation, a sampled conf's estimation budget) consumes the partial
 // output.
 func (e *URelEvaluator) eval(q Query) (URelResult, error) {
+	if !e.estConcurrent && e.rec == nil && !HasApproxSelect(q) {
+		return e.replay(q)
+	}
 	if err := e.check(); err != nil {
 		return URelResult{}, err
 	}
@@ -194,6 +213,29 @@ func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 		return URelResult{}, err
 	}
 	return res, nil
+}
+
+// replay evaluates a maximal σ̂-free sub-plan q once per plan, then answers
+// it from the memo and refines its entry's batches. Its result does not
+// depend on the round budget (repair-key cannot read a σ̂ result; a
+// let-bound one must be reliable, hence exact), so repair-key numbering,
+// the variable table and every relation stay the first pass's. Branches
+// holding a σ̂ run in plan order: q has the same memo position every pass.
+func (e *URelEvaluator) replay(q Query) (res URelResult, err error) {
+	if e.next++; e.next <= len(e.memo) {
+		p := e.memo[e.next-1]
+		for i := 0; i < len(p.batches) && err == nil; i++ {
+			err = p.batches[i].Refine()
+		}
+		return p.res, err
+	}
+	p := &prefixEntry{}
+	e.rec = p
+	p.res, err = e.eval(q)
+	if e.rec = nil; err == nil {
+		e.memo = append(e.memo, p)
+	}
+	return p.res, err
 }
 
 // check is the cooperative check between operators: cancellation, spill

@@ -48,6 +48,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	run.batch = make(map[contentKey]*task)
 	est := &estimates{run: run, cvs: make([][]*confValue, len(args))}
 	var tasks []*task
+	factored := run.stats.ExactFactored
 	for a, groups := range args {
 		for f := range groups {
 			cv, t, err := run.newTask(f, budget, maxStrata)
@@ -60,8 +61,19 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 			est.cvs[a] = append(est.cvs[a], cv)
 		}
 	}
+	factored = run.stats.ExactFactored - factored
 	if !decide && (opts.ConfThreshold > 0 || opts.ConfTopK > 0) {
 		tgt.decided = confDecider(est.cvs[0], opts.ConfThreshold, opts.ConfTopK, delta)
+	}
+	// A kept batch's later pass: every task starts over where resume leaves
+	// it — where a cache round trip leaves a rebuilt one — and is raised to
+	// its budget at the pass's rounds, counting into Stats as a rebuild would.
+	est.refine = func() error {
+		run.stats.ExactFactored += factored
+		for _, t := range tasks {
+			run.resume(t, budget(t.est.ClauseCount()))
+		}
+		return run.runEstimates(tasks, tgt)
 	}
 	if err := run.runEstimates(tasks, tgt); err != nil {
 		return nil, err
@@ -71,11 +83,14 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 
 // estimates is one batch's confValues, by argument and lineage position.
 type estimates struct {
-	run *evalRun
-	cvs [][]*confValue
+	run    *evalRun
+	cvs    [][]*confValue
+	refine func() error
 }
 
 func (e *estimates) P(arg, i int) float64 { return e.cvs[arg][i].estimate() }
+
+func (e *estimates) Refine() error { return e.refine() }
 
 // confDecider builds the wave-boundary early-stopping hook for threshold
 // and top-k conf queries. A task settles when every tuple sharing its

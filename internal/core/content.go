@@ -11,20 +11,15 @@ import (
 
 // Lineage-content task keys.
 //
-// Estimation tasks used to be keyed by evaluation order (operator index +
-// lineage row key). Those keys are stable across the restarts of one
-// doubling loop — the original cache contract — but meaningless outside it:
-// a different query, or even the same query prepared twice, shares no keys,
-// so no Karp–Luby state can survive an Eval call.
-//
-// A content key instead fingerprints what the estimator actually depends
-// on: the clause set itself. Two tasks with the same canonical clause set
-// have the same true confidence, the same clause count (hence chunk plan),
-// the same total weight M, and — once the clause order is canonicalized and
-// the PRNG streams are derived from the fingerprint — bit-identical
-// estimates under one engine seed. That makes cached state reusable across
-// restarts, across Eval calls, and across *different* queries that share
-// lineage, with results indistinguishable from a cold run.
+// A task's key fingerprints what the estimator actually depends on — the
+// clause set itself — not where in which plan it was met. Two tasks with
+// the same canonical clause set have the same true confidence, the same
+// clause count (hence chunk plan), the same total weight M, and — once the
+// clause order is canonicalized and the PRNG streams are derived from the
+// fingerprint — bit-identical estimates under one engine seed. That makes
+// cached state reusable across restarts, across Eval calls, and across
+// *different* queries that share lineage, with results indistinguishable
+// from a cold run.
 //
 // Variable identity. Clause fingerprints cannot use raw variable ids:
 // repair-key registers fresh variables per evaluation, so the same id can
@@ -54,7 +49,7 @@ type contentKey struct{ hi, lo uint64 }
 
 // fingerprinter computes content fingerprints against one variable table,
 // memoizing per-variable identity hashes. It is not safe for concurrent
-// use; each evaluation pass owns one (plan construction is sequential).
+// use; each evaluation owns one (plan construction is sequential).
 type fingerprinter struct {
 	table *vars.Table
 	varFP map[vars.Var]uint64

@@ -8,10 +8,10 @@
 // the operators. This package supplies the walker's sampling Estimators: it
 // approximates confidence with the Karp–Luby FPRAS (Section 4) and decides
 // σ̂ predicates with the margin machinery of Section 5, bounding each
-// decision's membership error per Lemma 6.4(2). The top-level
-// EvalApprox implements Theorem 6.7's strategy: evaluate with a round
-// budget l, record per-tuple error bounds, and double l until every
-// non-singular output tuple's bound is below the target δ.
+// decision's membership error per Lemma 6.4(2). EvalApprox implements
+// Theorem 6.7's strategy: evaluate with a round budget l and double l until
+// every non-singular output tuple's bound is below the target δ — walking
+// the σ̂-free prefix once and carrying each σ̂'s tasks from pass to pass.
 package core
 
 import (
@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/provenance"
@@ -55,16 +56,12 @@ type Options struct {
 	// estimation out across; 0 (the default) selects GOMAXPROCS. Results
 	// are independent of the value — it only changes wall-clock time.
 	Workers int
-	// NoResume disables cross-restart estimator reuse. By default the
-	// doubling loop of EvalApprox snapshots every Karp–Luby task's
-	// (hits, trials, chunk-cursor) state and resumes it on the next
-	// restart, sampling only the delta chunks of the enlarged budget:
-	// the per-task seed scheme guarantees the first chunks of a doubled
-	// budget reproduce the previous restart's trials exactly, so resumed
-	// results are bit-identical to a from-scratch run at the final budget
-	// (for any Workers value) while total sampled trials roughly halve.
-	// Set NoResume to force every restart to sample from scratch
-	// (ablation / paper-literal mode).
+	// NoResume makes every restart sample its tasks from scratch (ablation
+	// / paper-literal mode). By default a restart resumes each task's
+	// counts and samples only the delta chunks of its enlarged budget: the
+	// per-task seed scheme makes the first chunks of a doubled budget
+	// reproduce the previous pass's trials exactly, so results are
+	// bit-identical either way while sampled trials roughly halve.
 	NoResume bool
 	// MaxTrials caps the number of Karp–Luby trials one evaluation may
 	// sample, cumulatively across every pass of the doubling loop. The
@@ -76,7 +73,9 @@ type Options struct {
 	MaxTrials int64
 	// MaxMemory caps the evaluation's estimated bytes materialized by the
 	// exact-algebra operators (the same running estimate Stats.Ops
-	// reports), cumulatively across passes. Enforcement is cooperative:
+	// reports). A relation is charged once, when it is materialized: a
+	// restart charges only what it rebuilds above the first σ̂, never the
+	// σ̂-free prefix or a σ̂'s lineage it replays. Enforcement is cooperative:
 	// the partitioned blow-up operators stop producing mid-range once the
 	// budget trips, and the evaluation aborts with a *LimitError at the
 	// next operator boundary. 0 disables the limit.
@@ -258,8 +257,8 @@ type Stats struct {
 	// pre-pass computed exactly instead of sampling.
 	Strata, EarlyStops, ExactFactored int64
 	// Ops aggregates per-operator work (tuple counts, estimated bytes
-	// materialized) across every pass of the evaluation, including
-	// restarted passes.
+	// materialized) over the evaluation: the σ̂-free prefix and each σ̂'s
+	// lineage once, what a restart rebuilds above the first σ̂ once a pass.
 	Ops urel.StatsMap
 	// SpilledBytes and SpillFiles report out-of-core activity
 	// (Options.SpillDir): total bytes written to spill files and the number
@@ -350,23 +349,30 @@ func (e *Engine) EvalExact(q algebra.Query) (algebra.URelResult, error) {
 // over-budget intermediates spill to disk and the evaluation completes);
 // Options.MaxTrials does not apply — exact evaluation samples nothing.
 func (e *Engine) EvalExactContext(ctx context.Context, q algebra.Query) (algebra.URelResult, error) {
-	spill, err := e.newSpill()
+	w, done, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory))
 	if err != nil {
 		return algebra.URelResult{}, err
 	}
-	if spill != nil {
-		defer spill.Close()
-	}
-	res, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory), spill).EvalContext(ctx, q)
+	defer done()
+	res, err := w.EvalContext(ctx, q)
 	return res, limitErr(err)
 }
 
-// newWalker builds the plan walker of one evaluation pass over a fresh
-// clone of the database, on the engine's worker pool, under the
-// evaluation's memory budget and spill manager (either may be nil). Exact
-// and approximate evaluation differ only in the walker's Estimators.
-func (e *Engine) newWalker(mem *urel.MemBudget, spill *urel.Spill) *algebra.URelEvaluator {
-	return algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem).WithSpill(spill)
+// newWalker builds an evaluation's plan walker over a fresh clone of the
+// database, on the engine's worker pool, under the memory budget mem (nil:
+// none) and — when Options.SpillDir is set alongside a MaxMemory budget — a
+// fresh spill directory, which done removes. Exact and approximate
+// evaluation differ only in the walker's Estimators.
+func (e *Engine) newWalker(mem *urel.MemBudget) (w *algebra.URelEvaluator, done func(), err error) {
+	w = algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem)
+	if e.opts.SpillDir == "" || e.opts.MaxMemory <= 0 {
+		return w, func() {}, nil
+	}
+	spill, err := urel.NewSpill(e.opts.SpillDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.WithSpill(spill), func() { spill.Close() }, nil
 }
 
 // limitErr maps the walker's tripped-budget error to the engine's typed
@@ -377,16 +383,6 @@ func limitErr(err error) error {
 		return &LimitError{Resource: "memory", Limit: me.Limit, Used: me.Used}
 	}
 	return err
-}
-
-// newSpill creates the evaluation's spill manager when out-of-core
-// execution is configured (Options.SpillDir set alongside a MaxMemory
-// budget), nil otherwise.
-func (e *Engine) newSpill() (*urel.Spill, error) {
-	if e.opts.SpillDir == "" || e.opts.MaxMemory <= 0 {
-		return nil, nil
-	}
-	return urel.NewSpill(e.opts.SpillDir)
 }
 
 // EvalApprox evaluates the query approximately per Theorem 6.7: it runs
@@ -421,55 +417,47 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if maxL <= 0 {
 		maxL = e.theorem67Cap(q)
 	}
-	// The estimator cache persists across the loop's restarts: each
-	// restart resumes the previous restart's per-task snapshots and
-	// samples only the delta chunks of its enlarged budgets. With a
-	// shared cache attached (SetCache), snapshots additionally persist
-	// across Eval calls and across queries — task keys are
-	// lineage-content fingerprints, meaningful wherever the same clause
-	// set is estimated under the same seed.
-	var cache *Cache
-	if !e.opts.NoResume {
-		if e.shared != nil {
-			cache = e.shared
-		} else {
-			cache = NewCache(0)
-		}
+	// The estimator cache carries every task's counts from one pass to the
+	// next (resume), and between operators sharing lineage; a shared cache
+	// (SetCache) also across Eval calls and queries — task keys are
+	// lineage-content fingerprints, meaningful wherever the same clause set
+	// is estimated under the same seed.
+	cache := e.shared
+	if cache == nil {
+		cache = NewCache(0)
 	}
-	// Resource limits span all restarts too: trials and bytes accumulate
-	// over the whole evaluation, not per pass.
-	limits := newEvalLimits(e.opts)
-	// So does the spill manager (Options.SpillDir): one directory serves
-	// every pass, removed when the evaluation returns.
-	spill, err := e.newSpill()
+	if e.opts.NoResume {
+		cache = nil
+	}
+	// One walker and one evalRun — one memory budget and trials count, one
+	// spill directory — serve every pass. The walker evaluates the plan's
+	// σ̂-free sub-plans (and the batch of each σ̂ over one) on the first pass
+	// and replays them after it, refining their kept tasks at the pass's
+	// round budget: a restart redoes only what l changes, and Ops count
+	// that work once.
+	out := &Result{}
+	st := &out.Stats
+	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st}
+	w, done, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory))
 	if err != nil {
 		return nil, err
 	}
-	if spill != nil {
-		defer spill.Close()
-	}
-	// Operator statistics sum over all restarts, so Stats.Ops reports the
-	// evaluation's total exact-algebra work.
-	out := &Result{Stats: Stats{Ops: urel.StatsMap{}}}
-	st := &out.Stats
+	defer done()
+	w.WithEstimators(run, false)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// One pass is one walk of the plan with the sampling conf / σ̂ of
-		// this round budget, counting into st; the fields that describe one
-		// pass start over, so they end up the final pass's. The walker's
-		// epilogue brings a shed result relation home: callers read it once
+		// Every batch re-counts the per-pass fields, so they end up the final
+		// pass's. The walker brings a shed result home: callers read it once
 		// the spill directory is gone.
-		st.FinalRounds = l
+		st.FinalRounds, run.rounds, run.worstDecision = l, l, 0
 		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
-		run := &evalRun{engine: e, ctx: ctx, rounds: l, cache: cache, limits: limits, stats: st}
-		res, err := e.newWalker(limits.mem, spill).WithEstimators(run, false).EvalContext(ctx, q)
+		res, err := w.EvalContext(ctx, q)
 		if err != nil {
 			return nil, limitErr(err)
 		}
-		st.Ops.Add(res.Ops)
-		st.SpilledBytes, st.SpillFiles = res.SpilledBytes, res.SpillFiles
+		st.Ops, st.SpilledBytes, st.SpillFiles = res.Ops, res.SpilledBytes, res.SpillFiles
 		// Termination criterion of Theorem 6.7: every non-singular
 		// decision (positive or negative) and every non-singular result
 		// tuple's accumulated bound must be ≤ δ. Singular tuples never
@@ -525,18 +513,18 @@ func (e *Engine) theorem67Cap(q algebra.Query) int64 {
 	return cap66
 }
 
-// evalRun is the sampling state of one pass of approximate evaluation at
-// a fixed round budget. It is the pass's algebra.Estimators: the plan
-// walker calls its Estimate (approx.go) once per conf and σ̂, in plan order
-// — never from concurrent branches, because the batch maps and counters
-// below are unsynchronized and σ̂ decisions are counted in plan order.
+// evalRun is the sampling state of one approximate evaluation, at the
+// current pass's rounds. As the walker's algebra.Estimators it is called
+// (Estimate, approx.go; Refine) in plan order — never from concurrent
+// branches: the batch maps and counters below are unsynchronized and σ̂
+// decisions are counted in plan order.
 type evalRun struct {
 	engine *Engine
 	// ctx is checked between estimation chunks (sched.Pool.ForEachCtx),
 	// bounding cancellation latency inside one operator.
 	ctx context.Context
-	// table is the walker's variable table, which the pass's repair-keys
-	// grow: the current batch's lineage is estimated against it.
+	// table is the walker's variable table, which the first pass's
+	// repair-keys grow: the current batch's lineage is estimated against it.
 	table  *vars.Table
 	rounds int64
 	// cache, when non-nil, resumes estimation tasks from snapshots stored
@@ -544,9 +532,10 @@ type evalRun struct {
 	// EvalApprox, or by any earlier evaluation when the engine carries a
 	// shared cache (Options.NoResume disables it).
 	cache *Cache
-	// limits carries the evaluation's resource accounting; see limits.go.
-	limits *evalLimits
-	// fper fingerprints lineage content against this pass's variable
+	// sampled counts the trials charged against Options.MaxTrials
+	// (chargeTrials, limits.go).
+	sampled atomic.Int64
+	// fper fingerprints lineage content against the walker's variable
 	// table (lazily built — plan construction is sequential).
 	fper *fingerprinter
 	// batch dedups content-equal estimation tasks within one operator's
@@ -555,10 +544,10 @@ type evalRun struct {
 	// stats is the evaluation's Stats: the pass counts its trials, cache
 	// hits, decisions and stratified-task figures straight into it.
 	stats *Stats
-	// worstDecision is the largest non-singular per-decision error bound
-	// seen, including negative decisions (whose tuples do not appear in
-	// the result and so carry no entry in the error map). The doubling
-	// loop must not terminate while any decision — positive or negative —
-	// is still unreliable.
+	// worstDecision is the largest non-singular per-decision error bound of
+	// the pass, including negative decisions (whose tuples do not appear in
+	// the result and so carry no entry in the error map). The doubling loop
+	// must not terminate while any decision — positive or negative — is
+	// still unreliable.
 	worstDecision float64
 }

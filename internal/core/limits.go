@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"repro/internal/urel"
-)
+import "fmt"
 
 // LimitError reports an evaluation aborted because it exceeded one of its
 // per-query resource limits (Options.MaxTrials / Options.MaxMemory; the
@@ -27,19 +22,6 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("pdb: %s limit exceeded: %d > %d", e.Resource, e.Used, e.Limit)
 }
 
-// evalLimits carries one evaluation's resource accounting across every pass
-// of the doubling loop. The zero-limit fields disable their checks (mem is
-// nil without a memory limit; the plan walker checks it between operators).
-type evalLimits struct {
-	maxTrials int64
-	sampled   atomic.Int64
-	mem       *urel.MemBudget
-}
-
-func newEvalLimits(opts Options) *evalLimits {
-	return &evalLimits{maxTrials: opts.MaxTrials, mem: urel.NewMemBudget(opts.MaxMemory)}
-}
-
 // chargeTrials reserves n sampled trials against the evaluation's budget,
 // returning a *LimitError once the cumulative count (across all restarts)
 // would exceed Options.MaxTrials. Called by pool workers immediately
@@ -47,12 +29,12 @@ func newEvalLimits(opts Options) *evalLimits {
 // in-flight chunks of the other workers (and by the remote executor for a
 // whole wave before it is scattered).
 func (run *evalRun) chargeTrials(n int64) error {
-	lim := run.limits
-	if lim == nil || lim.maxTrials <= 0 {
+	limit := run.engine.opts.MaxTrials
+	if limit <= 0 {
 		return nil
 	}
-	if used := lim.sampled.Add(n); used > lim.maxTrials {
-		return &LimitError{Resource: "trials", Limit: lim.maxTrials, Used: used}
+	if used := run.sampled.Add(n); used > limit {
+		return &LimitError{Resource: "trials", Limit: limit, Used: used}
 	}
 	return nil
 }

@@ -107,10 +107,7 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // a flat task). Every lane's seed is derived from Options.Seed, the content
 // fingerprint and the stratum index, so equal seeds give bit-identical
 // estimates for any worker count, and content-equal tasks sample identical
-// streams wherever they appear. When the run has an estimator cache
-// (Options resume, the default), each lane resumes from the snapshot left
-// under its key — by an earlier restart, an earlier Eval call on a shared
-// engine cache, or a different query over the same lineage.
+// streams wherever they appear; each lane then resumes (resume).
 //
 // Within one batch (one conf or σ̂ operator), content-equal clause sets
 // share a single task: the second and later sightings return a confValue
@@ -161,18 +158,8 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 		f:         f,
 		maxStrata: maxStrata,
 		lanes:     make([]lane, est.StratumCount()),
-		budget:    trials(est.ClauseCount()),
-	}
-	// A flat lane's entry covers exactly one budget, so an equal budget
-	// replays it whole; a stratified task's budget is a cap over all its
-	// lanes, and each lane resumes whatever chunk-aligned prefix is cached.
-	lookupTotal := t.budget
-	if !t.flat() {
-		run.stats.Strata += int64(len(t.lanes))
-		lookupTotal = math.MaxInt64
 	}
 	taskSeed := sched.TaskSeedWords(run.engine.opts.Seed, key.hi, key.lo)
-	resumed := false
 	for j := range t.lanes {
 		l := &t.lanes[j]
 		l.seed = karpluby.StratumSeed(taskSeed, j)
@@ -181,12 +168,39 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 		if !t.flat() {
 			l.key = stratKey(key, maxStrata, j)
 		}
-		if run.cache == nil || est.StratumM(j) <= 0 {
-			continue
-		}
-		st, ok := run.cache.lookup(l.key, est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
-		if !ok {
-			continue
+	}
+	run.resume(t, trials(est.ClauseCount()))
+	cv := &confValue{t: t, exactPart: exactPart}
+	t.cvs = append(t.cvs, cv)
+	if run.batch != nil {
+		run.batch[key] = t
+	}
+	return cv, t, nil
+}
+
+// resume sets t's budget and starts every lane over from the snapshot its
+// cache entry holds (Options resume, the default) — left by an earlier
+// pass, an earlier Eval call on a shared engine cache, or a different query
+// over the same lineage — and from zero counts without one. A fresh task
+// and one kept across a restart (estimates.Refine) both start here, so a
+// kept task starts each pass exactly where a rebuilt one would.
+func (run *evalRun) resume(t *task, budget int64) {
+	// A flat lane's entry covers exactly one budget, so an equal budget
+	// replays it whole; a stratified task's budget is a cap over all its
+	// lanes, and each lane resumes whatever chunk-aligned prefix is cached.
+	t.budget, t.startTrials = budget, 0
+	lookupTotal := budget
+	if !t.flat() {
+		run.stats.Strata += int64(len(t.lanes))
+		lookupTotal = math.MaxInt64
+	}
+	resumed := false
+	for j := range t.lanes {
+		l := &t.lanes[j]
+		var st karpluby.State
+		ok := false
+		if run.cache != nil && t.est.StratumM(j) > 0 {
+			st, ok = run.cache.lookup(l.key, t.est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
 		}
 		if st.PartialRNG != nil && (!t.flat() || run.engine.dist != nil) {
 			// A mid-chunk PRNG tail is continued only by the in-process
@@ -197,19 +211,14 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 			st.Trials -= st.PartialTrials
 			st.PartialHits, st.PartialTrials, st.PartialRNG = 0, 0, nil
 		}
-		if est.ResumeStratum(j, karpluby.StratumState{Hits: st.Hits, Trials: st.Trials, Chunks: st.Chunks}) == nil {
-			l.partial = openChunk{st.PartialHits, st.PartialTrials, st.PartialRNG}
-			t.startTrials += st.Trials
-			resumed = true
+		if t.est.ResumeStratum(j, karpluby.StratumState{Hits: st.Hits, Trials: st.Trials, Chunks: st.Chunks}) != nil {
+			st, ok = karpluby.State{}, false
 		}
+		l.partial = openChunk{st.PartialHits, st.PartialTrials, st.PartialRNG}
+		t.startTrials += st.Trials
+		resumed = resumed || ok
 	}
 	if resumed {
 		run.stats.CacheHits++
 	}
-	cv := &confValue{t: t, exactPart: exactPart}
-	t.cvs = append(t.cvs, cv)
-	if run.batch != nil {
-		run.batch[key] = t
-	}
-	return cv, t, nil
 }

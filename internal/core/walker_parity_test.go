@@ -169,21 +169,21 @@ var shatGolden = map[string]string{
 var shatOpsGolden = map[string]string{
 	"cert/1/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/1/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/42/0":           "cert=2/8/8/480 lineage=2/16/8/864 project=2/16/16/1728",
+	"cert/42/0":           "cert=2/8/8/480 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/42/8":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/7/0":            "cert=2/8/8/480 lineage=2/16/8/864 project=2/16/16/1728",
+	"cert/7/0":            "cert=2/8/8/480 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/7/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"conf-over-shat/1/0":  "lineage=2/12/8/768 project=2/12/12/1264",
 	"conf-over-shat/1/8":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/42/0": "lineage=4/24/16/1536 project=4/24/24/2528",
+	"conf-over-shat/42/0": "lineage=3/16/12/1104 project=3/16/16/1664",
 	"conf-over-shat/42/8": "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/7/0":  "lineage=4/24/16/1536 project=4/24/24/2528",
+	"conf-over-shat/7/0":  "lineage=3/16/12/1104 project=3/16/16/1664",
 	"conf-over-shat/7/8":  "lineage=2/12/8/768 project=2/12/12/1264",
 	"diff/1/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"diff/1/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/42/0":           "diffc=2/10/6/600 lineage=2/16/8/864 project=4/24/24/2528",
+	"diff/42/0":           "diffc=2/10/6/600 lineage=1/8/4/432 project=3/16/16/1664",
 	"diff/42/8":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/7/0":            "diffc=2/10/6/600 lineage=2/16/8/864 project=4/24/24/2528",
+	"diff/7/0":            "diffc=2/10/6/600 lineage=1/8/4/432 project=3/16/16/1664",
 	"diff/7/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"hard-conf/1/0":       "lineage=1/120/6/3240",
 	"hard-conf/1/8":       "lineage=1/120/6/3240",
@@ -192,34 +192,34 @@ var shatOpsGolden = map[string]string{
 	"hard-conf/7/0":       "lineage=1/120/6/3240",
 	"hard-conf/7/8":       "lineage=1/120/6/3240",
 	"hard-shat/1/0":       "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/1/8":       "lineage=4/480/24/12960 project=4/480/480/55488",
-	"hard-shat/42/0":      "lineage=2/240/12/6480 project=2/240/240/27744",
-	"hard-shat/42/8":      "lineage=4/480/24/12960 project=4/480/480/55488",
-	"hard-shat/7/0":       "lineage=2/240/12/6480 project=2/240/240/27744",
-	"hard-shat/7/8":       "lineage=3/360/18/9720 project=3/360/360/41616",
+	"hard-shat/1/8":       "lineage=1/120/6/3240 project=1/120/120/13872",
+	"hard-shat/42/0":      "lineage=1/120/6/3240 project=1/120/120/13872",
+	"hard-shat/42/8":      "lineage=1/120/6/3240 project=1/120/120/13872",
+	"hard-shat/7/0":       "lineage=1/120/6/3240 project=1/120/120/13872",
+	"hard-shat/7/8":       "lineage=1/120/6/3240 project=1/120/120/13872",
 	"join/1/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"join/1/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/42/0":           "join=2/12/4/720 lineage=2/16/8/864 project=2/16/16/1728",
+	"join/42/0":           "join=2/12/4/720 lineage=1/8/4/432 project=1/8/8/864",
 	"join/42/8":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/7/0":            "join=2/12/4/720 lineage=2/16/8/864 project=2/16/16/1728",
+	"join/7/0":            "join=2/12/4/720 lineage=1/8/4/432 project=1/8/8/864",
 	"join/7/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"nested-shat/1/0":     "lineage=2/12/8/768 project=3/16/16/1664",
 	"nested-shat/1/8":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/42/0":    "lineage=4/24/16/1536 project=6/32/32/3328",
+	"nested-shat/42/0":    "lineage=3/16/12/1104 project=5/24/24/2464",
 	"nested-shat/42/8":    "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/7/0":     "lineage=4/24/16/1536 project=6/32/32/3328",
+	"nested-shat/7/0":     "lineage=3/16/12/1104 project=5/24/24/2464",
 	"nested-shat/7/8":     "lineage=2/12/8/768 project=3/16/16/1664",
 	"poss/1/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"poss/1/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/42/0":           "lineage=2/16/8/864 poss=2/8/8/480 project=2/16/16/1728",
+	"poss/42/0":           "lineage=1/8/4/432 poss=2/8/8/480 project=1/8/8/864",
 	"poss/42/8":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/7/0":            "lineage=2/16/8/864 poss=2/8/8/480 project=2/16/16/1728",
+	"poss/7/0":            "lineage=1/8/4/432 poss=2/8/8/480 project=1/8/8/864",
 	"poss/7/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"select/1/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 	"select/1/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/42/0":         "lineage=2/16/8/864 project=2/16/16/1728 select=2/8/4/560",
+	"select/42/0":         "lineage=1/8/4/432 project=1/8/8/864 select=2/8/4/560",
 	"select/42/8":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/7/0":          "lineage=2/16/8/864 project=2/16/16/1728 select=2/8/4/560",
+	"select/7/0":          "lineage=1/8/4/432 project=1/8/8/864 select=2/8/4/560",
 	"select/7/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 }
 

@@ -57,8 +57,8 @@ var trialShapes = []struct {
 }
 
 // BenchmarkEstimatorBuild measures NewEstimator — dedup plus the compile
-// step — which every restart of the σ̂ doubling loop and every shard-side
-// task rebuild pays per clause set.
+// step — which every estimation task pays once per evaluation (a σ̂
+// restart keeps its tasks) and every shard-side task rebuild pays again.
 func BenchmarkEstimatorBuild(b *testing.B) {
 	for _, bc := range trialShapes {
 		b.Run(bc.name, func(b *testing.B) {

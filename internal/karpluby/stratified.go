@@ -235,17 +235,16 @@ func (s *Stratified) StratumState(j int) StratumState {
 	return StratumState{Hits: st.hits, Trials: st.trials, Chunks: st.chunks}
 }
 
-// ResumeStratum loads a snapshot into stratum j, which must not have
-// sampled yet. The snapshot must come from the same canonical clause set,
-// the same partition plan, and the same seed scheme — the caller's
+// ResumeStratum replaces stratum j's counts by a snapshot (the zero
+// snapshot starts it over); an invalid snapshot leaves it at zero and
+// returns an error. The snapshot must come from the same canonical clause
+// set, the same partition plan, and the same seed scheme — the caller's
 // contract, as with Estimator.Resume.
 func (s *Stratified) ResumeStratum(j int, st StratumState) error {
+	sj := &s.strata[j]
+	sj.hits, sj.trials, sj.chunks = 0, 0, 0
 	if st.Hits < 0 || st.Trials < st.Hits || st.Chunks < 0 {
 		return errors.New("karpluby: invalid stratum resume state")
-	}
-	sj := &s.strata[j]
-	if sj.trials != 0 || sj.hits != 0 {
-		return errors.New("karpluby: ResumeStratum on a stratum that already sampled")
 	}
 	sj.hits, sj.trials, sj.chunks = st.Hits, st.Trials, st.Chunks
 	return nil

@@ -803,18 +803,6 @@ type OpStats struct {
 // diffc, repairkey, lineage, conf, cert, poss) to their aggregated stats.
 type StatsMap map[string]OpStats
 
-// Add folds another snapshot into m (for aggregating across passes).
-func (m StatsMap) Add(o StatsMap) {
-	for op, s := range o {
-		t := m[op]
-		t.Calls += s.Calls
-		t.TuplesIn += s.TuplesIn
-		t.TuplesOut += s.TuplesOut
-		t.Bytes += s.Bytes
-		m[op] = t
-	}
-}
-
 // Counters is a concurrency-safe operator-statistics collector shared by
 // all Execs of one evaluation (partitioned operators record from pool
 // workers).

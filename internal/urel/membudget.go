@@ -21,7 +21,7 @@ func (e *MemLimitError) Error() string {
 // MemBudget bounds the bytes an evaluation materializes, using the same
 // running footprint estimate the operator statistics report (value and
 // condition payloads plus per-tuple bookkeeping — an estimate of bytes
-// built, cumulative across operators and evaluation passes, not an
+// built, cumulative across the operators that materialize them, not an
 // allocator measurement or a peak-RSS bound).
 //
 // Enforcement is cooperative and two-layered: every operator adds its

@@ -147,8 +147,10 @@ func WithMaxTrials(n int64) Option {
 
 // WithMaxMemory caps the evaluation's estimated working-set growth: the
 // running bytes estimate the engine keeps for materialized operator
-// outputs (the same estimate Stats.Ops reports, cumulative across
-// evaluation passes — not an allocator measurement). Exceeding the cap
+// outputs (the same estimate Stats.Ops reports — not an allocator
+// measurement). Each relation is charged once, when it is materialized; a
+// doubling-loop restart charges only what it rebuilds above the first σ̂,
+// never the σ̂-free prefix or a σ̂'s lineage it replays. Exceeding the cap
 // aborts the evaluation with a typed *LimitError; the partitioned
 // operators stop producing mid-range once it trips. Applies to Eval and
 // EvalExact alike. Must be positive. Default: unlimited.

@@ -104,3 +104,54 @@ func TestCorpusFingerprintGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSigmaMaxMemoryChargedOnce pins WithMaxMemory on a restarting σ̂ (the
+// benchmark's sigma-strat program): each relation is charged once, as under
+// EvalExact of the same program, so a limit between one and two walks'
+// bytes completes bit-identical to the unlimited run instead of tripping
+// on the restarts.
+func TestSigmaMaxMemoryChargedOnce(t *testing.T) {
+	ctx := context.Background()
+	var paths map[string]string
+	for _, sc := range workload.Scenarios() {
+		if sc.Name == "sensor-dedup" {
+			var err error
+			if paths, err = sc.Generate(t.TempDir(), 70, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db, err := pdb.Open(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Prepare(`D := project[Sensor,Epoch,Value](repairkey[Sensor,Epoch @ Conf](Readings)); ` +
+		`H := project[Sensor,Epoch](select[Value >= 25](D)); N := project[Sensor, Epoch - 1 as Epoch](H); ` +
+		`aselect[p1 >= 0.5 over conf[Sensor]](project[Sensor](join(H, N)))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []pdb.Option{pdb.WithSeed(3), pdb.WithWorkers(1), pdb.WithEpsilon(0.1), pdb.WithDelta(0.1), pdb.WithStrata(8)}
+	ref, err := q.Eval(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := q.EvalExact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk int64
+	for _, s := range exact.Stats().Ops {
+		walk += s.Bytes
+	}
+	if ref.Stats().Restarts < 1 || walk == 0 {
+		t.Fatalf("fixture: %d restarts, one walk %d bytes", ref.Stats().Restarts, walk)
+	}
+	got, err := q.Eval(ctx, append(opts, pdb.WithMaxMemory(walk*3/2))...)
+	if err != nil {
+		t.Fatalf("Eval over %d restarts under WithMaxMemory(%d), one walk %d B: %v", ref.Stats().Restarts, walk*3/2, walk, err)
+	}
+	if evalFingerprint(got) != evalFingerprint(ref) {
+		t.Error("memory-limited run differs from the unlimited one")
+	}
+}
