@@ -1,8 +1,8 @@
 // Root-level benchmark harness: one benchmark per reproduced paper
-// artifact (DESIGN.md's E1–E10). Each benchmark runs the corresponding
-// experiment driver in quick mode, so `go test -bench=. -benchmem`
-// regenerates every figure/example/theorem measurement; cmd/pdbrepro
-// prints the full tables.
+// artifact (internal/experiments' E1–E10). Each benchmark runs the
+// corresponding experiment driver in quick mode, so `go test -bench=.
+// -benchmem` regenerates every figure/example/theorem measurement;
+// cmd/pdbrepro prints the full tables.
 package repro
 
 import (
@@ -35,7 +35,7 @@ func BenchmarkE1CoinExample(b *testing.B) { benchExperiment(b, "E1") }
 func BenchmarkE2EpsilonGeometry(b *testing.B) { benchExperiment(b, "E2") }
 
 // BenchmarkE3AdaptivePredicate regenerates the Figure 3 / Theorem 5.8
-// adaptive-vs-naive comparison.
+// adaptive-vs-naive comparison on the engine's σ̂.
 func BenchmarkE3AdaptivePredicate(b *testing.B) { benchExperiment(b, "E3") }
 
 // BenchmarkE4KarpLubyFPRAS regenerates the Proposition 4.2 (ε,δ) grid.

@@ -1,6 +1,6 @@
 // Command pdbrepro regenerates every experiment table of the reproduction
-// (DESIGN.md's E1–E10: the paper's figures, worked examples, and
-// quantitative theorems).
+// (internal/experiments' E1–E10: the paper's figures, worked examples, and
+// quantitative theorems, measured on the engine).
 //
 // Usage:
 //
@@ -23,9 +23,9 @@ func main() {
 		which   = flag.String("experiment", "all", "experiment id (E1..E10) or 'all'")
 		seed    = flag.Int64("seed", 2008, "random seed (PODS'08 vintage)")
 		quick   = flag.Bool("quick", false, "shrink trial counts for a fast pass")
-		workers = flag.Int("workers", 0, "parallel estimation workers for engine-backed experiments (0 = GOMAXPROCS)")
-		resume  = flag.Bool("resume", true, "reuse estimator state across σ̂ doubling restarts in engine-backed experiments (bit-identical; off re-samples from scratch)")
-		timeout = flag.Duration("timeout", 0, "abort engine-backed evaluation after this duration (0 = no limit)")
+		workers = flag.Int("workers", 0, "parallel estimation workers (0 = GOMAXPROCS)")
+		resume  = flag.Bool("resume", true, "reuse estimator state across σ̂ doubling restarts (bit-identical; off re-samples from scratch)")
+		timeout = flag.Duration("timeout", 0, "abort engine evaluation after this duration (0 = no limit)")
 	)
 	flag.Parse()
 

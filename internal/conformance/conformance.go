@@ -39,8 +39,11 @@ func Corpus(seed int64) []Case {
 	rng := rand.New(rand.NewSource(seed))
 	return []Case{
 		{
+			// One entangled 12-clause DNF over 6 shared variables on one
+			// tuple: a connected component too large for the exact-factoring
+			// limits, so conf(R) must genuinely sample.
 			Name:  "randomdnf/tight",
-			DB:    tightDNFDB(rng),
+			DB:    workload.MultiClause(rng, "R", 1, 6, 12, 3),
 			Query: algebra.Conf{In: algebra.Base{Name: "R"}},
 		},
 		{
@@ -70,20 +73,6 @@ func Corpus(seed int64) []Case {
 			}},
 		},
 	}
-}
-
-// tightDNFDB wraps one entangled 12-clause DNF over 6 shared variables
-// as a single-tuple relation R(ID): one connected component too large
-// for the exact-factoring limits, so conf(R) must genuinely sample.
-func tightDNFDB(rng *rand.Rand) *urel.Database {
-	db := urel.NewDatabase()
-	f := workload.RandomDNF(rng, db.Vars, 6, 12, 3)
-	r := urel.NewRelation(rel.NewSchema("ID"))
-	for _, a := range f {
-		r.Add(a, rel.Tuple{rel.Int(0)})
-	}
-	db.AddURelation("R", r, false)
-	return db
 }
 
 // coinConfQuery builds conf(T) for the generalized coin bag: T joins the

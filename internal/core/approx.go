@@ -203,7 +203,9 @@ func (cv *confValue) bounds(delta float64) (lo, hi float64) {
 // Decide decides the σ̂ predicate for one combination on the estimates,
 // with ε = max(ε₀, ε_ψ(p̂)) (Definition 6.2), and bounds the decision's
 // error per Lemma 6.4(2): Σᵢ δᵢ(ε) plus the provenance error mu of the
-// combination's argument tuples.
+// combination's argument tuples. Every decision's bound enters the
+// doubling loop's stopping rule, as in Figure 3: a margin below ε₀ only
+// flags the decision singular, it does not exempt it from refinement.
 func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (bool, float64, bool) {
 	run := e.run
 	run.stats.Decisions++
@@ -219,7 +221,7 @@ func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singul
 		decisionErr += e.cvs[a][i].delta(eps)
 	}
 	bound := decisionErr + mu
-	if !singular && bound > run.worstDecision {
+	if bound > run.worstDecision {
 		run.worstDecision = bound
 	}
 	keep := pred.Eval(est)

@@ -68,7 +68,7 @@ type cacheKey struct {
 type cacheEntry struct {
 	key       cacheKey
 	clauses   int   // |F| after dedup — guard against fingerprint collisions
-	chunkSize int64 // chunk plan granularity (chunkTrials(clauses))
+	chunkSize int64 // chunk plan granularity (karpluby.DefaultChunk(clauses))
 	seed      int64 // engine seed the counts were sampled under
 
 	// Full coverage of the last completed budget: hits over exactly

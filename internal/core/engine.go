@@ -10,7 +10,7 @@
 // σ̂ predicates with the margin machinery of Section 5, bounding each
 // decision's membership error per Lemma 6.4(2). EvalApprox implements
 // Theorem 6.7's strategy: evaluate with a round budget l and double l until
-// every non-singular output tuple's bound is below the target δ — walking
+// every output tuple's and decision's bound is below the target δ — walking
 // the σ̂-free prefix once and carrying each σ̂'s tasks from pass to pass.
 package core
 
@@ -130,8 +130,8 @@ type Progress struct {
 	// MaxRounds is the cap on l (the Theorem 6.7 bound when Options left
 	// it 0).
 	MaxRounds int64
-	// WorstBound is the largest non-singular per-tuple/per-decision error
-	// bound after the pass — the value the loop compares against δ.
+	// WorstBound is the largest per-tuple/per-decision error bound after
+	// the pass — the value the loop compares against δ.
 	WorstBound float64
 	// SampledTrials and ReusedTrials are cumulative Karp–Luby trial counts
 	// across all passes so far (see Stats).
@@ -386,8 +386,8 @@ func limitErr(err error) error {
 }
 
 // EvalApprox evaluates the query approximately per Theorem 6.7: it runs
-// the plan with round budget l, doubling l until every non-singular output
-// tuple's error bound is ≤ δ (or the round cap is reached).
+// the plan with round budget l, doubling l until every output tuple's and
+// σ̂ decision's error bound is ≤ δ (or the round cap is reached).
 func (e *Engine) EvalApprox(q algebra.Query) (*Result, error) {
 	return e.EvalApproxContext(context.Background(), q)
 }
@@ -458,12 +458,12 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 			return nil, limitErr(err)
 		}
 		st.Ops, st.SpilledBytes, st.SpillFiles = res.Ops, res.SpilledBytes, res.SpillFiles
-		// Termination criterion of Theorem 6.7: every non-singular
-		// decision (positive or negative) and every non-singular result
-		// tuple's accumulated bound must be ≤ δ. Singular tuples never
-		// converge and are excluded (the theorem only covers tuples
-		// without singularities in their provenance).
-		worst, _ := res.Bounds.Worst(true)
+		// Termination criterion of Theorem 6.7 with Figure 3's stopping
+		// rule: every decision (positive or negative) and every result
+		// tuple's accumulated bound must be ≤ δ. A singular-looking one
+		// counts too — its δᵢ(ε₀) still shrinks with l — so only a true
+		// singularity runs the loop to the l₀ cap.
+		worst, _ := res.Bounds.Worst(false)
 		worst = max(worst, run.worstDecision)
 		done := worst <= e.opts.Delta || l >= maxL
 		if e.opts.Progress != nil {
@@ -544,9 +544,9 @@ type evalRun struct {
 	// stats is the evaluation's Stats: the pass counts its trials, cache
 	// hits, decisions and stratified-task figures straight into it.
 	stats *Stats
-	// worstDecision is the largest non-singular per-decision error bound of
-	// the pass, including negative decisions (whose tuples do not appear in
-	// the result and so carry no entry in the error map). The doubling loop
+	// worstDecision is the largest per-decision error bound of the pass,
+	// including negative decisions (whose tuples do not appear in the
+	// result and so carry no entry in the error map). The doubling loop
 	// must not terminate while any decision — positive or negative — is
 	// still unreliable.
 	worstDecision float64

@@ -220,6 +220,32 @@ func TestApproxSelectSingularFlagged(t *testing.T) {
 	}
 }
 
+// Figure 3's stopping rule counts every decision, singular-looking or not:
+// a tuple whose true confidence clears the threshold by more than ε₀ is
+// refined until its bound holds, never settled on an early estimate that
+// happened to land within ε₀ of the boundary and dropped as singular.
+func TestNearBoundaryTupleKept(t *testing.T) {
+	const p, eps0, delta, seeds = 0.55, 0.02, 0.1, 40
+	a := 1 - math.Sqrt(1-p) // conf[] of two independent tuples: 1−(1−a)² = p
+	db, _ := sensorDB([]float64{a, a})
+	q := algebra.ApproxSelect{
+		In:   algebra.Base{Name: "R"},
+		Args: []algebra.ConfArg{{}},
+		Pred: predapprox.Linear([]float64{1}, 0.5),
+	}
+	kept := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		res, err := NewEngine(db, Options{Eps0: eps0, Delta: delta, Seed: seed}).EvalApprox(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept += urel.Poss(res.Rel).Len()
+	}
+	if kept < (1-delta)*seeds {
+		t.Errorf("p = %v ≥ 0.5 kept on %d of %d seeds, want ≥ %v", p, kept, seeds, (1-delta)*seeds)
+	}
+}
+
 // Example 6.5 fan-in: projecting n unreliable tuples onto one value sums
 // their error bounds.
 func TestProjectionFanInErrors(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/karpluby"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
 	"repro/internal/urel"
@@ -140,6 +141,13 @@ func TestResumeSavesTrials(t *testing.T) {
 		on.Stats.EstimatorTrials, off.Stats.EstimatorTrials, ratio, on.Stats.ReusedTrials)
 }
 
+// validState reports whether a cache snapshot is internally consistent.
+func validState(s karpluby.State) bool {
+	return s.Hits >= 0 && s.Trials >= s.Hits && s.Chunks >= 0 &&
+		s.PartialHits >= 0 && s.PartialHits <= s.PartialTrials &&
+		(s.PartialTrials == 0 || s.PartialRNG != nil)
+}
+
 // TestEstimatorCacheRace hammers the cache with the access pattern
 // runEstimates produces — concurrent stores from workers finishing jobs,
 // interleaved with lookups — so the race detector can vet the locking.
@@ -155,7 +163,7 @@ func TestEstimatorCacheRace(t *testing.T) {
 				key := contentKey{hi: uint64((g + i) % keys), lo: 99}
 				total := int64(4096 * (1 + i%4))
 				c.store(key, 4, 4096, total, total/3, int64(i%7), int64(i%7)*3, nil, 1)
-				if st, ok := c.lookup(key, 4, 4096, total*2, 1); ok && !st.Valid() {
+				if st, ok := c.lookup(key, 4, 4096, total*2, 1); ok && !validState(st) {
 					t.Errorf("cache returned invalid state %+v", st)
 				}
 				// Mismatched clause counts, chunk sizes, and seeds must
@@ -295,7 +303,7 @@ func TestResumeCacheUnalignedBudget(t *testing.T) {
 	if st.PartialTrials != 1808 || st.PartialHits != 5 || st.PartialRNG != rng {
 		t.Fatalf("mid-chunk resume tail: got %+v, want 1808 trials / 5 hits / saved rng", st)
 	}
-	if !st.Valid() {
+	if !validState(st) {
 		t.Fatalf("mid-chunk resume state invalid: %+v", st)
 	}
 	// The tail is handed out with ownership (the scheduler advances the

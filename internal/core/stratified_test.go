@@ -138,8 +138,7 @@ func TestStratifiedEngineMatchesReferenceLoop(t *testing.T) {
 	res, key := newFingerprinter(db.Vars).canonicalF(fac.Residue)
 	ref, err := karpluby.EstimateAdaptive(res, db.Vars, karpluby.AdaptiveOptions{
 		MaxStrata: 4, Eps: eps, Delta: delta,
-		Seed:     sched.TaskSeedWords(seed, key.hi, key.lo),
-		ChunkFor: chunkTrials,
+		Seed: sched.TaskSeedWords(seed, key.hi, key.lo),
 	})
 	if err != nil {
 		t.Fatal(err)

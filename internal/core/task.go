@@ -11,23 +11,6 @@ import (
 	"repro/internal/sched"
 )
 
-// minChunkTrials is the smallest trial chunk the scheduler hands a worker.
-// Large enough to amortize per-chunk setup (one PRNG + one estimator
-// shard), small enough that a single heavy tuple still splits into many
-// chunks and saturates the pool.
-const minChunkTrials = 4096
-
-// chunkTrials returns the chunk size for a clause set of k clauses: a
-// whole number of Figure-3 rounds (k trials each) totalling at least
-// minChunkTrials trials. Round-aligned chunks keep the paper's
-// per-round error bookkeeping intact, and the size depends only on k —
-// never on the worker count — so the chunk plan (and therefore every
-// chunk's PRNG stream) is identical no matter how many workers run it.
-func chunkTrials(k int) int64 {
-	rounds := (minChunkTrials + k - 1) / k
-	return int64(rounds) * int64(k)
-}
-
 // task is one pending Karp–Luby estimation: a stratified merge target over
 // the canonical clause set, one lane per stratum, and the trial budget.
 // The confValues of every tuple sharing the task (same canonical clause
@@ -163,7 +146,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 	for j := range t.lanes {
 		l := &t.lanes[j]
 		l.seed = karpluby.StratumSeed(taskSeed, j)
-		l.chunkSize = chunkTrials(est.StratumClauses(j))
+		l.chunkSize = karpluby.DefaultChunk(est.StratumClauses(j))
 		l.key = key
 		if !t.flat() {
 			l.key = stratKey(key, maxStrata, j)

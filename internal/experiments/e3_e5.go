@@ -7,27 +7,32 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/algebra"
+	"repro/internal/conformance"
+	"repro/internal/core"
 	"repro/internal/dnf"
 	"repro/internal/karpluby"
 	"repro/internal/predapprox"
+	"repro/internal/provenance"
 	"repro/internal/stats"
-	"repro/internal/vars"
+	"repro/internal/urel"
 	"repro/internal/workload"
 	"repro/internal/worlds"
 )
 
 // E3AdaptivePredicate reproduces the behaviour of the Figure 3 algorithm
-// (Theorem 5.8): on non-singular inputs the decision error stays within δ,
-// and the adaptive round count beats the naive bound
-// ⌈3·log(2k/δ)/ε₀²⌉ by roughly the paper's (ε²_φ − ε²₀)/ε²_φ factor.
+// (Theorem 5.8) as the engine runs it, σ̂_{p ≥ c} over a one-tuple relation
+// whose lineage is a random DNF: on non-singular inputs the decision error
+// stays within δ, and the doubling loop stops far below the naive round
+// count ⌈3·log(2k/δ)/ε₀²⌉, by roughly the paper's ε²_φ/ε²₀ factor.
 func E3AdaptivePredicate(w io.Writer, cfg Config) (Summary, error) {
 	s := newSummary("E3")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	const eps0, delta = 0.05, 0.1
 	trialsPer := cfg.scale(120, 30)
 
-	fmt.Fprintf(w, "Figure 3 algorithm on φ: p ≥ c, Karp–Luby approximables (ε₀=%.2f, δ=%.2f)\n", eps0, delta)
-	tbl := stats.NewTable(w, "true margin", "err rate", "δ", "adaptive rounds (mean)", "naive rounds", "speedup", "paper speedup ≈")
+	fmt.Fprintf(w, "Figure 3 algorithm on φ: p ≥ c through the engine's σ̂ (ε₀=%.2f, δ=%.2f)\n", eps0, delta)
+	tbl := stats.NewTable(w, "true margin", "err rate", "δ", "final l (mean)", "trials (mean)", "flag rate", "naive rounds", "speedup", "paper speedup ≈")
 
 	type band struct {
 		name    string
@@ -41,51 +46,37 @@ func E3AdaptivePredicate(w io.Writer, cfg Config) (Summary, error) {
 		{"medium", 0.55, 0.7, -0.2},
 		{"narrow", 0.5, 0.6, -0.1},
 	}
-	naiveRounds := float64(int(math.Ceil(3 * math.Log(2/delta) / (eps0 * eps0))))
+	naiveRounds := float64(provenance.RoundsFor(eps0, delta))
 	for _, b := range bands {
-		var errs, rounds, speedups []float64
-		done := 0
-		for done < trialsPer {
-			tab := vars.NewTable()
-			f := workload.RandomDNF(rng, tab, 4, 5, 2)
-			p := dnf.Confidence(f, tab)
+		var errs, rounds, trials, flags, speedups []float64
+		for len(errs) < trialsPer {
+			db := urel.NewDatabase()
+			f := workload.RandomDNF(rng, db.Vars, 4, 5, 2)
+			p := dnf.Confidence(f, db.Vars)
 			if p < b.loP || p > b.hiP {
 				continue
 			}
-			c := p + b.cOffset
-			phi := predapprox.Linear([]float64{1}, c)
-			if predapprox.IsSingular(phi, []float64{p}, 2*eps0) {
-				continue
-			}
-			est, err := karpluby.NewEstimator(f, tab, rng)
+			workload.Lineage(db, "R", f)
+			phi := predapprox.Linear([]float64{1}, p+b.cOffset)
+			res, err := cfg.eval(db, core.Options{Eps0: eps0, Delta: delta, Seed: rng.Int63()}, shat(phi))
 			if err != nil {
 				return s, err
 			}
-			d, err := predapprox.Decide(phi, []predapprox.Approximable{est}, predapprox.Options{Eps0: eps0, Delta: delta})
-			if err != nil {
-				return s, err
-			}
-			done++
-			truth := phi.Eval([]float64{p})
-			if d.Value != truth {
-				errs = append(errs, 1)
-			} else {
-				errs = append(errs, 0)
-			}
-			rounds = append(rounds, float64(d.Rounds))
-			speedups = append(speedups, naiveRounds/float64(d.Rounds))
-			// The paper's predicted improvement factor uses the margin at
-			// the true point.
-			_ = phi
+			kept := res.Rel.Len() > 0
+			errs = append(errs, boolToF(kept != phi.Eval([]float64{p})))
+			rounds = append(rounds, float64(res.Stats.FinalRounds))
+			trials = append(trials, float64(res.Stats.EstimatorTrials))
+			flags = append(flags, boolToF(flagged(res)))
+			speedups = append(speedups, naiveRounds/float64(res.Stats.FinalRounds))
 		}
 		errRate := stats.Mean(errs)
 		meanRounds := stats.Mean(rounds)
-		// Paper's predicted improvement ≈ ε²_φ/(ε²_φ − ε₀²) slowdown
-		// avoided; report the ideal-round ratio for the band's midpoint.
+		// The paper's predicted improvement ≈ ε²_φ/ε₀², at the band's
+		// midpoint.
 		midP := (b.loP + b.hiP) / 2
 		epsPhi := predapprox.Linear([]float64{1}, midP+b.cOffset).Margin([]float64{midP})
 		paperSpeedup := (epsPhi * epsPhi) / (eps0 * eps0)
-		tbl.Row(b.name, errRate, delta, meanRounds, naiveRounds, stats.Mean(speedups), paperSpeedup)
+		tbl.Row(b.name, errRate, delta, meanRounds, stats.Mean(trials), stats.Mean(flags), naiveRounds, stats.Mean(speedups), paperSpeedup)
 		s.Values["err_rate_"+b.name] = errRate
 		s.Values["mean_rounds_"+b.name] = meanRounds
 		s.Values["speedup_"+b.name] = stats.Mean(speedups)
@@ -96,39 +87,25 @@ func E3AdaptivePredicate(w io.Writer, cfg Config) (Summary, error) {
 	return s, nil
 }
 
-// E4KarpLubyFPRAS validates Proposition 4.2: over a grid of (ε, δ), the
-// measured frequency of |p̂−p| ≥ ε·p stays below δ, and the prescribed
-// trial count scales linearly in |F| and 1/ε².
+// E4KarpLubyFPRAS validates Proposition 4.2 on the engine: over a grid of
+// (ε, δ), the conformance sweep — every conf result of its workload corpus
+// against the exact oracle — finds |p̂−p| > ε·p at a rate below δ, and the
+// prescribed trial count scales linearly in |F| and 1/ε².
 func E4KarpLubyFPRAS(w io.Writer, cfg Config) (Summary, error) {
 	s := newSummary("E4")
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	runs := cfg.scale(300, 60)
-
-	tab := vars.NewTable()
-	f := workload.RandomDNF(rng, tab, 6, 8, 3)
-	exact := dnf.Confidence(f, tab)
-	fmt.Fprintf(w, "Karp–Luby FPRAS on a %d-clause DNF, exact p = %.5f\n", len(f), exact)
-	tbl := stats.NewTable(w, "ε", "δ", "trials m", "violation rate", "within δ?")
+	runs := cfg.scale(8, 2)
+	fmt.Fprintf(w, "Karp–Luby FPRAS through the engine: conformance corpus, %d runs per cell\n", runs)
+	tbl := stats.NewTable(w, "ε", "δ", "checks", "trials sampled", "violation rate", "within δ?")
 	worstRatio := 0.0
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		for _, delta := range []float64{0.2, 0.05} {
-			m := karpluby.TrialsFor(eps, delta, len(f))
-			bad := 0
-			for r := 0; r < runs; r++ {
-				est, err := karpluby.NewEstimator(f, tab, rng)
-				if err != nil {
-					return s, err
-				}
-				est.Add(int(m))
-				if math.Abs(est.Estimate()-exact) >= eps*exact {
-					bad++
-				}
+			rep, err := conformance.Run(cfg.Seed, conformance.Options{Eps: eps, Delta: delta, Runs: runs, Workers: cfg.Workers})
+			if err != nil {
+				return s, err
 			}
-			rate := float64(bad) / float64(runs)
-			tbl.Row(eps, delta, m, rate, rate <= delta)
-			if r := rate / delta; r > worstRatio {
-				worstRatio = r
-			}
+			rate := 1 - rep.Coverage()
+			tbl.Row(eps, delta, rep.Checks, rep.Sampled, rate, rate <= delta)
+			worstRatio = max(worstRatio, rate/delta)
 		}
 	}
 	tbl.Flush()
@@ -158,30 +135,31 @@ func E5ExactVsApprox(w io.Writer, cfg Config) (Summary, error) {
 	if cfg.Quick {
 		sizes = []int{8, 12, 16}
 	}
-	fmt.Fprintln(w, "Exact vs approximate confidence (random DNFs, clauses = vars, ε=0.1, δ=0.05):")
+	fmt.Fprintln(w, "Exact vs approximate confidence (random DNFs, clauses = vars, engine conf at ε=0.1, δ=0.05):")
 	tbl := stats.NewTable(w, "vars", "clauses", "exact enum (ms)", "exact shannon (ms)", "karp-luby (ms)", "KL trials")
 	var lastEnum, lastKL float64
 	for _, n := range sizes {
-		tab := vars.NewTable()
-		f := workload.RandomDNF(rng, tab, n, n, 3)
+		db := urel.NewDatabase()
+		f := workload.RandomDNF(rng, db.Vars, n, n, 3)
+		workload.Lineage(db, "R", f)
 
 		t0 := time.Now()
-		pEnum := dnf.ConfidenceByEnumeration(f, tab)
+		pEnum := dnf.ConfidenceByEnumeration(f, db.Vars)
 		enumMS := float64(time.Since(t0).Microseconds()) / 1000
 
 		t1 := time.Now()
-		pShan := dnf.Confidence(f, tab)
+		pShan := dnf.Confidence(f, db.Vars)
 		shanMS := float64(time.Since(t1).Microseconds()) / 1000
 
 		t2 := time.Now()
-		est, err := karpluby.NewEstimator(f, tab, rng)
+		res, err := cfg.eval(db, core.Options{Eps0: 0.1, Delta: 0.05, Seed: rng.Int63()}, algebra.Conf{In: algebra.Base{Name: "R"}})
 		if err != nil {
 			return s, err
 		}
-		m := karpluby.TrialsFor(0.1, 0.05, len(f))
-		est.Add(int(m))
-		pKL := est.Estimate()
+		out := urel.Poss(res.Rel)
+		pKL := out.Value(out.Tuples()[0], "P").AsFloat()
 		klMS := float64(time.Since(t2).Microseconds()) / 1000
+		m := res.Stats.EstimatorTrials
 
 		if math.Abs(pEnum-pShan) > 1e-9 {
 			return s, fmt.Errorf("exact evaluators disagree: %v vs %v", pEnum, pShan)

@@ -6,11 +6,12 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/dnf"
-	"repro/internal/karpluby"
+	"repro/internal/core"
 	"repro/internal/predapprox"
+	"repro/internal/rel"
 	"repro/internal/stats"
-	"repro/internal/vars"
+	"repro/internal/urel"
+	"repro/internal/workload"
 )
 
 // E6LinearEpsilon validates Theorem 5.2: the closed-form ε for random
@@ -129,77 +130,59 @@ func E7CornerPoint(w io.Writer, cfg Config) (Summary, error) {
 }
 
 // E8Singularity reproduces the singularity discussion (Definition 5.6,
-// Example 5.7, Remark 5.3): the cost of the Figure 3 algorithm blows up as
-// the true value approaches the decision boundary until the ε₀ floor
-// bounds it, and the certainty test conf = 1 is never positively
-// decidable.
+// Example 5.7, Remark 5.3) on the engine's σ̂: the cost of the Figure 3
+// stopping rule blows up as the true value approaches the decision
+// boundary until the ε₀ floor bounds it, tuples off the boundary are still
+// kept at rate ≥ 1 − δ, and the certainty test conf = 1 is flagged
+// singular for every ε₀.
 func E8Singularity(w io.Writer, cfg Config) (Summary, error) {
 	s := newSummary("E8")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	const eps0, delta = 0.02, 0.1
 	reps := cfg.scale(25, 8)
+	phi := predapprox.Linear([]float64{1}, 0.5)
 
 	fmt.Fprintf(w, "Figure 3 cost vs distance to the boundary (φ: p ≥ 0.5, ε₀=%.2f, δ=%.2f):\n", eps0, delta)
-	tbl := stats.NewTable(w, "p − c", "singular (ε₀)?", "mean rounds", "mean trials", "flag rate")
-	var roundsAtBoundary float64
+	tbl := stats.NewTable(w, "p − c", "true margin", "mean final l", "mean trials", "kept rate", "flag rate")
 	for _, gap := range []float64{0.2, 0.1, 0.05, 0.02, 0.005, 0.0} {
 		p := 0.5 + gap
-		phi := predapprox.Linear([]float64{1}, 0.5)
-		sing := predapprox.IsSingular(phi, []float64{p}, eps0)
-		var rounds, flags, trials []float64
+		// conf[] over two independent tuples of probability a each:
+		// p = 1−(1−a)².
+		a := 1 - math.Sqrt(1-p)
+		db := workload.TupleIndependent("R", []float64{a, a})
+		var rounds, trials, kept, flags []float64
 		for r := 0; r < reps; r++ {
-			tab := vars.NewTable()
-			f := calibratedDNF(tab, p)
-			est, err := karpluby.NewEstimator(f, tab, rng)
+			res, err := cfg.eval(db, core.Options{Eps0: eps0, Delta: delta, Seed: rng.Int63()}, shat(phi))
 			if err != nil {
 				return s, err
 			}
-			d, err := predapprox.Decide(phi, []predapprox.Approximable{est}, predapprox.Options{Eps0: eps0, Delta: delta})
-			if err != nil {
-				return s, err
-			}
-			rounds = append(rounds, float64(d.Rounds))
-			trials = append(trials, float64(est.Trials()))
-			if d.HitEpsilonFloor {
-				flags = append(flags, 1)
-			} else {
-				flags = append(flags, 0)
-			}
+			rounds = append(rounds, float64(res.Stats.FinalRounds))
+			trials = append(trials, float64(res.Stats.EstimatorTrials))
+			kept = append(kept, boolToF(res.Rel.Len() > 0))
+			flags = append(flags, boolToF(flagged(res)))
 		}
-		tbl.Row(gap, sing, stats.Mean(rounds), stats.Mean(trials), stats.Mean(flags))
+		tbl.Row(gap, phi.Margin([]float64{p}), stats.Mean(rounds), stats.Mean(trials), stats.Mean(kept), stats.Mean(flags))
+		s.Values[fmt.Sprintf("kept_rate_gap%g", gap)] = stats.Mean(kept)
 		if gap == 0 {
-			roundsAtBoundary = stats.Mean(rounds)
+			s.Values["rounds_at_boundary"] = stats.Mean(rounds)
 			s.Values["flag_rate_at_boundary"] = stats.Mean(flags)
 		}
 	}
 	tbl.Flush()
-	s.Values["rounds_at_boundary"] = roundsAtBoundary
+	s.Values["delta"] = delta
 
 	// Example 5.7: conf = 1 is a singularity for every ε₀.
-	one := predapprox.Linear([]float64{1}, 1)
+	db := urel.NewDatabase()
+	db.AddComplete("R", rel.FromRows(rel.NewSchema("ID"), rel.Tuple{rel.Int(0)}))
 	all := true
 	for _, e := range []float64{0.001, 0.01, 0.1} {
-		if !predapprox.IsSingular(one, []float64{1}, e) {
-			all = false
+		res, err := cfg.eval(db, core.Options{Eps0: e, Delta: delta, Seed: cfg.Seed}, shat(predapprox.Linear([]float64{1}, 1)))
+		if err != nil {
+			return s, err
 		}
+		all = all && flagged(res)
 	}
-	fmt.Fprintf(w, "\nExample 5.7: p = 1 under φ: p ≥ 1 is an ε₀-singularity for all tested ε₀: %v\n", all)
-	if all {
-		s.Values["certainty_always_singular"] = 1
-	}
+	fmt.Fprintf(w, "\nExample 5.7: σ̂_{p ≥ 1} over a certain tuple is flagged an ε₀-singularity for all tested ε₀: %v\n", all)
+	s.Values["certainty_always_singular"] = boolToF(all)
 	return s, nil
-}
-
-// calibratedDNF builds a 2-clause DNF over fresh variables whose exact
-// confidence is target: clauses x=0 and y=0, each of probability
-// a = 1−sqrt(1−target), give p = 1−(1−a)² = target.
-func calibratedDNF(tab *vars.Table, target float64) dnf.F {
-	a := 1 - math.Sqrt(1-target)
-	base := tab.Len()
-	tab.Add(fmt.Sprintf("c%d_x", base), []float64{a, 1 - a}, nil)
-	tab.Add(fmt.Sprintf("c%d_y", base), []float64{a, 1 - a}, nil)
-	return dnf.F{
-		vars.MustAssignment(vars.Binding{Var: vars.Var(base), Alt: 0}),
-		vars.MustAssignment(vars.Binding{Var: vars.Var(base + 1), Alt: 0}),
-	}
 }

@@ -42,8 +42,8 @@ func E9ProvenanceBounds(w io.Writer, cfg Config) (Summary, error) {
 			proj := algebra.Project{In: sel, Targets: []expr.Target{expr.As("C", expr.CInt(1))}}
 
 			// Fix the round budget so bounds are comparable across runs.
-			opts := core.Options{Eps0: eps0, Delta: delta, Seed: seed, Workers: cfg.Workers, NoResume: cfg.NoResume, InitialRounds: 256, MaxRounds: 256}
-			selRes, err := core.NewEngine(db, opts).EvalApproxContext(cfg.ctx(), sel)
+			opts := core.Options{Eps0: eps0, Delta: delta, Seed: seed, InitialRounds: 256, MaxRounds: 256}
+			selRes, err := cfg.eval(db, opts, sel)
 			if err != nil {
 				return s, err
 			}
@@ -52,7 +52,7 @@ func E9ProvenanceBounds(w io.Writer, cfg Config) (Summary, error) {
 					perTuple = append(perTuple, selRes.TupleError(row))
 				}
 			}
-			projRes, err := core.NewEngine(db, opts).EvalApproxContext(cfg.ctx(), proj)
+			projRes, err := cfg.eval(db, opts, proj)
 			if err != nil {
 				return s, err
 			}
@@ -123,9 +123,8 @@ func E10QueryApprox(w io.Writer, cfg Config) (Summary, error) {
 			}
 			exactIDs := urel.Poss(exact.Rel).Project("ID")
 
-			eng := core.NewEngine(db, core.Options{Eps0: eps0, Delta: delta, Seed: seed, Workers: cfg.Workers, NoResume: cfg.NoResume})
 			t0 := time.Now()
-			res, err := eng.EvalApproxContext(cfg.ctx(), q)
+			res, err := cfg.eval(db, core.Options{Eps0: eps0, Delta: delta, Seed: seed}, q)
 			if err != nil {
 				return s, err
 			}
@@ -142,7 +141,7 @@ func E10QueryApprox(w io.Writer, cfg Config) (Summary, error) {
 			if !approxIDs.Equal(exactIDs) {
 				wrong = 1
 			}
-			if _, singular := res.Bounds.Worst(false); singular || res.Stats.SingularDrops > 0 {
+			if flagged(res) {
 				wrong = 0 // excluded by Theorem 6.7's non-singularity premise
 			}
 			errRate = append(errRate, wrong)
@@ -179,8 +178,7 @@ func E10QueryApprox(w io.Writer, cfg Config) (Summary, error) {
 	// coin database.
 	db := CoinDatabase()
 	q := condProbQuery()
-	eng := core.NewEngine(db, core.Options{Eps0: 0.05, Delta: 0.1, Seed: 1, Workers: cfg.Workers, NoResume: cfg.NoResume})
-	res, err := eng.EvalApproxContext(cfg.ctx(), q)
+	res, err := cfg.eval(db, core.Options{Eps0: 0.05, Delta: 0.1, Seed: 1}, q)
 	if err != nil {
 		return s, err
 	}

@@ -1,8 +1,11 @@
 // Package experiments contains one driver per reproducible artifact of the
 // paper — its three figures, its worked examples, and its quantitative
-// theorems (see DESIGN.md's experiment index E1–E10). Each driver prints a
-// paper-style table and returns the key measured quantities so golden
-// tests and EXPERIMENTS.md can assert the paper-vs-measured comparison.
+// theorems (E1–E10, listed by All). Each driver prints a paper-style table
+// and returns the key measured quantities so golden tests can assert the
+// paper-vs-measured comparison. The tables measure the code users run: the
+// Figure 3 algorithm and the Karp–Luby FPRAS through core.Engine, the
+// (ε, δ) grid through the conformance sweep; only the brute-force oracles
+// the margin formulas are compared against are the experiments' own.
 package experiments
 
 import (
@@ -10,6 +13,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/algebra"
+	"repro/internal/core"
+	"repro/internal/predapprox"
+	"repro/internal/urel"
 )
 
 // Config controls experiment scale and determinism.
@@ -18,20 +26,20 @@ type Config struct {
 	Seed int64
 	// Quick shrinks trial counts for use in tests and benchmarks.
 	Quick bool
-	// Workers sets the engine's estimation parallelism for the
-	// engine-backed experiments (E9/E10); 0 selects GOMAXPROCS. Tables
-	// are worker-count-independent by the engine's determinism contract.
+	// Workers sets the engine's estimation parallelism; 0 selects
+	// GOMAXPROCS. Tables are worker-count-independent by the engine's
+	// determinism contract.
 	Workers int
-	// NoResume disables cross-restart estimator reuse in the
-	// engine-backed experiments (core.Options.NoResume). All
-	// result-quality columns (estimates, error rates, bounds, final l)
-	// are resume-independent by the engine's bit-identity contract; only
-	// the sampled/reused trial-accounting columns change, which is what
-	// the knob exists to measure.
+	// NoResume disables cross-restart estimator reuse
+	// (core.Options.NoResume). All result-quality columns (estimates,
+	// error rates, bounds, final l) are resume-independent by the engine's
+	// bit-identity contract; only the sampled/reused trial-accounting
+	// columns change, which is what the knob exists to measure.
 	NoResume bool
-	// Ctx, when non-nil, cancels the engine-backed experiments (E9/E10)
-	// cooperatively: an expired deadline aborts evaluation between
-	// estimation chunks with ctx.Err(). Nil means context.Background().
+	// Ctx, when non-nil, cancels engine evaluations cooperatively: an
+	// expired deadline aborts evaluation between estimation chunks with
+	// ctx.Err(). Nil means context.Background(). E4's conformance sweep
+	// takes no context and always runs to completion.
 	Ctx context.Context
 }
 
@@ -48,6 +56,29 @@ func (c Config) scale(full, quick int) int {
 		return quick
 	}
 	return full
+}
+
+// eval evaluates q approximately on a fresh engine over db under o, with
+// the configured workers and resume setting.
+func (c Config) eval(db *urel.Database, o core.Options, q algebra.Query) (*core.Result, error) {
+	o.Workers, o.NoResume = c.Workers, c.NoResume
+	return core.NewEngine(db, o).EvalApproxContext(c.ctx(), q)
+}
+
+// shat is σ̂_φ(R) over conf[]: one decision on the confidence of all of R.
+func shat(phi predapprox.Pred) algebra.Query {
+	return algebra.ApproxSelect{In: algebra.Base{Name: "R"}, Args: []algebra.ConfArg{{}}, Pred: phi}
+}
+
+// flagged reports whether a σ̂ decision of res hit the ε₀ floor: a kept
+// tuple that Result.IsSingular marks, or a tuple dropped as singular.
+func flagged(res *core.Result) bool {
+	for _, ut := range res.Rel.Tuples() {
+		if res.IsSingular(ut.Row) {
+			return true
+		}
+	}
+	return res.Stats.SingularDrops > 0
 }
 
 // Summary carries an experiment's headline measurements.
@@ -75,7 +106,7 @@ func (s Summary) Print(w io.Writer) {
 // Runner is an experiment entry point.
 type Runner func(w io.Writer, cfg Config) (Summary, error)
 
-// All lists the experiments in order, keyed by their DESIGN.md ids.
+// All lists the experiments in order, keyed by id.
 func All() []struct {
 	ID, Title string
 	Run       Runner

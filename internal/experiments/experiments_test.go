@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,13 @@ func TestE8SingularityBehaviour(t *testing.T) {
 	if s.Values["flag_rate_at_boundary"] < 0.5 {
 		t.Errorf("boundary instances flagged only %v of the time", s.Values["flag_rate_at_boundary"])
 	}
+	// Off the ε₀ floor, Theorem 5.8 holds: the true p ≥ 0.5 is kept with
+	// probability ≥ 1 − δ.
+	for _, gap := range []string{"0.2", "0.1", "0.05"} {
+		if got := s.Values["kept_rate_gap"+gap]; got < 1-s.Values["delta"] {
+			t.Errorf("p − c = %s: kept rate %v below 1 − δ", gap, got)
+		}
+	}
 }
 
 func TestE9BoundsDominateFlips(t *testing.T) {
@@ -150,6 +158,26 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// Tables are worker-count-independent (Config.Workers): every summary
+// value but the timing ratio is equal at 1 and 4 workers.
+func TestSummariesIndependentOfWorkers(t *testing.T) {
+	for _, id := range []string{"E3", "E8", "E9", "E10"} {
+		run, _, _ := Lookup(id)
+		var values [2]map[string]float64
+		for i, workers := range []int{1, 4} {
+			s, err := run(io.Discard, Config{Seed: 42, Quick: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", id, workers, err)
+			}
+			delete(s.Values, "time_ratio_largest_over_smallest")
+			values[i] = s.Values
+		}
+		if !reflect.DeepEqual(values[0], values[1]) {
+			t.Errorf("%s: summary at 1 worker %v, at 4 workers %v", id, values[0], values[1])
+		}
+	}
 }
 
 func TestAllAndLookup(t *testing.T) {

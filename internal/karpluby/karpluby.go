@@ -9,10 +9,6 @@
 // estimator is unbiased for p/M, so p̂ = X·M/m after m trials. The trial
 // itself — one implementation for the flat and the stratified estimator,
 // over a clause set compiled into flat arrays — is in kernel.go.
-//
-// The Estimator is incremental: Figure 3's adaptive algorithm adds batches
-// of |F| trials per round and re-derives the current error bound
-// δ(ε) = 2·exp(−m·ε²/(3·|F|)) after each round.
 package karpluby
 
 import (
@@ -24,21 +20,15 @@ import (
 	"repro/internal/vars"
 )
 
-// Estimator is an incremental Karp–Luby confidence estimator for a single
-// clause set F: a sampler over the compiled clause set (kernel.go) drawing
-// from all of F, plus the chunk-plan cursor. It is not safe for concurrent
-// use; for parallel sampling, derive per-goroutine shards with Shard and
-// fold their counts back with Merge.
+// Estimator is a flat Karp–Luby confidence estimator for a single clause
+// set F: a sampler over the compiled clause set (kernel.go) drawing from all
+// of F. It is not safe for concurrent use; for parallel sampling, derive
+// per-goroutine shards with Shard and fold their counts back with Merge.
+// The engine samples through Stratified, whose one-stratum plan draws the
+// same streams; Estimator is the sequential reference it is checked
+// against.
 type Estimator struct {
 	sampler
-
-	// chunks is the round-aligned chunk-plan cursor: the counts are known
-	// to cover plan chunks [0, chunks) of the scheduling layer's
-	// deterministic chunk plan. The estimator itself never derives it —
-	// it is carried by State/Resume and advanced by the scheduler so a
-	// snapshot can be extended with only the delta chunks of a larger
-	// budget.
-	chunks int
 }
 
 // ErrEmpty is returned when the clause set has zero total weight (no
@@ -51,8 +41,8 @@ var ErrEmpty = errors.New("karpluby: empty clause set")
 // construction (single clause, always minimal).
 //
 // rng may be nil for an estimator used only as a merge target (a
-// "template" whose trials all come from shards); calling Step, Add, or
-// Confidence-style sampling on a nil-rng estimator panics.
+// "template" whose trials all come from shards); calling Add on a nil-rng
+// estimator panics.
 func NewEstimator(f dnf.F, table *vars.Table, rng *rand.Rand) (*Estimator, error) {
 	if len(f) == 0 {
 		return nil, ErrEmpty
@@ -84,12 +74,11 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 	return &Estimator{sampler: newSampler(e.k, e.d, rng)}
 }
 
-// State is a resumable snapshot of an estimator's trial counts. It is the
-// whole mutable state of an Estimator: the clause set, weights, and PRNG
-// streams are all derived deterministically elsewhere (from the clause set
-// and the scheduler's seed scheme), so (Hits, Trials, Chunks) suffices to
-// continue an estimation exactly where a previous — possibly smaller —
-// budget left off.
+// State is a resumable snapshot of one task's trial counts — what the
+// engine's estimator cache stores. The clause set, weights, and PRNG streams
+// are all derived deterministically elsewhere (from the clause set and the
+// scheduler's seed scheme), so the counts suffice to continue an estimation
+// exactly where a previous — possibly smaller — budget left off.
 //
 // Chunks is the scheduler's round-aligned chunk-plan cursor: the counts
 // cover at least plan chunks [0, Chunks) of the deterministic chunk plan
@@ -106,11 +95,7 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 // and the live PRNG positioned exactly after trial PartialTrials of the
 // chunk's stream. A resumed run completes the chunk by drawing its
 // remaining trials from PartialRNG — continuing the identical stream the
-// from-scratch run would sample — instead of re-sampling the chunk, so
-// restart-heavy plans replay trailing partial chunks rather than re-spend
-// them. A snapshot with PartialRNG nil and Trials beyond the cursor's
-// coverage (the pre-snapshot format) remains valid only for exact replay
-// at the producing budget.
+// from-scratch run would sample — instead of re-sampling the chunk.
 type State struct {
 	Hits   int64
 	Trials int64
@@ -119,55 +104,6 @@ type State struct {
 	PartialHits   int64
 	PartialTrials int64
 	PartialRNG    *rand.Rand
-}
-
-// Valid reports whether the snapshot is internally consistent.
-func (s State) Valid() bool {
-	if s.Hits < 0 || s.Trials < s.Hits || s.Chunks < 0 {
-		return false
-	}
-	if s.PartialTrials < 0 || s.PartialHits < 0 || s.PartialHits > s.PartialTrials {
-		return false
-	}
-	if s.PartialTrials > 0 && s.PartialRNG == nil {
-		return false
-	}
-	return true
-}
-
-// State returns a snapshot of the estimator's counts and chunk cursor.
-// Snapshots taken after all chunks of a budget merged (see AdvanceTo) are
-// resumable into any run whose chunk plan extends this one's.
-func (e *Estimator) State() State {
-	return State{Hits: e.hits, Trials: e.trials, Chunks: e.chunks}
-}
-
-// Resume loads a snapshot into a fresh estimator, so that subsequent
-// sampling extends the snapshotted run instead of restarting it. The
-// estimator must not have sampled yet (Resume replaces, not merges), the
-// snapshot must be valid, and — for the bit-identity guarantee — it must
-// have been produced over the same clause set under the same seed scheme;
-// the latter is the caller's contract, since a State carries no clause
-// identity.
-func (e *Estimator) Resume(st State) error {
-	if !st.Valid() {
-		return errors.New("karpluby: invalid resume state")
-	}
-	if e.trials != 0 || e.hits != 0 {
-		return errors.New("karpluby: Resume on an estimator that already sampled")
-	}
-	e.hits, e.trials, e.chunks = st.Hits, st.Trials, st.Chunks
-	return nil
-}
-
-// AdvanceTo raises the chunk-plan cursor to chunk (a no-op when the cursor
-// is already past it). The scheduling layer calls it after every plan
-// chunk below the mark has merged, making the estimator's State resumable
-// at that boundary.
-func (e *Estimator) AdvanceTo(chunk int) {
-	if chunk > e.chunks {
-		e.chunks = chunk
-	}
 }
 
 // Merge folds shard o's trial counts into e. Both estimators must be over
@@ -186,11 +122,6 @@ func (e *Estimator) Merge(o *Estimator) {
 	e.trials += o.trials
 }
 
-// Step runs |F| more trials — one round of the inner loop of the paper's
-// Figure 3 algorithm. It makes Estimator satisfy the Approximable
-// interface of the predapprox package.
-func (e *Estimator) Step() { e.Add(e.ClauseCount()) }
-
 // Estimate returns the current estimate p̂ = X·M/m. With zero trials it
 // returns M as a safe upper bound (p ≤ M always).
 func (e *Estimator) Estimate() float64 {
@@ -198,12 +129,6 @@ func (e *Estimator) Estimate() float64 {
 		return math.Min(e.d.m, 1)
 	}
 	return float64(e.hits) * e.d.m / float64(e.trials)
-}
-
-// Delta returns the paper's error bound for the current trial count:
-// δ(ε) = 2·exp(−m·ε²/(3·|F|)), i.e. Pr[|p̂−p| ≥ ε·p] ≤ Delta(ε).
-func (e *Estimator) Delta(eps float64) float64 {
-	return DeltaBound(eps, e.trials, e.ClauseCount())
 }
 
 // DeltaBound is the Chernoff-derived bound δ(ε) = 2·exp(−m·ε²/(3·|F|)).
@@ -219,21 +144,4 @@ func DeltaBound(eps float64, trials int64, clauses int) float64 {
 // that guarantees an (ε,δ) approximation.
 func TrialsFor(eps, delta float64, clauses int) int64 {
 	return int64(math.Ceil(3 * float64(clauses) * math.Log(2/delta) / (eps * eps)))
-}
-
-// Confidence runs the full FPRAS: it draws TrialsFor(eps, delta, |F|)
-// samples and returns p̂ with Pr[|p̂−p| ≥ ε·p] ≤ δ.
-func Confidence(f dnf.F, table *vars.Table, eps, delta float64, rng *rand.Rand) (float64, error) {
-	if len(f) == 0 {
-		return 0, nil
-	}
-	e, err := NewEstimator(f, table, rng)
-	if err != nil {
-		return 0, err
-	}
-	if e.k.certain() {
-		return 1, nil
-	}
-	e.Add(int(TrialsFor(eps, delta, e.ClauseCount())))
-	return e.Estimate(), nil
 }

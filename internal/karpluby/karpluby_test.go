@@ -19,6 +19,18 @@ func binTable(probs ...float64) *vars.Table {
 
 func clause(bs ...vars.Binding) vars.Assignment { return vars.MustAssignment(bs...) }
 
+// fpras runs the full FPRAS of Proposition 4.2: TrialsFor(eps, delta, |F|)
+// trials, returning p̂ with Pr[|p̂−p| ≥ ε·p] ≤ δ.
+func fpras(t *testing.T, f dnf.F, tab *vars.Table, eps, delta float64, rng *rand.Rand) float64 {
+	t.Helper()
+	e, err := NewEstimator(f, tab, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Add(int(TrialsFor(eps, delta, e.ClauseCount())))
+	return e.Estimate()
+}
+
 func TestEstimatorSingleClauseIsExact(t *testing.T) {
 	// With a single clause the estimator always returns 1, so p̂ = M = p_f
 	// exactly, regardless of trial count.
@@ -40,18 +52,15 @@ func TestEstimatorEmpty(t *testing.T) {
 	if _, err := NewEstimator(nil, tab, rand.New(rand.NewSource(1))); err != ErrEmpty {
 		t.Errorf("expected ErrEmpty, got %v", err)
 	}
-	p, err := Confidence(nil, tab, 0.1, 0.1, rand.New(rand.NewSource(1)))
-	if err != nil || p != 0 {
-		t.Errorf("Confidence(empty) = %v, %v", p, err)
-	}
 }
 
+// A clause set containing the empty clause collapses to it: every trial
+// hits, so the estimate is exactly 1.
 func TestConfidenceCertain(t *testing.T) {
 	tab := binTable(0.5)
-	f := dnf.F{vars.Assignment{}}
-	p, err := Confidence(f, tab, 0.1, 0.1, rand.New(rand.NewSource(1)))
-	if err != nil || p != 1 {
-		t.Errorf("certain clause set: %v, %v", p, err)
+	f := dnf.F{clause(vars.Binding{Var: 0, Alt: 0}), vars.Assignment{}}
+	if p := fpras(t, f, tab, 0.1, 0.1, rand.New(rand.NewSource(1))); p != 1 {
+		t.Errorf("certain clause set: %v, want 1", p)
 	}
 }
 
@@ -80,11 +89,7 @@ func TestEstimatorConvergesToExact(t *testing.T) {
 			continue
 		}
 		exact := dnf.Confidence(f, tab)
-		got, err := Confidence(f, tab, 0.05, 0.01, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-exact) > 0.05*exact+1e-9 {
+		if got := fpras(t, f, tab, 0.05, 0.01, rng); math.Abs(got-exact) > 0.05*exact+1e-9 {
 			t.Errorf("trial %d: estimate %v vs exact %v beyond 5%%", trial, got, exact)
 		}
 	}
@@ -105,11 +110,7 @@ func TestFPRASGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	runs, bad := 200, 0
 	for i := 0; i < runs; i++ {
-		got, err := Confidence(f, tab, eps, delta, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-exact) >= eps*exact {
+		if got := fpras(t, f, tab, eps, delta, rng); math.Abs(got-exact) >= eps*exact {
 			bad++
 		}
 	}
@@ -228,11 +229,7 @@ func TestMultiValuedVariables(t *testing.T) {
 		clause(vars.Binding{Var: 0, Alt: 1}),
 	}
 	exact := dnf.Confidence(f, tab) // 1/6 + 1/3 = 1/2
-	got, err := Confidence(f, tab, 0.03, 0.01, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-exact) > 0.03*exact {
+	if got := fpras(t, f, tab, 0.03, 0.01, rand.New(rand.NewSource(8))); math.Abs(got-exact) > 0.03*exact {
 		t.Errorf("estimate %v vs exact %v", got, exact)
 	}
 }

@@ -100,9 +100,9 @@ type stratum struct {
 
 	hits   int64
 	trials int64
-	// chunks is the stratum's round-aligned chunk-plan cursor, exactly as
-	// for Estimator.chunks: the counts cover plan chunks [0, chunks) of
-	// the stratum's deterministic chunk plan.
+	// chunks is the stratum's round-aligned chunk-plan cursor (State's
+	// Chunks): the counts cover plan chunks [0, chunks) of the stratum's
+	// deterministic chunk plan.
 	chunks int
 }
 
@@ -211,7 +211,9 @@ func (s *Stratified) StratumHits(j int) int64 { return s.strata[j].hits }
 func (s *Stratified) StratumChunks(j int) int { return s.strata[j].chunks }
 
 // AdvanceStratum raises stratum j's chunk cursor to chunk (no-op when the
-// cursor is already past it); see Estimator.AdvanceTo.
+// cursor is already past it). The scheduling layer calls it once every
+// plan chunk below the mark has merged, making the stratum's snapshot
+// resumable at that boundary.
 func (s *Stratified) AdvanceStratum(j, chunk int) {
 	if chunk > s.strata[j].chunks {
 		s.strata[j].chunks = chunk
@@ -221,8 +223,8 @@ func (s *Stratified) AdvanceStratum(j, chunk int) {
 // StratumState is a resumable snapshot of one stratum's counts. The
 // clause set, the partition plan, and the PRNG streams are all derived
 // deterministically elsewhere, so (Hits, Trials, Chunks) suffices —
-// exactly the contract of the flat estimator's State, minus mid-chunk
-// tails (the stratified scheduler only publishes chunk-aligned counts).
+// exactly the contract of State, minus mid-chunk tails (the stratified
+// scheduler only publishes chunk-aligned counts).
 type StratumState struct {
 	Hits   int64
 	Trials int64
@@ -239,7 +241,7 @@ func (s *Stratified) StratumState(j int) StratumState {
 // snapshot starts it over); an invalid snapshot leaves it at zero and
 // returns an error. The snapshot must come from the same canonical clause
 // set, the same partition plan, and the same seed scheme — the caller's
-// contract, as with Estimator.Resume.
+// contract, since a snapshot carries no clause identity.
 func (s *Stratified) ResumeStratum(j int, st StratumState) error {
 	sj := &s.strata[j]
 	sj.hits, sj.trials, sj.chunks = 0, 0, 0
@@ -574,9 +576,13 @@ func StratumSeed(taskSeed int64, j int) int64 {
 	return sched.TaskSeedWords(taskSeed, 0x9e3779b97f4a7c15*uint64(j+1), 0xc2b2ae3d27d4eb4f)
 }
 
-// DefaultChunk is the scheduler's chunk sizing — a whole number of
-// Figure-3 rounds (k trials each) totalling at least 4096 trials —
-// exposed so the sequential reference driver and benchmarks plan the
+// DefaultChunk is the scheduler's chunk size for a clause set of the given
+// size: a whole number of Figure-3 rounds (|F| trials each) totalling at
+// least 4096 trials — large enough to amortize per-chunk setup (one PRNG,
+// one shard), small enough that a single heavy tuple still splits into
+// many chunks. It depends only on |F|, never on the worker count, so the
+// chunk plan (and every chunk's PRNG stream) is identical however many
+// workers run it; the sequential reference driver and benchmarks plan the
 // same chunks as the engine.
 func DefaultChunk(clauses int) int64 {
 	const minChunkTrials = 4096
@@ -594,12 +600,6 @@ type AdaptiveOptions struct {
 	// Seed is the task-level seed; per-stratum chunk streams derive from
 	// it via StratumSeed and sched.ChunkSeed.
 	Seed int64
-	// ChunkFor overrides the chunk sizing (nil selects DefaultChunk).
-	ChunkFor func(clauses int) int64
-	// Cap bounds total trials; 0 selects TrialsFor(Eps, Delta, |F|) — the
-	// stratum-blind Chernoff budget, so adaptive estimation never costs
-	// more than the flat FPRAS (modulo one chunk of rounding).
-	Cap int64
 }
 
 // AdaptiveResult reports an EstimateAdaptive run.
@@ -630,18 +630,14 @@ func EstimateAdaptive(f dnf.F, table *vars.Table, o AdaptiveOptions) (AdaptiveRe
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	chunkFor := o.ChunkFor
-	if chunkFor == nil {
-		chunkFor = DefaultChunk
-	}
 	sizes := make([]int64, s.StratumCount())
 	for j := range sizes {
-		sizes[j] = chunkFor(s.StratumClauses(j))
+		sizes[j] = DefaultChunk(s.StratumClauses(j))
 	}
-	cap := o.Cap
-	if cap <= 0 {
-		cap = TrialsFor(o.Eps, o.Delta, len(f))
-	}
+	// The stratum-blind Chernoff budget caps the loop, so adaptive
+	// estimation never costs more than the flat FPRAS (modulo one chunk of
+	// rounding).
+	cap := TrialsFor(o.Eps, o.Delta, len(f))
 	res := AdaptiveResult{Budget: cap, Strata: s.StratumCount()}
 	for {
 		if s.Delta(o.Eps) <= o.Delta {

@@ -90,9 +90,11 @@ func BenchmarkStratifiedVsFlat(b *testing.B) {
 
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Confidence(f, tab, eps, delta, rand.New(rand.NewSource(int64(i)))); err != nil {
+			e, err := NewEstimator(f, tab, rand.New(rand.NewSource(int64(i))))
+			if err != nil {
 				b.Fatal(err)
 			}
+			e.Add(int(TrialsFor(eps, delta, e.ClauseCount())))
 		}
 		b.ReportMetric(float64(TrialsFor(eps, delta, len(f))), "trials")
 	})

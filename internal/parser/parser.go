@@ -582,11 +582,7 @@ func condToApprox(c expr.Pred, k int) (predapprox.Pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.Op == expr.CmpGt || n.Op == expr.CmpLt {
-			// Strict versions share the geometry; the boundary itself is a
-			// singularity either way.
-			return atom, nil
-		}
+		atom.Strict = n.Op == expr.CmpGt || n.Op == expr.CmpLt
 		return atom, nil
 	default:
 		return nil, fmt.Errorf("parser: unsupported σ̂ predicate node %T", c)

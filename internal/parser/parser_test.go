@@ -138,6 +138,35 @@ func TestParseApproxSelectEndToEnd(t *testing.T) {
 	}
 }
 
+// A strict σ̂ comparison is the negation of the non-strict converse, also
+// on an exact confidence that sits on the boundary.
+func TestStrictApproxComparisonAtBoundary(t *testing.T) {
+	db := urel.NewDatabase()
+	r := urel.NewRelation(rel.NewSchema("ID"))
+	x := db.Vars.Add("x", []float64{0.5, 0.5}, nil)
+	r.Add(vars.MustAssignment(vars.Binding{Var: x, Alt: 0}), rel.Tuple{rel.Int(0)})
+	db.AddURelation("R", r, false)
+	for strict, negated := range map[string]string{
+		"p1 > 0.5": "not (p1 <= 0.5)",
+		"p1 < 0.5": "not (p1 >= 0.5)",
+	} {
+		rows := func(pred string) int {
+			q, err := Parse("aselect[" + pred + " over conf[]](R)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := algebra.NewURelEvaluator(db).Eval(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return urel.Poss(res.Rel).Len()
+		}
+		if got, want := rows(strict), rows(negated); got != want {
+			t.Errorf("at conf = 0.5, %s keeps %d rows but %s keeps %d", strict, got, negated, want)
+		}
+	}
+}
+
 func TestLoadCSV(t *testing.T) {
 	src := "A,B,C\n1,2.5,hello\n2,,true\n"
 	r, err := LoadCSV(strings.NewReader(src))

@@ -91,15 +91,16 @@ func Mul(l, r AExpr) AExpr { return Bin{Op: OpMul, L: l, R: r} }
 // Div builds l/r.
 func Div(l, r AExpr) AExpr { return Bin{Op: OpDiv, L: l, R: r} }
 
-// AlgAtom is the predicate f(x₁,…,x_k) ≥ 0 of Theorem 5.5. Every slot
-// must occur at most once in F for the corner-point criterion to be sound;
-// NewAlgAtom enforces this. The paper notes this is only a small loss:
-// re-approximating a value gives an independent copy for a second
-// occurrence.
+// AlgAtom is the predicate f(x₁,…,x_k) ≥ 0 (or > 0 when Strict) of
+// Theorem 5.5. Every slot must occur at most once in F for the corner-point
+// criterion to be sound; NewAlgAtom enforces this. The paper notes this is
+// only a small loss: re-approximating a value gives an independent copy for
+// a second occurrence.
 type AlgAtom struct {
-	F     AExpr
-	arity int
-	slots []int // slots that actually occur (each exactly once)
+	F      AExpr
+	Strict bool
+	arity  int
+	slots  []int // slots that actually occur (each exactly once)
 }
 
 // NewAlgAtom validates the single-occurrence restriction and returns the
@@ -129,13 +130,20 @@ func MustAlgAtom(f AExpr, arity int) AlgAtom {
 	return a
 }
 
-// Eval decides f(x) ≥ 0.
-func (a AlgAtom) Eval(x []float64) bool { return a.F.Eval(x) >= 0 }
+// Eval decides f(x) ≥ 0 (f(x) > 0 when Strict).
+func (a AlgAtom) Eval(x []float64) bool { return a.holds(a.F.Eval(x)) }
+
+func (a AlgAtom) holds(v float64) bool { return v > 0 || v == 0 && !a.Strict }
 
 // Arity returns the slot count.
 func (a AlgAtom) Arity() int { return a.arity }
 
-func (a AlgAtom) String() string { return a.F.String() + " >= 0" }
+func (a AlgAtom) String() string {
+	if a.Strict {
+		return a.F.String() + " > 0"
+	}
+	return a.F.String() + " >= 0"
+}
 
 // Margin maximizes ε by binary search (the procedure following Theorem
 // 5.5): a candidate ε qualifies iff all 2^k corner points of the orthotope
@@ -144,7 +152,7 @@ func (a AlgAtom) String() string { return a.F.String() + " >= 0" }
 // homogeneous ones) makes binary search exact up to tolerance.
 func (a AlgAtom) Margin(x []float64) float64 {
 	want := a.Eval(x)
-	if !a.cornersAgree(x, 0) { // degenerate: center itself ambiguous
+	if !a.cornersAgreeAt(x, 0, want) { // degenerate: center itself ambiguous
 		return 0
 	}
 	lo, hi := 0.0, EpsMax
@@ -160,10 +168,6 @@ func (a AlgAtom) Margin(x []float64) float64 {
 		}
 	}
 	return lo
-}
-
-func (a AlgAtom) cornersAgree(x []float64, eps float64) bool {
-	return a.cornersAgreeAt(x, eps, a.Eval(x))
 }
 
 // cornersAgreeAt checks all 2^|slots| corners of the radius-eps orthotope.
@@ -182,7 +186,7 @@ func (a AlgAtom) cornersAgreeAt(x []float64, eps float64, want bool) bool {
 		if math.IsNaN(v) {
 			return false // division blew up inside the orthotope
 		}
-		if (v >= 0) != want {
+		if a.holds(v) != want {
 			return false
 		}
 	}

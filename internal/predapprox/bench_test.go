@@ -1,13 +1,6 @@
 package predapprox
 
-import (
-	"math/rand"
-	"testing"
-
-	"repro/internal/dnf"
-	"repro/internal/karpluby"
-	"repro/internal/vars"
-)
+import "testing"
 
 func BenchmarkLinearMargin(b *testing.B) {
 	phi := Linear([]float64{1.5, -2, 0.3}, 0.1)
@@ -36,27 +29,5 @@ func BenchmarkCompositeMargin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		phi.Margin(p)
-	}
-}
-
-func BenchmarkDecideWideMargin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tab := vars.NewTable()
-	tab.Add("x", []float64{0.45, 0.55}, nil)
-	tab.Add("y", []float64{0.45, 0.55}, nil)
-	f := dnf.F{
-		vars.MustAssignment(vars.Binding{Var: 0, Alt: 0}),
-		vars.MustAssignment(vars.Binding{Var: 1, Alt: 0}),
-	}
-	phi := Linear([]float64{1}, 0.1) // p ≈ 0.70 ≫ 0.1: very wide margin
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est, err := karpluby.NewEstimator(f, tab, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Decide(phi, []Approximable{est}, Options{Eps0: 0.05, Delta: 0.1}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -79,28 +79,71 @@ func TestMarginMonotoneInDistance(t *testing.T) {
 	}
 }
 
-// A custom Approximable whose Delta never shrinks: the round cap must
-// terminate Decide anyway.
-type stubborn struct{ v float64 }
+// singularBruteForce checks Definition 5.6 directly on a dense grid of the
+// additive ε₀-box around p: whether some point x with |pᵢ−xᵢ| ≤ ε₀·pᵢ
+// disagrees with p on φ.
+func singularBruteForce(pred Pred, p []float64, eps0 float64, grid int) bool {
+	want := pred.Eval(p)
+	pt := make([]float64, len(p))
+	var rec func(i int) bool // reports whether a disagreeing point exists
+	rec = func(i int) bool {
+		if i == len(p) {
+			return pred.Eval(pt) != want
+		}
+		lo, hi := p[i]*(1-eps0), p[i]*(1+eps0)
+		for g := 0; g <= grid; g++ {
+			pt[i] = lo + (hi-lo)*float64(g)/float64(grid)
+			if rec(i + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	return rec(0)
+}
 
-func (s stubborn) Step()                     {}
-func (s stubborn) Estimate() float64         { return s.v }
-func (s stubborn) Delta(eps float64) float64 { return 0.9 }
+// notSingular is Margin's certificate that p is not an ε₀-singularity: the
+// additive box [pᵢ(1−ε₀), pᵢ(1+ε₀)] lies inside the margin orthotope
+// [pᵢ/(1+ε), pᵢ/(1−ε)] iff ε ≥ ε₀/(1−ε₀).
+func notSingular(pred Pred, p []float64, eps0 float64) bool {
+	return pred.Margin(p) >= eps0/(1-eps0)
+}
 
-func TestDecideTerminatesOnStubbornApproximable(t *testing.T) {
-	phi := Linear([]float64{1}, 0.5)
-	d, err := Decide(phi, []Approximable{stubborn{v: 0.9}}, Options{Eps0: 0.1, Delta: 0.05, MaxRounds: 25})
-	if err != nil {
-		t.Fatal(err)
+// Example 5.7: the tuple-certainty test conf = 1 can never be decided
+// positively; p exactly on a boundary is an ε₀-singularity for every ε₀.
+func TestCertaintyTestIsSingular(t *testing.T) {
+	phi := Linear([]float64{1}, 1) // x ≥ 1
+	for _, eps0 := range []float64{0.001, 0.01, 0.1} {
+		if notSingular(phi, []float64{1}, eps0) || !singularBruteForce(phi, []float64{1}, eps0, 8) {
+			t.Errorf("p=1 must be an ε₀=%v singularity for conf=1", eps0)
+		}
 	}
-	if d.Rounds != 25 {
-		t.Errorf("rounds = %d, want the cap 25", d.Rounds)
+	// But p = 0.9 is detectably below 1 for small ε₀.
+	if !notSingular(phi, []float64{0.9}, 0.01) || singularBruteForce(phi, []float64{0.9}, 0.01, 8) {
+		t.Error("p=0.9 should not be a 0.01-singularity for x ≥ 1")
 	}
-	if d.ErrorBound < 0.05 {
-		t.Error("stubborn approximable cannot reach δ; bound must reflect that")
-	}
-	if !d.Value {
-		t.Error("decision should follow the estimate")
+}
+
+// Margin's certificate is sound against Definition 5.6: it may call a point
+// singular that the brute force finds safe (the margin orthotope is slightly
+// larger than the additive box), but never certifies a genuine singularity.
+func TestIsSingularMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(2)
+		coef := make([]float64, k)
+		for i := range coef {
+			coef[i] = rng.Float64()*4 - 2
+		}
+		phi := Linear(coef, rng.Float64()-0.5)
+		p := make([]float64, k)
+		for i := range p {
+			p[i] = 0.1 + 0.8*rng.Float64()
+		}
+		eps0 := 0.02 + 0.1*rng.Float64()
+		if notSingular(phi, p, eps0) && singularBruteForce(phi, p, eps0, 24) {
+			t.Fatalf("trial %d: missed singularity (φ=%s, p=%v, ε₀=%v)", trial, phi, p, eps0)
+		}
 	}
 }
 

@@ -182,7 +182,7 @@ func TestWireTrailerKeys(t *testing.T) {
 			body: q(testProgram, `, "seed": 7, "strata": 4`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "exact_factored", "elapsed_ms"}},
 		{when: "a σ̂ query restarts with doubled round budgets",
-			body: q(singularProgram, `, "seed": 3`),
+			body: q(`aselect[p1 >= 0.5 over conf[ID]](T);`, `, "seed": 3`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "elapsed_ms"}},
 		{when: "a σ̂ query drops its boundary tuple as a potential singularity",
 			body: q(singularProgram, `, "seed": 4`),

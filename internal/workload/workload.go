@@ -71,15 +71,25 @@ func RandomDNF(rng *rand.Rand, tab *vars.Table, nVars, nClauses, maxLits int) dn
 // singleton lineages of TupleIndependent).
 func MultiClause(rng *rand.Rand, name string, n, nVars, clauses, maxLits int) *urel.Database {
 	db := urel.NewDatabase()
+	fs := make([]dnf.F, n)
+	for i := range fs {
+		fs[i] = RandomDNF(rng, db.Vars, nVars, clauses, maxLits)
+	}
+	Lineage(db, name, fs...)
+	return db
+}
+
+// Lineage adds relation name(ID) to db with one tuple per clause set: tuple
+// i's lineage is fs[i], over variables of db.Vars. One clause set makes a
+// one-tuple relation, the way to hand a DNF to the engine's conf and σ̂.
+func Lineage(db *urel.Database, name string, fs ...dnf.F) {
 	r := urel.NewRelation(rel.NewSchema("ID"))
-	for i := 0; i < n; i++ {
-		f := RandomDNF(rng, db.Vars, nVars, clauses, maxLits)
+	for i, f := range fs {
 		for _, a := range f {
 			r.Add(a, rel.Tuple{rel.Int(int64(i))})
 		}
 	}
 	db.AddURelation(name, r, false)
-	return db
 }
 
 // CoinBag is the generalized Example 2.2 instance: a bag with fairCount

@@ -52,7 +52,7 @@ func WithEpsilon(eps float64) Option {
 }
 
 // WithDelta sets δ, the target per-tuple error probability the doubling
-// loop drives every non-singular bound below. Must lie in (0, 1).
+// loop drives every bound below. Must lie in (0, 1).
 // Default 0.05.
 func WithDelta(delta float64) Option {
 	return Option{func(o *core.Options) error {
@@ -248,7 +248,7 @@ func WithNoResume() Option {
 // ProgressEvent is one observation of a running evaluation, delivered to
 // the WithProgress hook after every pass of the doubling loop: the restart
 // count, the pass's round budget and cap, cumulative sampled/reused trial
-// counts, the worst non-singular error bound, and whether the loop stops
+// counts, the worst error bound, and whether the loop stops
 // here.
 type ProgressEvent = core.Progress
 

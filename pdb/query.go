@@ -48,7 +48,7 @@ func (q *Query) Explain() string { return algebra.Explain(q.plan, q.db.udb) }
 // Eval evaluates the query approximately with per-tuple error bounds
 // (Theorem 6.7): confidence computations use the Karp–Luby FPRAS and σ̂
 // predicates are decided on estimates, with the round budget doubled until
-// every non-singular bound is below δ. Options configure accuracy, seed,
+// every bound is below δ. Options configure accuracy, seed,
 // parallelism, and observability; invalid options are rejected with a
 // typed *OptionError before any work starts.
 //
