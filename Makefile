@@ -15,14 +15,16 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # Two seconds each of the end-to-end benchmark's conf-flat workload (one
-# lane per task, the whole Chernoff budget in one wave) and sigma-strat
-# workload (σ̂ over stratified tasks: Neyman-allocated doubling waves),
-# untraced — the two wave policies of the one estimation driver. Either
+# lane per task, the whole Chernoff budget in one wave), sigma-strat
+# workload (σ̂ over stratified tasks: Neyman-allocated doubling waves) and
+# serve-mixed workload (a shared engine serving cached, fresh and exact ops
+# over HTTP: warm estimator-cache and sub-plan-memo replays), untraced. Each
 # exits 1 when its op stream fails its (ε, δ) check against the exact
 # oracle.
 bench-smoke:
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
 	bash benchmark/run.sh -workload sigma-strat -seconds 2 -notrace
+	bash benchmark/run.sh -workload serve-mixed -seconds 2 -notrace
 
 # Alternated BASE / working-tree pairs of the end-to-end benchmark (seeds
 # 1..PAIRS): per workload and metric both medians, their ratio and the

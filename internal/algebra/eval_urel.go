@@ -3,7 +3,6 @@ package algebra
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strconv"
 
 	"repro/internal/rel"
@@ -79,6 +78,8 @@ type URelEvaluator struct {
 	memo []*prefixEntry
 	next int
 	rec  *prefixEntry
+	// shared is the engine's memo (see WithMemo).
+	shared *SubplanMemo
 }
 
 // prefixEntry is a memoized sub-plan's result, the batches replay refines
@@ -147,7 +148,15 @@ func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 // sequentially (in plan order, so estimators that consume shared state stay
 // deterministic). Returns e for chaining.
 func (e *URelEvaluator) WithEstimators(est Estimators, concurrent bool) *URelEvaluator {
-	e.est, e.estConcurrent, e.plan = est, concurrent, nil
+	e.est, e.estConcurrent = est, concurrent
+	return e
+}
+
+// WithMemo makes the walker answer estimator-free sub-plans from m, a memo
+// over the database it cloned, and store their walks in it; a spilling
+// walker bypasses m. Returns e for chaining; nil walks every sub-plan.
+func (e *URelEvaluator) WithMemo(m *SubplanMemo) *URelEvaluator {
+	e.shared = m
 	return e
 }
 
@@ -160,21 +169,24 @@ func (e *URelEvaluator) Eval(q Query) (URelResult, error) {
 // checked before every operator, so a cancelled or expired context aborts
 // the evaluation between nodes and returns ctx.Err(). Exact confidence
 // computation on one operator's lineage is not interruptible — the check
-// granularity is the plan node.
+// granularity is the plan node. Every call starts a new evaluation: Ops
+// report its work alone.
 func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, error) {
-	// The same plan under sampling Estimators is a doubling loop's next
-	// pass: the Exec (spill registry, Ops) carries over and the walk
-	// replays. Otherwise Ops restart, so they report this call's work.
-	if e.estConcurrent || !reflect.DeepEqual(e.plan, q) {
-		if err := Validate(q); err != nil {
-			return URelResult{}, err
-		}
-		e.ctrs = urel.NewCounters()
-		e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
-		e.plan, e.memo = q, nil
+	if err := Validate(q); err != nil {
+		return URelResult{}, err
 	}
+	e.ctrs = urel.NewCounters()
+	e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
+	e.plan, e.memo = q, nil
+	return e.Rerun(ctx)
+}
+
+// Rerun evaluates the last EvalContext call's plan again — a doubling
+// loop's next pass: the Exec (spill registry, Ops) carries over and, under
+// sampling Estimators, the σ̂-free sub-plans replay (see replay).
+func (e *URelEvaluator) Rerun(ctx context.Context) (URelResult, error) {
 	e.ctx, e.next = ctx, 0
-	res, err := e.eval(q)
+	res, err := e.eval(e.plan)
 	if err != nil {
 		return res, err
 	}
@@ -197,7 +209,7 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 // a cancelled evaluation starts no further node, and a budget tripped
 // mid-operator must surface before the parent operator (an exact conf's #P
 // computation, a sampled conf's estimation budget) consumes the partial
-// output.
+// output. The node itself goes through the engine's memo (walkMemo).
 func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 	if !e.estConcurrent && e.rec == nil && !HasApproxSelect(q) {
 		return e.replay(q)
@@ -205,7 +217,7 @@ func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 	if err := e.check(); err != nil {
 		return URelResult{}, err
 	}
-	res, err := e.evalNode(q)
+	res, err := e.walkMemo(q)
 	if err == nil {
 		err = e.check()
 	}

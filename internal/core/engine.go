@@ -75,10 +75,11 @@ type Options struct {
 	// exact-algebra operators (the same running estimate Stats.Ops
 	// reports). A relation is charged once, when it is materialized: a
 	// restart charges only what it rebuilds above the first σ̂, never the
-	// σ̂-free prefix or a σ̂'s lineage it replays. Enforcement is cooperative:
-	// the partitioned blow-up operators stop producing mid-range once the
-	// budget trips, and the evaluation aborts with a *LimitError at the
-	// next operator boundary. 0 disables the limit.
+	// σ̂-free prefix or a σ̂'s lineage it replays; a sub-plan the engine's
+	// memo replays (SetMemo) is charged as if materialized. Enforcement is
+	// cooperative: the partitioned blow-up operators stop producing
+	// mid-range once the budget trips, and the evaluation aborts with a
+	// *LimitError at the next operator boundary. 0 disables the limit.
 	MaxMemory int64
 	// SpillDir, when non-empty alongside MaxMemory, switches the memory
 	// limit from a hard abort to out-of-core execution: intermediate
@@ -311,6 +312,7 @@ type Engine struct {
 	// shared, when non-nil, is an estimator cache that outlives this
 	// engine's evaluations (see SetCache).
 	shared *Cache
+	memo   *algebra.SubplanMemo // see SetMemo
 	// dist, when non-nil, scatters estimation batches to remote shards
 	// (see SetDistributor).
 	dist Distributor
@@ -329,6 +331,11 @@ func NewEngine(db *urel.Database, opts Options) *Engine {
 // be shared by concurrent evaluations. A nil cache (the default) restores
 // the per-call cache that lives only for one doubling loop.
 func (e *Engine) SetCache(c *Cache) { e.shared = c }
+
+// SetMemo attaches a long-lived memo of the database's estimator-free
+// sub-plans: evaluations that do not spill replay them bit-identically, Ops
+// and MaxMemory included. A nil memo (the default) walks every sub-plan.
+func (e *Engine) SetMemo(m *algebra.SubplanMemo) { e.memo = m }
 
 // DB returns the engine's database.
 func (e *Engine) DB() *urel.Database { return e.db }
@@ -361,10 +368,11 @@ func (e *Engine) EvalExactContext(ctx context.Context, q algebra.Query) (algebra
 // newWalker builds an evaluation's plan walker over a fresh clone of the
 // database, on the engine's worker pool, under the memory budget mem (nil:
 // none) and — when Options.SpillDir is set alongside a MaxMemory budget — a
-// fresh spill directory, which done removes. Exact and approximate
-// evaluation differ only in the walker's Estimators.
+// fresh spill directory, which done removes; and with the engine's sub-plan
+// memo. Exact and approximate evaluation differ only in the walker's
+// Estimators.
 func (e *Engine) newWalker(mem *urel.MemBudget) (w *algebra.URelEvaluator, done func(), err error) {
-	w = algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem)
+	w = algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem).WithMemo(e.memo)
 	if e.opts.SpillDir == "" || e.opts.MaxMemory <= 0 {
 		return w, func() {}, nil
 	}
@@ -444,6 +452,7 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	}
 	defer done()
 	w.WithEstimators(run, false)
+	pass := func(ctx context.Context) (algebra.URelResult, error) { return w.EvalContext(ctx, q) }
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -453,7 +462,7 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		// the spill directory is gone.
 		st.FinalRounds, run.rounds, run.worstDecision = l, l, 0
 		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
-		res, err := w.EvalContext(ctx, q)
+		res, err := pass(ctx)
 		if err != nil {
 			return nil, limitErr(err)
 		}
@@ -484,6 +493,7 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		}
 		l = min(2*l, maxL)
 		st.Restarts++
+		pass = w.Rerun
 	}
 }
 

@@ -235,11 +235,6 @@ func (x *Exec) record(op string, tuplesIn, tuplesOut, bytes int64) {
 	c.bytes.Add(bytes)
 }
 
-// relBytes reports the relation's footprint estimate, maintained
-// incrementally on insert — O(1), so always-on statistics cost no extra
-// output pass.
-func (x *Exec) relBytes(r *Relation) int64 { return r.bytes }
-
 // Select implements σ_φ: a single pass reusing the input's stored pair
 // hashes, so surviving tuples are re-indexed without hashing or cloning.
 func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
@@ -250,7 +245,7 @@ func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 			out.addPair(r.hashes[i], t.D, t.Row, false)
 		}
 	}
-	x.record("select", int64(len(r.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("select", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out
 }
@@ -272,7 +267,7 @@ func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
 		}
 		out.addPair(utHash(t.D, row), t.D, row, false)
 	}
-	x.record("project", int64(len(r.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("project", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out
 }
@@ -338,7 +333,7 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 		outs[rg] = buf
 	})
 	out.mergeRanges(outs)
-	x.record("product", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("product", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, a, b)
 	return out, nil
 }
@@ -416,7 +411,7 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 		outs[rg] = buf
 	})
 	out.mergeRanges(outs)
-	x.record("join", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("join", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, a, b)
 	return out
 }
@@ -431,7 +426,7 @@ func (x *Exec) Union(a, b *Relation) (*Relation, error) {
 	for i, t := range b.tuples {
 		out.addPair(b.hashes[i], t.D, t.Row, false)
 	}
-	x.record("union", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("union", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, a, b)
 	return out, nil
 }
@@ -453,7 +448,7 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 			out.addPair(a.hashes[i], nil, t.Row, false)
 		}
 	}
-	x.record("diffc", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("diffc", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, a, b)
 	return out, nil
 }
@@ -783,7 +778,7 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 		d := t.D.With(g.v, int32(tupleAlt[i]))
 		out.addPair(utHash(d, t.Row), d, t.Row, false)
 	}
-	x.record("repairkey", int64(len(r.tuples)), int64(out.Len()), x.relBytes(out))
+	x.record("repairkey", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out, nil
 }
@@ -827,6 +822,18 @@ func (c *Counters) cell(op string) *opCell {
 	}
 	c.mu.Unlock()
 	return cell
+}
+
+// Add replays statistics another collector recorded (a Snapshot) as if
+// their operators had run again.
+func (c *Counters) Add(m StatsMap) {
+	for op, s := range m {
+		cell := c.cell(op)
+		cell.calls.Add(s.Calls)
+		cell.in.Add(s.TuplesIn)
+		cell.out.Add(s.TuplesOut)
+		cell.bytes.Add(s.Bytes)
+	}
 }
 
 // Snapshot returns the current aggregated statistics.

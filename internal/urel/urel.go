@@ -87,6 +87,11 @@ func (r *Relation) Len() int {
 	return len(r.tuples)
 }
 
+// Bytes returns the relation's footprint estimate — value and condition
+// payloads plus per-pair bookkeeping — maintained on insert, so always-on
+// operator statistics cost no extra output pass.
+func (r *Relation) Bytes() int64 { return r.bytes }
+
 // Tuples returns the underlying rows; the slice must not be modified. It
 // panics on a spilled relation — see mustResident.
 func (r *Relation) Tuples() []UTuple {

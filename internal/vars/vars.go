@@ -11,6 +11,7 @@ package vars
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,11 +35,22 @@ type Info struct {
 // The zero value is an empty table ready for use.
 type Table struct {
 	infos  []Info
-	byName map[string]Var
+	byName map[string]Var // names of infos[:named]; Add and Lookup index on
+	named  int            // demand, so Append and Clone write no map entries
 }
 
 // NewTable returns an empty variable table.
-func NewTable() *Table { return &Table{byName: make(map[string]Var)} }
+func NewTable() *Table { return &Table{} }
+
+// index names the variables registered since it last ran.
+func (t *Table) index() {
+	if t.byName == nil {
+		t.byName = make(map[string]Var, len(t.infos))
+	}
+	for ; t.named < len(t.infos); t.named++ {
+		t.byName[t.infos[t.named].Name] = Var(t.named)
+	}
+}
 
 // Add registers a new variable with the given alternative probabilities.
 // Probabilities must be positive and sum to 1 (within a small tolerance,
@@ -46,9 +58,7 @@ func NewTable() *Table { return &Table{byName: make(map[string]Var)} }
 // or duplicate names: variable creation is driven by repair-key, which
 // validates weights first, so failures here are programming errors.
 func (t *Table) Add(name string, probs []float64, altNames []string) Var {
-	if t.byName == nil {
-		t.byName = make(map[string]Var)
-	}
+	t.index()
 	if _, dup := t.byName[name]; dup {
 		panic(fmt.Sprintf("vars: duplicate variable %q", name))
 	}
@@ -74,7 +84,7 @@ func (t *Table) Add(name string, probs []float64, altNames []string) Var {
 	}
 	v := Var(len(t.infos))
 	t.infos = append(t.infos, Info{Name: name, Probs: norm, AltNames: altNames})
-	t.byName[name] = v
+	t.index()
 	return v
 }
 
@@ -84,16 +94,23 @@ func (t *Table) Add(name string, probs []float64, altNames []string) Var {
 // installed bit-for-bit as shipped, so a shard-side estimator consumes
 // exactly the same float64 stream as the coordinator's and chunk counts
 // stay bit-identical across the network. The infos slice is retained.
-func RestoreTable(infos []Info) *Table {
-	t := &Table{infos: infos, byName: make(map[string]Var, len(infos))}
-	for i, in := range infos {
-		t.byName[in.Name] = Var(i)
-	}
-	return t
-}
+func RestoreTable(infos []Info) *Table { return &Table{infos: infos} }
 
 // Len returns the number of registered variables.
 func (t *Table) Len() int { return len(t.infos) }
+
+// Since returns the descriptors of the variables registered from id n on.
+func (t *Table) Since(n int) []Info { return slices.Clone(t.infos[n:]) }
+
+// Append registers variables Since returned, verbatim: their probability
+// bits stay, and at the table length they left, their ids too.
+func (t *Table) Append(infos []Info) {
+	if len(t.infos) > 0 {
+		t.infos = append(t.infos, infos...)
+	} else {
+		t.infos = slices.Clip(infos) // shared: a later Add copies first
+	}
+}
 
 // Info returns the descriptor of variable v.
 func (t *Table) Info(v Var) Info { return t.infos[v] }
@@ -106,6 +123,7 @@ func (t *Table) DomSize(v Var) int { return len(t.infos[v].Probs) }
 
 // Lookup finds a variable by name.
 func (t *Table) Lookup(name string) (Var, bool) {
+	t.index()
 	v, ok := t.byName[name]
 	return v, ok
 }
@@ -131,9 +149,6 @@ func (t *Table) Clone() *Table {
 			alts = append([]string(nil), in.AltNames...)
 		}
 		out.infos = append(out.infos, Info{Name: in.Name, Probs: probs, AltNames: alts})
-	}
-	for name, v := range t.byName {
-		out.byName[name] = v
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
@@ -23,6 +24,10 @@ import (
 // goroutines may Eval queries prepared on one Engine simultaneously —
 // the intended shape for a network service front-end.
 //
+// The part of a query below its conf and σ̂ operators is a function of the
+// immutable database alone: an Engine walks it once, for Eval and EvalExact
+// alike, and replays it after, retaining at most the database's footprint.
+//
 // An Engine holds no goroutines; a non-clustered Engine holds no file
 // handles either, so dropping it releases everything. A clustered Engine
 // (WithEngineCluster) pools shard connections — call Close to release
@@ -30,6 +35,7 @@ import (
 type Engine struct {
 	db    *DB
 	cache *core.Cache
+	memo  *algebra.SubplanMemo
 	// coord, when non-nil, scatters estimation work across shard
 	// processes (see WithEngineCluster); it implements core.Distributor.
 	coord *cluster.Coordinator
@@ -70,7 +76,7 @@ func WithEngineCacheSize(n int) EngineOption {
 // bound to it; queries prepared directly on the DB keep the per-call
 // cache.
 func (db *DB) Engine(opts ...EngineOption) (*Engine, error) {
-	e := &Engine{db: db, cache: core.NewCache(defaultEngineCacheSize)}
+	e := &Engine{db: db, cache: core.NewCache(defaultEngineCacheSize), memo: algebra.NewSubplanMemo(db.udb)}
 	for _, opt := range opts {
 		if opt.apply == nil {
 			continue

@@ -61,7 +61,8 @@ func (q *Query) Explain() string { return algebra.Explain(q.plan, q.db.udb) }
 // A query prepared through Engine.Prepare evaluates against the engine's
 // persistent content-keyed estimator cache: repeated or lineage-sharing
 // evaluations resume sampled trials (visible as Stats.ReusedTrials /
-// Stats.CacheHits) with results bit-identical to a cold run. Resource
+// Stats.CacheHits), and it and EvalExact replay the engine's memoized
+// sub-plans, with results bit-identical to a cold run. Resource
 // limits (WithMaxTrials, WithMaxMemory) abort the evaluation with a
 // typed *LimitError.
 func (q *Query) Eval(ctx context.Context, opts ...Option) (*Result, error) {
@@ -75,6 +76,7 @@ func (q *Query) Eval(ctx context.Context, opts ...Option) (*Result, error) {
 	eng := core.NewEngine(q.db.udb, copts)
 	if q.eng != nil {
 		eng.SetCache(q.eng.cache)
+		eng.SetMemo(q.eng.memo)
 		if q.eng.coord != nil {
 			// Clustered engine: sampling scatters to the shard peers; the
 			// trajectory — and every output bit — matches local execution.
@@ -117,10 +119,12 @@ func (q *Query) EvalExact(ctx context.Context, opts ...Option) (*Result, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	eng := core.NewEngine(q.db.udb, copts)
 	if q.eng != nil {
+		eng.SetMemo(q.eng.memo)
 		defer q.eng.beginEval()()
 	}
-	res, err := core.NewEngine(q.db.udb, copts).EvalExactContext(ctx, q.plan)
+	res, err := eng.EvalExactContext(ctx, q.plan)
 	if err != nil {
 		if q.eng != nil {
 			q.eng.recordFailure(err)
