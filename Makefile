@@ -22,6 +22,7 @@ bench-build:
 # exits 1 when its op stream fails its (ε, δ) check against the exact
 # oracle.
 bench-smoke:
+	bash benchmark/run.sh -workload exact-join -seconds 2 -notrace
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
 	bash benchmark/run.sh -workload sigma-strat -seconds 2 -notrace
 	bash benchmark/run.sh -workload serve-mixed -seconds 2 -notrace

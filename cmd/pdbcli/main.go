@@ -70,7 +70,6 @@ type cliConfig struct {
 	delta      float64
 	seed       int64
 	workers    int
-	resume     bool
 	timeout    time.Duration
 	cpuprofile string
 	memprofile string
@@ -95,7 +94,6 @@ func main() {
 	flag.Float64Var(&cfg.delta, "delta", 0.1, "target per-tuple error δ")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for approximate evaluation")
 	flag.IntVar(&cfg.workers, "workers", 0, "parallel estimation workers (0 = GOMAXPROCS); results are seed-determined regardless")
-	flag.BoolVar(&cfg.resume, "resume", true, "reuse estimator state across σ̂ doubling restarts (bit-identical, ~2× fewer trials); off re-samples every restart from scratch")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort evaluation after this duration (0 = no limit)")
 	flag.BoolVar(&cfg.progress, "progress", false, "report each pass of the doubling loop on stderr")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the plan with inferred schemas instead of evaluating")
@@ -230,9 +228,6 @@ func run(cfg cliConfig) (err error) {
 		pdb.WithSeed(cfg.seed),
 		pdb.WithWorkers(cfg.workers),
 	}, limitOpts...)
-	if !cfg.resume {
-		opts = append(opts, pdb.WithNoResume())
-	}
 	if cfg.progress {
 		opts = append(opts, pdb.WithProgress(func(ev pdb.ProgressEvent) {
 			fmt.Fprintf(os.Stderr, "# pass %d: rounds=%d/%d worst-bound=%.4g sampled=%d reused=%d done=%v\n",

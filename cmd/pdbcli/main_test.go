@@ -20,7 +20,7 @@ func writeFile(t *testing.T, dir, name, content string) string {
 
 // base returns a config with the flag defaults.
 func base(rels relFlags, query string) cliConfig {
-	return cliConfig{rels: rels, query: query, eps0: 0.05, delta: 0.1, seed: 1, resume: true}
+	return cliConfig{rels: rels, query: query, eps0: 0.05, delta: 0.1, seed: 1}
 }
 
 func TestRunCoinQuery(t *testing.T) {

@@ -24,7 +24,6 @@ func main() {
 		seed    = flag.Int64("seed", 2008, "random seed (PODS'08 vintage)")
 		quick   = flag.Bool("quick", false, "shrink trial counts for a fast pass")
 		workers = flag.Int("workers", 0, "parallel estimation workers (0 = GOMAXPROCS)")
-		resume  = flag.Bool("resume", true, "reuse estimator state across σ̂ doubling restarts (bit-identical; off re-samples from scratch)")
 		timeout = flag.Duration("timeout", 0, "abort engine evaluation after this duration (0 = no limit)")
 	)
 	flag.Parse()
@@ -36,7 +35,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers, NoResume: !*resume, Ctx: ctx}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers, Ctx: ctx}
 	if *which != "all" {
 		run, title, ok := experiments.Lookup(*which)
 		if !ok {

@@ -54,7 +54,7 @@ func Corpus(seed int64) []Case {
 		{
 			Name:  "coinbag",
 			DB:    workload.CoinBag{FairCount: 2, BiasedCount: 1, Bias: 0.9, Tosses: 3}.Database(),
-			Query: coinConfQuery(3),
+			Query: CoinQuery(3, algebra.Conf{In: algebra.Base{Name: "T"}}),
 		},
 		{
 			Name: "dirty",
@@ -75,11 +75,17 @@ func Corpus(seed int64) []Case {
 	}
 }
 
-// coinConfQuery builds conf(T) for the generalized coin bag: T joins the
-// repaired coin choice with the "heads at toss i" observations, so each
-// CoinType's lineage is the conjunction of repair-key alternatives —
-// the paper's Example 2.2 shape with a parametric toss count.
-func coinConfQuery(tosses int64) algebra.Query {
+// CoinQuery builds the let chain of the paper's Example 2.2 over a coin-bag
+// database (Coins, Faces, Tosses — workload.CoinBag) with a parametric toss
+// count, and evaluates body under it:
+//
+//	R := π_CoinType(repair-key_∅@Count(Coins))
+//	S := π_CoinType,Toss,Face(repair-key_CoinType,Toss@FProb(Faces × Tosses))
+//	T := R ⋈ π_CoinType(σ_Toss=1 ∧ Face='H'(S)) ⋈ … ⋈ π_CoinType(σ_Toss=tosses ∧ Face='H'(S))
+//
+// so each CoinType's lineage in T is the conjunction of its repair-key
+// alternatives.
+func CoinQuery(tosses int, body algebra.Query) algebra.Query {
 	rDef := algebra.Project{
 		In:      algebra.RepairKey{In: algebra.Base{Name: "Coins"}, Weight: "Count"},
 		Targets: []expr.Target{expr.Keep("CoinType")},
@@ -92,26 +98,22 @@ func coinConfQuery(tosses int64) algebra.Query {
 		},
 		Targets: []expr.Target{expr.Keep("CoinType"), expr.Keep("Toss"), expr.Keep("Face")},
 	}
-	headsAt := func(toss int64) algebra.Query {
-		return algebra.Project{
+	var tDef algebra.Query = algebra.Base{Name: "R"}
+	for i := 1; i <= tosses; i++ {
+		tDef = algebra.Join{L: tDef, R: algebra.Project{
 			In: algebra.Select{
 				In: algebra.Base{Name: "S"},
 				Pred: expr.AndOf(
-					expr.Eq(expr.A("Toss"), expr.CInt(toss)),
+					expr.Eq(expr.A("Toss"), expr.CInt(int64(i))),
 					expr.Eq(expr.A("Face"), expr.CStr("H")),
 				),
 			},
 			Targets: []expr.Target{expr.Keep("CoinType")},
-		}
-	}
-	var tDef algebra.Query = algebra.Base{Name: "R"}
-	for i := int64(1); i <= tosses; i++ {
-		tDef = algebra.Join{L: tDef, R: headsAt(i)}
+		}}
 	}
 	return algebra.Let{Name: "R", Def: rDef,
 		In: algebra.Let{Name: "S", Def: sDef,
-			In: algebra.Let{Name: "T", Def: tDef,
-				In: algebra.Conf{In: algebra.Base{Name: "T"}}}}}
+			In: algebra.Let{Name: "T", Def: tDef, In: body}}}
 }
 
 // Options configures a conformance sweep.

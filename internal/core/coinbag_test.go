@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/conformance"
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/urel"
 	"repro/internal/workload"
@@ -13,32 +15,7 @@ import (
 // posteriorQuery builds the P(CoinType | all heads) query for a bag with
 // the given number of tosses (the generalized Example 2.2).
 func posteriorQuery(tosses int) algebra.Query {
-	r := algebra.Project{
-		In:      algebra.RepairKey{In: algebra.Base{Name: "Coins"}, Weight: "Count"},
-		Targets: []expr.Target{expr.Keep("CoinType")},
-	}
-	s := algebra.Project{
-		In: algebra.RepairKey{
-			In:     algebra.Product{L: algebra.Base{Name: "Faces"}, R: algebra.Base{Name: "Tosses"}},
-			Key:    []string{"CoinType", "Toss"},
-			Weight: "FProb",
-		},
-		Targets: []expr.Target{expr.Keep("CoinType"), expr.Keep("Toss"), expr.Keep("Face")},
-	}
-	t := algebra.Query(algebra.Base{Name: "R"})
-	for i := 1; i <= tosses; i++ {
-		t = algebra.Join{L: t, R: algebra.Project{
-			In: algebra.Select{
-				In: algebra.Base{Name: "S"},
-				Pred: expr.AndOf(
-					expr.Eq(expr.A("Toss"), expr.CInt(int64(i))),
-					expr.Eq(expr.A("Face"), expr.CStr("H")),
-				),
-			},
-			Targets: []expr.Target{expr.Keep("CoinType")},
-		}}
-	}
-	u := algebra.Project{
+	return conformance.CoinQuery(tosses, algebra.Project{
 		In: algebra.Product{
 			L: algebra.Conf{In: algebra.Base{Name: "T"}, As: "P1"},
 			R: algebra.Conf{In: algebra.Project{In: algebra.Base{Name: "T"}}, As: "P2"},
@@ -47,10 +24,7 @@ func posteriorQuery(tosses int) algebra.Query {
 			expr.Keep("CoinType"),
 			expr.As("P", expr.Div(expr.A("P1"), expr.A("P2"))),
 		},
-	}
-	return algebra.Let{Name: "R", Def: r,
-		In: algebra.Let{Name: "S", Def: s,
-			In: algebra.Let{Name: "T", Def: t, In: u}}}
+	})
 }
 
 // The algebra's posterior matches Bayes' rule analytically for a grid of
@@ -81,7 +55,7 @@ func TestCoinBagPosteriorMatchesAnalytic(t *testing.T) {
 				t.Errorf("bag %+v: exact posterior %v, analytic %v", bag, pExact, analytic)
 			}
 
-			eng := NewEngine(db, Options{Eps0: 0.05, Delta: 0.05, ConfEps: 0.03, ConfDelta: 0.02, Seed: int64(tosses)})
+			eng := core.NewEngine(db, core.Options{Eps0: 0.05, Delta: 0.05, ConfEps: 0.03, ConfDelta: 0.02, Seed: int64(tosses)})
 			approx, err := eng.EvalApprox(q)
 			if err != nil {
 				t.Fatal(err)

@@ -21,12 +21,12 @@ func TestCrossEvalCacheReuse(t *testing.T) {
 	var want []string
 	for _, workers := range []int{1, 4, 8} {
 		db := resumeDB(3, 2)
-		cold := NewEngine(db, resumeOpts(101, workers, false))
+		cold := NewEngine(db, resumeOpts(101, workers))
 		ref, err := cold.EvalApprox(q)
 		if err != nil {
 			t.Fatalf("workers=%d cold: %v", workers, err)
 		}
-		warmEng := NewEngine(db, resumeOpts(101, workers, false))
+		warmEng := NewEngine(db, resumeOpts(101, workers))
 		warmEng.SetCache(NewCache(1024))
 		first, err := warmEng.EvalApprox(q)
 		if err != nil {
@@ -103,14 +103,14 @@ func TestContentKeysSurviveReordering(t *testing.T) {
 	q := resumeQuery()
 	cache := NewCache(1024)
 
-	eng1 := NewEngine(resumeDB(3, 2), resumeOpts(77, 2, false))
+	eng1 := NewEngine(resumeDB(3, 2), resumeOpts(77, 2))
 	eng1.SetCache(cache)
 	res1, err := eng1.EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng2 := NewEngine(shuffledCloneDB(3, 2), resumeOpts(77, 2, false))
+	eng2 := NewEngine(shuffledCloneDB(3, 2), resumeOpts(77, 2))
 	eng2.SetCache(cache)
 	res2, err := eng2.EvalApprox(q)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestContentKeysSurviveReordering(t *testing.T) {
 	// And independently of any cache: content-equal databases evaluated
 	// cold must agree bit-for-bit, because the PRNG streams derive from
 	// content fingerprints rather than variable ids.
-	cold, err := NewEngine(shuffledCloneDB(3, 2), resumeOpts(77, 2, false)).EvalApprox(q)
+	cold, err := NewEngine(shuffledCloneDB(3, 2), resumeOpts(77, 2)).EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +154,18 @@ func TestSeedIsolation(t *testing.T) {
 	q := resumeQuery()
 	db := resumeDB(2, 1)
 	cache := NewCache(1024)
-	engA := NewEngine(db, resumeOpts(1, 1, false))
+	engA := NewEngine(db, resumeOpts(1, 1))
 	engA.SetCache(cache)
 	if _, err := engA.EvalApprox(q); err != nil {
 		t.Fatal(err)
 	}
-	engB := NewEngine(db, resumeOpts(2, 1, false))
+	engB := NewEngine(db, resumeOpts(2, 1))
 	engB.SetCache(cache)
 	warm, err := engB.EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEngine(db, resumeOpts(2, 1, false)).EvalApprox(q)
+	cold, err := NewEngine(db, resumeOpts(2, 1)).EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSeedIsolation(t *testing.T) {
 func TestTrialsLimit(t *testing.T) {
 	db := resumeDB(3, 2)
 	q := resumeQuery()
-	opts := resumeOpts(7, 4, false)
+	opts := resumeOpts(7, 4)
 	opts.MaxTrials = 1000
 	_, err := NewEngine(db, opts).EvalApprox(q)
 	var le *LimitError

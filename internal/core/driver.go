@@ -137,7 +137,7 @@ func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 	for _, t := range tasks {
 		run.stats.EstimatorTrials += t.est.Trials() - t.startTrials
 		run.stats.ReusedTrials += t.startTrials
-		if run.cache == nil || t.est.Trials() == t.startTrials {
+		if t.est.Trials() == t.startTrials {
 			continue
 		}
 		for s := range t.lanes {

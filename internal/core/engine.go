@@ -17,7 +17,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -56,13 +55,6 @@ type Options struct {
 	// estimation out across; 0 (the default) selects GOMAXPROCS. Results
 	// are independent of the value — it only changes wall-clock time.
 	Workers int
-	// NoResume makes every restart sample its tasks from scratch (ablation
-	// / paper-literal mode). By default a restart resumes each task's
-	// counts and samples only the delta chunks of its enlarged budget: the
-	// per-task seed scheme makes the first chunks of a doubled budget
-	// reproduce the previous pass's trials exactly, so results are
-	// bit-identical either way while sampled trials roughly halve.
-	NoResume bool
 	// MaxTrials caps the number of Karp–Luby trials one evaluation may
 	// sample, cumulatively across every pass of the doubling loop. The
 	// check is cooperative (pool workers charge each chunk before
@@ -144,49 +136,6 @@ type Progress struct {
 	Done bool
 }
 
-// Validate checks the option values an evaluation relies on, returning a
-// descriptive error for out-of-range settings: ε₀ and δ must lie in (0,1),
-// and round budgets/worker counts must not be negative.
-func (o Options) Validate() error {
-	if o.Eps0 <= 0 || o.Eps0 >= 1 {
-		return fmt.Errorf("core: ε₀ must be in (0,1), got %v", o.Eps0)
-	}
-	if o.Delta <= 0 || o.Delta >= 1 {
-		return fmt.Errorf("core: δ must be in (0,1), got %v", o.Delta)
-	}
-	if o.ConfEps < 0 || o.ConfEps >= 1 {
-		return fmt.Errorf("core: conf ε must be in (0,1) (or 0 to inherit ε₀), got %v", o.ConfEps)
-	}
-	if o.ConfDelta < 0 || o.ConfDelta >= 1 {
-		return fmt.Errorf("core: conf δ must be in (0,1) (or 0 to inherit δ), got %v", o.ConfDelta)
-	}
-	if o.InitialRounds < 0 {
-		return fmt.Errorf("core: InitialRounds must not be negative, got %d", o.InitialRounds)
-	}
-	if o.MaxRounds < 0 {
-		return fmt.Errorf("core: MaxRounds must not be negative, got %d", o.MaxRounds)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers must not be negative, got %d", o.Workers)
-	}
-	if o.MaxTrials < 0 {
-		return fmt.Errorf("core: MaxTrials must not be negative, got %d", o.MaxTrials)
-	}
-	if o.MaxMemory < 0 {
-		return fmt.Errorf("core: MaxMemory must not be negative, got %d", o.MaxMemory)
-	}
-	if o.Strata < 0 || o.Strata > 4096 {
-		return fmt.Errorf("core: Strata must be in [0, 4096], got %d", o.Strata)
-	}
-	if o.ConfThreshold < 0 || o.ConfThreshold >= 1 {
-		return fmt.Errorf("core: ConfThreshold must be in [0,1), got %v", o.ConfThreshold)
-	}
-	if o.ConfTopK < 0 {
-		return fmt.Errorf("core: ConfTopK must not be negative, got %d", o.ConfTopK)
-	}
-	return nil
-}
-
 // defaultStrata is the band count used when a threshold/top-k option
 // forces the stratified conf path but Options.Strata was left 0.
 const defaultStrata = 4
@@ -228,15 +177,15 @@ type Stats struct {
 	// doubled l.
 	Restarts int
 	// EstimatorTrials is the total number of Karp–Luby trials actually
-	// sampled across all restarts. With resume enabled (Options.NoResume
-	// false) this excludes trials replayed from estimator snapshots.
+	// sampled across all restarts, excluding trials replayed from estimator
+	// snapshots. EstimatorTrials + ReusedTrials is the paper-literal cost of
+	// the doubling loop, every pass sampling its budget from scratch.
 	EstimatorTrials int64
 	// ReusedTrials is the total number of trials whose counts were
 	// carried over from estimator snapshots instead of being re-sampled —
 	// snapshots of a previous restart of this evaluation, or, on an
 	// engine with a shared cache, of any earlier evaluation that
-	// estimated the same lineage content. Zero when Options.NoResume is
-	// set (or when nothing was reusable).
+	// estimated the same lineage content. Zero when nothing was reusable.
 	ReusedTrials int64
 	// CacheHits is the number of estimation tasks that resumed from a
 	// cached snapshot (each hit contributes its snapshot's trials to
@@ -414,9 +363,6 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if err := algebra.Validate(q); err != nil {
 		return nil, err
 	}
-	if err := e.opts.Validate(); err != nil {
-		return nil, err
-	}
 	l := e.opts.InitialRounds
 	if l <= 0 {
 		l = 1
@@ -433,9 +379,6 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	cache := e.shared
 	if cache == nil {
 		cache = NewCache(0)
-	}
-	if e.opts.NoResume {
-		cache = nil
 	}
 	// One walker and one evalRun — one memory budget and trials count, one
 	// spill directory — serve every pass. The walker evaluates the plan's
@@ -537,10 +480,9 @@ type evalRun struct {
 	// repair-keys grow: the current batch's lineage is estimated against it.
 	table  *vars.Table
 	rounds int64
-	// cache, when non-nil, resumes estimation tasks from snapshots stored
-	// under the same lineage-content keys — by a previous restart of this
-	// EvalApprox, or by any earlier evaluation when the engine carries a
-	// shared cache (Options.NoResume disables it).
+	// cache resumes estimation tasks from snapshots stored under the same
+	// lineage-content keys — by a previous restart of this EvalApprox, or by
+	// any earlier evaluation when the engine carries a shared cache.
 	cache *Cache
 	// sampled counts the trials charged against Options.MaxTrials
 	// (chargeTrials, limits.go).

@@ -362,17 +362,6 @@ func TestDoublingLoopRestartsOnTightMargin(t *testing.T) {
 	}
 }
 
-func TestOptionValidation(t *testing.T) {
-	eng := NewEngine(coinDB(), Options{Eps0: 0, Delta: 0.1})
-	if _, err := eng.EvalApprox(algebra.Base{Name: "Coins"}); err == nil {
-		t.Error("ε₀=0 must be rejected")
-	}
-	eng2 := NewEngine(coinDB(), Options{Eps0: 0.1, Delta: 1.5})
-	if _, err := eng2.EvalApprox(algebra.Base{Name: "Coins"}); err == nil {
-		t.Error("δ≥1 must be rejected")
-	}
-}
-
 func TestRepairKeyOverUnreliableRejected(t *testing.T) {
 	db, _ := sensorDB([]float64{0.9})
 	q := algebra.RepairKey{

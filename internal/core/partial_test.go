@@ -62,7 +62,7 @@ func TestPartialChunkReplay(t *testing.T) {
 		scratch := make(map[int64]float64)
 		for _, b := range budgets {
 			eng := NewEngine(db, Options{Eps0: 0.05, Delta: 0.1, Seed: 42, Workers: workers})
-			_, est, _ := estimateOnce(t, eng, nil, b)
+			_, est, _ := estimateOnce(t, eng, NewCache(0), b)
 			scratch[b] = est
 		}
 		// One cache across the growing budgets: each step must sample

@@ -182,7 +182,7 @@ func (run *evalRun) resume(t *task, budget int64) {
 		l := &t.lanes[j]
 		var st karpluby.State
 		ok := false
-		if run.cache != nil && t.est.StratumM(j) > 0 {
+		if t.est.StratumM(j) > 0 {
 			st, ok = run.cache.lookup(l.key, t.est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
 		}
 		if st.PartialRNG != nil && (!t.flat() || run.engine.dist != nil) {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/algebra"
+	"repro/internal/conformance"
 	"repro/internal/expr"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
@@ -31,54 +32,20 @@ func CoinDatabase() *urel.Database {
 	return db
 }
 
-// CoinQueryR is R := π_CoinType(repair-key_∅@Count(Coins)).
-func CoinQueryR() algebra.Query {
+// coinPosterior is Example 2.2's U := π_CoinType,P1/P2→P(conf(T) ×
+// conf(π_∅(T))), the posterior P(CoinType | both tosses came up heads), as a
+// conformance.CoinQuery body.
+func coinPosterior() algebra.Query {
 	return algebra.Project{
-		In:      algebra.RepairKey{In: algebra.Base{Name: "Coins"}, Weight: "Count"},
-		Targets: []expr.Target{expr.Keep("CoinType")},
-	}
-}
-
-// CoinQueryU builds the full U query of Example 2.2 with Let bindings for
-// R, S, T; body selects the final posterior relation.
-func CoinQueryU() algebra.Query {
-	sDef := algebra.Project{
-		In: algebra.RepairKey{
-			In:     algebra.Product{L: algebra.Base{Name: "Faces"}, R: algebra.Base{Name: "Tosses"}},
-			Key:    []string{"CoinType", "Toss"},
-			Weight: "FProb",
-		},
-		Targets: []expr.Target{expr.Keep("CoinType"), expr.Keep("Toss"), expr.Keep("Face")},
-	}
-	headsAt := func(toss int64) algebra.Query {
-		return algebra.Project{
-			In: algebra.Select{
-				In: algebra.Base{Name: "S"},
-				Pred: expr.AndOf(
-					expr.Eq(expr.A("Toss"), expr.CInt(toss)),
-					expr.Eq(expr.A("Face"), expr.CStr("H")),
-				),
-			},
-			Targets: []expr.Target{expr.Keep("CoinType")},
-		}
-	}
-	tDef := algebra.Join{
-		L: algebra.Join{L: algebra.Base{Name: "R"}, R: headsAt(1)},
-		R: headsAt(2),
-	}
-	uDef := algebra.Project{
 		In: algebra.Product{
 			L: algebra.Conf{In: algebra.Base{Name: "T"}, As: "P1"},
-			R: algebra.Conf{In: algebra.Project{In: algebra.Base{Name: "T"}, Targets: nil}, As: "P2"},
+			R: algebra.Conf{In: algebra.Project{In: algebra.Base{Name: "T"}}, As: "P2"},
 		},
 		Targets: []expr.Target{
 			expr.Keep("CoinType"),
 			expr.As("P", expr.Div(expr.A("P1"), expr.A("P2"))),
 		},
 	}
-	return algebra.Let{Name: "R", Def: CoinQueryR(),
-		In: algebra.Let{Name: "S", Def: sDef,
-			In: algebra.Let{Name: "T", Def: tDef, In: uDef}}}
 }
 
 // E1CoinExample reproduces Figure 1 and the tables of Examples 2.2/3.2:
@@ -89,8 +56,10 @@ func E1CoinExample(w io.Writer, cfg Config) (Summary, error) {
 	db := CoinDatabase()
 
 	// Figure 1(a): the database after computing R.
+	uq := conformance.CoinQuery(2, coinPosterior())
+	letR := uq.(algebra.Let)
 	ev := algebra.NewURelEvaluator(db)
-	rRes, err := ev.Eval(CoinQueryR())
+	rRes, err := ev.Eval(letR.Def)
 	if err != nil {
 		return s, err
 	}
@@ -106,8 +75,6 @@ func E1CoinExample(w io.Writer, cfg Config) (Summary, error) {
 	// U_T holds two (the fair one over three variables, the 2headed one
 	// over the coin variable alone).
 	evB := algebra.NewURelEvaluator(db)
-	uq := CoinQueryU()
-	letR := uq.(algebra.Let)
 	letS := letR.In.(algebra.Let)
 	letT := letS.In.(algebra.Let)
 	sRes, err := evB.Eval(algebra.Let{Name: letR.Name, Def: letR.Def, In: letS.Def})

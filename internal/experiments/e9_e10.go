@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/predapprox"
@@ -204,17 +205,9 @@ func boolToF(b bool) float64 {
 // condProbQuery builds σ̂_{conf[CoinType]/conf[∅] ≤ 0.5}(T) with T from
 // Example 2.2.
 func condProbQuery() algebra.Query {
-	u := CoinQueryU()
-	// Rebuild the Let chain with an ApproxSelect body over T.
-	letR := u.(algebra.Let)
-	letS := letR.In.(algebra.Let)
-	letT := letS.In.(algebra.Let)
-	body := algebra.ApproxSelect{
+	return conformance.CoinQuery(2, algebra.ApproxSelect{
 		In:   algebra.Base{Name: "T"},
 		Args: []algebra.ConfArg{{Attrs: []string{"CoinType"}}, {Attrs: nil}},
 		Pred: predapprox.Linear([]float64{-1, 0.5}, 0), // P1/P2 ≤ 0.5
-	}
-	return algebra.Let{Name: letR.Name, Def: letR.Def,
-		In: algebra.Let{Name: letS.Name, Def: letS.Def,
-			In: algebra.Let{Name: letT.Name, Def: letT.Def, In: body}}}
+	})
 }

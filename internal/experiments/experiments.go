@@ -30,12 +30,6 @@ type Config struct {
 	// GOMAXPROCS. Tables are worker-count-independent by the engine's
 	// determinism contract.
 	Workers int
-	// NoResume disables cross-restart estimator reuse
-	// (core.Options.NoResume). All result-quality columns (estimates,
-	// error rates, bounds, final l) are resume-independent by the engine's
-	// bit-identity contract; only the sampled/reused trial-accounting
-	// columns change, which is what the knob exists to measure.
-	NoResume bool
 	// Ctx, when non-nil, cancels engine evaluations cooperatively: an
 	// expired deadline aborts evaluation between estimation chunks with
 	// ctx.Err(). Nil means context.Background(). E4's conformance sweep
@@ -59,9 +53,9 @@ func (c Config) scale(full, quick int) int {
 }
 
 // eval evaluates q approximately on a fresh engine over db under o, with
-// the configured workers and resume setting.
+// the configured workers.
 func (c Config) eval(db *urel.Database, o core.Options, q algebra.Query) (*core.Result, error) {
-	o.Workers, o.NoResume = c.Workers, c.NoResume
+	o.Workers = c.Workers
 	return core.NewEngine(db, o).EvalApproxContext(c.ctx(), q)
 }
 

@@ -4,8 +4,8 @@
 // and in the arguments of π and ρ" (Section 2).
 //
 // An Expr evaluates to a rel.Value against a (schema, tuple) pair; a Pred
-// evaluates to a bool. Predicates support negation-normal-form rewriting,
-// which the predicate-approximation layer relies on.
+// evaluates to a bool. Negation stays a Not node; σ̂'s predicates handle ¬
+// themselves (predapprox.Not, whose margin is its child's).
 package expr
 
 import (
@@ -182,26 +182,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Negate returns the complementary comparison (¬(a<b) ≡ a>=b etc.).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case CmpEq:
-		return CmpNe
-	case CmpNe:
-		return CmpEq
-	case CmpLt:
-		return CmpGe
-	case CmpLe:
-		return CmpGt
-	case CmpGt:
-		return CmpLe
-	case CmpGe:
-		return CmpLt
-	default:
-		return op
-	}
-}
-
 // Apply evaluates the comparison on two values. Comparisons involving
 // NULL are false (so NULL from a failed arithmetic op never selects).
 func (op CmpOp) Apply(l, r rel.Value) bool {
@@ -306,28 +286,6 @@ func (n Not) String() string { return fmt.Sprintf("not (%s)", n.Kid) }
 // Attrs appends the child's attributes.
 func (n Not) Attrs(dst []string) []string { return n.Kid.Attrs(dst) }
 
-// True is the always-true predicate.
-type True struct{}
-
-// Holds returns true.
-func (True) Holds(Env) bool { return true }
-
-func (True) String() string { return "true" }
-
-// Attrs returns dst unchanged.
-func (True) Attrs(dst []string) []string { return dst }
-
-// False is the always-false predicate.
-type False struct{}
-
-// Holds returns false.
-func (False) Holds(Env) bool { return false }
-
-func (False) String() string { return "false" }
-
-// Attrs returns dst unchanged.
-func (False) Attrs(dst []string) []string { return dst }
-
 func joinPreds(ps []Pred, sep string) string {
 	parts := make([]string, len(ps))
 	for i, p := range ps {
@@ -364,57 +322,6 @@ func OrOf(kids ...Pred) Pred { return Or{Kids: kids} }
 
 // NotOf builds a negation.
 func NotOf(kid Pred) Pred { return Not{Kid: kid} }
-
-// NNF rewrites a predicate into negation normal form: negations are pushed
-// through De Morgan's laws and into the atomic comparisons, exactly the
-// rewriting described before Theorem 5.5 ("¬(f(·) < g(·)) rewrites into
-// f(·) ≥ g(·)").
-func NNF(p Pred) Pred { return nnf(p, false) }
-
-func nnf(p Pred, neg bool) Pred {
-	switch q := p.(type) {
-	case Not:
-		return nnf(q.Kid, !neg)
-	case And:
-		kids := make([]Pred, len(q.Kids))
-		for i, k := range q.Kids {
-			kids[i] = nnf(k, neg)
-		}
-		if neg {
-			return Or{Kids: kids}
-		}
-		return And{Kids: kids}
-	case Or:
-		kids := make([]Pred, len(q.Kids))
-		for i, k := range q.Kids {
-			kids[i] = nnf(k, neg)
-		}
-		if neg {
-			return And{Kids: kids}
-		}
-		return Or{Kids: kids}
-	case Cmp:
-		if neg {
-			return Cmp{Op: q.Op.Negate(), L: q.L, R: q.R}
-		}
-		return q
-	case True:
-		if neg {
-			return False{}
-		}
-		return q
-	case False:
-		if neg {
-			return True{}
-		}
-		return q
-	default:
-		if neg {
-			return Not{Kid: p}
-		}
-		return p
-	}
-}
 
 // Target is a projection/renaming target: expression Expr named As. A bare
 // attribute copy is Target{As: "A", Expr: A("A")}; the paper's

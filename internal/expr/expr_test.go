@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -88,85 +87,6 @@ func TestBooleanCombinators(t *testing.T) {
 	}
 	if OrOf().Holds(e) {
 		t.Error("empty Or should be false")
-	}
-	if !(True{}).Holds(e) || (False{}).Holds(e) {
-		t.Error("True/False broken")
-	}
-}
-
-func TestNegateOp(t *testing.T) {
-	ops := []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
-	for _, op := range ops {
-		if op.Negate().Negate() != op {
-			t.Errorf("double negation of %v changed it", op)
-		}
-		// Semantics: for non-null values op and Negate(op) partition.
-		l, r := rel.Int(3), rel.Int(4)
-		if op.Apply(l, r) == op.Negate().Apply(l, r) {
-			t.Errorf("%v and its negation agree", op)
-		}
-	}
-}
-
-// randomPred builds a random predicate tree over attributes X, Y.
-func randomPred(rng *rand.Rand, depth int) Pred {
-	if depth == 0 || rng.Intn(3) == 0 {
-		ops := []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
-		l := Expr(A("X"))
-		if rng.Intn(2) == 0 {
-			l = Add(A("X"), A("Y"))
-		}
-		return Cmp{Op: ops[rng.Intn(len(ops))], L: l, R: CInt(int64(rng.Intn(7) - 3))}
-	}
-	switch rng.Intn(3) {
-	case 0:
-		return And{Kids: []Pred{randomPred(rng, depth-1), randomPred(rng, depth-1)}}
-	case 1:
-		return Or{Kids: []Pred{randomPred(rng, depth-1), randomPred(rng, depth-1)}}
-	default:
-		return Not{Kid: randomPred(rng, depth-1)}
-	}
-}
-
-// hasNot reports whether a predicate tree contains a Not above an atom.
-func hasNot(p Pred) bool {
-	switch q := p.(type) {
-	case Not:
-		return true
-	case And:
-		for _, k := range q.Kids {
-			if hasNot(k) {
-				return true
-			}
-		}
-	case Or:
-		for _, k := range q.Kids {
-			if hasNot(k) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Property: NNF preserves semantics and eliminates Not nodes.
-func TestNNFEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	schema := rel.NewSchema("X", "Y")
-	for trial := 0; trial < 500; trial++ {
-		p := randomPred(rng, 4)
-		n := NNF(p)
-		if hasNot(n) {
-			t.Fatalf("NNF(%s) = %s still contains Not", p, n)
-		}
-		for x := -3; x <= 3; x++ {
-			for y := -3; y <= 3; y++ {
-				e := env(schema, rel.Int(int64(x)), rel.Int(int64(y)))
-				if p.Holds(e) != n.Holds(e) {
-					t.Fatalf("NNF changed semantics of %s at (%d,%d): nnf=%s", p, x, y, n)
-				}
-			}
-		}
 	}
 }
 

@@ -155,13 +155,6 @@ func (p *Proxy) SetDown(down bool) {
 	p.mu.Unlock()
 }
 
-// Down reports the current down state.
-func (p *Proxy) Down() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.down
-}
-
 // Close stops the listener and kills every live connection.
 func (p *Proxy) Close() error {
 	p.mu.Lock()

@@ -382,8 +382,6 @@ type queryRequest struct {
 
 	// Exact switches to exact (#P) confidence computation.
 	Exact bool `json:"exact,omitempty"`
-	// NoResume disables estimator reuse for this request (ablation).
-	NoResume bool `json:"no_resume,omitempty"`
 
 	// Strata enables stratified Karp-Luby estimation with at most this
 	// many clause-weight strata (pdb.WithStrata).
@@ -574,9 +572,6 @@ func (s *Server) buildOptions(req queryRequest, q Quota) []pdb.Option {
 			w = s.cfg.MaxWorkers
 		}
 		opts = append(opts, pdb.WithWorkers(w))
-	}
-	if req.NoResume {
-		opts = append(opts, pdb.WithNoResume())
 	}
 	if req.Strata > 0 {
 		opts = append(opts, pdb.WithStrata(req.Strata))

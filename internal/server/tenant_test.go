@@ -366,7 +366,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// A limit abort shows up on the limit series (and as a 422).
-	limited := fmt.Sprintf(`{"program": %q, "max_trials": 10, "conf_epsilon": 0.01, "conf_delta": 0.01, "no_resume": true}`, testProgram)
+	limited := fmt.Sprintf(`{"program": %q, "max_trials": 10, "conf_epsilon": 0.01, "conf_delta": 0.01}`, testProgram)
 	if status, _, _ := postAs(t, ts, "alpha", limited); status != http.StatusUnprocessableEntity {
 		t.Fatalf("limited query: status %d, want 422", status)
 	}

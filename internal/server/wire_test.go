@@ -247,6 +247,62 @@ func TestWireTrailerReportsSingularDrops(t *testing.T) {
 	t.Fatal("fixture: no seed in 1..32 drops the boundary tuple as singular")
 }
 
+// SHALL: a request field the server no longer reads is ignored, not an
+// error — a client of an older release may still send the removed switch
+// that turned estimator reuse off. WHEN a warmed server receives a request
+// identical to an earlier one except for that switch set to true. THEN it
+// answers 200 AND the header and row bytes equal those of the same request
+// sent without the field AND so does every trailer key except elapsed_ms.
+func TestWireIgnoresRemovedField(t *testing.T) {
+	ts, _ := wireServer(t, Config{}, 0)
+	lines := func(body string) []string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("THEN it answers 200, got %d: %s", resp.StatusCode, raw)
+		}
+		return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	}
+	for _, tc := range []struct{ when, program, rest string }{
+		{"a conf query", testProgram, `, "seed": 7`},
+		{"a σ̂ query that restarts", `aselect[p1 >= 0.5 over conf[ID]](T);`, `, "seed": 3`},
+	} {
+		t.Run("WHEN "+tc.when+" is repeated with the removed switch", func(t *testing.T) {
+			plain := fmt.Sprintf(`{"program": %q%s}`, tc.program, tc.rest)
+			lines(plain)
+			flagged := lines(fmt.Sprintf(`{"program": %q%s, "no_resume": true}`, tc.program, tc.rest))
+			want := lines(plain)
+			if len(flagged) != len(want) || len(want) < 2 {
+				t.Fatalf("THEN the answers have equal line counts, got %d and %d", len(flagged), len(want))
+			}
+			last := len(want) - 1
+			if !reflect.DeepEqual(flagged[:last], want[:last]) {
+				t.Errorf("THEN the header and rows are equal, got\n  %v, want\n  %v", flagged[:last], want[:last])
+			}
+			_, got := objectKeys(t, []byte(flagged[last]))
+			_, exp := objectKeys(t, []byte(want[last]))
+			gotStats, gotVals := objectKeys(t, got["stats"])
+			wantStats, wantVals := objectKeys(t, exp["stats"])
+			if !reflect.DeepEqual(gotStats, wantStats) {
+				t.Fatalf("THEN the trailer keys are equal, got %v, want %v", gotStats, wantStats)
+			}
+			for _, k := range wantStats {
+				if k != "elapsed_ms" && !bytes.Equal(gotVals[k], wantVals[k]) {
+					t.Errorf("THEN trailer key %s is equal, got %s, want %s", k, gotVals[k], wantVals[k])
+				}
+			}
+		})
+	}
+}
+
 // SHALL: GET /v1/stats has the sections engine, server and admission, and
 // cluster on a sharded deployment only; every key of every section is
 // present on a server that has done no work, except max_in_flight (without

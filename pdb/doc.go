@@ -30,11 +30,11 @@
 // cross-restart resume cache.
 //
 // Evaluation is configured with validated functional options (WithEpsilon,
-// WithDelta, WithWorkers, WithSeed, WithNoResume, …); invalid settings are
-// rejected with a typed *OptionError before any work starts. Long-running
-// evaluations can be observed with WithProgress, which reports every pass
-// of the doubling loop (restart count, round budget, trial counts, worst
-// error bound).
+// WithDelta, WithWorkers, WithSeed, …); invalid settings are rejected with
+// a typed *OptionError before any work starts — the one place a
+// configuration is validated. Long-running evaluations can be observed
+// with WithProgress, which reports every pass of the doubling loop
+// (restart count, round budget, trial counts, worst error bound).
 //
 // Results are deterministic: equal databases, query text, seed, and
 // accuracy targets produce bit-identical results for any worker count and

@@ -234,17 +234,6 @@ func WithTopK(k int) Option {
 	}}
 }
 
-// WithNoResume disables cross-restart estimator reuse: every doubling
-// restart samples from scratch instead of resuming the previous restart's
-// snapshots. Results are bit-identical either way; this is an ablation /
-// paper-literal mode that roughly doubles sampled trials.
-func WithNoResume() Option {
-	return Option{func(o *core.Options) error {
-		o.NoResume = true
-		return nil
-	}}
-}
-
 // ProgressEvent is one observation of a running evaluation, delivered to
 // the WithProgress hook after every pass of the doubling loop: the restart
 // count, the pass's round budget and cap, cumulative sampled/reused trial

@@ -55,9 +55,10 @@ type Stats struct {
 	// pre-pass computed exactly instead of sampling (final pass).
 	ExactFactored int64 `json:"exact_factored,omitempty"`
 	// Ops maps operator names (join, product, select, project, union,
-	// diffc, repairkey, lineage, conf, cert, poss) to their aggregate work
-	// over the evaluation: the σ̂-free prefix and each σ̂'s lineage once, what
-	// a restart rebuilds above the first σ̂ once per pass. It makes operator
+	// diffc, repairkey, lineage, cert, poss) to their aggregate work over
+	// the evaluation (conf and σ̂ record their grouping as lineage): the
+	// σ̂-free prefix and each σ̂'s lineage once, what a restart rebuilds
+	// above the first σ̂ once per pass. It makes operator
 	// throughput — and the effect of WithWorkers on the exact-algebra
 	// path — observable from the public API.
 	Ops map[string]OpStats `json:"-"`
