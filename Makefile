@@ -96,6 +96,7 @@ conformance:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
+	$(GO) test -fuzz=FuzzApproxPredicate -fuzztime=10s ./internal/predapprox
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzClientHandshake -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeSampleResult -fuzztime=10s ./internal/cluster

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
 	"repro/internal/stats"
@@ -54,15 +55,20 @@ func E6LinearEpsilon(w io.Writer, cfg Config) (Summary, error) {
 	unsound := 0
 	boolTrials := cfg.scale(300, 60)
 	for i := 0; i < boolTrials; i++ {
-		mk := func() predapprox.Pred {
-			coef := []float64{rng.Float64()*4 - 2, rng.Float64()*4 - 2}
-			return predapprox.Linear(coef, rng.Float64()*1.2-0.6)
+		mk := func() expr.Pred { // a₁·p1 + a₂·p2 ≥ b
+			a1, a2 := expr.CFloat(rng.Float64()*4-2), expr.CFloat(rng.Float64()*4-2)
+			lhs := expr.Add(expr.Mul(a1, expr.A("p1")), expr.Mul(a2, expr.A("p2")))
+			return expr.Ge(lhs, expr.CFloat(rng.Float64()*1.2-0.6))
 		}
-		var phi predapprox.Pred
+		var tree expr.Pred
 		if rng.Intn(2) == 0 {
-			phi = predapprox.AndOf(mk(), mk())
+			tree = expr.AndOf(mk(), mk())
 		} else {
-			phi = predapprox.OrOf(mk(), predapprox.NotOf(mk()))
+			tree = expr.OrOf(mk(), expr.NotOf(mk()))
+		}
+		phi, err := predapprox.FromExpr(tree, 2)
+		if err != nil {
+			return s, err
 		}
 		p := []float64{0.1 + 0.8*rng.Float64(), 0.1 + 0.8*rng.Float64()}
 		m := phi.Margin(p)
@@ -87,22 +93,19 @@ func E7CornerPoint(w io.Writer, cfg Config) (Summary, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	trials := cfg.scale(250, 50)
 
-	mk := []func() (predapprox.AExpr, int){
-		func() (predapprox.AExpr, int) {
-			return predapprox.Sub(predapprox.Mul(predapprox.Slot(0), predapprox.Slot(1)), predapprox.Num(0.05+0.3*rng.Float64())), 2
-		},
-		func() (predapprox.AExpr, int) {
-			return predapprox.Sub(predapprox.Div(predapprox.Slot(0), predapprox.Slot(1)), predapprox.Num(0.3+rng.Float64())), 2
-		},
-		func() (predapprox.AExpr, int) {
-			return predapprox.Sub(predapprox.Add(predapprox.Mul(predapprox.Slot(0), predapprox.Slot(1)), predapprox.Slot(2)), predapprox.Num(0.2+0.6*rng.Float64())), 3
+	p1, p2, p3 := expr.A("p1"), expr.A("p2"), expr.A("p3")
+	mk := []func() (expr.Pred, int){
+		func() (expr.Pred, int) { return expr.Ge(expr.Mul(p1, p2), expr.CFloat(0.05+0.3*rng.Float64())), 2 },
+		func() (expr.Pred, int) { return expr.Ge(expr.Div(p1, p2), expr.CFloat(0.3+rng.Float64())), 2 },
+		func() (expr.Pred, int) {
+			return expr.Ge(expr.Add(expr.Mul(p1, p2), p3), expr.CFloat(0.2+0.6*rng.Float64())), 3
 		},
 	}
 	unsound, nontrivial := 0, 0
 	var margins []float64
 	for i := 0; i < trials; i++ {
 		f, k := mk[rng.Intn(len(mk))]()
-		atom, err := predapprox.NewAlgAtom(f, k)
+		atom, err := predapprox.FromExpr(f, k)
 		if err != nil {
 			return s, err
 		}

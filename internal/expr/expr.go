@@ -4,8 +4,9 @@
 // and in the arguments of π and ρ" (Section 2).
 //
 // An Expr evaluates to a rel.Value against a (schema, tuple) pair; a Pred
-// evaluates to a bool. Negation stays a Not node; σ̂'s predicates handle ¬
-// themselves (predapprox.Not, whose margin is its child's).
+// evaluates to a bool. A σ̂ predicate is a Pred too, over the attributes
+// p1..pk: predapprox.FromExpr decides it and measures its margins on the
+// same tree.
 package expr
 
 import (

@@ -168,3 +168,17 @@ func TestExplainParsedProgram(t *testing.T) {
 		t.Errorf("explain output:\n%s", out)
 	}
 }
+
+// -explain shows the σ̂ predicate the user wrote, over p1..pk, not a
+// rewritten form over internal slots.
+func TestExplainShowsApproxPredicateAsWritten(t *testing.T) {
+	q, err := Parse("aselect[p1 / p2 <= 0.5 over conf[A], conf[]](R)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{algebra.Explain(q, nil), q.String()} {
+		if !strings.Contains(out, "p1 / p2) <= 0.5") || strings.Contains(out, "x0") {
+			t.Errorf("σ̂ predicate not shown as written:\n%s", out)
+		}
+	}
+}

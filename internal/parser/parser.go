@@ -191,15 +191,8 @@ func (p *parser) parseQuery() (algebra.Query, error) {
 		if err := p.expect("["); err != nil {
 			return nil, err
 		}
-		var key []string
-		for p.peek().kind == tokIdent {
-			a, _ := p.expectIdent()
-			key = append(key, a)
-			if p.peek().text == "," {
-				p.next()
-			}
-		}
-		if err := p.expect("@"); err != nil {
+		key, err := p.parseAttrs("@")
+		if err != nil {
 			return nil, err
 		}
 		weight, err := p.expectIdent()
@@ -251,6 +244,26 @@ func (p *parser) parseQuery() (algebra.Query, error) {
 		name := p.next().text
 		return algebra.Base{Name: name}, nil
 	}
+}
+
+// parseAttrs parses a comma-separated, possibly empty attribute list and
+// the token end that closes it.
+func (p *parser) parseAttrs(end string) ([]string, error) {
+	var attrs []string
+	if p.peek().text != end {
+		for {
+			a, err := p.expectIdent()
+			if err != nil {
+				return nil, err
+			}
+			attrs = append(attrs, a)
+			if p.peek().text != "," {
+				break
+			}
+			p.next()
+		}
+	}
+	return attrs, p.expect(end)
 }
 
 func (p *parser) parseParenQuery() (algebra.Query, error) {
@@ -477,8 +490,8 @@ func (p *parser) parseApproxSelect() (algebra.Query, error) {
 	if err := p.expect("["); err != nil {
 		return nil, err
 	}
-	// The predicate text runs until the keyword 'over'; parse it as a
-	// condition over attributes p1..pk and convert to a predapprox.Pred.
+	// The predicate text runs until the keyword 'over'; it is a condition
+	// over attributes p1..pk, which predapprox decides as parsed.
 	cond, err := p.parseCond()
 	if err != nil {
 		return nil, err
@@ -496,15 +509,8 @@ func (p *parser) parseApproxSelect() (algebra.Query, error) {
 		if err := p.expect("["); err != nil {
 			return nil, err
 		}
-		var attrs []string
-		for p.peek().kind == tokIdent {
-			a, _ := p.expectIdent()
-			attrs = append(attrs, a)
-			if p.peek().text == "," {
-				p.next()
-			}
-		}
-		if err := p.expect("]"); err != nil {
+		attrs, err := p.parseAttrs("]")
+		if err != nil {
 			return nil, err
 		}
 		args = append(args, algebra.ConfArg{Attrs: attrs})
@@ -520,113 +526,9 @@ func (p *parser) parseApproxSelect() (algebra.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := condToApprox(cond, len(args))
+	pred, err := predapprox.FromExpr(cond, len(args))
 	if err != nil {
 		return nil, err
 	}
 	return algebra.ApproxSelect{In: in, Args: args, Pred: pred}, nil
-}
-
-// condToApprox converts an attribute-level condition over p1..pk into a
-// predapprox predicate over slots 0..k-1. Comparisons become algebraic
-// atoms (lhs − rhs ≥ 0 and friends); equality is rejected because exact
-// equality of approximated values is a singularity everywhere (Example
-// 5.7 discussion).
-func condToApprox(c expr.Pred, k int) (predapprox.Pred, error) {
-	switch n := c.(type) {
-	case expr.And:
-		kids := make([]predapprox.Pred, len(n.Kids))
-		for i, kid := range n.Kids {
-			p, err := condToApprox(kid, k)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = p
-		}
-		return predapprox.And{Kids: kids}, nil
-	case expr.Or:
-		kids := make([]predapprox.Pred, len(n.Kids))
-		for i, kid := range n.Kids {
-			p, err := condToApprox(kid, k)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = p
-		}
-		return predapprox.Or{Kids: kids}, nil
-	case expr.Not:
-		p, err := condToApprox(n.Kid, k)
-		if err != nil {
-			return nil, err
-		}
-		return predapprox.Not{Kid: p}, nil
-	case expr.Cmp:
-		l, err := exprToAExpr(n.L, k)
-		if err != nil {
-			return nil, err
-		}
-		r, err := exprToAExpr(n.R, k)
-		if err != nil {
-			return nil, err
-		}
-		var f predapprox.AExpr
-		switch n.Op {
-		case expr.CmpGe, expr.CmpGt:
-			f = predapprox.Sub(l, r)
-		case expr.CmpLe, expr.CmpLt:
-			f = predapprox.Sub(r, l)
-		default:
-			return nil, fmt.Errorf("parser: (in)equality %s over approximated values is a singularity everywhere; use <=, <, >= or >", n.Op)
-		}
-		atom, err := predapprox.NewAlgAtom(f, k)
-		if err != nil {
-			return nil, err
-		}
-		atom.Strict = n.Op == expr.CmpGt || n.Op == expr.CmpLt
-		return atom, nil
-	default:
-		return nil, fmt.Errorf("parser: unsupported σ̂ predicate node %T", c)
-	}
-}
-
-// exprToAExpr maps an arithmetic expression over p1..pk to slots.
-func exprToAExpr(e expr.Expr, k int) (predapprox.AExpr, error) {
-	switch n := e.(type) {
-	case expr.Const:
-		if !n.V.IsNumeric() {
-			return nil, fmt.Errorf("parser: σ̂ predicate constant %v is not numeric", n.V)
-		}
-		return predapprox.Num(n.V.AsFloat()), nil
-	case expr.Attr:
-		name := strings.ToLower(n.Name)
-		if !strings.HasPrefix(name, "p") {
-			return nil, fmt.Errorf("parser: σ̂ predicate variable %q must be p1..p%d", n.Name, k)
-		}
-		i, err := strconv.Atoi(name[1:])
-		if err != nil || i < 1 || i > k {
-			return nil, fmt.Errorf("parser: σ̂ predicate variable %q must be p1..p%d", n.Name, k)
-		}
-		return predapprox.Slot(i - 1), nil
-	case expr.Arith:
-		l, err := exprToAExpr(n.L, k)
-		if err != nil {
-			return nil, err
-		}
-		r, err := exprToAExpr(n.R, k)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Op {
-		case expr.OpAdd:
-			return predapprox.Add(l, r), nil
-		case expr.OpSub:
-			return predapprox.Sub(l, r), nil
-		case expr.OpMul:
-			return predapprox.Mul(l, r), nil
-		default:
-			return predapprox.Div(l, r), nil
-		}
-	default:
-		return nil, fmt.Errorf("parser: unsupported σ̂ predicate expression %T", e)
-	}
 }

@@ -193,3 +193,28 @@ func TestLoadCSV(t *testing.T) {
 		t.Error("empty CSV must fail")
 	}
 }
+
+// Attribute lists in conf[…] and repairkey[… @ W] are comma-separated like
+// project's: a missing or trailing comma is an error, an empty list is not.
+func TestAttributeListsNeedCommas(t *testing.T) {
+	for _, src := range []string{
+		"aselect[p1 >= 0.5 over conf[A B]](R)",
+		"aselect[p1 >= 0.5 over conf[A,]](R)",
+		"repairkey[A B @ W](R)",
+		"repairkey[A, @ W](R)",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+	for _, src := range []string{
+		"aselect[p1 >= 0.5 over conf[]](R)",
+		"aselect[p1 >= 0.5 over conf[A, B]](R)",
+		"repairkey[@ W](R)",
+		"repairkey[A, B @ W](R)",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+}

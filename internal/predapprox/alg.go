@@ -3,165 +3,177 @@ package predapprox
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+
+	"repro/internal/expr"
 )
 
-// AExpr is an algebraic expression over slots, built from constants, slot
-// references, and +, −, ·, / — the expression language of Theorem 5.5.
-type AExpr interface {
-	Eval(x []float64) float64
-	// countSlots increments counts[i] for every occurrence of slot i.
-	countSlots(counts []int)
-	String() string
+// exprPred is a σ̂ predicate as the parser built it, over attributes p1..pk
+// naming x[0..k−1]. It holds nothing but the tree, so one prepared query's
+// predicate serves concurrent evaluations.
+type exprPred struct {
+	p     expr.Pred
+	arity int
 }
 
-// Slot references approximable value xᵢ.
-type Slot int
-
-// Eval returns x[s].
-func (s Slot) Eval(x []float64) float64 { return x[s] }
-
-func (s Slot) countSlots(counts []int) { counts[s]++ }
-
-func (s Slot) String() string { return fmt.Sprintf("x%d", int(s)) }
-
-// Num is a numeric constant.
-type Num float64
-
-// Eval returns the constant.
-func (n Num) Eval([]float64) float64 { return float64(n) }
-
-func (n Num) countSlots([]int) {}
-
-func (n Num) String() string { return fmt.Sprintf("%g", float64(n)) }
-
-// BinOp is one of the four arithmetic operations.
-type BinOp uint8
-
-// The operations of Theorem 5.5.
-const (
-	OpAdd BinOp = iota
-	OpSub
-	OpMul
-	OpDiv
-)
-
-// Bin is a binary arithmetic node.
-type Bin struct {
-	Op   BinOp
-	L, R AExpr
+// FromExpr validates p as a σ̂ predicate over k approximated values, to be
+// decided on p itself. Each comparison L op R is Theorem 5.5's atom f ≥ 0
+// (f > 0 for > and <), f = L − R for ≥ and >, f = R − L for ≤ and <, in
+// float64: an inequality (equality is a singularity everywhere, Example
+// 5.7) over numeric constants and p1..pk, any case, each slot at most once
+// as the corner criterion needs. Errors read as the parser's, its caller.
+func FromExpr(p expr.Pred, k int) (Pred, error) {
+	if err := validate(p, k); err != nil {
+		return nil, err
+	}
+	return exprPred{p: p, arity: k}, nil
 }
 
-// Eval applies the operation. Division by zero yields ±Inf/NaN, which the
-// comparison treats as falsifying; such points sit on singularities anyway.
-func (b Bin) Eval(x []float64) float64 {
-	l, r := b.L.Eval(x), b.R.Eval(x)
-	switch b.Op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpMul:
-		return l * r
-	case OpDiv:
-		return l / r
+func validate(p expr.Pred, k int) error {
+	var kids []expr.Pred
+	switch n := p.(type) {
+	case expr.And:
+		kids = n.Kids
+	case expr.Or:
+		kids = n.Kids
+	case expr.Not:
+		kids = []expr.Pred{n.Kid}
+	case expr.Cmp:
+		counts := make([]int, k) // of f's slots, L's and R's
+		if err := countSlots(expr.Sub(n.L, n.R), counts); err != nil {
+			return err
+		}
+		if n.Op == expr.CmpEq || n.Op == expr.CmpNe {
+			return fmt.Errorf("parser: (in)equality %s over approximated values is a singularity everywhere; use <=, <, >= or >", n.Op)
+		}
+		for i, c := range counts {
+			if c > 1 {
+				return fmt.Errorf("predapprox: slot x%d occurs %d times; Theorem 5.5 requires single occurrence", i, c)
+			}
+		}
 	default:
-		return math.NaN()
+		return fmt.Errorf("parser: unsupported σ̂ predicate node %T", p)
 	}
-}
-
-func (b Bin) countSlots(counts []int) {
-	b.L.countSlots(counts)
-	b.R.countSlots(counts)
-}
-
-func (b Bin) String() string {
-	op := map[BinOp]string{OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/"}[b.Op]
-	return "(" + b.L.String() + " " + op + " " + b.R.String() + ")"
-}
-
-// Add builds l+r.
-func Add(l, r AExpr) AExpr { return Bin{Op: OpAdd, L: l, R: r} }
-
-// Sub builds l−r.
-func Sub(l, r AExpr) AExpr { return Bin{Op: OpSub, L: l, R: r} }
-
-// Mul builds l·r.
-func Mul(l, r AExpr) AExpr { return Bin{Op: OpMul, L: l, R: r} }
-
-// Div builds l/r.
-func Div(l, r AExpr) AExpr { return Bin{Op: OpDiv, L: l, R: r} }
-
-// AlgAtom is the predicate f(x₁,…,x_k) ≥ 0 (or > 0 when Strict) of
-// Theorem 5.5. Every slot must occur at most once in F for the corner-point
-// criterion to be sound; NewAlgAtom enforces this. The paper notes this is
-// only a small loss: re-approximating a value gives an independent copy for
-// a second occurrence.
-type AlgAtom struct {
-	F      AExpr
-	Strict bool
-	arity  int
-	slots  []int // slots that actually occur (each exactly once)
-}
-
-// NewAlgAtom validates the single-occurrence restriction and returns the
-// atom. arity is the total slot count of the surrounding predicate.
-func NewAlgAtom(f AExpr, arity int) (AlgAtom, error) {
-	counts := make([]int, arity)
-	f.countSlots(counts)
-	var slots []int
-	for i, c := range counts {
-		if c > 1 {
-			return AlgAtom{}, fmt.Errorf("predapprox: slot x%d occurs %d times; Theorem 5.5 requires single occurrence", i, c)
-		}
-		if c == 1 {
-			slots = append(slots, i)
+	for _, kid := range kids {
+		if err := validate(kid, k); err != nil {
+			return err
 		}
 	}
-	return AlgAtom{F: f, arity: arity, slots: slots}, nil
+	return nil
 }
 
-// MustAlgAtom is NewAlgAtom, panicking on violation; for statically known
-// predicates.
-func MustAlgAtom(f AExpr, arity int) AlgAtom {
-	a, err := NewAlgAtom(f, arity)
-	if err != nil {
-		panic(err)
+// countSlots checks e's leaves and increments counts[i] for every
+// occurrence of slot i.
+func countSlots(e expr.Expr, counts []int) error {
+	switch n := e.(type) {
+	case expr.Const:
+		if !n.V.IsNumeric() {
+			return fmt.Errorf("parser: σ̂ predicate constant %v is not numeric", n.V)
+		}
+	case expr.Attr:
+		name := strings.ToLower(n.Name)
+		i, err := strconv.Atoi(strings.TrimPrefix(name, "p"))
+		if !strings.HasPrefix(name, "p") || err != nil || i < 1 || i > len(counts) {
+			return fmt.Errorf("parser: σ̂ predicate variable %q must be p1..p%d", n.Name, len(counts))
+		}
+		counts[i-1]++
+	case expr.Arith:
+		if err := countSlots(n.L, counts); err != nil {
+			return err
+		}
+		return countSlots(n.R, counts)
+	default:
+		return fmt.Errorf("parser: unsupported σ̂ predicate expression %T", e)
 	}
-	return a
+	return nil
 }
 
-// Eval decides f(x) ≥ 0 (f(x) > 0 when Strict).
-func (a AlgAtom) Eval(x []float64) bool { return a.holds(a.F.Eval(x)) }
+// Eval, Margin, Arity (k) and String (the parser's own rendering) work on
+// the parser's tree.
+func (e exprPred) Eval(x []float64) bool      { return eval(e.p, x) }
+func (e exprPred) Margin(x []float64) float64 { return margin(e.p, x) }
+func (e exprPred) Arity() int                 { return e.arity }
+func (e exprPred) String() string             { return e.p.String() }
 
-func (a AlgAtom) holds(v float64) bool { return v > 0 || v == 0 && !a.Strict }
-
-// Arity returns the slot count.
-func (a AlgAtom) Arity() int { return a.arity }
-
-func (a AlgAtom) String() string {
-	if a.Strict {
-		return a.F.String() + " > 0"
+func eval(p expr.Pred, x []float64) bool {
+	switch p := p.(type) {
+	case expr.And:
+		return all(p.Kids, x, true)
+	case expr.Or:
+		return !all(p.Kids, x, false)
+	case expr.Not:
+		return !eval(p.Kid, x)
+	case expr.Cmp:
+		f, _ := value(p, x, 0, 0)
+		return holds(p, f)
 	}
-	return a.F.String() + " >= 0"
+	return false
 }
 
-// Margin maximizes ε by binary search (the procedure following Theorem
+// all reports whether every kid evaluates to v at x.
+func all(kids []expr.Pred, x []float64, v bool) bool {
+	for _, k := range kids {
+		if eval(k, x) != v {
+			return false
+		}
+	}
+	return true
+}
+
+func margin(p expr.Pred, x []float64) float64 {
+	switch p := p.(type) {
+	case expr.And:
+		return combine(p.Kids, x, eval(p, x), true)
+	case expr.Or:
+		return combine(p.Kids, x, eval(p, x), false)
+	case expr.Not:
+		return margin(p.Kid, x) // ¬φ's homogeneous orthotope is φ's
+	case expr.Cmp:
+		return cmpMargin(p, x)
+	}
+	return 0
+}
+
+// combine is the paper's rule for a conjunction (and) or disjunction whose
+// value at x is v: only the kids that agree with v decide it. A true
+// conjunction or false disjunction needs every kid to keep its value, so
+// its margin is their minimum (ε_{φ∧ψ}); otherwise keeping any one of them
+// suffices, so it is their maximum (ε_{φ∨ψ}).
+func combine(kids []expr.Pred, x []float64, v, and bool) float64 {
+	m, every := 0.0, v == and
+	if every {
+		m = EpsMax
+	}
+	for _, k := range kids {
+		if eval(k, x) != v {
+			continue
+		}
+		if km := margin(k, x); every && km < m || !every && km > m {
+			m = km
+		}
+	}
+	return m
+}
+
+// cmpMargin maximizes ε by binary search (the procedure following Theorem
 // 5.5): a candidate ε qualifies iff all 2^k corner points of the orthotope
 // agree with the center, which by the theorem implies the whole orthotope
 // agrees. Monotonicity in ε (smaller orthotopes are contained in larger
 // homogeneous ones) makes binary search exact up to tolerance.
-func (a AlgAtom) Margin(x []float64) float64 {
-	want := a.Eval(x)
-	if !a.cornersAgreeAt(x, 0, want) { // degenerate: center itself ambiguous
+func cmpMargin(c expr.Cmp, x []float64) float64 {
+	f, k := value(c, x, 0, 0)
+	if math.IsNaN(f) { // every corner of radius 0 is x itself
 		return 0
 	}
+	want := holds(c, f)
 	lo, hi := 0.0, EpsMax
-	if a.cornersAgreeAt(x, hi, want) {
+	if cornersAgree(c, x, hi, want, k) {
 		return hi
 	}
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
-		if a.cornersAgreeAt(x, mid, want) {
+		if cornersAgree(c, x, mid, want, k) {
 			lo = mid
 		} else {
 			hi = mid
@@ -170,27 +182,72 @@ func (a AlgAtom) Margin(x []float64) float64 {
 	return lo
 }
 
-// cornersAgreeAt checks all 2^|slots| corners of the radius-eps orthotope.
-func (a AlgAtom) cornersAgreeAt(x []float64, eps float64, want bool) bool {
-	k := len(a.slots)
-	pt := append([]float64(nil), x...)
+// cornersAgree checks the 2^k corners of the radius-eps orthotope, k being
+// the number of slots c reads. A NaN corner means a division blew up inside
+// the orthotope, which counts as disagreement.
+func cornersAgree(c expr.Cmp, x []float64, eps float64, want bool, k int) bool {
 	for mask := 0; mask < 1<<k; mask++ {
-		for j, s := range a.slots {
-			if mask&(1<<j) != 0 {
-				pt[s] = x[s] / (1 + eps)
-			} else {
-				pt[s] = x[s] / (1 - eps)
-			}
-		}
-		v := a.F.Eval(pt)
-		if math.IsNaN(v) {
-			return false // division blew up inside the orthotope
-		}
-		if a.holds(v) != want {
+		if f, _ := value(c, x, eps, mask); math.IsNaN(f) || holds(c, f) != want {
 			return false
 		}
 	}
 	return true
+}
+
+// holds decides f ≥ 0, or f > 0 for a strict comparison; NaN never holds.
+func holds(c expr.Cmp, f float64) bool {
+	return f > 0 || f == 0 && c.Op != expr.CmpGt && c.Op != expr.CmpLt
+}
+
+// value returns the comparison's f, and the number of slots it reads, at
+// the corner of the radius-eps orthotope around x that mask selects: the
+// slot read n-th is x[i]/(1+eps) when bit n of mask is set and x[i]/(1−eps)
+// otherwise, so eps = 0 is x itself. Division by zero gives ±Inf or NaN.
+func value(c expr.Cmp, x []float64, eps float64, mask int) (float64, int) {
+	n := 0
+	l, r := arith(c.L, x, eps, mask, &n), arith(c.R, x, eps, mask, &n)
+	if c.Op == expr.CmpLe || c.Op == expr.CmpLt {
+		return r - l, n
+	}
+	return l - r, n
+}
+
+func arith(e expr.Expr, x []float64, eps float64, mask int, n *int) float64 {
+	switch e := e.(type) {
+	case expr.Const:
+		return e.V.AsFloat()
+	case expr.Attr:
+		*n++
+		if mask>>(*n-1)&1 != 0 {
+			return x[slot(e.Name)] / (1 + eps)
+		}
+		return x[slot(e.Name)] / (1 - eps)
+	case expr.Arith:
+		l, r := arith(e.L, x, eps, mask, n), arith(e.R, x, eps, mask, n)
+		switch e.Op {
+		case expr.OpAdd:
+			return l + r
+		case expr.OpSub:
+			return l - r
+		case expr.OpMul:
+			return l * r
+		case expr.OpDiv:
+			return l / r
+		}
+	}
+	return math.NaN()
+}
+
+// slot returns the index i−1 of an attribute pi that countSlots accepted,
+// read from its ASCII digits without allocating.
+func slot(name string) int {
+	i := 0
+	for j := 0; j < len(name); j++ {
+		if c := name[j]; c >= '0' && c <= '9' {
+			i = 10*i + int(c-'0')
+		}
+	}
+	return i - 1
 }
 
 // RatioAtom builds the paper's running example φ(x₁,x₂) = (x₁/x₂ ≥ c) in

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/expr"
 )
 
 func TestStrictAtomSemantics(t *testing.T) {
@@ -149,12 +151,13 @@ func TestIsSingularMatchesBruteForce(t *testing.T) {
 
 func TestArityAndStrings(t *testing.T) {
 	a := Linear([]float64{1, 2}, 0.5)
-	or := OrOf(a, NotOf(a))
-	and := AndOf(a, a)
+	atom := expr.Ge(expr.Add(p1, expr.Mul(expr.CInt(2), p2)), expr.CFloat(0.5))
+	or := mustFromExpr(t, expr.OrOf(atom, expr.NotOf(atom)), 2)
+	and := mustFromExpr(t, expr.AndOf(atom, atom), 2)
 	if or.Arity() != 2 || and.Arity() != 2 {
 		t.Error("arity propagation wrong")
 	}
-	for _, p := range []Pred{a, or, and, NotOf(a)} {
+	for _, p := range []Pred{a, or, and, mustFromExpr(t, expr.NotOf(atom), 2)} {
 		if p.String() == "" {
 			t.Error("empty String()")
 		}

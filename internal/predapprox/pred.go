@@ -2,15 +2,11 @@
 // predicates over approximable values with bounded error probability.
 //
 // A predicate φ(x₁,…,x_k) is a Boolean combination of atomic conditions
-// over k approximable slots. Two atom families are supported, matching the
-// paper's two main results:
-//
-//   - linear inequalities Σ aᵢ·xᵢ ≥ b, whose maximal homogeneous orthotope
-//     radius ε has a closed form (Theorem 5.2);
-//   - general algebraic inequalities f(x₁,…,x_k) ≥ 0 built from +,−,·,/
-//     with every slot occurring at most once, for which corner-point
-//     agreement implies orthotope homogeneity (Theorem 5.5) and ε is
-//     maximized by binary search.
+// over k approximable slots. A σ̂ predicate is the expr.Pred tree the parser
+// built, over attributes p1..pk; FromExpr decides it there and adds only the
+// margin rules: corner-point agreement for each comparison of +,−,·,/
+// expressions (Theorem 5.5) and the min/max rules for ∧, ∨, ¬. LinAtom,
+// Σ aᵢ·xᵢ ≥ b, has Theorem 5.2's closed-form margin.
 //
 // The central quantity is the margin ε of a point p̂: the largest ε such
 // that all points of the orthotope
@@ -134,232 +130,47 @@ func (a LinAtom) satisfiedMargin(x []float64) float64 {
 	}
 	alpha, beta := A+C, A-C
 	b := a.B
-	if alpha < b {
-		// Boundary case with Strict: x satisfies > B only when alpha > b,
-		// so alpha < b cannot happen for a satisfied atom; alpha == b is
-		// handled below. Defensive zero.
-		return 0
-	}
-	if alpha == b {
-		return 0 // on the hyperplane (Remark 5.3)
-	}
-	if beta == 0 {
-		// Σ aᵢxᵢ is identically zero over the orthotope: constant truth.
-		return EpsMax
+	if alpha <= b {
+		return 0 // on the hyperplane (Remark 5.3); below it only defensively
 	}
 	if b == 0 {
-		return clampEps(alpha / beta)
+		return math.Min(alpha/beta, EpsMax) // α/β ∈ (0, 1]
 	}
-	disc := beta*beta - 4*b*(alpha-b)
-	if disc < 0 {
-		// Cannot happen (paper: β² − 4b(α−b) = β² − α² + (α−2b)² ≥ 0);
-		// defensive.
-		return EpsMax
-	}
-	sq := math.Sqrt(disc)
-	// Roots of b·ε² − β·ε + (α−b) = 0. The worst-corner value W(ε) is
-	// strictly decreasing on [0,1) with W(0) = α ≥ b, so the genuine
-	// touching point is the smallest root inside (0,1); roots outside
-	// mean the orthotope never reaches the hyperplane (margin EpsMax).
-	r1 := (beta - sq) / (2 * b)
-	r2 := (beta + sq) / (2 * b)
-	eps := math.Inf(1)
-	for _, r := range []float64{r1, r2} {
-		if r > 0 && r < 1 && r < eps {
+	// The margin is the smallest root of b·ε² − β·ε + (α−b) = 0 in (0,1)
+	// (see the package comment); with none, as for β = 0 (roots ±1), the
+	// orthotope never reaches the hyperplane. The discriminant β² − α² +
+	// (α−2b)² is never negative; were it by rounding, NaN roots give EpsMax.
+	sq := math.Sqrt(beta*beta - 4*b*(alpha-b))
+	eps := EpsMax
+	for _, r := range []float64{(beta - sq) / (2 * b), (beta + sq) / (2 * b)} {
+		if r > 0 && r < eps {
 			eps = r
 		}
 	}
-	if math.IsInf(eps, 1) {
-		return EpsMax
-	}
-	return clampEps(eps)
+	return eps
 }
 
-func clampEps(e float64) float64 {
-	if e < 0 {
-		return 0
-	}
-	if e > EpsMax {
-		return EpsMax
-	}
-	return e
-}
-
-// And is a conjunction.
-type And struct{ Kids []Pred }
-
-// Or is a disjunction.
-type Or struct{ Kids []Pred }
-
-// Not is a negation.
-type Not struct{ Kid Pred }
-
-// Eval decides the conjunction.
-func (a And) Eval(x []float64) bool {
-	for _, k := range a.Kids {
-		if !k.Eval(x) {
-			return false
-		}
-	}
-	return true
-}
-
-// Eval decides the disjunction.
-func (o Or) Eval(x []float64) bool {
-	for _, k := range o.Kids {
-		if k.Eval(x) {
-			return true
-		}
-	}
-	return false
-}
-
-// Eval decides the negation.
-func (n Not) Eval(x []float64) bool { return !n.Kid.Eval(x) }
-
-// Arity returns the max arity of the children.
-func (a And) Arity() int { return maxArity(a.Kids) }
-
-// Arity returns the max arity of the children.
-func (o Or) Arity() int { return maxArity(o.Kids) }
-
-// Arity returns the child's arity.
-func (n Not) Arity() int { return n.Kid.Arity() }
-
-func maxArity(kids []Pred) int {
-	m := 0
-	for _, k := range kids {
-		if a := k.Arity(); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-func (a And) String() string { return joinKids(a.Kids, " ∧ ") }
-func (o Or) String() string  { return joinKids(o.Kids, " ∨ ") }
-func (n Not) String() string { return "¬(" + n.Kid.String() + ")" }
-
-func joinKids(kids []Pred, sep string) string {
-	parts := make([]string, len(kids))
-	for i, k := range kids {
-		parts[i] = "(" + k.String() + ")"
-	}
-	return strings.Join(parts, sep)
-}
-
-// Margin of a conjunction: if all children are true, the orthotope must
-// keep every child true (min over children, the paper's ε_{φ∧ψ} rule); if
-// some child is false, keeping any single false child false keeps the
-// conjunction false (max over false children).
-func (a And) Margin(x []float64) float64 {
-	allTrue := true
-	for _, k := range a.Kids {
-		if !k.Eval(x) {
-			allTrue = false
-			break
-		}
-	}
-	if allTrue {
-		m := EpsMax
-		for _, k := range a.Kids {
-			if km := k.Margin(x); km < m {
-				m = km
-			}
-		}
-		return m
-	}
-	m := 0.0
-	for _, k := range a.Kids {
-		if !k.Eval(x) {
-			if km := k.Margin(x); km > m {
-				m = km
-			}
-		}
-	}
-	return m
-}
-
-// Margin of a disjunction: dual to And (the paper's ε_{φ∨ψ} = max rule
-// applies when some disjunct is true; when all are false every disjunct
-// must stay false, hence min).
-func (o Or) Margin(x []float64) float64 {
-	anyTrue := false
-	for _, k := range o.Kids {
-		if k.Eval(x) {
-			anyTrue = true
-			break
-		}
-	}
-	if anyTrue {
-		m := 0.0
-		for _, k := range o.Kids {
-			if k.Eval(x) {
-				if km := k.Margin(x); km > m {
-					m = km
-				}
-			}
-		}
-		return m
-	}
-	m := EpsMax
-	for _, k := range o.Kids {
-		if km := k.Margin(x); km < m {
-			m = km
-		}
-	}
-	return m
-}
-
-// Margin of a negation equals the child's margin: the homogeneous
-// orthotope is the same set.
-func (n Not) Margin(x []float64) float64 { return n.Kid.Margin(x) }
-
-// AndOf builds a conjunction.
-func AndOf(kids ...Pred) Pred { return And{Kids: kids} }
-
-// OrOf builds a disjunction.
-func OrOf(kids ...Pred) Pred { return Or{Kids: kids} }
-
-// NotOf builds a negation.
-func NotOf(kid Pred) Pred { return Not{Kid: kid} }
-
-// BruteForceMargin estimates the true homogeneity radius by scanning a
-// dense grid of orthotope boundary points for disagreement with the
-// center; it is the test oracle for Margin implementations (experiments
-// E6/E7). It returns a value within `step` of the true margin for
-// predicates whose decision boundary is not pathologically thin.
+// BruteForceMargin is the test oracle for Margin (experiments E6/E7): the
+// largest multiple of step whose orthotope OrthotopeHomogeneous accepts,
+// within step of the true margin unless the decision boundary is
+// pathologically thin.
 func BruteForceMargin(p Pred, x []float64, step float64, grid int) float64 {
-	want := p.Eval(x)
-	lo, hi := 0.0, 0.0
-	for e := step; e < EpsMax; e += step {
-		if orthotopeHomogeneous(p, x, e, grid, want) {
-			hi = e
-		} else {
-			break
-		}
-		lo = hi
+	lo := 0.0
+	for e := step; e < EpsMax && OrthotopeHomogeneous(p, x, e, grid); e += step {
+		lo = e
 	}
 	return lo
 }
 
-// OrthotopeHomogeneous samples a grid over the orthotope of radius eps
-// around x and reports whether every sampled point agrees with the
-// predicate's value at x. It is the validation oracle used by experiments
-// E6/E7 to check that computed margins certify genuinely homogeneous
-// orthotopes.
+// OrthotopeHomogeneous reports whether every point of a grid over the
+// radius-eps orthotope around x agrees with the predicate's value at x: the
+// oracle experiments E6/E7 check computed margins against.
 func OrthotopeHomogeneous(p Pred, x []float64, eps float64, grid int) bool {
-	return orthotopeHomogeneous(p, x, eps, grid, p.Eval(x))
-}
-
-// orthotopeHomogeneous samples a grid over the orthotope of radius eps and
-// reports whether all sampled points agree with want.
-func orthotopeHomogeneous(p Pred, x []float64, eps float64, grid int, want bool) bool {
-	k := len(x)
-	pt := make([]float64, k)
+	want := p.Eval(x)
+	pt := make([]float64, len(x))
 	var rec func(i int) bool
 	rec = func(i int) bool {
-		if i == k {
+		if i == len(x) {
 			return p.Eval(pt) == want
 		}
 		lo := x[i] / (1 + eps)

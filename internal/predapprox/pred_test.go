@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/expr"
 )
 
 // TestExample54Golden reproduces Example 5.4 / Figure 2 exactly:
@@ -119,32 +121,29 @@ func TestLinearMarginMatchesBruteForce(t *testing.T) {
 func TestCompositeMarginSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
-		k := 2
-		mkAtom := func() Pred {
-			coef := make([]float64, k)
-			for i := range coef {
-				coef[i] = rng.Float64()*4 - 2
-			}
-			return Linear(coef, rng.Float64()*1.2-0.6)
+		mkAtom := func() expr.Pred { // a₁·p1 + a₂·p2 ≥ b
+			a1, a2 := expr.CFloat(rng.Float64()*4-2), expr.CFloat(rng.Float64()*4-2)
+			return expr.Ge(expr.Add(expr.Mul(a1, p1), expr.Mul(a2, p2)), expr.CFloat(rng.Float64()*1.2-0.6))
 		}
-		var phi Pred
+		var tree expr.Pred
 		switch rng.Intn(4) {
 		case 0:
-			phi = AndOf(mkAtom(), mkAtom())
+			tree = expr.AndOf(mkAtom(), mkAtom())
 		case 1:
-			phi = OrOf(mkAtom(), mkAtom())
+			tree = expr.OrOf(mkAtom(), mkAtom())
 		case 2:
-			phi = NotOf(AndOf(mkAtom(), mkAtom()))
+			tree = expr.NotOf(expr.AndOf(mkAtom(), mkAtom()))
 		default:
-			phi = OrOf(AndOf(mkAtom(), mkAtom()), mkAtom())
+			tree = expr.OrOf(expr.AndOf(mkAtom(), mkAtom()), mkAtom())
 		}
+		phi := mustFromExpr(t, tree, 2)
 		p := []float64{0.1 + 0.8*rng.Float64(), 0.1 + 0.8*rng.Float64()}
 		m := phi.Margin(p)
 		if m <= 1e-9 {
 			continue
 		}
 		probe := m * 0.98
-		if !orthotopeHomogeneous(phi, p, probe, 8, phi.Eval(p)) {
+		if !OrthotopeHomogeneous(phi, p, probe, 8) {
 			t.Fatalf("trial %d: margin %v not homogeneous for %s at %v", trial, m, phi, p)
 		}
 	}
@@ -153,46 +152,47 @@ func TestCompositeMarginSound(t *testing.T) {
 func TestPaperInductiveRulesOnSatisfiedBranch(t *testing.T) {
 	// When both conjuncts are true, ε_{φ∧ψ} = min; when some disjunct is
 	// true, ε_{φ∨ψ} = max over true disjuncts (the paper's rules).
-	a := Linear([]float64{1}, 0.2) // margin at 0.5: 0.5/(1+ε)=0.2 → ε=1.5 → clamp... compute below
-	b := Linear([]float64{1}, 0.4) // margin at 0.5: 0.25
+	a := expr.Ge(p1, expr.CFloat(0.2)) // margin at 0.5: 0.5/(1+ε)=0.2 → ε=1.5 → clamp... compute below
+	b := expr.Ge(p1, expr.CFloat(0.4)) // margin at 0.5: 0.25
 	p := []float64{0.5}
-	ma, mb := a.Margin(p), b.Margin(p)
-	if got := AndOf(a, b).Margin(p); got != math.Min(ma, mb) {
+	ma, mb := mustFromExpr(t, a, 1).Margin(p), mustFromExpr(t, b, 1).Margin(p)
+	if got := mustFromExpr(t, expr.AndOf(a, b), 1).Margin(p); got != math.Min(ma, mb) {
 		t.Errorf("And margin %v != min(%v, %v)", got, ma, mb)
 	}
-	if got := OrOf(a, b).Margin(p); got != math.Max(ma, mb) {
+	if got := mustFromExpr(t, expr.OrOf(a, b), 1).Margin(p); got != math.Max(ma, mb) {
 		t.Errorf("Or margin %v != max(%v, %v)", got, ma, mb)
 	}
 }
 
 func TestNotMarginEqualsChild(t *testing.T) {
-	a := Linear([]float64{1}, 0.4)
+	a := mustFromExpr(t, expr.Ge(p1, expr.CFloat(0.4)), 1)
+	notA := mustFromExpr(t, expr.NotOf(expr.Ge(p1, expr.CFloat(0.4))), 1)
 	p := []float64{0.5}
-	if NotOf(a).Margin(p) != a.Margin(p) {
+	if notA.Margin(p) != a.Margin(p) {
 		t.Error("negation must preserve the homogeneous orthotope")
 	}
-	if NotOf(a).Eval(p) == a.Eval(p) {
+	if notA.Eval(p) == a.Eval(p) {
 		t.Error("negation must flip the value")
 	}
 }
 
 func TestAndOrFalseBranches(t *testing.T) {
 	// And with one false child: margin = max over false children.
-	tr := Linear([]float64{1}, 0.1)  // true at 0.5, wide margin
-	fa := Linear([]float64{1}, 0.8)  // false at 0.5, margin 0.375: 0.5/(1−ε)=0.8 → ε=0.375
-	fb := Linear([]float64{1}, 0.55) // false at 0.5, margin: 0.5/(1−ε)=0.55 → ε≈0.0909
+	tr := expr.Ge(p1, expr.CFloat(0.1))  // true at 0.5, wide margin
+	fa := expr.Ge(p1, expr.CFloat(0.8))  // false at 0.5, margin 0.375: 0.5/(1−ε)=0.8 → ε=0.375
+	fb := expr.Ge(p1, expr.CFloat(0.55)) // false at 0.5, margin: 0.5/(1−ε)=0.55 → ε≈0.0909
 	p := []float64{0.5}
-	and := AndOf(tr, fa, fb)
+	and := mustFromExpr(t, expr.AndOf(tr, fa, fb), 1)
 	if and.Eval(p) {
 		t.Fatal("conjunction should be false")
 	}
-	want := fa.Margin(p)
+	want := mustFromExpr(t, fa, 1).Margin(p)
 	if got := and.Margin(p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("And false-branch margin = %v, want %v", got, want)
 	}
 	// Or with all children false: margin = min over children.
-	or := OrOf(fa, fb)
-	want = math.Min(fa.Margin(p), fb.Margin(p))
+	or := mustFromExpr(t, expr.OrOf(fa, fb), 1)
+	want = math.Min(mustFromExpr(t, fa, 1).Margin(p), mustFromExpr(t, fb, 1).Margin(p))
 	if got := or.Margin(p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Or all-false margin = %v, want %v", got, want)
 	}
