@@ -243,19 +243,21 @@ func TestUnionDiffEval(t *testing.T) {
 }
 
 func TestValidateRules(t *testing.T) {
+	db := urel.NewDatabase()
+	db.AddComplete("A", rel.FromRows(rel.NewSchema("X"), rel.Tuple{rel.Int(1)}))
 	phi := predapprox.Linear([]float64{1}, 0.5)
 	asel := ApproxSelect{In: Base{Name: "A"}, Args: []ConfArg{{Attrs: []string{"X"}}}, Pred: phi}
 	bad := RepairKey{In: asel, Weight: "P1"}
-	if err := Validate(bad); err == nil {
+	if _, err := InferSchema(bad, db); err == nil {
 		t.Error("repair-key above σ̂ must be rejected")
 	}
 	noArgs := ApproxSelect{In: Base{Name: "A"}, Pred: phi}
-	if err := Validate(noArgs); err == nil {
+	if _, err := InferSchema(noArgs, db); err == nil {
 		t.Error("σ̂ without conf args must be rejected")
 	}
 	arity := ApproxSelect{In: Base{Name: "A"}, Args: []ConfArg{{Attrs: []string{"X"}}},
 		Pred: predapprox.Linear([]float64{1, -1}, 0)}
-	if err := Validate(arity); err == nil {
+	if _, err := InferSchema(arity, db); err == nil {
 		t.Error("σ̂ arity mismatch must be rejected")
 	}
 }

@@ -198,39 +198,3 @@ func Walk(q Query, fn func(Query)) {
 		Walk(c, fn)
 	}
 }
-
-// HasApproxSelect reports whether the plan contains a σ̂ operator.
-func HasApproxSelect(q Query) bool {
-	found := false
-	Walk(q, func(n Query) {
-		if _, ok := n.(ApproxSelect); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-// Validate performs static checks the evaluators rely on: repair-key must
-// not appear above an approximate selection (footnote 3 of the paper), and
-// σ̂ argument lists must match the predicate arity.
-func Validate(q Query) error {
-	switch n := q.(type) {
-	case RepairKey:
-		if HasApproxSelect(n.In) {
-			return fmt.Errorf("algebra: repair-key above σ̂ is not supported (paper footnote 3)")
-		}
-	case ApproxSelect:
-		if n.Pred.Arity() > len(n.Args) {
-			return fmt.Errorf("algebra: σ̂ predicate arity %d exceeds %d conf arguments", n.Pred.Arity(), len(n.Args))
-		}
-		if len(n.Args) == 0 {
-			return fmt.Errorf("algebra: σ̂ needs at least one conf argument")
-		}
-	}
-	for _, c := range q.Children() {
-		if err := Validate(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"iter"
 	"slices"
 	"strconv"
@@ -116,9 +115,6 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 // input tuple it extends (the P value itself carries the estimator's
 // guarantee, not a membership error).
 func (e *URelEvaluator) conf(in URelResult, pcol string) (URelResult, error) {
-	if in.Rel.Schema().Has(pcol) {
-		return URelResult{}, fmt.Errorf("algebra: conf column %q already in schema %v", pcol, in.Rel.Schema())
-	}
 	rows, est, err := e.estimate([]*urel.Relation{in.Rel}, false)
 	if err != nil {
 		return URelResult{}, err
@@ -153,24 +149,19 @@ func withColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int)
 // naturally through Exec.Join (a hash join — counted, and charged to the
 // memory budget), each carrying its position in place of its P value so a
 // combination can be handed to Estimates.Decide; combinations are decided
-// in join order, which is argument-0-major lineage order. Over a memoized
-// input only the decisions depend on the round budget: the input's memo
-// entry keeps the rest, and a later pass decides again over the kept join.
-func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult, error) {
-	var kept *prefixEntry
-	if !e.estConcurrent && !HasApproxSelect(n.In) {
-		if kept = e.memo[e.next-1]; kept.shat != nil { // n.In's, just replayed
-			return kept.shat()
-		}
+// in join order, which is argument-0-major lineage order. Over a replayed
+// input only the decisions depend on the round budget: the input node's
+// kept entry keeps the rest, and a later pass decides again over the kept
+// join.
+func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (URelResult, error) {
+	kept := n.l.kept // set when n.l was just replayed
+	if kept != nil && kept.shat != nil {
+		return kept.shat()
 	}
-	schema, err := approxSelectSchema(in.Rel.Schema(), n)
-	if err != nil {
-		return URelResult{}, err
-	}
-	k := len(n.Args)
+	schema, k := n.schema, len(q.Args)
 	projs := make([]*urel.Relation, k)
 	prov := make([]*Bounds, k)
-	for a, arg := range n.Args {
+	for a, arg := range q.Args {
 		targets := keepTargets(arg.Attrs)
 		projs[a] = e.exec.Project(in.Rel, targets)
 		prov[a] = ProjectBounds(in, targets)
@@ -180,7 +171,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 		return URelResult{}, err
 	}
 	var joined *urel.Relation
-	for a := range n.Args {
+	for a := range q.Args {
 		arg := withColumn(projs[a].Schema(), PColName(a), rows[a], func(i int) rel.Value {
 			return rel.Int(int64(i))
 		})
@@ -212,7 +203,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n ApproxSelect) (URelResult,
 				combo[a] = int(ut.Row[j].AsInt())
 			}
 			mu, singular := selectBound(prov, rows, combo)
-			keep, mu, singular := est.Decide(n.Pred, combo, mu, singular)
+			keep, mu, singular := est.Decide(q.Pred, combo, mu, singular)
 			if !keep {
 				continue
 			}

@@ -72,17 +72,15 @@ type URelEvaluator struct {
 	// WithEstimators).
 	est           Estimators
 	estConcurrent bool
-	// memo holds plan's σ̂-free sub-plans in walk order (see replay); next
-	// is the walk's position in it, rec the entry being recorded.
-	plan Query
-	memo []*prefixEntry
-	next int
+	// plan is the evaluation's compiled plan, whose nodes keep the σ̂-free
+	// sub-plans' entries (see replay); rec is the entry being recorded.
+	plan *node
 	rec  *prefixEntry
 	// shared is the engine's memo (see WithMemo).
 	shared *SubplanMemo
 }
 
-// prefixEntry is a memoized sub-plan's result, the batches replay refines
+// prefixEntry is a recorded sub-plan's result, the batches replay refines
 // (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
 type prefixEntry struct {
 	res     URelResult
@@ -169,15 +167,17 @@ func (e *URelEvaluator) Eval(q Query) (URelResult, error) {
 // checked before every operator, so a cancelled or expired context aborts
 // the evaluation between nodes and returns ctx.Err(). Exact confidence
 // computation on one operator's lineage is not interruptible — the check
-// granularity is the plan node. Every call starts a new evaluation: Ops
-// report its work alone.
+// granularity is the plan node. Every call starts a new evaluation: it
+// compiles q, so a plan that does not check (InferSchema) runs nothing,
+// and Ops report its work alone.
 func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, error) {
-	if err := Validate(q); err != nil {
+	plan, err := compile(q, e.db.Rels)
+	if err != nil {
 		return URelResult{}, err
 	}
 	e.ctrs = urel.NewCounters()
 	e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
-	e.plan, e.memo = q, nil
+	e.plan = plan
 	return e.Rerun(ctx)
 }
 
@@ -185,7 +185,7 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 // loop's next pass: the Exec (spill registry, Ops) carries over and, under
 // sampling Estimators, the σ̂-free sub-plans replay (see replay).
 func (e *URelEvaluator) Rerun(ctx context.Context) (URelResult, error) {
-	e.ctx, e.next = ctx, 0
+	e.ctx = ctx
 	res, err := e.eval(e.plan)
 	if err != nil {
 		return res, err
@@ -210,14 +210,14 @@ func (e *URelEvaluator) Rerun(ctx context.Context) (URelResult, error) {
 // mid-operator must surface before the parent operator (an exact conf's #P
 // computation, a sampled conf's estimation budget) consumes the partial
 // output. The node itself goes through the engine's memo (walkMemo).
-func (e *URelEvaluator) eval(q Query) (URelResult, error) {
-	if !e.estConcurrent && e.rec == nil && !HasApproxSelect(q) {
-		return e.replay(q)
+func (e *URelEvaluator) eval(n *node) (URelResult, error) {
+	if !e.estConcurrent && e.rec == nil && n.facts&holdsShat == 0 {
+		return e.replay(n)
 	}
 	if err := e.check(); err != nil {
 		return URelResult{}, err
 	}
-	res, err := e.walkMemo(q)
+	res, err := e.walkMemo(n)
 	if err == nil {
 		err = e.check()
 	}
@@ -227,15 +227,14 @@ func (e *URelEvaluator) eval(q Query) (URelResult, error) {
 	return res, nil
 }
 
-// replay evaluates a maximal σ̂-free sub-plan q once per plan, then answers
-// it from the memo and refines its entry's batches. Its result does not
-// depend on the round budget (repair-key cannot read a σ̂ result; a
-// let-bound one must be reliable, hence exact), so repair-key numbering,
-// the variable table and every relation stay the first pass's. Branches
-// holding a σ̂ run in plan order: q has the same memo position every pass.
-func (e *URelEvaluator) replay(q Query) (res URelResult, err error) {
-	if e.next++; e.next <= len(e.memo) {
-		p := e.memo[e.next-1]
+// replay evaluates a maximal σ̂-free sub-plan n once per evaluation and
+// keeps the entry on n; later passes answer n from it and refine its
+// batches. Its result does not depend on the round budget (repair-key
+// cannot read a σ̂ result; a let-bound one must be reliable, hence exact),
+// so repair-key numbering, the variable table and every relation stay the
+// first pass's.
+func (e *URelEvaluator) replay(n *node) (res URelResult, err error) {
+	if p := n.kept; p != nil {
 		for i := 0; i < len(p.batches) && err == nil; i++ {
 			err = p.batches[i].Refine()
 		}
@@ -243,9 +242,9 @@ func (e *URelEvaluator) replay(q Query) (res URelResult, err error) {
 	}
 	p := &prefixEntry{}
 	e.rec = p
-	p.res, err = e.eval(q)
+	p.res, err = e.eval(n)
 	if e.rec = nil; err == nil {
-		e.memo = append(e.memo, p)
+		n.kept = p
 	}
 	return p.res, err
 }
@@ -274,34 +273,30 @@ func (e *URelEvaluator) check() error {
 // evalNode is the one switch over plan node types. Each operator's
 // Lemma 6.4 propagation rule sits next to it as a BoundRule; Bounded
 // consults the rule only when an input is annotated (bounds.go).
-func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
-	switch n := q.(type) {
-	case Base:
-		r, ok := e.db.Rels[n.Name]
-		if !ok {
-			return URelResult{}, fmt.Errorf("algebra: unknown relation %q", n.Name)
-		}
-		return URelResult{Rel: r, Complete: e.db.Complete[n.Name]}, nil
+func (e *URelEvaluator) evalNode(n *node) (URelResult, error) {
+	switch q := n.q.(type) {
+	case Base: // compile resolved the name
+		return URelResult{Rel: e.db.Rels[q.Name], Complete: e.db.Complete[q.Name]}, nil
 
 	case Select:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		out := URelResult{Rel: e.exec.Select(in.Rel, n.Pred), Complete: in.Complete}
+		out := URelResult{Rel: e.exec.Select(in.Rel, q.Pred), Complete: in.Complete}
 		// (t, σ_φ(R)) ≺ (t, R): bounds carry over for surviving tuples.
 		return out.Bounded(in.Bounds.BoundOf, in), nil
 
 	case Project:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Project(in.Rel, n.Targets), Complete: in.Complete,
-			Bounds: ProjectBounds(in, n.Targets)}, nil
+		return URelResult{Rel: e.exec.Project(in.Rel, q.Targets), Complete: in.Complete,
+			Bounds: ProjectBounds(in, q.Targets)}, nil
 
 	case Product:
-		l, r, err := e.evalPair(n.L, n.R)
+		l, r, err := e.evalPair(n.l, n.r)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -316,7 +311,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}, l, r), nil
 
 	case Join:
-		l, r, err := e.evalPair(n.L, n.R)
+		l, r, err := e.evalPair(n.l, n.r)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -337,7 +332,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}, l, r), nil
 
 	case Union:
-		l, r, err := e.evalPair(n.L, n.R)
+		l, r, err := e.evalPair(n.l, n.r)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -352,7 +347,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}, l, r), nil
 
 	case DiffC:
-		l, r, err := e.evalPair(n.L, n.R)
+		l, r, err := e.evalPair(n.l, n.r)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -375,30 +370,29 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		}, l, r), nil
 
 	case RepairKey:
-		in, err := e.eval(n.In)
+		// Reliable input: compile keeps σ̂ out of it (footnote 3), and a let
+		// binds only reliable relations.
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		if !in.Reliable() {
-			return URelResult{}, fmt.Errorf("algebra: repair-key over unreliable input is not supported (paper footnote 3)")
-		}
 		e.nextRK++
 		prefix := "rk" + strconv.Itoa(e.nextRK)
-		rk, err := e.exec.RepairKey(in.Rel, n.Key, n.Weight, e.db.Vars, prefix)
+		rk, err := e.exec.RepairKey(in.Rel, q.Key, q.Weight, e.db.Vars, prefix)
 		if err != nil {
 			return URelResult{}, err
 		}
 		return URelResult{Rel: rk, Complete: false}, nil
 
 	case Conf:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return e.conf(in, n.PCol())
+		return e.conf(in, q.PCol())
 
 	case Poss:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -406,7 +400,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		return URelResult{Rel: urel.FromComplete(e.exec.Poss(in.Rel)), Complete: true, Bounds: in.Bounds}, nil
 
 	case Cert:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
@@ -415,34 +409,34 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 		return URelResult{Rel: urel.FromComplete(e.exec.CertExact(in.Rel, e.db.Vars)), Complete: true, Bounds: in.Bounds}, nil
 
 	case Let:
-		def, err := e.eval(n.Def)
+		def, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
 		// A binding's annotations could not flow to its Base references.
 		if !def.Reliable() {
-			return URelResult{}, fmt.Errorf("algebra: let-binding %q of an unreliable relation is not supported; apply σ̂ in the body", n.Name)
+			return URelResult{}, fmt.Errorf("algebra: let-binding %q of an unreliable relation is not supported; apply σ̂ in the body", q.Name)
 		}
-		oldRel, hadRel := e.db.Rels[n.Name]
-		oldC := e.db.Complete[n.Name]
-		e.db.Rels[n.Name] = def.Rel
-		e.db.Complete[n.Name] = def.Complete
-		res, err := e.eval(n.In)
+		oldRel, hadRel := e.db.Rels[q.Name]
+		oldC := e.db.Complete[q.Name]
+		e.db.Rels[q.Name] = def.Rel
+		e.db.Complete[q.Name] = def.Complete
+		res, err := e.eval(n.r)
 		if hadRel {
-			e.db.Rels[n.Name] = oldRel
-			e.db.Complete[n.Name] = oldC
+			e.db.Rels[q.Name] = oldRel
+			e.db.Complete[q.Name] = oldC
 		} else {
-			delete(e.db.Rels, n.Name)
-			delete(e.db.Complete, n.Name)
+			delete(e.db.Rels, q.Name)
+			delete(e.db.Complete, q.Name)
 		}
 		return res, err
 
 	case ApproxSelect:
-		in, err := e.eval(n.In)
+		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return e.approxSelect(in, n)
+		return e.approxSelect(in, n, q)
 
 	default:
 		return URelResult{}, fmt.Errorf("algebra: unknown query node %T", q)
@@ -457,7 +451,7 @@ func (e *URelEvaluator) evalNode(q Query) (URelResult, error) {
 // no mutable state, and error priority (left first) matches the
 // sequential path. Cancellation stays at node granularity — every eval
 // call checks the evaluator's context.
-func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
+func (e *URelEvaluator) evalPair(l, r *node) (URelResult, URelResult, error) {
 	// Out-of-core execution forces sequential branches: the Exec's
 	// spill-residency bookkeeping assumes one operator at a time.
 	if e.spill == nil && e.pool.Workers() > 1 && e.branchSafe(l) && e.branchSafe(r) {
@@ -469,9 +463,9 @@ func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
 				ctx = context.Background()
 			}
 			var res [2]URelResult
-			qs := [2]Query{l, r}
+			ns := [2]*node{l, r}
 			err := e.pool.ForEachCtx(ctx, 2, func(i int) error {
-				out, err := e.eval(qs[i])
+				out, err := e.eval(ns[i])
 				res[i] = out
 				return err
 			})
@@ -496,20 +490,11 @@ func (e *URelEvaluator) evalPair(l, r Query) (URelResult, URelResult, error) {
 }
 
 // branchSafe reports whether a plan branch can run concurrently with a
-// sibling: it must not contain RepairKey (which registers variables in
-// the shared table and consumes the evaluator's deterministic rk counter),
-// Let (which temporarily rebinds a relation name in the shared database),
-// or — unless the evaluator's Estimators declared themselves concurrent —
-// Conf / ApproxSelect.
-func (e *URelEvaluator) branchSafe(q Query) bool {
-	safe := true
-	Walk(q, func(n Query) {
-		switch n.(type) {
-		case RepairKey, Let:
-			safe = false
-		case Conf, ApproxSelect:
-			safe = safe && e.estConcurrent
-		}
-	})
-	return safe
+// sibling: it must hold no repair-key (which registers variables in the
+// shared table and consumes the evaluator's deterministic rk counter), no
+// let (which temporarily rebinds a relation name in the shared database)
+// and — unless the evaluator's Estimators declared themselves concurrent —
+// no conf or σ̂.
+func (e *URelEvaluator) branchSafe(n *node) bool {
+	return n.facts&holdsWrite == 0 && (e.estConcurrent || n.facts&holdsEst == 0)
 }

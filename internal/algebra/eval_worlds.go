@@ -40,7 +40,7 @@ func NewWorldsEvaluatorFromURel(db *urel.Database, limit int64) (*WorldsEvaluato
 // possible-worlds database (for inspection of the full distribution) plus
 // the name of the result relation within it.
 func (e *WorldsEvaluator) Eval(q Query) (*worlds.Database, string, error) {
-	if err := Validate(q); err != nil {
+	if _, err := compile(q, e.db.Worlds[0].Rels); err != nil {
 		return nil, "", err
 	}
 	return e.eval(e.db, q)
@@ -63,10 +63,7 @@ func (e *WorldsEvaluator) fresh() string {
 
 func (e *WorldsEvaluator) eval(db *worlds.Database, q Query) (*worlds.Database, string, error) {
 	switch n := q.(type) {
-	case Base:
-		if _, ok := db.Worlds[0].Rels[n.Name]; !ok {
-			return nil, "", fmt.Errorf("algebra: unknown relation %q", n.Name)
-		}
+	case Base: // compile resolved the name
 		return db, n.Name, nil
 
 	case Select:

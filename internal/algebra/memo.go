@@ -19,7 +19,6 @@ import (
 // variable descriptors) stay within the database's own footprint, least
 // recently used out first.
 type SubplanMemo struct {
-	db    *urel.Database
 	limit int64
 
 	mu                     sync.Mutex
@@ -52,7 +51,7 @@ func NewSubplanMemo(db *urel.Database) *SubplanMemo {
 	for _, r := range db.Rels {
 		limit += r.Bytes()
 	}
-	return &SubplanMemo{db: db, limit: limit, m: make(map[string]*list.Element)}
+	return &SubplanMemo{limit: limit, m: make(map[string]*list.Element)}
 }
 
 // Stats reports the entries, their retained bytes, hits and evictions.
@@ -120,41 +119,21 @@ func infoBytes(infos []vars.Info) int64 {
 	return n
 }
 
-// memoable reports whether q is free of conf and σ̂ and reads only lets in
-// bound (those bound inside the sub-plan) and database relations the walk
-// has not rebound.
-func (e *URelEvaluator) memoable(q Query, bound []string) bool {
-	switch n := q.(type) {
-	case Conf, ApproxSelect:
-		return false
-	case Base:
-		r, ok := e.db.Rels[n.Name] // a let binds a relation with its c(R)
-		return slices.Contains(bound, n.Name) || ok && r == e.shared.db.Rels[n.Name]
-	case Let:
-		return e.memoable(n.Def, bound) && e.memoable(n.In, append(bound, n.Name))
+// walkMemo evaluates node n, through the memo when the walker has one, no
+// spill manager (a shed relation must never be shared), and n is free of
+// conf and σ̂, closed (compile) and not a bare Base. The key, n's query in
+// Go syntax (every field, strings quoted, floats exact) after the
+// variable-table length and repair-key counter on entry, fixes the ids and
+// names of the variables n registers and keys identical repair-key subtrees
+// apart. A hit appends those variables verbatim and replays n's Ops and
+// memory charge, unless the charge would trip the budget; a miss walks n
+// through counters of its own, so concurrent branches cannot mix
+// statistics, and stores the walk.
+func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
+	if e.shared == nil || e.spill != nil || n.l == nil || n.facts&(holdsEst|closed) != closed {
+		return e.evalNode(n)
 	}
-	for _, c := range q.Children() {
-		if !e.memoable(c, bound) {
-			return false
-		}
-	}
-	return true
-}
-
-// walkMemo evaluates node q, through the memo when the walker has one, no
-// spill manager (a shed relation must never be shared), and q is memoable
-// but not a bare Base. The key, q's Go syntax (every field, strings quoted,
-// floats exact) after the variable-table length and repair-key counter on
-// entry, fixes the ids and names of the variables q registers and keys
-// identical repair-key subtrees apart. A hit appends those variables
-// verbatim and replays q's Ops and memory charge, unless the charge would
-// trip the budget; a miss walks q through counters of its own, so
-// concurrent branches cannot mix statistics, and stores the walk.
-func (e *URelEvaluator) walkMemo(q Query) (URelResult, error) {
-	if _, base := q.(Base); e.shared == nil || e.spill != nil || base || !e.memoable(q, nil) {
-		return e.evalNode(q)
-	}
-	key := fmt.Sprintf("%d %d %#v", e.db.Vars.Len(), e.nextRK, q)
+	key := fmt.Sprintf("%d %d %#v", e.db.Vars.Len(), e.nextRK, n.q)
 	if p := e.shared.get(key); p != nil && (e.mem == nil || e.mem.Used()+p.charge <= e.mem.Limit()) {
 		if p.nextRK != e.nextRK { // repair-keys: never beside a concurrent branch
 			e.db.Vars.Append(p.vars.infos)
@@ -164,18 +143,18 @@ func (e *URelEvaluator) walkMemo(q Query) (URelResult, error) {
 		e.mem.Add(p.charge)
 		return p.res, nil
 	}
-	rk, n := e.nextRK, e.db.Vars.Len()
+	rk, nv := e.nextRK, e.db.Vars.Len()
 	w := *e
 	w.shared, w.ctrs = nil, urel.NewCounters()
 	w.exec = urel.NewExec(e.pool, w.ctrs).WithBudget(e.mem)
-	res, err := w.evalNode(q)
+	res, err := w.evalNode(n)
 	if err != nil {
 		return URelResult{}, err
 	}
 	p := &memoEntry{key: key, res: res, nextRK: w.nextRK, ops: w.ctrs.Snapshot()}
 	var infos []vars.Info
 	if p.nextRK != rk {
-		infos, e.nextRK = e.db.Vars.Since(n), p.nextRK
+		infos, e.nextRK = e.db.Vars.Since(nv), p.nextRK
 	}
 	for _, s := range p.ops {
 		p.charge += s.Bytes

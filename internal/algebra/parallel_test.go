@@ -177,12 +177,21 @@ func (s *sequentialEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F
 	return s.exactEstimators.Estimate(table, args, decide)
 }
 
-// TestBranchSafety pins the concurrency guard: repair-key and let make a
-// branch unsafe, pure operator trees are safe, and conf / σ̂ branches are
-// safe exactly when the evaluator's Estimators are concurrent.
+// TestBranchSafety pins the concurrency guard on compiled plans: repair-key
+// and let make a branch unsafe, pure operator trees are safe, and conf / σ̂
+// branches are safe exactly when the evaluator's Estimators are concurrent.
 func TestBranchSafety(t *testing.T) {
 	db := parallelDB()
-	branchSafe := NewURelEvaluator(db).branchSafe
+	safe := func(e *URelEvaluator) func(Query) bool {
+		return func(q Query) bool {
+			n, err := compile(q, db.Rels)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return e.branchSafe(n)
+		}
+	}
+	branchSafe := safe(NewURelEvaluator(db))
 	pure := Join{L: Base{Name: "R"}, R: Base{Name: "S"}}
 	if !branchSafe(pure) {
 		t.Error("pure operator tree reported unsafe")
@@ -211,10 +220,11 @@ func TestBranchSafety(t *testing.T) {
 	}
 	est := &sequentialEstimators{exactEstimators: exactEstimators{sched.New(1)}}
 	seq := NewParallelURelEvaluator(db, sched.New(4)).WithEstimators(est, false)
-	if seq.branchSafe(confBranch) || seq.branchSafe(shatBranch) {
+	seqSafe := safe(seq)
+	if seqSafe(confBranch) || seqSafe(shatBranch) {
 		t.Error("conf / σ̂ branch reported safe under non-concurrent estimators")
 	}
-	if !seq.branchSafe(pure) {
+	if !seqSafe(pure) {
 		t.Error("sampling-free branch reported unsafe under non-concurrent estimators")
 	}
 	// The guard is what evalPair acts on: two conf branches under

@@ -2,232 +2,262 @@ package algebra
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/rel"
 	"repro/internal/urel"
 )
 
-// InferSchema statically computes the output schema of a query against a
-// database's relation schemas, reporting the same classes of errors
-// evaluation would hit (unknown relations or attributes, schema
-// mismatches, name collisions) without running anything. The CLI uses it
-// to reject malformed programs early; tests use it to pin the schema
-// semantics of every operator.
-func InferSchema(q Query, db *urel.Database) (rel.Schema, error) {
-	env := make(map[string]rel.Schema, len(db.Rels))
-	for name, r := range db.Rels {
-		env[name] = r.Schema()
-	}
-	return inferSchema(q, env)
+// node is one plan node as compile annotates it: the node's output schema,
+// the facts of its subtree and, once the walker has recorded it, the
+// sub-plan's kept entry (replay). l and r are the inputs in Children order:
+// In; L and R; a let's Def and In.
+type node struct {
+	q      Query
+	l, r   *node
+	schema rel.Schema
+	facts  facts
+	kept   *prefixEntry
 }
 
-func inferSchema(q Query, env map[string]rel.Schema) (rel.Schema, error) {
-	switch n := q.(type) {
+// facts are what the walker needs to know of a subtree before it runs it.
+type facts uint8
+
+const (
+	holdsShat  facts = 1 << iota // a σ̂: the result may change with the round budget
+	holdsEst                     // a conf or σ̂: the Estimators run
+	holdsWrite                   // a repair-key or let: writes state the walk shares
+	closed                       // reads only database relations and lets bound inside it
+)
+
+// InferSchema statically computes the output schema of a query against a
+// database's relation schemas, reporting the same errors evaluation
+// reports — unknown relations or attributes, schema mismatches, name
+// collisions, repair-key above σ̂ (paper footnote 3), σ̂ arity — without
+// running anything.
+func InferSchema(q Query, db *urel.Database) (rel.Schema, error) {
+	n, err := compile(q, db.Rels)
+	if err != nil {
+		return nil, err
+	}
+	return n.schema, nil
+}
+
+// compile checks q against the relations' schemas in one bottom-up pass and
+// returns its annotated tree; of two errors it reports the first reached.
+func compile[R schemaer](q Query, rels map[string]R) (*node, error) {
+	c := compiler[R]{rels: rels, lets: map[string]binding{}}
+	n, _, err := c.compile(q)
+	return n, err
+}
+
+// schemaer is a database relation, of either evaluator's database.
+type schemaer interface{ Schema() rel.Schema }
+
+// compiler resolves a Base to the innermost let binding it or else to a
+// database relation. A binding records the let depth of its body, so a
+// subtree is closed when every binding it reads is deeper than the subtree.
+// attrs is scratch for the attributes an operator reads.
+type compiler[R schemaer] struct {
+	rels  map[string]R
+	lets  map[string]binding
+	depth int
+	attrs []string
+}
+
+type binding struct {
+	def   *node
+	depth int
+}
+
+// compile returns q's node and the shallowest let depth its subtree reads
+// (math.MaxInt when it reads no let).
+func (c *compiler[R]) compile(q Query) (*node, int, error) {
+	n, free := &node{q: q}, math.MaxInt
+	switch q := q.(type) {
 	case Base:
-		s, ok := env[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("algebra: unknown relation %q", n.Name)
+		if b, ok := c.lets[q.Name]; ok {
+			n.schema, free = b.def.schema, b.depth
+		} else if r, ok := c.rels[q.Name]; ok {
+			n.schema = r.Schema()
+		} else {
+			return nil, 0, fmt.Errorf("algebra: unknown relation %q", q.Name)
 		}
-		return s, nil
+	case Let:
+		def, f, err := c.compile(q.Def)
+		if err != nil {
+			return nil, 0, err
+		}
+		old, had := c.lets[q.Name]
+		c.depth++
+		c.lets[q.Name] = binding{def, c.depth}
+		in, g, err := c.compile(q.In)
+		if c.depth--; had {
+			c.lets[q.Name] = old
+		} else {
+			delete(c.lets, q.Name)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		n.l, n.r, n.schema, free = def, in, in.schema, min(f, g)
+		n.facts = (def.facts|in.facts)&^closed | holdsWrite
+	default:
+		for i, k := range q.Children() {
+			in, f, err := c.compile(k)
+			if err != nil {
+				return nil, 0, err
+			}
+			if i == 0 {
+				n.l = in
+			} else {
+				n.r = in
+			}
+			n.facts, free = n.facts|in.facts&^closed, min(free, f)
+		}
+		if err := c.check(n); err != nil {
+			return nil, 0, err
+		}
+	}
+	if free > c.depth {
+		n.facts |= closed
+	}
+	return n, free, nil
+}
 
+// check applies n's operator rule to its compiled inputs: the operator's
+// static errors, its output schema and the facts it adds.
+func (c *compiler[R]) check(n *node) error {
+	if n.l == nil { // an input-less node other than Base is no operator
+		return fmt.Errorf("algebra: unknown query node %T", n.q)
+	}
+	in := n.l.schema
+	n.schema = in
+	switch q := n.q.(type) {
 	case Select:
-		s, err := inferSchema(n.In, env)
-		if err != nil {
-			return nil, err
+		c.attrs = q.Pred.Attrs(c.attrs[:0])
+		if a, ok := missing(in, c.attrs); ok {
+			return fmt.Errorf("algebra: selection attribute %q not in schema %v", a, in)
 		}
-		for _, a := range n.Pred.Attrs(nil) {
-			if !s.Has(a) {
-				return nil, fmt.Errorf("algebra: selection attribute %q not in schema %v", a, s)
-			}
-		}
-		return s, nil
-
 	case Project:
-		s, err := inferSchema(n.In, env)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, 0, len(n.Targets))
-		seen := map[string]bool{}
-		for _, tg := range n.Targets {
-			for _, a := range tg.Expr.Attrs(nil) {
-				if !s.Has(a) {
-					return nil, fmt.Errorf("algebra: projection attribute %q not in schema %v", a, s)
-				}
+		out := make(rel.Schema, 0, len(q.Targets))
+		for _, tg := range q.Targets {
+			c.attrs = tg.Expr.Attrs(c.attrs[:0])
+			if a, ok := missing(in, c.attrs); ok {
+				return fmt.Errorf("algebra: projection attribute %q not in schema %v", a, in)
 			}
-			if seen[tg.As] {
-				return nil, fmt.Errorf("algebra: duplicate projection target %q", tg.As)
+			if out.Has(tg.As) {
+				return fmt.Errorf("algebra: duplicate projection target %q", tg.As)
 			}
-			seen[tg.As] = true
 			out = append(out, tg.As)
 		}
-		return rel.NewSchema(out...), nil
-
+		n.schema = out
 	case Product:
-		l, r, err := inferPair(n.L, n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range r {
-			if l.Has(a) {
-				return nil, fmt.Errorf("algebra: product schemas share attribute %q; rename first", a)
+		for _, a := range n.r.schema {
+			if in.Has(a) {
+				return fmt.Errorf("algebra: product schemas share attribute %q; rename first", a)
 			}
 		}
-		return rel.NewSchema(append(l.Clone(), r...)...), nil
-
+		n.schema = append(in.Clone(), n.r.schema...)
 	case Join:
-		l, r, err := inferPair(n.L, n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		out := l.Clone()
-		for _, a := range r {
-			if !l.Has(a) {
-				out = append(out, a)
+		n.schema = in.Clone()
+		for _, a := range n.r.schema {
+			if !in.Has(a) {
+				n.schema = append(n.schema, a)
 			}
 		}
-		return rel.NewSchema(out...), nil
-
 	case Union:
-		l, r, err := inferPair(n.L, n.R, env)
-		if err != nil {
-			return nil, err
+		if !in.Equal(n.r.schema) {
+			return fmt.Errorf("algebra: union schema mismatch %v vs %v", in, n.r.schema)
 		}
-		if !l.Equal(r) {
-			return nil, fmt.Errorf("algebra: union schema mismatch %v vs %v", l, r)
-		}
-		return l, nil
-
 	case DiffC:
-		l, r, err := inferPair(n.L, n.R, env)
-		if err != nil {
-			return nil, err
+		if !in.Equal(n.r.schema) {
+			return fmt.Errorf("algebra: difference schema mismatch %v vs %v", in, n.r.schema)
 		}
-		if !l.Equal(r) {
-			return nil, fmt.Errorf("algebra: difference schema mismatch %v vs %v", l, r)
-		}
-		return l, nil
-
 	case RepairKey:
-		s, err := inferSchema(n.In, env)
-		if err != nil {
-			return nil, err
+		if n.l.facts&holdsShat != 0 {
+			return fmt.Errorf("algebra: repair-key above σ̂ is not supported (paper footnote 3)")
 		}
-		for _, a := range n.Key {
-			if !s.Has(a) {
-				return nil, fmt.Errorf("algebra: repair-key attribute %q not in schema %v", a, s)
-			}
+		if a, ok := missing(in, q.Key); ok {
+			return fmt.Errorf("algebra: repair-key attribute %q not in schema %v", a, in)
 		}
-		if !s.Has(n.Weight) {
-			return nil, fmt.Errorf("algebra: repair-key weight %q not in schema %v", n.Weight, s)
+		if !in.Has(q.Weight) {
+			return fmt.Errorf("algebra: repair-key weight %q not in schema %v", q.Weight, in)
 		}
-		return s, nil
-
+		n.facts |= holdsWrite
 	case Conf:
-		s, err := inferSchema(n.In, env)
-		if err != nil {
-			return nil, err
+		if in.Has(q.PCol()) {
+			return fmt.Errorf("algebra: conf column %q already in schema %v", q.PCol(), in)
 		}
-		if s.Has(n.PCol()) {
-			return nil, fmt.Errorf("algebra: conf column %q already in schema %v", n.PCol(), s)
-		}
-		return rel.NewSchema(append(s.Clone(), n.PCol())...), nil
-
+		n.schema, n.facts = append(in.Clone(), q.PCol()), n.facts|holdsEst
 	case Poss, Cert:
-		return inferSchema(q.Children()[0], env)
-
 	case ApproxSelect:
-		s, err := inferSchema(n.In, env)
-		if err != nil {
-			return nil, err
+		if q.Pred.Arity() > len(q.Args) {
+			return fmt.Errorf("algebra: σ̂ predicate arity %d exceeds %d conf arguments", q.Pred.Arity(), len(q.Args))
 		}
-		return approxSelectSchema(s, n)
-
-	case Let:
-		def, err := inferSchema(n.Def, env)
-		if err != nil {
-			return nil, err
+		if len(q.Args) == 0 {
+			return fmt.Errorf("algebra: σ̂ needs at least one conf argument")
 		}
-		old, had := env[n.Name]
-		env[n.Name] = def
-		res, err := inferSchema(n.In, env)
-		if had {
-			env[n.Name] = old
-		} else {
-			delete(env, n.Name)
-		}
-		return res, err
-
+		var err error
+		n.schema, err = approxSelectSchema(in, q)
+		n.facts |= holdsShat | holdsEst
+		return err
 	default:
-		return nil, fmt.Errorf("algebra: unknown query node %T", q)
+		return fmt.Errorf("algebra: unknown query node %T", q)
 	}
+	return nil
 }
 
-func inferPair(l, r Query, env map[string]rel.Schema) (rel.Schema, rel.Schema, error) {
-	ls, err := inferSchema(l, env)
-	if err != nil {
-		return nil, nil, err
+// missing returns the first of attrs not in s.
+func missing(s rel.Schema, attrs []string) (string, bool) {
+	for _, a := range attrs {
+		if !s.Has(a) {
+			return a, true
+		}
 	}
-	rs, err := inferSchema(r, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ls, rs, nil
+	return "", false
 }
 
 // Explain renders the plan as an indented tree, annotating each node with
-// its inferred schema when a database is supplied (nil db renders the bare
-// tree).
+// its inferred schema when a database is supplied and the plan checks
+// against it (otherwise it renders the bare tree).
 func Explain(q Query, db *urel.Database) string {
-	var env map[string]rel.Schema
+	var root *node
 	if db != nil {
-		env = make(map[string]rel.Schema, len(db.Rels))
-		for name, r := range db.Rels {
-			env[name] = r.Schema()
-		}
+		root, _ = compile(q, db.Rels)
 	}
-	out := ""
-	var rec func(q Query, depth int)
-	rec = func(q Query, depth int) {
-		indent := ""
-		for i := 0; i < depth; i++ {
-			indent += "  "
+	var b strings.Builder
+	var rec func(q Query, n *node, depth int)
+	rec = func(q Query, n *node, depth int) {
+		indent := strings.Repeat("  ", depth)
+		b.WriteString(indent + nodeLabel(q))
+		if n != nil {
+			b.WriteString("  :: " + schemaString(n.schema))
 		}
-		label := nodeLabel(q)
-		if env != nil {
-			if s, err := inferSchema(q, env); err == nil {
-				label += "  :: " + schemaString(s)
-			}
-		}
-		out += indent + label + "\n"
+		b.WriteString("\n")
 		if l, ok := q.(Let); ok {
-			out += indent + "  def " + l.Name + ":\n"
-			rec(l.Def, depth+2)
-			// Bind for the body rendering.
-			if env != nil {
-				if s, err := inferSchema(l.Def, env); err == nil {
-					old, had := env[l.Name]
-					env[l.Name] = s
-					out += indent + "  in:\n"
-					rec(l.In, depth+2)
-					if had {
-						env[l.Name] = old
-					} else {
-						delete(env, l.Name)
-					}
-					return
-				}
-			}
-			out += indent + "  in:\n"
-			rec(l.In, depth+2)
+			b.WriteString(indent + "  def " + l.Name + ":\n")
+			rec(l.Def, n.input(0), depth+2)
+			b.WriteString(indent + "  in:\n")
+			rec(l.In, n.input(1), depth+2)
 			return
 		}
-		for _, c := range q.Children() {
-			rec(c, depth+1)
+		for i, c := range q.Children() {
+			rec(c, n.input(i), depth+1)
 		}
 	}
-	rec(q, 0)
-	return out
+	rec(q, root, 0)
+	return b.String()
+}
+
+// input returns n's i-th input, or nil under a nil (bare) node.
+func (n *node) input(i int) *node {
+	if n == nil {
+		return nil
+	}
+	return [2]*node{n.l, n.r}[i]
 }
 
 func nodeLabel(q Query) string {
@@ -265,35 +295,33 @@ func nodeLabel(q Query) string {
 
 // approxSelectSchema is σ̂'s output schema over an input of schema in: the
 // union of the conf arguments' attributes in order of first appearance,
-// then P1,…,Pk. It is the one place that rule lives — static inference and
-// the walker's σ̂ both call it.
+// then P1,…,Pk. It is the one place that rule lives — compile and the
+// possible-worlds oracle both call it.
 func approxSelectSchema(in rel.Schema, n ApproxSelect) (rel.Schema, error) {
-	var out []string
-	seen := map[string]bool{}
+	var out rel.Schema
 	for _, arg := range n.Args {
-		for _, a := range arg.Attrs {
+		for j, a := range arg.Attrs {
 			if !in.Has(a) {
 				return nil, fmt.Errorf("algebra: σ̂ conf attribute %q not in schema %v", a, in)
 			}
-			if !seen[a] {
-				seen[a] = true
+			if slices.Contains(arg.Attrs[:j], a) {
+				return nil, fmt.Errorf("algebra: σ̂ conf attribute %q repeated in one argument", a)
+			}
+			if !out.Has(a) {
 				out = append(out, a)
 			}
 		}
 	}
 	for i := range n.Args {
-		out = append(out, PColName(i))
+		p := PColName(i)
+		if out.Has(p) {
+			return nil, fmt.Errorf("algebra: σ̂ column %q already among its conf attributes", p)
+		}
+		out = append(out, p)
 	}
-	return rel.NewSchema(out...), nil
+	return out, nil
 }
 
 func schemaString(s rel.Schema) string {
-	out := "("
-	for i, a := range s {
-		if i > 0 {
-			out += ", "
-		}
-		out += a
-	}
-	return out + ")"
+	return "(" + strings.Join(s, ", ") + ")"
 }

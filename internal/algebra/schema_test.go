@@ -74,9 +74,30 @@ func TestInferSchemaErrors(t *testing.T) {
 		Let{Name: "V", Def: Base{Name: "nope"}, In: Base{Name: "V"}},
 	}
 	for _, q := range cases {
-		if _, err := InferSchema(q, db); err == nil {
+		_, err := InferSchema(q, db)
+		if err == nil {
 			t.Errorf("%s: expected schema error", q)
+			continue
 		}
+		// The walker compiles what it runs: it fails before any operator,
+		// with the same error.
+		if _, evalErr := NewURelEvaluator(db).Eval(q); evalErr == nil || evalErr.Error() != err.Error() {
+			t.Errorf("%s: evaluation error %v, want %v", q, evalErr, err)
+		}
+	}
+}
+
+// One pass reports the first error it reaches bottom-up: σ̂'s unknown conf
+// attribute, below the repair-key that footnote 3 forbids above it.
+func TestTwoErrorPrecedence(t *testing.T) {
+	q := RepairKey{In: ApproxSelect{In: Base{Name: "S"}, Args: []ConfArg{{Attrs: []string{"zzz"}}},
+		Pred: predapprox.Linear([]float64{1}, 0.5)}, Key: []string{"zzz"}, Weight: "P1"}
+	const want = `algebra: σ̂ conf attribute "zzz" not in schema [B C]`
+	if _, err := InferSchema(q, inferDB()); err == nil || err.Error() != want {
+		t.Errorf("InferSchema: %v, want %s", err, want)
+	}
+	if _, err := NewURelEvaluator(inferDB()).Eval(q); err == nil || err.Error() != want {
+		t.Errorf("Eval: %v, want %s", err, want)
 	}
 }
 
@@ -124,6 +145,8 @@ func TestInferSchemaAgreesOnRandomPlans(t *testing.T) {
 			if !strings.Contains(evalErr.Error(), "conflicting weights") {
 				t.Fatalf("trial %d: inference accepted a plan evaluation rejects: %v (q=%s)", trial, evalErr, q)
 			}
+		case evalErr == nil || evalErr.Error() != inferErr.Error():
+			t.Fatalf("trial %d: inference rejects with %v, evaluation with %v (q=%s)", trial, inferErr, evalErr, q)
 		}
 	}
 	if agreed < 80 {
@@ -144,5 +167,40 @@ func TestExplain(t *testing.T) {
 	bare := Explain(qU, nil)
 	if strings.Contains(bare, "::") {
 		t.Error("bare Explain should not annotate schemas")
+	}
+}
+
+// A sub-plan that reads a let bound outside it is not closed, so the engine
+// memo never answers it by its text: two programs binding X differently
+// would otherwise share the first one's rows.
+func TestMemoSkipsOuterLets(t *testing.T) {
+	db := urel.NewDatabase()
+	tr, big := rel.NewRelation(rel.NewSchema("G", "I", "W")), rel.NewRelation(rel.NewSchema("Z"))
+	for i := 0; i < 6; i++ {
+		tr.Add(rel.Tuple{rel.Int(int64(i / 2)), rel.Int(int64(i)), rel.Float(float64(1 + i))})
+	}
+	for i := 0; i < 100; i++ { // room in the memo's bound for the body's entry
+		big.Add(rel.Tuple{rel.Int(int64(i))})
+	}
+	db.AddComplete("T", tr)
+	db.AddComplete("Big", big)
+	memo := NewSubplanMemo(db)
+	body := Conf{In: Project{In: RepairKey{In: Base{Name: "X"}, Key: []string{"G"}, Weight: "W"},
+		Targets: []expr.Target{expr.Keep("G")}}}
+	for _, c := range []struct {
+		min  int64
+		want int
+	}{{0, 3}, {100, 0}} {
+		q := Let{Name: "X", Def: Select{In: Base{Name: "T"}, Pred: expr.Ge(expr.A("G"), expr.CInt(c.min))}, In: body}
+		res, err := NewURelEvaluator(db).WithMemo(memo).Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rel.Len() != c.want {
+			t.Errorf("X := σ[G >= %d](T): %d rows, want %d", c.min, res.Rel.Len(), c.want)
+		}
+	}
+	if _, _, hits, _ := memo.Stats(); hits != 0 {
+		t.Errorf("%d memo hits across two different lets", hits)
 	}
 }

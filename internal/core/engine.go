@@ -360,9 +360,6 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := algebra.Validate(q); err != nil {
-		return nil, err
-	}
 	l := e.opts.InitialRounds
 	if l <= 0 {
 		l = 1

@@ -29,9 +29,6 @@ func (db *DB) Prepare(src string) (*Query, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pdb: %w", err)
 	}
-	if err := algebra.Validate(plan); err != nil {
-		return nil, fmt.Errorf("pdb: %w", err)
-	}
 	if _, err := algebra.InferSchema(plan, db.udb); err != nil {
 		return nil, fmt.Errorf("pdb: %w", err)
 	}
