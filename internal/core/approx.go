@@ -22,11 +22,9 @@ import (
 //
 // A conf batch (Corollary 4.3) gives each task the paper's Chernoff budget
 // on the flat estimator, the singleton shortcut always on. With
-// Options.Strata or a threshold/top-k option set its tasks are stratified
-// and adaptive instead (factoring pre-pass, Neyman waves,
-// empirical-Bernstein stopping below the same budget); threshold/top-k
-// never filter the output, they only stop sampling a tuple whose decision
-// is settled.
+// Options.Strata set its tasks are stratified and adaptive instead
+// (factoring pre-pass, Neyman waves, empirical-Bernstein stopping below the
+// same budget).
 //
 // A σ̂ batch (Definition 6.2) follows the balanced refinement scheme of the
 // end of Section 5: run.rounds rounds of |F| trials per task, stratified
@@ -35,14 +33,10 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
-	maxStrata := 0
-	if opts.stratifiedConf() {
-		maxStrata = opts.strataCount()
-	}
-	tgt := target{adaptive: maxStrata > 0, eps: eps, delta: delta}
+	tgt := target{adaptive: opts.Strata > 0, eps: eps, delta: delta}
 	if decide {
 		budget = func(clauses int) int64 { return run.rounds * int64(clauses) }
-		maxStrata, tgt = opts.Strata, target{}
+		tgt = target{}
 	}
 	run.table = table
 	run.batch = make(map[contentKey]*task)
@@ -51,7 +45,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	factored := run.stats.ExactFactored
 	for a, groups := range args {
 		for f := range groups {
-			cv, t, err := run.newTask(f, budget, maxStrata)
+			cv, t, err := run.newTask(f, budget, opts.Strata)
 			if err != nil {
 				return nil, err
 			}
@@ -62,9 +56,6 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 		}
 	}
 	factored = run.stats.ExactFactored - factored
-	if !decide && (opts.ConfThreshold > 0 || opts.ConfTopK > 0) {
-		tgt.decided = confDecider(est.cvs[0], opts.ConfThreshold, opts.ConfTopK, delta)
-	}
 	// A kept batch's later pass: every task starts over where resume leaves
 	// it — where a cache round trip leaves a rebuilt one — and is raised to
 	// its budget at the pass's rounds, counting into Stats as a rebuild would.
@@ -91,60 +82,6 @@ type estimates struct {
 func (e *estimates) P(arg, i int) float64 { return e.cvs[arg][i].estimate() }
 
 func (e *estimates) Refine() error { return e.refine() }
-
-// confDecider builds the wave-boundary early-stopping hook for threshold
-// and top-k conf queries. A task settles when every tuple sharing its
-// clause set is decided under every enabled criterion:
-//
-//   - threshold τ: the tuple's confidence interval at level delta lies
-//     entirely above or entirely below τ;
-//   - top-k: interval separation against the other tuples of the same
-//     operator — the tuple is definitely in the top k (at most k−1 other
-//     intervals reach above its lower bound) or definitely out (at least
-//     k other lower bounds lie at or above its upper bound).
-//
-// The hook reads only merged counts and is called only at wave
-// boundaries, so its verdicts are deterministic for any worker count.
-func confDecider(all []*confValue, tau float64, topk int, delta float64) func(*task) bool {
-	decidedCV := func(cv *confValue) bool {
-		lo, hi := cv.bounds(delta)
-		if tau > 0 && !(lo > tau || hi < tau) {
-			return false
-		}
-		if topk > 0 {
-			above, reach := 0, 0
-			for _, o := range all {
-				if o == cv {
-					continue
-				}
-				olo, ohi := o.bounds(delta)
-				if ohi > lo {
-					reach++ // could still outrank cv
-				}
-				if olo >= hi {
-					above++ // definitely outranks cv
-				}
-			}
-			in := reach <= topk-1
-			out := above >= topk
-			if !in && !out {
-				return false
-			}
-		}
-		return true
-	}
-	return func(t *task) bool {
-		if len(t.cvs) == 0 {
-			return false
-		}
-		for _, cv := range t.cvs {
-			if !decidedCV(cv) {
-				return false
-			}
-		}
-		return true
-	}
-}
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
 // exact probability (empty or singleton lineage), or a task's estimate of
@@ -187,17 +124,6 @@ func (cv *confValue) delta(eps float64) float64 {
 		return karpluby.DeltaBound(eps, cv.t.est.Trials(), cv.t.est.ClauseCount())
 	}
 	return cv.t.est.Delta(eps)
-}
-
-// bounds returns a 1−delta confidence interval for the combined value,
-// used by threshold/top-k early stopping (stratified tasks only).
-func (cv *confValue) bounds(delta float64) (lo, hi float64) {
-	if cv.exact {
-		return cv.value, cv.value
-	}
-	lo, hi = cv.t.est.Bounds(delta)
-	e := cv.exactPart
-	return e + (1-e)*lo, e + (1-e)*hi
 }
 
 // Decide decides the σ̂ predicate for one combination on the estimates,

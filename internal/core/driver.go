@@ -12,9 +12,8 @@ import (
 // The estimation driver: one loop spends the trial budgets of a batch of
 // tasks (one conf or σ̂ operator) in sampling waves.
 //
-//	sweep:   on merged counts only — settle tasks whose threshold/top-k
-//	         decision, empirical-Bernstein (ε,δ) bound, or budget is
-//	         reached;
+//	sweep:   on merged counts only — settle tasks whose empirical-Bernstein
+//	         (ε,δ) bound or budget is reached;
 //	wave:    plan the next chunks of every unsettled task's lanes — a
 //	         one-lane fixed budget in one wave, K lanes by Neyman
 //	         allocation;
@@ -38,10 +37,6 @@ type target struct {
 	// exactly the remaining budget is spent.
 	adaptive   bool
 	eps, delta float64
-	// decided, when non-nil, is the threshold/top-k early-stopping hook,
-	// called on merged counts at wave boundaries only (so its verdicts
-	// are deterministic for any worker count).
-	decided func(*task) bool
 }
 
 // laneWave is one lane's share of a wave: full whole chunks from plan index
@@ -104,7 +99,6 @@ func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 		for _, t := range pending {
 			spent := t.est.Trials()
 			switch { // settled by the first case that holds
-			case tgt.decided != nil && tgt.decided(t):
 			case tgt.adaptive && t.est.Delta(tgt.eps) <= tgt.delta:
 			case spent >= t.budget:
 			default:

@@ -80,36 +80,30 @@ func matrixDB() *urel.Database {
 // loop or the driver must not move; re-record them (empty the map, run,
 // paste) only for a change that moves PRNG consumption on purpose.
 var matrixGolden = map[string]string{
-	"flat-conf/remote=false/cold":       "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=false/warm":       "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=false/grown":      "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=true/cold":        "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=true/warm":        "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=true/grown":       "sampled=1384671 reused=147672 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/cold":       "sampled=172032 reused=171990 cache-hits=36 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=false/warm":       "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=false/grown":      "sampled=344022 reused=344064 cache-hits=6 restarts=13 strata=0 early-stops=0",
-	"flat-shat/remote=true/cold":        "sampled=220962 reused=123060 cache-hits=9 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=true/warm":        "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=true/grown":       "sampled=356076 reused=332010 cache-hits=6 restarts=13 strata=0 early-stops=0",
-	"strata8-conf/remote=false/cold":    "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
-	"strata8-conf/remote=false/warm":    "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
-	"strata8-conf/remote=false/grown":   "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
-	"strata8-conf/remote=true/cold":     "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
-	"strata8-conf/remote=true/warm":     "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
-	"strata8-conf/remote=true/grown":    "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
-	"strata8-shat/remote=false/cold":    "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=false/warm":    "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=false/grown":   "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
-	"strata8-shat/remote=true/cold":     "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=true/warm":     "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=true/grown":    "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
-	"threshold-conf/remote=false/cold":  "sampled=12292 reused=0 cache-hits=0 restarts=0 strata=9 early-stops=3",
-	"threshold-conf/remote=false/warm":  "sampled=0 reused=12292 cache-hits=1 restarts=0 strata=9 early-stops=3",
-	"threshold-conf/remote=false/grown": "sampled=16384 reused=12292 cache-hits=1 restarts=0 strata=9 early-stops=3",
-	"threshold-conf/remote=true/cold":   "sampled=12292 reused=0 cache-hits=0 restarts=0 strata=9 early-stops=3",
-	"threshold-conf/remote=true/warm":   "sampled=0 reused=12292 cache-hits=1 restarts=0 strata=9 early-stops=3",
-	"threshold-conf/remote=true/grown":  "sampled=16384 reused=12292 cache-hits=1 restarts=0 strata=9 early-stops=3",
+	"flat-conf/remote=false/cold":     "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-conf/remote=false/warm":     "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-conf/remote=false/grown":    "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-conf/remote=true/cold":      "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-conf/remote=true/warm":      "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-conf/remote=true/grown":     "sampled=1384671 reused=147672 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/cold":     "sampled=172032 reused=171990 cache-hits=36 restarts=12 strata=0 early-stops=0",
+	"flat-shat/remote=false/warm":     "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
+	"flat-shat/remote=false/grown":    "sampled=344022 reused=344064 cache-hits=6 restarts=13 strata=0 early-stops=0",
+	"flat-shat/remote=true/cold":      "sampled=220962 reused=123060 cache-hits=9 restarts=12 strata=0 early-stops=0",
+	"flat-shat/remote=true/warm":      "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
+	"flat-shat/remote=true/grown":     "sampled=356076 reused=332010 cache-hits=6 restarts=13 strata=0 early-stops=0",
+	"strata8-conf/remote=false/cold":  "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
+	"strata8-conf/remote=false/warm":  "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
+	"strata8-conf/remote=false/grown": "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
+	"strata8-conf/remote=true/cold":   "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
+	"strata8-conf/remote=true/warm":   "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
+	"strata8-conf/remote=true/grown":  "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
+	"strata8-shat/remote=false/cold":  "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
+	"strata8-shat/remote=false/warm":  "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
+	"strata8-shat/remote=false/grown": "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
+	"strata8-shat/remote=true/cold":   "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
+	"strata8-shat/remote=true/warm":   "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
+	"strata8-shat/remote=true/grown":  "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
 }
 
 // TestDriverMatrix pins what the estimation driver owes its callers,
@@ -135,7 +129,6 @@ func TestDriverMatrix(t *testing.T) {
 		{"flat-shat", shat, Options{Eps0: 0.05, Delta: 0.1, MaxRounds: 1 << 13}, 10},
 		{"strata8-conf", conf, Options{Eps0: 0.05, Delta: 0.1, Strata: 8}, 10000},
 		{"strata8-shat", shat, Options{Eps0: 0.05, Delta: 0.1, Strata: 8, MaxRounds: 1 << 13}, 10},
-		{"threshold-conf", conf, Options{Eps0: 0.05, Delta: 0.1, ConfThreshold: 0.27}, 10000},
 	}
 	db := matrixDB()
 	for _, tc := range cases {

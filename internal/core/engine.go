@@ -95,18 +95,6 @@ type Options struct {
 	// stratified estimates differ numerically from flat ones (different
 	// trial streams) while carrying the same (ε,δ) target.
 	Strata int
-	// ConfThreshold, when in (0,1), lets conf operators stop sampling a
-	// tuple as soon as its confidence interval clears the threshold from
-	// either side (the tuple's P column then carries the cruder estimate
-	// at that stopping point). It implies the stratified conf path even
-	// when Strata is 0 (using a default band count). 0 disables.
-	ConfThreshold float64
-	// ConfTopK, when > 0, lets conf operators stop sampling a tuple as
-	// soon as its membership in the top-K confidences is decided either
-	// way (interval separation against the other tuples of the same
-	// operator). Like ConfThreshold it implies the stratified conf path.
-	// 0 disables.
-	ConfTopK int
 	// Progress, when non-nil, is called synchronously after every pass of
 	// the doubling loop with a snapshot of the evaluation's progress. The
 	// hook must be fast and must not call back into the engine.
@@ -134,24 +122,6 @@ type Progress struct {
 	Decisions int
 	// Done reports whether the loop terminates with this pass.
 	Done bool
-}
-
-// defaultStrata is the band count used when a threshold/top-k option
-// forces the stratified conf path but Options.Strata was left 0.
-const defaultStrata = 4
-
-// stratifiedConf reports whether conf operators take the stratified
-// adaptive path.
-func (o Options) stratifiedConf() bool {
-	return o.Strata > 0 || o.ConfThreshold > 0 || o.ConfTopK > 0
-}
-
-// strataCount returns the effective band bound for stratification plans.
-func (o Options) strataCount() int {
-	if o.Strata > 0 {
-		return o.Strata
-	}
-	return defaultStrata
 }
 
 func (o Options) confEps() float64 {
@@ -201,10 +171,10 @@ type Stats struct {
 	SingularDrops int
 	// The stratified tasks of the final pass (all 0 on the unstratified
 	// path): their clause strata in total; how many of them stopped before
-	// spending their trial cap — a threshold/top-k decision settled, or the
-	// empirical-Bernstein bound converged below δ ahead of the Chernoff
-	// budget; and the independent lineage subformulas their factoring
-	// pre-pass computed exactly instead of sampling.
+	// spending their trial cap — the empirical-Bernstein bound converged
+	// below δ ahead of the Chernoff budget; and the independent lineage
+	// subformulas their factoring pre-pass computed exactly instead of
+	// sampling.
 	Strata, EarlyStops, ExactFactored int64
 	// Ops aggregates per-operator work (tuple counts, estimated bytes
 	// materialized) over the evaluation: the σ̂-free prefix and each σ̂'s

@@ -13,17 +13,14 @@ import (
 
 // task is one pending Karp–Luby estimation: a stratified merge target over
 // the canonical clause set, one lane per stratum, and the trial budget.
-// The confValues of every tuple sharing the task (same canonical clause
-// set, possibly different exact-factored parts) are attached for
-// threshold/top-k decisions.
 //
-// A flat task (Options.Strata and the threshold/top-k options all unset) is
-// the one-lane case — the estimator is built over the single-stratum plan,
-// which samples the flat Karp–Luby stream bit for bit — and differs from a
-// stratified one in a handful of values, not in code path: no dnf.Factor
-// pre-pass, maxStrata 0 on the wire, the content key itself as the lane's
-// cache key, the paper's Chernoff δ(ε) and unclamped estimate (confValue),
-// and a cache snapshot that keeps the budget's trailing partial chunk.
+// A flat task (Options.Strata unset) is the one-lane case — the estimator
+// is built over the single-stratum plan, which samples the flat Karp–Luby
+// stream bit for bit — and differs from a stratified one in a handful of
+// values, not in code path: no dnf.Factor pre-pass, maxStrata 0 on the
+// wire, the content key itself as the lane's cache key, the paper's
+// Chernoff δ(ε) and unclamped estimate (confValue), and a cache snapshot
+// that keeps the budget's trailing partial chunk.
 type task struct {
 	est       *karpluby.Stratified
 	key       contentKey
@@ -33,7 +30,6 @@ type task struct {
 
 	budget      int64 // trial cap (adaptive) or pass target (fixed)
 	startTrials int64 // trials resumed from cache across lanes
-	cvs         []*confValue
 }
 
 func (t *task) flat() bool { return t.maxStrata == 0 }
@@ -123,9 +119,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 	f, key := run.fper.canonicalF(f)
 	if shared, ok := run.batch[key]; ok {
 		// Same canonical clause set, same budget function → same task.
-		cv := &confValue{t: shared, exactPart: exactPart}
-		shared.cvs = append(shared.cvs, cv)
-		return cv, nil, nil
+		return &confValue{t: shared, exactPart: exactPart}, nil, nil
 	}
 	est, err := karpluby.NewStratified(f, run.table, karpluby.PlanStrata(f, run.table, max(maxStrata, 1)))
 	if err != nil {
@@ -153,12 +147,10 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 		}
 	}
 	run.resume(t, trials(est.ClauseCount()))
-	cv := &confValue{t: t, exactPart: exactPart}
-	t.cvs = append(t.cvs, cv)
 	if run.batch != nil {
 		run.batch[key] = t
 	}
-	return cv, t, nil
+	return &confValue{t: t, exactPart: exactPart}, t, nil
 }
 
 // resume sets t's budget and starts every lane over from the snapshot its

@@ -413,30 +413,6 @@ func (s *Stratified) Delta(eps float64) float64 {
 	return math.Exp(hi)
 }
 
-// Bounds returns a confidence interval [lo, hi] for p at failure
-// probability delta: p̂ ± AdditiveBound(delta), clamped to [0, min(M, 1)].
-// It is the hook threshold/top-k early stopping decides on.
-func (s *Stratified) Bounds(delta float64) (lo, hi float64) {
-	cap := math.Min(s.m, 1)
-	if s.Trials() == 0 {
-		return 0, cap
-	}
-	p := s.Estimate()
-	w := s.AdditiveBound(delta)
-	lo = p - w
-	if lo < 0 {
-		lo = 0
-	}
-	hi = p + w
-	if hi > cap {
-		hi = cap
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // neymanWeights returns the allocation weight u_j = M_j·σ̃_j per stratum,
 // with σ̃_j derived from the Laplace-smoothed hit rate
 // θ̃_j = (hits+1)/(trials+2). The smoothing keeps every active stratum's

@@ -349,8 +349,9 @@ func TestAllocateAndNextWaveInvariants(t *testing.T) {
 	}
 }
 
-// Bounds must bracket the exact confidence (the run is deterministic, so
-// this single check is stable; the level is generous).
+// AdditiveBound must bracket the exact confidence around the estimate (the
+// run is deterministic, so this single check is stable; the level is
+// generous).
 func TestStratifiedBoundsCoverExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	nVars := 8
@@ -361,9 +362,8 @@ func TestStratifiedBoundsCoverExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := s.Bounds(0.05)
-	if lo != 0 {
-		t.Errorf("zero-trial lower bound = %v, want 0", lo)
+	if w := s.AdditiveBound(0.05); w < math.Min(s.M(), 1) {
+		t.Errorf("zero-trial width = %v, want vacuous (≥ min(M, 1) = %v)", w, math.Min(s.M(), 1))
 	}
 	for j := 0; j < s.StratumCount(); j++ {
 		for c := 0; c < 8; c++ {
@@ -373,11 +373,11 @@ func TestStratifiedBoundsCoverExact(t *testing.T) {
 		}
 		s.AdvanceStratum(j, 8)
 	}
-	lo, hi = s.Bounds(0.05)
-	if !(lo <= exact && exact <= hi) {
-		t.Errorf("Bounds(0.05) = [%v, %v] does not cover exact %v", lo, hi, exact)
+	p, w := s.Estimate(), s.AdditiveBound(0.05)
+	if math.Abs(p-exact) > w {
+		t.Errorf("estimate %v ± AdditiveBound(0.05) = %v does not cover exact %v", p, w, exact)
 	}
-	if hi-lo >= 1 {
-		t.Errorf("interval [%v, %v] is vacuous after sampling", lo, hi)
+	if w >= 1 {
+		t.Errorf("width %v is vacuous after sampling", w)
 	}
 }

@@ -84,7 +84,7 @@ func newServerMetrics(reg *metrics.Registry, eng *pdb.Engine, adm *admission) *s
 		"Evaluations aborted by a per-query resource limit, as counted by the engine.",
 		func() float64 { return float64(eng.Stats().LimitTrips) })
 	reg.CounterFunc("pdb_engine_early_stops_total",
-		"Estimation tasks settled before their full trial budget (threshold/top-k decisions or empirical-Bernstein convergence).",
+		"Stratified estimation tasks settled before their full trial budget by empirical-Bernstein convergence.",
 		func() float64 { return float64(eng.Stats().EarlyStops) })
 	reg.CounterFunc("pdb_engine_exact_factored_total",
 		"Independent lineage subformulas computed exactly by the factoring pre-pass instead of sampled.",

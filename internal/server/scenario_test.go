@@ -51,23 +51,23 @@ func hardServer(t *testing.T, cfg Config) *Server {
 
 const hardProgram = `conf as P (project[Grp](product(R, S)));`
 
-// SHALL: the strata / threshold / top_k request fields reach the engine
-// and the trailer reports the stratified accounting. WHEN a query runs
-// with "strata" set over hard lineage. THEN the response streams every
-// row, the trailer shows strata and sampled trials, a repeated request
-// replays identically from the cache, and /v1/stats plus /metrics expose
-// the cumulative early-stop and factoring counters.
+// SHALL: the strata request field reaches the engine and the trailer
+// reports the stratified accounting. WHEN a query runs with "strata" set
+// over hard lineage. THEN the response streams every row, the trailer
+// shows strata and sampled trials, a repeated request replays identically
+// from the cache, and /v1/stats plus /metrics expose the cumulative
+// early-stop and factoring counters.
 func TestScenarioStratifiedQueryOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(hardServer(t, Config{}))
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"program": %q, "seed": 11, "strata": 8, "threshold": 0.5, "conf_epsilon": 0.05, "conf_delta": 0.05}`, hardProgram)
+	body := fmt.Sprintf(`{"program": %q, "seed": 11, "strata": 8, "conf_epsilon": 0.05, "conf_delta": 0.05}`, hardProgram)
 	status, _, rows, tr := postQuery(t, ts, body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3 groups (threshold must not filter)", len(rows))
+		t.Fatalf("got %d rows, want 3 groups", len(rows))
 	}
 	if tr.Stats.Strata == 0 {
 		t.Error("trailer should report strata > 0 for a stratified query")
@@ -121,14 +121,13 @@ func TestScenarioStratifiedQueryOverHTTP(t *testing.T) {
 }
 
 // SHALL: out-of-domain stratified options are rejected before any work.
-// WHEN a request carries strata, threshold, or top_k values outside
-// their domains. THEN the service answers 400 with kind "option".
+// WHEN a request carries a strata value outside its domain. THEN the
+// service answers 400 with kind "option".
 func TestScenarioStratifiedOptionRejectedOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(hardServer(t, Config{}))
 	defer ts.Close()
 	for name, body := range map[string]string{
 		"strata too large": fmt.Sprintf(`{"program": %q, "strata": 5000}`, hardProgram),
-		"threshold ≥ 1":    fmt.Sprintf(`{"program": %q, "threshold": 1.5}`, hardProgram),
 	} {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {

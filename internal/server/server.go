@@ -386,14 +386,6 @@ type queryRequest struct {
 	// Strata enables stratified Karp-Luby estimation with at most this
 	// many clause-weight strata (pdb.WithStrata).
 	Strata int `json:"strata,omitempty"`
-	// Threshold stops sampling a conf tuple once its confidence interval
-	// clears this value either way (pdb.WithThreshold) — an effort knob,
-	// not a filter. Implies stratified estimation.
-	Threshold float64 `json:"threshold,omitempty"`
-	// TopK stops sampling a conf tuple once its membership in the k
-	// highest-confidence tuples is settled (pdb.WithTopK). Implies
-	// stratified estimation.
-	TopK int `json:"top_k,omitempty"`
 }
 
 // errorResponse is the body of every non-200 response.
@@ -575,12 +567,6 @@ func (s *Server) buildOptions(req queryRequest, q Quota) []pdb.Option {
 	}
 	if req.Strata > 0 {
 		opts = append(opts, pdb.WithStrata(req.Strata))
-	}
-	if req.Threshold > 0 {
-		opts = append(opts, pdb.WithThreshold(req.Threshold))
-	}
-	if req.TopK > 0 {
-		opts = append(opts, pdb.WithTopK(req.TopK))
 	}
 	if n := clampLimit(req.MaxTrials, tightestCap(s.cfg.MaxTrials, q.MaxTrials)); n > 0 {
 		opts = append(opts, pdb.WithMaxTrials(n))

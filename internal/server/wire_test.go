@@ -175,8 +175,8 @@ func TestWireTrailerKeys(t *testing.T) {
 			body:     q(testProgram, `, "exact": true`),
 			then:     []string{"rows", "max_error_bound", "sampled_trials", "reused_trials", "cache_hits", "elapsed_ms"},
 			contains: `"sampled_trials":0,"reused_trials":0,"cache_hits":0`},
-		{when: "a conf query is stratified with a threshold over hard lineage",
-			body: q(hardProgram, `, "seed": 11, "strata": 8, "threshold": 0.5, "conf_epsilon": 0.05, "conf_delta": 0.05`),
+		{when: "a stratified conf query over hard lineage stops early",
+			body: q(hardProgram, `, "seed": 11, "strata": 8, "conf_epsilon": 0.05, "conf_delta": 0.05`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "strata", "early_stops", "elapsed_ms"}},
 		{when: "a stratified conf query factors easy lineage exactly",
 			body: q(testProgram, `, "seed": 7, "strata": 4`),
@@ -249,10 +249,11 @@ func TestWireTrailerReportsSingularDrops(t *testing.T) {
 
 // SHALL: a request field the server no longer reads is ignored, not an
 // error — a client of an older release may still send the removed switch
-// that turned estimator reuse off. WHEN a warmed server receives a request
-// identical to an earlier one except for that switch set to true. THEN it
-// answers 200 AND the header and row bytes equal those of the same request
-// sent without the field AND so does every trailer key except elapsed_ms.
+// that turned estimator reuse off, or the removed threshold / top_k effort
+// knobs. WHEN a warmed server receives a request identical to an earlier
+// one except for such fields set. THEN it answers 200 AND the header and
+// row bytes equal those of the same request sent without them AND so does
+// every trailer key except elapsed_ms.
 func TestWireIgnoresRemovedField(t *testing.T) {
 	ts, _ := wireServer(t, Config{}, 0)
 	lines := func(body string) []string {
@@ -271,35 +272,40 @@ func TestWireIgnoresRemovedField(t *testing.T) {
 		}
 		return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	}
-	for _, tc := range []struct{ when, program, rest string }{
-		{"a conf query", testProgram, `, "seed": 7`},
-		{"a σ̂ query that restarts", `aselect[p1 >= 0.5 over conf[ID]](T);`, `, "seed": 3`},
+	for _, removed := range []struct{ what, fields string }{
+		{"the removed switch", `"no_resume": true`},
+		{"the removed effort knobs", `"threshold": 0.5, "top_k": 1`},
 	} {
-		t.Run("WHEN "+tc.when+" is repeated with the removed switch", func(t *testing.T) {
-			plain := fmt.Sprintf(`{"program": %q%s}`, tc.program, tc.rest)
-			lines(plain)
-			flagged := lines(fmt.Sprintf(`{"program": %q%s, "no_resume": true}`, tc.program, tc.rest))
-			want := lines(plain)
-			if len(flagged) != len(want) || len(want) < 2 {
-				t.Fatalf("THEN the answers have equal line counts, got %d and %d", len(flagged), len(want))
-			}
-			last := len(want) - 1
-			if !reflect.DeepEqual(flagged[:last], want[:last]) {
-				t.Errorf("THEN the header and rows are equal, got\n  %v, want\n  %v", flagged[:last], want[:last])
-			}
-			_, got := objectKeys(t, []byte(flagged[last]))
-			_, exp := objectKeys(t, []byte(want[last]))
-			gotStats, gotVals := objectKeys(t, got["stats"])
-			wantStats, wantVals := objectKeys(t, exp["stats"])
-			if !reflect.DeepEqual(gotStats, wantStats) {
-				t.Fatalf("THEN the trailer keys are equal, got %v, want %v", gotStats, wantStats)
-			}
-			for _, k := range wantStats {
-				if k != "elapsed_ms" && !bytes.Equal(gotVals[k], wantVals[k]) {
-					t.Errorf("THEN trailer key %s is equal, got %s, want %s", k, gotVals[k], wantVals[k])
+		for _, tc := range []struct{ when, program, rest string }{
+			{"a conf query", testProgram, `, "seed": 7`},
+			{"a σ̂ query that restarts", `aselect[p1 >= 0.5 over conf[ID]](T);`, `, "seed": 3`},
+		} {
+			t.Run("WHEN "+tc.when+" is repeated with "+removed.what, func(t *testing.T) {
+				plain := fmt.Sprintf(`{"program": %q%s}`, tc.program, tc.rest)
+				lines(plain)
+				flagged := lines(fmt.Sprintf(`{"program": %q%s, %s}`, tc.program, tc.rest, removed.fields))
+				want := lines(plain)
+				if len(flagged) != len(want) || len(want) < 2 {
+					t.Fatalf("THEN the answers have equal line counts, got %d and %d", len(flagged), len(want))
 				}
-			}
-		})
+				last := len(want) - 1
+				if !reflect.DeepEqual(flagged[:last], want[:last]) {
+					t.Errorf("THEN the header and rows are equal, got\n  %v, want\n  %v", flagged[:last], want[:last])
+				}
+				_, got := objectKeys(t, []byte(flagged[last]))
+				_, exp := objectKeys(t, []byte(want[last]))
+				gotStats, gotVals := objectKeys(t, got["stats"])
+				wantStats, wantVals := objectKeys(t, exp["stats"])
+				if !reflect.DeepEqual(gotStats, wantStats) {
+					t.Fatalf("THEN the trailer keys are equal, got %v, want %v", gotStats, wantStats)
+				}
+				for _, k := range wantStats {
+					if k != "elapsed_ms" && !bytes.Equal(gotVals[k], wantVals[k]) {
+						t.Errorf("THEN trailer key %s is equal, got %s, want %s", k, gotVals[k], wantVals[k])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -403,6 +409,51 @@ func TestWireDocsNameEveryField(t *testing.T) {
 			if !bytes.Contains(doc, []byte("`"+key+"`")) {
 				t.Errorf("docs/API.md does not name `%s` (%s)", key, typ)
 			}
+		}
+	}
+}
+
+// SHALL: docs/API.md's POST /v1/query field table lists exactly the request
+// fields the server decodes. The keys are the backquoted names in the first
+// column of the first table under "## POST /v1/query", compared with
+// queryRequest's json tags in both directions, so adding or removing a
+// request field fails here until its row is added or removed.
+func TestWireDocsRequestTable(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## POST /v1/query\n")
+	if !ok {
+		t.Fatal("docs/API.md has no \"## POST /v1/query\" section")
+	}
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first := strings.Split(line, "|")[1]
+		for i, part := range strings.Split(first, "`") {
+			if i%2 == 1 {
+				documented[part] = true
+			}
+		}
+	}
+	fields := map[string]bool{}
+	for _, key := range jsonKeys(reflect.TypeOf(queryRequest{})) {
+		fields[key] = true
+		if !documented[key] {
+			t.Errorf("request field `%s` has no row in docs/API.md's POST /v1/query table", key)
+		}
+	}
+	for key := range documented {
+		if !fields[key] {
+			t.Errorf("docs/API.md's POST /v1/query table documents `%s`, which queryRequest does not decode", key)
 		}
 	}
 }

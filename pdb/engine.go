@@ -134,8 +134,8 @@ type EngineStats struct {
 	// (WithMaxTrials / WithMaxMemory) — the service's 422/overload signal.
 	LimitTrips int64 `json:"limit_trips"`
 	// EarlyStops aggregates Stats.EarlyStops over completed evaluations:
-	// estimation tasks settled before their full trial budget by
-	// threshold/top-k decisions or empirical-Bernstein convergence.
+	// stratified estimation tasks settled before their full trial budget
+	// by empirical-Bernstein convergence.
 	EarlyStops int64 `json:"early_stops"`
 	// ExactFactored aggregates Stats.ExactFactored: independent lineage
 	// subformulas the factoring pre-pass computed exactly instead of

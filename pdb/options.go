@@ -191,45 +191,13 @@ func WithSpillDir(dir string) Option {
 // under Neyman allocation with empirical-Bernstein stopping. Results stay
 // deterministic and worker-count independent, and typically need far
 // fewer trials on skewed clause weights. n must lie in [1, 4096]; n = 1
-// keeps a single stratum (factoring pre-pass only). Implied with its
-// default stratum count by WithThreshold and WithTopK.
+// keeps a single stratum (factoring pre-pass only).
 func WithStrata(n int) Option {
 	return Option{func(o *core.Options) error {
 		if n < 1 || n > 4096 {
 			return optionErr("WithStrata", n, "stratum count must be in [1, 4096]")
 		}
 		o.Strata = n
-		return nil
-	}}
-}
-
-// WithThreshold makes conf operators stop sampling a tuple as soon as its
-// confidence interval falls entirely above or below tau — an effort knob,
-// not a filter: every tuple still appears in the result with its
-// estimate, but tuples whose comparison against tau is settled early
-// receive only the trials that settling took. tau must lie in (0, 1).
-// Implies stratified estimation.
-func WithThreshold(tau float64) Option {
-	return Option{func(o *core.Options) error {
-		if tau <= 0 || tau >= 1 {
-			return optionErr("WithThreshold", tau, "threshold must be in (0,1)")
-		}
-		o.ConfThreshold = tau
-		return nil
-	}}
-}
-
-// WithTopK makes conf operators stop sampling a tuple once its membership
-// in the k highest-confidence tuples of its operator is settled either
-// way (interval separation against the other tuples). Like WithThreshold
-// this is an effort knob, not a filter — the result still contains every
-// tuple. k must be positive. Implies stratified estimation.
-func WithTopK(k int) Option {
-	return Option{func(o *core.Options) error {
-		if k <= 0 {
-			return optionErr("WithTopK", k, "k must be positive")
-		}
-		o.ConfTopK = k
 		return nil
 	}}
 }

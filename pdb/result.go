@@ -44,12 +44,11 @@ type Stats struct {
 	// ε₀-singularities (their absence is not covered by the δ guarantee).
 	SingularDrops int `json:"singular_drops,omitempty"`
 	// Strata is the number of sampling strata active in the final pass
-	// (0 unless stratified estimation — WithStrata / WithThreshold /
-	// WithTopK — was used).
+	// (0 unless stratified estimation — WithStrata — was used).
 	Strata int64 `json:"strata,omitempty"`
-	// EarlyStops counts estimation tasks of the final pass that settled
-	// before spending their full trial budget (threshold/top-k decisions
-	// or empirical-Bernstein convergence).
+	// EarlyStops counts stratified estimation tasks of the final pass that
+	// settled before spending their full trial budget (empirical-Bernstein
+	// convergence).
 	EarlyStops int64 `json:"early_stops,omitempty"`
 	// ExactFactored counts independent lineage subformulas the factoring
 	// pre-pass computed exactly instead of sampling (final pass).

@@ -103,81 +103,6 @@ func TestScenarioStratifiedConfAccuracy(t *testing.T) {
 	}
 }
 
-// SHALL: WithThreshold is an effort knob, not a filter. WHEN a conf
-// query runs with a threshold between the groups' probabilities. THEN
-// the result still contains every tuple, every estimate lands on the
-// correct side of the threshold, sampling effort does not exceed the
-// plain stratified run's, and at least one task stops early.
-func TestScenarioThresholdEffortKnob(t *testing.T) {
-	db := skewDB(t)
-	want := exactByGrp(t, db, grpConfProgram)
-	q, err := db.Prepare(grpConfProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := q.Eval(context.Background(), WithStrata(4), WithConfBudget(0.02, 0.02), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tau = 0.5
-	res, err := q.Eval(context.Background(), WithStrata(4), WithConfBudget(0.02, 0.02), WithSeed(5), WithThreshold(tau))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != len(want) {
-		t.Fatalf("threshold filtered the result: got %d rows, want %d", res.Len(), len(want))
-	}
-	for row := range res.Rows() {
-		g, p := row.Int("Grp"), row.Float("P")
-		if w := want[g]; math.Abs(w-tau) > 0.1 && (p > tau) != (w > tau) {
-			t.Errorf("Grp=%d: estimate %v on wrong side of τ=%v (exact %v)", g, p, tau, w)
-		}
-	}
-	if got, fullT := res.Stats().SampledTrials, full.Stats().SampledTrials; got > fullT {
-		t.Errorf("threshold run sampled %d trials, more than the full run's %d", got, fullT)
-	}
-	if res.Stats().EarlyStops == 0 {
-		t.Error("well-separated threshold query should settle at least one task early")
-	}
-}
-
-// SHALL: WithTopK settles ranking membership early without dropping
-// rows. WHEN a conf query runs with k = 1 over groups with separated
-// probabilities. THEN all tuples are still emitted and the estimated
-// top-1 tuple is the exact top-1 tuple.
-func TestScenarioTopKEffortKnob(t *testing.T) {
-	db := skewDB(t)
-	want := exactByGrp(t, db, grpConfProgram)
-	q, err := db.Prepare(grpConfProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := q.Eval(context.Background(), WithTopK(1), WithConfBudget(0.05, 0.05), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != len(want) {
-		t.Fatalf("top-k filtered the result: got %d rows, want %d", res.Len(), len(want))
-	}
-	var bestGrp int64
-	best := -1.0
-	for row := range res.Rows() {
-		if p := row.Float("P"); p > best {
-			best, bestGrp = p, row.Int("Grp")
-		}
-	}
-	var wantGrp int64
-	bestW := -1.0
-	for g, w := range want {
-		if w > bestW {
-			bestW, wantGrp = w, g
-		}
-	}
-	if bestGrp != wantGrp {
-		t.Errorf("estimated top-1 is Grp=%d, exact top-1 is Grp=%d", bestGrp, wantGrp)
-	}
-}
-
 // SHALL: stratified σ̂ selection decides predicates like the flat path.
 // WHEN an aselect over conf arguments runs with stratification. THEN
 // the emitted tuple set matches the exact evaluation's and repeated runs
@@ -219,13 +144,8 @@ func TestScenarioStratifiedOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]Option{
-		"WithStrata zero":        WithStrata(0),
-		"WithStrata huge":        WithStrata(5000),
-		"WithThreshold zero":     WithThreshold(0),
-		"WithThreshold one":      WithThreshold(1),
-		"WithThreshold negative": WithThreshold(-0.2),
-		"WithTopK zero":          WithTopK(0),
-		"WithTopK negative":      WithTopK(-3),
+		"WithStrata zero": WithStrata(0),
+		"WithStrata huge": WithStrata(5000),
 	} {
 		if _, err := q.Eval(context.Background(), opt); err == nil {
 			t.Errorf("%s: expected an error", name)
