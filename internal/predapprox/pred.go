@@ -22,8 +22,10 @@
 // genuine touching point is the unique root of W(ε) = b in [0,1): for
 // b < 0 that is indeed the larger root, but for b > 0 it is the smaller
 // one (the larger root is an artifact of multiplying by (1−ε), which
-// vanishes at ε = 1). We select the root lying in [0,1) and validate the
-// choice against brute-force orthotope scans (experiment E6).
+// vanishes at ε = 1). In both cases it is (β − √D)/(2b), D = β² − 4b(α−b),
+// which we evaluate in its conjugate form ε = 2(α−b)/(β + √D): it does not cancel
+// when b is near 0, and it is α/β at b = 0. Brute-force orthotope scans
+// validate the choice (experiment E6).
 package predapprox
 
 import (
@@ -133,19 +135,13 @@ func (a LinAtom) satisfiedMargin(x []float64) float64 {
 	if alpha <= b {
 		return 0 // on the hyperplane (Remark 5.3); below it only defensively
 	}
-	if b == 0 {
-		return math.Min(alpha/beta, EpsMax) // α/β ∈ (0, 1]
-	}
-	// The margin is the smallest root of b·ε² − β·ε + (α−b) = 0 in (0,1)
-	// (see the package comment); with none, as for β = 0 (roots ±1), the
+	// The touching root of b·ε² − β·ε + (α−b) = 0 in conjugate form (see
+	// the package comment); past EpsMax, as for β = 0 (roots ±1), the
 	// orthotope never reaches the hyperplane. The discriminant β² − α² +
-	// (α−2b)² is never negative; were it by rounding, NaN roots give EpsMax.
-	sq := math.Sqrt(beta*beta - 4*b*(alpha-b))
-	eps := EpsMax
-	for _, r := range []float64{(beta - sq) / (2 * b), (beta + sq) / (2 * b)} {
-		if r > 0 && r < eps {
-			eps = r
-		}
+	// (α−2b)² is never negative; were it by rounding, NaN gives EpsMax.
+	eps := 2 * (alpha - b) / (beta + math.Sqrt(beta*beta-4*b*(alpha-b)))
+	if !(eps < EpsMax) {
+		return EpsMax
 	}
 	return eps
 }

@@ -58,6 +58,27 @@ func TestTheorem52NegativeB(t *testing.T) {
 	}
 }
 
+// A b near 0 must not cancel Theorem 5.2's root: the margin is continuous
+// in b, so it stays at b = 0's α/β, and no wider than the brute-force scan
+// finds. The textbook form (β − √D)/(2b) returned EpsMax at b = 1e-17.
+func TestTheorem52RootNearZeroB(t *testing.T) {
+	p := []float64{0.335, 0.189} // −x₁ + x₂ ≥ b is false; its negation decides
+	at0 := Linear([]float64{-1, 1}, 0).Margin(p)
+	if math.Abs(at0-0.146/0.524) > 1e-12 {
+		t.Fatalf("b = 0: ε = %v, want α/β = %v", at0, 0.146/0.524)
+	}
+	for _, b := range []float64{1e-17, -1e-17, 1e-12, 5e-324} {
+		phi := Linear([]float64{-1, 1}, b)
+		got := phi.Margin(p)
+		if math.Abs(got-at0) > 1e-11 {
+			t.Errorf("b = %g: ε = %v, want ≈ %v", b, got, at0)
+		}
+		if bf := BruteForceMargin(phi, p, 0.001, 4); got > bf+0.001 {
+			t.Errorf("b = %g: ε = %v exceeds the brute-force margin %v", b, got, bf)
+		}
+	}
+}
+
 func TestMarginOnHyperplaneIsZero(t *testing.T) {
 	phi := Linear([]float64{1, -1}, 0) // x₁ ≥ x₂
 	if eps := phi.Margin([]float64{0.5, 0.5}); eps != 0 {
