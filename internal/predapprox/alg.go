@@ -9,14 +9,6 @@ import (
 	"repro/internal/expr"
 )
 
-// exprPred is a σ̂ predicate as the parser built it, over attributes p1..pk
-// naming x[0..k−1]. It holds nothing but the tree, so one prepared query's
-// predicate serves concurrent evaluations.
-type exprPred struct {
-	p     expr.Pred
-	arity int
-}
-
 // FromExpr validates p as a σ̂ predicate over k approximated values, to be
 // decided on p itself. Each comparison L op R is Theorem 5.5's atom f ≥ 0
 // (f > 0 for > and <), f = L − R for ≥ and >, f = R − L for ≤ and <, in
@@ -25,9 +17,9 @@ type exprPred struct {
 // as the corner criterion needs. Errors read as the parser's, its caller.
 func FromExpr(p expr.Pred, k int) (Pred, error) {
 	if err := validate(p, k); err != nil {
-		return nil, err
+		return Pred{}, err
 	}
-	return exprPred{p: p, arity: k}, nil
+	return Pred{p: p, arity: k}, nil
 }
 
 func validate(p expr.Pred, k int) error {
@@ -89,13 +81,6 @@ func countSlots(e expr.Expr, counts []int) error {
 	return nil
 }
 
-// Eval, Margin, Arity (k) and String (the parser's own rendering) work on
-// the parser's tree.
-func (e exprPred) Eval(x []float64) bool      { return eval(e.p, x) }
-func (e exprPred) Margin(x []float64) float64 { return margin(e.p, x) }
-func (e exprPred) Arity() int                 { return e.arity }
-func (e exprPred) String() string             { return e.p.String() }
-
 func eval(p expr.Pred, x []float64) bool {
 	switch p := p.(type) {
 	case expr.And:
@@ -130,7 +115,10 @@ func margin(p expr.Pred, x []float64) float64 {
 	case expr.Not:
 		return margin(p.Kid, x) // ¬φ's homogeneous orthotope is φ's
 	case expr.Cmp:
-		return cmpMargin(p, x)
+		if m, ok := closedForm(p, x); ok {
+			return m
+		}
+		return cornerMargin(p, x)
 	}
 	return 0
 }
@@ -156,12 +144,83 @@ func combine(kids []expr.Pred, x []float64, v, and bool) float64 {
 	return m
 }
 
-// cmpMargin maximizes ε by binary search (the procedure following Theorem
-// 5.5): a candidate ε qualifies iff all 2^k corner points of the orthotope
-// agree with the center, which by the theorem implies the whole orthotope
-// agrees. Monotonicity in ε (smaller orthotopes are contained in larger
-// homogeneous ones) makes binary search exact up to tolerance.
-func cmpMargin(c expr.Cmp, x []float64) float64 {
+// sums are Theorem 5.2's for f = Σ aᵢxᵢ − b: Σ aᵢxᵢ > 0, Σ aᵢxᵢ ≤ 0, and b.
+type sums struct{ pos, neg, b float64 }
+
+// closedForm returns Theorem 5.2's margin for c at x, folding f on the
+// stack so the tree stays the whole state. It reports false, leaving c to
+// the corner search, when f is not affine in the slots, when no slot term
+// is non-zero (f is constant, as in 0 >= 0 or (p1 + p2) * 0 <= 0), or when
+// f or a sum is not finite (as in p2 <= (p3 - p1) / 0).
+func closedForm(c expr.Cmp, x []float64) (float64, bool) {
+	var s sums
+	l, r := 1.0, -1.0
+	if c.Op == expr.CmpLe || c.Op == expr.CmpLt {
+		l, r = -1, 1
+	}
+	if !s.fold(c.L, x, l) || !s.fold(c.R, x, r) {
+		return 0, false
+	}
+	alpha, beta, b := s.pos+s.neg, s.pos-s.neg, s.b
+	f, _ := value(c, x, 0, 0)
+	if beta == 0 || math.IsNaN(beta-beta+b-b+f-f) { // v − v is NaN iff v is ±Inf or NaN
+		return 0, false
+	}
+	if !holds(c, f) { // ¬φ's atom −f ≥ 0 decides, as in Figure 3's φ/¬φ switch
+		alpha, b = -alpha, -b
+	}
+	if alpha <= b {
+		return 0, true // on the hyperplane (Remark 5.3); below it only defensively
+	}
+	// The root in conjugate form (package comment), EpsMax past it or at NaN.
+	eps := 2 * (alpha - b) / (beta + math.Sqrt(beta*beta-4*b*(alpha-b)))
+	if !(eps < EpsMax) {
+		return EpsMax, true
+	}
+	return eps, true
+}
+
+// fold adds m·e to s, reaching each slot with m times the constant factors
+// and divisors above it, and reports whether e is affine in the slots: no
+// product of two slot-reading factors and no slot-reading divisor.
+func (s *sums) fold(e expr.Expr, x []float64, m float64) bool {
+	switch e := e.(type) {
+	case expr.Const:
+		s.b -= m * e.V.AsFloat()
+	case expr.Attr:
+		if t := m * x[slot(e.Name)]; t > 0 {
+			s.pos += t
+		} else {
+			s.neg += t
+		}
+	case expr.Arith:
+		switch e.Op {
+		case expr.OpAdd:
+			return s.fold(e.L, x, m) && s.fold(e.R, x, m)
+		case expr.OpSub:
+			return s.fold(e.L, x, m) && s.fold(e.R, x, -m)
+		}
+		var nl, nr int // slots L and R read
+		lv, rv := arith(e.L, x, 0, 0, &nl), arith(e.R, x, 0, 0, &nr)
+		switch {
+		case e.Op == expr.OpMul && nl == 0:
+			return s.fold(e.R, x, m*lv)
+		case e.Op == expr.OpMul && nr == 0:
+			return s.fold(e.L, x, m*rv)
+		case e.Op == expr.OpDiv && nr == 0:
+			return s.fold(e.L, x, m/rv)
+		}
+		return false
+	}
+	return true
+}
+
+// cornerMargin maximizes ε by binary search (the procedure following
+// Theorem 5.5): a candidate ε qualifies iff all 2^k corner points of the
+// orthotope agree with the center, which by the theorem implies the whole
+// orthotope agrees. Monotonicity in ε (smaller orthotopes are contained in
+// larger homogeneous ones) makes binary search exact up to tolerance.
+func cornerMargin(c expr.Cmp, x []float64) float64 {
 	f, k := value(c, x, 0, 0)
 	if math.IsNaN(f) { // every corner of radius 0 is x itself
 		return 0
@@ -248,13 +307,4 @@ func slot(name string) int {
 		}
 	}
 	return i - 1
-}
-
-// RatioAtom builds the paper's running example φ(x₁,x₂) = (x₁/x₂ ≥ c) in
-// its linearized form x₁ − c·x₂ ≥ 0 (Example 5.4).
-func RatioAtom(num, den int, c float64, arity int) LinAtom {
-	coef := make([]float64, arity)
-	coef[num] = 1
-	coef[den] = -c
-	return Linear(coef, 0)
 }

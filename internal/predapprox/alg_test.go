@@ -48,13 +48,15 @@ func TestAlgAtomEval(t *testing.T) {
 }
 
 func TestAlgAtomMarginMatchesLinear(t *testing.T) {
-	// p1 ≥ 0.4 by corner search and by Theorem 5.2: margins must agree.
-	alg := mustFromExpr(t, expr.Ge(p1, expr.CFloat(0.4)), 1)
+	// p1 ≥ 0.4 parsed and built by Linear takes Theorem 5.2's closed form,
+	// which must agree with the corner search.
+	c := expr.Cmp{Op: expr.CmpGe, L: p1, R: expr.CFloat(0.4)}
+	alg := mustFromExpr(t, c, 1)
 	lin := Linear([]float64{1}, 0.4)
 	for _, p := range [][]float64{{0.5}, {0.9}, {0.3}, {0.41}} {
-		ma, ml := alg.Margin(p), lin.Margin(p)
-		if math.Abs(ma-ml) > 1e-9 {
-			t.Errorf("p=%v: alg margin %v vs linear %v", p, ma, ml)
+		ma, ml, mc := alg.Margin(p), lin.Margin(p), cornerMargin(c, p)
+		if ma != ml || math.Abs(ma-mc) > 1e-9 {
+			t.Errorf("p=%v: parsed margin %v, linear %v, corner search %v", p, ma, ml, mc)
 		}
 	}
 }

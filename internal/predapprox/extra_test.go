@@ -10,39 +10,37 @@ import (
 )
 
 func TestStrictAtomSemantics(t *testing.T) {
-	ge := LinAtom{Coef: []float64{1}, B: 0.5}
-	gt := LinAtom{Coef: []float64{1}, B: 0.5, Strict: true}
+	half := expr.CFloat(0.5)
+	ge := mustFromExpr(t, expr.Ge(p1, half), 1)
+	gt := mustFromExpr(t, expr.Gt(p1, half), 1)
 	if !ge.Eval([]float64{0.5}) {
-		t.Error("x ≥ 0.5 at 0.5 should hold")
+		t.Error("p1 >= 0.5 at 0.5 should hold")
 	}
 	if gt.Eval([]float64{0.5}) {
-		t.Error("x > 0.5 at 0.5 should not hold")
+		t.Error("p1 > 0.5 at 0.5 should not hold")
 	}
-	// Negation flips strictness: ¬(x ≥ b) = −x > −b.
-	neg := ge.negated()
-	if !neg.Strict {
-		t.Error("negating ≥ must give >")
-	}
-	if neg.Eval([]float64{0.5}) {
-		t.Error("¬(0.5 ≥ 0.5) must be false")
-	}
-	if !neg.Eval([]float64{0.4}) {
-		t.Error("¬(0.4 ≥ 0.5) must be true")
-	}
-	// Double negation restores semantics everywhere.
-	dd := neg.negated()
-	for _, x := range []float64{0.2, 0.5, 0.9} {
-		if dd.Eval([]float64{x}) != ge.Eval([]float64{x}) {
-			t.Errorf("double negation differs at %v", x)
+	// not flips the value, and with it strictness: not (p1 >= 0.5) is
+	// p1 < 0.5, false on the boundary. not not restores it everywhere.
+	not := mustFromExpr(t, expr.NotOf(expr.Ge(p1, half)), 1)
+	lt := mustFromExpr(t, expr.Lt(p1, half), 1)
+	notNot := mustFromExpr(t, expr.NotOf(expr.NotOf(expr.Ge(p1, half))), 1)
+	for _, v := range []float64{0.2, 0.4, 0.5, 0.9} {
+		x := []float64{v}
+		if not.Eval(x) == ge.Eval(x) || not.Eval(x) != lt.Eval(x) {
+			t.Errorf("at %v: not (p1 >= 0.5) = %v, p1 >= 0.5 = %v, p1 < 0.5 = %v", v, not.Eval(x), ge.Eval(x), lt.Eval(x))
+		}
+		if notNot.Eval(x) != ge.Eval(x) {
+			t.Errorf("double negation differs at %v", v)
 		}
 	}
 }
 
-// Margins of strict and non-strict atoms coincide (the boundary has
+// Margins of strict and non-strict comparisons coincide (the boundary has
 // measure zero; singularity detection covers it).
 func TestStrictMarginSameGeometry(t *testing.T) {
-	ge := LinAtom{Coef: []float64{1, -2}, B: 0.1}
-	gt := LinAtom{Coef: []float64{1, -2}, B: 0.1, Strict: true}
+	f := expr.Sub(p1, expr.Mul(expr.CInt(2), p2))
+	ge := mustFromExpr(t, expr.Ge(f, expr.CFloat(0.1)), 2)
+	gt := mustFromExpr(t, expr.Gt(f, expr.CFloat(0.1)), 2)
 	for _, p := range [][]float64{{0.9, 0.2}, {0.3, 0.4}, {0.5, 0.1}} {
 		if math.Abs(ge.Margin(p)-gt.Margin(p)) > 1e-12 {
 			t.Errorf("strict margin differs at %v", p)

@@ -17,15 +17,16 @@ import (
 // predicate texts compute through the parser: acceptance (with the error
 // text), and Eval and the bits of Margin at random points and at points on
 // each comparison's boundary. It changes only if a parsed predicate decides
-// or measures differently, which no refactor of the σ̂ predicate may do.
-const parsedPredicateGolden = "3d0e0d453a02a470bcdca41d1ba55c76b97f2a4b80f306cedf8007feef02304d"
+// or measures differently, which no refactor of the σ̂ predicate may do
+// (last re-recorded when affine comparisons took Theorem 5.2's closed form).
+const parsedPredicateGolden = "7a8948e452fa28ead6131d71fb96ae4a077b725e64c48d2d53c1309a4f6b2568"
 
 // parseShat parses pred as the predicate of a σ̂ over three conf arguments,
 // so it may name p1, p2 and p3.
 func parseShat(pred string) (predapprox.Pred, error) {
 	q, err := parser.Parse("aselect[" + pred + " over conf[A], conf[B], conf[C]](R)")
 	if err != nil {
-		return nil, err
+		return predapprox.Pred{}, err
 	}
 	return q.(algebra.ApproxSelect).Pred, nil
 }

@@ -3,10 +3,12 @@
 //
 // A predicate φ(x₁,…,x_k) is a Boolean combination of atomic conditions
 // over k approximable slots. A σ̂ predicate is the expr.Pred tree the parser
-// built, over attributes p1..pk; FromExpr decides it there and adds only the
-// margin rules: corner-point agreement for each comparison of +,−,·,/
-// expressions (Theorem 5.5) and the min/max rules for ∧, ∨, ¬. LinAtom,
-// Σ aᵢ·xᵢ ≥ b, has Theorem 5.2's closed-form margin.
+// built, over attributes p1..pk; Pred decides it there and adds only the
+// margin rules: the min/max rules for ∧, ∨, ¬, and for a comparison L op R,
+// with f = L − R (R − L for ≤ and <), Theorem 5.2's closed form when f is
+// affine in the slots, as in p1 >= 0.5 or 2*p1 - p2/4 < 0.3, and Theorem
+// 5.5's corner search for any other +,−,·,/ comparison, as in
+// p1 * p2 >= 0.1 or p1 / p2 <= 0.5.
 //
 // The central quantity is the margin ε of a point p̂: the largest ε such
 // that all points of the orthotope
@@ -16,22 +18,21 @@
 // agree with p̂ on φ. Lemma 5.1 then bounds the probability of deciding φ
 // incorrectly by Σᵢ δᵢ(ε) (or 1−Π(1−δᵢ(ε)) under independence).
 //
-// A note on Theorem 5.2's closed form: the paper prescribes the larger
-// root of the quadratic b·ε² − β·ε + (α−b) = 0. The worst corner value
-// W(ε) = Σ aᵢp̂ᵢ/(1+sgn(aᵢp̂ᵢ)ε) is strictly decreasing on [0,1), so the
-// genuine touching point is the unique root of W(ε) = b in [0,1): for
-// b < 0 that is indeed the larger root, but for b > 0 it is the smaller
-// one (the larger root is an artifact of multiplying by (1−ε), which
-// vanishes at ε = 1). In both cases it is (β − √D)/(2b), D = β² − 4b(α−b),
-// which we evaluate in its conjugate form ε = 2(α−b)/(β + √D): it does not cancel
-// when b is near 0, and it is α/β at b = 0. Brute-force orthotope scans
-// validate the choice (experiment E6).
+// Theorem 5.2's closed form, for f = Σ aᵢxᵢ − b with α = Σ aᵢp̂ᵢ and
+// β = Σ |aᵢp̂ᵢ|: the paper prescribes the larger root of b·ε² − β·ε + (α−b)
+// = 0, but the touching point is the unique root in [0,1) of W(ε) = b, W
+// the strictly decreasing worst corner value Σ aᵢp̂ᵢ/(1+sgn(aᵢp̂ᵢ)ε). That
+// is the larger root for b < 0 and the smaller for b > 0 (the larger one is
+// an artifact of multiplying by 1−ε, which vanishes at ε = 1): in both cases
+// (β − √D)/(2b), D = β² − 4b(α−b), which we evaluate in its conjugate form
+// 2(α−b)/(β + √D). It does not cancel near b = 0 and is α/β at b = 0.
+// Experiment E6 validates it against brute-force orthotope scans.
 package predapprox
 
 import (
 	"fmt"
-	"math"
-	"strings"
+
+	"repro/internal/expr"
 )
 
 // EpsMax is the supremum of admissible ε values: Lemma 5.1 requires
@@ -39,112 +40,45 @@ import (
 // smaller than 1 when the formulas yield ε ≥ 1.
 const EpsMax = 1 - 1e-9
 
-// Pred is a predicate over k approximable slots.
-type Pred interface {
-	// Eval decides the predicate at point x.
-	Eval(x []float64) bool
-	// Margin returns the largest ε ∈ [0, EpsMax] such that the closed
-	// orthotope [xᵢ/(1+ε), xᵢ/(1−ε)] is homogeneous with respect to the
-	// predicate's value at x. A zero margin means x is (numerically) on a
-	// decision boundary.
-	Margin(x []float64) float64
-	// Arity returns the number of slots the predicate is defined over.
-	Arity() int
-	String() string
+// Pred is a σ̂ predicate: the parser's tree over p1..pk, naming x[0..k−1],
+// and k. It holds only the tree, so concurrent evaluations share it.
+type Pred struct {
+	p     expr.Pred
+	arity int
 }
 
-// LinAtom is the linear inequality Σ Coef[i]·x_i ≥ B (or > B when Strict).
-type LinAtom struct {
-	Coef   []float64
-	B      float64
-	Strict bool
-}
-
-// Linear builds Σ coef·x ≥ b.
-func Linear(coef []float64, b float64) LinAtom { return LinAtom{Coef: coef, B: b} }
-
-// Eval decides the inequality.
-func (a LinAtom) Eval(x []float64) bool {
-	s := 0.0
-	for i, c := range a.Coef {
-		s += c * x[i]
-	}
-	if a.Strict {
-		return s > a.B
-	}
-	return s >= a.B
-}
-
-// Arity returns the number of slots.
-func (a LinAtom) Arity() int { return len(a.Coef) }
-
-func (a LinAtom) String() string {
-	parts := make([]string, 0, len(a.Coef))
-	for i, c := range a.Coef {
-		if c == 0 {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%g*x%d", c, i))
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "0")
-	}
-	op := ">="
-	if a.Strict {
-		op = ">"
-	}
-	return fmt.Sprintf("%s %s %g", strings.Join(parts, " + "), op, a.B)
-}
-
-// negated returns the complementary atom: ¬(Σa·x ≥ b) = Σ(−a)·x > −b.
-func (a LinAtom) negated() LinAtom {
-	neg := make([]float64, len(a.Coef))
-	for i, c := range a.Coef {
-		neg[i] = -c
-	}
-	return LinAtom{Coef: neg, B: -a.B, Strict: !a.Strict}
-}
-
-// Margin implements the closed form of Theorem 5.2 (with the root
-// selection discussed in the package comment). For a point where the atom
-// is false, the margin of the complementary atom is computed instead, as
-// the algorithm of Figure 3 does via its φ/¬φ switch.
-func (a LinAtom) Margin(x []float64) float64 {
-	atom := a
-	if !a.Eval(x) {
-		atom = a.negated()
-	}
-	return atom.satisfiedMargin(x)
-}
-
-// satisfiedMargin computes the Theorem 5.2 ε for a point satisfying the
-// atom (in the ≥ reading; strictness does not change the geometry).
-func (a LinAtom) satisfiedMargin(x []float64) float64 {
-	// A = Σ positive aᵢxᵢ terms, C = Σ negative terms; α = A+C, β = A−C.
-	A, C := 0.0, 0.0
-	for i, c := range a.Coef {
-		t := c * x[i]
-		if t > 0 {
-			A += t
-		} else {
-			C += t
+// Linear builds 0 + Σ coef·x ≥ b over len(coef) slots, skipping zero
+// coefficients. Its margin is Theorem 5.2's closed form.
+func Linear(coef []float64, b float64) Pred {
+	var sum expr.Expr = expr.CInt(0)
+	for i, c := range coef {
+		if c != 0 {
+			sum = expr.Add(sum, expr.Mul(expr.CFloat(c), expr.A(fmt.Sprintf("p%d", i+1))))
 		}
 	}
-	alpha, beta := A+C, A-C
-	b := a.B
-	if alpha <= b {
-		return 0 // on the hyperplane (Remark 5.3); below it only defensively
-	}
-	// The touching root of b·ε² − β·ε + (α−b) = 0 in conjugate form (see
-	// the package comment); past EpsMax, as for β = 0 (roots ±1), the
-	// orthotope never reaches the hyperplane. The discriminant β² − α² +
-	// (α−2b)² is never negative; were it by rounding, NaN gives EpsMax.
-	eps := 2 * (alpha - b) / (beta + math.Sqrt(beta*beta-4*b*(alpha-b)))
-	if !(eps < EpsMax) {
-		return EpsMax
-	}
-	return eps
+	return Pred{p: expr.Ge(sum, expr.CFloat(b)), arity: len(coef)}
 }
+
+// RatioAtom builds the paper's running example φ(x₁,x₂) = (x₁/x₂ ≥ c) in
+// its linearized form x₁ − c·x₂ ≥ 0 (Example 5.4).
+func RatioAtom(num, den int, c float64, arity int) Pred {
+	coef := make([]float64, arity)
+	coef[num], coef[den] = 1, -c
+	return Linear(coef, 0)
+}
+
+// Eval decides the predicate at point x.
+func (p Pred) Eval(x []float64) bool { return eval(p.p, x) }
+
+// Margin returns the largest ε ∈ [0, EpsMax] whose closed orthotope
+// [xᵢ/(1+ε), xᵢ/(1−ε)] agrees with x on the predicate: 0 on a boundary.
+func (p Pred) Margin(x []float64) float64 { return margin(p.p, x) }
+
+// Arity returns the number of slots the predicate is defined over.
+func (p Pred) Arity() int { return p.arity }
+
+// String renders the tree as the parser's own expr package does.
+func (p Pred) String() string { return p.p.String() }
 
 // BruteForceMargin is the test oracle for Margin (experiments E6/E7): the
 // largest multiple of step whose orthotope OrthotopeHomogeneous accepts,
