@@ -393,55 +393,56 @@ func jsonKeys(typ reflect.Type) []string {
 	return keys
 }
 
-// SHALL: docs/API.md documents every field of both bodies. The fields are
-// read off the tagged structs the handlers encode, so a field added to
-// pdb.Stats, pdb.EngineStats or the cluster snapshot fails here until the
-// document names it.
-func TestWireDocsNameEveryField(t *testing.T) {
+// docTable returns the body rows of the first Markdown table after marker
+// in docs/API.md, each row as its cells.
+func docTable(t *testing.T, marker string) [][]string {
+	t.Helper()
 	doc, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range []any{trailerStats{}, statsResponse{}, pdb.EngineStats{}, serverStats{},
-		admissionStats{}, clusterReport{}, pdb.ClusterShardStatus{}} {
-		typ := reflect.TypeOf(body)
-		for _, key := range jsonKeys(typ) {
-			if !bytes.Contains(doc, []byte("`"+key+"`")) {
-				t.Errorf("docs/API.md does not name `%s` (%s)", key, typ)
-			}
-		}
-	}
-}
-
-// SHALL: docs/API.md's POST /v1/query field table lists exactly the request
-// fields the server decodes. The keys are the backquoted names in the first
-// column of the first table under "## POST /v1/query", compared with
-// queryRequest's json tags in both directions, so adding or removing a
-// request field fails here until its row is added or removed.
-func TestWireDocsRequestTable(t *testing.T) {
-	doc, err := os.ReadFile("../../docs/API.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(doc), "\n## POST /v1/query\n")
+	_, section, ok := strings.Cut(string(doc), marker)
 	if !ok {
-		t.Fatal("docs/API.md has no \"## POST /v1/query\" section")
+		t.Fatalf("docs/API.md has no %q", marker)
 	}
-	documented := map[string]bool{}
-	inTable := false
+	var rows [][]string
 	for _, line := range strings.Split(section, "\n") {
+		line = strings.TrimSpace(line)
 		if !strings.HasPrefix(line, "|") {
-			if inTable {
+			if len(rows) > 0 {
 				break
 			}
 			continue
 		}
-		inTable = true
-		first := strings.Split(line, "|")[1]
-		for i, part := range strings.Split(first, "`") {
-			if i%2 == 1 {
-				documented[part] = true
-			}
+		rows = append(rows, strings.Split(strings.Trim(line, "|"), "|"))
+	}
+	if len(rows) < 2 {
+		t.Fatalf("docs/API.md has no table after %q", marker)
+	}
+	return rows[2:] // past the header and its separator
+}
+
+// quoted returns the backquoted names of a table cell, in order.
+func quoted(cell string) []string {
+	var names []string
+	for i, part := range strings.Split(cell, "`") {
+		if i%2 == 1 {
+			names = append(names, part)
+		}
+	}
+	return names
+}
+
+// SHALL: docs/API.md's POST /v1/query field table lists exactly the request
+// fields the server decodes. The keys are the backquoted names in the first
+// column, compared with queryRequest's json tags in both directions, so
+// adding or removing a request field fails here until its row is added or
+// removed.
+func TestWireDocsRequestTable(t *testing.T) {
+	documented := map[string]bool{}
+	for _, row := range docTable(t, "\n## POST /v1/query\n") {
+		for _, key := range quoted(row[0]) {
+			documented[key] = true
 		}
 	}
 	fields := map[string]bool{}
@@ -454,6 +455,61 @@ func TestWireDocsRequestTable(t *testing.T) {
 	for key := range documented {
 		if !fields[key] {
 			t.Errorf("docs/API.md's POST /v1/query table documents `%s`, which queryRequest does not decode", key)
+		}
+	}
+}
+
+// SHALL: docs/API.md's trailer table lists exactly the trailer's keys, in
+// the encoded order its text promises: the backquoted names of its Field
+// column, read top to bottom, are trailerStats' json tags.
+func TestWireDocsTrailerTable(t *testing.T) {
+	var documented []string
+	for _, row := range docTable(t, "3. **Trailer**") {
+		documented = append(documented, quoted(row[0])...)
+	}
+	if want := jsonKeys(reflect.TypeOf(trailerStats{})); !reflect.DeepEqual(documented, want) {
+		t.Errorf("docs/API.md's trailer table lists\n  %v, the trailer encodes\n  %v", documented, want)
+	}
+}
+
+// SHALL: docs/API.md's GET /v1/stats table lists exactly the body's keys.
+// Its Section column names every section of statsResponse (a shard entry as
+// `cluster` → `shards`), and its Field column the json tags of the
+// section's struct, in both directions.
+func TestWireDocsStatsTable(t *testing.T) {
+	bodies := map[string]any{"engine": pdb.EngineStats{}, "server": serverStats{}, "admission": admissionStats{},
+		"cluster": clusterReport{}, "cluster.shards": pdb.ClusterShardStatus{}}
+	documented := map[string][]string{}
+	section := ""
+	for _, row := range docTable(t, "\n## GET /v1/stats\n") {
+		if names := quoted(row[0]); len(names) > 0 {
+			section = strings.Join(names, ".")
+		}
+		documented[section] = append(documented[section], quoted(row[1])...)
+	}
+	for _, key := range jsonKeys(reflect.TypeOf(statsResponse{})) {
+		if _, ok := documented[key]; !ok {
+			t.Errorf("section `%s` has no rows in docs/API.md's GET /v1/stats table", key)
+		}
+	}
+	for section, keys := range documented {
+		body, ok := bodies[section]
+		if !ok {
+			t.Errorf("docs/API.md's GET /v1/stats table documents section %q, which /v1/stats does not have", section)
+			continue
+		}
+		fields := map[string]bool{}
+		for _, key := range jsonKeys(reflect.TypeOf(body)) {
+			fields[key] = true
+		}
+		for _, key := range keys {
+			if !fields[key] {
+				t.Errorf("docs/API.md's GET /v1/stats table documents `%s` under %s, which %T does not encode", key, section, body)
+			}
+			delete(fields, key)
+		}
+		for key := range fields {
+			t.Errorf("%T field `%s` has no row under %s in docs/API.md's GET /v1/stats table", body, key, section)
 		}
 	}
 }
