@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -718,7 +719,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for row := range res.Rows() {
 		vals := make(map[string]any, len(cols))
 		for _, c := range cols {
-			vals[c] = row.Value(c)
+			vals[c] = jsonCell(row.Value(c))
 		}
 		if err := enc.Encode(queryRow{
 			Row:        vals,
@@ -742,6 +743,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:     time.Since(start).Milliseconds(),
 	}})
 	flush()
+}
+
+// jsonCell maps a non-finite float, which a JSON number cannot carry and
+// encoding/json refuses, onto the protobuf JSON mapping's strings "NaN",
+// "Infinity" and "-Infinity".
+func jsonCell(v any) any {
+	f, ok := v.(float64)
+	switch {
+	case !ok || !math.IsNaN(f) && !math.IsInf(f, 0):
+		return v
+	case math.IsNaN(f):
+		return "NaN"
+	case f > 0:
+		return "Infinity"
+	default:
+		return "-Infinity"
+	}
 }
 
 // handleReload serves POST /v1/admin/reload: re-run the configured
