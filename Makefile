@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzClientHandshake -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeSampleResult -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzStore -fuzztime=10s ./internal/store
+	$(GO) test -fuzz=FuzzRowEncoding -fuzztime=10s ./internal/server
 
 vet:
 	$(GO) vet ./...

@@ -71,22 +71,29 @@ func (s Schema) Common(t Schema) []string {
 type Tuple []Value
 
 // Key returns a canonical encoding of the tuple usable as a map key.
-func (t Tuple) Key() string {
-	var b strings.Builder
+func (t Tuple) Key() string { return string(t.AppendKey(nil)) }
+
+// AppendKey appends the tuple's Key to dst: the values' keys joined by
+// '|', with every '|' and '\' inside a string value escaped by a '\' so
+// keys stay injective.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
-		k := v.Key()
-		// Escape the separator so keys stay injective for string values
-		// that contain '|'.
-		if strings.ContainsAny(k, "|\\") {
-			k = strings.ReplaceAll(k, `\`, `\\`)
-			k = strings.ReplaceAll(k, "|", `\|`)
+		if v.kind != StringKind || !strings.ContainsAny(v.s, `|\`) {
+			dst = v.appendKey(dst)
+			continue
 		}
-		b.WriteString(k)
+		dst = append(dst, 's')
+		for j := 0; j < len(v.s); j++ {
+			if v.s[j] == '|' || v.s[j] == '\\' {
+				dst = append(dst, '\\')
+			}
+			dst = append(dst, v.s[j])
+		}
 	}
-	return b.String()
+	return dst
 }
 
 // Clone returns a copy of the tuple.

@@ -138,25 +138,27 @@ func (v Value) String() string {
 // use as a map key: two values have the same key exactly when they are
 // Equal. Numerics render their widened float64 — so Int(1) and Float(1)
 // agree — with −0 canonicalized onto +0, as in Hash.
-func (v Value) Key() string {
+func (v Value) Key() string { return string(v.appendKey(nil)) }
+
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.kind {
 	case NullKind:
-		return "n"
+		return append(dst, 'n')
 	case BoolKind:
 		if v.b {
-			return "b1"
+			return append(dst, "b1"...)
 		}
-		return "b0"
+		return append(dst, "b0"...)
 	case IntKind, FloatKind:
 		f := v.AsFloat()
 		if f == 0 {
 			f = 0 // −0 is Equal to +0
 		}
-		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), f, 'g', -1, 64)
 	case StringKind:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -403,14 +404,6 @@ type queryHeader struct {
 	Complete bool     `json:"complete"`
 }
 
-// queryRow is one streamed result row.
-type queryRow struct {
-	Row        map[string]any `json:"row"`
-	ErrorBound float64        `json:"error_bound"`
-	Singular   bool           `json:"singular,omitempty"`
-	Condition  string         `json:"condition,omitempty"`
-}
-
 // queryTrailer is the final NDJSON line: the evaluation's pdb.Stats, whose
 // JSON names are declared on the struct, beside what only the response
 // knows.
@@ -423,6 +416,96 @@ type trailerStats struct {
 	MaxErrorBound float64 `json:"max_error_bound"`
 	pdb.Stats
 	ElapsedMS int64 `json:"elapsed_ms"`
+}
+
+// rowEncoder appends result rows as NDJSON lines,
+//
+//	{"row":{…},"error_bound":…[,"singular":true][,"condition":"…"]}
+//
+// into one reused buffer, byte for byte what encoding/json writes for the
+// row as a map[string]any beside those fields: keys in byte order of the
+// column names (a result schema never repeats one), floats and strings
+// formatted as encoding/json formats them.
+type rowEncoder struct {
+	order []int    // column positions, in byte order of their names
+	keys  [][]byte // the escaped `"name":` of each position in order
+	buf   []byte
+}
+
+func newRowEncoder(cols []string) *rowEncoder {
+	e := &rowEncoder{}
+	for _, name := range slices.Sorted(slices.Values(cols)) {
+		e.order = append(e.order, slices.Index(cols, name))
+		e.keys = append(e.keys, append(appendString(nil, name), ':'))
+	}
+	return e
+}
+
+func (e *rowEncoder) append(row pdb.Row) {
+	b := append(e.buf, `{"row":{`...)
+	for k, i := range e.order {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, e.keys[k]...)
+		switch v := row.At(i).(type) {
+		case nil:
+			b = append(b, "null"...)
+		case bool:
+			b = strconv.AppendBool(b, v)
+		case int64:
+			b = strconv.AppendInt(b, v, 10)
+		case float64:
+			b = appendFloat(b, v)
+		case string:
+			b = appendString(b, v)
+		}
+	}
+	b = appendFloat(append(b, `},"error_bound":`...), row.ErrorBound())
+	if row.Singular() {
+		b = append(b, `,"singular":true`...)
+	}
+	if c := row.Condition(); c != "" {
+		b = appendString(append(b, `,"condition":`...), c)
+	}
+	e.buf = append(b, "}\n"...)
+}
+
+// appendFloat formats f as encoding/json does: 'f', or 'e' with e-07
+// tidied to e-7 for magnitudes below 1e-6 or from 1e21. NaN and ±Inf, which
+// a JSON number cannot carry, become the protobuf JSON mapping's strings.
+func appendFloat(b []byte, f float64) []byte {
+	switch {
+	case math.IsNaN(f):
+		return append(b, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(b, `"Infinity"`...)
+	case math.IsInf(f, -1):
+		return append(b, `"-Infinity"`...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString quotes s. Printable ASCII that encoding/json leaves as is
+// is copied; any other string is encoding/json's to escape (HTML
+// characters, U+2028/2029, invalid UTF-8).
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // fail writes one JSON error (the response must not have been started).
@@ -714,27 +797,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(queryHeader{Columns: res.Columns(), Complete: res.Complete()})
 	flush()
 
-	cols := res.Columns()
+	rows := newRowEncoder(res.Columns())
 	n := 0
 	for row := range res.Rows() {
-		vals := make(map[string]any, len(cols))
-		for _, c := range cols {
-			vals[c] = jsonCell(row.Value(c))
-		}
-		if err := enc.Encode(queryRow{
-			Row:        vals,
-			ErrorBound: row.ErrorBound(),
-			Singular:   row.Singular(),
-			Condition:  row.Condition(),
-		}); err != nil {
-			return // client went away mid-stream
-		}
+		rows.append(row)
 		n++
 		s.rowsStreamed.Add(1)
 		s.met.rowsStreamed.Inc()
 		if n%64 == 0 {
+			if _, err := w.Write(rows.buf); err != nil {
+				return // client went away mid-stream
+			}
+			rows.buf = rows.buf[:0]
 			flush()
 		}
+	}
+	if _, err := w.Write(rows.buf); err != nil {
+		return
 	}
 	_ = enc.Encode(queryTrailer{Stats: trailerStats{
 		Rows:          res.Len(),
@@ -743,23 +822,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:     time.Since(start).Milliseconds(),
 	}})
 	flush()
-}
-
-// jsonCell maps a non-finite float, which a JSON number cannot carry and
-// encoding/json refuses, onto the protobuf JSON mapping's strings "NaN",
-// "Infinity" and "-Infinity".
-func jsonCell(v any) any {
-	f, ok := v.(float64)
-	switch {
-	case !ok || !math.IsNaN(f) && !math.IsInf(f, 0):
-		return v
-	case math.IsNaN(f):
-		return "NaN"
-	case f > 0:
-		return "Infinity"
-	default:
-		return "-Infinity"
-	}
 }
 
 // handleReload serves POST /v1/admin/reload: re-run the configured

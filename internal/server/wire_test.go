@@ -6,12 +6,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -510,6 +515,75 @@ func TestWireDocsStatsTable(t *testing.T) {
 		}
 		for key := range fields {
 			t.Errorf("%T field `%s` has no row under %s in docs/API.md's GET /v1/stats table", body, key, section)
+		}
+	}
+}
+
+// SHALL: docs/API.md's error table lists exactly the error kinds the
+// server writes. The kinds are the string literals passed as kind to
+// fail, failRetry and failWith, and the Kind of errorResponse literals,
+// in the package's non-test sources; the documented ones are the
+// backquoted names of the table's `kind` column. Both directions fail.
+func TestWireDocsErrorKinds(t *testing.T) {
+	documented := map[string]bool{}
+	for _, row := range docTable(t, "\n### Errors\n") {
+		for _, kind := range quoted(row[1]) {
+			documented[kind] = true
+		}
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{}
+	// kind records the kind expression e; the forwarded parameter kind
+	// itself is the callers' business.
+	kind := func(e ast.Expr) {
+		if id, ok := e.(*ast.Ident); ok && id.Name == "kind" {
+			return
+		}
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("%s: error kind is not a string literal", fset.Position(e.Pos()))
+			return
+		}
+		s, _ := strconv.Unquote(lit.Value)
+		written[s] = true
+	}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 3 &&
+					(sel.Sel.Name == "fail" || sel.Sel.Name == "failRetry" || sel.Sel.Name == "failWith") {
+					kind(n.Args[3])
+				}
+			case *ast.CompositeLit:
+				if id, ok := n.Type.(*ast.Ident); ok && id.Name == "errorResponse" {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == "Kind" {
+							kind(kv.Value)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(written) == 0 {
+		t.Fatal("found no error kinds in the package sources")
+	}
+	for k := range written {
+		if !documented[k] {
+			t.Errorf("error kind `%s` has no row in docs/API.md's Errors table", k)
+		}
+	}
+	for k := range documented {
+		if !written[k] {
+			t.Errorf("docs/API.md's Errors table documents kind `%s`, which the server never writes", k)
 		}
 	}
 }

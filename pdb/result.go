@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 	"math"
@@ -113,8 +114,10 @@ func approxStats(s core.Stats) Stats {
 // annotations (nil after exact evaluation: every bound is 0) and the
 // evaluation's statistics.
 func newResult(r *urel.Relation, complete bool, bounds *algebra.Bounds, stats Stats) *Result {
-	out := &Result{cols: append([]string(nil), r.Schema()...), complete: complete, stats: stats}
-	for _, ut := range r.Tuples() {
+	tuples := r.Tuples()
+	out := &Result{cols: append([]string(nil), r.Schema()...), complete: complete, stats: stats,
+		rows: make([]Row, 0, len(tuples))}
+	for _, ut := range tuples {
 		mu, singular := bounds.BoundOf(ut.Row)
 		out.rows = append(out.rows, Row{
 			res:      out,
@@ -129,12 +132,21 @@ func newResult(r *urel.Relation, complete bool, bounds *algebra.Bounds, stats St
 }
 
 // sortRows fixes a deterministic, content-based row order (conditions
-// first, then values) independent of evaluation order. Each row's value
-// key is built once up front: the comparator only compares strings.
+// first, then values) independent of evaluation order. Every row's value
+// key is appended once up front into one buffer, presized from the first
+// key: the comparator only compares its sub-slices, bytewise.
 func (r *Result) sortRows() {
-	keys := make([]string, len(r.rows))
+	if len(r.rows) == 0 {
+		return
+	}
+	// A key that outgrows the estimate moves buf; the keys cut before
+	// still hold their bytes.
+	buf := make([]byte, 0, len(r.rows[0].vals.AppendKey(nil))*len(r.rows)*5/4)
+	keys := make([][]byte, len(r.rows))
 	for i, row := range r.rows {
-		keys[i] = row.vals.Key()
+		start := len(buf)
+		buf = row.vals.AppendKey(buf)
+		keys[i] = buf[start:len(buf):len(buf)]
 	}
 	sort.Sort(rowOrder{r.rows, keys})
 }
@@ -142,7 +154,7 @@ func (r *Result) sortRows() {
 // rowOrder sorts rows and their precomputed value keys together.
 type rowOrder struct {
 	rows []Row
-	keys []string
+	keys [][]byte
 }
 
 func (o rowOrder) Len() int { return len(o.rows) }
@@ -151,7 +163,7 @@ func (o rowOrder) Less(i, j int) bool {
 	if o.rows[i].cond != o.rows[j].cond {
 		return o.rows[i].cond < o.rows[j].cond
 	}
-	return o.keys[i] < o.keys[j]
+	return bytes.Compare(o.keys[i], o.keys[j]) < 0
 }
 
 func (o rowOrder) Swap(i, j int) {
@@ -210,8 +222,12 @@ func (row Row) index(col string) int {
 
 // Value returns the column's value as a Go scalar: string, bool, int64,
 // float64, or nil for NULL. It panics on unknown column names.
-func (row Row) Value(col string) any {
-	v := row.vals[row.index(col)]
+func (row Row) Value(col string) any { return row.At(row.index(col)) }
+
+// At returns the value at position i of Columns as Value does. It panics
+// when i is out of range.
+func (row Row) At(i int) any {
+	v := row.vals[i]
 	switch v.Kind() {
 	case rel.BoolKind:
 		return v.AsBool()
