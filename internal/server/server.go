@@ -501,7 +501,7 @@ func appendFloat(b []byte, f float64) []byte {
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
+			q, _ := json.Marshal(s) // a string always marshals
 			return append(b, q...)
 		}
 	}
