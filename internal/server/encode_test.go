@@ -25,8 +25,8 @@ type queryRow struct {
 	Condition  string         `json:"condition,omitempty"`
 }
 
-// oracleRow encodes row through a map and encoding/json, as the server
-// did before rowEncoder.
+// oracleRow is the reference encoding of row: a map of its cells beside
+// the other fields, through encoding/json.
 func oracleRow(t testing.TB, cols []string, row pdb.Row) []byte {
 	t.Helper()
 	vals := make(map[string]any, len(cols))
