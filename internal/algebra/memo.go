@@ -61,16 +61,23 @@ func (m *SubplanMemo) Stats() (entries int, bytes, hits, evictions int64) {
 	return len(m.m), m.bytes, m.hits, m.evictions
 }
 
-func (m *SubplanMemo) get(key string) *memoEntry {
+// get returns key's entry when its replay fits the memory budget mem (nil:
+// none), counting the hit and moving the entry to the LRU front; a refused
+// replay is neither.
+func (m *SubplanMemo) get(key string, mem *urel.MemBudget) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el, ok := m.m[key]
 	if !ok {
 		return nil
 	}
+	p := el.Value.(*memoEntry)
+	if mem != nil && mem.Used()+p.charge > mem.Limit() {
+		return nil
+	}
 	m.hits++
 	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry)
+	return p
 }
 
 // put stores p and the variables its walk registered, unless they alone
@@ -134,7 +141,7 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 		return e.evalNode(n)
 	}
 	key := fmt.Sprintf("%d %d %#v", e.db.Vars.Len(), e.nextRK, n.q)
-	if p := e.shared.get(key); p != nil && (e.mem == nil || e.mem.Used()+p.charge <= e.mem.Limit()) {
+	if p := e.shared.get(key, e.mem); p != nil {
 		if p.nextRK != e.nextRK { // repair-keys: never beside a concurrent branch
 			e.db.Vars.Append(p.vars.infos)
 			e.nextRK = p.nextRK

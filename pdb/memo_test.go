@@ -196,7 +196,8 @@ func TestEngineMemoWarmEqualsCold(t *testing.T) {
 }
 
 // TestEngineMemoMaxMemory: a memory limit that trips a fresh engine trips a
-// warm one with an equal *LimitError, and one that does not trip neither.
+// warm one with an equal *LimitError, and one that does not trip neither. A
+// replay refused because its charge would trip the limit is not a memo hit.
 func TestEngineMemoMaxMemory(t *testing.T) {
 	db := whatIfDB(t)
 	plan := mustPlan(t, db, `conf(project[Part](select[Cost >= 80](`+whatIfRK+`)))`)
@@ -204,9 +205,13 @@ func TestEngineMemoMaxMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk int64
-	for _, s := range ref.Stats().Ops {
+	// The memoised sub-plan is conf's input: every operator but lineage.
+	var walk, charge int64
+	for op, s := range ref.Stats().Ops {
 		walk += s.Bytes
+		if op != "lineage" {
+			charge += s.Bytes
+		}
 	}
 	warm := freshEngine(t, db)
 	if _, err := memoEval(db, warm, plan, true); err != nil {
@@ -215,7 +220,11 @@ func TestEngineMemoMaxMemory(t *testing.T) {
 	for _, limit := range []int64{walk / 4, walk / 2, walk * 9 / 10, walk - 1, walk} {
 		for _, exact := range []bool{true, false} {
 			_, coldErr := memoEval(db, freshEngine(t, db), plan, exact, WithMaxMemory(limit), WithSeed(3))
+			_, _, h0, _ := warm.memo.Stats()
 			_, warmErr := memoEval(db, warm, plan, exact, WithMaxMemory(limit), WithSeed(3))
+			if _, _, h1, _ := warm.memo.Stats(); limit < charge && h1 != h0 {
+				t.Errorf("limit %d below the %d-byte entry, exact=%v: memo hits %d → %d", limit, charge, exact, h0, h1)
+			}
 			if exact && (coldErr == nil) != (limit == walk) {
 				t.Fatalf("fixture: limit %d of a %d-byte walk: err %v", limit, walk, coldErr)
 			}
