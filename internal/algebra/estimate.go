@@ -26,6 +26,14 @@ type Estimators interface {
 	// predicate (Estimates.Decide) rather than conf's P column, which is
 	// what a sampling implementation budgets by.
 	Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error)
+	// ConfKey is what fixes a conf batch's P values beside its lineage:
+	// batches under equal keys over one lineage estimate equal P, so the
+	// engine memo keeps them under it (confP). It must be comparable.
+	ConfKey() any
+	// Replay counts a kept conf batch — kept is what its Estimates' Kept
+	// returned — as estimating it again would, and returns what refining it
+	// on a later pass counts (Estimates.Refine).
+	Replay(kept any) (refine func() error)
 }
 
 // Estimates are one batch's confidences, addressed by (argument, position
@@ -42,6 +50,9 @@ type Estimates interface {
 	// Refine spends a batch the walker kept (see replay) again on a later
 	// pass of the same plan, at that pass's budgets.
 	Refine() error
+	// Kept returns what Replay needs to count this conf batch again, or
+	// false when its P values may not be kept for a later walk.
+	Kept() (kept any, ok bool)
 }
 
 // exactEstimators is the Q (as opposed to Q∼) semantics of Section 6:
@@ -49,6 +60,13 @@ type Estimates interface {
 // pool (group costs vary wildly, so the pool's work-stealing cursor
 // load-balances). It is stateless, so concurrent branches may share it.
 type exactEstimators struct{ pool *sched.Pool }
+
+// exactConf is the exact ConfKey: exact P depends on the lineage alone.
+type exactConf struct{}
+
+func (exactEstimators) ConfKey() any { return exactConf{} }
+
+func (exactEstimators) Replay(any) func() error { return func() error { return nil } }
 
 func (x exactEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], _ bool) (Estimates, error) {
 	est := &exactEstimates{p: make([][]float64, len(args)), x: make([]float64, len(args))}
@@ -83,6 +101,8 @@ func (e *exactEstimates) Decide(pred predapprox.Pred, combo []int, mu float64, s
 
 func (e *exactEstimates) Refine() error { return nil }
 
+func (e *exactEstimates) Kept() (any, bool) { return nil, true }
+
 // PColName returns the confidence column name for σ̂ argument i: P1, P2, …
 func PColName(i int) string { return "P" + strconv.Itoa(i+1) }
 
@@ -105,7 +125,7 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 	}
 	est, err := e.est.Estimate(e.db.Vars, args, decide)
 	if err == nil && e.rec != nil {
-		e.rec.batches = append(e.rec.batches, est)
+		e.rec.batches = append(e.rec.batches, est.Refine)
 	}
 	return rows, est, err
 }
@@ -115,12 +135,12 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 // input tuple it extends (the P value itself carries the estimator's
 // guarantee, not a membership error).
 func (e *URelEvaluator) conf(in URelResult, pcol string) (URelResult, error) {
-	rows, est, err := e.estimate([]*urel.Relation{in.Rel}, false)
+	rows, p, err := e.confP(in)
 	if err != nil {
 		return URelResult{}, err
 	}
-	out := URelResult{Rel: withColumn(in.Rel.Schema(), pcol, rows[0], func(i int) rel.Value {
-		return rel.Float(est.P(0, i))
+	out := URelResult{Rel: withColumn(in.Rel.Schema(), pcol, rows, func(i int) rel.Value {
+		return rel.Float(p(i))
 	}), Complete: true}
 	return out.Bounded(func(row rel.Tuple) (float64, bool) {
 		return in.Bounds.BoundOf(row[:len(row)-1])
@@ -222,7 +242,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 		return out, nil
 	}
 	if kept != nil {
-		kept.batches, kept.shat = append(kept.batches, est), decide
+		kept.batches, kept.shat = append(kept.batches, est.Refine), decide
 	}
 	return decide()
 }

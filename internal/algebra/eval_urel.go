@@ -31,6 +31,9 @@ type URelResult struct {
 	// results.
 	SpilledBytes int64
 	SpillFiles   int
+	// memo is the engine memo's entry holding Rel, when Rel came from one
+	// (walkMemo): a conf over it keeps its P values there (confP).
+	memo *memoEntry
 }
 
 // URelEvaluator is the plan walker: it evaluates UA queries on a
@@ -80,11 +83,12 @@ type URelEvaluator struct {
 	shared *SubplanMemo
 }
 
-// prefixEntry is a recorded sub-plan's result, the batches replay refines
-// (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
+// prefixEntry is a recorded sub-plan's result, the Refine of each batch
+// replay refines (those inside it, then a σ̂ reader's) and that σ̂'s
+// decision loop.
 type prefixEntry struct {
 	res     URelResult
-	batches []Estimates
+	batches []func() error
 	shat    func() (URelResult, error)
 }
 
@@ -236,7 +240,7 @@ func (e *URelEvaluator) eval(n *node) (URelResult, error) {
 func (e *URelEvaluator) replay(n *node) (res URelResult, err error) {
 	if p := n.kept; p != nil {
 		for i := 0; i < len(p.batches) && err == nil; i++ {
-			err = p.batches[i].Refine()
+			err = p.batches[i]()
 		}
 		return p.res, err
 	}

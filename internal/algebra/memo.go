@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/rel"
 	"repro/internal/urel"
 	"repro/internal/vars"
 )
@@ -14,10 +15,11 @@ import (
 // maximal sub-plans without conf or σ̂ whose every Base names a database
 // relation or a let bound inside them. By Proposition 3.3 they evaluate
 // exactly, as functions of the database alone, so one entry serves exact
-// and approximate walks alike (WithMemo). Entries are immutable and shared
-// by concurrent evaluations; their retained bytes (relation footprints plus
-// variable descriptors) stay within the database's own footprint, least
-// recently used out first.
+// and approximate walks alike (WithMemo). Beside its relation an entry may
+// keep the P values of a conf over it (see confP). Entries are shared by
+// concurrent evaluations; their retained bytes (relation footprints, kept P
+// values, variable descriptors) stay within the database's own footprint,
+// least recently used out first.
 type SubplanMemo struct {
 	limit int64
 
@@ -35,6 +37,26 @@ type memoEntry struct {
 	nextRK int     // the repair-key counter after the sub-plan
 	ops    urel.StatsMap
 	charge int64 // Σ ops bytes: what the walk charged the memory budget
+	size   int64 // retained bytes: the relation's and confs'
+	confs  *keptConfs
+}
+
+// keptConfs is what conf keeps beside an entry's relation: its data tuples
+// in lineage order (rows shared with the relation), the lineage grouping's
+// Ops and memory charge, and the P values per Estimators.ConfKey. Entries
+// are added under the memo's lock and never change after.
+type keptConfs struct {
+	rows   []rel.Tuple
+	ops    urel.StatsMap
+	charge int64
+	p      map[any]keptP
+}
+
+// keptP is one conf batch's P values and what replaying it counts
+// (Estimators.Replay).
+type keptP struct {
+	p    []float64
+	kept any
 }
 
 // varSet is the variables a stored walk registered, retained once for all
@@ -82,12 +104,13 @@ func (m *SubplanMemo) get(key string, mem *urel.MemBudget) *memoEntry {
 
 // put stores p and the variables its walk registered, unless they alone
 // exceed the bound or a concurrent walk stored p's key, and evicts to it.
-func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) {
+// It reports whether p was stored.
+func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) bool {
 	vb := infoBytes(infos)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.m[p.key]; dup || p.res.Rel.Bytes()+vb > m.limit {
-		return
+		return false
 	}
 	p.vars = &varSet{infos: infos, bytes: vb}
 	for el := m.lru.Front(); el != nil; el = el.Next() {
@@ -100,14 +123,75 @@ func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) {
 		m.bytes += vb
 	}
 	m.m[p.key] = m.lru.PushFront(p)
-	for m.bytes += p.res.Rel.Bytes(); m.bytes > m.limit; m.evictions++ {
+	p.size = p.res.Rel.Bytes()
+	m.bytes += p.size
+	m.evict()
+	return true
+}
+
+// evict drops least recently used entries, and their kept P values with
+// them, until the memo is within its bound.
+func (m *SubplanMemo) evict() {
+	for ; m.bytes > m.limit; m.evictions++ {
 		old := m.lru.Remove(m.lru.Back()).(*memoEntry)
 		delete(m.m, old.key)
-		m.bytes -= old.res.Rel.Bytes()
+		m.bytes -= old.size
 		if old.vars.refs--; old.vars.refs == 0 {
 			m.bytes -= old.vars.bytes
 		}
 	}
+}
+
+// conf returns the P values p keeps under key when their replay fits the
+// memory budget mem, counting the hit and moving p to the LRU front.
+func (m *SubplanMemo) conf(p *memoEntry, key any, mem *urel.MemBudget) (*keptConfs, keptP, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.m[p.key]
+	if !ok || el.Value != p || p.confs == nil {
+		return nil, keptP{}, false
+	}
+	kp, ok := p.confs.p[key]
+	if !ok || mem != nil && mem.Used()+p.confs.charge > mem.Limit() {
+		return nil, keptP{}, false
+	}
+	m.hits++
+	m.lru.MoveToFront(el)
+	return p.confs, kp, true
+}
+
+// putConf keeps kp under key beside p's relation — with rows and ops, the
+// lineage grouping's, on p's first — unless p left the memo, key is kept
+// already, or p alone would outgrow the bound. It charges p (a row header
+// per row, eight bytes per P value plus a slot) and evicts other entries to
+// the bound, never p.
+func (m *SubplanMemo) putConf(p *memoEntry, key any, rows []rel.Tuple, ops urel.StatsMap, kp keptP) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.m[p.key]
+	if !ok || el.Value != p {
+		return
+	}
+	grow := 8*int64(len(kp.p)) + 64
+	if p.confs == nil {
+		grow += 24*int64(len(rows)) + 64
+	} else if _, dup := p.confs.p[key]; dup {
+		return
+	}
+	if p.size+grow+p.vars.bytes > m.limit {
+		return
+	}
+	if p.confs == nil {
+		p.confs = &keptConfs{rows: rows, ops: ops, p: make(map[any]keptP)}
+		for _, s := range ops {
+			p.confs.charge += s.Bytes
+		}
+	}
+	p.confs.p[key] = kp
+	m.lru.MoveToFront(el)
+	p.size += grow
+	m.bytes += grow
+	m.evict()
 }
 
 func sameInfo(a, b vars.Info) bool {
@@ -135,7 +219,8 @@ func infoBytes(infos []vars.Info) int64 {
 // apart. A hit appends those variables verbatim and replays n's Ops and
 // memory charge, unless the charge would trip the budget; a miss walks n
 // through counters of its own, so concurrent branches cannot mix
-// statistics, and stores the walk.
+// statistics, and stores the walk. A result in the memo names its entry
+// (URelResult.memo), where a conf over it keeps its P values.
 func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 	if e.shared == nil || e.spill != nil || n.l == nil || n.facts&(holdsEst|closed) != closed {
 		return e.evalNode(n)
@@ -167,6 +252,53 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 		p.charge += s.Bytes
 	}
 	e.ctrs.Add(p.ops)
-	e.shared.put(p, infos)
+	if p.res.memo = p; e.shared.put(p, infos) {
+		res = p.res
+	}
 	return res, nil
+}
+
+// confP returns in's distinct data tuples in lineage order and their P
+// values under e's Estimators. Over a memoised input the memo answers a
+// batch it keeps under the Estimators' ConfKey: its lineage Ops and memory
+// charge and its Stats (Replay) count as estimating it would, and a
+// recording walker refines it on later passes. Otherwise the batch runs,
+// its grouping counted apart as walkMemo counts a miss, and the memo keeps
+// it when the Estimates allow (Kept): exact P at once, sampled P once a
+// batch sampled nothing.
+func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, error) {
+	p := in.memo
+	if p == nil {
+		rows, est, err := e.estimate([]*urel.Relation{in.Rel}, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		return rows[0], func(i int) float64 { return est.P(0, i) }, nil
+	}
+	key := e.est.ConfKey()
+	if kc, kp, ok := e.shared.conf(p, key, e.mem); ok {
+		e.ctrs.Add(kc.ops)
+		e.mem.Add(kc.charge)
+		if refine := e.est.Replay(kp.kept); e.rec != nil {
+			e.rec.batches = append(e.rec.batches, refine)
+		}
+		return kc.rows, func(i int) float64 { return kp.p[i] }, nil
+	}
+	w := *e
+	w.ctrs = urel.NewCounters()
+	w.exec = urel.NewExec(e.pool, w.ctrs).WithBudget(e.mem)
+	rows, est, err := w.estimate([]*urel.Relation{in.Rel}, false)
+	ops := w.ctrs.Snapshot()
+	e.ctrs.Add(ops)
+	if err != nil {
+		return nil, nil, err
+	}
+	ps := make([]float64, len(rows[0]))
+	for i := range ps {
+		ps[i] = est.P(0, i)
+	}
+	if kept, ok := est.Kept(); ok {
+		e.shared.putConf(p, key, rows[0], ops, keptP{p: ps, kept: kept})
+	}
+	return rows[0], func(i int) float64 { return ps[i] }, nil
 }

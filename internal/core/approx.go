@@ -41,6 +41,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	run.table = table
 	run.batch = make(map[contentKey]*task)
 	est := &estimates{run: run, cvs: make([][]*confValue, len(args))}
+	before := *run.stats
 	var tasks []*task
 	factored := run.stats.ExactFactored
 	for a, groups := range args {
@@ -69,19 +70,69 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	if err := run.runEstimates(tasks, tgt); err != nil {
 		return nil, err
 	}
+	if !decide && run.stats.EstimatorTrials == before.EstimatorTrials {
+		est.kept = replayedSince(before, *run.stats)
+	}
 	return est, nil
 }
 
 // estimates is one batch's confValues, by argument and lineage position.
+// kept is a conf batch's replayed counts when it sampled nothing.
 type estimates struct {
 	run    *evalRun
 	cvs    [][]*confValue
 	refine func() error
+	kept   any
 }
 
 func (e *estimates) P(arg, i int) float64 { return e.cvs[arg][i].estimate() }
 
 func (e *estimates) Refine() error { return e.refine() }
+
+func (e *estimates) Kept() (any, bool) { return e.kept, e.kept != nil }
+
+// confKey is what fixes a conf batch's P values beside its lineage: the
+// seed, the Chernoff budget's ε and δ, and the strata bound. Workers, the
+// Distributor and MaxTrials do not move them.
+type confKey struct {
+	seed       int64
+	eps, delta float64
+	strata     int
+}
+
+func (run *evalRun) ConfKey() any {
+	o := run.engine.opts
+	return confKey{o.Seed, o.confEps(), o.confDelta(), o.Strata}
+}
+
+// replayed is what a conf batch that sampled nothing — every task a full
+// cache replay — adds to Stats, so that a later walk answering it from the
+// engine memo counts what estimating it again would.
+type replayed struct{ reused, cacheHits, strata, earlyStops, factored int64 }
+
+func replayedSince(before, after Stats) replayed {
+	return replayed{after.ReusedTrials - before.ReusedTrials, after.CacheHits - before.CacheHits,
+		after.Strata - before.Strata, after.EarlyStops - before.EarlyStops, after.ExactFactored - before.ExactFactored}
+}
+
+func (r replayed) addTo(st *Stats) {
+	st.ReusedTrials += r.reused
+	st.CacheHits += r.cacheHits
+	st.Strata += r.strata
+	st.EarlyStops += r.earlyStops
+	st.ExactFactored += r.factored
+}
+
+// Replay counts a kept conf batch again, and so does each later pass's
+// refine: a cache round trip would replay it whole again.
+func (run *evalRun) Replay(kept any) func() error {
+	r := kept.(replayed)
+	r.addTo(run.stats)
+	return func() error {
+		r.addTo(run.stats)
+		return nil
+	}
+}
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
 // exact probability (empty or singleton lineage), or a task's estimate of

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/algebra"
@@ -309,8 +310,9 @@ func TestEngineMemoBound(t *testing.T) {
 }
 
 // TestEngineMemoConcurrent runs overlapping programs from many goroutines
-// on one engine — hits, misses and evictions interleaved (make race runs it
-// under the race detector) — each result against a fresh engine's.
+// on one engine — hits, misses and evictions interleaved, of sub-plans and
+// of the conf results kept beside them (make race runs it under the race
+// detector) — each result against a fresh engine's.
 func TestEngineMemoConcurrent(t *testing.T) {
 	db := whatIfDB(t)
 	var plans []algebra.Query
@@ -336,13 +338,14 @@ func TestEngineMemoConcurrent(t *testing.T) {
 	eng := freshEngine(t, db)
 	const goroutines, iters = 6, 12
 	var wg sync.WaitGroup
+	var cacheHits atomic.Int64 // Σ Stats.CacheHits
 	errs := make(chan error, goroutines*iters)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				k, j := (g*5+i)%len(plans), (g+i)%2
+			for i := 0; i < 2*iters; i++ { // each program twice in a row
+				k, j := (g*5+i/2)%len(plans), (g+i/2)%2
 				res, err := memoEval(db, eng, plans[k], j == 0, opts...)
 				if err == nil && memoRows(res)+memoOps(res) != want[k][j] {
 					err = fmt.Errorf("program %d exact=%v: result differs from a fresh engine's", k, j == 0)
@@ -351,6 +354,7 @@ func TestEngineMemoConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
+				cacheHits.Add(res.stats.CacheHits)
 			}
 		}(g)
 	}
@@ -361,5 +365,96 @@ func TestEngineMemoConcurrent(t *testing.T) {
 	}
 	if _, _, hits, evictions := eng.memo.Stats(); hits == 0 || evictions == 0 {
 		t.Errorf("%d hits, %d evictions: the run did not exercise both", hits, evictions)
+	}
+	// A conf answered from the memo counts its tasks' cache hits without
+	// looking the cache up; estimated ones count at most the cache's.
+	if served := eng.cache.Stats().Hits; cacheHits.Load() <= served {
+		t.Errorf("results counted %d cache hits, the cache served %d: no sampled conf was answered from the memo",
+			cacheHits.Load(), served)
+	}
+}
+
+// TestEngineMemoConfInvisible: a conf the memo answers from its input's
+// entry is invisible in rows and in the whole Stats. Every corpus program
+// and a conf below a σ̂, flat and stratified, runs cold → warm → warm, exact
+// and approximate, at workers 1 and 4, on an engine and on one without a
+// memo; each result must equal the other engine's.
+func TestEngineMemoConfInvisible(t *testing.T) {
+	progs := memoCorpus(t)
+	db := progs[len(progs)-1].db
+	progs = append(progs, memoProgram{"conf-below-shat", db, mustPlan(t, db,
+		`aselect[p1 >= 0.5 over conf[Part]](join(conf as P (project[Part](select[Cost >= 80](`+whatIfRK+`))), `+
+			`project[Part, Supplier](select[Cost >= 84](`+whatIfRK+`))))`)})
+	for _, p := range progs {
+		for _, workers := range []int{1, 4} {
+			for _, strata := range []int{0, 4} {
+				opts := []Option{WithWorkers(workers), WithSeed(3), WithEpsilon(0.1), WithConfBudget(0.1, 0.1)}
+				if strata > 0 {
+					opts = append(opts, WithStrata(strata))
+				}
+				memo, bare := freshEngine(t, p.db), freshEngine(t, p.db)
+				bare.memo = nil
+				for step, name := range []string{"cold", "warm", "warm again"} {
+					for _, exact := range []bool{true, false} {
+						key := fmt.Sprintf("%s workers=%d strata=%d %s exact=%v", p.name, workers, strata, name, exact)
+						got, err := memoEval(p.db, memo, p.plan, exact, opts...)
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						want, err := memoEval(p.db, bare, p.plan, exact, opts...)
+						if err != nil {
+							t.Fatalf("%s: without a memo: %v", key, err)
+						}
+						if memoRows(got) != memoRows(want) {
+							t.Errorf("%s: rows differ from an engine without a memo", key)
+						}
+						if !reflect.DeepEqual(got.stats, want.stats) {
+							t.Errorf("%s: step %d Stats\n  %+v, without a memo\n  %+v", key, step, got.stats, want.stats)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEngineMemoConfAdmission: a sampled conf is kept only once its batch
+// sampled nothing, so fresh seeds never grow the memo; the second
+// evaluation of a (program, seed) pair keeps its P values and the third
+// answers from them.
+func TestEngineMemoConfAdmission(t *testing.T) {
+	db := whatIfDB(t)
+	plan := mustPlan(t, db, `conf(project[Part](select[Cost >= 84](`+whatIfRK+`)))`)
+	eng := freshEngine(t, db)
+	eval := func(seed int64) *Result {
+		t.Helper()
+		res, err := memoEval(db, eng, plan, false, WithSeed(seed), WithConfBudget(0.1, 0.1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var first int64
+	for seed := int64(1); seed <= 200; seed++ {
+		if res := eval(seed); res.stats.SampledTrials == 0 {
+			t.Fatalf("fixture: seed %d sampled nothing", seed)
+		}
+		_, bytes, _, _ := eng.memo.Stats()
+		if seed == 1 {
+			first = bytes
+		} else if bytes != first {
+			t.Fatalf("fresh seed %d moved memo bytes %d → %d", seed, first, bytes)
+		}
+	}
+	eval(200)
+	_, kept, hits, _ := eng.memo.Stats()
+	if kept <= first {
+		t.Errorf("a batch that sampled nothing was not kept: memo bytes %d → %d", first, kept)
+	}
+	if eval(200); true {
+		if _, bytes, h, _ := eng.memo.Stats(); bytes != kept || h != hits+2 {
+			t.Errorf("third evaluation: bytes %d → %d, hits %d → %d, want the sub-plan and its conf answered",
+				kept, bytes, hits, h)
+		}
 	}
 }
