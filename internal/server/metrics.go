@@ -89,6 +89,18 @@ func newServerMetrics(reg *metrics.Registry, eng *pdb.Engine, adm *admission) *s
 	reg.CounterFunc("pdb_engine_exact_factored_total",
 		"Independent lineage subformulas computed exactly by the factoring pre-pass instead of sampled.",
 		func() float64 { return float64(eng.Stats().ExactFactored) })
+	reg.CounterFunc("pdb_engine_memo_hits_total",
+		"Sub-plans and conf results answered from the engine's sub-plan memo.",
+		func() float64 { return float64(eng.Stats().MemoHits) })
+	reg.CounterFunc("pdb_engine_memo_evictions_total",
+		"Sub-plan memo entries evicted by its LRU bound.",
+		func() float64 { return float64(eng.Stats().MemoEvictions) })
+	reg.GaugeFunc("pdb_engine_memo_entries",
+		"Sub-plans the engine's memo holds.",
+		func() float64 { return float64(eng.Stats().MemoEntries) })
+	reg.GaugeFunc("pdb_engine_memo_bytes",
+		"Bytes the sub-plan memo retains, bounded by the database's footprint.",
+		func() float64 { return float64(eng.Stats().MemoBytes) })
 	reg.GaugeFunc("pdb_engine_cache_entries",
 		"Estimator-cache entries currently held.",
 		func() float64 { return float64(eng.Stats().CacheEntries) })

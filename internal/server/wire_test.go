@@ -339,7 +339,8 @@ func TestWireStatsKeys(t *testing.T) {
 		}
 	}
 	engine := []string{"evals", "in_flight", "sampled_trials", "reused_trials", "cache_hits", "cache_misses",
-		"cache_entries", "cache_capacity", "cache_evictions", "limit_trips", "early_stops", "exact_factored"}
+		"cache_entries", "cache_capacity", "cache_evictions", "limit_trips", "early_stops", "exact_factored",
+		"memo_entries", "memo_bytes", "memo_hits", "memo_evictions"}
 	server := []string{"requests", "failures", "rows_streamed", "uptime_ms"}
 
 	t.Run("WHEN a single-node server has served nothing", func(t *testing.T) {

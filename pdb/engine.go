@@ -141,6 +141,14 @@ type EngineStats struct {
 	// subformulas the factoring pre-pass computed exactly instead of
 	// sampling.
 	ExactFactored int64 `json:"exact_factored"`
+	// MemoEntries and MemoBytes are the sub-plan memo's stored sub-plans and
+	// the bytes they retain (kept conf P values included), bounded by the
+	// database's footprint; MemoHits counts sub-plans and conf results it
+	// answered, MemoEvictions the entries its LRU bound dropped.
+	MemoEntries   int   `json:"memo_entries"`
+	MemoBytes     int64 `json:"memo_bytes"`
+	MemoHits      int64 `json:"memo_hits"`
+	MemoEvictions int64 `json:"memo_evictions"`
 	// Cluster holds per-shard scatter-gather statistics on a clustered
 	// engine (WithEngineCluster); nil on a single-node engine.
 	Cluster *ClusterStats `json:"-"`
@@ -154,6 +162,7 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Unlock()
 	cs := e.cache.Stats()
 	st.CacheMisses, st.CacheEntries, st.CacheCapacity, st.CacheEvictions = cs.Misses, cs.Entries, e.cache.Cap(), cs.Evictions
+	st.MemoEntries, st.MemoBytes, st.MemoHits, st.MemoEvictions = e.memo.Stats()
 	st.InFlight = e.inFlight.Load()
 	st.Cluster = e.ClusterStats()
 	return st

@@ -2,7 +2,8 @@
 # End-to-end smoke of the pdbserve query service: build the binary, boot
 # it against the examples/ CSV data with tenant quotas configured, drive
 # it with curl — JSON rows, a stats trailer, cross-request
-# estimator-cache reuse, the /metrics exposition, an over-quota tenant's
+# estimator-cache reuse, a conf answered from the sub-plan memo, the
+# /metrics exposition, an over-quota tenant's
 # 429 + Retry-After, the typed limit error — and assert a graceful
 # SIGTERM shutdown exits 0. CI's `service` job runs exactly this script
 # (via `make service-smoke`), so a local pass means a green job.
@@ -53,17 +54,28 @@ stats="$(curl -sf "http://$addr/v1/stats")"
 echo "$stats"
 grep -qE '"cache_hits":[1-9]' <<<"$stats"
 grep -q '"requests":2' <<<"$stats"
+hits="$(grep -oE '"memo_hits":[0-9]+' <<<"$stats" | cut -d: -f2)"
+
+echo "== third query (the sub-plan memo answers the conf kept by the second)"
+out3="$(curl -sf "http://$addr/v1/query" -d "$req")"
+echo "$out3"
+echo "$out3" | grep -q '"sampled_trials":0'
+[ "$(echo "$out1" | grep '"row"')" = "$(echo "$out3" | grep '"row"')" ]
+stats="$(curl -sf "http://$addr/v1/stats")"
+echo "$stats"
+[ "$(grep -oE '"memo_hits":[0-9]+' <<<"$stats" | cut -d: -f2)" -gt "$hits" ]
 
 echo "== /metrics serves Prometheus text exposition with moving counters"
 ctype="$(curl -sf -o /dev/null -w '%{content_type}' "http://$addr/metrics")"
 case "$ctype" in text/plain*version=0.0.4*) ;; *) echo "bad content type: $ctype"; exit 1;; esac
 metrics="$(curl -sf "http://$addr/metrics")"
 grep -q '^# TYPE pdb_http_requests_total counter$' <<<"$metrics"
-grep -q '^pdb_http_requests_total{route="/v1/query",status="200"} 2$' <<<"$metrics"
+grep -q '^pdb_http_requests_total{route="/v1/query",status="200"} 3$' <<<"$metrics"
 grep -qE '^pdb_engine_sampled_trials_total [1-9]' <<<"$metrics"
 grep -qE '^pdb_engine_reused_trials_total [1-9]' <<<"$metrics"
 grep -qE '^pdb_engine_cache_hits_total [1-9]' <<<"$metrics"
-grep -qE '^pdb_http_request_duration_seconds_count\{route="/v1/query"\} 2$' <<<"$metrics"
+grep -qE '^pdb_engine_memo_hits_total [1-9]' <<<"$metrics"
+grep -qE '^pdb_http_request_duration_seconds_count\{route="/v1/query"\} 3$' <<<"$metrics"
 
 echo "== over-quota tenant gets 429 + Retry-After; other traffic unaffected"
 # A fresh seed: cached estimator state is seed-guarded, so the bursty
