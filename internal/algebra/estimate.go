@@ -61,10 +61,8 @@ type Estimates interface {
 // load-balances). It is stateless, so concurrent branches may share it.
 type exactEstimators struct{ pool *sched.Pool }
 
-// exactConf is the exact ConfKey: exact P depends on the lineage alone.
-type exactConf struct{}
-
-func (exactEstimators) ConfKey() any { return exactConf{} }
+// ConfKey is nil: exact P depends on the lineage alone.
+func (exactEstimators) ConfKey() any { return nil }
 
 func (exactEstimators) Replay(any) func() error { return func() error { return nil } }
 

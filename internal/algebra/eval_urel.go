@@ -83,9 +83,8 @@ type URelEvaluator struct {
 	shared *SubplanMemo
 }
 
-// prefixEntry is a recorded sub-plan's result, the Refine of each batch
-// replay refines (those inside it, then a σ̂ reader's) and that σ̂'s
-// decision loop.
+// prefixEntry is a recorded sub-plan's result, the batches replay refines
+// (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
 type prefixEntry struct {
 	res     URelResult
 	batches []func() error

@@ -29,27 +29,23 @@ type SubplanMemo struct {
 	bytes, hits, evictions int64
 }
 
-// memoEntry is one stored walk of a sub-plan.
+// memoEntry is one stored walk of a sub-plan. A conf over it keeps, from
+// the first it keeps, res's rows in lineage order, the lineage Ops and their
+// bytes, and per ConfKey a P vector (confP); set under the memo's lock and
+// never changed after.
 type memoEntry struct {
-	key    string
-	res    URelResult
-	vars   *varSet // registered by the sub-plan's repair-keys
-	nextRK int     // the repair-key counter after the sub-plan
-	ops    urel.StatsMap
-	charge int64 // Σ ops bytes: what the walk charged the memory budget
-	size   int64 // retained bytes: the relation's and confs'
-	confs  *keptConfs
-}
-
-// keptConfs is what conf keeps beside an entry's relation: its data tuples
-// in lineage order (rows shared with the relation), the lineage grouping's
-// Ops and memory charge, and the P values per Estimators.ConfKey. Entries
-// are added under the memo's lock and never change after.
-type keptConfs struct {
-	rows   []rel.Tuple
-	ops    urel.StatsMap
-	charge int64
-	p      map[any]keptP
+	key      string
+	el       *list.Element // in the LRU list
+	res      URelResult
+	vars     *varSet // registered by the sub-plan's repair-keys
+	nextRK   int     // the repair-key counter after the sub-plan
+	ops      urel.StatsMap
+	charge   int64 // Σ ops bytes: what the walk charged the memory budget
+	size     int64 // retained bytes: res's, rows' and P vectors'
+	rows     []rel.Tuple
+	rowOps   urel.StatsMap
+	rowBytes int64
+	confs    map[any]keptP
 }
 
 // keptP is one conf batch's P values and what replaying it counts
@@ -122,15 +118,16 @@ func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) bool {
 	if p.vars.refs++; p.vars.refs == 1 {
 		m.bytes += vb
 	}
-	m.m[p.key] = m.lru.PushFront(p)
+	p.el = m.lru.PushFront(p)
+	m.m[p.key] = p.el
 	p.size = p.res.Rel.Bytes()
 	m.bytes += p.size
 	m.evict()
 	return true
 }
 
-// evict drops least recently used entries, and their kept P values with
-// them, until the memo is within its bound.
+// evict drops least recently used entries, and the P vectors they keep,
+// until the memo is within its bound.
 func (m *SubplanMemo) evict() {
 	for ; m.bytes > m.limit; m.evictions++ {
 		old := m.lru.Remove(m.lru.Back()).(*memoEntry)
@@ -142,55 +139,45 @@ func (m *SubplanMemo) evict() {
 	}
 }
 
-// conf returns the P values p keeps under key when their replay fits the
-// memory budget mem, counting the hit and moving p to the LRU front.
-func (m *SubplanMemo) conf(p *memoEntry, key any, mem *urel.MemBudget) (*keptConfs, keptP, bool) {
+// conf returns the P values p keeps under key when p is in the memo and
+// their replay fits the memory budget mem, counting the hit and moving p to
+// the LRU front.
+func (m *SubplanMemo) conf(p *memoEntry, key any, mem *urel.MemBudget) (keptP, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.m[p.key]
-	if !ok || el.Value != p || p.confs == nil {
-		return nil, keptP{}, false
-	}
-	kp, ok := p.confs.p[key]
-	if !ok || mem != nil && mem.Used()+p.confs.charge > mem.Limit() {
-		return nil, keptP{}, false
+	kp, ok := p.confs[key]
+	if !ok || m.m[p.key] != p.el || mem != nil && mem.Used()+p.rowBytes > mem.Limit() {
+		return keptP{}, false
 	}
 	m.hits++
-	m.lru.MoveToFront(el)
-	return p.confs, kp, true
+	m.lru.MoveToFront(p.el)
+	return kp, true
 }
 
-// putConf keeps kp under key beside p's relation — with rows and ops, the
-// lineage grouping's, on p's first — unless p left the memo, key is kept
-// already, or p alone would outgrow the bound. It charges p (a row header
-// per row, eight bytes per P value plus a slot) and evicts other entries to
-// the bound, never p.
+// putConf keeps kp under key beside p's relation, charged to p (a row header
+// per row, eight bytes per P value, 64 per slot), unless p left the memo,
+// keeps key already or would outgrow the bound alone. It evicts other
+// entries to the bound, never p: p moves to the front first.
 func (m *SubplanMemo) putConf(p *memoEntry, key any, rows []rel.Tuple, ops urel.StatsMap, kp keptP) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.m[p.key]
-	if !ok || el.Value != p {
-		return
-	}
 	grow := 8*int64(len(kp.p)) + 64
 	if p.confs == nil {
 		grow += 24*int64(len(rows)) + 64
-	} else if _, dup := p.confs.p[key]; dup {
-		return
 	}
-	if p.size+grow+p.vars.bytes > m.limit {
+	if _, dup := p.confs[key]; dup || m.m[p.key] != p.el || p.size+grow+p.vars.bytes > m.limit {
 		return
 	}
 	if p.confs == nil {
-		p.confs = &keptConfs{rows: rows, ops: ops, p: make(map[any]keptP)}
+		p.rows, p.rowOps, p.confs = rows, ops, make(map[any]keptP)
 		for _, s := range ops {
-			p.confs.charge += s.Bytes
+			p.rowBytes += s.Bytes
 		}
 	}
-	p.confs.p[key] = kp
-	m.lru.MoveToFront(el)
+	p.confs[key] = kp
 	p.size += grow
 	m.bytes += grow
+	m.lru.MoveToFront(p.el)
 	m.evict()
 }
 
@@ -259,13 +246,10 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 }
 
 // confP returns in's distinct data tuples in lineage order and their P
-// values under e's Estimators. Over a memoised input the memo answers a
-// batch it keeps under the Estimators' ConfKey: its lineage Ops and memory
-// charge and its Stats (Replay) count as estimating it would, and a
-// recording walker refines it on later passes. Otherwise the batch runs,
-// its grouping counted apart as walkMemo counts a miss, and the memo keeps
-// it when the Estimates allow (Kept): exact P at once, sampled P once a
-// batch sampled nothing.
+// values. Over a memoised input, P kept under the Estimators' ConfKey
+// answer, replaying the lineage Ops, charge and Stats (Replay); otherwise
+// the grouping counts apart, as in a walkMemo miss, and the entry keeps
+// what the Estimates allow (Kept).
 func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, error) {
 	p := in.memo
 	if p == nil {
@@ -276,13 +260,13 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, er
 		return rows[0], func(i int) float64 { return est.P(0, i) }, nil
 	}
 	key := e.est.ConfKey()
-	if kc, kp, ok := e.shared.conf(p, key, e.mem); ok {
-		e.ctrs.Add(kc.ops)
-		e.mem.Add(kc.charge)
+	if kp, ok := e.shared.conf(p, key, e.mem); ok {
+		e.ctrs.Add(p.rowOps)
+		e.mem.Add(p.rowBytes)
 		if refine := e.est.Replay(kp.kept); e.rec != nil {
 			e.rec.batches = append(e.rec.batches, refine)
 		}
-		return kc.rows, func(i int) float64 { return kp.p[i] }, nil
+		return p.rows, func(i int) float64 { return kp.p[i] }, nil
 	}
 	w := *e
 	w.ctrs = urel.NewCounters()
@@ -298,7 +282,7 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, er
 		ps[i] = est.P(0, i)
 	}
 	if kept, ok := est.Kept(); ok {
-		e.shared.putConf(p, key, rows[0], ops, keptP{p: ps, kept: kept})
+		e.shared.putConf(p, key, rows[0], ops, keptP{ps, kept})
 	}
 	return rows[0], func(i int) float64 { return ps[i] }, nil
 }

@@ -38,10 +38,10 @@ func TestMemoConfNeverEvictsItsInput(t *testing.T) {
 		t.Fatalf("%d entries, %d bytes (entry %d, bound %d), %d evictions: want pa alone, its P values charged",
 			entries, bytes, pa.size, m.limit, evictions)
 	}
-	if kc, got, ok := m.conf(pa, "key", nil); !ok || len(kc.rows) != len(rows) || got.kept != "counts" {
+	if got, ok := m.conf(pa, "key", nil); !ok || len(pa.rows) != len(rows) || got.kept != "counts" {
 		t.Fatalf("the kept P values are not answered: ok=%v", ok)
 	}
-	if _, _, ok := m.conf(pa, "other key", nil); ok {
+	if _, ok := m.conf(pa, "other key", nil); ok {
 		t.Error("a key never kept is answered")
 	}
 
@@ -52,7 +52,7 @@ func TestMemoConfNeverEvictsItsInput(t *testing.T) {
 	if entries, bytes, _, evictions := tight.Stats(); entries != 1 || bytes != a.Bytes() || evictions != 0 {
 		t.Errorf("over-bound P values: %d entries, %d bytes, %d evictions, want the bare entry", entries, bytes, evictions)
 	}
-	if _, _, ok := tight.conf(pa, "key", nil); ok {
+	if _, ok := tight.conf(pa, "key", nil); ok {
 		t.Error("P values that outgrow the bound were kept")
 	}
 }

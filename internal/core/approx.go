@@ -43,7 +43,6 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	est := &estimates{run: run, cvs: make([][]*confValue, len(args))}
 	before := *run.stats
 	var tasks []*task
-	factored := run.stats.ExactFactored
 	for a, groups := range args {
 		for f := range groups {
 			cv, t, err := run.newTask(f, budget, opts.Strata)
@@ -56,7 +55,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 			est.cvs[a] = append(est.cvs[a], cv)
 		}
 	}
-	factored = run.stats.ExactFactored - factored
+	factored := run.stats.ExactFactored - before.ExactFactored
 	// A kept batch's later pass: every task starts over where resume leaves
 	// it — where a cache round trip leaves a rebuilt one — and is raised to
 	// its budget at the pass's rounds, counting into Stats as a rebuild would.
@@ -71,7 +70,11 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 		return nil, err
 	}
 	if !decide && run.stats.EstimatorTrials == before.EstimatorTrials {
-		est.kept = replayedSince(before, *run.stats)
+		var d [5]int64
+		for i, f := range run.stats.replayed() {
+			d[i] = *f - *before.replayed()[i]
+		}
+		est.kept = d
 	}
 	return est, nil
 }
@@ -105,33 +108,24 @@ func (run *evalRun) ConfKey() any {
 	return confKey{o.Seed, o.confEps(), o.confDelta(), o.Strata}
 }
 
-// replayed is what a conf batch that sampled nothing — every task a full
-// cache replay — adds to Stats, so that a later walk answering it from the
-// engine memo counts what estimating it again would.
-type replayed struct{ reused, cacheHits, strata, earlyStops, factored int64 }
-
-func replayedSince(before, after Stats) replayed {
-	return replayed{after.ReusedTrials - before.ReusedTrials, after.CacheHits - before.CacheHits,
-		after.Strata - before.Strata, after.EarlyStops - before.EarlyStops, after.ExactFactored - before.ExactFactored}
-}
-
-func (r replayed) addTo(st *Stats) {
-	st.ReusedTrials += r.reused
-	st.CacheHits += r.cacheHits
-	st.Strata += r.strata
-	st.EarlyStops += r.earlyStops
-	st.ExactFactored += r.factored
+// replayed are the Stats fields a conf batch that sampled nothing — every
+// task a full cache replay — adds: what a walk answering it from the engine
+// memo counts again (Replay).
+func (st *Stats) replayed() [5]*int64 {
+	return [5]*int64{&st.ReusedTrials, &st.CacheHits, &st.Strata, &st.EarlyStops, &st.ExactFactored}
 }
 
 // Replay counts a kept conf batch again, and so does each later pass's
-// refine: a cache round trip would replay it whole again.
+// refine, as a cache round trip would.
 func (run *evalRun) Replay(kept any) func() error {
-	r := kept.(replayed)
-	r.addTo(run.stats)
-	return func() error {
-		r.addTo(run.stats)
+	refine := func() error {
+		for i, f := range run.stats.replayed() {
+			*f += kept.([5]int64)[i]
+		}
 		return nil
 	}
+	refine()
+	return refine
 }
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an

@@ -197,40 +197,46 @@ func TestEngineMemoWarmEqualsCold(t *testing.T) {
 }
 
 // TestEngineMemoMaxMemory: a memory limit that trips a fresh engine trips a
-// warm one with an equal *LimitError, and one that does not trip neither. A
+// warm one with an equal *LimitError, and one that does not trip neither —
+// also when an operator above the conf charges after a replayed conf. A
 // replay refused because its charge would trip the limit is not a memo hit.
 func TestEngineMemoMaxMemory(t *testing.T) {
 	db := whatIfDB(t)
-	plan := mustPlan(t, db, `conf(project[Part](select[Cost >= 80](`+whatIfRK+`)))`)
-	ref, err := memoEval(db, freshEngine(t, db), plan, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The memoised sub-plan is conf's input: every operator but lineage.
-	var walk, charge int64
-	for op, s := range ref.Stats().Ops {
-		walk += s.Bytes
-		if op != "lineage" {
-			charge += s.Bytes
+	conf := `conf(project[Part](select[Cost >= 80](` + whatIfRK + `)))`
+	for _, src := range []string{conf, `poss(` + conf + `)`} {
+		plan := mustPlan(t, db, src)
+		ref, err := memoEval(db, freshEngine(t, db), plan, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	warm := freshEngine(t, db)
-	if _, err := memoEval(db, warm, plan, true); err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int64{walk / 4, walk / 2, walk * 9 / 10, walk - 1, walk} {
-		for _, exact := range []bool{true, false} {
-			_, coldErr := memoEval(db, freshEngine(t, db), plan, exact, WithMaxMemory(limit), WithSeed(3))
-			_, _, h0, _ := warm.memo.Stats()
-			_, warmErr := memoEval(db, warm, plan, exact, WithMaxMemory(limit), WithSeed(3))
-			if _, _, h1, _ := warm.memo.Stats(); limit < charge && h1 != h0 {
-				t.Errorf("limit %d below the %d-byte entry, exact=%v: memo hits %d → %d", limit, charge, exact, h0, h1)
+		// The memoised sub-plan is conf's input: every operator but lineage
+		// and poss.
+		var walk, charge int64
+		for op, s := range ref.Stats().Ops {
+			walk += s.Bytes
+			if op != "lineage" && op != "poss" {
+				charge += s.Bytes
 			}
-			if exact && (coldErr == nil) != (limit == walk) {
-				t.Fatalf("fixture: limit %d of a %d-byte walk: err %v", limit, walk, coldErr)
-			}
-			if !reflect.DeepEqual(warmErr, coldErr) {
-				t.Errorf("limit %d exact=%v: warm err %v, fresh engine's %v", limit, exact, warmErr, coldErr)
+		}
+		warm := freshEngine(t, db)
+		if _, err := memoEval(db, warm, plan, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int64{walk / 4, walk / 2, walk * 9 / 10, walk - 1, walk} {
+			for _, exact := range []bool{true, false} {
+				_, coldErr := memoEval(db, freshEngine(t, db), plan, exact, WithMaxMemory(limit), WithSeed(3))
+				_, _, h0, _ := warm.memo.Stats()
+				_, warmErr := memoEval(db, warm, plan, exact, WithMaxMemory(limit), WithSeed(3))
+				if _, _, h1, _ := warm.memo.Stats(); limit < charge && h1 != h0 {
+					t.Errorf("%s: limit %d below the %d-byte entry, exact=%v: memo hits %d → %d",
+						src, limit, charge, exact, h0, h1)
+				}
+				if exact && (coldErr == nil) != (limit == walk) {
+					t.Fatalf("fixture: %s: limit %d of a %d-byte walk: err %v", src, limit, walk, coldErr)
+				}
+				if !reflect.DeepEqual(warmErr, coldErr) {
+					t.Errorf("%s: limit %d exact=%v: warm err %v, fresh engine's %v", src, limit, exact, warmErr, coldErr)
+				}
 			}
 		}
 	}
