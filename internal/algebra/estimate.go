@@ -123,7 +123,7 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 	}
 	est, err := e.est.Estimate(e.db.Vars, args, decide)
 	if err == nil && e.rec != nil {
-		e.rec.batches = append(e.rec.batches, est.Refine)
+		e.rec.batches = append(e.rec.batches, est)
 	}
 	return rows, est, err
 }
@@ -133,12 +133,12 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 // input tuple it extends (the P value itself carries the estimator's
 // guarantee, not a membership error).
 func (e *URelEvaluator) conf(in URelResult, pcol string) (URelResult, error) {
-	rows, p, err := e.confP(in)
+	rows, est, err := e.confP(in)
 	if err != nil {
 		return URelResult{}, err
 	}
 	out := URelResult{Rel: withColumn(in.Rel.Schema(), pcol, rows, func(i int) rel.Value {
-		return rel.Float(p(i))
+		return rel.Float(est.P(0, i))
 	}), Complete: true}
 	return out.Bounded(func(row rel.Tuple) (float64, bool) {
 		return in.Bounds.BoundOf(row[:len(row)-1])
@@ -240,7 +240,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 		return out, nil
 	}
 	if kept != nil {
-		kept.batches, kept.shat = append(kept.batches, est.Refine), decide
+		kept.batches, kept.shat = append(kept.batches, est), decide
 	}
 	return decide()
 }

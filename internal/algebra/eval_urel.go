@@ -87,7 +87,7 @@ type URelEvaluator struct {
 // (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
 type prefixEntry struct {
 	res     URelResult
-	batches []func() error
+	batches []Estimates
 	shat    func() (URelResult, error)
 }
 
@@ -239,7 +239,7 @@ func (e *URelEvaluator) eval(n *node) (URelResult, error) {
 func (e *URelEvaluator) replay(n *node) (res URelResult, err error) {
 	if p := n.kept; p != nil {
 		for i := 0; i < len(p.batches) && err == nil; i++ {
-			err = p.batches[i]()
+			err = p.batches[i].Refine()
 		}
 		return p.res, err
 	}

@@ -245,28 +245,26 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 	return res, nil
 }
 
-// confP returns in's distinct data tuples in lineage order and their P
-// values. Over a memoised input, P kept under the Estimators' ConfKey
+// confP returns in's distinct data tuples in lineage order and their
+// estimates. Over a memoised input, P kept under the Estimators' ConfKey
 // answer, replaying the lineage Ops, charge and Stats (Replay); otherwise
 // the grouping counts apart, as in a walkMemo miss, and the entry keeps
 // what the Estimates allow (Kept).
-func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, error) {
+func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, Estimates, error) {
 	p := in.memo
 	if p == nil {
 		rows, est, err := e.estimate([]*urel.Relation{in.Rel}, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rows[0], func(i int) float64 { return est.P(0, i) }, nil
+		return rows[0], est, err
 	}
 	key := e.est.ConfKey()
 	if kp, ok := e.shared.conf(p, key, e.mem); ok {
 		e.ctrs.Add(p.rowOps)
 		e.mem.Add(p.rowBytes)
-		if refine := e.est.Replay(kp.kept); e.rec != nil {
-			e.rec.batches = append(e.rec.batches, refine)
+		est := keptEstimates{p: kp.p, refine: e.est.Replay(kp.kept)}
+		if e.rec != nil {
+			e.rec.batches = append(e.rec.batches, est)
 		}
-		return p.rows, func(i int) float64 { return kp.p[i] }, nil
+		return p.rows, est, nil
 	}
 	w := *e
 	w.ctrs = urel.NewCounters()
@@ -277,12 +275,25 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, func(int) float64, er
 	if err != nil {
 		return nil, nil, err
 	}
-	ps := make([]float64, len(rows[0]))
-	for i := range ps {
-		ps[i] = est.P(0, i)
-	}
 	if kept, ok := est.Kept(); ok {
+		ps := make([]float64, len(rows[0]))
+		for i := range ps {
+			ps[i] = est.P(0, i)
+		}
 		e.shared.putConf(p, key, rows[0], ops, keptP{ps, kept})
 	}
-	return rows[0], func(i int) float64 { return ps[i] }, nil
+	return rows[0], est, nil
 }
+
+// keptEstimates is a conf batch the memo answered: its P values, and what
+// refining it counts (Estimators.Replay). It is never asked to Decide or
+// for Kept, which the nil Estimates it embeds would fail.
+type keptEstimates struct {
+	Estimates
+	p      []float64
+	refine func() error
+}
+
+func (k keptEstimates) P(_, i int) float64 { return k.p[i] }
+
+func (k keptEstimates) Refine() error { return k.refine() }
