@@ -27,6 +27,8 @@ import (
 // The part of a query below its conf and σ̂ operators is a function of the
 // immutable database alone: an Engine walks it once, for Eval and EvalExact
 // alike, and replays it after, retaining at most the database's footprint.
+// A conf directly above such a part keeps its P values there once a
+// (query, seed) pair sampled nothing, and answers that pair from them after.
 //
 // An Engine holds no goroutines; a non-clustered Engine holds no file
 // handles either, so dropping it releases everything. A clustered Engine
