@@ -1,12 +1,14 @@
 // Package conformance checks the estimation engine's statistical
 // contract empirically: for every workload in a fixed corpus and a sweep
 // of seeds, the approximate confidence of each result tuple must land
-// within the relative (ε, δ) budget of the exact oracle's value. A
-// conforming engine violates the per-tuple bound on at most a δ fraction
-// of checks (the Karp–Luby analysis is conservative, so observed
-// coverage is normally far higher). The quick form of the suite runs in
-// the ordinary test sweep; the exhaustive form is built behind the
-// "conformance" tag (make conformance).
+// within the relative (ε, δ) budget of the exact oracle's value, and the
+// σ̂ cases must decide membership right on all but a δ fraction of the
+// tuples their oracle decides clearly. A conforming engine violates the
+// per-tuple bound on at most a δ fraction of checks (the Karp–Luby
+// analysis is conservative, so observed coverage is normally far higher).
+// The quick form of the suite runs in the ordinary test sweep; the
+// exhaustive form is built behind the "conformance" tag (make
+// conformance).
 package conformance
 
 import (
@@ -17,6 +19,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/urel"
 	"repro/internal/workload"
@@ -28,15 +31,25 @@ type Case struct {
 	Name  string
 	DB    *urel.Database
 	Query algebra.Query
+	// Oracle, set on a σ̂ case, is the exact conf query whose P decides
+	// membership in Query's output at threshold Tau. A key of the output —
+	// its columns without the P ones — belongs there when the largest P
+	// among the oracle tuples projecting onto it is ≥ Tau: a projection
+	// above σ̂ keeps a merged tuple when any of its parts passes.
+	Oracle algebra.Query
+	Tau    float64
 }
 
 // Corpus builds the workload corpus for one instance seed. The cases
 // span the estimator's regimes: entangled random DNF (hard components
 // that must be sampled), independent multi-tuple DNF, repair-key lineage
 // from the coin-bag and data-cleaning scenarios (exactly factorable),
-// and tuple-independent sensor streams.
+// tuple-independent sensor streams, and σ̂ over chained sensor readings —
+// alone, over another σ̂, under a projection that merges its tuples, and
+// under a conf.
 func Corpus(seed int64) []Case {
 	rng := rand.New(rand.NewSource(seed))
+	hot := hotReadings(rand.New(rand.NewSource(seed+1)), 4, 12)
 	return []Case{
 		{
 			// One entangled 12-clause DNF over 6 shared variables on one
@@ -72,7 +85,70 @@ func Corpus(seed int64) []Case {
 				Targets: []expr.Target{expr.Keep("Sensor")},
 			}},
 		},
+		shatCase("shat/sensors", hot, 0.6,
+			`aselect[p1 >= 0.6 over conf[Sensor]](project[Sensor](join(H, N)))`,
+			`conf(project[Sensor](join(H, N)))`),
+		// The outer σ̂ reads the inner one's output, joined back to the hot
+		// readings, one tuple per reading: no fan-in.
+		shatCase("shat/nested", hot, 0.5,
+			`aselect[p1 >= 0.5 over conf[Sensor, Epoch]](join(project[Sensor](`+hotSensors+`), H))`,
+			`conf(join(project[Sensor](`+hotSensors+`), H))`),
+		// Example 6.5's fan-in: every sensor's epochs merge into one tuple.
+		shatCase("shat/fanin", hot, 0.3,
+			`project[Sensor](aselect[p1 >= 0.3 over conf[Sensor, Epoch]](`+hotPairs+`))`,
+			`conf(`+hotPairs+`)`),
+		shatCase("shat/conf", hot, 0.6,
+			`conf(aselect[p1 >= 0.6 over conf[Sensor]](project[Sensor](join(H, N))))`,
+			`conf(project[Sensor](join(H, N)))`),
 	}
+}
+
+// hotEpochs binds H, the sensors' hot epochs after repair-key picks one
+// reading per (sensor, epoch), and N and M, H shifted one epoch back and
+// forward: join(H, N) pairs consecutive hot epochs, so the lineage of a
+// sensor chains its readings' variables and does not factor.
+const (
+	hotEpochs = `D := project[Sensor, Epoch, Value](repairkey[Sensor, Epoch @ Conf](Readings));
+H := project[Sensor, Epoch](select[Value >= 25](D));
+N := project[Sensor, Epoch - 1 as Epoch](H);
+M := project[Sensor, Epoch + 1 as Epoch](H);
+`
+	// hotSensors keeps the sensors almost surely hot twice in a row.
+	hotSensors = `aselect[p1 >= 0.05 over conf[Sensor]](project[Sensor](join(H, N)))`
+	// hotPairs is every hot epoch with a hot neighbour: two clauses each.
+	hotPairs = `union(join(H, N), join(H, M))`
+)
+
+// shatCase is a σ̂ case over the hot-epoch readings: the hotEpochs program
+// followed by query, and by oracle as its Oracle.
+func shatCase(name string, db *urel.Database, tau float64, query, oracle string) Case {
+	return Case{Name: name, DB: db, Query: mustParse(hotEpochs + query), Oracle: mustParse(hotEpochs + oracle), Tau: tau}
+}
+
+func mustParse(src string) algebra.Query {
+	q, err := parser.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// hotReadings builds Readings(Sensor, Epoch, Value, Conf): a hot (30) and a
+// cold (20) reading per sensor and epoch, the hot one weighted by a sensor
+// reliability in [0.15, 0.7] times a per-epoch factor in [0.8, 1].
+func hotReadings(rng *rand.Rand, sensors, epochs int) *urel.Database {
+	db := urel.NewDatabase()
+	r := rel.NewRelation(rel.NewSchema("Sensor", "Epoch", "Value", "Conf"))
+	for s := 0; s < sensors; s++ {
+		reliability := 0.15 + 0.55*rng.Float64()
+		for e := 0; e < epochs; e++ {
+			w := reliability * (0.8 + 0.2*rng.Float64())
+			r.Add(rel.Tuple{rel.Int(int64(s)), rel.Int(int64(e)), rel.Int(30), rel.Float(w)})
+			r.Add(rel.Tuple{rel.Int(int64(s)), rel.Int(int64(e)), rel.Int(20), rel.Float(1 - w)})
+		}
+	}
+	db.AddComplete("Readings", r)
+	return db
 }
 
 // CoinQuery builds the let chain of the paper's Example 2.2 over a coin-bag
@@ -118,9 +194,11 @@ func CoinQuery(tosses int, body algebra.Query) algebra.Query {
 
 // Options configures a conformance sweep.
 type Options struct {
-	Eps   float64 // relative confidence error budget (default 0.1)
-	Delta float64 // per-tuple failure budget (default 0.1)
-	Runs  int     // independent (corpus instance, estimator seed) runs (default 8)
+	// Eps is conf's relative error budget and σ̂'s ε₀ (default 0.1).
+	Eps float64
+	// Delta is the per-tuple failure budget of conf and σ̂ (default 0.1).
+	Delta float64
+	Runs  int // independent (corpus instance, estimator seed) runs (default 8)
 	// Strata > 0 routes estimation through the stratified path
 	// (core.Options.Strata); 0 exercises the flat estimator.
 	Strata  int
@@ -154,11 +232,28 @@ func (v Violation) String() string {
 }
 
 // Report aggregates a sweep: every (case, seed, tuple) check and the
-// violations among them.
+// violations among them, and the σ̂ cases' decisions.
 type Report struct {
 	Checks     int
 	Sampled    int64 // trials drawn across the sweep — 0 means nothing exercised sampling
 	Violations []Violation
+	// Decided counts the σ̂ output keys the oracle decides clearly — P ≥
+	// τ/(1−ε₀) present, P ≤ τ/(1+ε₀) absent — and WrongDecisions those the
+	// engine decided otherwise.
+	Decided, WrongDecisions int
+	// ShatRuns counts σ̂ case evaluations; Rewalks sums their
+	// Stats.Restarts, and Rewalked counts the evaluations with any by case.
+	ShatRuns, Rewalks int
+	Rewalked          map[string]int
+}
+
+// DecisionErrorRate returns the share of clearly decided σ̂ keys decided
+// wrongly. The engine conforms when it is ≤ δ.
+func (r Report) DecisionErrorRate() float64 {
+	if r.Decided == 0 {
+		return 0
+	}
+	return float64(r.WrongDecisions) / float64(r.Decided)
 }
 
 // Coverage returns the empirical fraction of checks inside the bound.
@@ -185,8 +280,7 @@ func Run(baseSeed int64, opt Options) (Report, error) {
 				return rep, fmt.Errorf("%s: exact oracle: %w", c.Name, err)
 			}
 			eng := core.NewEngine(c.DB, core.Options{
-				Eps0: 0.05, Delta: 0.05,
-				ConfEps: opt.Eps, ConfDelta: opt.Delta,
+				Eps0: opt.Eps, Delta: opt.Delta,
 				Seed: seed, Strata: opt.Strata, Workers: opt.Workers,
 			})
 			approx, err := eng.EvalApprox(c.Query)
@@ -194,6 +288,12 @@ func Run(baseSeed int64, opt Options) (Report, error) {
 				return rep, fmt.Errorf("%s: estimation: %w", c.Name, err)
 			}
 			rep.Sampled += approx.Stats.EstimatorTrials
+			if c.Oracle != nil {
+				if err := rep.decisions(c, opt.Eps, approx); err != nil {
+					return rep, err
+				}
+				continue
+			}
 			want := confByKey(urel.Poss(exact.Rel), "P")
 			got := confByKey(urel.Poss(approx.Rel), "P")
 			for key, w := range want {
@@ -216,6 +316,70 @@ func Run(baseSeed int64, opt Options) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// decisions checks a σ̂ case's output keys against its exact oracle.
+func (rep *Report) decisions(c Case, eps0 float64, approx *core.Result) error {
+	exact, err := algebra.NewURelEvaluator(c.DB).Eval(c.Oracle)
+	if err != nil {
+		return fmt.Errorf("%s: exact oracle: %w", c.Name, err)
+	}
+	rep.ShatRuns++
+	if n := approx.Stats.Restarts; n > 0 {
+		rep.Rewalks += n
+		if rep.Rewalked == nil {
+			rep.Rewalked = map[string]int{}
+		}
+		rep.Rewalked[c.Name]++
+	}
+	var keys []string
+	for _, a := range approx.Rel.Schema() {
+		if !isPCol(a) {
+			keys = append(keys, a)
+		}
+	}
+	present := map[string]bool{}
+	out := urel.Poss(approx.Rel)
+	for _, tp := range out.Tuples() {
+		present[keyOf(out.Schema(), keys, tp)] = true
+	}
+	oracle := urel.Poss(exact.Rel)
+	best := map[string]float64{}
+	pi := oracle.Schema().Index("P")
+	for _, tp := range oracle.Tuples() {
+		key := keyOf(oracle.Schema(), keys, tp)
+		best[key] = max(best[key], tp[pi].AsFloat())
+	}
+	for key, p := range best {
+		switch {
+		case p >= c.Tau/(1-eps0):
+			rep.Decided++
+			if !present[key] {
+				rep.WrongDecisions++
+			}
+		case p <= c.Tau/(1+eps0):
+			rep.Decided++
+			if present[key] {
+				rep.WrongDecisions++
+			}
+		}
+	}
+	return nil
+}
+
+// isPCol reports whether a is a confidence column: conf's P or σ̂'s P1, P2, ….
+func isPCol(a string) bool {
+	return a == "P" || len(a) > 1 && a[0] == 'P' && strings.Trim(a[1:], "0123456789") == ""
+}
+
+// keyOf renders tp's values of the keys columns.
+func keyOf(schema rel.Schema, keys []string, tp rel.Tuple) string {
+	var sb strings.Builder
+	for _, k := range keys {
+		sb.WriteString(tp[schema.Index(k)].String())
+		sb.WriteByte('|')
+	}
+	return sb.String()
 }
 
 // confByKey indexes a complete conf relation by its non-P columns.

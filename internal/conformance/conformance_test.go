@@ -27,6 +27,13 @@ func TestConformanceQuick(t *testing.T) {
 					t.Logf("violation: %s", v)
 				}
 			}
+			if rep.Decided == 0 {
+				t.Error("no σ̂ case decided a tuple clearly")
+			}
+			if rate := rep.DecisionErrorRate(); rate > opt.Delta {
+				t.Errorf("σ̂ decided %d of %d clear tuples wrongly: %.4f > δ = %.4f",
+					rep.WrongDecisions, rep.Decided, rate, opt.Delta)
+			}
 		})
 	}
 }
@@ -43,7 +50,8 @@ func TestConformanceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Checks != b.Checks || a.Sampled != b.Sampled || len(a.Violations) != len(b.Violations) {
+	if a.Checks != b.Checks || a.Sampled != b.Sampled || len(a.Violations) != len(b.Violations) ||
+		a.WrongDecisions != b.WrongDecisions || a.Rewalks != b.Rewalks {
 		t.Errorf("two identical sweeps diverged: %+v vs %+v", a, b)
 	}
 }
