@@ -36,8 +36,14 @@ func Proposition66Bound(k, d, n int, eps0 float64, l int64) float64 {
 }
 
 // RoundsForProposition66 returns the l that pushes the Proposition 6.6
-// bound below delta: l ≥ 3·ln(2·k·d·n^{k·d}/δ)/ε₀² (Theorem 6.7's l₀).
+// bound below delta: l ≥ 3·ln(2·k·d·n^{k·d}/δ)/ε₀² (Theorem 6.7's l₀). The
+// logarithm is taken term by term, as ln(2kd/δ) + k·d·ln n, so n^{k·d}
+// never overflows, and an l beyond int64 saturates at math.MaxInt64.
 func RoundsForProposition66(k, d, n int, eps0, delta float64) int64 {
-	inner := 2 * float64(k) * float64(d) * math.Pow(float64(n), float64(k*d)) / delta
-	return int64(math.Ceil(3 * math.Log(inner) / (eps0 * eps0)))
+	logInner := math.Log(2*float64(k)*float64(d)/delta) + float64(k)*float64(d)*math.Log(float64(n))
+	l := math.Ceil(3 * logInner / (eps0 * eps0))
+	if l >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(l)
 }

@@ -48,3 +48,35 @@ func TestProposition66Bound(t *testing.T) {
 		t.Errorf("bound after l₀ rounds = %v > δ", got)
 	}
 }
+
+// Theorem 6.7's l₀ stays positive and grows with k, d, n and 1/ε₀ where
+// n^{k·d} or the final l leaves float64 or int64 range: it saturates at
+// math.MaxInt64 instead of wrapping to a negative count.
+func TestRoundsForProposition66Saturates(t *testing.T) {
+	type args struct {
+		k, d, n int
+		eps0    float64
+	}
+	cases := []args{
+		{2, 30, 1_000_000, 0.1}, // n^{k·d} = +Inf
+		{4, 20, 10_000, 0.1},    // n^{k·d} = +Inf
+		{1, 1, 100, 1e-9},       // l beyond int64
+		{1, 1, 100, 0.1},
+	}
+	if got := RoundsForProposition66(1, 1, 100, 1e-9, 0.1); got != math.MaxInt64 {
+		t.Errorf("ε₀ = 1e-9 over 100 cells: l₀ = %d, want saturation at %d", got, int64(math.MaxInt64))
+	}
+	for _, a := range cases {
+		l := RoundsForProposition66(a.k, a.d, a.n, a.eps0, 0.1)
+		if l <= 0 {
+			t.Errorf("%+v: l₀ = %d, want positive", a, l)
+		}
+		// Raising any one argument (or 1/ε₀) never lowers l₀.
+		for _, b := range []args{{a.k + 1, a.d, a.n, a.eps0}, {a.k, a.d + 1, a.n, a.eps0},
+			{a.k, a.d, 10 * a.n, a.eps0}, {a.k, a.d, a.n, a.eps0 / 10}} {
+			if lb := RoundsForProposition66(b.k, b.d, b.n, b.eps0, 0.1); lb < l {
+				t.Errorf("%+v: l₀ = %d, below %d at %+v", b, lb, l, a)
+			}
+		}
+	}
+}
