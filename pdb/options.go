@@ -81,18 +81,6 @@ func WithConfBudget(eps, delta float64) Option {
 	}}
 }
 
-// WithInitialRounds sets the starting round budget l of the doubling loop.
-// Must be positive. Default 1.
-func WithInitialRounds(l int64) Option {
-	return Option{func(o *core.Options) error {
-		if l <= 0 {
-			return optionErr("WithInitialRounds", l, "initial rounds must be positive")
-		}
-		o.InitialRounds = l
-		return nil
-	}}
-}
-
 // WithMaxRounds caps the round budget. Must be positive; when unset the
 // engine derives the Theorem 6.7 bound l₀ from the query and database, so
 // termination in polynomial time is guaranteed either way.

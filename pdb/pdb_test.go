@@ -139,8 +139,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithDelta above one", WithDelta(1.5)},
 		{"WithConfBudget bad eps", WithConfBudget(0, 0.1)},
 		{"WithConfBudget bad delta", WithConfBudget(0.1, -1)},
-		{"WithInitialRounds zero", WithInitialRounds(0)},
-		{"WithInitialRounds negative", WithInitialRounds(-5)},
 		{"WithMaxRounds negative", WithMaxRounds(-1)},
 		{"WithWorkers negative", WithWorkers(-2)},
 		{"WithProgress nil", WithProgress(nil)},
