@@ -31,9 +31,8 @@ type Estimators interface {
 	// engine memo keeps them under it (confP). It must be comparable.
 	ConfKey() any
 	// Replay counts a kept conf batch — kept is what its Estimates' Kept
-	// returned — as estimating it again would, and returns what refining it
-	// on a later pass counts (Estimates.Refine).
-	Replay(kept any) (refine func() error)
+	// returned — as estimating it again would.
+	Replay(kept any)
 }
 
 // Estimates are one batch's confidences, addressed by (argument, position
@@ -47,9 +46,11 @@ type Estimates interface {
 	// results add the decision's Σᵢ δᵢ(ε) and its own singularity. Negative
 	// decisions carry a bound too, which is the implementation's to track.
 	Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (keep bool, outMu float64, outSingular bool)
-	// Refine spends a batch the walker kept (see replay) again on a later
-	// pass of the same plan, at that pass's budgets.
-	Refine() error
+	// Round closes one round of a σ̂ batch, after Decide has seen every
+	// combination: it reports whether another round is due and, when one
+	// is, has refined the estimates the open decisions read, so the walker
+	// decides every combination again (approxSelect).
+	Round() (again bool, err error)
 	// Kept returns what Replay needs to count this conf batch again, or
 	// false when its P values may not be kept for a later walk.
 	Kept() (kept any, ok bool)
@@ -64,7 +65,7 @@ type exactEstimators struct{ pool *sched.Pool }
 // ConfKey is nil: exact P depends on the lineage alone.
 func (exactEstimators) ConfKey() any { return nil }
 
-func (exactEstimators) Replay(any) func() error { return func() error { return nil } }
+func (exactEstimators) Replay(any) {}
 
 func (x exactEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], _ bool) (Estimates, error) {
 	est := &exactEstimates{p: make([][]float64, len(args)), x: make([]float64, len(args))}
@@ -97,7 +98,7 @@ func (e *exactEstimates) Decide(pred predapprox.Pred, combo []int, mu float64, s
 	return pred.Eval(e.x), mu, singular
 }
 
-func (e *exactEstimates) Refine() error { return nil }
+func (e *exactEstimates) Round() (bool, error) { return false, nil }
 
 func (e *exactEstimates) Kept() (any, bool) { return nil, true }
 
@@ -122,9 +123,6 @@ func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tu
 		}
 	}
 	est, err := e.est.Estimate(e.db.Vars, args, decide)
-	if err == nil && e.rec != nil {
-		e.rec.batches = append(e.rec.batches, est)
-	}
 	return rows, est, err
 }
 
@@ -167,15 +165,10 @@ func withColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int)
 // naturally through Exec.Join (a hash join — counted, and charged to the
 // memory budget), each carrying its position in place of its P value so a
 // combination can be handed to Estimates.Decide; combinations are decided
-// in join order, which is argument-0-major lineage order. Over a replayed
-// input only the decisions depend on the round budget: the input node's
-// kept entry keeps the rest, and a later pass decides again over the kept
-// join.
+// in join order, which is argument-0-major lineage order, once per round of
+// the batch (Estimates.Round): only the decisions change between rounds,
+// so the join is built once and the operators above see one result.
 func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (URelResult, error) {
-	kept := n.l.kept // set when n.l was just replayed
-	if kept != nil && kept.shat != nil {
-		return kept.shat()
-	}
 	schema, k := n.schema, len(q.Args)
 	projs := make([]*urel.Relation, k)
 	prov := make([]*Bounds, k)
@@ -210,12 +203,9 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 		src[c] = joined.Schema().Index(attr)
 	}
 	pos := src[len(src)-k:]
-	decide := func() (URelResult, error) {
-		if e.exec.Ensure(joined); e.exec.Err() != nil { // a later pass may find it shed
-			return URelResult{}, e.exec.Err()
-		}
+	combo := make([]int, k)
+	for {
 		out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds()}
-		combo := make([]int, k)
 		for _, ut := range joined.Tuples() {
 			for a, j := range pos {
 				combo[a] = int(ut.Row[j].AsInt())
@@ -237,10 +227,12 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 				out.Bounds.set(row, mu, singular)
 			}
 		}
-		return out, nil
+		again, err := est.Round()
+		if err == nil && again {
+			err = e.check()
+		}
+		if err != nil || !again {
+			return out, err
+		}
 	}
-	if kept != nil {
-		kept.batches, kept.shat = append(kept.batches, est), decide
-	}
-	return decide()
 }

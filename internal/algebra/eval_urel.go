@@ -75,20 +75,8 @@ type URelEvaluator struct {
 	// WithEstimators).
 	est           Estimators
 	estConcurrent bool
-	// plan is the evaluation's compiled plan, whose nodes keep the σ̂-free
-	// sub-plans' entries (see replay); rec is the entry being recorded.
-	plan *node
-	rec  *prefixEntry
 	// shared is the engine's memo (see WithMemo).
 	shared *SubplanMemo
-}
-
-// prefixEntry is a recorded sub-plan's result, the batches replay refines
-// (those inside it, then a σ̂ reader's) and that σ̂'s decision loop.
-type prefixEntry struct {
-	res     URelResult
-	batches []Estimates
-	shat    func() (URelResult, error)
 }
 
 // NewURelEvaluator clones db and returns a sequential evaluator over the
@@ -180,16 +168,8 @@ func (e *URelEvaluator) EvalContext(ctx context.Context, q Query) (URelResult, e
 	}
 	e.ctrs = urel.NewCounters()
 	e.exec = urel.NewExec(e.pool, e.ctrs).WithBudget(e.mem).WithSpill(e.spill)
-	e.plan = plan
-	return e.Rerun(ctx)
-}
-
-// Rerun evaluates the last EvalContext call's plan again — a doubling
-// loop's next pass: the Exec (spill registry, Ops) carries over and, under
-// sampling Estimators, the σ̂-free sub-plans replay (see replay).
-func (e *URelEvaluator) Rerun(ctx context.Context) (URelResult, error) {
 	e.ctx = ctx
-	res, err := e.eval(e.plan)
+	res, err := e.eval(plan)
 	if err != nil {
 		return res, err
 	}
@@ -214,9 +194,6 @@ func (e *URelEvaluator) Rerun(ctx context.Context) (URelResult, error) {
 // computation, a sampled conf's estimation budget) consumes the partial
 // output. The node itself goes through the engine's memo (walkMemo).
 func (e *URelEvaluator) eval(n *node) (URelResult, error) {
-	if !e.estConcurrent && e.rec == nil && n.facts&holdsShat == 0 {
-		return e.replay(n)
-	}
 	if err := e.check(); err != nil {
 		return URelResult{}, err
 	}
@@ -228,28 +205,6 @@ func (e *URelEvaluator) eval(n *node) (URelResult, error) {
 		return URelResult{}, err
 	}
 	return res, nil
-}
-
-// replay evaluates a maximal σ̂-free sub-plan n once per evaluation and
-// keeps the entry on n; later passes answer n from it and refine its
-// batches. Its result does not depend on the round budget (repair-key
-// cannot read a σ̂ result; a let-bound one must be reliable, hence exact),
-// so repair-key numbering, the variable table and every relation stay the
-// first pass's.
-func (e *URelEvaluator) replay(n *node) (res URelResult, err error) {
-	if p := n.kept; p != nil {
-		for i := 0; i < len(p.batches) && err == nil; i++ {
-			err = p.batches[i].Refine()
-		}
-		return p.res, err
-	}
-	p := &prefixEntry{}
-	e.rec = p
-	p.res, err = e.eval(n)
-	if e.rec = nil; err == nil {
-		n.kept = p
-	}
-	return p.res, err
 }
 
 // check is the cooperative check between operators: cancellation, spill

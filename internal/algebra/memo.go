@@ -260,11 +260,8 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, Estimates, error) {
 	if kp, ok := e.shared.conf(p, key, e.mem); ok {
 		e.ctrs.Add(p.rowOps)
 		e.mem.Add(p.rowBytes)
-		est := keptEstimates{p: kp.p, refine: e.est.Replay(kp.kept)}
-		if e.rec != nil {
-			e.rec.batches = append(e.rec.batches, est)
-		}
-		return p.rows, est, nil
+		e.est.Replay(kp.kept)
+		return p.rows, keptEstimates{p: kp.p}, nil
 	}
 	w := *e
 	w.ctrs = urel.NewCounters()
@@ -285,15 +282,12 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, Estimates, error) {
 	return rows[0], est, nil
 }
 
-// keptEstimates is a conf batch the memo answered: its P values, and what
-// refining it counts (Estimators.Replay). It is never asked to Decide or
-// for Kept, which the nil Estimates it embeds would fail.
+// keptEstimates is a conf batch the memo answered: its P values. It is
+// never asked to Decide, for a Round or for Kept, which the nil Estimates
+// it embeds would fail.
 type keptEstimates struct {
 	Estimates
-	p      []float64
-	refine func() error
+	p []float64
 }
 
 func (k keptEstimates) P(_, i int) float64 { return k.p[i] }
-
-func (k keptEstimates) Refine() error { return k.refine() }

@@ -10,23 +10,21 @@ import (
 	"repro/internal/urel"
 )
 
-// node is one plan node as compile annotates it: the node's output schema,
-// the facts of its subtree and, once the walker has recorded it, the
-// sub-plan's kept entry (replay). l and r are the inputs in Children order:
+// node is one plan node as compile annotates it: the node's output schema
+// and the facts of its subtree. l and r are the inputs in Children order:
 // In; L and R; a let's Def and In.
 type node struct {
 	q      Query
 	l, r   *node
 	schema rel.Schema
 	facts  facts
-	kept   *prefixEntry
 }
 
 // facts are what the walker needs to know of a subtree before it runs it.
 type facts uint8
 
 const (
-	holdsShat  facts = 1 << iota // a σ̂: the result may change with the round budget
+	holdsShat  facts = 1 << iota // a σ̂: the result is unreliable, so no repair-key may read it
 	holdsEst                     // a conf or σ̂: the Estimators run
 	holdsWrite                   // a repair-key or let: writes state the walk shares
 	closed                       // reads only database relations and lets bound inside it

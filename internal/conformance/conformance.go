@@ -31,11 +31,10 @@ type Case struct {
 	Name  string
 	DB    *urel.Database
 	Query algebra.Query
-	// Oracle, set on a σ̂ case, is the exact conf query whose P decides
-	// membership in Query's output at threshold Tau. A key of the output —
-	// its columns without the P ones — belongs there when the largest P
-	// among the oracle tuples projecting onto it is ≥ Tau: a projection
-	// above σ̂ keeps a merged tuple when any of its parts passes.
+	// Oracle, on a σ̂ case, is the exact conf query whose P decides
+	// membership in Query's output at threshold Tau: a tuple of the output
+	// belongs there when the largest P of the oracle tuples projecting onto
+	// it is ≥ Tau (a projection keeps a merged tuple when any part passes).
 	Oracle algebra.Query
 	Tau    float64
 }
@@ -85,52 +84,43 @@ func Corpus(seed int64) []Case {
 				Targets: []expr.Target{expr.Keep("Sensor")},
 			}},
 		},
-		shatCase("shat/sensors", hot, 0.6,
-			`aselect[p1 >= 0.6 over conf[Sensor]](project[Sensor](join(H, N)))`,
-			`conf(project[Sensor](join(H, N)))`),
-		// The outer σ̂ reads the inner one's output, joined back to the hot
-		// readings, one tuple per reading: no fan-in.
-		shatCase("shat/nested", hot, 0.5,
-			`aselect[p1 >= 0.5 over conf[Sensor, Epoch]](join(project[Sensor](`+hotSensors+`), H))`,
-			`conf(join(project[Sensor](`+hotSensors+`), H))`),
-		// Example 6.5's fan-in: every sensor's epochs merge into one tuple.
-		shatCase("shat/fanin", hot, 0.3,
-			`project[Sensor](aselect[p1 >= 0.3 over conf[Sensor, Epoch]](`+hotPairs+`))`,
+		shatCase("shat/sensors", hot, 0.6, `project[Sensor](aselect[p1 >= 0.6 over conf[Sensor]](`+hotSensors+`))`,
+			`conf(`+hotSensors+`)`),
+		// The outer σ̂ reads the inner one's output joined back to H, one
+		// tuple per reading: no fan-in.
+		shatCase("shat/nested", hot, 0.5, `project[Sensor, Epoch](aselect[p1 >= 0.5 over conf[Sensor, Epoch]](`+
+			`join(project[Sensor](aselect[p1 >= 0.05 over conf[Sensor]](`+hotSensors+`)), H)))`,
+			`conf(join(project[Sensor](aselect[p1 >= 0.05 over conf[Sensor]](`+hotSensors+`)), H))`),
+		// Example 6.5's fan-in: each sensor's hot epochs with a hot neighbour
+		// merge into one tuple.
+		shatCase("shat/fanin", hot, 0.3, `project[Sensor](aselect[p1 >= 0.3 over conf[Sensor, Epoch]](`+hotPairs+`))`,
 			`conf(`+hotPairs+`)`),
-		shatCase("shat/conf", hot, 0.6,
-			`conf(aselect[p1 >= 0.6 over conf[Sensor]](project[Sensor](join(H, N))))`,
-			`conf(project[Sensor](join(H, N)))`),
+		shatCase("shat/conf", hot, 0.6, `project[Sensor](conf(aselect[p1 >= 0.6 over conf[Sensor]](`+hotSensors+`)))`,
+			`conf(`+hotSensors+`)`),
 	}
 }
 
 // hotEpochs binds H, the sensors' hot epochs after repair-key picks one
 // reading per (sensor, epoch), and N and M, H shifted one epoch back and
-// forward: join(H, N) pairs consecutive hot epochs, so the lineage of a
-// sensor chains its readings' variables and does not factor.
+// forward; hotSensors pairs consecutive hot epochs, so a sensor's lineage
+// chains its readings' variables and does not factor.
 const (
 	hotEpochs = `D := project[Sensor, Epoch, Value](repairkey[Sensor, Epoch @ Conf](Readings));
-H := project[Sensor, Epoch](select[Value >= 25](D));
-N := project[Sensor, Epoch - 1 as Epoch](H);
-M := project[Sensor, Epoch + 1 as Epoch](H);
-`
-	// hotSensors keeps the sensors almost surely hot twice in a row.
-	hotSensors = `aselect[p1 >= 0.05 over conf[Sensor]](project[Sensor](join(H, N)))`
-	// hotPairs is every hot epoch with a hot neighbour: two clauses each.
-	hotPairs = `union(join(H, N), join(H, M))`
+H := project[Sensor, Epoch](select[Value >= 25](D)); N := project[Sensor, Epoch - 1 as Epoch](H);
+M := project[Sensor, Epoch + 1 as Epoch](H); `
+	hotSensors = `project[Sensor](join(H, N))`
+	hotPairs   = `union(join(H, N), join(H, M))`
 )
 
-// shatCase is a σ̂ case over the hot-epoch readings: the hotEpochs program
-// followed by query, and by oracle as its Oracle.
+// shatCase is a σ̂ case over the hot readings, the hotEpochs program before
+// query and oracle; query's columns are the ones the oracle decides.
 func shatCase(name string, db *urel.Database, tau float64, query, oracle string) Case {
-	return Case{Name: name, DB: db, Query: mustParse(hotEpochs + query), Oracle: mustParse(hotEpochs + oracle), Tau: tau}
-}
-
-func mustParse(src string) algebra.Query {
-	q, err := parser.Parse(src)
-	if err != nil {
-		panic(err)
+	q, err := parser.Parse(hotEpochs + query)
+	o, err2 := parser.Parse(hotEpochs + oracle)
+	if err != nil || err2 != nil {
+		panic(fmt.Sprint(err, err2))
 	}
-	return q
+	return Case{Name: name, DB: db, Query: q, Oracle: o, Tau: tau}
 }
 
 // hotReadings builds Readings(Sensor, Epoch, Value, Conf): a hot (30) and a
@@ -237,23 +227,11 @@ type Report struct {
 	Checks     int
 	Sampled    int64 // trials drawn across the sweep — 0 means nothing exercised sampling
 	Violations []Violation
-	// Decided counts the σ̂ output keys the oracle decides clearly — P ≥
+	// Decided counts the σ̂ output tuples the oracle decides clearly — P ≥
 	// τ/(1−ε₀) present, P ≤ τ/(1+ε₀) absent — and WrongDecisions those the
-	// engine decided otherwise.
-	Decided, WrongDecisions int
-	// ShatRuns counts σ̂ case evaluations; Rewalks sums their
-	// Stats.Restarts, and Rewalked counts the evaluations with any by case.
-	ShatRuns, Rewalks int
-	Rewalked          map[string]int
-}
-
-// DecisionErrorRate returns the share of clearly decided σ̂ keys decided
-// wrongly. The engine conforms when it is ≤ δ.
-func (r Report) DecisionErrorRate() float64 {
-	if r.Decided == 0 {
-		return 0
-	}
-	return float64(r.WrongDecisions) / float64(r.Decided)
+	// engine decided otherwise; the engine conforms when they are at most a
+	// δ fraction. Rewalks sums the σ̂ cases' Stats.Restarts.
+	Decided, WrongDecisions, Rewalks int
 }
 
 // Coverage returns the empirical fraction of checks inside the bound.
@@ -318,68 +296,33 @@ func Run(baseSeed int64, opt Options) (Report, error) {
 	return rep, nil
 }
 
-// decisions checks a σ̂ case's output keys against its exact oracle.
+// decisions checks a σ̂ case's output against its exact oracle.
 func (rep *Report) decisions(c Case, eps0 float64, approx *core.Result) error {
 	exact, err := algebra.NewURelEvaluator(c.DB).Eval(c.Oracle)
 	if err != nil {
 		return fmt.Errorf("%s: exact oracle: %w", c.Name, err)
 	}
-	rep.ShatRuns++
-	if n := approx.Stats.Restarts; n > 0 {
-		rep.Rewalks += n
-		if rep.Rewalked == nil {
-			rep.Rewalked = map[string]int{}
-		}
-		rep.Rewalked[c.Name]++
-	}
-	var keys []string
-	for _, a := range approx.Rel.Schema() {
-		if !isPCol(a) {
-			keys = append(keys, a)
-		}
-	}
+	rep.Rewalks += approx.Stats.Restarts
+	keys := approx.Rel.Schema()
 	present := map[string]bool{}
-	out := urel.Poss(approx.Rel)
-	for _, tp := range out.Tuples() {
-		present[keyOf(out.Schema(), keys, tp)] = true
+	for _, tp := range urel.Poss(approx.Rel).Tuples() {
+		present[tp.String()] = true
 	}
-	oracle := urel.Poss(exact.Rel)
 	best := map[string]float64{}
-	pi := oracle.Schema().Index("P")
-	for _, tp := range oracle.Tuples() {
-		key := keyOf(oracle.Schema(), keys, tp)
-		best[key] = max(best[key], tp[pi].AsFloat())
+	oracle := urel.Poss(exact.Rel)
+	for _, tp := range oracle.Project(append(keys.Clone(), "P")...).Tuples() {
+		key := tp[:len(keys)].String()
+		best[key] = max(best[key], tp[len(keys)].AsFloat())
 	}
 	for key, p := range best {
-		switch {
-		case p >= c.Tau/(1-eps0):
+		if clear := p >= c.Tau/(1-eps0) || p <= c.Tau/(1+eps0); clear {
 			rep.Decided++
-			if !present[key] {
-				rep.WrongDecisions++
-			}
-		case p <= c.Tau/(1+eps0):
-			rep.Decided++
-			if present[key] {
+			if present[key] != (p >= c.Tau) {
 				rep.WrongDecisions++
 			}
 		}
 	}
 	return nil
-}
-
-// isPCol reports whether a is a confidence column: conf's P or σ̂'s P1, P2, ….
-func isPCol(a string) bool {
-	return a == "P" || len(a) > 1 && a[0] == 'P' && strings.Trim(a[1:], "0123456789") == ""
-}
-
-// keyOf renders tp's values of the keys columns.
-func keyOf(schema rel.Schema, keys []string, tp rel.Tuple) string {
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(tp[schema.Index(k)].String())
-		sb.WriteByte('|')
-	}
-	return sb.String()
 }
 
 // confByKey indexes a complete conf relation by its non-P columns.

@@ -13,12 +13,10 @@ import (
 
 // Estimate is the sampling algebra.Estimators. Every lineage group becomes
 // a confValue: exact, or bound to a Karp–Luby task keyed by its lineage
-// content — so its PRNG streams, and hence its estimate, depend only on
-// Options.Seed, never on the worker count or on other tuples, and groups
-// sharing a clause set (in this batch, elsewhere in the plan, or in an
-// earlier query against a shared engine cache) share one estimation. One
-// runEstimates call spends the whole batch's budgets, so the scheduler
-// keeps every worker busy across argument boundaries.
+// content — so its estimate depends only on Options.Seed, never on the
+// worker count or on other tuples, and groups sharing a clause set share
+// one estimation. One runEstimates call spends the whole batch's budgets,
+// so the scheduler keeps every worker busy across argument boundaries.
 //
 // A conf batch (Corollary 4.3) gives each task the paper's Chernoff budget
 // on the flat estimator, the singleton shortcut always on. With
@@ -27,49 +25,41 @@ import (
 // same budget).
 //
 // A σ̂ batch (Definition 6.2) follows the balanced refinement scheme of the
-// end of Section 5: run.rounds rounds of |F| trials per task, stratified
-// under Options.Strata.
+// end of Section 5: l rounds of |F| trials per task, stratified under
+// Options.Strata, starting at Options.InitialRounds and doubled by Round.
 func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (algebra.Estimates, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
 	tgt := target{adaptive: opts.Strata > 0, eps: eps, delta: delta}
+	est := &estimates{run: run, cvs: make([][]*confValue, len(args)), rounds: max(opts.InitialRounds, 1)}
 	if decide {
-		budget = func(clauses int) int64 { return run.rounds * int64(clauses) }
+		budget = func(clauses int) int64 { return roundBudget(est.rounds, clauses) }
 		tgt = target{}
 	}
 	run.table = table
 	run.batch = make(map[contentKey]*task)
-	est := &estimates{run: run, cvs: make([][]*confValue, len(args))}
 	before := *run.stats
-	var tasks []*task
 	for a, groups := range args {
 		for f := range groups {
-			cv, t, err := run.newTask(f, budget, opts.Strata)
+			cv, t, err := run.newTask(f, budget, opts.Strata, decide)
 			if err != nil {
 				return nil, err
 			}
 			if t != nil {
-				tasks = append(tasks, t)
+				est.tasks = append(est.tasks, t)
 			}
 			est.cvs[a] = append(est.cvs[a], cv)
 		}
 	}
-	factored := run.stats.ExactFactored - before.ExactFactored
-	// A kept batch's later pass: every task starts over where resume leaves
-	// it — where a cache round trip leaves a rebuilt one — and is raised to
-	// its budget at the pass's rounds, counting into Stats as a rebuild would.
-	est.refine = func() error {
-		run.stats.ExactFactored += factored
-		for _, t := range tasks {
-			run.resume(t, budget(t.est.ClauseCount()))
-		}
-		return run.runEstimates(tasks, tgt)
-	}
-	if err := run.runEstimates(tasks, tgt); err != nil {
+	if err := run.runEstimates(est.tasks, tgt); err != nil {
 		return nil, err
 	}
-	if !decide && run.stats.EstimatorTrials == before.EstimatorTrials {
+	if decide {
+		return est, nil
+	}
+	run.publish(est.tasks)
+	if run.stats.EstimatorTrials == before.EstimatorTrials {
 		var d [5]int64
 		for i, f := range run.stats.replayed() {
 			d[i] = *f - *before.replayed()[i]
@@ -79,20 +69,89 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	return est, nil
 }
 
-// estimates is one batch's confValues, by argument and lineage position.
-// kept is a conf batch's replayed counts when it sampled nothing.
+// roundBudget is l rounds of |F| trials, saturated at math.MaxInt64.
+func roundBudget(l int64, clauses int) int64 {
+	if l > math.MaxInt64/int64(clauses) {
+		return math.MaxInt64
+	}
+	return l * int64(clauses)
+}
+
+// estimates is one batch's confValues, by argument and lineage position,
+// and its tasks. kept is a conf batch's replayed counts when it sampled
+// nothing. A σ̂ batch also keeps its round l and what the current round's
+// decisions counted: decisions, singular drops and the worst non-singular
+// bound.
 type estimates struct {
 	run    *evalRun
 	cvs    [][]*confValue
-	refine func() error
+	tasks  []*task
 	kept   any
+	rounds int64
+
+	decisions, drops int
+	worst            float64
 }
 
 func (e *estimates) P(arg, i int) float64 { return e.cvs[arg][i].estimate() }
 
-func (e *estimates) Refine() error { return e.refine() }
-
 func (e *estimates) Kept() (any, bool) { return e.kept, e.kept != nil }
+
+// Round is Figure 3's doubling loop, run inside one σ̂ batch instead of
+// around the plan: once every combination is decided at l rounds, the
+// tasks feeding a decision still above its share of δ go on to 2l rounds,
+// in memory, and the walker decides again; a batch with no such task, or
+// at the l₀ cap, is final.
+//
+// The share is s = δ/d for the plan's d σ̂ operators (theorem67Cap counts
+// them), halved on each root re-walk. By Lemma 6.4(2) a decision's bound is
+// Σᵢ δᵢ(ε) — the chance that one of its estimates misses its relative ε,
+// the only way a decision with margin ≥ ε₀ goes wrong (Definition 6.2) —
+// plus mu, which selectBound hands the σ̂: the bounds of the decisions below
+// it in its argument tuples' provenance. Only the first term depends on
+// this batch's l, so a decision stays open while Σᵢ δᵢ(ε) > s. The union
+// bound over the decisions in a result tuple's provenance (which the
+// walker's bounds sum) then gives µ ≤ d·s = δ to every tuple whose
+// provenance holds at most one decision per σ̂ — at any nesting, since mu
+// is at most the lower σ̂s' shares. A projection (Example 6.5's fan-in) or
+// σ̂ argument that merges tuples sums several decisions of one σ̂ instead,
+// so EvalApproxContext checks the root's worst bound against δ and re-walks
+// with halved shares when it exceeds it. Nothing beyond the union bound is
+// used: each δᵢ(ε) is its estimate's own Chernoff or empirical-Bernstein
+// bound at the trials it holds.
+//
+// A decision with margin below ε₀ is flagged singular; its δᵢ(ε₀) still
+// shrinks with l, so it stays open until it clears s or its σ̂ reaches l₀.
+// A task shared by content doubles while any decision reading it is open.
+// Cancellation and the trial limit stop a round between chunks, and the
+// walker checks the memory limit before deciding again.
+func (e *estimates) Round() (bool, error) {
+	run := e.run
+	var open []*task
+	for _, t := range e.tasks {
+		if t.open {
+			open = append(open, t)
+			t.open = false
+		}
+	}
+	run.progress(e.rounds, e.worst, e.decisions, false)
+	if len(open) == 0 || e.rounds >= run.maxRounds {
+		st := run.stats
+		st.Decisions += e.decisions
+		st.SingularDrops += e.drops
+		st.FinalRounds = max(st.FinalRounds, e.rounds)
+		run.worstDecision = max(run.worstDecision, e.worst)
+		run.slack = run.slack || len(e.tasks) > 0 && e.rounds < run.maxRounds
+		run.publish(e.tasks)
+		return false, nil
+	}
+	e.rounds = min(2*e.rounds, run.maxRounds)
+	e.decisions, e.drops, e.worst = 0, 0, 0
+	for _, t := range open {
+		t.budget = roundBudget(e.rounds, t.est.ClauseCount())
+	}
+	return true, run.runEstimates(open, target{})
+}
 
 // confKey is what fixes a conf batch's P values beside its lineage: the
 // seed, the Chernoff budget's ε and δ, and the strata bound. Workers, the
@@ -115,17 +174,20 @@ func (st *Stats) replayed() [5]*int64 {
 	return [5]*int64{&st.ReusedTrials, &st.CacheHits, &st.Strata, &st.EarlyStops, &st.ExactFactored}
 }
 
-// Replay counts a kept conf batch again, and so does each later pass's
-// refine, as a cache round trip would.
-func (run *evalRun) Replay(kept any) func() error {
-	refine := func() error {
-		for i, f := range run.stats.replayed() {
-			*f += kept.([5]int64)[i]
-		}
-		return nil
+// progress reports to Options.Progress, when set.
+func (run *evalRun) progress(rounds int64, worst float64, decisions int, done bool) {
+	if fn := run.engine.opts.Progress; fn != nil {
+		st := run.stats
+		fn(Progress{Restart: st.Restarts, Rounds: rounds, MaxRounds: run.maxRounds, WorstBound: worst,
+			SampledTrials: st.EstimatorTrials, ReusedTrials: st.ReusedTrials, Decisions: decisions, Done: done})
 	}
-	refine()
-	return refine
+}
+
+// Replay counts a kept conf batch again, as a cache round trip would.
+func (run *evalRun) Replay(kept any) {
+	for i, f := range run.stats.replayed() {
+		*f += kept.([5]int64)[i]
+	}
 }
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
@@ -174,12 +236,12 @@ func (cv *confValue) delta(eps float64) float64 {
 // Decide decides the σ̂ predicate for one combination on the estimates,
 // with ε = max(ε₀, ε_ψ(p̂)) (Definition 6.2), and bounds the decision's
 // error per Lemma 6.4(2): Σᵢ δᵢ(ε) plus the provenance error mu of the
-// combination's argument tuples. Every decision's bound enters the
-// doubling loop's stopping rule, as in Figure 3: a margin below ε₀ only
-// flags the decision singular, it does not exempt it from refinement.
+// combination's argument tuples. Every decision enters Round's stopping
+// rule, as in Figure 3: a margin below ε₀ only flags the decision singular,
+// it does not exempt it from refinement.
 func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singular bool) (bool, float64, bool) {
 	run := e.run
-	run.stats.Decisions++
+	e.decisions++
 	est := make([]float64, len(combo))
 	for a, i := range combo {
 		est[a] = e.cvs[a][i].estimate()
@@ -191,13 +253,20 @@ func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singul
 	for a, i := range combo {
 		decisionErr += e.cvs[a][i].delta(eps)
 	}
+	if decisionErr > run.share {
+		for a, i := range combo {
+			if t := e.cvs[a][i].t; t != nil {
+				t.open = true
+			}
+		}
+	}
 	bound := decisionErr + mu
-	if bound > run.worstDecision {
-		run.worstDecision = bound
+	if !singular {
+		e.worst = max(e.worst, bound)
 	}
 	keep := pred.Eval(est)
 	if !keep && singular {
-		run.stats.SingularDrops++
+		e.drops++
 	}
 	return keep, bound, singular
 }

@@ -17,9 +17,8 @@ import (
 // clause count (hence chunk plan), the same total weight M, and — once the
 // clause order is canonicalized and the PRNG streams are derived from the
 // fingerprint — bit-identical estimates under one engine seed. That makes
-// cached state reusable across restarts, across Eval calls, and across
-// *different* queries that share lineage, with results indistinguishable
-// from a cold run.
+// cached state reusable across operators, across Eval calls, and across
+// *different* queries that share lineage.
 //
 // Variable identity. Clause fingerprints cannot use raw variable ids:
 // repair-key registers fresh variables per evaluation, so the same id can

@@ -25,15 +25,16 @@ import (
 // key, stratum index, chunk plan index); allocation and stopping decisions
 // are pure functions of the merged integer counts and happen only at wave
 // boundaries, after all of a wave's chunks merged. Results are therefore
-// bit-identical for any worker count and either executor, and a run resumed
-// from cached per-lane snapshots continues exactly the trajectory the
-// interrupted run would have taken.
+// bit-identical for any worker count and either executor, and a task resumed
+// from cached per-lane snapshots continues exactly the trajectory it would
+// have taken. A σ̂ task runs one batch per round (estimates.Round) and
+// continues in memory between them.
 
 // target parameterizes one batch.
 type target struct {
 	// adaptive selects the convergence-driven loop (stratified conf
 	// operators): sample waves until the empirical Delta(eps) ≤ delta or
-	// the budget cap is spent. With adaptive false (flat conf, σ̂ passes),
+	// the budget cap is spent. With adaptive false (flat conf, σ̂ rounds),
 	// exactly the remaining budget is spent.
 	adaptive   bool
 	eps, delta float64
@@ -73,15 +74,14 @@ func (lw *laneWave) chunks(dst []sched.Chunk) []sched.Chunk {
 	return dst
 }
 
-// runEstimates drives every task to its stopping condition, then publishes
-// per-lane snapshots to the run's cache and accounts the batch's trials.
+// runEstimates drives every task to its stopping condition.
 //
 // Cancelling the run's context aborts the batch between chunks and returns
 // ctx.Err(); a tripped sampled-trials limit aborts it with a *LimitError
 // before the over-budget chunk samples; counts a Distributor returns that
 // cannot be the sum of the assigned chunks abort it with a *countsError.
-// An aborted batch publishes nothing, so the cross-run cache only ever
-// holds complete wave boundaries.
+// An aborted batch publishes nothing (publish), so the cross-run cache only
+// ever holds complete wave boundaries.
 func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 	defer func() { run.batch = nil }()
 	ctx := run.ctx
@@ -128,36 +128,38 @@ func (run *evalRun) runEstimates(tasks []*task, tgt target) error {
 			}
 		}
 	}
+	return nil
+}
+
+// publish stores the per-lane snapshots of a batch's tasks, once they have
+// spent their last budget, in the run's cache; the cache drops a snapshot
+// no larger than the one it holds.
+func (run *evalRun) publish(tasks []*task) {
 	for _, t := range tasks {
-		run.stats.EstimatorTrials += t.est.Trials() - t.startTrials
-		run.stats.ReusedTrials += t.startTrials
-		if t.est.Trials() == t.startTrials {
-			continue
-		}
 		for s := range t.lanes {
 			l := &t.lanes[s]
-			hits, trials, open := t.est.StratumHits(s), t.est.StratumTrials(s), l.partial
-			if !t.flat() {
-				// Stratified snapshots are chunk-aligned: the open chunk is
-				// dropped rather than carried as a mid-chunk tail, costing at
-				// most one chunk of re-sampling per stratum per restart.
-				hits, trials, open = hits-open.hits, trials-open.trials, openChunk{}
-			}
-			if trials > 0 {
-				run.cache.store(l.key, t.est.StratumClauses(s), l.chunkSize,
-					trials, hits, open.hits, open.trials, open.rng, run.engine.opts.Seed)
+			if trials := t.est.StratumTrials(s); trials > 0 {
+				run.cache.store(l.key, t.est.StratumClauses(s), l.chunkSize, trials, t.est.StratumHits(s),
+					l.partial.hits, l.partial.trials, run.engine.opts.Seed)
 			}
 		}
 	}
-	return nil
 }
 
 // planWave appends t's share of the next wave. All decisions read merged
 // counts at wave boundaries, so the trajectory — and the exact pass total —
 // is bit-identical for any worker count.
 func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
+	// emit ends lane s full chunks and rem trials past its cursor; the first
+	// skip of them are the open chunk's, drawn by an earlier budget.
 	emit := func(s, full int, rem int64) {
-		wave = append(wave, laneWave{t: t, lane: s, start: t.est.StratumChunks(s), full: full, rem: rem})
+		wave = append(wave, laneWave{t: t, lane: s, start: t.est.StratumChunks(s), full: full, rem: rem,
+			skip: t.lanes[s].partial.trials})
+	}
+	// spend draws n more trials on lane s.
+	spend := func(s int, n int64) {
+		end := t.lanes[s].partial.trials + n
+		emit(s, int(end/t.lanes[s].chunkSize), end%t.lanes[s].chunkSize)
 	}
 	switch {
 	case tgt.adaptive:
@@ -171,36 +173,25 @@ func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
 			}
 		}
 	case len(t.lanes) == 1:
-		// One lane has nothing to allocate: the rest of the budget's chunk
-		// plan in one wave. The chunk at the cursor may already be open —
-		// the previous budget drew its first partial.trials trials — and
-		// then only its remainder is due (see samplePool).
-		l := &t.lanes[0]
-		start := t.est.StratumChunks(0)
-		full := sched.FullChunks(t.budget, l.chunkSize)
-		wave = append(wave, laneWave{t: t, start: start, full: full - start,
-			rem: t.budget - int64(full)*l.chunkSize, skip: l.partial.trials})
+		// One lane has nothing to allocate: the rest of the budget in one
+		// wave.
+		spend(0, t.budget-t.est.Trials())
 	default:
-		// σ̂ fixed-budget passes are variance-aware too: instead of
-		// Neyman-splitting the whole remainder on the (possibly
-		// uniform-prior) θ̂ estimates in one shot, spend it in doubling
-		// waves — each intermediate wave doubles the cumulative spend and
-		// re-allocates on the counts merged so far, so the split sharpens as
-		// variance estimates tighten. Intermediate waves emit whole chunks
-		// only (a partial chunk does not advance the lane's cursor, so
-		// re-allocating at its index would re-sample a prefix of its
-		// stream); the final wave spends exactly the remainder and may end
-		// on one partial chunk per lane. (A probe wave that cannot be tiled
-		// by whole chunks falls back to one chunk, which can overshoot the
-		// pass target by at most one chunk — the sweep then settles the
-		// task.)
+		// σ̂ rounds are variance-aware too: the remainder is spent in
+		// doubling waves, each re-allocating by Neyman on the counts merged
+		// so far, so the split sharpens as variance estimates tighten.
+		// Intermediate waves end lanes on whole chunks; the final wave
+		// spends exactly the remainder and may leave one open chunk per
+		// lane. (A probe wave that cannot be tiled by whole chunks falls
+		// back to one chunk, which can overshoot the round's target by at
+		// most one chunk — the sweep then settles the task.)
 		spent := t.est.Trials()
 		remaining := t.budget - spent
 		probe := max(spent, t.minActiveChunk())
 		if probe >= remaining {
 			for s, a := range t.est.Allocate(remaining) {
 				if a > 0 {
-					emit(s, int(a/t.lanes[s].chunkSize), a%t.lanes[s].chunkSize)
+					spend(s, a)
 				}
 			}
 			break
@@ -272,17 +263,16 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 		if err := run.chargeTrials(u.c.N); err != nil {
 			return err
 		}
-		var rng *rand.Rand
-		drawn := int64(0)
+		rng, drawn := sched.NewRand(sched.ChunkSeed(l.seed, u.c.Index)), int64(0)
 		if lw.skip > 0 && u.c.Index == lw.start {
-			// Mid-chunk continuation: the previous budget already drew the
-			// first skip trials of this chunk's stream; continue the saved
-			// PRNG for the remainder. The drawn sequence is bit-identical to
-			// sampling the whole chunk from its seed, at that many fewer
-			// sampled trials (those counts arrived via the resumed snapshot).
-			rng, drawn = l.partial.rng, lw.skip
-		} else {
-			rng = sched.NewRand(sched.ChunkSeed(l.seed, u.c.Index))
+			// Mid-chunk continuation of the lane's open chunk: continue its
+			// saved PRNG, or re-draw its first skip trials from the seed and
+			// discard them — bit-identical to sampling the chunk whole.
+			if drawn = lw.skip; l.partial.rng != nil {
+				rng = l.partial.rng
+			} else {
+				lw.t.est.Shard(lw.lane, rng).Add(int(drawn))
+			}
 		}
 		sh := lw.t.est.Shard(lw.lane, rng)
 		sh.Add(int(u.c.N))
@@ -291,9 +281,8 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 		rc.Hits += sh.Hits()
 		rc.Trials += u.c.N
 		if drawn+u.c.N < l.chunkSize {
-			// Only a plan's trailing chunk can be undersized; its counts
-			// stay out of the resumable prefix, but travel with their PRNG
-			// so the next run can finish the chunk mid-stream.
+			// Only a plan's trailing chunk can be undersized: it stays
+			// open, its PRNG kept for the next budget.
 			rc.PartialHits += sh.Hits()
 			rc.PartialTrials += u.c.N
 			lw.rng = rng
@@ -311,13 +300,17 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 // RemoteTask per lane, one scatter. The coordinator keeps everything else —
 // exact algebra, factoring, chunk planning, wave allocation, stopping
 // decisions, cache publication — so a remote run takes exactly the
-// trajectory a local run would. The whole wave's assigned trials are
+// trajectory a local run would. A lane's open chunk is re-sampled whole
+// from its seed, and the counts of its first skip trials, which the lane
+// already holds, come off the result. The whole wave's assigned trials are
 // charged against the trial limit before dispatch.
 func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]RemoteCounts, error) {
 	rts := make([]RemoteTask, len(wave))
 	var total int64
 	for i, lw := range wave {
 		l := &lw.t.lanes[lw.lane]
+		chunks := lw.chunks(nil)
+		chunks[0].N += lw.skip
 		rts[i] = RemoteTask{
 			KeyHi: lw.t.key.hi, KeyLo: lw.t.key.lo,
 			Seed:      l.seed,
@@ -326,7 +319,7 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 			Stratum:   lw.lane,
 			Clauses:   lw.t.f,
 			Vars:      run.table,
-			Chunks:    lw.chunks(nil),
+			Chunks:    chunks,
 		}
 		total += lw.assigned()
 	}
@@ -339,6 +332,17 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 	}
 	if len(counts) != len(rts) {
 		return nil, fmt.Errorf("core: distributor returned %d results for %d tasks", len(counts), len(rts))
+	}
+	for i, lw := range wave {
+		open := lw.t.lanes[lw.lane].partial
+		if lw.skip == 0 {
+			continue
+		}
+		rc := &counts[i]
+		rc.Hits, rc.Trials = rc.Hits-open.hits, rc.Trials-open.trials
+		if lw.full == 0 { // the chunk stays open, so its counts were partial
+			rc.PartialHits, rc.PartialTrials = rc.PartialHits-open.hits, rc.PartialTrials-open.trials
+		}
 	}
 	return counts, nil
 }
@@ -366,6 +370,7 @@ func (run *evalRun) absorb(lw *laneWave, rc RemoteCounts) error {
 		return &countsError{assigned: assigned, got: rc}
 	}
 	lw.t.est.AbsorbStratum(lw.lane, rc.Hits, rc.Trials)
+	run.stats.EstimatorTrials += rc.Trials
 	l := &lw.t.lanes[lw.lane]
 	if lw.full > 0 {
 		// The cursor moves: whatever chunk was open at it is now whole.

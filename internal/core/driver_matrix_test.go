@@ -22,7 +22,7 @@ import (
 // RemoteTask the way a shard does — the stratification plan from the
 // shipped clause set (one stratum when MaxStrata is 0), each chunk's stream
 // from sched.ChunkSeed(Seed, Index) — and returns the summed counts. No
-// PRNG tail crosses it, exactly as none crosses the wire.
+// PRNG crosses it, exactly as none crosses the wire.
 type loopbackDistributor struct{ calls int }
 
 func (d *loopbackDistributor) SampleChunks(_ context.Context, tasks []RemoteTask) ([]RemoteCounts, error) {
@@ -85,25 +85,25 @@ var matrixGolden = map[string]string{
 	"flat-conf/remote=false/grown":    "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
 	"flat-conf/remote=true/cold":      "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"flat-conf/remote=true/warm":      "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-conf/remote=true/grown":     "sampled=1384671 reused=147672 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/cold":     "sampled=172032 reused=171990 cache-hits=36 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=false/warm":     "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=false/grown":    "sampled=344022 reused=344064 cache-hits=6 restarts=13 strata=0 early-stops=0",
-	"flat-shat/remote=true/cold":      "sampled=220962 reused=123060 cache-hits=9 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=true/warm":      "sampled=171990 reused=172032 cache-hits=3 restarts=12 strata=0 early-stops=0",
-	"flat-shat/remote=true/grown":     "sampled=356076 reused=332010 cache-hits=6 restarts=13 strata=0 early-stops=0",
+	"flat-conf/remote=true/grown":     "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/cold":     "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/warm":     "sampled=0 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/grown":    "sampled=65408 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/cold":      "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/warm":      "sampled=0 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/grown":     "sampled=65408 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
 	"strata8-conf/remote=false/cold":  "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=false/warm":  "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=false/grown": "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=true/cold":   "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=true/warm":   "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=true/grown":  "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
-	"strata8-shat/remote=false/cold":  "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=false/warm":  "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=false/grown": "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
-	"strata8-shat/remote=true/cold":   "sampled=42966 reused=0 cache-hits=0 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=true/warm":   "sampled=9216 reused=122880 cache-hits=30 restarts=9 strata=15 early-stops=0",
-	"strata8-shat/remote=true/grown":  "sampled=39936 reused=135168 cache-hits=33 restarts=10 strata=15 early-stops=0",
+	"strata8-shat/remote=false/cold":  "sampled=4480 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=false/warm":  "sampled=0 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=false/grown": "sampled=4032 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=true/cold":   "sampled=4480 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=true/warm":   "sampled=0 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=true/grown":  "sampled=4032 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
 }
 
 // TestDriverMatrix pins what the estimation driver owes its callers,
@@ -134,7 +134,7 @@ func TestDriverMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// grown asks for a tighter δ: larger conf budgets, more σ̂
-			// restarts — the prefix-resume case of the shared cache.
+			// rounds — the prefix-resume case of the shared cache.
 			grown := tc.opts
 			grown.Delta, grown.ConfEps = 0.001, 0.025
 			phases := []struct {
@@ -182,7 +182,8 @@ func TestDriverMatrix(t *testing.T) {
 							poolTrials[pi] = res.Stats.EstimatorTrials
 						} else if res.Stats.EstimatorTrials < poolTrials[pi] {
 							// The pool continues a trailing partial chunk from
-							// its saved PRNG; a distributor re-samples it.
+							// its saved PRNG; a distributor re-samples it
+							// whole, and counts only what it adds.
 							t.Errorf("%s: sampled %d trials, fewer than the pool's %d", where, res.Stats.EstimatorTrials, poolTrials[pi])
 						}
 					}

@@ -9,9 +9,9 @@
 // approximates confidence with the Karp–Luby FPRAS (Section 4) and decides
 // σ̂ predicates with the margin machinery of Section 5, bounding each
 // decision's membership error per Lemma 6.4(2). EvalApprox implements
-// Theorem 6.7's strategy: evaluate with a round budget l and double l until
-// every output tuple's and decision's bound is below the target δ — walking
-// the σ̂-free prefix once and carrying each σ̂'s tasks from pass to pass.
+// Theorem 6.7's strategy with Figure 3's loop inside each σ̂: a σ̂ doubles
+// the round budget l of the tasks behind its open decisions until each is
+// within its share of δ, so the plan is walked once.
 package core
 
 import (
@@ -36,7 +36,7 @@ type Options struct {
 	Eps0 float64
 	// Delta is the target per-tuple error probability δ.
 	Delta float64
-	// InitialRounds is the starting l of the doubling loop (default 1).
+	// InitialRounds is the l every σ̂ starts doubling from (default 1).
 	InitialRounds int64
 	// MaxRounds caps l; 0 means the Theorem 6.7 bound l₀ derived from the
 	// query and database (so termination is guaranteed in polynomial
@@ -56,19 +56,18 @@ type Options struct {
 	// are independent of the value — it only changes wall-clock time.
 	Workers int
 	// MaxTrials caps the number of Karp–Luby trials one evaluation may
-	// sample, cumulatively across every pass of the doubling loop. The
-	// check is cooperative (pool workers charge each chunk before
-	// sampling it), so an evaluation overshoots by at most the in-flight
-	// chunks. 0 disables the limit. Exceeding it aborts the evaluation
-	// with a *LimitError; trials replayed from estimator snapshots are
-	// free — they were paid for when first sampled.
+	// sample, over every σ̂ round and re-walk. The check is cooperative
+	// (pool workers charge each chunk before sampling it), so an
+	// evaluation overshoots by at most the in-flight chunks. 0 disables
+	// the limit. Exceeding it aborts the evaluation with a *LimitError;
+	// trials resumed from estimator snapshots are free.
 	MaxTrials int64
 	// MaxMemory caps the evaluation's estimated bytes materialized by the
 	// exact-algebra operators (the same running estimate Stats.Ops
-	// reports). A relation is charged once, when it is materialized: a
-	// restart charges only what it rebuilds above the first σ̂, never the
-	// σ̂-free prefix or a σ̂'s lineage it replays; a sub-plan the engine's
-	// memo replays (SetMemo) is charged as if materialized. Enforcement is
+	// reports). A relation is charged once, when it is materialized — a
+	// σ̂'s rounds materialize nothing, a re-walk what it builds again — and
+	// a sub-plan the engine's memo replays (SetMemo) is charged as if
+	// materialized. Enforcement is
 	// cooperative: the partitioned blow-up operators stop producing
 	// mid-range once the budget trips, and the evaluation aborts with a
 	// *LimitError at the next operator boundary. 0 disables the limit.
@@ -89,38 +88,38 @@ type Options struct {
 	// operators switch to the adaptive loop — Neyman allocation of
 	// sampling waves across strata, empirical-Bernstein stopping, and a
 	// factoring pre-pass that computes independent easy subformulas
-	// exactly — and σ̂ operators Neyman-allocate each pass's round budget
-	// across strata. 0 (the default) keeps the flat estimator. Results
+	// exactly — and σ̂ operators Neyman-allocate each round's budget across
+	// strata. 0 (the default) keeps the flat estimator. Results
 	// remain bit-identical for any Workers value under one seed;
 	// stratified estimates differ numerically from flat ones (different
 	// trial streams) while carrying the same (ε,δ) target.
 	Strata int
-	// Progress, when non-nil, is called synchronously after every pass of
-	// the doubling loop with a snapshot of the evaluation's progress. The
-	// hook must be fast and must not call back into the engine.
+	// Progress, when non-nil, is called synchronously after every σ̂
+	// round and once at the end. The hook must be fast and must not call
+	// back into the engine.
 	Progress func(Progress)
 }
 
-// Progress is one observation of EvalApprox's doubling loop, delivered to
-// Options.Progress after each pass (including the final one, flagged Done).
+// Progress is one observation of EvalApprox, delivered to Options.Progress
+// after each σ̂ round and once more at the end, flagged Done.
 type Progress struct {
-	// Restart is the number of restarts before this pass (0 = first pass).
+	// Restart is the number of root re-walks so far.
 	Restart int
-	// Rounds is the round budget l the pass ran with.
+	// Rounds is the round's l; at the end, Stats.FinalRounds.
 	Rounds int64
 	// MaxRounds is the cap on l (the Theorem 6.7 bound when Options left
 	// it 0).
 	MaxRounds int64
-	// WorstBound is the largest per-tuple/per-decision error bound after
-	// the pass — the value the loop compares against δ.
+	// WorstBound is the round's largest non-singular decision bound; at
+	// the end, the root's worst bound, which EvalApprox compares against δ.
 	WorstBound float64
 	// SampledTrials and ReusedTrials are cumulative Karp–Luby trial counts
-	// across all passes so far (see Stats).
+	// so far (see Stats).
 	SampledTrials int64
 	ReusedTrials  int64
-	// Decisions is the number of σ̂ decisions taken in this pass.
+	// Decisions is the round's σ̂ decisions; at the end, Stats.Decisions.
 	Decisions int
-	// Done reports whether the loop terminates with this pass.
+	// Done flags the end of the evaluation.
 	Done bool
 }
 
@@ -138,51 +137,48 @@ func (o Options) confDelta() float64 {
 	return o.Delta
 }
 
-// Stats reports work done by an approximate evaluation. One value lives
-// for the whole doubling loop and is filled in where the work happens.
+// Stats reports work done by an approximate evaluation, filled in where
+// the work happens. Trials, cache hits, re-walks and spilling count over
+// the whole evaluation; the other figures are its last walk's.
 type Stats struct {
-	// FinalRounds is the l at which the doubling loop stopped.
+	// FinalRounds is the largest l any σ̂ reached (InitialRounds without
+	// one).
 	FinalRounds int64
-	// Restarts is the number of times evaluation was restarted with a
-	// doubled l.
+	// Restarts is the number of root re-walks: plain walks of the plan
+	// with halved shares of δ, run while the result's worst bound
+	// exceeds δ (see EvalApproxContext).
 	Restarts int
-	// EstimatorTrials is the total number of Karp–Luby trials actually
-	// sampled across all restarts, excluding trials replayed from estimator
-	// snapshots. EstimatorTrials + ReusedTrials is the paper-literal cost of
-	// the doubling loop, every pass sampling its budget from scratch.
+	// EstimatorTrials is the number of Karp–Luby trials actually sampled,
+	// excluding trials resumed from estimator snapshots.
 	EstimatorTrials int64
-	// ReusedTrials is the total number of trials whose counts were
-	// carried over from estimator snapshots instead of being re-sampled —
-	// snapshots of a previous restart of this evaluation, or, on an
-	// engine with a shared cache, of any earlier evaluation that
-	// estimated the same lineage content. Zero when nothing was reusable.
+	// ReusedTrials is the number of trials whose counts were resumed from
+	// estimator snapshots instead of being sampled — of an earlier batch or
+	// walk of this evaluation, or, on an engine with a shared cache, of any
+	// earlier evaluation that estimated the same lineage content.
 	ReusedTrials int64
 	// CacheHits is the number of estimation tasks that resumed from a
 	// cached snapshot (each hit contributes its snapshot's trials to
-	// ReusedTrials). With a shared engine cache this counts cross-query
-	// reuse as well as cross-restart reuse.
+	// ReusedTrials).
 	CacheHits int64
-	// Decisions is the number of σ̂ predicate decisions taken in the
-	// final pass.
+	// Decisions is the number of σ̂ predicate decisions in each σ̂'s
+	// final round.
 	Decisions int
-	// SingularDrops counts σ̂ decisions of the final pass that came out
-	// negative while flagged as potential ε₀-singularities: the dropped
-	// tuple's absence is not covered by the δ guarantee.
+	// SingularDrops counts those decisions that came out negative while
+	// flagged as potential ε₀-singularities: the dropped tuple's absence
+	// is not covered by the δ guarantee.
 	SingularDrops int
-	// The stratified tasks of the final pass (all 0 on the unstratified
-	// path): their clause strata in total; how many of them stopped before
-	// spending their trial cap — the empirical-Bernstein bound converged
-	// below δ ahead of the Chernoff budget; and the independent lineage
-	// subformulas their factoring pre-pass computed exactly instead of
-	// sampling.
+	// The stratified tasks (all 0 on the unstratified path): their clause
+	// strata in total; how many of them stopped before spending their
+	// trial cap — the empirical-Bernstein bound converged below δ ahead of
+	// the Chernoff budget; and the independent lineage subformulas their
+	// factoring pre-pass computed exactly instead of sampling.
 	Strata, EarlyStops, ExactFactored int64
 	// Ops aggregates per-operator work (tuple counts, estimated bytes
-	// materialized) over the evaluation: the σ̂-free prefix and each σ̂'s
-	// lineage once, what a restart rebuilds above the first σ̂ once a pass.
+	// materialized) over the walk.
 	Ops urel.StatsMap
 	// SpilledBytes and SpillFiles report out-of-core activity
 	// (Options.SpillDir): total bytes written to spill files and the number
-	// of spill files created, across every pass. Zero without spilling.
+	// of spill files created. Zero without spilling.
 	SpilledBytes int64
 	SpillFiles   int
 }
@@ -248,7 +244,7 @@ func NewEngine(db *urel.Database, opts Options) *Engine {
 // work survives across Eval calls — and across engines sharing the cache —
 // for any tasks with equal lineage content under one seed. The cache may
 // be shared by concurrent evaluations. A nil cache (the default) restores
-// the per-call cache that lives only for one doubling loop.
+// the per-call cache that lives only for one evaluation.
 func (e *Engine) SetCache(c *Cache) { e.shared = c }
 
 // SetMemo attaches a long-lived memo of the database's estimator-free
@@ -312,105 +308,79 @@ func limitErr(err error) error {
 	return err
 }
 
-// EvalApprox evaluates the query approximately per Theorem 6.7: it runs
-// the plan with round budget l, doubling l until every output tuple's and
-// σ̂ decision's error bound is ≤ δ (or the round cap is reached).
+// EvalApprox evaluates the query approximately per Theorem 6.7: every σ̂
+// doubles its own round budget l until each of its decisions' bounds is
+// within its share of δ (or l reaches the round cap), and the plan is
+// walked again, with halved shares, only while the result's worst bound
+// exceeds δ.
 func (e *Engine) EvalApprox(q algebra.Query) (*Result, error) {
 	return e.EvalApproxContext(context.Background(), q)
 }
 
 // EvalApproxContext is EvalApprox with cooperative cancellation: the
-// context is checked between operators of each pass and between estimation
-// chunks inside the worker pool, so cancelling ctx aborts the evaluation
-// within one chunk boundary and returns ctx.Err(). Cancellation never
-// corrupts the cross-restart estimator cache — a task's snapshot is only
-// published once every chunk of its budget has merged — so the engine (and
-// its resume machinery) remains fully usable after an aborted call.
+// context is checked between operators, between a σ̂'s rounds and between
+// estimation chunks inside the worker pool, so cancelling ctx aborts the
+// evaluation within one chunk boundary and returns ctx.Err(). Cancellation
+// never corrupts the estimator cache — a task's snapshot is only published
+// once its batch completed — so the engine remains fully usable after an
+// aborted call.
 func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := e.opts.InitialRounds
-	if l <= 0 {
-		l = 1
+	maxL, d := e.theorem67Cap(q)
+	if e.opts.MaxRounds > 0 {
+		maxL = e.opts.MaxRounds
 	}
-	maxL := e.opts.MaxRounds
-	if maxL <= 0 {
-		maxL = e.theorem67Cap(q)
-	}
-	// The estimator cache carries every task's counts from one pass to the
-	// next (resume), and between operators sharing lineage; a shared cache
-	// (SetCache) also across Eval calls and queries — task keys are
-	// lineage-content fingerprints, meaningful wherever the same clause set
-	// is estimated under the same seed.
+	// The estimator cache resumes tasks shared by content between operators
+	// and, on a re-walk, every task of the walk before; a shared cache
+	// (SetCache) also across Eval calls and queries.
 	cache := e.shared
 	if cache == nil {
 		cache = NewCache(0)
 	}
-	// One walker and one evalRun — one memory budget and trials count, one
-	// spill directory — serve every pass. The walker evaluates the plan's
-	// σ̂-free sub-plans (and the batch of each σ̂ over one) on the first pass
-	// and replays them after it, refining their kept tasks at the pass's
-	// round budget: a restart redoes only what l changes, and Ops count
-	// that work once.
-	out := &Result{}
+	out := &Result{Stats: Stats{FinalRounds: max(e.opts.InitialRounds, 1)}}
 	st := &out.Stats
-	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st}
+	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st, maxRounds: maxL, share: e.opts.Delta / float64(max(d, 1))}
 	w, done, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory))
 	if err != nil {
 		return nil, err
 	}
 	defer done()
 	w.WithEstimators(run, false)
-	pass := func(ctx context.Context) (algebra.URelResult, error) { return w.EvalContext(ctx, q) }
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Every batch re-counts the per-pass fields, so they end up the final
-		// pass's. The walker brings a shed result home: callers read it once
-		// the spill directory is gone.
-		st.FinalRounds, run.rounds, run.worstDecision = l, l, 0
-		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
-		res, err := pass(ctx)
+		// The walker brings a shed result home: callers read it once the
+		// spill directory is gone.
+		res, err := w.EvalContext(ctx, q)
 		if err != nil {
 			return nil, limitErr(err)
 		}
 		st.Ops, st.SpilledBytes, st.SpillFiles = res.Ops, res.SpilledBytes, res.SpillFiles
-		// Termination criterion of Theorem 6.7 with Figure 3's stopping
-		// rule: every decision (positive or negative) and every result
-		// tuple's accumulated bound must be ≤ δ. A singular-looking one
-		// counts too — its δᵢ(ε₀) still shrinks with l — so only a true
-		// singularity runs the loop to the l₀ cap.
-		worst, _ := res.Bounds.Worst(false)
+		// The root check: every non-singular result tuple and decision
+		// (positive or negative) within δ. Each σ̂ already ran its decisions
+		// to their share or to the cap, so only a σ̂ that stopped below the
+		// cap (slack) can still lower the bound.
+		worst, _ := res.Bounds.Worst(true)
 		worst = max(worst, run.worstDecision)
-		done := worst <= e.opts.Delta || l >= maxL
-		if e.opts.Progress != nil {
-			e.opts.Progress(Progress{
-				Restart:       st.Restarts,
-				Rounds:        l,
-				MaxRounds:     maxL,
-				WorstBound:    worst,
-				SampledTrials: st.EstimatorTrials,
-				ReusedTrials:  st.ReusedTrials,
-				Decisions:     st.Decisions,
-				Done:          done,
-			})
-		}
-		if done {
+		if worst <= e.opts.Delta || !run.slack {
+			run.progress(st.FinalRounds, worst, st.Decisions, true)
 			out.Rel, out.Complete, out.Bounds = res.Rel, res.Complete, res.Bounds
 			return out, nil
 		}
-		l = min(2*l, maxL)
+		// A re-walk is a plain walk with every share halved: the figures
+		// of the walk start over, the trial counts carry on.
 		st.Restarts++
-		pass = w.Rerun
+		run.share /= 2
+		run.worstDecision, run.slack = 0, false
+		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
 	}
 }
 
 // theorem67Cap computes the l₀ of Theorem 6.7's proof from the query's
-// σ̂ structure and the database size: l₀ ≥ 3·log(2·k·d·n^{k·d}/δ)/ε₀².
-func (e *Engine) theorem67Cap(q algebra.Query) int64 {
-	k, d := 1, 0
+// σ̂ structure and the database size, l₀ ≥ 3·log(2·k·d·n^{k·d}/δ)/ε₀², and
+// returns it with the plan's σ̂ count d.
+func (e *Engine) theorem67Cap(q algebra.Query) (l0 int64, d int) {
+	k := 1
 	algebra.Walk(q, func(n algebra.Query) {
 		if as, ok := n.(algebra.ApproxSelect); ok {
 			d++
@@ -420,36 +390,34 @@ func (e *Engine) theorem67Cap(q algebra.Query) int64 {
 		}
 	})
 	if d == 0 {
-		return 1
+		return 1, 0
 	}
 	n := 1
 	for _, r := range e.db.Rels {
 		n += r.Len() * len(r.Schema())
 	}
-	cap66 := provenance.RoundsForProposition66(k, d, n, e.opts.Eps0, e.opts.Delta)
-	if cap66 < 1 {
-		return 1
-	}
-	return cap66
+	return max(provenance.RoundsForProposition66(k, d, n, e.opts.Eps0, e.opts.Delta), 1), d
 }
 
-// evalRun is the sampling state of one approximate evaluation, at the
-// current pass's rounds. As the walker's algebra.Estimators it is called
-// (Estimate, approx.go; Refine) in plan order — never from concurrent
-// branches: the batch maps and counters below are unsynchronized and σ̂
-// decisions are counted in plan order.
+// evalRun is the sampling state of one approximate evaluation. As the
+// walker's algebra.Estimators it is called (Estimate, approx.go; each σ̂
+// batch's Round) in plan order — never from concurrent branches: the batch
+// maps and counters below are unsynchronized and σ̂ decisions are counted
+// in plan order.
 type evalRun struct {
 	engine *Engine
 	// ctx is checked between estimation chunks (sched.Pool.ForEachCtx),
 	// bounding cancellation latency inside one operator.
 	ctx context.Context
-	// table is the walker's variable table, which the first pass's
-	// repair-keys grow: the current batch's lineage is estimated against it.
-	table  *vars.Table
-	rounds int64
-	// cache resumes estimation tasks from snapshots stored under the same
-	// lineage-content keys — by a previous restart of this EvalApprox, or by
-	// any earlier evaluation when the engine carries a shared cache.
+	// table is the walker's variable table, which the walk's repair-keys
+	// grow: the current batch's lineage is estimated against it.
+	table *vars.Table
+	// maxRounds caps every σ̂'s l, and share is the part of δ each σ̂
+	// decision's own error may take (estimates.Round).
+	maxRounds int64
+	share     float64
+	// cache resumes estimation tasks from snapshots under the same
+	// lineage-content keys (Cache).
 	cache *Cache
 	// sampled counts the trials charged against Options.MaxTrials
 	// (chargeTrials, limits.go).
@@ -460,13 +428,13 @@ type evalRun struct {
 	// batch dedups content-equal estimation tasks within one operator's
 	// batch; see newTask.
 	batch map[contentKey]*task
-	// stats is the evaluation's Stats: the pass counts its trials, cache
+	// stats is the evaluation's Stats: the walk counts its trials, cache
 	// hits, decisions and stratified-task figures straight into it.
 	stats *Stats
-	// worstDecision is the largest per-decision error bound of the pass,
-	// including negative decisions (whose tuples do not appear in the
-	// result and so carry no entry in the error map). The doubling loop
-	// must not terminate while any decision — positive or negative — is
-	// still unreliable.
+	// worstDecision is the largest non-singular bound of the walk's final
+	// σ̂ decisions, negative ones included (their tuples carry no entry in
+	// the result's bounds). slack reports that a σ̂ with sampled tasks
+	// stopped below the cap, so a re-walk with halved shares could help.
 	worstDecision float64
+	slack         bool
 }

@@ -335,6 +335,8 @@ func TestProjectionFanInSumsBounds(t *testing.T) {
 	}
 }
 
+// A tight margin makes the σ̂ double its own rounds, each reported to
+// Progress, without walking the plan again.
 func TestDoublingLoopRestartsOnTightMargin(t *testing.T) {
 	db := urel.NewDatabase()
 	x := db.Vars.Add("x", []float64{0.5, 0.5}, nil)
@@ -349,16 +351,26 @@ func TestDoublingLoopRestartsOnTightMargin(t *testing.T) {
 		Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
 		Pred: predapprox.Linear([]float64{1}, 0.7),
 	}
-	eng := NewEngine(db, Options{Eps0: 0.02, Delta: 0.05, Seed: 3})
+	var rounds []int64
+	eng := NewEngine(db, Options{Eps0: 0.02, Delta: 0.05, Seed: 3, Progress: func(p Progress) {
+		if !p.Done {
+			rounds = append(rounds, p.Rounds)
+		}
+	}})
 	res, err := eng.EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Restarts == 0 {
-		t.Error("tight margin should force at least one doubling restart")
+	if len(rounds) < 2 || rounds[len(rounds)-1] != res.Stats.FinalRounds {
+		t.Errorf("tight margin should force at least one doubling: rounds %v, final l = %d", rounds, res.Stats.FinalRounds)
 	}
-	if res.Stats.FinalRounds < 2 {
-		t.Errorf("final rounds = %d", res.Stats.FinalRounds)
+	for i := 1; i < len(rounds); i++ {
+		if rounds[i] != 2*rounds[i-1] {
+			t.Errorf("round %d ran at l = %d after l = %d, want doubled", i, rounds[i], rounds[i-1])
+		}
+	}
+	if res.Stats.Restarts != 0 || res.Stats.Ops["lineage"].Calls != 1 {
+		t.Errorf("%d re-walks, lineage grouped %d times; want the plan walked once", res.Stats.Restarts, res.Stats.Ops["lineage"].Calls)
 	}
 }
 

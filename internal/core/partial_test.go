@@ -27,8 +27,8 @@ func partialFixture() (*urel.Database, dnf.F) {
 func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalRun, float64, int64) {
 	t.Helper()
 	_, f := partialFixture()
-	run := &evalRun{engine: eng, table: eng.db.Vars, rounds: 1, cache: cache, stats: &Stats{}}
-	cv, job, err := run.newTask(f, func(int) int64 { return budget }, 0)
+	run := &evalRun{engine: eng, table: eng.db.Vars, cache: cache, stats: &Stats{}}
+	cv, job, err := run.newTask(f, func(int) int64 { return budget }, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +38,7 @@ func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalR
 	if err := run.runEstimates([]*task{job}, target{}); err != nil {
 		t.Fatal(err)
 	}
+	run.publish([]*task{job})
 	if got := job.est.Trials(); got != budget {
 		t.Fatalf("estimator covers %d trials, want %d", got, budget)
 	}
@@ -45,15 +46,15 @@ func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalR
 }
 
 // TestPartialChunkReplay pins the mid-chunk resume contract: growing a
-// budget that ended inside a chunk replays the trailing partial chunk from
-// its snapshotted PRNG instead of re-sampling it, so a restart samples
-// exactly the delta budget — while every estimate stays bit-identical to a
-// from-scratch run at the full budget, for any worker count.
+// budget that ended inside a chunk resumes the trailing partial chunk's
+// counts and continues its stream (re-drawing the resumed prefix from the
+// chunk's seed, uncounted), so a larger budget samples exactly the delta
+// budget — while every estimate stays bit-identical to a from-scratch run
+// at the full budget, for any worker count.
 //
 // The budgets are chosen against chunk size 4096 (2 clauses) to cover the
-// three resume shapes: 1000 → partial chunk only (no full-chunk prefix —
-// resumable at all only via the saved PRNG), 5000 → one full chunk plus a
-// partial, 10000 → continuation across both.
+// three resume shapes: 1000 → partial chunk only (no full-chunk prefix),
+// 5000 → one full chunk plus a partial, 10000 → continuation across both.
 func TestPartialChunkReplay(t *testing.T) {
 	db, _ := partialFixture()
 	budgets := []int64{1000, 5000, 10000}

@@ -30,17 +30,27 @@ func restartDB() *urel.Database {
 	return db
 }
 
-// restartQuery is the benchmark's sigma-strat plan (repair-key and three
-// let definitions under a σ̂ over consecutive hot epochs), with a second σ̂
-// argument so the argument join goes through the Exec, and a join above the
-// σ̂ with a sibling of it, which every pass rebuilds over the memoized
-// sibling. Under restartOpts it restarts six times.
-func restartQuery(t *testing.T) algebra.Query {
-	t.Helper()
-	q, err := parser.Parse(`D := project[Sensor,Epoch,Value](repairkey[Sensor,Epoch @ Conf](Readings));
+// restartLets is the benchmark's sigma-strat prefix: repair-key and three
+// let definitions over consecutive hot epochs.
+const restartLets = `D := project[Sensor,Epoch,Value](repairkey[Sensor,Epoch @ Conf](Readings));
 H := project[Sensor,Epoch](select[Value >= 25](D));
 N := project[Sensor, Epoch - 1 as Epoch](H);
-join(aselect[p1 >= 0.7 and p2 >= 0.2 over conf[Sensor], conf[Epoch]](project[Sensor, Epoch](join(H, N))), project[Sensor](H))`)
+`
+
+// restartSigma is a σ̂ over the hot-epoch pairs with a second argument, so
+// the argument join goes through the Exec. Under restartOpts its rounds
+// double l at least three times.
+const restartSigma = `aselect[p1 >= 0.7 and p2 >= 0.2 over conf[Sensor], conf[Epoch]](project[Sensor, Epoch](join(H, N)))`
+
+// restartQuery joins restartSigma with a sibling, which the operator above
+// the σ̂ reads once.
+func restartQuery(t *testing.T) algebra.Query {
+	return mustParse(t, restartLets+`join(`+restartSigma+`, project[Sensor](H))`)
+}
+
+func mustParse(t *testing.T, src string) algebra.Query {
+	t.Helper()
+	q, err := parser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,34 +61,35 @@ func restartOpts(workers int) Options {
 	return Options{Eps0: 0.05, Delta: 0.1, Seed: 3, Strata: 8, MaxRounds: 1 << 12, Workers: workers}
 }
 
-// TestRestartWalksPrefixOnce pins the incremental doubling loop: however
-// often σ̂ restarts, the σ̂-free prefix (here the repair-key) is evaluated
-// once, and so is each σ̂ argument's lineage grouping.
+// TestRestartWalksPrefixOnce pins the per-σ̂ doubling loop: however many
+// rounds σ̂ runs, the plan is walked once — the repair-key once, each σ̂
+// argument's lineage grouping once, and the join above σ̂ once.
 func TestRestartWalksPrefixOnce(t *testing.T) {
 	res, err := NewEngine(restartDB(), restartOpts(1)).EvalApprox(restartQuery(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Restarts < 3 || res.Stats.EstimatorTrials == 0 {
-		t.Fatalf("fixture: %d restarts, %d trials sampled; want ≥ 3 restarts that sample", res.Stats.Restarts, res.Stats.EstimatorTrials)
+	if res.Stats.FinalRounds < 8 || res.Stats.EstimatorTrials == 0 || res.Stats.Restarts != 0 {
+		t.Fatalf("fixture: l = %d after %d re-walks, %d trials sampled; want ≥ 3 doublings that sample, no re-walk",
+			res.Stats.FinalRounds, res.Stats.Restarts, res.Stats.EstimatorTrials)
 	}
-	if rk, lin := res.Stats.Ops["repairkey"].Calls, res.Stats.Ops["lineage"].Calls; rk != 1 || lin != 2 {
-		t.Errorf("over %d restarts: repairkey ran %d times, lineage %d; want 1 and 2 (one per σ̂ argument)",
-			res.Stats.Restarts, rk, lin)
+	ops := res.Stats.Ops
+	if rk, lin, join := ops["repairkey"].Calls, ops["lineage"].Calls, ops["join"].Calls; rk != 1 || lin != 2 || join != 3 {
+		t.Errorf("over l = %d: repairkey ran %d times, lineage %d, join %d; want 1, 2 (one per σ̂ argument) and 3 "+
+			"(hot pairs, the argument join, the join above σ̂)", res.Stats.FinalRounds, rk, lin, join)
 	}
 }
 
-// TestRestartCarriedStateAcrossExecutors pins that what a restart carries —
-// the memoized prefix, each σ̂'s kept tasks — is executor-blind: results and
-// Stats are bit-identical across workers, the pool and a Distributor, and
+// TestRestartCarriedStateAcrossExecutors pins that what a σ̂'s rounds carry
+// — its tasks, open chunks included — is executor-blind: results and Stats
+// are bit-identical across workers, the pool and a Distributor, and
 // in-memory and out-of-core runs. The spilled runs' budget sheds every
-// relation not in use, so later passes rehydrate the kept argument join
-// and the memoized sibling the join above σ̂ reads.
+// relation not in use.
 func TestRestartCarriedStateAcrossExecutors(t *testing.T) {
 	q := restartQuery(t)
 	var want []string
 	var wantStats Stats
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, 8} {
 		for _, remote := range []bool{false, true} {
 			for _, spill := range []bool{false, true} {
 				where := "workers=" + strconv.Itoa(workers) + " remote=" + strconv.FormatBool(remote) + " spill=" + strconv.FormatBool(spill)
@@ -104,8 +115,8 @@ func TestRestartCarriedStateAcrossExecutors(t *testing.T) {
 				got := resultFingerprint(t, res)
 				if want == nil {
 					want, wantStats = got, st
-					if st.Restarts < 3 {
-						t.Fatalf("fixture: %d restarts, want ≥ 3", st.Restarts)
+					if st.FinalRounds < 8 {
+						t.Fatalf("fixture: l = %d, want ≥ 3 doublings", st.FinalRounds)
 					}
 					continue
 				}
@@ -121,18 +132,18 @@ func TestRestartCarriedStateAcrossExecutors(t *testing.T) {
 }
 
 // cancellingDistributor samples like loopbackDistributor until the
-// evaluation reaches pass cancelAt (counted by its Progress hook), then
+// evaluation reaches σ̂ round cancelAt (counted by its Progress hook), then
 // cancels the evaluation's context mid-batch and fails the wave with it.
 type cancellingDistributor struct {
 	loopbackDistributor
-	passes   *int
+	rounds   *int
 	cancelAt int
 	cancel   context.CancelFunc
 	fired    bool
 }
 
 func (d *cancellingDistributor) SampleChunks(ctx context.Context, tasks []RemoteTask) ([]RemoteCounts, error) {
-	if *d.passes >= d.cancelAt {
+	if *d.rounds >= d.cancelAt {
 		d.cancel()
 		d.fired = true
 		return nil, ctx.Err()
@@ -141,13 +152,14 @@ func (d *cancellingDistributor) SampleChunks(ctx context.Context, tasks []Remote
 }
 
 // TestRestartCancelPublishesNothingPartial cancels an evaluation in its
-// third pass — from the Progress hook, and from inside the pass's
+// σ̂'s third round — from the Progress hook, and from inside the round's
 // sampling — and requires context.Canceled, with nothing partial left in
 // the engine's shared cache: the next evaluation on that engine, which
-// resumes from the cache, is bit-identical to a fresh engine's. The tasks
-// are flat, so the cache also holds open chunks' PRNG tails.
+// resumes from the cache the conf batch that ran before the σ̂ published,
+// is bit-identical to a fresh engine's. The tasks are flat, so the cache
+// also holds open chunks, which the next evaluation continues.
 func TestRestartCancelPublishesNothingPartial(t *testing.T) {
-	q := restartQuery(t)
+	q := mustParse(t, restartLets+`join(conf as PH (project[Sensor](H)), `+restartSigma+`)`)
 	base := restartOpts(1)
 	base.Strata = 0
 	fresh, err := NewEngine(restartDB(), base).EvalApprox(q)
@@ -157,25 +169,25 @@ func TestRestartCancelPublishesNothingPartial(t *testing.T) {
 	want := resultFingerprint(t, fresh)
 	for _, mode := range []string{"progress-hook", "sampling"} {
 		ctx, cancel := context.WithCancel(context.Background())
-		passes := 0
+		rounds := 0
 		opts := base
 		opts.Progress = func(p Progress) {
-			passes++
-			if mode == "progress-hook" && passes == 3 {
+			rounds++
+			if mode == "progress-hook" && rounds == 3 {
 				cancel()
 			}
 		}
 		eng := NewEngine(restartDB(), opts)
 		eng.SetCache(NewCache(0))
-		dist := &cancellingDistributor{passes: &passes, cancelAt: 2, cancel: cancel}
+		dist := &cancellingDistributor{rounds: &rounds, cancelAt: 2, cancel: cancel}
 		if mode == "sampling" {
 			eng.SetDistributor(dist)
 		}
 		if _, err := eng.EvalApproxContext(ctx, q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", mode, err)
 		}
-		if mode == "sampling" && (!dist.fired || passes != 2) {
-			t.Fatalf("sampling: cancelled=%v after %d passes, want a cancel in pass 3", dist.fired, passes)
+		if mode == "sampling" && (!dist.fired || rounds != 2) {
+			t.Fatalf("sampling: cancelled=%v after %d rounds, want a cancel in round 3", dist.fired, rounds)
 		}
 		eng.SetDistributor(nil)
 		res, err := eng.EvalApprox(q)
@@ -192,11 +204,11 @@ func TestRestartCancelPublishesNothingPartial(t *testing.T) {
 	}
 }
 
-// TestMaxMemoryChargedOnce pins the memory budget of a restarting σ̂ (the
-// TestDriverMatrix strata8-shat case, nine restarts) to one walk of its
-// plan, as EvalExact of the same plan is charged: under a limit between
-// one and two walks' bytes the evaluation completes, bit-identical and with
-// Stats equal to the unlimited run.
+// TestMaxMemoryChargedOnce pins the memory budget of a σ̂ that doubles its
+// rounds (the TestDriverMatrix strata8-shat case) to one walk of its plan,
+// as EvalExact of the same plan is charged: under a limit between one and
+// two walks' bytes the evaluation completes, bit-identical and with Stats
+// equal to the unlimited run.
 func TestMaxMemoryChargedOnce(t *testing.T) {
 	db := matrixDB()
 	shat := algebra.ApproxSelect{
@@ -217,8 +229,8 @@ func TestMaxMemoryChargedOnce(t *testing.T) {
 	for _, s := range exact.Ops {
 		walk += s.Bytes
 	}
-	if ref.Stats.Restarts < 1 || walk == 0 {
-		t.Fatalf("fixture: %d restarts, one walk %d bytes", ref.Stats.Restarts, walk)
+	if ref.Stats.FinalRounds < 4 || walk == 0 {
+		t.Fatalf("fixture: l = %d, one walk %d bytes; want ≥ 2 doublings", ref.Stats.FinalRounds, walk)
 	}
 	opts.MaxMemory = walk * 3 / 2
 	if _, err := NewEngine(db, opts).EvalExact(shat); err != nil {
@@ -226,8 +238,8 @@ func TestMaxMemoryChargedOnce(t *testing.T) {
 	}
 	got, err := NewEngine(db, opts).EvalApprox(shat)
 	if err != nil {
-		t.Fatalf("EvalApprox over %d restarts under MaxMemory=%d (one walk %d B): %v",
-			ref.Stats.Restarts, opts.MaxMemory, walk, err)
+		t.Fatalf("EvalApprox to l = %d under MaxMemory=%d (one walk %d B): %v",
+			ref.Stats.FinalRounds, opts.MaxMemory, walk, err)
 	}
 	if !reflect.DeepEqual(resultFingerprint(t, got), resultFingerprint(t, ref)) || !reflect.DeepEqual(got.Stats, ref.Stats) {
 		t.Errorf("memory-limited run differs from the unlimited one:\n got %+v\nwant %+v", got.Stats, ref.Stats)

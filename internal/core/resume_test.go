@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strconv"
 	"sync"
 	"testing"
@@ -16,10 +15,9 @@ import (
 
 // resumeDB builds the canonical resume workload: R(ID) has nShat tuples
 // whose confidence 1−0.7⁴ ≈ 0.76 sits close to (but a non-singular margin
-// away from) the σ̂ threshold 0.7, so the doubling loop needs many
-// restarts to push δᵢ below δ; S(SID) has nConf tuples with 4-clause
-// lineages whose conf estimation spends a full fixed (ε,δ) budget — which
-// a restart re-requests identically, the exact-replay case of the cache.
+// away from) the σ̂ threshold 0.7, so the σ̂ needs many rounds to push δᵢ
+// below δ; S(SID) has nConf tuples with 4-clause lineages whose conf
+// estimation spends a full fixed (ε,δ) budget.
 func resumeDB(nShat, nConf int) *urel.Database {
 	db := urel.NewDatabase()
 	r := urel.NewRelation(rel.NewSchema("ID"))
@@ -41,8 +39,7 @@ func resumeDB(nShat, nConf int) *urel.Database {
 	return db
 }
 
-// resumeQuery pairs a restart-hungry σ̂ with a fixed-budget conf in one
-// plan, exercising both cache modes (prefix resume and exact replay).
+// resumeQuery pairs a round-hungry σ̂ with a fixed-budget conf in one plan.
 func resumeQuery() algebra.Query {
 	return algebra.Product{
 		L: algebra.ApproxSelect{
@@ -58,69 +55,70 @@ func resumeOpts(seed int64, workers int) Options {
 	return Options{Eps0: 0.05, Delta: 0.1, Seed: seed, Workers: workers, MaxRounds: 1 << 13}
 }
 
-// pass is what Options.Progress reports about one pass of the doubling loop.
-type pass struct {
+// round is what Options.Progress reports about one σ̂ round.
+type round struct {
 	rounds int64
 	worst  float64
-	done   bool
 }
 
-// evalPasses runs q under opts and records every pass.
-func evalPasses(t *testing.T, db *urel.Database, opts Options, q algebra.Query) (*Result, []pass) {
+// evalRounds runs q under opts and records every σ̂ round.
+func evalRounds(t *testing.T, db *urel.Database, opts Options, q algebra.Query) (*Result, []round) {
 	t.Helper()
-	var passes []pass
-	opts.Progress = func(p Progress) { passes = append(passes, pass{p.Rounds, p.WorstBound, p.Done}) }
+	var rounds []round
+	opts.Progress = func(p Progress) {
+		if !p.Done {
+			rounds = append(rounds, round{p.Rounds, p.WorstBound})
+		}
+	}
 	res, err := NewEngine(db, opts).EvalApprox(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, passes
+	return res, rounds
 }
 
-// pinnedRuns evaluates the resume workload with the doubling loop, then
-// once more from scratch at each budget l it visited: a fresh engine
-// pinned at l (InitialRounds = MaxRounds = l), which runs a single pass.
+// pinnedRuns evaluates the resume workload with its σ̂ over one tuple —
+// one task, open until the last round — then once more from scratch at
+// each budget l the σ̂ visited: a fresh engine pinned at l (InitialRounds =
+// MaxRounds = l), which runs a single round.
 func pinnedRuns(t *testing.T, opts Options) (res *Result, pinned []*Result) {
 	t.Helper()
-	db, q := resumeDB(3, 2), resumeQuery()
-	res, passes := evalPasses(t, db, opts, q)
-	if res.Stats.Restarts < 3 || len(passes) != res.Stats.Restarts+1 {
-		t.Fatalf("workers=%d: %d restarts over %d passes; workload too easy to exercise resume",
-			opts.Workers, res.Stats.Restarts, len(passes))
+	db, q := resumeDB(1, 2), resumeQuery()
+	res, rounds := evalRounds(t, db, opts, q)
+	if res.Stats.FinalRounds < 8 || res.Stats.Restarts != 0 || rounds[len(rounds)-1].rounds != res.Stats.FinalRounds {
+		t.Fatalf("workers=%d: l = %d over %d rounds and %d re-walks; want ≥ 3 doublings and no re-walk",
+			opts.Workers, res.Stats.FinalRounds, len(rounds), res.Stats.Restarts)
 	}
-	for _, p := range passes {
+	for _, r := range rounds {
 		pinnedOpts := opts
-		pinnedOpts.InitialRounds, pinnedOpts.MaxRounds = p.rounds, p.rounds
-		r, ps := evalPasses(t, db, pinnedOpts, q)
-		if len(ps) != 1 || r.Stats.ReusedTrials != 0 {
-			t.Fatalf("workers=%d l=%d: pinned run took %d passes and reused %d trials, want one from-scratch pass",
-				opts.Workers, p.rounds, len(ps), r.Stats.ReusedTrials)
+		pinnedOpts.InitialRounds, pinnedOpts.MaxRounds = r.rounds, r.rounds
+		p, ps := evalRounds(t, db, pinnedOpts, q)
+		if len(ps) != 1 || p.Stats.ReusedTrials != 0 {
+			t.Fatalf("workers=%d l=%d: pinned run took %d rounds and reused %d trials, want one from-scratch round",
+				opts.Workers, r.rounds, len(ps), p.Stats.ReusedTrials)
 		}
-		// A pinned run always stops (l is its cap); its stopping decision
-		// under the resumed run's δ and cap is what the resumed pass decided.
-		ps[0].done = ps[0].worst <= opts.Delta || p.rounds >= opts.MaxRounds
-		pinned = append(pinned, r)
-		if ps[0].worst != p.worst || ps[0].done != p.done {
-			t.Errorf("workers=%d l=%d: resumed pass (worst %v, done %v) differs from the pinned run (worst %v, done %v)",
-				opts.Workers, p.rounds, p.worst, p.done, ps[0].worst, ps[0].done)
+		pinned = append(pinned, p)
+		if ps[0].worst != r.worst {
+			t.Errorf("workers=%d l=%d: continued round's worst bound %v differs from the pinned run's %v",
+				opts.Workers, r.rounds, r.worst, ps[0].worst)
 		}
 	}
 	return res, pinned
 }
 
-// TestResumeBitIdentical is the resume contract: a doubling loop that
-// carries estimator state across restarts is, pass by pass, the
-// from-scratch evaluation at that pass's budget — the same worst bound and
-// stopping decision at every l (checked by pinnedRuns), and at the final l
-// the same rows, float bit patterns, error bounds and singularity flags,
-// for any worker count under one seed. The (ε,δ) guarantee is therefore
-// untouched by reuse: the final estimates ARE the from-scratch estimates.
+// TestResumeBitIdentical is the continuation contract: a σ̂ that carries
+// its tasks from round to round in memory is, round by round, the
+// from-scratch evaluation at that round's budget — the same worst bound at
+// every l (checked by pinnedRuns), and at the final l the same rows, float
+// bit patterns, error bounds and singularity flags, for any worker count
+// under one seed. The (ε,δ) guarantee is therefore untouched by
+// continuation: the final estimates ARE the from-scratch estimates.
 func TestResumeBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		res, pinned := pinnedRuns(t, resumeOpts(20080609, workers))
 		final := pinned[len(pinned)-1]
 		if final.Stats.FinalRounds != res.Stats.FinalRounds {
-			t.Fatalf("workers=%d: last pinned l=%d, resumed run stopped at l=%d", workers, final.Stats.FinalRounds, res.Stats.FinalRounds)
+			t.Fatalf("workers=%d: last pinned l=%d, continued run stopped at l=%d", workers, final.Stats.FinalRounds, res.Stats.FinalRounds)
 		}
 		got, want := resultFingerprint(t, res), resultFingerprint(t, final)
 		if len(got) != len(want) {
@@ -134,12 +132,11 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeSavesTrials pins what resume buys. The pinned runs draw every
-// pass's budget from scratch, so their trials add up exactly to the
-// resumed run's sampled plus reused trials — the paper-literal cost E10
-// reports — and the resumed run samples at least 1.5× fewer (in this
-// workload the conf budget replays exactly on every restart and the σ̂
-// budgets resume their full-chunk prefixes, so the real ratio is higher).
+// TestResumeSavesTrials pins what continuation buys: the in-process
+// executor never draws a trial twice, so the continued run samples exactly
+// what the pinned run at its final l samples, and reuses nothing, while the
+// pinned runs — every round drawn from scratch, the paper-literal cost E10
+// reports — add up to at least 1.5× more.
 func TestResumeSavesTrials(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		res, pinned := pinnedRuns(t, resumeOpts(7, workers))
@@ -147,11 +144,13 @@ func TestResumeSavesTrials(t *testing.T) {
 		for _, r := range pinned {
 			scratch += r.Stats.EstimatorTrials
 		}
-		if drawn := res.Stats.EstimatorTrials + res.Stats.ReusedTrials; drawn != scratch {
-			t.Errorf("workers=%d: sampled+reused = %d, pinned runs sampled %d", workers, drawn, scratch)
+		final := pinned[len(pinned)-1].Stats.EstimatorTrials
+		if res.Stats.EstimatorTrials != final || res.Stats.ReusedTrials != 0 {
+			t.Errorf("workers=%d: sampled %d and reused %d trials, want the final pinned run's %d and none",
+				workers, res.Stats.EstimatorTrials, res.Stats.ReusedTrials, final)
 		}
-		if res.Stats.EstimatorTrials <= 0 || float64(scratch) < 1.5*float64(res.Stats.EstimatorTrials) {
-			t.Errorf("workers=%d: resume sampled %d trials vs %d from scratch, want ≥ 1.5× fewer",
+		if float64(scratch) < 1.5*float64(res.Stats.EstimatorTrials) {
+			t.Errorf("workers=%d: continuation sampled %d trials vs %d from scratch, want ≥ 1.5× fewer",
 				workers, res.Stats.EstimatorTrials, scratch)
 		}
 	}
@@ -160,8 +159,7 @@ func TestResumeSavesTrials(t *testing.T) {
 // validState reports whether a cache snapshot is internally consistent.
 func validState(s karpluby.State) bool {
 	return s.Hits >= 0 && s.Trials >= s.Hits && s.Chunks >= 0 &&
-		s.PartialHits >= 0 && s.PartialHits <= s.PartialTrials &&
-		(s.PartialTrials == 0 || s.PartialRNG != nil)
+		s.PartialHits >= 0 && s.PartialHits <= s.PartialTrials
 }
 
 // TestEstimatorCacheRace hammers the cache with the access pattern
@@ -178,7 +176,7 @@ func TestEstimatorCacheRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				key := contentKey{hi: uint64((g + i) % keys), lo: 99}
 				total := int64(4096 * (1 + i%4))
-				c.store(key, 4, 4096, total, total/3, int64(i%7), int64(i%7)*3, nil, 1)
+				c.store(key, 4, 4096, total, total/3, int64(i%7), int64(i%7)*3, 1)
 				if st, ok := c.lookup(key, 4, 4096, total*2, 1); ok && !validState(st) {
 					t.Errorf("cache returned invalid state %+v", st)
 				}
@@ -211,13 +209,13 @@ func TestEstimatorCacheRace(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	k := func(i uint64) contentKey { return contentKey{hi: i, lo: i} }
-	c.store(k(1), 4, 4096, 4096, 10, 0, 0, nil, 1)
-	c.store(k(2), 4, 4096, 4096, 20, 0, 0, nil, 1)
+	c.store(k(1), 4, 4096, 4096, 10, 0, 0, 1)
+	c.store(k(2), 4, 4096, 4096, 20, 0, 0, 1)
 	// Touch k(1) so k(2) is the LRU victim when k(3) arrives.
 	if _, ok := c.lookup(k(1), 4, 4096, 4096, 1); !ok {
 		t.Fatal("warm entry k(1) missing")
 	}
-	c.store(k(3), 4, 4096, 4096, 30, 0, 0, nil, 1)
+	c.store(k(3), 4, 4096, 4096, 30, 0, 0, 1)
 	if c.len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.len())
 	}
@@ -233,14 +231,14 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", s.Evictions)
 	}
 	// Updating an existing key must not evict (no growth).
-	c.store(k(1), 4, 4096, 8192, 40, 0, 0, nil, 1)
+	c.store(k(1), 4, 4096, 8192, 40, 0, 0, 1)
 	if c.len() != 2 || c.Stats().Evictions != 1 {
 		t.Errorf("in-place update changed size/evictions: len=%d stats=%+v", c.len(), c.Stats())
 	}
 	// A store under a new seed is a separate entry (mixed-seed clients of
 	// one shared cache must not clobber each other); it competes for
 	// space like any other, evicting the LRU entry k(3).
-	c.store(k(1), 4, 4096, 4096, 7, 0, 0, nil, 2)
+	c.store(k(1), 4, 4096, 4096, 7, 0, 0, 2)
 	if st, ok := c.lookup(k(1), 4, 4096, 4096, 2); !ok || st.Hits != 7 {
 		t.Errorf("second-seed store not visible: %+v ok=%v", st, ok)
 	}
@@ -253,9 +251,8 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestResumeStressRace runs the full engine with a worker complement and
-// forced restarts so cache stores (from pool workers merging final
-// chunks) and lookups (from the next restart's plan construction) overlap
-// under the race detector.
+// many σ̂ tasks doubling their rounds, so pool workers sampling continued
+// open chunks, cache stores and lookups run under the race detector.
 func TestResumeStressRace(t *testing.T) {
 	db := resumeDB(64, 32)
 	eng := NewEngine(db, Options{
@@ -266,8 +263,8 @@ func TestResumeStressRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Restarts == 0 {
-		t.Error("stress run never restarted; cache reuse not exercised")
+	if res.Stats.FinalRounds < 2 {
+		t.Error("stress run never doubled its rounds; continuation not exercised")
 	}
 }
 
@@ -276,79 +273,43 @@ func TestResumeStressRace(t *testing.T) {
 func TestResumeCacheMonotone(t *testing.T) {
 	c := NewCache(0)
 	k := contentKey{hi: 11, lo: 13}
-	c.store(k, 4, 4096, 8192, 100, 0, 0, nil, 1)
-	c.store(k, 4, 4096, 4096, 40, 0, 0, nil, 1) // stale: must be dropped
+	c.store(k, 4, 4096, 8192, 100, 0, 0, 1)
+	c.store(k, 4, 4096, 4096, 40, 0, 0, 1) // stale: must be dropped
 	st, ok := c.lookup(k, 4, 4096, 8192, 1)
 	if !ok || st.Trials != 8192 || st.Hits != 100 {
 		t.Fatalf("stale store clobbered cache: got %+v ok=%v", st, ok)
 	}
-	// Prefix lookup at a doubled budget resumes the full-chunk prefix.
+	// A lookup at a doubled budget resumes the whole cached prefix.
 	st, ok = c.lookup(k, 4, 4096, 16384, 1)
 	if !ok || st.Trials != 8192 || st.Chunks != 2 {
 		t.Fatalf("prefix lookup: got %+v ok=%v, want 8192 trials over 2 chunks", st, ok)
 	}
 }
 
-// TestResumeCacheUnalignedBudget pins the partial-chunk bookkeeping: an
-// exact replay of an unaligned budget returns the full counts with the
-// cursor at the full-chunk boundary; a prefix lookup at a larger budget
-// excludes the partial counts when no mid-chunk PRNG was stored, and
-// carries them (with the PRNG, for mid-chunk continuation) when one was.
+// TestResumeCacheUnalignedBudget pins the partial-chunk bookkeeping: a
+// lookup at the cached budget or a larger one returns the full counts, the
+// cursor at the full-chunk boundary and the partial chunk's counts beside
+// it, for the pool to continue; a smaller budget, which the partial chunk
+// overlaps, and mismatched guards are refused.
 func TestResumeCacheUnalignedBudget(t *testing.T) {
 	c := NewCache(0)
 	p := contentKey{hi: 1, lo: 2}
-	q := contentKey{hi: 3, lo: 4}
-	// 2 full chunks + a 1808-trial partial, no saved PRNG (replay-only tail).
-	c.store(p, 4, 4096, 10000, 77, 5, 1808, nil, 1)
-	st, ok := c.lookup(p, 4, 4096, 10000, 1)
-	if !ok || st.Trials != 10000 || st.Hits != 77 || st.Chunks != 2 {
-		t.Fatalf("exact replay: got %+v ok=%v, want 10000 trials / 77 hits / cursor 2", st, ok)
+	// 2 full chunks + a 1808-trial partial.
+	c.store(p, 4, 4096, 10000, 77, 5, 1808, 1)
+	for _, total := range []int64{10000, 20000} {
+		st, ok := c.lookup(p, 4, 4096, total, 1)
+		if !ok || st.Trials != 10000 || st.Hits != 77 || st.Chunks != 2 || st.PartialTrials != 1808 || st.PartialHits != 5 {
+			t.Fatalf("lookup at %d: got %+v ok=%v, want 10000 trials / 77 hits / cursor 2 and the 1808-trial tail", total, st, ok)
+		}
+		if !validState(st) {
+			t.Fatalf("lookup at %d: invalid state %+v", total, st)
+		}
 	}
-	st, ok = c.lookup(p, 4, 4096, 20000, 1)
-	if !ok || st.Trials != 8192 || st.Hits != 72 || st.Chunks != 2 || st.PartialRNG != nil {
-		t.Fatalf("prefix resume: got %+v ok=%v, want 8192 trials / 72 hits / cursor 2, no tail", st, ok)
-	}
-	// Same shape with the partial chunk's PRNG saved: the larger budget
-	// resumes the full counts and receives the tail for continuation.
-	rng := rand.New(rand.NewSource(99))
-	c.store(q, 4, 4096, 10000, 77, 5, 1808, rng, 1)
-	st, ok = c.lookup(q, 4, 4096, 20000, 1)
-	if !ok || st.Trials != 10000 || st.Hits != 77 || st.Chunks != 2 {
-		t.Fatalf("mid-chunk resume: got %+v ok=%v, want full 10000 trials / 77 hits / cursor 2", st, ok)
-	}
-	if st.PartialTrials != 1808 || st.PartialHits != 5 || st.PartialRNG != rng {
-		t.Fatalf("mid-chunk resume tail: got %+v, want 1808 trials / 5 hits / saved rng", st)
-	}
-	if !validState(st) {
-		t.Fatalf("mid-chunk resume state invalid: %+v", st)
-	}
-	// The tail is handed out with ownership (the scheduler advances the
-	// PRNG in place): a second lookup degrades to the full-chunk prefix,
-	// so an aborted batch can never leave stale counts paired with an
-	// advanced PRNG in the cache.
-	st, ok = c.lookup(q, 4, 4096, 20000, 1)
-	if !ok || st.Trials != 8192 || st.Hits != 72 || st.PartialRNG != nil {
-		t.Fatalf("post-handout lookup: got %+v ok=%v, want prefix-only 8192 trials / 72 hits", st, ok)
-	}
-	// Ownership transfers only on an accepted lookup that carries the
-	// tail: refused lookups (wrong seed, clause count, or an overlapping
-	// smaller budget) and exact replays must leave the tail in place for
-	// the next larger budget.
-	r := contentKey{hi: 5, lo: 6}
-	rng2 := rand.New(rand.NewSource(7))
-	c.store(r, 4, 4096, 10000, 77, 5, 1808, rng2, 1)
-	if _, ok := c.lookup(r, 4, 4096, 20000, 99); ok {
+	if _, ok := c.lookup(p, 4, 4096, 20000, 99); ok {
 		t.Fatal("seed-mismatch lookup resolved")
 	}
-	if _, ok := c.lookup(r, 4, 4096, 4096, 1); ok {
+	if _, ok := c.lookup(p, 4, 4096, 4096, 1); ok {
 		t.Fatal("overlapping smaller-budget lookup resolved")
-	}
-	if st, ok := c.lookup(r, 4, 4096, 10000, 1); !ok || st.Trials != 10000 {
-		t.Fatalf("exact replay after refusals: got %+v ok=%v", st, ok)
-	}
-	st, ok = c.lookup(r, 4, 4096, 20000, 1)
-	if !ok || st.PartialRNG != rng2 || st.PartialTrials != 1808 {
-		t.Fatalf("tail lost to a refused or replay lookup: got %+v ok=%v", st, ok)
 	}
 }
 

@@ -28,8 +28,8 @@ type task struct {
 	maxStrata int   // band bound of the plan; 0 marks a flat task
 	lanes     []lane
 
-	budget      int64 // trial cap (adaptive) or pass target (fixed)
-	startTrials int64 // trials resumed from cache across lanes
+	budget int64 // trial cap (adaptive) or round target (fixed)
+	open   bool  // a σ̂ decision reading it is above its share (Decide)
 }
 
 func (t *task) flat() bool { return t.maxStrata == 0 }
@@ -50,7 +50,9 @@ type lane struct {
 // that are merged into the estimator's totals but lie outside its
 // chunk-aligned prefix. rng, when non-nil, is the PRNG that sampled them,
 // positioned right after the last trial, so a larger budget can finish the
-// chunk mid-stream (in-process flat tasks only; see Cache).
+// chunk mid-stream on the worker pool; without it the pool re-draws the
+// chunk's prefix first, and a Distributor re-samples the chunk whole
+// (sampleRemote).
 type openChunk struct {
 	hits, trials int64
 	rng          *rand.Rand
@@ -86,13 +88,14 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // a flat task). Every lane's seed is derived from Options.Seed, the content
 // fingerprint and the stratum index, so equal seeds give bit-identical
 // estimates for any worker count, and content-equal tasks sample identical
-// streams wherever they appear; each lane then resumes (resume).
+// streams wherever they appear; each lane then resumes (resume) — a σ̂
+// task, marked by rounds, from whatever its own cache entry holds.
 //
 // Within one batch (one conf or σ̂ operator), content-equal clause sets
 // share a single task: the second and later sightings return a confValue
 // bound to the first one's task (each keeps its own exact-factored part),
 // so duplicated lineage is estimated once.
-func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata int) (*confValue, *task, error) {
+func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata int, rounds bool) (*confValue, *task, error) {
 	f = f.Dedup()
 	switch {
 	case len(f) == 0:
@@ -145,29 +148,30 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 		if !t.flat() {
 			l.key = stratKey(key, maxStrata, j)
 		}
+		if rounds { // apart from conf's snapshots, under a band bound no plan has
+			l.key = stratKey(l.key, -1, j)
+		}
 	}
-	run.resume(t, trials(est.ClauseCount()))
+	run.resume(t, trials(est.ClauseCount()), rounds || !t.flat())
 	if run.batch != nil {
 		run.batch[key] = t
 	}
 	return &confValue{t: t, exactPart: exactPart}, t, nil
 }
 
-// resume sets t's budget and starts every lane over from the snapshot its
-// cache entry holds (Options resume, the default) — left by an earlier
-// pass, an earlier Eval call on a shared engine cache, or a different query
-// over the same lineage — and from zero counts without one. A fresh task
-// and one kept across a restart (estimates.Refine) both start here, so a
-// kept task starts each pass exactly where a rebuilt one would.
-func (run *evalRun) resume(t *task, budget int64) {
-	// A flat lane's entry covers exactly one budget, so an equal budget
-	// replays it whole; a stratified task's budget is a cap over all its
-	// lanes, and each lane resumes whatever chunk-aligned prefix is cached.
-	t.budget, t.startTrials = budget, 0
+// resume sets a new task's budget and starts every lane from the snapshot
+// its cache entry holds (Cache), or from zero counts without one; the
+// resumed trials count as reused. A flat conf task resumes only snapshots
+// within its budget, so its P is a from-scratch run's; with prefix set
+// each lane resumes whatever is cached.
+func (run *evalRun) resume(t *task, budget int64, prefix bool) {
+	t.budget = budget
 	lookupTotal := budget
+	if prefix {
+		lookupTotal = math.MaxInt64
+	}
 	if !t.flat() {
 		run.stats.Strata += int64(len(t.lanes))
-		lookupTotal = math.MaxInt64
 	}
 	resumed := false
 	for j := range t.lanes {
@@ -177,20 +181,11 @@ func (run *evalRun) resume(t *task, budget int64) {
 		if t.est.StratumM(j) > 0 {
 			st, ok = run.cache.lookup(l.key, t.est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
 		}
-		if st.PartialRNG != nil && (!t.flat() || run.engine.dist != nil) {
-			// A mid-chunk PRNG tail is continued only by the in-process
-			// executor, on a flat task. Everywhere else drop it and let
-			// that chunk be re-sampled in full from its seed — still
-			// bit-identical, at one chunk of extra sampling.
-			st.Hits -= st.PartialHits
-			st.Trials -= st.PartialTrials
-			st.PartialHits, st.PartialTrials, st.PartialRNG = 0, 0, nil
-		}
 		if t.est.ResumeStratum(j, karpluby.StratumState{Hits: st.Hits, Trials: st.Trials, Chunks: st.Chunks}) != nil {
 			st, ok = karpluby.State{}, false
 		}
-		l.partial = openChunk{st.PartialHits, st.PartialTrials, st.PartialRNG}
-		t.startTrials += st.Trials
+		l.partial = openChunk{hits: st.PartialHits, trials: st.PartialTrials}
+		run.stats.ReusedTrials += st.Trials
 		resumed = resumed || ok
 	}
 	if resumed {

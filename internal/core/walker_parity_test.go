@@ -105,25 +105,25 @@ func shatFixtures() (*urel.Database, *urel.Database, map[string]algebra.Query, m
 
 // shatGolden holds shatFingerprint per "fixture/seed/strata" (same
 // contract and re-recording procedure as pdb's corpusGolden; last
-// re-recorded when Theorem 5.2's root took its conjugate form).
+// re-recorded when each σ̂ began doubling its own rounds).
 var shatGolden = map[string]string{
 	"cert/1/0":            "445d08863e21a312",
 	"cert/1/8":            "e6f0555a9393a1fe",
-	"cert/42/0":           "ce106f4897f56ce0",
+	"cert/42/0":           "8abe2d17ae9404d0",
 	"cert/42/8":           "e6f0555a9393a1fe",
-	"cert/7/0":            "9a3f5bd610a5c584",
+	"cert/7/0":            "d44399491ae3cd1a",
 	"cert/7/8":            "e6f0555a9393a1fe",
 	"conf-over-shat/1/0":  "2cc72790cf1f7f80",
 	"conf-over-shat/1/8":  "7c4c09bbef559c14",
-	"conf-over-shat/42/0": "02827ba262a06f17",
+	"conf-over-shat/42/0": "ea5339d4f1f57676",
 	"conf-over-shat/42/8": "7c4c09bbef559c14",
-	"conf-over-shat/7/0":  "787f5b1a5f66295b",
+	"conf-over-shat/7/0":  "c373aa762ff2ab68",
 	"conf-over-shat/7/8":  "7c4c09bbef559c14",
 	"diff/1/0":            "7a207339b1eda7c2",
 	"diff/1/8":            "c724dc911788ead4",
-	"diff/42/0":           "55bf438caa774ef7",
+	"diff/42/0":           "d5b6ddf548410f0a",
 	"diff/42/8":           "c724dc911788ead4",
-	"diff/7/0":            "de8462b1b7b049e6",
+	"diff/7/0":            "5dae0e12158ac91e",
 	"diff/7/8":            "c724dc911788ead4",
 	"hard-conf/1/0":       "37f4a2e4c4d9068c",
 	"hard-conf/1/8":       "7d9a81ffcc14c568",
@@ -132,58 +132,58 @@ var shatGolden = map[string]string{
 	"hard-conf/7/0":       "b3e45c4aa99ed27c",
 	"hard-conf/7/8":       "58bfea65bff1a8b1",
 	"hard-shat/1/0":       "aad60bdb44e862c8",
-	"hard-shat/1/8":       "4d3b43f4030b7b23",
-	"hard-shat/42/0":      "5dd79d82223279ef",
-	"hard-shat/42/8":      "6538e617c309a0df",
-	"hard-shat/7/0":       "6312290f483a227a",
-	"hard-shat/7/8":       "94d0fbe00dc52c0b",
+	"hard-shat/1/8":       "4769e4180f7f7c3c",
+	"hard-shat/42/0":      "c6e209c8855c7b23",
+	"hard-shat/42/8":      "a807715a03bad04f",
+	"hard-shat/7/0":       "172398e68da94c50",
+	"hard-shat/7/8":       "10a3113a223bb29d",
 	"join/1/0":            "b237c4a94e05d0a0",
 	"join/1/8":            "8508f56afd8342fd",
-	"join/42/0":           "aacf2507c9e54e63",
+	"join/42/0":           "4f11eabc3f346926",
 	"join/42/8":           "8508f56afd8342fd",
-	"join/7/0":            "1a5d64137798fed2",
+	"join/7/0":            "3ae4f4969a136b0a",
 	"join/7/8":            "8508f56afd8342fd",
-	"nested-shat/1/0":     "0319a31ec55dbf60",
+	"nested-shat/1/0":     "7f478e42f97a4b36",
 	"nested-shat/1/8":     "37dd11e8af553e96",
-	"nested-shat/42/0":    "2cb3c8da32d31415",
+	"nested-shat/42/0":    "a0a8b09c28a62051",
 	"nested-shat/42/8":    "37dd11e8af553e96",
-	"nested-shat/7/0":     "9dab3c08716c336c",
+	"nested-shat/7/0":     "4913214f21ac0897",
 	"nested-shat/7/8":     "37dd11e8af553e96",
 	"poss/1/0":            "445d08863e21a312",
 	"poss/1/8":            "e6f0555a9393a1fe",
-	"poss/42/0":           "ce106f4897f56ce0",
+	"poss/42/0":           "8abe2d17ae9404d0",
 	"poss/42/8":           "e6f0555a9393a1fe",
-	"poss/7/0":            "9a3f5bd610a5c584",
+	"poss/7/0":            "d44399491ae3cd1a",
 	"poss/7/8":            "e6f0555a9393a1fe",
 	"select/1/0":          "b279cfd04047e2a9",
 	"select/1/8":          "719139b71e5322a4",
-	"select/42/0":         "f6daef7e36bb8a9c",
+	"select/42/0":         "d6fce3060c165d63",
 	"select/42/8":         "719139b71e5322a4",
-	"select/7/0":          "070eb88b1e6d3af9",
+	"select/7/0":          "a6d325942f62adf4",
 	"select/7/8":          "719139b71e5322a4",
 }
 
 // shatOpsGolden holds opsFingerprint per "fixture/seed/strata": the exact
-// algebra each evaluation ran, summed over its passes (recorded with
+// algebra each evaluation ran, summed over its walks (recorded with
 // shatGolden, same procedure).
 var shatOpsGolden = map[string]string{
 	"cert/1/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/1/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/42/0":           "cert=2/8/8/480 lineage=1/8/4/432 project=1/8/8/864",
+	"cert/42/0":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/42/8":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/7/0":            "cert=2/8/8/480 lineage=1/8/4/432 project=1/8/8/864",
+	"cert/7/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"cert/7/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
 	"conf-over-shat/1/0":  "lineage=2/12/8/768 project=2/12/12/1264",
 	"conf-over-shat/1/8":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/42/0": "lineage=3/16/12/1104 project=3/16/16/1664",
+	"conf-over-shat/42/0": "lineage=2/12/8/768 project=2/12/12/1264",
 	"conf-over-shat/42/8": "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/7/0":  "lineage=3/16/12/1104 project=3/16/16/1664",
+	"conf-over-shat/7/0":  "lineage=2/12/8/768 project=2/12/12/1264",
 	"conf-over-shat/7/8":  "lineage=2/12/8/768 project=2/12/12/1264",
 	"diff/1/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"diff/1/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/42/0":           "diffc=2/10/6/600 lineage=1/8/4/432 project=3/16/16/1664",
+	"diff/42/0":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"diff/42/8":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/7/0":            "diffc=2/10/6/600 lineage=1/8/4/432 project=3/16/16/1664",
+	"diff/7/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"diff/7/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
 	"hard-conf/1/0":       "lineage=1/120/6/3240",
 	"hard-conf/1/8":       "lineage=1/120/6/3240",
@@ -199,32 +199,32 @@ var shatOpsGolden = map[string]string{
 	"hard-shat/7/8":       "lineage=1/120/6/3240 project=1/120/120/13872",
 	"join/1/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"join/1/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/42/0":           "join=2/12/4/720 lineage=1/8/4/432 project=1/8/8/864",
+	"join/42/0":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"join/42/8":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/7/0":            "join=2/12/4/720 lineage=1/8/4/432 project=1/8/8/864",
+	"join/7/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"join/7/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
 	"nested-shat/1/0":     "lineage=2/12/8/768 project=3/16/16/1664",
 	"nested-shat/1/8":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/42/0":    "lineage=3/16/12/1104 project=5/24/24/2464",
+	"nested-shat/42/0":    "lineage=2/12/8/768 project=3/16/16/1664",
 	"nested-shat/42/8":    "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/7/0":     "lineage=3/16/12/1104 project=5/24/24/2464",
+	"nested-shat/7/0":     "lineage=2/12/8/768 project=3/16/16/1664",
 	"nested-shat/7/8":     "lineage=2/12/8/768 project=3/16/16/1664",
 	"poss/1/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"poss/1/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/42/0":           "lineage=1/8/4/432 poss=2/8/8/480 project=1/8/8/864",
+	"poss/42/0":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"poss/42/8":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/7/0":            "lineage=1/8/4/432 poss=2/8/8/480 project=1/8/8/864",
+	"poss/7/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"poss/7/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
 	"select/1/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 	"select/1/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/42/0":         "lineage=1/8/4/432 project=1/8/8/864 select=2/8/4/560",
+	"select/42/0":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 	"select/42/8":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/7/0":          "lineage=1/8/4/432 project=1/8/8/864 select=2/8/4/560",
+	"select/7/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 	"select/7/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
 }
 
 // TestShatFixturesGolden pins the σ̂ fixtures — estimates, propagated
-// bounds, singular flags, restart trajectory and operator statistics — to
+// bounds, singular flags, round trajectory and operator statistics — to
 // the recorded fingerprints across seeds, worker counts and estimation
 // paths.
 func TestShatFixturesGolden(t *testing.T) {

@@ -186,12 +186,15 @@ func TestWireTrailerKeys(t *testing.T) {
 		{when: "a stratified conf query factors easy lineage exactly",
 			body: q(testProgram, `, "seed": 7, "strata": 4`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "exact_factored", "elapsed_ms"}},
-		{when: "a σ̂ query restarts with doubled round budgets",
+		{when: "a σ̂ doubles its round budget",
 			body: q(`aselect[p1 >= 0.5 over conf[ID]](T);`, `, "seed": 3`),
+			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "decisions", "elapsed_ms"}},
+		{when: "a σ̂ under a merging projection walks again",
+			body: q(`project[0 as C](aselect[p1 >= 0.5 over conf[Sensor]](Obs));`, `, "seed": 3`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "elapsed_ms"}},
 		{when: "a σ̂ query drops its boundary tuple as a potential singularity",
 			body: q(singularProgram, `, "seed": 4`),
-			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "singular_drops", "elapsed_ms"}},
+			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "decisions", "singular_drops", "elapsed_ms"}},
 		{when: "an over-budget exact join spills",
 			body: q(`project[K, X, Y](union(join(A, B), join(A, B)));`, `, "exact": true, "max_memory_bytes": 16384`),
 			then: []string{"rows", "max_error_bound", "sampled_trials", "reused_trials", "cache_hits", "spilled_bytes", "spill_files", "elapsed_ms"}},

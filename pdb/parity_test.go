@@ -105,21 +105,17 @@ func TestCorpusFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestSigmaMaxMemoryChargedOnce pins WithMaxMemory on a restarting σ̂ (the
-// benchmark's sigma-strat program): each relation is charged once, as under
-// EvalExact of the same program, so a limit between one and two walks'
-// bytes completes bit-identical to the unlimited run instead of tripping
-// on the restarts.
-func TestSigmaMaxMemoryChargedOnce(t *testing.T) {
-	ctx := context.Background()
-	var paths map[string]string
-	for _, sc := range workload.Scenarios() {
-		if sc.Name == "sensor-dedup" {
-			var err error
-			if paths, err = sc.Generate(t.TempDir(), 70, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
+// sigmaStrat prepares the benchmark's sigma-strat program at threshold tau
+// over its data: the sensor-dedup scenario, 70 rows, corpus seed 1.
+func sigmaStrat(t *testing.T, tau float64) *pdb.Query {
+	t.Helper()
+	sc, err := workload.ScenarioByName("sensor-dedup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := sc.Generate(t.TempDir(), 70, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db, err := pdb.Open(paths)
 	if err != nil {
@@ -127,10 +123,44 @@ func TestSigmaMaxMemoryChargedOnce(t *testing.T) {
 	}
 	q, err := db.Prepare(`D := project[Sensor,Epoch,Value](repairkey[Sensor,Epoch @ Conf](Readings)); ` +
 		`H := project[Sensor,Epoch](select[Value >= 25](D)); N := project[Sensor, Epoch - 1 as Epoch](H); ` +
-		`aselect[p1 >= 0.5 over conf[Sensor]](project[Sensor](join(H, N)))`)
+		fmt.Sprintf(`aselect[p1 >= %g over conf[Sensor]](project[Sensor](join(H, N)))`, tau))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return q
+}
+
+// TestSigmaStratDrawsEachTrialOnce pins Figure 3 per σ̂ on the sigma-strat
+// program: of its two decisions one is exact and the other reads one
+// 12-clause task, open until the last round, which continues in memory
+// from round to round — so the evaluation samples exactly that task's
+// final budget of l·12 trials, walks the plan once, and reuses nothing.
+func TestSigmaStratDrawsEachTrialOnce(t *testing.T) {
+	res, err := sigmaStrat(t, 0.3).Eval(context.Background(), pdb.WithSeed(3), pdb.WithWorkers(1),
+		pdb.WithEpsilon(0.1), pdb.WithDelta(0.1), pdb.WithStrata(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats()
+	if st.Decisions != 2 || st.FinalRounds < 8 {
+		t.Fatalf("fixture: %d decisions, l = %d; want 2 decisions and ≥ 3 doublings", st.Decisions, st.FinalRounds)
+	}
+	if st.Restarts != 0 {
+		t.Errorf("%d re-walks, want none", st.Restarts)
+	}
+	if want := 12 * st.FinalRounds; st.SampledTrials != want || st.ReusedTrials != 0 {
+		t.Errorf("sampled %d trials and reused %d, want the open task's final budget %d and none",
+			st.SampledTrials, st.ReusedTrials, want)
+	}
+}
+
+// TestSigmaMaxMemoryChargedOnce pins WithMaxMemory on a σ̂ that doubles its
+// rounds (the benchmark's sigma-strat program): each relation is charged
+// once, as under EvalExact of the same program, so a limit between one and
+// two walks' bytes completes bit-identical to the unlimited run.
+func TestSigmaMaxMemoryChargedOnce(t *testing.T) {
+	ctx := context.Background()
+	q := sigmaStrat(t, 0.5)
 	opts := []pdb.Option{pdb.WithSeed(3), pdb.WithWorkers(1), pdb.WithEpsilon(0.1), pdb.WithDelta(0.1), pdb.WithStrata(8)}
 	ref, err := q.Eval(ctx, opts...)
 	if err != nil {
@@ -144,12 +174,12 @@ func TestSigmaMaxMemoryChargedOnce(t *testing.T) {
 	for _, s := range exact.Stats().Ops {
 		walk += s.Bytes
 	}
-	if ref.Stats().Restarts < 1 || walk == 0 {
-		t.Fatalf("fixture: %d restarts, one walk %d bytes", ref.Stats().Restarts, walk)
+	if ref.Stats().FinalRounds < 4 || walk == 0 {
+		t.Fatalf("fixture: l = %d, one walk %d bytes; want ≥ 2 doublings", ref.Stats().FinalRounds, walk)
 	}
 	got, err := q.Eval(ctx, append(opts, pdb.WithMaxMemory(walk*3/2))...)
 	if err != nil {
-		t.Fatalf("Eval over %d restarts under WithMaxMemory(%d), one walk %d B: %v", ref.Stats().Restarts, walk*3/2, walk, err)
+		t.Fatalf("Eval to l = %d under WithMaxMemory(%d), one walk %d B: %v", ref.Stats().FinalRounds, walk*3/2, walk, err)
 	}
 	if evalFingerprint(got) != evalFingerprint(ref) {
 		t.Error("memory-limited run differs from the unlimited one")

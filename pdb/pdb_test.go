@@ -164,6 +164,9 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// The hook sees each σ̂ round, l doubling from one to the next, and then
+// the end of the evaluation, flagged Done; without a projection above the
+// σ̂ nothing is walked again.
 func TestProgressHook(t *testing.T) {
 	db := coinDB(t)
 	q, err := db.Prepare(`aselect[p1 >= 0.25 over conf[CoinType]](project[CoinType](repairkey[@Count](Coins)))`)
@@ -185,16 +188,23 @@ func TestProgressHook(t *testing.T) {
 		t.Error("last progress event should be flagged Done")
 	}
 	for i, ev := range events {
-		if ev.Restart != i {
+		if ev.Restart != 0 {
 			t.Errorf("event %d has Restart %d", i, ev.Restart)
 		}
 		if ev.Rounds <= 0 || ev.MaxRounds < ev.Rounds {
 			t.Errorf("event %d has bad budget: rounds=%d max=%d", i, ev.Rounds, ev.MaxRounds)
 		}
+		if ev.Done != (i == len(events)-1) {
+			t.Errorf("event %d has Done %v", i, ev.Done)
+		}
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Rounds <= events[i-1].Rounds {
-			t.Errorf("round budgets should double: %d then %d", events[i-1].Rounds, events[i].Rounds)
+	rounds := events[:len(events)-1]
+	if len(rounds) == 0 || last.Rounds != rounds[len(rounds)-1].Rounds {
+		t.Fatalf("want σ̂ rounds ending at the final l, got %+v", events)
+	}
+	for i := 1; i < len(rounds); i++ {
+		if rounds[i].Rounds != 2*rounds[i-1].Rounds {
+			t.Errorf("round budgets should double: %d then %d", rounds[i-1].Rounds, rounds[i].Rounds)
 		}
 	}
 }
