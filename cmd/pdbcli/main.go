@@ -26,7 +26,7 @@
 // relations; -approx switches confidence computation and σ̂ decisions to
 // the Karp–Luby / Figure-3 machinery with per-tuple error bounds. A
 // -timeout bound cancels the evaluation cooperatively; -progress reports
-// every pass of the doubling loop on stderr. -cpuprofile and -memprofile
+// every σ̂ round and the end of the evaluation on stderr. -cpuprofile and -memprofile
 // write pprof profiles of the evaluation (CPU, and heap after a final GC)
 // so operator hot spots can be captured without a test harness.
 package main
@@ -95,7 +95,7 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for approximate evaluation")
 	flag.IntVar(&cfg.workers, "workers", 0, "parallel estimation workers (0 = GOMAXPROCS); results are seed-determined regardless")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort evaluation after this duration (0 = no limit)")
-	flag.BoolVar(&cfg.progress, "progress", false, "report each pass of the doubling loop on stderr")
+	flag.BoolVar(&cfg.progress, "progress", false, "report each σ̂ round and the end of the evaluation on stderr")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the plan with inferred schemas instead of evaluating")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the evaluation to this file (inspect with go tool pprof)")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a heap profile (after evaluation and a final GC) to this file")
@@ -230,8 +230,8 @@ func run(cfg cliConfig) (err error) {
 	}, limitOpts...)
 	if cfg.progress {
 		opts = append(opts, pdb.WithProgress(func(ev pdb.ProgressEvent) {
-			fmt.Fprintf(os.Stderr, "# pass %d: rounds=%d/%d worst-bound=%.4g sampled=%d reused=%d done=%v\n",
-				ev.Restart, ev.Rounds, ev.MaxRounds, ev.WorstBound, ev.SampledTrials, ev.ReusedTrials, ev.Done)
+			fmt.Fprintf(os.Stderr, "# rounds=%d/%d re-walks=%d worst-bound=%.4g decisions=%d sampled=%d reused=%d done=%v\n",
+				ev.Rounds, ev.MaxRounds, ev.Restart, ev.WorstBound, ev.Decisions, ev.SampledTrials, ev.ReusedTrials, ev.Done)
 		}))
 	}
 	res, err := q.Eval(ctx, opts...)

@@ -5,7 +5,7 @@
 // selection keeps only the clusters whose most likely resolution has
 // confidence ≥ 0.6 — a predicate over approximated marginal probabilities
 // (σ̂, Section 6). The -timeout-style context support bounds the
-// evaluation, and a progress hook observes the doubling loop.
+// evaluation, and a progress hook observes each σ̂ round.
 //
 // Run with: go run ./examples/datacleaning
 package main
@@ -65,12 +65,12 @@ func main() {
 	printResolved(exact, false)
 
 	// Approximate engine with per-tuple error bounds and an observer on
-	// the doubling loop.
+	// the σ̂'s rounds: its l doubles until every decision is within δ.
 	approx, err := q.Eval(ctx,
 		pdb.WithEpsilon(0.05), pdb.WithDelta(0.05), pdb.WithSeed(99),
 		pdb.WithProgress(func(ev pdb.ProgressEvent) {
-			fmt.Printf("  [progress] pass %d: rounds=%d worst-bound=%.4g sampled=%d reused=%d\n",
-				ev.Restart, ev.Rounds, ev.WorstBound, ev.SampledTrials, ev.ReusedTrials)
+			fmt.Printf("  [progress] rounds=%d worst-bound=%.4g decisions=%d sampled=%d done=%v\n",
+				ev.Rounds, ev.WorstBound, ev.Decisions, ev.SampledTrials, ev.Done)
 		}))
 	if err != nil {
 		log.Fatal(err)
@@ -78,7 +78,7 @@ func main() {
 	fmt.Println("\nSame query, approximate (Karp–Luby + Figure 3), with error bounds:")
 	printResolved(approx, true)
 	s := approx.Stats()
-	fmt.Printf("\nstats: rounds=%d restarts=%d decisions=%d sampled-trials=%d reused-trials=%d\n",
+	fmt.Printf("\nstats: rounds=%d re-walks=%d decisions=%d sampled-trials=%d reused-trials=%d\n",
 		s.FinalRounds, s.Restarts, s.Decisions, s.SampledTrials, s.ReusedTrials)
 	fmt.Println("\nClusters without a dominant candidate stay unresolved — downstream")
 	fmt.Println("processing sees only records cleaned with quantified reliability.")

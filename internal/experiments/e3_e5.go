@@ -23,7 +23,7 @@ import (
 // E3AdaptivePredicate reproduces the behaviour of the Figure 3 algorithm
 // (Theorem 5.8) as the engine runs it, σ̂_{p ≥ c} over a one-tuple relation
 // whose lineage is a random DNF: on non-singular inputs the decision error
-// stays within δ, and the doubling loop stops far below the naive round
+// stays within δ, and σ̂'s doubling loop stops far below the naive round
 // count ⌈3·log(2k/δ)/ε₀²⌉, by roughly the paper's ε²_φ/ε²₀ factor.
 func E3AdaptivePredicate(w io.Writer, cfg Config) (Summary, error) {
 	s := newSummary("E3")

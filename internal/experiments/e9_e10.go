@@ -91,7 +91,7 @@ func E9ProvenanceBounds(w io.Writer, cfg Config) (Summary, error) {
 }
 
 // E10QueryApprox is the end-to-end Theorem 6.7 experiment: approximate
-// evaluation of a σ̂ query with the doubling-l loop achieves per-tuple
+// evaluation of a σ̂ query doubling its own l achieves per-tuple
 // error ≤ δ on non-singular tuples, in time polynomial in the database
 // size, and the adaptive margin-based ε saves work against running
 // directly at the Proposition 6.6 round bound l₀.
@@ -149,8 +149,8 @@ func E10QueryApprox(w io.Writer, cfg Config) (Summary, error) {
 
 			// Naive cost: running every estimator at the Proposition 6.6
 			// round bound l₀ directly. The adaptive side counts sampled +
-			// reused trials — the paper-literal doubling-loop cost — so
-			// the ratio is resume-independent.
+			// reused trials — all the trials its estimates rest on — so
+			// the ratio is cache-independent.
 			l0 := provenance.RoundsForProposition66(1, 1, n, eps0, delta)
 			approxTrials := res.Stats.EstimatorTrials + res.Stats.ReusedTrials
 			if approxTrials > 0 {

@@ -24,17 +24,17 @@
 //
 // Every blocking call takes a context.Context. Cancellation is
 // cooperative and prompt: the engine checks the context between plan
-// operators, between doubling restarts, and between Monte-Carlo estimation
+// operators, between a σ̂'s rounds, and between Monte-Carlo estimation
 // chunks inside the worker pool, so Eval returns ctx.Err() within one
 // chunk boundary without leaking goroutines or corrupting the engine's
-// cross-restart resume cache.
+// estimator cache.
 //
 // Evaluation is configured with validated functional options (WithEpsilon,
 // WithDelta, WithWorkers, WithSeed, …); invalid settings are rejected with
 // a typed *OptionError before any work starts — the one place a
 // configuration is validated. Long-running evaluations can be observed
-// with WithProgress, which reports every pass of the doubling loop
-// (restart count, round budget, trial counts, worst error bound).
+// with WithProgress, which reports every σ̂ round (round budget, trial
+// counts, worst decision bound) and the end of the evaluation.
 //
 // Results are deterministic: equal databases, query text, seed, and
 // accuracy targets produce bit-identical results for any worker count and

@@ -117,8 +117,8 @@ type EngineStats struct {
 	InFlight int64 `json:"in_flight"`
 	// SampledTrials and ReusedTrials aggregate the per-evaluation
 	// Stats.SampledTrials / Stats.ReusedTrials over all completed
-	// evaluations: reused trials were served from the engine cache (or
-	// from a restart's own snapshots) instead of being re-sampled.
+	// evaluations: reused trials were served from the engine cache
+	// instead of being re-sampled.
 	SampledTrials int64 `json:"sampled_trials"`
 	ReusedTrials  int64 `json:"reused_trials"`
 	// CacheHits counts estimation tasks (across all evaluations) that

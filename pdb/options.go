@@ -51,9 +51,10 @@ func WithEpsilon(eps float64) Option {
 	}}
 }
 
-// WithDelta sets δ, the target per-tuple error probability the doubling
-// loop drives every bound below. Must lie in (0, 1).
-// Default 0.05.
+// WithDelta sets δ, the target per-tuple error probability: each σ̂ doubles
+// its rounds until its decisions' bounds are within its share of δ, and
+// the plan is walked again only while a result bound exceeds δ. Must lie
+// in (0, 1). Default 0.05.
 func WithDelta(delta float64) Option {
 	return Option{func(o *core.Options) error {
 		if delta <= 0 || delta >= 1 {
@@ -117,7 +118,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithMaxTrials caps the number of Karp–Luby trials one evaluation may
-// sample, cumulatively across every pass of the doubling loop. Exceeding
+// sample, over every σ̂ round and re-walk. Exceeding
 // the cap aborts the evaluation with a typed *LimitError. Must be
 // positive; trials resumed from cached estimator state are free, and the
 // cap does not apply to EvalExact (exact evaluation samples nothing —
@@ -137,8 +138,8 @@ func WithMaxTrials(n int64) Option {
 // running bytes estimate the engine keeps for materialized operator
 // outputs (the same estimate Stats.Ops reports — not an allocator
 // measurement). Each relation is charged once, when it is materialized; a
-// doubling-loop restart charges only what it rebuilds above the first σ̂,
-// never the σ̂-free prefix or a σ̂'s lineage it replays. Exceeding the cap
+// σ̂'s rounds materialize nothing, so a plan is charged as EvalExact of it
+// is (a re-walk charges what it builds again). Exceeding the cap
 // aborts the evaluation with a typed *LimitError; the partitioned
 // operators stop producing mid-range once it trips. Applies to Eval and
 // EvalExact alike. Must be positive. Default: unlimited.
@@ -191,16 +192,15 @@ func WithStrata(n int) Option {
 }
 
 // ProgressEvent is one observation of a running evaluation, delivered to
-// the WithProgress hook after every pass of the doubling loop: the restart
-// count, the pass's round budget and cap, cumulative sampled/reused trial
-// counts, the worst error bound, and whether the loop stops
-// here.
+// the WithProgress hook after every σ̂ round — the re-walks so far, the
+// round's l and its cap, cumulative sampled/reused trial counts, the
+// round's worst decision bound — and once more at the end, flagged Done.
 type ProgressEvent = core.Progress
 
 // WithProgress registers a hook observing the evaluation: it is called
-// synchronously after every pass of the doubling loop (including the final
-// one, flagged Done). The hook must be non-nil and fast, and must not call
-// back into the query or database.
+// synchronously after every σ̂ round and at the end (flagged Done). The
+// hook must be non-nil and fast, and must not call back into the query or
+// database.
 func WithProgress(fn func(ProgressEvent)) Option {
 	return Option{func(o *core.Options) error {
 		if fn == nil {

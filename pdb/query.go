@@ -44,13 +44,13 @@ func (q *Query) Explain() string { return algebra.Explain(q.plan, q.db.udb) }
 
 // Eval evaluates the query approximately with per-tuple error bounds
 // (Theorem 6.7): confidence computations use the Karp–Luby FPRAS and σ̂
-// predicates are decided on estimates, with the round budget doubled until
-// every bound is below δ. Options configure accuracy, seed,
-// parallelism, and observability; invalid options are rejected with a
-// typed *OptionError before any work starts.
+// predicates are decided on estimates, each σ̂ doubling its round budget
+// until its decisions' bounds are within its share of δ. Options configure
+// accuracy, seed, parallelism, and observability; invalid options are
+// rejected with a typed *OptionError before any work starts.
 //
 // Cancelling ctx aborts the evaluation cooperatively — between plan
-// operators, doubling restarts, and estimation chunks — and returns
+// operators, σ̂ rounds, and estimation chunks — and returns
 // ctx.Err(). A cancelled evaluation leaves no goroutines behind, and a
 // later Eval on the same Query is bit-identical to one on a fresh
 // database.

@@ -26,39 +26,39 @@ type OpStats = urel.OpStats
 // fields are populated; exact evaluation fills only Ops and the spill
 // fields. The JSON names are the NDJSON trailer's (docs/API.md).
 type Stats struct {
-	// FinalRounds is the round budget l the doubling loop stopped at.
+	// FinalRounds is the largest round budget l any σ̂ reached.
 	FinalRounds int64 `json:"final_rounds,omitempty"`
-	// Restarts is the number of doubling restarts.
+	// Restarts is the number of root re-walks: walks of the plan again,
+	// with halved shares of δ, while a result bound exceeded δ.
 	Restarts int `json:"restarts,omitempty"`
 	// SampledTrials is the number of Karp–Luby trials actually sampled;
 	// ReusedTrials counts trials resumed from estimator snapshots instead
-	// — snapshots of this evaluation's earlier restarts, or of earlier
+	// — of this evaluation's earlier operators or walks, or of earlier
 	// evaluations when the query is bound to an Engine cache.
 	SampledTrials int64 `json:"sampled_trials"`
 	ReusedTrials  int64 `json:"reused_trials"`
 	// CacheHits is the number of estimation tasks that resumed from a
-	// cached snapshot (cross-restart, and cross-query on an Engine).
+	// cached snapshot.
 	CacheHits int64 `json:"cache_hits"`
-	// Decisions is the number of σ̂ predicate decisions in the final pass.
+	// Decisions is the number of σ̂ predicate decisions in each σ̂'s final
+	// round.
 	Decisions int `json:"decisions,omitempty"`
 	// SingularDrops counts negative σ̂ decisions flagged as potential
 	// ε₀-singularities (their absence is not covered by the δ guarantee).
 	SingularDrops int `json:"singular_drops,omitempty"`
-	// Strata is the number of sampling strata active in the final pass
+	// Strata is the number of sampling strata of the estimation tasks
 	// (0 unless stratified estimation — WithStrata — was used).
 	Strata int64 `json:"strata,omitempty"`
-	// EarlyStops counts stratified estimation tasks of the final pass that
-	// settled before spending their full trial budget (empirical-Bernstein
-	// convergence).
+	// EarlyStops counts stratified estimation tasks that settled before
+	// spending their full trial budget (empirical-Bernstein convergence).
 	EarlyStops int64 `json:"early_stops,omitempty"`
 	// ExactFactored counts independent lineage subformulas the factoring
-	// pre-pass computed exactly instead of sampling (final pass).
+	// pre-pass computed exactly instead of sampling.
 	ExactFactored int64 `json:"exact_factored,omitempty"`
 	// Ops maps operator names (join, product, select, project, union,
 	// diffc, repairkey, lineage, cert, poss) to their aggregate work over
-	// the evaluation (conf and σ̂ record their grouping as lineage): the
-	// σ̂-free prefix and each σ̂'s lineage once, what a restart rebuilds
-	// above the first σ̂ once per pass. It makes operator
+	// the evaluation's walk (conf and σ̂ record their grouping as
+	// lineage). It makes operator
 	// throughput — and the effect of WithWorkers on the exact-algebra
 	// path — observable from the public API.
 	Ops map[string]OpStats `json:"-"`
