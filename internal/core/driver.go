@@ -147,8 +147,8 @@ func (run *evalRun) publish(tasks []*task) {
 }
 
 // planWave appends t's share of the next wave. All decisions read merged
-// counts at wave boundaries, so the trajectory — and the exact pass total —
-// is bit-identical for any worker count.
+// counts at wave boundaries, so the trajectory — and the exact round total
+// — is bit-identical for any worker count.
 func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
 	// emit ends lane s full chunks and rem trials past its cursor; the first
 	// skip of them are the open chunk's, drawn by an earlier budget.
@@ -334,11 +334,10 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 		return nil, fmt.Errorf("core: distributor returned %d results for %d tasks", len(counts), len(rts))
 	}
 	for i, lw := range wave {
-		open := lw.t.lanes[lw.lane].partial
 		if lw.skip == 0 {
 			continue
 		}
-		rc := &counts[i]
+		open, rc := lw.t.lanes[lw.lane].partial, &counts[i]
 		rc.Hits, rc.Trials = rc.Hits-open.hits, rc.Trials-open.trials
 		if lw.full == 0 { // the chunk stays open, so its counts were partial
 			rc.PartialHits, rc.PartialTrials = rc.PartialHits-open.hits, rc.PartialTrials-open.trials

@@ -89,13 +89,11 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 // to a from-scratch run.
 //
 // A budget that is not chunk-aligned ends in a trailing partial chunk,
-// which sampled a strict prefix of the chunk stream at plan index Chunks.
-// The Partial fields snapshot that chunk mid-stream: its counts
-// (PartialHits over PartialTrials, both already included in Hits/Trials)
-// and the live PRNG positioned exactly after trial PartialTrials of the
-// chunk's stream. A resumed run completes the chunk by drawing its
-// remaining trials from PartialRNG — continuing the identical stream the
-// from-scratch run would sample — instead of re-sampling the chunk.
+// which sampled a strict prefix of the chunk stream at plan index Chunks;
+// its counts are PartialHits over PartialTrials, both already included in
+// Hits/Trials. A resumed run completes the chunk by re-drawing that prefix
+// of the stream and sampling on — the identical stream the from-scratch
+// run would sample.
 type State struct {
 	Hits   int64
 	Trials int64
@@ -103,7 +101,6 @@ type State struct {
 
 	PartialHits   int64
 	PartialTrials int64
-	PartialRNG    *rand.Rand
 }
 
 // Merge folds shard o's trial counts into e. Both estimators must be over
