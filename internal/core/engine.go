@@ -62,15 +62,15 @@ type Options struct {
 	// the limit. Exceeding it aborts the evaluation with a *LimitError;
 	// trials resumed from estimator snapshots are free.
 	MaxTrials int64
-	// MaxMemory caps the evaluation's estimated bytes materialized by the
-	// exact-algebra operators (the same running estimate Stats.Ops
-	// reports). A relation is charged once, when it is materialized — a
-	// σ̂'s rounds materialize nothing, a re-walk what it builds again — and
-	// a sub-plan the engine's memo replays (SetMemo) is charged as if
-	// materialized. Enforcement is
-	// cooperative: the partitioned blow-up operators stop producing
-	// mid-range once the budget trips, and the evaluation aborts with a
-	// *LimitError at the next operator boundary. 0 disables the limit.
+	// MaxMemory caps the estimated bytes one walk of the plan materializes
+	// by the exact-algebra operators (the same running estimate Stats.Ops
+	// reports): a relation is charged once, when it is materialized — a
+	// σ̂'s rounds materialize nothing, and a re-walk starts a fresh budget —
+	// and a sub-plan the engine's memo replays (SetMemo) as if
+	// materialized. Enforcement is cooperative: the partitioned blow-up
+	// operators stop producing mid-range once the budget trips, and the
+	// evaluation aborts with a *LimitError at the next operator boundary.
+	// 0 disables the limit.
 	MaxMemory int64
 	// SpillDir, when non-empty alongside MaxMemory, switches the memory
 	// limit from a hard abort to out-of-core execution: intermediate
@@ -271,31 +271,31 @@ func (e *Engine) EvalExact(q algebra.Query) (algebra.URelResult, error) {
 // over-budget intermediates spill to disk and the evaluation completes);
 // Options.MaxTrials does not apply — exact evaluation samples nothing.
 func (e *Engine) EvalExactContext(ctx context.Context, q algebra.Query) (algebra.URelResult, error) {
-	w, done, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory))
-	if err != nil {
-		return algebra.URelResult{}, err
-	}
-	defer done()
-	res, err := w.EvalContext(ctx, q)
-	return res, limitErr(err)
+	return e.walk(ctx, q, nil)
 }
 
-// newWalker builds an evaluation's plan walker over a fresh clone of the
-// database, on the engine's worker pool, under the memory budget mem (nil:
-// none) and — when Options.SpillDir is set alongside a MaxMemory budget — a
-// fresh spill directory, which done removes; and with the engine's sub-plan
-// memo. Exact and approximate evaluation differ only in the walker's
-// Estimators.
-func (e *Engine) newWalker(mem *urel.MemBudget) (w *algebra.URelEvaluator, done func(), err error) {
-	w = algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(mem).WithMemo(e.memo)
-	if e.opts.SpillDir == "" || e.opts.MaxMemory <= 0 {
-		return w, func() {}, nil
+// walk evaluates q once on a fresh plan walker: a fresh clone of the
+// database, on the engine's worker pool, under its own Options.MaxMemory
+// budget and — when Options.SpillDir is set alongside it — its own spill
+// directory, removed on return once the walker has brought a shed result
+// home; with the engine's sub-plan memo. Exact and approximate evaluation
+// differ only in the walker's Estimators: run's, or exact ones when run is
+// nil.
+func (e *Engine) walk(ctx context.Context, q algebra.Query, run *evalRun) (algebra.URelResult, error) {
+	w := algebra.NewParallelURelEvaluator(e.db, e.pool).WithBudget(urel.NewMemBudget(e.opts.MaxMemory)).WithMemo(e.memo)
+	if e.opts.SpillDir != "" && e.opts.MaxMemory > 0 {
+		spill, err := urel.NewSpill(e.opts.SpillDir)
+		if err != nil {
+			return algebra.URelResult{}, err
+		}
+		defer spill.Close()
+		w.WithSpill(spill)
 	}
-	spill, err := urel.NewSpill(e.opts.SpillDir)
-	if err != nil {
-		return nil, nil, err
+	if run != nil {
+		w.WithEstimators(run, false)
 	}
-	return w.WithSpill(spill), func() { spill.Close() }, nil
+	res, err := w.EvalContext(ctx, q)
+	return res, limitErr(err)
 }
 
 // limitErr maps the walker's tripped-budget error to the engine's typed
@@ -342,20 +342,14 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	out := &Result{Stats: Stats{FinalRounds: max(e.opts.InitialRounds, 1)}}
 	st := &out.Stats
 	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st, maxRounds: maxL, share: e.opts.Delta / float64(max(d, 1))}
-	w, done, err := e.newWalker(urel.NewMemBudget(e.opts.MaxMemory))
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	w.WithEstimators(run, false)
 	for {
-		// The walker brings a shed result home: callers read it once the
-		// spill directory is gone.
-		res, err := w.EvalContext(ctx, q)
+		res, err := e.walk(ctx, q, run)
 		if err != nil {
-			return nil, limitErr(err)
+			return nil, err
 		}
-		st.Ops, st.SpilledBytes, st.SpillFiles = res.Ops, res.SpilledBytes, res.SpillFiles
+		st.Ops = res.Ops
+		st.SpilledBytes += res.SpilledBytes
+		st.SpillFiles += res.SpillFiles
 		// The root check: every non-singular result tuple and decision
 		// (positive or negative) within δ. Each σ̂ already ran its decisions
 		// to their share or to the cap, so only a σ̂ that stopped below the
@@ -367,11 +361,13 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 			out.Rel, out.Complete, out.Bounds = res.Rel, res.Complete, res.Bounds
 			return out, nil
 		}
-		// A re-walk is a plain walk with every share halved: the figures
-		// of the walk start over, the trial counts carry on.
+		// A re-walk is a plain walk with every share halved. Its walker is
+		// fresh, so repair-key names its variables as before and every task
+		// resumes the walk before's snapshots; the figures of the walk start
+		// over, the trial counts carry on.
 		st.Restarts++
 		run.share /= 2
-		run.worstDecision, run.slack = 0, false
+		run.worstDecision, run.slack, run.fper = 0, false, nil
 		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
 	}
 }

@@ -139,7 +139,7 @@ func WithMaxTrials(n int64) Option {
 // outputs (the same estimate Stats.Ops reports — not an allocator
 // measurement). Each relation is charged once, when it is materialized; a
 // σ̂'s rounds materialize nothing, so a plan is charged as EvalExact of it
-// is (a re-walk charges what it builds again). Exceeding the cap
+// is (a re-walk starts a fresh budget). Exceeding the cap
 // aborts the evaluation with a typed *LimitError; the partitioned
 // operators stop producing mid-range once it trips. Applies to Eval and
 // EvalExact alike. Must be positive. Default: unlimited.
