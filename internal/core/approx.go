@@ -26,13 +26,14 @@ import (
 //
 // A σ̂ batch (Definition 6.2) follows the balanced refinement scheme of the
 // end of Section 5: l rounds of |F| trials per task, stratified under
-// Options.Strata, starting at Options.InitialRounds and doubled by Round.
+// Options.Strata, starting at the walk's l (Options.InitialRounds on the
+// first walk) and doubled by Round.
 func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (algebra.Estimates, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
 	tgt := target{adaptive: opts.Strata > 0, eps: eps, delta: delta}
-	est := &estimates{run: run, cvs: make([][]*confValue, len(args)), rounds: max(opts.InitialRounds, 1)}
+	est := &estimates{run: run, cvs: make([][]*confValue, len(args)), rounds: run.rounds}
 	if decide {
 		budget = func(clauses int) int64 { return roundBudget(est.rounds, clauses) }
 		tgt = target{}
@@ -42,7 +43,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	before := *run.stats
 	for a, groups := range args {
 		for f := range groups {
-			cv, t, err := run.newTask(f, budget, opts.Strata, decide)
+			cv, t, err := run.newTask(f, budget, opts.Strata)
 			if err != nil {
 				return nil, err
 			}
@@ -80,8 +81,7 @@ func roundBudget(l int64, clauses int) int64 {
 // estimates is one batch's confValues, by argument and lineage position,
 // and its tasks. kept is a conf batch's replayed counts when it sampled
 // nothing. A σ̂ batch also keeps its round l and what the current round's
-// decisions counted: decisions, singular drops and the worst non-singular
-// bound.
+// decisions counted: decisions, singular drops and the worst bound.
 type estimates struct {
 	run    *evalRun
 	cvs    [][]*confValue
@@ -115,8 +115,10 @@ func (e *estimates) Kept() (any, bool) { return e.kept, e.kept != nil }
 // provenance holds at most one decision per σ̂ — at any nesting, since mu
 // is at most the lower σ̂s' shares. A projection (Example 6.5's fan-in) or
 // σ̂ argument that merges tuples sums several decisions of one σ̂ instead,
-// so EvalApproxContext checks the root's worst bound against δ and re-walks
-// with halved shares when it exceeds it. Nothing beyond the union bound is
+// so EvalApproxContext checks the root's worst bound against δ and, when it
+// exceeds it, re-walks with halved shares and every σ̂ starting at twice
+// the largest l of the walk before — Figure 3's outer doubling, so there
+// are at most log₂ l₀ re-walks. Nothing beyond the union bound is
 // used: each δᵢ(ε) is its estimate's own Chernoff or empirical-Bernstein
 // bound at the trials it holds.
 //
@@ -261,9 +263,7 @@ func (e *estimates) Decide(pred predapprox.Pred, combo []int, mu float64, singul
 		}
 	}
 	bound := decisionErr + mu
-	if !singular {
-		e.worst = max(e.worst, bound)
-	}
+	e.worst = max(e.worst, bound)
 	keep := pred.Eval(est)
 	if !keep && singular {
 		e.drops++

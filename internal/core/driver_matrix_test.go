@@ -87,11 +87,11 @@ var matrixGolden = map[string]string{
 	"flat-conf/remote=true/warm":      "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
 	"flat-conf/remote=true/grown":     "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
 	"flat-shat/remote=false/cold":     "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/warm":     "sampled=0 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/grown":    "sampled=65408 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/warm":     "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/grown":    "sampled=125440 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"flat-shat/remote=true/cold":      "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=true/warm":      "sampled=0 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=true/grown":     "sampled=65408 reused=60032 cache-hits=3 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/warm":      "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/grown":     "sampled=125440 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"strata8-conf/remote=false/cold":  "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=false/warm":  "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=false/grown": "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
@@ -197,11 +197,25 @@ func TestDriverMatrix(t *testing.T) {
 								t.Errorf("%q: %q, // differs from golden %q", key, got, matrixGolden[key])
 							}
 						}
-						if warm.EstimatorTrials >= cold.EstimatorTrials || warm.ReusedTrials == 0 {
-							t.Errorf("remote=%v: warm run sampled %d trials (cold %d), reused %d", remote, warm.EstimatorTrials, cold.EstimatorTrials, warm.ReusedTrials)
-						}
-						if grown.EstimatorTrials == 0 || grown.ReusedTrials == 0 {
-							t.Errorf("remote=%v: grown run sampled %d trials, reused %d; want both positive", remote, grown.EstimatorTrials, grown.ReusedTrials)
+						if _, shat := tc.q.(algebra.ApproxSelect); shat && tc.opts.Strata == 0 {
+							// A flat σ̂ task resumes only snapshots within its
+							// budget and continues in memory from l = 1, so a
+							// warm or grown run is a cold one: the same draws,
+							// the same decisions, nothing reused.
+							if !reflect.DeepEqual(want[1], want[0]) || warm.EstimatorTrials != cold.EstimatorTrials || warm.ReusedTrials != 0 {
+								t.Errorf("remote=%v: warm run sampled %d trials (cold %d), reused %d, results equal %v; want a cold run",
+									remote, warm.EstimatorTrials, cold.EstimatorTrials, warm.ReusedTrials, reflect.DeepEqual(want[1], want[0]))
+							}
+							if grown.ReusedTrials != 0 {
+								t.Errorf("remote=%v: grown run reused %d trials; want a cold run", remote, grown.ReusedTrials)
+							}
+						} else {
+							if warm.EstimatorTrials >= cold.EstimatorTrials || warm.ReusedTrials == 0 {
+								t.Errorf("remote=%v: warm run sampled %d trials (cold %d), reused %d", remote, warm.EstimatorTrials, cold.EstimatorTrials, warm.ReusedTrials)
+							}
+							if grown.EstimatorTrials == 0 || grown.ReusedTrials == 0 {
+								t.Errorf("remote=%v: grown run sampled %d trials, reused %d; want both positive", remote, grown.EstimatorTrials, grown.ReusedTrials)
+							}
 						}
 					}
 				}

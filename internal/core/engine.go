@@ -110,8 +110,9 @@ type Progress struct {
 	// MaxRounds is the cap on l (the Theorem 6.7 bound when Options left
 	// it 0).
 	MaxRounds int64
-	// WorstBound is the round's largest non-singular decision bound; at
-	// the end, the root's worst bound, which EvalApprox compares against δ.
+	// WorstBound is the round's largest decision bound, singular ones
+	// included; at the end, the root's worst bound, which EvalApprox
+	// compares against δ.
 	WorstBound float64
 	// SampledTrials and ReusedTrials are cumulative Karp–Luby trial counts
 	// so far (see Stats).
@@ -145,8 +146,9 @@ type Stats struct {
 	// one).
 	FinalRounds int64
 	// Restarts is the number of root re-walks: plain walks of the plan
-	// with halved shares of δ, run while the result's worst bound
-	// exceeds δ (see EvalApproxContext).
+	// with halved shares of δ and a doubled starting l, run while the
+	// result's worst bound exceeds δ (see EvalApproxContext) — at most
+	// log₂ of the round cap.
 	Restarts int
 	// EstimatorTrials is the number of Karp–Luby trials actually sampled,
 	// excluding trials resumed from estimator snapshots.
@@ -311,8 +313,8 @@ func limitErr(err error) error {
 // EvalApprox evaluates the query approximately per Theorem 6.7: every σ̂
 // doubles its own round budget l until each of its decisions' bounds is
 // within its share of δ (or l reaches the round cap), and the plan is
-// walked again, with halved shares, only while the result's worst bound
-// exceeds δ.
+// walked again, with halved shares and from a doubled l, only while the
+// result's worst bound exceeds δ.
 func (e *Engine) EvalApprox(q algebra.Query) (*Result, error) {
 	return e.EvalApproxContext(context.Background(), q)
 }
@@ -339,9 +341,10 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 	if cache == nil {
 		cache = NewCache(0)
 	}
-	out := &Result{Stats: Stats{FinalRounds: max(e.opts.InitialRounds, 1)}}
+	l := min(max(e.opts.InitialRounds, 1), maxL)
+	out := &Result{Stats: Stats{FinalRounds: l}}
 	st := &out.Stats
-	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st, maxRounds: maxL, share: e.opts.Delta / float64(max(d, 1))}
+	run := &evalRun{engine: e, ctx: ctx, cache: cache, stats: st, rounds: l, maxRounds: maxL, share: e.opts.Delta / float64(max(d, 1))}
 	for {
 		res, err := e.walk(ctx, q, run)
 		if err != nil {
@@ -350,23 +353,30 @@ func (e *Engine) EvalApproxContext(ctx context.Context, q algebra.Query) (*Resul
 		st.Ops = res.Ops
 		st.SpilledBytes += res.SpilledBytes
 		st.SpillFiles += res.SpillFiles
-		// The root check: every non-singular result tuple and decision
-		// (positive or negative) within δ. Each σ̂ already ran its decisions
-		// to their share or to the cap, so only a σ̂ that stopped below the
-		// cap (slack) can still lower the bound.
-		worst, _ := res.Bounds.Worst(true)
+		// The root check of Theorem 6.7 with Figure 3's stopping rule:
+		// every result tuple's bound and every decision's (positive or
+		// negative) within δ. A singular-looking one counts too — its
+		// δᵢ(ε₀) still shrinks with l — so only a true singularity runs to
+		// the l₀ cap. Each σ̂ already ran its decisions to their share or
+		// to the cap, so only a σ̂ that stopped below the cap (slack) can
+		// still lower the bound.
+		worst, _ := res.Bounds.Worst(false)
 		worst = max(worst, run.worstDecision)
 		if worst <= e.opts.Delta || !run.slack {
 			run.progress(st.FinalRounds, worst, st.Decisions, true)
 			out.Rel, out.Complete, out.Bounds = res.Rel, res.Complete, res.Bounds
 			return out, nil
 		}
-		// A re-walk is a plain walk with every share halved. Its walker is
-		// fresh, so repair-key names its variables as before and every task
-		// resumes the walk before's snapshots; the figures of the walk start
-		// over, the trial counts carry on.
+		// A re-walk is a plain walk with every share halved and every σ̂
+		// starting at twice the largest l the walk before reached, so l
+		// reaches the cap — and slack ends the loop — within log₂ l₀
+		// re-walks. Its walker is fresh, so repair-key names its variables
+		// as before and every task resumes the walk before's snapshots,
+		// which lie within its budget; the figures of the walk start over,
+		// the trial counts carry on.
 		st.Restarts++
 		run.share /= 2
+		run.rounds = min(2*st.FinalRounds, maxL)
 		run.worstDecision, run.slack, run.fper = 0, false, nil
 		st.Decisions, st.SingularDrops, st.Strata, st.EarlyStops, st.ExactFactored = 0, 0, 0, 0, 0
 	}
@@ -408,8 +418,10 @@ type evalRun struct {
 	// table is the walker's variable table, which the walk's repair-keys
 	// grow: the current batch's lineage is estimated against it.
 	table *vars.Table
-	// maxRounds caps every σ̂'s l, and share is the part of δ each σ̂
-	// decision's own error may take (estimates.Round).
+	// rounds is the l every σ̂ of the walk starts at, maxRounds caps it,
+	// and share is the part of δ each σ̂ decision's own error may take
+	// (estimates.Round).
+	rounds    int64
 	maxRounds int64
 	share     float64
 	// cache resumes estimation tasks from snapshots under the same
@@ -427,8 +439,8 @@ type evalRun struct {
 	// stats is the evaluation's Stats: the walk counts its trials, cache
 	// hits, decisions and stratified-task figures straight into it.
 	stats *Stats
-	// worstDecision is the largest non-singular bound of the walk's final
-	// σ̂ decisions, negative ones included (their tuples carry no entry in
+	// worstDecision is the largest bound of the walk's final σ̂
+	// decisions, singular and negative ones included (their tuples carry no entry in
 	// the result's bounds). slack reports that a σ̂ with sampled tasks
 	// stopped below the cap, so a re-walk with halved shares could help.
 	worstDecision float64

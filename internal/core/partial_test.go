@@ -28,7 +28,7 @@ func estimateOnce(t *testing.T, eng *Engine, cache *Cache, budget int64) (*evalR
 	t.Helper()
 	_, f := partialFixture()
 	run := &evalRun{engine: eng, table: eng.db.Vars, cache: cache, stats: &Stats{}}
-	cv, job, err := run.newTask(f, func(int) int64 { return budget }, 0, false)
+	cv, job, err := run.newTask(f, func(int) int64 { return budget }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/predapprox"
 	"repro/internal/rel"
 	"repro/internal/urel"
+	"repro/internal/vars"
 )
 
 // restartDB holds readings of three sensors over twelve epochs, each
@@ -243,5 +245,41 @@ func TestMaxMemoryChargedOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resultFingerprint(t, got), resultFingerprint(t, ref)) || !reflect.DeepEqual(got.Stats, ref.Stats) {
 		t.Errorf("memory-limited run differs from the unlimited one:\n got %+v\nwant %+v", got.Stats, ref.Stats)
+	}
+}
+
+// TestCappedSigmaRewalksBounded pins the re-walk bound: a σ̂ whose decision
+// sits on or near its threshold runs to MaxRounds with a bound above δ,
+// which the root check counts, while a wide-margin σ̂ beside it closes below
+// the cap. Each re-walk starts every σ̂ at twice the largest l the walk
+// before reached, so the re-walks end within log₂ MaxRounds instead of
+// pushing the wide σ̂ towards the cap one doubling at a time.
+func TestCappedSigmaRewalksBounded(t *testing.T) {
+	db := urel.NewDatabase()
+	for _, c := range [][2]string{{"R", "A"}, {"S", "B"}} {
+		x := db.Vars.Add(c[0]+"x", []float64{0.5, 0.5}, nil)
+		y := db.Vars.Add(c[0]+"y", []float64{0.5, 0.5}, nil)
+		r := urel.NewRelation(rel.NewSchema(c[1]))
+		// p = 1 − 0.5·0.5 = 0.75.
+		r.Add(vars.MustAssignment(vars.Binding{Var: x, Alt: 0}), rel.Tuple{rel.Int(0)})
+		r.Add(vars.MustAssignment(vars.Binding{Var: y, Alt: 0}), rel.Tuple{rel.Int(0)})
+		db.AddURelation(c[0], r, false)
+	}
+	const maxRounds = 1 << 10
+	// 0.75 is a singularity; 0.72 is a margin above ε₀ whose bound the
+	// cap leaves above δ.
+	for _, threshold := range []string{"0.75", "0.72"} {
+		q := mustParse(t, `join(project[A](aselect[p1 >= `+threshold+` over conf[A]](R)), project[B](aselect[p1 >= 0.2 over conf[B]](S)))`)
+		res, err := NewEngine(db, Options{Eps0: 0.02, Delta: 0.1, Seed: 5, MaxRounds: maxRounds}).EvalApprox(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Restarts == 0 || res.Stats.FinalRounds != maxRounds {
+			t.Fatalf("threshold %s, fixture: %d re-walks, final l = %d; want the tight σ̂ capped at %d and a re-walk",
+				threshold, res.Stats.Restarts, res.Stats.FinalRounds, maxRounds)
+		}
+		if limit := bits.Len(maxRounds) - 1; res.Stats.Restarts > limit {
+			t.Errorf("threshold %s: %d re-walks under MaxRounds %d; want at most log₂ = %d", threshold, res.Stats.Restarts, maxRounds, limit)
+		}
 	}
 }

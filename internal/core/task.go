@@ -88,14 +88,13 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // a flat task). Every lane's seed is derived from Options.Seed, the content
 // fingerprint and the stratum index, so equal seeds give bit-identical
 // estimates for any worker count, and content-equal tasks sample identical
-// streams wherever they appear; each lane then resumes (resume) — a σ̂
-// task, marked by rounds, from whatever its own cache entry holds.
+// streams wherever they appear; each lane then resumes (resume).
 //
 // Within one batch (one conf or σ̂ operator), content-equal clause sets
 // share a single task: the second and later sightings return a confValue
 // bound to the first one's task (each keeps its own exact-factored part),
 // so duplicated lineage is estimated once.
-func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata int, rounds bool) (*confValue, *task, error) {
+func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata int) (*confValue, *task, error) {
 	f = f.Dedup()
 	switch {
 	case len(f) == 0:
@@ -148,11 +147,8 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 		if !t.flat() {
 			l.key = stratKey(key, maxStrata, j)
 		}
-		if rounds { // apart from conf's snapshots, under a band bound no plan has
-			l.key = stratKey(l.key, -1, j)
-		}
 	}
-	run.resume(t, trials(est.ClauseCount()), rounds || !t.flat())
+	run.resume(t, trials(est.ClauseCount()))
 	if run.batch != nil {
 		run.batch[key] = t
 	}
@@ -161,17 +157,16 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 
 // resume sets a new task's budget and starts every lane from the snapshot
 // its cache entry holds (Cache), or from zero counts without one; the
-// resumed trials count as reused. A flat conf task resumes only snapshots
-// within its budget, so its P is a from-scratch run's; with prefix set
-// each lane resumes whatever is cached.
-func (run *evalRun) resume(t *task, budget int64, prefix bool) {
+// resumed trials count as reused. A flat task — conf or σ̂ — resumes only
+// snapshots within its budget, so its P is a from-scratch run's whatever
+// the cache holds; a stratified task's budget is a cap over all its lanes,
+// and each lane resumes whatever chunk-aligned prefix is cached.
+func (run *evalRun) resume(t *task, budget int64) {
 	t.budget = budget
 	lookupTotal := budget
-	if prefix {
-		lookupTotal = math.MaxInt64
-	}
 	if !t.flat() {
 		run.stats.Strata += int64(len(t.lanes))
+		lookupTotal = math.MaxInt64
 	}
 	resumed := false
 	for j := range t.lanes {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -356,5 +357,63 @@ func TestClusterErrorThroughEval(t *testing.T) {
 	}
 	if err := eng.PingCluster(ctx); !errors.As(err, &ce) || ce.Shard != dead {
 		t.Errorf("PingCluster: err = %v, want a *pdb.ClusterError naming %s", err, dead)
+	}
+}
+
+// TestEngineSigmaWarmMatchesCold extends the warm-equals-cold contract to
+// σ̂: on one Engine, a σ̂ query that follows another σ̂ over the same
+// lineage content but with a different δ — whose cached snapshots run past
+// its own rounds — returns rows and error bounds bit-identical to a cold
+// run of it, and samples the same trials, for workers 1 and 4.
+func TestEngineSigmaWarmMatchesCold(t *testing.T) {
+	const program = `aselect[p1 >= 0.7 over conf[Sensor]](project[Sensor](Obs));`
+	ctx := context.Background()
+	fingerprint := func(res *pdb.Result) []string {
+		var out []string
+		for row := range res.Rows() {
+			out = append(out, fmt.Sprintf("%s|%x|%v", row.Str("Sensor"), math.Float64bits(row.ErrorBound()), row.Singular()))
+		}
+		return out
+	}
+	for _, workers := range []int{1, 4} {
+		db := engineDB(t)
+		opts := func(delta float64) []pdb.Option {
+			return []pdb.Option{pdb.WithSeed(9), pdb.WithWorkers(workers), pdb.WithEpsilon(0.02), pdb.WithDelta(delta)}
+		}
+		coldQ, err := db.Prepare(program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := coldQ.Eval(ctx, opts(0.1)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := db.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := eng.Prepare(program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := q.Eval(ctx, opts(0.001)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := q.Eval(ctx, opts(0.1)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Stats().FinalRounds <= cold.Stats().FinalRounds {
+			t.Fatalf("workers=%d: fixture: the tighter δ ran to l = %d, the cold run to %d; want more rounds",
+				workers, first.Stats().FinalRounds, cold.Stats().FinalRounds)
+		}
+		if got, want := fingerprint(warm), fingerprint(cold); !slices.Equal(got, want) {
+			t.Errorf("workers=%d: warm rows %v, cold rows %v", workers, got, want)
+		}
+		if warm.Stats().SampledTrials != cold.Stats().SampledTrials || warm.Stats().FinalRounds != cold.Stats().FinalRounds {
+			t.Errorf("workers=%d: warm run sampled %d trials to l = %d, cold %d to l = %d",
+				workers, warm.Stats().SampledTrials, warm.Stats().FinalRounds, cold.Stats().SampledTrials, cold.Stats().FinalRounds)
+		}
 	}
 }
