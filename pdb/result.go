@@ -29,7 +29,8 @@ type Stats struct {
 	// FinalRounds is the largest round budget l any σ̂ reached.
 	FinalRounds int64 `json:"final_rounds,omitempty"`
 	// Restarts is the number of root re-walks: walks of the plan again,
-	// with halved shares of δ, while a result bound exceeded δ.
+	// with halved shares of δ and a doubled starting l, while a result
+	// bound exceeded δ — at most log₂ of the round cap.
 	Restarts int `json:"restarts,omitempty"`
 	// SampledTrials is the number of Karp–Luby trials actually sampled;
 	// ReusedTrials counts trials resumed from estimator snapshots instead
