@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzApproxPredicate -fuzztime=10s ./internal/predapprox
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzClientHandshake -fuzztime=10s ./internal/cluster
+	$(GO) test -fuzz=FuzzDecodeSampleRequest -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeSampleResult -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzStore -fuzztime=10s ./internal/store
 	$(GO) test -fuzz=FuzzRowEncoding -fuzztime=10s ./internal/server

@@ -217,8 +217,6 @@ func (c *Coordinator) SampleChunks(ctx context.Context, tasks []core.RemoteTask)
 				rc, t := ev.counts[i], &out[u.task]
 				t.Hits += rc.Hits
 				t.Trials += rc.Trials
-				t.PartialHits += rc.PartialHits
-				t.PartialTrials += rc.PartialTrials
 				u.done, won = true, true
 				pending--
 			default:
@@ -247,14 +245,12 @@ func (c *Coordinator) SampleChunks(ctx context.Context, tasks []core.RemoteTask)
 	return out, nil
 }
 
-// validCounts reports whether rc can be the summed counts of chunks
+// validCounts reports whether rc can be the summed counts of chunk runs
 // totalling trials trials. Every field crossed the wire as an unchecked
 // uvarint (a value above MaxInt64 arrives negative), and core's estimators
 // reject impossible counts outright, so a violating unit is never merged.
 func validCounts(rc core.RemoteCounts, trials int64) bool {
-	return rc.Trials == trials &&
-		0 <= rc.PartialHits && rc.PartialHits <= rc.Hits && rc.Hits <= rc.Trials &&
-		rc.PartialHits <= rc.PartialTrials && rc.PartialTrials <= rc.Trials
+	return rc.Trials == trials && 0 <= rc.Hits && rc.Hits <= rc.Trials
 }
 
 // execName names an executor for error messages.

@@ -65,8 +65,19 @@ func FuzzDecodeSampleRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add(encodeSampleRequest([]core.RemoteTask{}))
+	f.Add(encodeSampleRequest([]core.RemoteTask{testTask(f)})) // a run starting mid-chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeSampleRequest(data) // must not panic
+		tasks, err := decodeSampleRequest(data) // must not panic
+		if err != nil {
+			return
+		}
+		for _, w := range tasks {
+			for _, c := range w.chunks {
+				if c.Skip < 0 || c.N <= 0 || c.Skip+c.N > w.chunkSize {
+					t.Fatalf("decoded run %+v leaves its %d-trial chunk", c, w.chunkSize)
+				}
+			}
+		}
 	})
 }
 
@@ -116,7 +127,7 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(1)
 			return e.b
-		}(), "protocol version 1, want 3"},
+		}(), "protocol version 1, want 4"},
 		// A peer from before shards went stateless: same stream, but a
 		// fifth (reused-trials) count per record and keyed tasks.
 		{"version 2 peer", msgHello, func() []byte {
@@ -124,7 +135,15 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(2)
 			return e.b
-		}(), "protocol version 2, want 3"},
+		}(), "protocol version 2, want 4"},
+		// A peer from before chunk runs carried their Skip: it would read
+		// every request's chunks misaligned.
+		{"version 3 peer", msgHello, func() []byte {
+			var e enc
+			e.u32(protocolMagic)
+			e.uv(3)
+			return e.b
+		}(), "protocol version 3, want 4"},
 		{"truncated", msgHello, []byte{0x70, 0x64}, "truncated"},
 		{"empty", msgHello, nil, "truncated"},
 	}

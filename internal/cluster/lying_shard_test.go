@@ -12,10 +12,9 @@ import (
 )
 
 // lyingProxy fronts a live shard and rewrites every sample result it sends
-// back (frame type 4: a uvarint record count, then four uvarints per
-// record — hits, trials, partial hits, partial trials) so that each record
-// claims lie(trials) hits. It returns the proxy's address
-// and the number of results rewritten so far.
+// back (frame type 4: a uvarint record count, then two uvarints per
+// record — hits, trials) so that each record claims lie(trials) hits. It
+// returns the proxy's address and the number of results rewritten so far.
 func lyingProxy(t *testing.T, backend string, lie func(trials uint64) uint64) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,7 +27,7 @@ func lyingProxy(t *testing.T, backend string, lie func(trials uint64) uint64) (s
 		n, off := binary.Uvarint(payload)
 		out := binary.AppendUvarint(nil, n)
 		for ; n > 0; n-- {
-			var rec [4]uint64
+			var rec [2]uint64
 			for i := range rec {
 				v, w := binary.Uvarint(payload[off:])
 				rec[i], off = v, off+w

@@ -49,10 +49,12 @@ const (
 	// coordinator would. Version 2 is the compiled lazy kernel on PCG
 	// chunk streams (a version-1 peer would answer with valid-looking
 	// counts from another stream); version 3 drops what only a stateful
-	// shard needed — the task's content key and the reused-trials count.
+	// shard needed — the task's content key and the reused-trials count;
+	// version 4 gives every chunk run its Skip, the trials of its chunk
+	// before the run, and drops the open chunk's counts from the result.
 	// The handshake refuses any other version, so coordinator and shards
 	// upgrade together.
-	protocolVersion = 3
+	protocolVersion = 4
 	// maxFrame bounds a frame; a sample batch over a large clause set is
 	// the biggest legitimate message.
 	maxFrame = 1 << 28
@@ -292,6 +294,7 @@ func encodeTask(e *enc, t core.RemoteTask) {
 	e.uv(uint64(len(t.Chunks)))
 	for _, c := range t.Chunks {
 		e.uv(uint64(c.Index))
+		e.uv(uint64(c.Skip))
 		e.uv(uint64(c.N))
 	}
 }
@@ -371,7 +374,12 @@ func decodeTask(d *dec) (wireTask, error) {
 	}
 	t.chunks = make([]sched.Chunk, nchunks)
 	for i := range t.chunks {
-		t.chunks[i] = sched.Chunk{Index: int(d.uv()), N: int64(d.uv())}
+		c := sched.Chunk{Index: int(d.uv()), Skip: int64(d.uv()), N: int64(d.uv())}
+		// A run lies inside its chunk: trials [Skip, Skip+N) of [0, chunkSize).
+		if c.Index < 0 || c.Skip < 0 || c.N <= 0 || c.N > t.chunkSize-c.Skip {
+			d.fail()
+		}
+		t.chunks[i] = c
 	}
 	if t.chunkSize <= 0 || t.stratum < 0 || t.maxStrata < 0 {
 		d.fail()
@@ -422,8 +430,6 @@ func encodeSampleResult(counts []core.RemoteCounts) []byte {
 	for _, c := range counts {
 		e.uv(uint64(c.Hits))
 		e.uv(uint64(c.Trials))
-		e.uv(uint64(c.PartialHits))
-		e.uv(uint64(c.PartialTrials))
 	}
 	return e.b
 }
@@ -437,12 +443,7 @@ func decodeSampleResult(payload []byte) ([]core.RemoteCounts, error) {
 	}
 	counts := make([]core.RemoteCounts, n)
 	for i := range counts {
-		counts[i] = core.RemoteCounts{
-			Hits:          int64(d.uv()),
-			Trials:        int64(d.uv()),
-			PartialHits:   int64(d.uv()),
-			PartialTrials: int64(d.uv()),
-		}
+		counts[i] = core.RemoteCounts{Hits: int64(d.uv()), Trials: int64(d.uv())}
 	}
 	return counts, d.err
 }

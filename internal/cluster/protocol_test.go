@@ -11,8 +11,8 @@ import (
 )
 
 // testTask builds a RemoteTask with awkward content: sparse var ids,
-// subnormal and near-one probabilities, and a partial chunk.
-func testTask(t *testing.T) core.RemoteTask {
+// subnormal and near-one probabilities, and a run starting mid-chunk.
+func testTask(t testing.TB) core.RemoteTask {
 	t.Helper()
 	table := vars.NewTable()
 	var ids []vars.Var
@@ -33,7 +33,7 @@ func testTask(t *testing.T) core.RemoteTask {
 		Stratum:   2,
 		Clauses:   f,
 		Vars:      table,
-		Chunks:    []sched.Chunk{{Index: 0, N: 4096}, {Index: 3, N: 100}},
+		Chunks:    []sched.Chunk{{Index: 0, N: 4096}, {Index: 3, Skip: 1000, N: 100}},
 	}
 }
 
@@ -77,7 +77,7 @@ func TestSampleRequestRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(w.chunks) != 2 || w.chunks[1] != (sched.Chunk{Index: 3, N: 100}) {
+	if len(w.chunks) != 2 || w.chunks[1] != (sched.Chunk{Index: 3, Skip: 1000, N: 100}) {
 		t.Errorf("chunks diverge: %+v", w.chunks)
 	}
 }
@@ -95,10 +95,34 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
+// A chunk run must lie inside its chunk: a shard refuses any other as
+// malformed input, before it samples anything.
+func TestDecodeRejectsChunkOutsideItsChunk(t *testing.T) {
+	for name, c := range map[string]sched.Chunk{
+		"index<0":          {Index: -1, N: 10},
+		"skip<0":           {Index: 1, Skip: -1, N: 10},
+		"n=0":              {Index: 1, Skip: 5},
+		"n<0":              {Index: 1, Skip: 5, N: -3},
+		"past chunk end":   {Index: 1, Skip: 4000, N: 97},
+		"skip+n overflows": {Index: 1, Skip: 4000, N: math.MaxInt64},
+	} {
+		task := testTask(t)
+		task.Chunks = []sched.Chunk{{Index: 0, N: 4096}, c}
+		if _, err := decodeSampleRequest(encodeSampleRequest([]core.RemoteTask{task})); err == nil {
+			t.Errorf("%s: chunk %+v of a %d-trial chunk decoded", name, c, task.ChunkSize)
+		}
+	}
+	task := testTask(t)
+	task.Chunks = []sched.Chunk{{Index: 1, Skip: 4000, N: 96}}
+	if _, err := decodeSampleRequest(encodeSampleRequest([]core.RemoteTask{task})); err != nil {
+		t.Errorf("a run ending on its chunk's last trial was refused: %v", err)
+	}
+}
+
 func TestSampleResultRoundTrip(t *testing.T) {
 	in := []core.RemoteCounts{
-		{Hits: 1, Trials: 4096, PartialHits: 0, PartialTrials: 0},
-		{Hits: 12345, Trials: 1 << 40, PartialHits: 7, PartialTrials: 100},
+		{Hits: 1, Trials: 4096},
+		{Hits: 12345, Trials: 1 << 40},
 	}
 	out, err := decodeSampleResult(encodeSampleResult(in))
 	if err != nil {

@@ -240,9 +240,6 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 	var units []unit
 	for i, t := range tasks {
 		for _, c := range t.chunks {
-			if c.N <= 0 || c.Index < 0 {
-				return nil, errors.New("cluster: invalid chunk assignment")
-			}
 			units = append(units, unit{task: i, chunk: c})
 		}
 	}
@@ -251,19 +248,12 @@ func (s *Shard) sample(tasks []wireTask) ([]core.RemoteCounts, error) {
 	err := s.pool.ForEachCtx(context.Background(), len(units), func(i int) error {
 		u := units[i]
 		t := &tasks[u.task]
-		sh := ests[u.task].Shard(t.stratum, sched.NewRand(sched.ChunkSeed(t.seed, u.chunk.Index)))
-		sh.Add(int(u.chunk.N))
-		hits := sh.Hits()
+		hits, _ := ests[u.task].SampleChunk(t.stratum, t.seed, u.chunk, nil)
 		s.chunksSampled.Add(1)
 		s.trialsSampled.Add(u.chunk.N)
 		mu.Lock()
-		c := &counts[u.task]
-		c.Hits += hits
-		c.Trials += u.chunk.N
-		if u.chunk.N < t.chunkSize {
-			c.PartialHits += hits
-			c.PartialTrials += u.chunk.N
-		}
+		counts[u.task].Hits += hits
+		counts[u.task].Trials += u.chunk.N
 		mu.Unlock()
 		return nil
 	})

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/karpluby"
-	"repro/internal/sched"
 )
 
 // Cache carries Karp–Luby estimator state across evaluations. Entries are
@@ -15,19 +14,20 @@ import (
 // calls on a long-lived engine, and across different queries that share
 // lineage.
 //
-// An entry is a lane's counts over a prefix of its chunk plan (sched.Chunks)
-// — whole chunks, then possibly one partial chunk — which seeds an
-// estimator for any budget at least as large: a budget it covers samples
-// nothing, a larger one only the rest. The partial chunk's continuation
-// re-draws its prefix from the chunk's seed (samplePool), so the merged
-// counts stay bit-identical to a from-scratch run.
+// An entry is a lane's (hits, trials): its trials are a prefix of its
+// chunk stream (sched.Chunks), so the counts seed an estimator for any
+// budget at least as large — a budget it covers samples nothing, a larger
+// one only the rest, starting in the chunk and at the offset the trial
+// count names and re-drawing that chunk's prefix from its seed
+// (karpluby.SampleChunk), so the merged counts stay bit-identical to a
+// from-scratch run.
 //
 // Entries are keyed by (content, engine seed): counts sampled under one
 // seed scheme are useless to another, and clients of a shared engine may
-// pick different seeds without evicting each other's snapshots. Guard
-// fields (clause count, chunk size, seed) are additionally cross-checked
-// on every hit: a fingerprint collision must degrade to a miss, never
-// corrupt an estimate.
+// pick different seeds without evicting each other's snapshots. The clause
+// count is additionally cross-checked on every hit — it fixes the chunk
+// size too (karpluby.DefaultChunk) — so a fingerprint collision degrades
+// to a miss, never a corrupt estimate.
 //
 // The cache is size-bounded: with maxEntries > 0, least-recently-used
 // entries are evicted once the bound is exceeded. Eviction only ever costs
@@ -53,19 +53,11 @@ type cacheKey struct {
 	seed    int64
 }
 
-// cacheEntry is one lane's cached counts: hits over total trials, the
-// first fullChunks·chunkSize of them in whole chunks and the rest, when
-// the budget was not chunk-aligned, in the partial chunk at plan index
-// fullChunks.
+// cacheEntry is one lane's cached counts, hits over trials.
 type cacheEntry struct {
-	key       cacheKey
-	clauses   int   // |F| after dedup — guard against fingerprint collisions
-	chunkSize int64 // chunk plan granularity (karpluby.DefaultChunk(clauses))
-	seed      int64 // engine seed the counts were sampled under
-
-	total, hits                int64
-	fullChunks                 int
-	partialHits, partialTrials int64
+	key     cacheKey
+	clauses int // |F| after dedup — guard against fingerprint collisions
+	karpluby.StratumState
 }
 
 // NewCache returns an empty estimator cache holding at most maxEntries
@@ -96,53 +88,39 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // lookup returns the snapshot cached for a lane when it resumes a budget of
-// total trials. The guard fields (clause count, chunk size, seed) must
-// match the cached entry exactly — a mismatch means a fingerprint
-// collision or a different sampling scheme — and the entry must not end
-// past total, since the counts of its chunks are not kept apart; otherwise
-// the cache refuses rather than corrupt the estimate.
-func (c *Cache) lookup(key contentKey, clauses int, chunkSize, total, seed int64) (karpluby.State, bool) {
+// total trials. The clause count must match the cached entry's — a
+// mismatch means a fingerprint collision — and the entry must not end past
+// total, since the counts of its trials are not kept apart; otherwise the
+// cache refuses rather than corrupt the estimate.
+func (c *Cache) lookup(key contentKey, clauses int, total, seed int64) (karpluby.StratumState, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.m[cacheKey{content: key, seed: seed}]
 	if !found {
 		c.misses++
-		return karpluby.State{}, false
+		return karpluby.StratumState{}, false
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
-	if e.clauses != clauses || e.chunkSize != chunkSize || e.seed != seed || e.total > total {
+	if e.clauses != clauses || e.Trials > total {
 		c.misses++
-		return karpluby.State{}, false
+		return karpluby.StratumState{}, false
 	}
 	c.hits++
-	return karpluby.State{Hits: e.hits, Trials: e.total, Chunks: e.fullChunks,
-		PartialHits: e.partialHits, PartialTrials: e.partialTrials}, true
+	return e.StratumState, true
 }
 
-// store publishes a lane's counts: hits over total trials, of which
-// partialHits over partialTrials fall in the trailing partial chunk (zero
-// when the budget is chunk-aligned). Entries only ever grow: a stale store
+// store publishes a lane's counts. Entries only ever grow: a stale store
 // (no larger than what is cached) is dropped, which keeps the cache
 // monotone even if callers race. (Stores under different engine seeds land
 // in different entries — the seed is part of the map key.)
-func (c *Cache) store(key contentKey, clauses int, chunkSize, total, hits, partialHits, partialTrials, seed int64) {
+func (c *Cache) store(key contentKey, clauses int, st karpluby.StratumState, seed int64) {
 	mk := cacheKey{content: key, seed: seed}
-	entry := &cacheEntry{
-		key:           mk,
-		clauses:       clauses,
-		chunkSize:     chunkSize,
-		seed:          seed,
-		total:         total,
-		hits:          hits,
-		fullChunks:    sched.FullChunks(total, chunkSize),
-		partialHits:   partialHits,
-		partialTrials: partialTrials,
-	}
+	entry := &cacheEntry{key: mk, clauses: clauses, StratumState: st}
 	c.mu.Lock()
 	if el, ok := c.m[mk]; ok {
 		prev := el.Value.(*cacheEntry)
-		if prev.total >= total {
+		if prev.Trials >= st.Trials {
 			// Stale: a larger budget is already cached.
 			c.lru.MoveToFront(el)
 			c.mu.Unlock()

@@ -31,11 +31,7 @@ func TestImpossibleRemoteCountsRejected(t *testing.T) {
 		"hits>trials":           func(rc *RemoteCounts) { rc.Hits = rc.Trials + 1 },
 		"hits<0":                func(rc *RemoteCounts) { rc.Hits = math.MinInt64 }, // a uvarint above MaxInt64
 		"trials!=assigned":      func(rc *RemoteCounts) { rc.Trials++ },
-		"partialHits>hits":      func(rc *RemoteCounts) { rc.PartialHits = rc.Hits + 1 },
-		"partialHits>partial":   func(rc *RemoteCounts) { rc.PartialTrials = rc.PartialHits - 1 },
-		"partialTrials>trials":  func(rc *RemoteCounts) { rc.PartialTrials = rc.Trials + 1 },
-		"partialHits<0":         func(rc *RemoteCounts) { rc.PartialHits = -1 },
-		"everything overflowed": func(rc *RemoteCounts) { *rc = RemoteCounts{-1, -1, -1, -1} },
+		"everything overflowed": func(rc *RemoteCounts) { *rc = RemoteCounts{-1, -1} },
 	}
 	db := matrixDB()
 	for name, lie := range lies {

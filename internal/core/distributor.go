@@ -20,10 +20,12 @@ import (
 // shard, hedged duplicates, coordinator-local fallback) without changing
 // a bit, as long as each chunk's counts are merged exactly once.
 //
-// The contract per task: for every listed chunk, sample exactly Chunk.N
-// trials from the stream seeded by sched.ChunkSeed(Seed, Chunk.Index)
-// over the shipped clause set and variable table (probabilities bit-exact,
-// clause order preserved), and return the summed counts. The executor
+// The contract per task: for every listed chunk run, sample trials
+// [Chunk.Skip, Chunk.Skip+Chunk.N) of the stream seeded by
+// sched.ChunkSeed(Seed, Chunk.Index) — re-drawing and discarding its first
+// Chunk.Skip trials (karpluby.SampleChunk) — over the shipped clause set
+// and variable table (probabilities bit-exact, clause order preserved),
+// and return the summed counts. The executor
 // re-derives the deterministic karpluby.PlanStrata partition (MaxStrata
 // bands; the single stratum of a flat task when MaxStrata is 0) and
 // samples the Stratum-th band.
@@ -37,7 +39,7 @@ type Distributor interface {
 
 // RemoteTask is one typed unit of scatterable estimation work: a content
 // identity, the deterministic seed its chunk streams derive from, and the
-// plan chunks to sample.
+// chunk runs to sample.
 type RemoteTask struct {
 	// KeyHi/KeyLo are the task's lineage-content fingerprint — the same
 	// 64-bit words that key the engine's estimator cache. A distributor
@@ -46,8 +48,8 @@ type RemoteTask struct {
 	// Seed is the lane seed chunk streams derive from — already
 	// stratum-resolved (karpluby.StratumSeed(taskSeed, Stratum)).
 	Seed int64
-	// ChunkSize is the full plan chunk size (round-aligned; only a
-	// trailing chunk may be smaller).
+	// ChunkSize is the lane's plan chunk size (round-aligned): no run
+	// reaches past it.
 	ChunkSize int64
 	// MaxStrata and Stratum name the lane: the executor rebuilds
 	// PlanStrata(Clauses, table, MaxStrata) and samples stratum Stratum.
@@ -59,19 +61,16 @@ type RemoteTask struct {
 	// cross the wire bit-exact for the determinism contract to hold.
 	Clauses dnf.F
 	Vars    *vars.Table
-	// Chunks are the plan chunks to sample, by plan index.
+	// Chunks are the chunk runs to sample (sched.Chunks of the lane's
+	// trial range).
 	Chunks []sched.Chunk
 }
 
 // RemoteCounts is the merged result of one RemoteTask: plain integer sums
-// that absorb exactly into the coordinator's estimator.
+// over every assigned chunk run, which absorb exactly into the
+// coordinator's estimator.
 type RemoteCounts struct {
-	// Hits and Trials sum over every assigned chunk (partial included).
 	Hits, Trials int64
-	// PartialHits/PartialTrials are the contribution of the trailing
-	// undersized chunk, if one was assigned — the coordinator subtracts
-	// them when publishing chunk-aligned cache snapshots.
-	PartialHits, PartialTrials int64
 }
 
 // SetDistributor attaches a distributor: estimation batches scatter to it

@@ -40,38 +40,19 @@ type target struct {
 	eps, delta float64
 }
 
-// laneWave is one lane's share of a wave: full whole chunks from plan index
-// start — the lane's cursor — then, when rem > 0, one undersized chunk of
-// rem trials. skip trials of the first of them were already drawn by an
-// earlier budget (the lane's open chunk), so only the rest is due. rng is
-// set by the pool executor to the PRNG of a chunk the wave leaves open.
+// laneWave is one lane's share of a wave: its trials [from, from+n), from
+// being the trials it already holds, drawn as the chunk runs chunks splits
+// them into. rng is set by the pool executor to the PRNG of a chunk the
+// wave leaves open.
 type laneWave struct {
-	t     *task
-	lane  int
-	start int
-	full  int
-	rem   int64
-	skip  int64
-	rng   *rand.Rand
+	t       *task
+	lane    int
+	from, n int64
+	rng     *rand.Rand
 }
 
-// assigned returns the trials the wave asks the lane to draw.
-func (lw *laneWave) assigned() int64 {
-	return int64(lw.full)*lw.t.lanes[lw.lane].chunkSize + lw.rem - lw.skip
-}
-
-// chunks appends the wave's plan chunks to dst, each with the trials still
-// to draw from its stream.
-func (lw *laneWave) chunks(dst []sched.Chunk) []sched.Chunk {
-	first := len(dst)
-	for i := 0; i < lw.full; i++ {
-		dst = append(dst, sched.Chunk{Index: lw.start + i, N: lw.t.lanes[lw.lane].chunkSize})
-	}
-	if lw.rem > 0 {
-		dst = append(dst, sched.Chunk{Index: lw.start + lw.full, N: lw.rem})
-	}
-	dst[first].N -= lw.skip
-	return dst
+func (lw *laneWave) chunks() []sched.Chunk {
+	return sched.Chunks(lw.from, lw.n, lw.t.lanes[lw.lane].chunkSize)
 }
 
 // runEstimates drives every task to its stopping condition.
@@ -138,9 +119,8 @@ func (run *evalRun) publish(tasks []*task) {
 	for _, t := range tasks {
 		for s := range t.lanes {
 			l := &t.lanes[s]
-			if trials := t.est.StratumTrials(s); trials > 0 {
-				run.cache.store(l.key, t.est.StratumClauses(s), l.chunkSize, trials, t.est.StratumHits(s),
-					l.partial.hits, l.partial.trials, run.engine.opts.Seed)
+			if st := t.est.StratumState(s); st.Trials > 0 {
+				run.cache.store(l.key, t.est.StratumClauses(s), st, run.engine.opts.Seed)
 			}
 		}
 	}
@@ -150,16 +130,15 @@ func (run *evalRun) publish(tasks []*task) {
 // counts at wave boundaries, so the trajectory — and the exact round total
 // — is bit-identical for any worker count.
 func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
-	// emit ends lane s full chunks and rem trials past its cursor; the first
-	// skip of them are the open chunk's, drawn by an earlier budget.
-	emit := func(s, full int, rem int64) {
-		wave = append(wave, laneWave{t: t, lane: s, start: t.est.StratumChunks(s), full: full, rem: rem,
-			skip: t.lanes[s].partial.trials})
-	}
 	// spend draws n more trials on lane s.
 	spend := func(s int, n int64) {
-		end := t.lanes[s].partial.trials + n
-		emit(s, int(end/t.lanes[s].chunkSize), end%t.lanes[s].chunkSize)
+		wave = append(wave, laneWave{t: t, lane: s, from: t.est.StratumTrials(s), n: n})
+	}
+	// whole draws lane s to the end of the full-th chunk past the one its
+	// trials end in, so the lane ends on a chunk boundary.
+	whole := func(s, full int) {
+		size, from := t.lanes[s].chunkSize, t.est.StratumTrials(s)
+		spend(s, (from/size+int64(full))*size-from)
 	}
 	switch {
 	case tgt.adaptive:
@@ -169,7 +148,7 @@ func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
 		}
 		for s, c := range t.est.NextWave(sizes, t.budget) {
 			if c > 0 {
-				emit(s, c, 0)
+				whole(s, c)
 			}
 		}
 	case len(t.lanes) == 1:
@@ -200,7 +179,7 @@ func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
 		added := false
 		for s, a := range alloc {
 			if full := int(a / t.lanes[s].chunkSize); full > 0 {
-				emit(s, full, 0)
+				whole(s, full)
 				added = true
 			}
 		}
@@ -214,7 +193,7 @@ func (t *task) planWave(tgt target, wave []laneWave) []laneWave {
 					best, bestA = s, a
 				}
 			}
-			emit(best, 1, 0)
+			whole(best, 1)
 		}
 	}
 	return wave
@@ -245,10 +224,8 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 		c  sched.Chunk
 	}
 	var units []unit
-	var cs []sched.Chunk
 	for i := range wave {
-		cs = wave[i].chunks(cs[:0])
-		for _, c := range cs {
+		for _, c := range wave[i].chunks() {
 			units = append(units, unit{lw: i, c: c})
 		}
 	}
@@ -263,29 +240,18 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 		if err := run.chargeTrials(u.c.N); err != nil {
 			return err
 		}
-		rng, drawn := sched.NewRand(sched.ChunkSeed(l.seed, u.c.Index)), int64(0)
-		if lw.skip > 0 && u.c.Index == lw.start {
-			// Mid-chunk continuation of the lane's open chunk: continue its
-			// saved PRNG, or re-draw its first skip trials from the seed and
-			// discard them — bit-identical to sampling the chunk whole.
-			if drawn = lw.skip; l.partial.rng != nil {
-				rng = l.partial.rng
-			} else {
-				lw.t.est.Shard(lw.lane, rng).Add(int(drawn))
-			}
+		// Only a wave's first run can start inside a chunk: the lane's open
+		// chunk, whose PRNG the lane keeps when the pool drew its prefix.
+		var carried *rand.Rand
+		if u.c.Skip > 0 {
+			carried = l.rng
 		}
-		sh := lw.t.est.Shard(lw.lane, rng)
-		sh.Add(int(u.c.N))
+		hits, rng := lw.t.est.SampleChunk(lw.lane, l.seed, u.c, carried)
 		mu.Lock()
-		rc := &counts[u.lw]
-		rc.Hits += sh.Hits()
-		rc.Trials += u.c.N
-		if drawn+u.c.N < l.chunkSize {
-			// Only a plan's trailing chunk can be undersized: it stays
-			// open, its PRNG kept for the next budget.
-			rc.PartialHits += sh.Hits()
-			rc.PartialTrials += u.c.N
-			lw.rng = rng
+		counts[u.lw].Hits += hits
+		counts[u.lw].Trials += u.c.N
+		if u.c.Skip+u.c.N < l.chunkSize {
+			lw.rng = rng // only a wave's last run can leave its chunk open
 		}
 		mu.Unlock()
 		return nil
@@ -300,17 +266,13 @@ func (run *evalRun) samplePool(ctx context.Context, wave []laneWave) ([]RemoteCo
 // RemoteTask per lane, one scatter. The coordinator keeps everything else —
 // exact algebra, factoring, chunk planning, wave allocation, stopping
 // decisions, cache publication — so a remote run takes exactly the
-// trajectory a local run would. A lane's open chunk is re-sampled whole
-// from its seed, and the counts of its first skip trials, which the lane
-// already holds, come off the result. The whole wave's assigned trials are
-// charged against the trial limit before dispatch.
+// trajectory a local run would, over the same chunk runs. The whole wave's
+// trials are charged against the trial limit before dispatch.
 func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]RemoteCounts, error) {
 	rts := make([]RemoteTask, len(wave))
 	var total int64
 	for i, lw := range wave {
 		l := &lw.t.lanes[lw.lane]
-		chunks := lw.chunks(nil)
-		chunks[0].N += lw.skip
 		rts[i] = RemoteTask{
 			KeyHi: lw.t.key.hi, KeyLo: lw.t.key.lo,
 			Seed:      l.seed,
@@ -319,9 +281,9 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 			Stratum:   lw.lane,
 			Clauses:   lw.t.f,
 			Vars:      run.table,
-			Chunks:    chunks,
+			Chunks:    lw.chunks(),
 		}
-		total += lw.assigned()
+		total += lw.n
 	}
 	if err := run.chargeTrials(total); err != nil {
 		return nil, err
@@ -332,16 +294,6 @@ func (run *evalRun) sampleRemote(ctx context.Context, wave []laneWave) ([]Remote
 	}
 	if len(counts) != len(rts) {
 		return nil, fmt.Errorf("core: distributor returned %d results for %d tasks", len(counts), len(rts))
-	}
-	for i, lw := range wave {
-		if lw.skip == 0 {
-			continue
-		}
-		open, rc := lw.t.lanes[lw.lane].partial, &counts[i]
-		rc.Hits, rc.Trials = rc.Hits-open.hits, rc.Trials-open.trials
-		if lw.full == 0 { // the chunk stays open, so its counts were partial
-			rc.PartialHits, rc.PartialTrials = rc.PartialHits-open.hits, rc.PartialTrials-open.trials
-		}
 	}
 	return counts, nil
 }
@@ -359,27 +311,14 @@ func (e *countsError) Error() string {
 }
 
 // absorb folds one lane's wave counts into its task — the one place counts
-// enter an estimator, whichever executor produced them — and advances the
-// lane's cursor past the wave's whole chunks (the wave barrier guarantees
-// every chunk below the new cursor has merged).
+// enter an estimator, whichever executor produced them — and keeps the
+// PRNG of the chunk the wave left open, if the pool drew it.
 func (run *evalRun) absorb(lw *laneWave, rc RemoteCounts) error {
-	assigned := lw.assigned()
-	if rc.Trials != assigned || rc.PartialHits < 0 || rc.PartialHits > rc.Hits || rc.Hits > rc.Trials ||
-		rc.PartialHits > rc.PartialTrials || rc.PartialTrials > rc.Trials {
-		return &countsError{assigned: assigned, got: rc}
+	if rc.Trials != lw.n || rc.Hits < 0 || rc.Hits > rc.Trials {
+		return &countsError{assigned: lw.n, got: rc}
 	}
 	lw.t.est.AbsorbStratum(lw.lane, rc.Hits, rc.Trials)
 	run.stats.EstimatorTrials += rc.Trials
-	l := &lw.t.lanes[lw.lane]
-	if lw.full > 0 {
-		// The cursor moves: whatever chunk was open at it is now whole.
-		lw.t.est.AdvanceStratum(lw.lane, lw.start+lw.full)
-		l.partial = openChunk{}
-	}
-	l.partial.hits += rc.PartialHits
-	l.partial.trials += rc.PartialTrials
-	if lw.rng != nil {
-		l.partial.rng = lw.rng
-	}
+	lw.t.lanes[lw.lane].rng = lw.rng
 	return nil
 }

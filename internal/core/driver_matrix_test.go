@@ -13,16 +13,15 @@ import (
 	"repro/internal/karpluby"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
-	"repro/internal/sched"
 	"repro/internal/urel"
 	"repro/internal/vars"
 )
 
 // loopbackDistributor is an in-process core.Distributor: it rebuilds every
 // RemoteTask the way a shard does — the stratification plan from the
-// shipped clause set (one stratum when MaxStrata is 0), each chunk's stream
-// from sched.ChunkSeed(Seed, Index) — and returns the summed counts. No
-// PRNG crosses it, exactly as none crosses the wire.
+// shipped clause set (one stratum when MaxStrata is 0), each chunk run from
+// its seed (karpluby.SampleChunk) — and returns the summed counts. No PRNG
+// crosses it, exactly as none crosses the wire.
 type loopbackDistributor struct{ calls int }
 
 func (d *loopbackDistributor) SampleChunks(_ context.Context, tasks []RemoteTask) ([]RemoteCounts, error) {
@@ -38,14 +37,9 @@ func (d *loopbackDistributor) SampleChunks(_ context.Context, tasks []RemoteTask
 			return nil, err
 		}
 		for _, c := range t.Chunks {
-			sh := est.Shard(t.Stratum, sched.NewRand(sched.ChunkSeed(t.Seed, c.Index)))
-			sh.Add(int(c.N))
-			out[i].Hits += sh.Hits()
+			hits, _ := est.SampleChunk(t.Stratum, t.Seed, c, nil)
+			out[i].Hits += hits
 			out[i].Trials += c.N
-			if c.N < t.ChunkSize {
-				out[i].PartialHits += sh.Hits()
-				out[i].PartialTrials += c.N
-			}
 		}
 	}
 	return out, nil
@@ -106,6 +100,37 @@ var matrixGolden = map[string]string{
 	"strata8-shat/remote=true/grown":  "sampled=4032 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
 }
 
+type matrixCase struct {
+	name      string
+	q         algebra.Query
+	opts      Options
+	maxTrials int64 // trips inside the first estimation batch
+}
+
+// matrixCases are the driver's four paths — conf and σ̂, flat and
+// stratified — over matrixDB.
+func matrixCases() []matrixCase {
+	conf := algebra.Conf{In: algebra.Base{Name: "R"}}
+	shat := algebra.ApproxSelect{
+		In:   algebra.Base{Name: "R"},
+		Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
+		Pred: predapprox.Linear([]float64{1}, 0.26),
+	}
+	return []matrixCase{
+		{"flat-conf", conf, Options{Eps0: 0.05, Delta: 0.1}, 10000},
+		{"flat-shat", shat, Options{Eps0: 0.05, Delta: 0.1, MaxRounds: 1 << 13}, 10},
+		{"strata8-conf", conf, Options{Eps0: 0.05, Delta: 0.1, Strata: 8}, 10000},
+		{"strata8-shat", shat, Options{Eps0: 0.05, Delta: 0.1, Strata: 8, MaxRounds: 1 << 13}, 10},
+	}
+}
+
+// grownOpts asks for a tighter δ than o: larger conf budgets, more σ̂ rounds —
+// the prefix-resume case of the shared cache.
+func grownOpts(o Options) Options {
+	o.Delta, o.ConfEps = 0.001, 0.025
+	return o
+}
+
 // TestDriverMatrix pins what the estimation driver owes its callers,
 // whichever executor samples: one result per (query, options, cache
 // history) — bit-identical on the worker pool and through a Distributor,
@@ -113,36 +138,15 @@ var matrixGolden = map[string]string{
 // match matrixGolden, and a tripped trial limit that surfaces as a
 // *LimitError with nothing published to the cache.
 func TestDriverMatrix(t *testing.T) {
-	conf := algebra.Conf{In: algebra.Base{Name: "R"}}
-	shat := algebra.ApproxSelect{
-		In:   algebra.Base{Name: "R"},
-		Args: []algebra.ConfArg{{Attrs: []string{"ID"}}},
-		Pred: predapprox.Linear([]float64{1}, 0.26),
-	}
-	cases := []struct {
-		name      string
-		q         algebra.Query
-		opts      Options
-		maxTrials int64 // trips inside the first estimation batch
-	}{
-		{"flat-conf", conf, Options{Eps0: 0.05, Delta: 0.1}, 10000},
-		{"flat-shat", shat, Options{Eps0: 0.05, Delta: 0.1, MaxRounds: 1 << 13}, 10},
-		{"strata8-conf", conf, Options{Eps0: 0.05, Delta: 0.1, Strata: 8}, 10000},
-		{"strata8-shat", shat, Options{Eps0: 0.05, Delta: 0.1, Strata: 8, MaxRounds: 1 << 13}, 10},
-	}
 	db := matrixDB()
-	for _, tc := range cases {
+	for _, tc := range matrixCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			// grown asks for a tighter δ: larger conf budgets, more σ̂
-			// rounds — the prefix-resume case of the shared cache.
-			grown := tc.opts
-			grown.Delta, grown.ConfEps = 0.001, 0.025
 			phases := []struct {
 				name string
 				opts Options
-			}{{"cold", tc.opts}, {"warm", tc.opts}, {"grown", grown}}
+			}{{"cold", tc.opts}, {"warm", tc.opts}, {"grown", grownOpts(tc.opts)}}
 			want := make([][]string, len(phases))
-			poolTrials := make([]int64, len(phases))
+			poolStats := make([]Stats, len(phases))
 			for _, remote := range []bool{false, true} {
 				var wantStats []Stats
 				for _, workers := range []int{1, 4} {
@@ -179,12 +183,10 @@ func TestDriverMatrix(t *testing.T) {
 							t.Errorf("%s: Stats depend on the worker count:\n got %+v\nwant %+v", where, res.Stats, wantStats[pi])
 						}
 						if !remote {
-							poolTrials[pi] = res.Stats.EstimatorTrials
-						} else if res.Stats.EstimatorTrials < poolTrials[pi] {
-							// The pool continues a trailing partial chunk from
-							// its saved PRNG; a distributor re-samples it
-							// whole, and counts only what it adds.
-							t.Errorf("%s: sampled %d trials, fewer than the pool's %d", where, res.Stats.EstimatorTrials, poolTrials[pi])
+							poolStats[pi] = res.Stats
+						} else if !reflect.DeepEqual(res.Stats, poolStats[pi]) {
+							// Both executors draw the same chunk runs.
+							t.Errorf("%s: Stats differ from the pool's:\n got %+v\nwant %+v", where, res.Stats, poolStats[pi])
 						}
 					}
 					if workers == 1 {
@@ -241,5 +243,48 @@ func TestDriverMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmRowsMatchCold pins what a warm cache promises about rows. A run
+// with the same query and options as the one that filled the cache returns
+// a cold run's rows in every matrix case; a looser run after a tighter
+// (grown) one does so for flat tasks only, which resume no snapshot past
+// their budget. A stratified task's budget is a cap over its lanes and
+// each lane resumes whatever prefix is cached, so strata8-conf and
+// strata8-shat then reuse the tighter run's trials, sample none, and
+// return rows that differ from a cold run's.
+func TestWarmRowsMatchCold(t *testing.T) {
+	db := matrixDB()
+	for _, tc := range matrixCases() {
+		for _, remote := range []bool{false, true} {
+			eval := func(cache *Cache, opts Options) []string {
+				opts.Seed, opts.Workers = 11, 1
+				eng := NewEngine(db, opts)
+				eng.SetCache(cache)
+				if remote {
+					eng.SetDistributor(&loopbackDistributor{})
+				}
+				res, err := eng.EvalApprox(tc.q)
+				if err != nil {
+					t.Fatalf("%s remote=%v: %v", tc.name, remote, err)
+				}
+				return resultFingerprint(t, res)
+			}
+			cold := eval(NewCache(0), tc.opts)
+			warm := NewCache(0)
+			eval(warm, tc.opts)
+			if got := eval(warm, tc.opts); !reflect.DeepEqual(got, cold) {
+				t.Errorf("%s remote=%v: same-options warm rows %v, cold %v", tc.name, remote, got, cold)
+			}
+			if tc.opts.Strata > 0 {
+				continue // resumes the tighter run's trials: see above
+			}
+			tight := NewCache(0)
+			eval(tight, grownOpts(tc.opts))
+			if got := eval(tight, tc.opts); !reflect.DeepEqual(got, cold) {
+				t.Errorf("%s remote=%v: rows after a tighter run %v, cold %v", tc.name, remote, got, cold)
+			}
+		}
 	}
 }

@@ -115,7 +115,7 @@ func TestSequentialChunkReferenceMatch(t *testing.T) {
 		// round-aligned chunks of the FPRAS budget.
 		taskSeed := sched.TaskSeedWords(seed, key.hi, key.lo)
 		total := karpluby.TrialsFor(0.1, 0.1, est.ClauseCount())
-		for _, c := range sched.Chunks(total, karpluby.DefaultChunk(est.ClauseCount())) {
+		for _, c := range sched.Chunks(0, total, karpluby.DefaultChunk(est.ClauseCount())) {
 			sh := est.Shard(sched.NewRand(sched.ChunkSeed(taskSeed, c.Index)))
 			sh.Add(int(c.N))
 			est.Merge(sh)

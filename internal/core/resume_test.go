@@ -157,9 +157,8 @@ func TestResumeSavesTrials(t *testing.T) {
 }
 
 // validState reports whether a cache snapshot is internally consistent.
-func validState(s karpluby.State) bool {
-	return s.Hits >= 0 && s.Trials >= s.Hits && s.Chunks >= 0 &&
-		s.PartialHits >= 0 && s.PartialHits <= s.PartialTrials
+func validState(s karpluby.StratumState) bool {
+	return s.Hits >= 0 && s.Trials >= s.Hits
 }
 
 // TestEstimatorCacheRace hammers the cache with the access pattern
@@ -176,19 +175,16 @@ func TestEstimatorCacheRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				key := contentKey{hi: uint64((g + i) % keys), lo: 99}
 				total := int64(4096 * (1 + i%4))
-				c.store(key, 4, 4096, total, total/3, int64(i%7), int64(i%7)*3, 1)
-				if st, ok := c.lookup(key, 4, 4096, total*2, 1); ok && !validState(st) {
+				c.store(key, 4, karpluby.StratumState{Hits: total / 3, Trials: total}, 1)
+				if st, ok := c.lookup(key, 4, total*2, 1); ok && !validState(st) {
 					t.Errorf("cache returned invalid state %+v", st)
 				}
-				// Mismatched clause counts, chunk sizes, and seeds must
-				// never resolve (key-stability guards).
-				if _, ok := c.lookup(key, 5, 4096, total, 1); ok {
+				// Mismatched clause counts and seeds must never resolve
+				// (key-stability guards).
+				if _, ok := c.lookup(key, 5, total, 1); ok {
 					t.Error("lookup matched across clause-count mismatch")
 				}
-				if _, ok := c.lookup(key, 4, 2048, total, 1); ok {
-					t.Error("lookup matched across chunk-size mismatch")
-				}
-				if _, ok := c.lookup(key, 4, 4096, total, 2); ok {
+				if _, ok := c.lookup(key, 4, total, 2); ok {
 					t.Error("lookup matched across seed mismatch")
 				}
 			}
@@ -209,21 +205,21 @@ func TestEstimatorCacheRace(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	k := func(i uint64) contentKey { return contentKey{hi: i, lo: i} }
-	c.store(k(1), 4, 4096, 4096, 10, 0, 0, 1)
-	c.store(k(2), 4, 4096, 4096, 20, 0, 0, 1)
+	c.store(k(1), 4, karpluby.StratumState{Hits: 10, Trials: 4096}, 1)
+	c.store(k(2), 4, karpluby.StratumState{Hits: 20, Trials: 4096}, 1)
 	// Touch k(1) so k(2) is the LRU victim when k(3) arrives.
-	if _, ok := c.lookup(k(1), 4, 4096, 4096, 1); !ok {
+	if _, ok := c.lookup(k(1), 4, 4096, 1); !ok {
 		t.Fatal("warm entry k(1) missing")
 	}
-	c.store(k(3), 4, 4096, 4096, 30, 0, 0, 1)
+	c.store(k(3), 4, karpluby.StratumState{Hits: 30, Trials: 4096}, 1)
 	if c.len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.len())
 	}
-	if _, ok := c.lookup(k(2), 4, 4096, 4096, 1); ok {
+	if _, ok := c.lookup(k(2), 4, 4096, 1); ok {
 		t.Error("LRU entry k(2) survived eviction")
 	}
 	for _, key := range []contentKey{k(1), k(3)} {
-		if _, ok := c.lookup(key, 4, 4096, 4096, 1); !ok {
+		if _, ok := c.lookup(key, 4, 4096, 1); !ok {
 			t.Errorf("entry %v evicted out of LRU order", key)
 		}
 	}
@@ -231,18 +227,18 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", s.Evictions)
 	}
 	// Updating an existing key must not evict (no growth).
-	c.store(k(1), 4, 4096, 8192, 40, 0, 0, 1)
+	c.store(k(1), 4, karpluby.StratumState{Hits: 40, Trials: 8192}, 1)
 	if c.len() != 2 || c.Stats().Evictions != 1 {
 		t.Errorf("in-place update changed size/evictions: len=%d stats=%+v", c.len(), c.Stats())
 	}
 	// A store under a new seed is a separate entry (mixed-seed clients of
 	// one shared cache must not clobber each other); it competes for
 	// space like any other, evicting the LRU entry k(3).
-	c.store(k(1), 4, 4096, 4096, 7, 0, 0, 2)
-	if st, ok := c.lookup(k(1), 4, 4096, 4096, 2); !ok || st.Hits != 7 {
+	c.store(k(1), 4, karpluby.StratumState{Hits: 7, Trials: 4096}, 2)
+	if st, ok := c.lookup(k(1), 4, 4096, 2); !ok || st.Hits != 7 {
 		t.Errorf("second-seed store not visible: %+v ok=%v", st, ok)
 	}
-	if st, ok := c.lookup(k(1), 4, 4096, 8192, 1); !ok || st.Hits != 40 {
+	if st, ok := c.lookup(k(1), 4, 8192, 1); !ok || st.Hits != 40 {
 		t.Errorf("first-seed counts clobbered by a second-seed store: %+v ok=%v", st, ok)
 	}
 	if c.len() != 2 || c.Stats().Evictions != 2 {
@@ -273,42 +269,42 @@ func TestResumeStressRace(t *testing.T) {
 func TestResumeCacheMonotone(t *testing.T) {
 	c := NewCache(0)
 	k := contentKey{hi: 11, lo: 13}
-	c.store(k, 4, 4096, 8192, 100, 0, 0, 1)
-	c.store(k, 4, 4096, 4096, 40, 0, 0, 1) // stale: must be dropped
-	st, ok := c.lookup(k, 4, 4096, 8192, 1)
+	c.store(k, 4, karpluby.StratumState{Hits: 100, Trials: 8192}, 1)
+	c.store(k, 4, karpluby.StratumState{Hits: 40, Trials: 4096}, 1) // stale: must be dropped
+	st, ok := c.lookup(k, 4, 8192, 1)
 	if !ok || st.Trials != 8192 || st.Hits != 100 {
 		t.Fatalf("stale store clobbered cache: got %+v ok=%v", st, ok)
 	}
 	// A lookup at a doubled budget resumes the whole cached prefix.
-	st, ok = c.lookup(k, 4, 4096, 16384, 1)
-	if !ok || st.Trials != 8192 || st.Chunks != 2 {
-		t.Fatalf("prefix lookup: got %+v ok=%v, want 8192 trials over 2 chunks", st, ok)
+	st, ok = c.lookup(k, 4, 16384, 1)
+	if !ok || st.Trials != 8192 || st.Hits != 100 {
+		t.Fatalf("prefix lookup: got %+v ok=%v, want 100 hits over 8192 trials", st, ok)
 	}
 }
 
-// TestResumeCacheUnalignedBudget pins the partial-chunk bookkeeping: a
-// lookup at the cached budget or a larger one returns the full counts, the
-// cursor at the full-chunk boundary and the partial chunk's counts beside
-// it, for the pool to continue; a smaller budget, which the partial chunk
-// overlaps, and mismatched guards are refused.
+// TestResumeCacheUnalignedBudget pins a snapshot that ends inside a chunk:
+// a lookup at the cached budget or a larger one returns its counts whole,
+// for the next wave to go on from trial 10000 (1808 trials into chunk 2); a
+// smaller budget, which the open chunk overlaps, and a foreign seed are
+// refused.
 func TestResumeCacheUnalignedBudget(t *testing.T) {
 	c := NewCache(0)
 	p := contentKey{hi: 1, lo: 2}
-	// 2 full chunks + a 1808-trial partial.
-	c.store(p, 4, 4096, 10000, 77, 5, 1808, 1)
+	// 2 full chunks + 1808 trials of the third.
+	c.store(p, 4, karpluby.StratumState{Hits: 77, Trials: 10000}, 1)
 	for _, total := range []int64{10000, 20000} {
-		st, ok := c.lookup(p, 4, 4096, total, 1)
-		if !ok || st.Trials != 10000 || st.Hits != 77 || st.Chunks != 2 || st.PartialTrials != 1808 || st.PartialHits != 5 {
-			t.Fatalf("lookup at %d: got %+v ok=%v, want 10000 trials / 77 hits / cursor 2 and the 1808-trial tail", total, st, ok)
+		st, ok := c.lookup(p, 4, total, 1)
+		if !ok || st.Trials != 10000 || st.Hits != 77 {
+			t.Fatalf("lookup at %d: got %+v ok=%v, want 10000 trials / 77 hits", total, st, ok)
 		}
 		if !validState(st) {
 			t.Fatalf("lookup at %d: invalid state %+v", total, st)
 		}
 	}
-	if _, ok := c.lookup(p, 4, 4096, 20000, 99); ok {
+	if _, ok := c.lookup(p, 4, 20000, 99); ok {
 		t.Fatal("seed-mismatch lookup resolved")
 	}
-	if _, ok := c.lookup(p, 4, 4096, 4096, 1); ok {
+	if _, ok := c.lookup(p, 4, 4096, 1); ok {
 		t.Fatal("overlapping smaller-budget lookup resolved")
 	}
 }

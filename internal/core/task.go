@@ -19,8 +19,8 @@ import (
 // stream bit for bit — and differs from a stratified one in a handful of
 // values, not in code path: no dnf.Factor pre-pass, maxStrata 0 on the
 // wire, the content key itself as the lane's cache key, the paper's
-// Chernoff δ(ε) and unclamped estimate (confValue), and a cache snapshot
-// that keeps the budget's trailing partial chunk.
+// Chernoff δ(ε) and unclamped estimate (confValue), and a cache lookup
+// that resumes only snapshots within its budget (resume).
 type task struct {
 	est       *karpluby.Stratified
 	key       contentKey
@@ -34,28 +34,19 @@ type task struct {
 
 func (t *task) flat() bool { return t.maxStrata == 0 }
 
-// lane is one chunk-stream family of a task — one stratum's trials: chunk
-// c of the lane samples the stream seeded by sched.ChunkSeed(seed, c), in
-// chunks of chunkSize trials (only a plan's trailing chunk may be smaller),
-// and its counts are cached under key.
+// lane is one chunk-stream family of a task — one stratum's trials. Chunk
+// c holds the lane's trials [c·chunkSize, (c+1)·chunkSize) on the stream
+// seeded by sched.ChunkSeed(seed, c). The lane's counts are its estimator
+// stratum's (hits, trials), cached under key, so the lane goes on at trial
+// trials%chunkSize of chunk trials/chunkSize. rng, when non-nil, is that
+// chunk's PRNG positioned there — kept when the worker pool drew the
+// chunk's prefix, so the next wave continues it instead of re-drawing the
+// prefix (karpluby.SampleChunk).
 type lane struct {
 	seed      int64
 	chunkSize int64
 	key       contentKey
-
-	partial openChunk
-}
-
-// openChunk is the chunk at a lane's cursor while it is undersized: counts
-// that are merged into the estimator's totals but lie outside its
-// chunk-aligned prefix. rng, when non-nil, is the PRNG that sampled them,
-// positioned right after the last trial, so a larger budget can finish the
-// chunk mid-stream on the worker pool; without it the pool re-draws the
-// chunk's prefix first, and a Distributor re-samples the chunk whole
-// (sampleRemote).
-type openChunk struct {
-	hits, trials int64
-	rng          *rand.Rand
+	rng       *rand.Rand
 }
 
 // stratKey derives the cache key of one stratum of a stratified task. It
@@ -160,7 +151,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 // resumed trials count as reused. A flat task — conf or σ̂ — resumes only
 // snapshots within its budget, so its P is a from-scratch run's whatever
 // the cache holds; a stratified task's budget is a cap over all its lanes,
-// and each lane resumes whatever chunk-aligned prefix is cached.
+// and each lane resumes whatever prefix of its chunk stream is cached.
 func (run *evalRun) resume(t *task, budget int64) {
 	t.budget = budget
 	lookupTotal := budget
@@ -171,15 +162,14 @@ func (run *evalRun) resume(t *task, budget int64) {
 	resumed := false
 	for j := range t.lanes {
 		l := &t.lanes[j]
-		var st karpluby.State
+		var st karpluby.StratumState
 		ok := false
 		if t.est.StratumM(j) > 0 {
-			st, ok = run.cache.lookup(l.key, t.est.StratumClauses(j), l.chunkSize, lookupTotal, run.engine.opts.Seed)
+			st, ok = run.cache.lookup(l.key, t.est.StratumClauses(j), lookupTotal, run.engine.opts.Seed)
 		}
-		if t.est.ResumeStratum(j, karpluby.StratumState{Hits: st.Hits, Trials: st.Trials, Chunks: st.Chunks}) != nil {
-			st, ok = karpluby.State{}, false
+		if t.est.ResumeStratum(j, st) != nil {
+			st, ok = karpluby.StratumState{}, false
 		}
-		l.partial = openChunk{hits: st.PartialHits, trials: st.PartialTrials}
 		run.stats.ReusedTrials += st.Trials
 		resumed = resumed || ok
 	}

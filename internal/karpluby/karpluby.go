@@ -74,35 +74,6 @@ func (e *Estimator) Shard(rng *rand.Rand) *Estimator {
 	return &Estimator{sampler: newSampler(e.k, e.d, rng)}
 }
 
-// State is a resumable snapshot of one task's trial counts — what the
-// engine's estimator cache stores. The clause set, weights, and PRNG streams
-// are all derived deterministically elsewhere (from the clause set and the
-// scheduler's seed scheme), so the counts suffice to continue an estimation
-// exactly where a previous — possibly smaller — budget left off.
-//
-// Chunks is the scheduler's round-aligned chunk-plan cursor: the counts
-// cover at least plan chunks [0, Chunks) of the deterministic chunk plan
-// for the budget that produced the snapshot. Because chunk plans for
-// nested budgets share their full-size prefix, a chunk-aligned snapshot
-// (Trials == Chunks·chunkSize) can seed a run at any larger budget: only
-// chunks ≥ Chunks need sampling, and the merged counts are bit-identical
-// to a from-scratch run.
-//
-// A budget that is not chunk-aligned ends in a trailing partial chunk,
-// which sampled a strict prefix of the chunk stream at plan index Chunks;
-// its counts are PartialHits over PartialTrials, both already included in
-// Hits/Trials. A resumed run completes the chunk by re-drawing that prefix
-// of the stream and sampling on — the identical stream the from-scratch
-// run would sample.
-type State struct {
-	Hits   int64
-	Trials int64
-	Chunks int
-
-	PartialHits   int64
-	PartialTrials int64
-}
-
 // Merge folds shard o's trial counts into e. Both estimators must be over
 // the same clause set (normally o was created by e.Shard). Because the
 // estimate p̂ = X·M/m and the bound δ(ε) depend only on the integer sums

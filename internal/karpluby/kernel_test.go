@@ -332,9 +332,9 @@ func TestEpochWrap(t *testing.T) {
 }
 
 // TestPartialRNGContinuationMatchesWholeChunk: a chunk sampled as a
-// prefix, then continued on the same PRNG by a NEW shard (what
-// State.PartialRNG carries across budgets), equals sampling the chunk in
-// one go — a trial leaves no state behind but the PRNG position.
+// prefix, then continued on the same PRNG by a NEW shard (what an engine
+// lane's kept PRNG does across waves, SampleChunk), equals sampling the
+// chunk in one go — a trial leaves no state behind but the PRNG position.
 func TestPartialRNGContinuationMatchesWholeChunk(t *testing.T) {
 	f, tab := chain16()
 	est, err := NewEstimator(f, tab, nil)

@@ -36,7 +36,7 @@ func TestMergePartitionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks := sched.Chunks(total, chunkSize)
+		chunks := sched.Chunks(0, total, chunkSize)
 		// Process chunks in round-robin groups to simulate different
 		// worker interleavings.
 		for g := 0; g < group; g++ {
@@ -67,7 +67,7 @@ func TestMergePartitionInvariant(t *testing.T) {
 func TestShardConcurrentMatchesSequential(t *testing.T) {
 	f, tab := chainF(20, 0.15)
 	const taskSeed, total, chunkSize = 99, 40000, 2500
-	chunks := sched.Chunks(total, chunkSize)
+	chunks := sched.Chunks(0, total, chunkSize)
 
 	seq, err := NewEstimator(f, tab, nil)
 	if err != nil {

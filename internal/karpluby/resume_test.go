@@ -28,22 +28,20 @@ func resumeEstimator(t testing.TB, k int) *Stratified {
 	return s
 }
 
-// runChunks samples the given chunks of stratum 0, each on the stream
-// sched.ChunkSeed(taskSeed, index).
+// runChunks samples the given runs of stratum 0 (SampleChunk, re-drawing
+// any skipped prefix) and merges their counts.
 func runChunks(s *Stratified, taskSeed int64, chunks []sched.Chunk) {
 	for _, c := range chunks {
-		sh := s.Shard(0, rand.New(rand.NewSource(sched.ChunkSeed(taskSeed, c.Index))))
-		sh.Add(int(c.N))
-		s.MergeShard(0, sh)
+		hits, _ := s.SampleChunk(0, taskSeed, c, nil)
+		s.AbsorbStratum(0, hits, c.N)
 	}
 }
 
 func TestStateResumeRoundTrip(t *testing.T) {
 	e := resumeEstimator(t, 5)
-	runChunks(e, 1, sched.Chunks(1234, 400))
-	e.AdvanceStratum(0, 3)
+	runChunks(e, 1, sched.Chunks(0, 1234, 400))
 	st := e.StratumState(0)
-	if st.Trials != 1234 || st.Hits != e.Hits() || st.Chunks != 3 {
+	if st.Trials != 1234 || st.Hits != e.Hits() {
 		t.Fatalf("snapshot %+v does not reflect estimator (hits=%d trials=%d)", st, e.Hits(), e.Trials())
 	}
 
@@ -65,12 +63,12 @@ func TestStateResumeRoundTrip(t *testing.T) {
 // An invalid snapshot is rejected and leaves the stratum at zero counts.
 func TestResumeRejectsBadStates(t *testing.T) {
 	for _, st := range []StratumState{
-		{Hits: -1, Trials: 0, Chunks: 0},
-		{Hits: 5, Trials: 4, Chunks: 0},
-		{Hits: 0, Trials: 0, Chunks: -1},
+		{Hits: -1, Trials: 0},
+		{Hits: 5, Trials: 4},
+		{Hits: 0, Trials: -1},
 	} {
 		e := resumeEstimator(t, 3)
-		runChunks(e, 2, sched.Chunks(10, 10))
+		runChunks(e, 2, sched.Chunks(0, 10, 10))
 		if err := e.ResumeStratum(0, st); err == nil {
 			t.Errorf("ResumeStratum(%+v) accepted an invalid state", st)
 		}
@@ -80,44 +78,35 @@ func TestResumeRejectsBadStates(t *testing.T) {
 	}
 }
 
-func TestAdvanceToIsMonotone(t *testing.T) {
-	e := resumeEstimator(t, 3)
-	e.AdvanceStratum(0, 4)
-	e.AdvanceStratum(0, 2) // must not regress
-	if got := e.StratumChunks(0); got != 4 {
-		t.Errorf("cursor = %d after advancing to 4 then 2, want 4", got)
-	}
-}
-
 // TestResumeExtendsMatchScratch is the primitive-level statement of the
-// engine's resume invariant: running the chunk plan of budget T₁, then
-// resuming the snapshot and running only the delta chunks of T₂ > T₁,
-// yields counts bit-identical to running T₂'s full plan from scratch —
-// because plans are prefix-compatible and chunk streams depend only on
-// (task seed, plan index).
+// engine's resume invariant: drawing trials [0, T₁), then resuming the
+// snapshot and drawing only [T₁, T₂) — which starts inside a chunk, so
+// SampleChunk re-draws that chunk's first T₁ mod size trials — yields counts
+// bit-identical to drawing [0, T₂) from scratch, because a lane's trials
+// are a prefix of its chunk stream and chunk streams depend only on (task
+// seed, plan index).
 func TestResumeExtendsMatchScratch(t *testing.T) {
 	const (
 		taskSeed = 99
 		size     = 512
-		t1       = int64(3 * size) // chunk-aligned first budget
+		t1       = int64(3*size + 200)
 		t2       = int64(7*size + 123)
 	)
 	first := resumeEstimator(t, 4)
-	runChunks(first, taskSeed, sched.Chunks(t1, size))
-	first.AdvanceStratum(0, sched.FullChunks(t1, size))
+	runChunks(first, taskSeed, sched.Chunks(0, t1, size))
 	st := first.StratumState(0)
-	if st.Chunks != 3 || st.Trials != t1 {
-		t.Fatalf("first budget snapshot %+v, want 3 chunks / %d trials", st, t1)
+	if st.Trials != t1 {
+		t.Fatalf("first budget snapshot %+v, want %d trials", st, t1)
 	}
 
 	resumed := resumeEstimator(t, 4)
 	if err := resumed.ResumeStratum(0, st); err != nil {
 		t.Fatal(err)
 	}
-	runChunks(resumed, taskSeed, sched.ChunksFrom(t2, size, st.Chunks))
+	runChunks(resumed, taskSeed, sched.Chunks(st.Trials, t2-st.Trials, size))
 
 	scratch := resumeEstimator(t, 4)
-	runChunks(scratch, taskSeed, sched.Chunks(t2, size))
+	runChunks(scratch, taskSeed, sched.Chunks(0, t2, size))
 
 	if resumed.Hits() != scratch.Hits() || resumed.Trials() != scratch.Trials() {
 		t.Errorf("resumed (hits=%d trials=%d) differs from scratch (hits=%d trials=%d)",
@@ -128,11 +117,28 @@ func TestResumeExtendsMatchScratch(t *testing.T) {
 	}
 }
 
+// TestSampleChunkSplits: a chunk drawn as one run, as a run continued on
+// the PRNG the first call returned, and as a run whose prefix is re-drawn
+// from the seed, has the same hits — the three ways the engine and the
+// shards draw a lane's open chunk.
+func TestSampleChunkSplits(t *testing.T) {
+	e := resumeEstimator(t, 6)
+	const seed, size, head = 5, 4096, 1234
+	whole, _ := e.SampleChunk(0, seed, sched.Chunk{Index: 3, N: size}, nil)
+	h1, rng := e.SampleChunk(0, seed, sched.Chunk{Index: 3, N: head}, nil)
+	tail := sched.Chunk{Index: 3, Skip: head, N: size - head}
+	carried, _ := e.SampleChunk(0, seed, tail, rng)
+	redrawn, _ := e.SampleChunk(0, seed, tail, nil)
+	if h1+carried != whole || h1+redrawn != whole {
+		t.Errorf("whole chunk %d hits; head %d + carried tail %d, head + re-drawn tail %d", whole, h1, carried, redrawn)
+	}
+}
+
 // Shards of a resumed estimator must not inherit the resumed counts —
 // merging would then double-count the snapshot.
 func TestShardOfResumedEstimatorIsFresh(t *testing.T) {
 	e := resumeEstimator(t, 3)
-	if err := e.ResumeStratum(0, StratumState{Hits: 7, Trials: 30, Chunks: 1}); err != nil {
+	if err := e.ResumeStratum(0, StratumState{Hits: 7, Trials: 30}); err != nil {
 		t.Fatal(err)
 	}
 	sh := e.Shard(0, rand.New(rand.NewSource(3)))

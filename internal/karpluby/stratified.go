@@ -100,10 +100,6 @@ type stratum struct {
 
 	hits   int64
 	trials int64
-	// chunks is the stratum's round-aligned chunk-plan cursor (State's
-	// Chunks): the counts cover plan chunks [0, chunks) of the stratum's
-	// deterministic chunk plan.
-	chunks int
 }
 
 // Stratified is a clause-stratified Karp–Luby estimator for a single
@@ -204,37 +200,20 @@ func (s *Stratified) Hits() int64 {
 // StratumTrials returns stratum j's trial count.
 func (s *Stratified) StratumTrials(j int) int64 { return s.strata[j].trials }
 
-// StratumHits returns stratum j's hit count.
-func (s *Stratified) StratumHits(j int) int64 { return s.strata[j].hits }
-
-// StratumChunks returns stratum j's chunk-plan cursor.
-func (s *Stratified) StratumChunks(j int) int { return s.strata[j].chunks }
-
-// AdvanceStratum raises stratum j's chunk cursor to chunk (no-op when the
-// cursor is already past it). The scheduling layer calls it once every
-// plan chunk below the mark has merged, making the stratum's snapshot
-// resumable at that boundary.
-func (s *Stratified) AdvanceStratum(j, chunk int) {
-	if chunk > s.strata[j].chunks {
-		s.strata[j].chunks = chunk
-	}
-}
-
-// StratumState is a resumable snapshot of one stratum's counts. The
-// clause set, the partition plan, and the PRNG streams are all derived
-// deterministically elsewhere, so (Hits, Trials, Chunks) suffices —
-// exactly the contract of State, minus mid-chunk tails (the stratified
-// scheduler only publishes chunk-aligned counts).
+// StratumState is a resumable snapshot of one stratum's counts. A
+// stratum's trials are always a prefix of its chunk stream — chunk c holds
+// trials [c·size, (c+1)·size) — and the clause set, the partition plan and
+// the streams are all derived deterministically elsewhere, so (Hits,
+// Trials) is the whole state: the chunk to go on with and the offset in it
+// are Trials/size and Trials%size.
 type StratumState struct {
 	Hits   int64
 	Trials int64
-	Chunks int
 }
 
 // StratumState snapshots stratum j.
 func (s *Stratified) StratumState(j int) StratumState {
-	st := &s.strata[j]
-	return StratumState{Hits: st.hits, Trials: st.trials, Chunks: st.chunks}
+	return StratumState{Hits: s.strata[j].hits, Trials: s.strata[j].trials}
 }
 
 // ResumeStratum replaces stratum j's counts by a snapshot (the zero
@@ -244,11 +223,11 @@ func (s *Stratified) StratumState(j int) StratumState {
 // contract, since a snapshot carries no clause identity.
 func (s *Stratified) ResumeStratum(j int, st StratumState) error {
 	sj := &s.strata[j]
-	sj.hits, sj.trials, sj.chunks = 0, 0, 0
-	if st.Hits < 0 || st.Trials < st.Hits || st.Chunks < 0 {
+	sj.hits, sj.trials = 0, 0
+	if st.Hits < 0 || st.Trials < st.Hits {
 		return errors.New("karpluby: invalid stratum resume state")
 	}
-	sj.hits, sj.trials, sj.chunks = st.Hits, st.Trials, st.Chunks
+	sj.hits, sj.trials = st.Hits, st.Trials
 	return nil
 }
 
@@ -282,6 +261,28 @@ func (s *Stratified) MergeShard(j int, sh *StratumShard) {
 	}
 	s.strata[j].hits += sh.hits
 	s.strata[j].trials += sh.trials
+}
+
+// SampleChunk draws the trials [c.Skip, c.Skip+c.N) of stratum j's chunk
+// c.Index, whose stream is sched.ChunkSeed(seed, c.Index) for the
+// stratum's lane seed, and returns their hits and the chunk's PRNG,
+// positioned after the last of them. A non-nil rng must be that PRNG
+// positioned at trial c.Skip — an earlier call's result — and is continued;
+// otherwise the chunk's first c.Skip trials are re-drawn from the seed and
+// discarded. Either way the hits are those of the same trials of the whole
+// chunk, bit for bit. SampleChunk does not merge the counts and only reads
+// s, so calls may run concurrently.
+func (s *Stratified) SampleChunk(j int, seed int64, c sched.Chunk, rng *rand.Rand) (int64, *rand.Rand) {
+	skip := int64(0)
+	if rng == nil {
+		rng, skip = sched.NewRand(sched.ChunkSeed(seed, c.Index)), c.Skip
+	}
+	sh := s.Shard(j, rng)
+	for ; skip > 0; skip-- {
+		sh.trial()
+	}
+	sh.Add(int(c.N))
+	return sh.hits, rng
 }
 
 // AbsorbStratum folds raw trial counts into stratum j — MergeShard for
@@ -624,18 +625,10 @@ func EstimateAdaptive(f dnf.F, table *vars.Table, o AdaptiveOptions) (AdaptiveRe
 			break
 		}
 		for j, c := range wave {
-			if c == 0 {
-				continue
+			for _, ch := range sched.Chunks(s.StratumTrials(j), int64(c)*sizes[j], sizes[j]) {
+				hits, _ := s.SampleChunk(j, StratumSeed(o.Seed, j), ch, nil)
+				s.AbsorbStratum(j, hits, ch.N)
 			}
-			seed := StratumSeed(o.Seed, j)
-			start := s.StratumChunks(j)
-			for i := 0; i < c; i++ {
-				rng := sched.NewRand(sched.ChunkSeed(seed, start+i))
-				sh := s.Shard(j, rng)
-				sh.Add(int(sizes[j]))
-				s.MergeShard(j, sh)
-			}
-			s.AdvanceStratum(j, start+c)
 		}
 		res.Waves++
 	}

@@ -265,7 +265,6 @@ func TestStratumStateResumeRoundtrip(t *testing.T) {
 			sh.Add(chunk)
 			s.MergeShard(j, sh)
 		}
-		s.AdvanceStratum(j, to)
 	}
 	full, err := NewStratified(f, tab, plan)
 	if err != nil {
@@ -287,7 +286,7 @@ func TestStratumStateResumeRoundtrip(t *testing.T) {
 		if err := resumed.ResumeStratum(j, part.StratumState(j)); err != nil {
 			t.Fatal(err)
 		}
-		sample(resumed, j, resumed.StratumChunks(j), total)
+		sample(resumed, j, int(resumed.StratumTrials(j)/chunk), total)
 	}
 	if resumed.Hits() != full.Hits() || resumed.Trials() != full.Trials() {
 		t.Errorf("resumed run (%d/%d) differs from uninterrupted (%d/%d)",
@@ -342,7 +341,6 @@ func TestAllocateAndNextWaveInvariants(t *testing.T) {
 			sh.Add(int(sizes[j]))
 			s.MergeShard(j, sh)
 		}
-		s.AdvanceStratum(j, c)
 	}
 	if w := s.NextWave(sizes, s.Trials()); w != nil {
 		t.Errorf("NextWave with spent cap returned %v, want nil", w)
@@ -371,7 +369,6 @@ func TestStratifiedBoundsCoverExact(t *testing.T) {
 			sh.Add(1024)
 			s.MergeShard(j, sh)
 		}
-		s.AdvanceStratum(j, 8)
 	}
 	p, w := s.Estimate(), s.AdditiveBound(0.05)
 	if math.Abs(p-exact) > w {

@@ -3,9 +3,9 @@
 // chunk-derivation scheme that makes parallel Monte-Carlo estimation
 // reproducible regardless of worker count.
 //
-// The design splits every estimation task's trial budget into a chunk plan
-// that depends only on the budget and the task's clause count — never on
-// the number of workers. Each chunk carries its own PRNG stream, seeded
+// The design splits every estimation lane's trials into a chunk plan that
+// depends only on the task's clause count — never on the budget or the
+// number of workers. Each chunk carries its own PRNG stream, seeded
 // from (task seed, chunk index) alone, and chunk results are merged with
 // order-independent integer sums. Workers pull chunks from a shared atomic
 // cursor ("adaptive budget": fast workers take more chunks instead of
@@ -113,69 +113,35 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int) error) erro
 	return ctx.Err()
 }
 
-// Chunk is one slice of a task's trial budget.
+// Chunk is a run of a lane's trials inside one chunk of its plan: trials
+// [Skip, Skip+N) of the chunk at plan index Index, whose stream is seeded
+// by ChunkSeed(lane seed, Index).
 type Chunk struct {
-	Index int   // position in the task's chunk plan
-	N     int64 // trials in this chunk
+	Index int   // plan index: the chunk holds the lane's trials [Index·size, (Index+1)·size)
+	Skip  int64 // trials of the chunk before the run
+	N     int64 // trials in the run
 }
 
-// Chunks splits a trial budget into chunks of the given size (the last
-// chunk may be smaller). The plan depends only on (total, size), never on
-// worker count — the invariant behind worker-count-independent results.
-//
-// Plans for nested budgets are prefix-compatible: chunk i covers trials
-// [i·size, min((i+1)·size, total)), so every chunk that is full-size in
-// the plan for a budget T is bit-for-bit the same chunk (same index, same
-// trial count, hence same derived PRNG stream) in the plan for any budget
-// T' ≥ T. Only the final, possibly-partial chunk differs between plans —
-// the property ChunksFrom and the resume machinery build on.
-func Chunks(total, size int64) []Chunk {
-	return ChunksFrom(total, size, 0)
-}
-
-// ChunksFrom returns the suffix of Chunks(total, size) starting at plan
-// index from: the delta chunks a resumed estimation still has to run when
-// a snapshot already covers chunks [0, from). Indices are plan indices
-// (the first returned chunk has Index == from), so chunk PRNG streams are
-// unchanged by resumption. from ≤ 0 yields the full plan; from beyond the
-// plan yields nil.
-func ChunksFrom(total, size int64, from int) []Chunk {
-	if total <= 0 {
+// Chunks splits a lane's trials [from, from+n) at the boundaries of its
+// chunk plan, chunk c holding trials [c·size, (c+1)·size): a piece starts
+// at trial from%size of chunk from/size, and only the first piece can skip
+// trials, only the last end short of its chunk. The plan depends only on
+// the size, never on the worker count or on how a budget was split, so a
+// lane that draws [0, a) and then [a, b) draws every trial of [0, b) from
+// the same chunk at the same offset — the invariant behind
+// worker-count-independent, resumable results. size must be positive.
+func Chunks(from, n, size int64) []Chunk {
+	if n <= 0 {
 		return nil
 	}
-	if size <= 0 {
-		size = total
-	}
-	if from < 0 {
-		from = 0
-	}
-	rest := (total+size-1)/size - int64(from)
-	if rest < 0 {
-		rest = 0
-	}
-	out := make([]Chunk, 0, rest)
-	for off := int64(from) * size; off < total; off += size {
-		n := size
-		if rem := total - off; rem < n {
-			n = rem
-		}
-		out = append(out, Chunk{Index: from + len(out), N: n})
+	out := make([]Chunk, 0, (from%size+n+size-1)/size)
+	for end := from + n; from < end; {
+		c := Chunk{Index: int(from / size), Skip: from % size}
+		c.N = min(size-c.Skip, end-from)
+		out = append(out, c)
+		from += c.N
 	}
 	return out
-}
-
-// FullChunks returns the number of full-size chunks in the plan for
-// (total, size) — the largest prefix of the plan that is shared with the
-// plan of every budget ≥ total, and therefore the chunk cursor a
-// resumable snapshot of a finished budget may carry.
-func FullChunks(total, size int64) int {
-	if total <= 0 {
-		return 0
-	}
-	if size <= 0 {
-		return 1
-	}
-	return int(total / size)
 }
 
 // splitmix64 is the SplitMix64 finalizer (Steele et al., "Fast splittable

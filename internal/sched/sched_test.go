@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,35 +63,73 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 
 func TestChunksPlan(t *testing.T) {
 	cases := []struct {
-		total, size int64
-		want        []int64
+		from, n, size int64
+		want          []Chunk
 	}{
-		{0, 10, nil},
-		{-5, 10, nil},
-		{10, 10, []int64{10}},
-		{10, 0, []int64{10}},
-		{25, 10, []int64{10, 10, 5}},
-		{30, 10, []int64{10, 10, 10}},
-		{3, 10, []int64{3}},
+		{0, 0, 10, nil},
+		{7, -5, 10, nil},
+		{0, 10, 10, []Chunk{{0, 0, 10}}},
+		{0, 25, 10, []Chunk{{0, 0, 10}, {1, 0, 10}, {2, 0, 5}}},
+		{0, 30, 10, []Chunk{{0, 0, 10}, {1, 0, 10}, {2, 0, 10}}},
+		{0, 3, 10, []Chunk{{0, 0, 3}}},
+		{3, 4, 10, []Chunk{{0, 3, 4}}},  // inside one open chunk
+		{25, 5, 10, []Chunk{{2, 5, 5}}}, // closes an open chunk
+		{25, 21, 10, []Chunk{{2, 5, 5}, {3, 0, 10}, {4, 0, 6}}},
+		{30, 10, 10, []Chunk{{3, 0, 10}}},
 	}
 	for _, c := range cases {
-		got := Chunks(c.total, c.size)
-		if len(got) != len(c.want) {
-			t.Errorf("Chunks(%d,%d) = %v, want sizes %v", c.total, c.size, got, c.want)
-			continue
+		if got := Chunks(c.from, c.n, c.size); !slices.Equal(got, c.want) {
+			t.Errorf("Chunks(%d,%d,%d) = %v, want %v", c.from, c.n, c.size, got, c.want)
 		}
-		var sum int64
-		for i, ch := range got {
-			if ch.Index != i {
-				t.Errorf("Chunks(%d,%d)[%d].Index = %d", c.total, c.size, i, ch.Index)
+	}
+}
+
+// TestChunksTileRange is Chunks' contract, over every small range: the
+// pieces tile [from, from+n) in order; each piece's Index and Skip are its
+// first trial's chunk and offset (trial / size, trial % size) and it ends
+// no later than its chunk; and splitting the range anywhere yields the
+// same (Index, trial) pairs as the whole range — so a budget drawn in
+// several waves draws every trial from the stream a single wave would.
+func TestChunksTileRange(t *testing.T) {
+	type draw struct {
+		index int
+		trial int64
+	}
+	trials := func(cs []Chunk) []draw {
+		var out []draw
+		for _, c := range cs {
+			for i := c.Skip; i < c.Skip+c.N; i++ {
+				out = append(out, draw{c.Index, i})
 			}
-			if ch.N != c.want[i] {
-				t.Errorf("Chunks(%d,%d)[%d].N = %d, want %d", c.total, c.size, i, ch.N, c.want[i])
-			}
-			sum += ch.N
 		}
-		if c.total > 0 && sum != c.total {
-			t.Errorf("Chunks(%d,%d) covers %d trials", c.total, c.size, sum)
+		return out
+	}
+	for _, size := range []int64{1, 3, 7} {
+		for from := int64(0); from < 3*size; from++ {
+			for n := int64(0); n < 3*size; n++ {
+				whole := Chunks(from, n, size)
+				next := from
+				for _, c := range whole {
+					if c.N <= 0 || c.Skip+c.N > size {
+						t.Fatalf("Chunks(%d,%d,%d): piece %+v is empty or crosses its chunk", from, n, size, c)
+					}
+					if c.Index != int(next/size) || c.Skip != next%size {
+						t.Fatalf("Chunks(%d,%d,%d): piece %+v at trial %d, want index %d skip %d",
+							from, n, size, c, next, next/size, next%size)
+					}
+					next += c.N
+				}
+				if next != from+n {
+					t.Fatalf("Chunks(%d,%d,%d) covers [%d, %d)", from, n, size, from, next)
+				}
+				want := trials(whole)
+				for k := int64(0); k <= n; k++ {
+					split := append(Chunks(from, k, size), Chunks(from+k, n-k, size)...)
+					if got := trials(split); !slices.Equal(got, want) {
+						t.Fatalf("Chunks(%d,%d,%d) split at %d draws %v, whole range %v", from, n, size, k, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -150,73 +189,15 @@ func TestNewRandStreams(t *testing.T) {
 	_ = keep
 }
 
-// Chunk plans of nested budgets must share their full-size prefix, and
-// ChunksFrom must return exactly the suffix of the full plan — the two
-// properties the resume machinery's bit-identity rests on.
-func TestChunksFromIsPlanSuffix(t *testing.T) {
-	cases := []struct {
-		total, size int64
-	}{
-		{10, 3}, {12, 3}, {1, 5}, {4096, 4096}, {10000, 4096}, {3, 0},
-	}
-	for _, c := range cases {
-		full := Chunks(c.total, c.size)
-		for from := 0; from <= len(full)+1; from++ {
-			got := ChunksFrom(c.total, c.size, from)
-			want := full
-			if from < len(full) {
-				want = full[from:]
-			} else {
-				want = nil
-			}
-			if len(got) != len(want) {
-				t.Fatalf("ChunksFrom(%d,%d,%d): %d chunks, want %d", c.total, c.size, from, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("ChunksFrom(%d,%d,%d)[%d] = %+v, want %+v", c.total, c.size, from, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	if got := ChunksFrom(10, 3, -2); len(got) != len(Chunks(10, 3)) {
-		t.Errorf("negative from should yield the full plan, got %d chunks", len(got))
-	}
-}
-
+// Chunk plans of nested budgets share every chunk the smaller one fills:
+// same index and trial count, hence the same derived PRNG stream.
 func TestChunkPlanPrefixCompatibility(t *testing.T) {
 	const size = 128
-	small := Chunks(5*size+17, size)
-	large := Chunks(9*size+3, size)
-	// Every full-size chunk of the smaller plan is bit-identical (index
-	// and trial count, hence derived PRNG stream) in the larger plan.
-	for i := 0; i < FullChunks(5*size+17, size); i++ {
+	small := Chunks(0, 5*size+17, size)
+	large := Chunks(0, 9*size+3, size)
+	for i := 0; i < 5; i++ {
 		if small[i] != large[i] {
 			t.Errorf("chunk %d differs between nested plans: %+v vs %+v", i, small[i], large[i])
-		}
-	}
-}
-
-func TestFullAndPlanChunkCounts(t *testing.T) {
-	cases := []struct {
-		total, size int64
-		full, plan  int
-	}{
-		{0, 10, 0, 0},
-		{-5, 10, 0, 0},
-		{9, 10, 0, 1},
-		{10, 10, 1, 1},
-		{11, 10, 1, 2},
-		{40, 10, 4, 4},
-		{41, 10, 4, 5},
-		{7, 0, 1, 1}, // size<=0 collapses to one chunk
-	}
-	for _, c := range cases {
-		if got := FullChunks(c.total, c.size); got != c.full {
-			t.Errorf("FullChunks(%d,%d) = %d, want %d", c.total, c.size, got, c.full)
-		}
-		if got := len(Chunks(c.total, c.size)); got != c.plan {
-			t.Errorf("len(Chunks(%d,%d)) = %d, want %d", c.total, c.size, got, c.plan)
 		}
 	}
 }

@@ -16,8 +16,13 @@ import (
 // calls: a repeated query resumes its sampled trials instead of re-drawing
 // them, and *different* queries that share lineage content (the common
 // case for repeated analytics over one uncertain database) reuse each
-// other's estimation work. Results are unaffected: a warm evaluation is
-// bit-identical to a cold one under the same seed, for any worker count.
+// other's estimation work. A repeat of the same query and options is
+// bit-identical to a cold evaluation under the same seed, for any worker
+// count. Across different budgets (other ε or δ, or a lineage-sharing
+// query that sampled further) only flat tasks are: a WithStrata lane
+// resumes whatever trials it has cached, past its budget too, so its
+// estimates can differ from a cold run's (every trial is still an
+// unbiased draw).
 //
 // The cache is bounded (least-recently-used eviction, see
 // WithEngineCacheSize) and safe for concurrent use: any number of
@@ -50,9 +55,9 @@ type Engine struct {
 }
 
 // defaultEngineCacheSize bounds the estimator cache of an Engine built
-// without WithEngineCacheSize. Entries are small (a few hundred bytes of
-// counters plus one PRNG), so the default admits substantial cross-query
-// reuse while keeping the cache's footprint in the low megabytes.
+// without WithEngineCacheSize. An entry holds two counts, hits and trials,
+// and one guard, the clause count, so the default admits substantial
+// cross-query reuse while keeping the cache's footprint under a megabyte.
 const defaultEngineCacheSize = 4096
 
 // EngineOption configures an Engine at construction.

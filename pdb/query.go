@@ -59,7 +59,9 @@ func (q *Query) Explain() string { return algebra.Explain(q.plan, q.db.udb) }
 // persistent content-keyed estimator cache: repeated or lineage-sharing
 // evaluations resume sampled trials (visible as Stats.ReusedTrials /
 // Stats.CacheHits), and it and EvalExact replay the engine's memoized
-// sub-plans, with results bit-identical to a cold run. Resource
+// sub-plans. A repeat with the same options is bit-identical to a cold
+// run; across different budgets only flat tasks are, since a stratified
+// (WithStrata) lane resumes its cached trials past its budget. Resource
 // limits (WithMaxTrials, WithMaxMemory) abort the evaluation with a
 // typed *LimitError.
 func (q *Query) Eval(ctx context.Context, opts ...Option) (*Result, error) {
