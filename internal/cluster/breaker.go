@@ -2,30 +2,17 @@ package cluster
 
 import "sync"
 
-// Breaker states. A peer starts closed (admitting work). Exhausting the
-// retry budget on Threshold consecutive RPCs trips it open: the planner
-// skips it and no query pays its deadline again. The background prober
-// moves an open breaker to half-open while a hello/ping probe is in
-// flight; a successful probe closes it (automatic re-admission), a failed
-// one re-opens it. Any successful RPC also closes the breaker directly —
-// a peer that recovers mid-batch re-admits itself without waiting for a
-// probe.
-const (
-	breakerClosed = iota
-	breakerHalfOpen
-	breakerOpen
-)
-
-// breakerStateNames renders states for stats, metrics, and the runbook.
-var breakerStateNames = [...]string{"closed", "half-open", "open"}
-
-// breaker is one peer's health automaton. Threshold <= 0 disables
-// tripping entirely (the breaker stays closed forever).
+// breaker is one peer's health: closed, the planner hands the peer work;
+// open, the peer is skipped until a probe answers. Threshold consecutive
+// exhausted-retry failures open it, and so does one failed probe. Any
+// answered RPC or probe closes it, so a peer that recovers mid-batch
+// re-admits itself without waiting for the prober. Health only picks which
+// executor samples a chunk, never a count. Threshold <= 0 never opens.
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
-	state     int
-	consec    int // consecutive exhausted-retry failures while closed
+	streak    int // consecutive exhausted-retry failures
+	open      bool
 }
 
 func newBreaker(threshold int) *breaker {
@@ -36,92 +23,41 @@ func newBreaker(threshold int) *breaker {
 func (b *breaker) admit() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state == breakerClosed
+	return !b.open
 }
 
-// snapshot returns the state name for stats.
-func (b *breaker) snapshot() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return breakerStateNames[b.state]
+// state names the breaker for every readout: "closed" or "open".
+func (b *breaker) state() string {
+	if b.admit() {
+		return "closed"
+	}
+	return "open"
 }
 
-// stateCode returns the numeric state (for the metrics gauge:
-// 0 closed, 1 half-open, 2 open).
-func (b *breaker) stateCode() int {
+// succeeded resets the failure streak and closes the breaker.
+func (b *breaker) succeeded() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// recordSuccess resets the failure streak and closes the breaker: a peer
-// that answered is healthy no matter what state the automaton was in.
-func (b *breaker) recordSuccess() {
-	b.mu.Lock()
-	b.consec = 0
-	b.state = breakerClosed
+	b.streak = 0
+	b.open = false
 	b.mu.Unlock()
 }
 
-// recordFailure counts one exhausted-retry RPC failure and trips the
-// breaker at the threshold. Returns true when this call tripped it.
-func (b *breaker) recordFailure() bool {
-	if b.threshold <= 0 {
-		return false
-	}
+// failed counts one exhausted-retry RPC failure and opens the breaker at
+// the threshold.
+func (b *breaker) failed() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerOpen {
-		return false
+	b.streak++
+	if b.threshold > 0 && b.streak >= b.threshold {
+		b.open = true
 	}
-	// A failure during half-open (a racing RPC, not the probe) re-opens.
-	if b.state == breakerHalfOpen {
-		b.state = breakerOpen
-		return true
-	}
-	b.consec++
-	if b.consec >= b.threshold {
-		b.state = breakerOpen
-		return true
-	}
-	return false
-}
-
-// forceOpen trips the breaker immediately (boot probe found the peer
-// unreachable: skip it from the first plan, let probes re-admit it).
-func (b *breaker) forceOpen() {
-	if b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.state = breakerOpen
 	b.mu.Unlock()
 }
 
-// probeBegin moves an open breaker to half-open and reports whether a
-// probe should be sent; an already-probing or closed breaker declines.
-func (b *breaker) probeBegin() bool {
+// trip opens the breaker at once: a probe found the peer unreachable.
+func (b *breaker) trip() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != breakerOpen {
-		return false
+	if b.threshold > 0 {
+		b.open = true
 	}
-	b.state = breakerHalfOpen
-	return true
-}
-
-// probeResult resolves a half-open probe: success re-admits the peer,
-// failure re-opens the breaker.
-func (b *breaker) probeResult(ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != breakerHalfOpen {
-		return
-	}
-	if ok {
-		b.state = breakerClosed
-		b.consec = 0
-	} else {
-		b.state = breakerOpen
-	}
+	b.mu.Unlock()
 }

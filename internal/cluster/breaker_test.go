@@ -1,123 +1,107 @@
 package cluster
 
-import "testing"
+import (
+	"context"
+	"net"
+	"testing"
+	"time"
+)
 
-// The breaker automaton drives the live placement view; its transitions
-// are load-bearing for both availability (skip dead shards) and
-// re-admission (stop skipping recovered ones).
+// The breaker is the live placement view: it must stop handing a dead
+// peer work (availability) and start again once the peer answers
+// (re-admission).
 
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	b := newBreaker(3)
-	if !b.admit() {
-		t.Fatal("fresh breaker not admitting")
+	if b.state() != "closed" {
+		t.Fatalf("fresh breaker %q, want closed", b.state())
 	}
-	if b.recordFailure() || b.recordFailure() {
-		t.Fatal("tripped before the threshold")
-	}
+	b.failed()
+	b.failed()
 	if !b.admit() {
 		t.Fatal("stopped admitting below the threshold")
 	}
-	if !b.recordFailure() {
-		t.Fatal("third consecutive failure did not trip")
+	b.failed()
+	if b.admit() || b.state() != "open" {
+		t.Fatalf("third consecutive failure left the breaker %q, want open", b.state())
 	}
-	if b.admit() {
-		t.Fatal("open breaker admitting")
-	}
-	if b.snapshot() != "open" {
-		t.Fatalf("snapshot = %q, want open", b.snapshot())
-	}
-	// Further failures while open neither re-trip nor panic.
-	if b.recordFailure() {
-		t.Error("failure while open reported a fresh trip")
+	b.failed() // further failures keep it open
+	if b.state() != "open" {
+		t.Fatal("failure while open closed the breaker")
 	}
 }
 
 func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b := newBreaker(2)
-	b.recordFailure()
-	b.recordSuccess()
-	if b.recordFailure() {
+	b.failed()
+	b.succeeded()
+	b.failed()
+	if !b.admit() {
 		t.Fatal("tripped after an interleaved success; the streak must reset")
 	}
-	if !b.recordFailure() {
+	b.failed()
+	if b.admit() {
 		t.Fatal("two consecutive failures after the reset did not trip")
 	}
-	// A racing successful RPC re-admits from any state.
-	b.recordSuccess()
-	if !b.admit() || b.snapshot() != "closed" {
+	// A racing successful RPC re-admits an open peer.
+	b.succeeded()
+	if b.state() != "closed" {
 		t.Fatal("success did not close an open breaker")
-	}
-}
-
-func TestBreakerProbeCycle(t *testing.T) {
-	b := newBreaker(1)
-	b.recordFailure()
-	if !b.probeBegin() {
-		t.Fatal("open breaker declined a probe")
-	}
-	if b.snapshot() != "half-open" {
-		t.Fatalf("snapshot = %q, want half-open", b.snapshot())
-	}
-	if b.admit() {
-		t.Fatal("half-open breaker admitting planner work")
-	}
-	if b.probeBegin() {
-		t.Fatal("second concurrent probe admitted while one is in flight")
-	}
-	b.probeResult(false)
-	if b.snapshot() != "open" {
-		t.Fatal("failed probe did not re-open")
-	}
-	if !b.probeBegin() {
-		t.Fatal("re-opened breaker declined the next probe")
-	}
-	b.probeResult(true)
-	if !b.admit() || b.snapshot() != "closed" {
-		t.Fatal("successful probe did not re-admit")
-	}
-	// A stale probe result after the breaker already closed is a no-op.
-	b.probeResult(false)
-	if !b.admit() {
-		t.Fatal("stale probe result mutated a closed breaker")
-	}
-}
-
-func TestBreakerHalfOpenRacingFailureReopens(t *testing.T) {
-	b := newBreaker(1)
-	b.recordFailure()
-	b.probeBegin()
-	if !b.recordFailure() {
-		t.Fatal("racing failure during half-open did not re-open")
-	}
-	if b.snapshot() != "open" {
-		t.Fatalf("snapshot = %q, want open", b.snapshot())
 	}
 }
 
 func TestBreakerDisabled(t *testing.T) {
 	b := newBreaker(0)
 	for i := 0; i < 100; i++ {
-		if b.recordFailure() {
-			t.Fatal("disabled breaker tripped")
-		}
+		b.failed()
 	}
-	b.forceOpen()
+	b.trip()
 	if !b.admit() {
 		t.Fatal("disabled breaker stopped admitting")
 	}
 }
 
-func TestBreakerForceOpen(t *testing.T) {
+func TestBreakerTrip(t *testing.T) {
 	b := newBreaker(3)
-	b.forceOpen()
-	if b.admit() {
-		t.Fatal("forced-open breaker admitting")
+	b.trip()
+	if b.state() != "open" {
+		t.Fatal("tripped breaker admitting")
 	}
-	if !b.probeBegin() {
-		t.Fatal("forced-open breaker declined a probe")
+	b.succeeded()
+	if b.state() != "closed" {
+		t.Fatal("a reply did not close a tripped breaker")
 	}
-	b.probeResult(true)
-	if !b.admit() {
-		t.Fatal("probe did not recover a forced-open breaker")
+}
+
+// A probe is one ping: an unanswered one opens the breaker at once, below
+// the failure threshold, and an answered one closes it.
+func TestBreakerProbeCycle(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShard(ShardConfig{})
+	go sh.Serve(ln)
+	defer sh.Close()
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	c, err := New(Config{Peers: []string{gone.Addr().String(), ln.Addr().String()}, DialTimeout: time.Second, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.peer[1].brk.trip()
+	if healthy := c.Probe(context.Background()); healthy != 1 {
+		t.Fatalf("Probe = %d healthy, want 1", healthy)
+	}
+	st := c.Stats()
+	if st.Shards[0].Breaker != "open" || st.Shards[0].Healthy || st.Shards[1].Breaker != "closed" || !st.Shards[1].Healthy {
+		t.Errorf("after probing: %+v, want the unreachable peer open and the answering one closed", st.Shards)
+	}
+	if st.Probes != 2 || st.ProbeFailures != 1 {
+		t.Errorf("probes = %d, failures = %d; want 2 and 1", st.Probes, st.ProbeFailures)
 	}
 }

@@ -47,10 +47,10 @@ type Config struct {
 	// time — queries stop paying its timeouts — until a background probe
 	// re-admits it. 0 = 3; negative disables the breaker.
 	BreakerThreshold int
-	// ProbeInterval is how often the background prober pings tripped
-	// shards for re-admission (0 = 2s; negative disables probing —
-	// tripped shards then re-admit only via a successful racing RPC or
-	// an explicit Probe call).
+	// ProbeInterval is how often the background prober pings shards
+	// whose breaker is open; a reply re-admits the shard (0 = 2s;
+	// negative disables probing — an open shard then re-admits only via
+	// a successful racing RPC or an explicit Probe call).
 	ProbeInterval time.Duration
 	// HedgeAfter controls straggler hedging: a shard RPC still unanswered
 	// after this delay is duplicated to a shard its work has not tried and
@@ -207,46 +207,26 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Ping round-trips every shard once, returning the first typed failure.
-func (c *Coordinator) Ping(ctx context.Context) error {
-	for _, p := range c.peer {
-		if _, err := c.rpc(ctx, p, msgPing, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Probe pings every shard once and folds the result straight into the
-// breaker state: an unreachable shard trips open immediately (so the
-// first plan already skips it) and a reachable one closes. It returns the
-// number of healthy shards. pdbserve calls it at boot: a partially-dead
-// peer set degrades instead of failing, and the background prober
-// re-admits shards as they come back.
+// Probe runs probe over every shard once, so the first plan already skips
+// an unreachable one, and returns the number that answered. pdbserve calls
+// it at boot: a partially-dead peer set degrades instead of failing, and
+// the background prober re-admits shards as they come back.
 func (c *Coordinator) Probe(ctx context.Context) (healthy int) {
 	for _, p := range c.peer {
-		c.probes.Add(1)
-		if _, err := c.attempt(ctx, p, msgPing, nil); err != nil {
-			c.probeFailures.Add(1)
-			p.brk.forceOpen()
-			p.healthy.Store(false)
-			p.lastErr.Store(err.Error())
-			continue
+		if c.probe(ctx, p) {
+			healthy++
 		}
-		p.brk.recordSuccess()
-		p.healthy.Store(true)
-		healthy++
 	}
 	return healthy
 }
 
-// probeLoop is the background half-open prober: every ProbeInterval it
-// pings each open-breaker peer once with a short deadline; success
-// re-admits the peer into plans and recovery.
+// probeLoop is the background prober: every ProbeInterval it probes each
+// peer whose breaker is open, under min(DialTimeout, 2s).
 func (c *Coordinator) probeLoop() {
 	defer close(c.probeDone)
 	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
+	timeout := min(c.cfg.DialTimeout, 2*time.Second)
 	for {
 		select {
 		case <-c.stop:
@@ -254,33 +234,30 @@ func (c *Coordinator) probeLoop() {
 		case <-t.C:
 		}
 		for _, p := range c.peer {
-			if !p.brk.probeBegin() {
+			if p.brk.admit() {
 				continue
 			}
-			c.probePeer(p)
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			c.probe(ctx, p)
+			cancel()
 		}
 	}
 }
 
-// probePeer sends one half-open probe ping (single attempt, bounded by
-// the dial timeout) and resolves the breaker with the outcome.
-func (c *Coordinator) probePeer(p *peer) {
+// probe sends p one ping, a single attempt: a reply closes its breaker, a
+// failure opens it. It reports whether p answered.
+func (c *Coordinator) probe(ctx context.Context, p *peer) bool {
 	c.probes.Add(1)
-	timeout := c.cfg.DialTimeout
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	_, err := c.attempt(ctx, p, msgPing, nil)
-	if err != nil {
+	if _, err := c.attempt(ctx, p, msgPing, nil); err != nil {
 		c.probeFailures.Add(1)
-		p.brk.probeResult(false)
+		p.brk.trip()
+		p.healthy.Store(false)
 		p.lastErr.Store(err.Error())
-		return
+		return false
 	}
-	p.brk.probeResult(true)
+	p.brk.succeeded()
 	p.healthy.Store(true)
+	return true
 }
 
 // admitting returns the peer indexes whose breakers admit work, in peer
@@ -323,7 +300,7 @@ func (c *Coordinator) rpc(ctx context.Context, p *peer, typ byte, payload []byte
 				c.lat.observe(time.Since(start))
 			}
 			p.healthy.Store(true)
-			p.brk.recordSuccess()
+			p.brk.succeeded()
 			return resp, nil
 		}
 		lastErr = err
@@ -331,7 +308,7 @@ func (c *Coordinator) rpc(ctx context.Context, p *peer, typ byte, payload []byte
 	}
 	p.failures.Add(1)
 	p.healthy.Store(false)
-	p.brk.recordFailure()
+	p.brk.failed()
 	return nil, &Error{Shard: p.addr, Attempts: attempts, Err: lastErr}
 }
 
@@ -504,9 +481,9 @@ type ShardStatus struct {
 	Addr string `json:"addr"`
 	// Healthy reports whether the shard's most recent RPC succeeded.
 	Healthy bool `json:"healthy"`
-	// Breaker is the shard's circuit-breaker state: "closed" (admitting
-	// work), "half-open" (a re-admission probe is in flight), or "open"
-	// (skipped at plan time).
+	// Breaker is the shard's circuit-breaker state: "closed" (handed
+	// work) or "open" (skipped until a probe answers). Readiness,
+	// shards_down and the breaker gauge all read it.
 	Breaker string `json:"breaker"`
 	// RPCs, Failures, and Retries count RPC attempts against the shard,
 	// RPCs that exhausted every retry, and individual retry attempts.
@@ -538,7 +515,8 @@ type Stats struct {
 	// LocalFallbacks counts dispatches the coordinator sampled itself
 	// because no shard was available.
 	LocalFallbacks int64 `json:"local_fallbacks"`
-	// Probes and ProbeFailures count breaker re-admission probes.
+	// Probes and ProbeFailures count probe pings and the ones that went
+	// unanswered, boot probes (Probe) and background probes alike.
 	Probes        int64 `json:"probes"`
 	ProbeFailures int64 `json:"probe_failures"`
 	// LocalFallback reports whether coordinator-local sampling is
@@ -565,7 +543,7 @@ func (c *Coordinator) Stats() Stats {
 		s := ShardStatus{
 			Addr:      p.addr,
 			Healthy:   p.healthy.Load(),
-			Breaker:   p.brk.snapshot(),
+			Breaker:   p.brk.state(),
 			RPCs:      p.rpcs.Load(),
 			Failures:  p.failures.Load(),
 			Retries:   p.retries.Load(),
@@ -578,14 +556,4 @@ func (c *Coordinator) Stats() Stats {
 		st.Shards = append(st.Shards, s)
 	}
 	return st
-}
-
-// BreakerStates returns each peer's numeric breaker state in peer order
-// (0 closed, 1 half-open, 2 open) — the metrics gauge source.
-func (c *Coordinator) BreakerStates() []int {
-	out := make([]int, len(c.peer))
-	for i, p := range c.peer {
-		out[i] = p.brk.stateCode()
-	}
-	return out
 }

@@ -48,7 +48,7 @@ func TestNextExecutor(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pi := range tc.open {
-			c.peer[pi].brk.forceOpen()
+			c.peer[pi].brk.trip()
 		}
 		u := &unit{tried: map[int]bool{}}
 		for _, e := range tc.tried {

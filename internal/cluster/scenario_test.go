@@ -514,10 +514,9 @@ func TestClusterBreakerReadmission(t *testing.T) {
 		}
 		return "?"
 	}
-	// half-open is fine too: a background probe may already be in
-	// flight — either way the shard is out of the placement view.
-	if st := breaker(fp.Addr()); st == "closed" {
-		t.Fatalf("downed shard breaker = %q, want open or half-open", st)
+	// Open stays open while the background prober pings the shard.
+	if st := breaker(fp.Addr()); st != "open" {
+		t.Fatalf("downed shard breaker = %q, want open", st)
 	}
 	fp.SetDown(false)
 	deadline := time.Now().Add(5 * time.Second)

@@ -172,12 +172,6 @@ type CounterVec struct{ vec[Counter] }
 // first use. The number of values must match the declared labels.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
-// GaugeVec is a family of Gauges partitioned by label values.
-type GaugeVec struct{ vec[Gauge] }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
-
 // HistogramVec is a family of Histograms partitioned by label values.
 type HistogramVec struct {
 	vec[Histogram]
@@ -297,17 +291,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, "gauge", nil, func(w io.Writer) {
 		writeSample(w, name, nil, nil, fn())
 	})
-}
-
-// GaugeVec registers and returns a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{vec[Gauge]{labels: labels, children: map[string]*child[Gauge]{}, make: func() *Gauge { return &Gauge{} }}}
-	r.register(name, help, "gauge", labels, func(w io.Writer) {
-		for _, c := range v.snapshot() {
-			writeSample(w, name, labels, c.values, float64(c.metric.Value()))
-		}
-	})
-	return v
 }
 
 // Histogram registers and returns a new histogram with the given upper

@@ -154,19 +154,13 @@ func newServerMetrics(reg *metrics.Registry, eng *pdb.Engine, adm *admission) *s
 				return 0
 			}))
 		reg.GaugeVecFunc("pdb_cluster_shard_breaker_state",
-			"Circuit-breaker state per shard: 0 closed, 1 half-open, 2 open.", shard,
-			func() []metrics.LabeledValue {
-				cs := eng.ClusterStats()
-				states := eng.ClusterBreakerStates()
-				if cs == nil || len(states) != len(cs.Shards) {
-					return nil
+			"Circuit-breaker state per shard: 0 closed, 2 open.", shard,
+			perShard(func(s pdb.ClusterShardStatus) float64 {
+				if s.Breaker == "open" {
+					return 2
 				}
-				out := make([]metrics.LabeledValue, len(cs.Shards))
-				for i, sh := range cs.Shards {
-					out[i] = metrics.LabeledValue{Labels: []string{sh.Addr}, Value: float64(states[i])}
-				}
-				return out
-			})
+				return 0
+			}))
 		reg.CounterFunc("pdb_cluster_batches_total",
 			"Scatter-gather round trips across the shard cluster.",
 			func() float64 {
@@ -204,10 +198,10 @@ func newServerMetrics(reg *metrics.Registry, eng *pdb.Engine, adm *admission) *s
 			"Chunk ranges sampled on the coordinator itself because no healthy shard remained.",
 			clusterCounter(func(cs *pdb.ClusterStats) int64 { return cs.LocalFallbacks }))
 		reg.CounterFunc("pdb_cluster_probes_total",
-			"Half-open breaker probes sent to tripped shards.",
+			"Probe pings sent to shards: every shard at boot, then shards whose breaker is open.",
 			clusterCounter(func(cs *pdb.ClusterStats) int64 { return cs.Probes }))
 		reg.CounterFunc("pdb_cluster_probe_failures_total",
-			"Breaker probes that failed, keeping the shard quarantined.",
+			"Probe pings that went unanswered, leaving the shard's breaker open.",
 			clusterCounter(func(cs *pdb.ClusterStats) int64 { return cs.ProbeFailures }))
 	}
 

@@ -157,20 +157,41 @@ func TestReadyzSingleNodeAlwaysReady(t *testing.T) {
 }
 
 // deadPeerServer builds a server whose engine is clustered onto n dead
-// shard addresses (listeners opened and immediately closed), with a
-// trip-on-first-failure breaker. The database is the multi-clause Obs
-// relation, so conf queries genuinely sample — and genuinely scatter.
+// shard addresses (deadPeers), with a trip-on-first-failure breaker.
 func deadPeerServer(t *testing.T, n int, localFallback bool) *Server {
 	t.Helper()
-	deadPeers := make([]string, n)
-	for i := range deadPeers {
+	return obsClusterServer(t, pdb.ClusterOptions{
+		Peers:            deadPeers(t, n),
+		DialTimeout:      200 * time.Millisecond,
+		Retries:          0,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: 1,
+		ProbeInterval:    -1,
+		LocalFallback:    localFallback,
+	})
+}
+
+// deadPeers returns n loopback addresses nothing listens on (listeners
+// opened and immediately closed).
+func deadPeers(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadPeers[i] = ln.Addr().String()
+		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
+	return addrs
+}
+
+// obsClusterServer builds a server whose engine is clustered as o says.
+// The database is the multi-clause Obs relation, so conf queries
+// genuinely sample — and genuinely scatter.
+func obsClusterServer(t *testing.T, o pdb.ClusterOptions) *Server {
+	t.Helper()
 	rows := [][]any{}
 	probs := []float64{}
 	for s := 0; s < 4; s++ {
@@ -185,15 +206,7 @@ func deadPeerServer(t *testing.T, n int, localFallback bool) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := db.Engine(pdb.WithEngineCluster(pdb.ClusterOptions{
-		Peers:            deadPeers,
-		DialTimeout:      200 * time.Millisecond,
-		Retries:          0,
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 1,
-		ProbeInterval:    -1,
-		LocalFallback:    localFallback,
-	}))
+	eng, err := db.Engine(pdb.WithEngineCluster(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +274,92 @@ func TestReadyzLocalFallbackStaysReady(t *testing.T) {
 	}
 	if !rz.Degraded || rz.ShardsDown == 0 {
 		t.Errorf("degradation not reported: %+v", rz)
+	}
+}
+
+// SHALL: a shard that accepts connections but never answers stays open
+// while the background prober pings it, so a node whose only shard is
+// silent reports not-ready on every poll, not just between probes.
+func TestReadyzSilentShardDuringProbes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One goroutine owns every accepted connection: it never writes, and
+	// closes them all once the listener is closed.
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		var conns []net.Conn
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				break
+			}
+			conns = append(conns, conn)
+		}
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}()
+	defer func() { ln.Close(); <-accepted }()
+	srv := obsClusterServer(t, pdb.ClusterOptions{
+		Peers:            []string{ln.Addr().String()},
+		DialTimeout:      300 * time.Millisecond,
+		BreakerThreshold: 1,
+		ProbeInterval:    50 * time.Millisecond,
+	})
+	if healthy, total := srv.eng.ProbeCluster(context.Background()); healthy != 0 || total != 1 {
+		t.Fatalf("ProbeCluster = %d of %d healthy, want 0 of 1", healthy, total)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i := 0; i < 40; i++ {
+		if status, rz := getReadyz(t, ts); status != http.StatusServiceUnavailable || rz.Ready || rz.ShardsDown != 1 {
+			t.Fatalf("poll %d: /readyz = %d %+v, want 503 with the silent shard down", i, status, rz)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// SHALL: shards_down counts the shards whose breaker is open, on
+// /v1/stats and /readyz alike: a failure below the breaker threshold makes
+// the shard unhealthy, not down.
+func TestShardsDownOneDefinition(t *testing.T) {
+	ts := httptest.NewServer(obsClusterServer(t, pdb.ClusterOptions{
+		Peers:            deadPeers(t, 1),
+		DialTimeout:      200 * time.Millisecond,
+		Retries:          0,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: 2,
+		ProbeInterval:    -1,
+	}))
+	defer ts.Close()
+	if status, _, _, _ := postQuery(t, ts, `{"program": "`+testProgram+`"}`); status == http.StatusOK {
+		t.Fatal("query against a dead shard succeeded")
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Cluster struct {
+			ShardsDown int `json:"shards_down"`
+			Shards     []struct {
+				Healthy bool   `json:"healthy"`
+				Breaker string `json:"breaker"`
+			} `json:"shards"`
+		} `json:"cluster"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if sh := stats.Cluster.Shards; len(sh) != 1 || sh[0].Healthy || sh[0].Breaker != "closed" {
+		t.Fatalf("after one failure below the threshold: shards %+v, want one unhealthy shard with its breaker closed", sh)
+	}
+	_, rz := getReadyz(t, ts)
+	if stats.Cluster.ShardsDown != 0 || rz.ShardsDown != 0 {
+		t.Errorf("shards_down: /v1/stats %d, /readyz %d; want 0 on both", stats.Cluster.ShardsDown, rz.ShardsDown)
 	}
 }

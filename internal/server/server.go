@@ -869,11 +869,22 @@ type admissionStats struct {
 }
 
 // clusterReport is the coordinator's snapshot beside two counts derived
-// from it: the configured shards, and those whose last RPC failed.
+// from it: the configured shards, and those whose breaker is open.
 type clusterReport struct {
 	*pdb.ClusterStats
 	ShardsTotal int `json:"shards_total"`
 	ShardsDown  int `json:"shards_down"`
+}
+
+// shardsDown counts the shards whose breaker is open: shards_down on both
+// /v1/stats and /readyz.
+func shardsDown(cs *pdb.ClusterStats) (n int) {
+	for _, sh := range cs.Shards {
+		if sh.Breaker == "open" {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -893,12 +904,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if cs := resp.Engine.Cluster; cs != nil {
-		resp.Cluster = &clusterReport{ClusterStats: cs, ShardsTotal: len(cs.Shards)}
-		for _, sh := range cs.Shards {
-			if !sh.Healthy {
-				resp.Cluster.ShardsDown++
-			}
-		}
+		resp.Cluster = &clusterReport{ClusterStats: cs, ShardsTotal: len(cs.Shards), ShardsDown: shardsDown(cs)}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
@@ -929,11 +935,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp := readyzResponse{Ready: s.eng.ClusterReady()}
 	if cs := s.eng.ClusterStats(); cs != nil {
 		resp.ShardsTotal = len(cs.Shards)
-		for _, sh := range cs.Shards {
-			if sh.Breaker == "open" {
-				resp.ShardsDown++
-			}
-		}
+		resp.ShardsDown = shardsDown(cs)
 		resp.Degraded = resp.ShardsDown > 0
 		resp.LocalFallback = cs.LocalFallback
 	}

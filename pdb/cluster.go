@@ -59,28 +59,9 @@ func (e *Engine) ClusterStats() *ClusterStats {
 	return &cs
 }
 
-// ClusterBreakerStates returns each peer's numeric breaker state in peer
-// order (0 closed, 1 half-open, 2 open), or nil when the engine is not
-// clustered. The metrics layer exposes it as a per-shard gauge.
-func (e *Engine) ClusterBreakerStates() []int {
-	if e.coord == nil {
-		return nil
-	}
-	return e.coord.BreakerStates()
-}
-
-// PingCluster round-trips every shard once, returning the first typed
-// failure as a *ClusterError. It is a no-op on a non-clustered engine.
-func (e *Engine) PingCluster(ctx context.Context) error {
-	if e.coord == nil {
-		return nil
-	}
-	return e.coord.Ping(ctx)
-}
-
-// ProbeCluster pings every shard once and seeds the breaker state from
-// the outcome: unreachable shards trip open immediately (skipped from
-// the first plan, re-admitted by background probes when they return).
+// ProbeCluster pings every shard once and sets each breaker from the
+// outcome: an unreachable shard opens at once (skipped from the first
+// plan, re-admitted by a background probe when it answers).
 // It returns the healthy and total shard counts; (0, 0) on a
 // non-clustered engine. pdbserve calls it at boot so a partially-dead
 // peer set degrades instead of failing.
@@ -93,8 +74,8 @@ func (e *Engine) ProbeCluster(ctx context.Context) (healthy, total int) {
 
 // ClusterReady reports whether the engine can make progress on sampling
 // work: true on a non-clustered engine, on a clustered engine with local
-// fallback enabled, and whenever at least one shard's breaker admits
-// work. The server's /readyz endpoint is backed by it.
+// fallback enabled, and whenever at least one shard's breaker is closed.
+// The server's /readyz endpoint is backed by it.
 func (e *Engine) ClusterReady() bool {
 	if e.coord == nil {
 		return true
