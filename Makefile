@@ -14,18 +14,24 @@ build:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-# Two seconds each of the end-to-end benchmark's conf-flat workload (one
-# lane per task, the whole Chernoff budget in one wave), sigma-strat
-# workload (σ̂ over stratified tasks: Neyman-allocated doubling waves) and
-# serve-mixed workload (a shared engine serving cached, fresh and exact ops
-# over HTTP: warm estimator-cache and sub-plan-memo replays), untraced. Each
-# exits 1 when its op stream fails its (ε, δ) check against the exact
-# oracle.
+# Two seconds each of the end-to-end benchmark's exact-join workload (exact
+# conf over a repair-key join), conf-flat workload (one lane per task, the
+# whole Chernoff budget in one wave), sigma-strat workload (σ̂ over
+# stratified tasks: Neyman-allocated doubling waves) and serve-mixed
+# workload (a shared engine serving cached, fresh and exact ops over HTTP:
+# warm estimator-cache and sub-plan-memo replays), untraced; then one
+# traced second each, whose per-layer ladder calls dnf, urel and karpluby
+# directly. Each exits 1 when its op stream fails its (ε, δ) check against
+# the exact oracle.
 bench-smoke:
 	bash benchmark/run.sh -workload exact-join -seconds 2 -notrace
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace
 	bash benchmark/run.sh -workload sigma-strat -seconds 2 -notrace
 	bash benchmark/run.sh -workload serve-mixed -seconds 2 -notrace
+	bash benchmark/run.sh -workload exact-join -seconds 1 -trace 1
+	bash benchmark/run.sh -workload conf-flat -seconds 1 -trace 1
+	bash benchmark/run.sh -workload sigma-strat -seconds 1 -trace 1
+	bash benchmark/run.sh -workload serve-mixed -seconds 1 -trace 1
 
 # Alternated BASE / working-tree pairs of the end-to-end benchmark (seeds
 # 1..PAIRS): per workload and metric both medians, their ratio and the

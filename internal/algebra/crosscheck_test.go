@@ -166,10 +166,12 @@ func TestEvaluatorsAgreeOnRandomPlans(t *testing.T) {
 				trial, uconf.Len(), wconf.Len(), q, uconf, wconf)
 		}
 		for _, tp := range uconf.Tuples() {
-			stored, ok := wconf.Lookup(findMatch(wconf, tp))
+			i := wconf.Pos(findMatch(wconf, tp))
+			ok := i >= 0
 			if !ok {
 				t.Fatalf("trial %d: tuple %v missing in worlds result (q=%s)", trial, tp, q)
 			}
+			stored := wconf.Tuples()[i]
 			pu := tp[len(tp)-1].AsFloat()
 			pw := stored[len(stored)-1].AsFloat()
 			if math.Abs(pu-pw) > 1e-9 {

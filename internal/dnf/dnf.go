@@ -11,7 +11,8 @@
 //   - independent-component factoring: clauses are partitioned into
 //     connected components by shared variables; components are disjoint in
 //     variables, hence independent, so p = 1 − Π(1 − p_component);
-//   - within a component, memoized Shannon expansion on variables;
+//   - within a component, memoized Shannon expansion on variables; a
+//     single clause is read-once and costs one product (Eq. 2);
 //   - a brute-force world-enumeration evaluator and an inclusion–exclusion
 //     evaluator used for cross-checks in tests.
 package dnf
@@ -115,12 +116,18 @@ clauses:
 // least one clause of f, using component factoring plus memoized Shannon
 // expansion.
 func Confidence(f F, t *vars.Table) float64 {
-	f = f.Dedup()
-	if len(f) == 0 {
-		return 0
+	if len(f) > 1 {
+		f = f.Dedup()
 	}
-	if len(f[0]) == 0 {
+	switch {
+	case len(f) == 0:
+		return 0
+	case len(f[0]) == 0:
 		return 1
+	case len(f) == 1:
+		// One clause is its own component; the wrapper keeps the bits the
+		// component loop below would produce.
+		return 1 - (1 - readOnce(f[0], t))
 	}
 	comps := components(f)
 	p := 1.0
@@ -195,13 +202,19 @@ func components(f F) []F {
 // most frequent variable: p(F) = Σ_alt Pr[X=alt] · p(F | X=alt). Results
 // are memoized on the fingerprint of the residual clause set.
 func shannon(f F, t *vars.Table, memo map[setKey]float64) float64 {
-	// Normal form: drop duplicates; detect certainty.
-	f, key := f.dedup()
-	if len(f) == 0 {
-		return 0
+	// Normal form: drop duplicates; detect certainty; a lone clause is
+	// read-once.
+	var key setKey
+	if len(f) > 1 {
+		f, key = f.dedup()
 	}
-	if len(f[0]) == 0 {
+	switch {
+	case len(f) == 0:
+		return 0
+	case len(f[0]) == 0:
 		return 1
+	case len(f) == 1:
+		return readOnce(f[0], t)
 	}
 	if p, ok := memo[key]; ok {
 		return p
@@ -213,6 +226,18 @@ func shannon(f F, t *vars.Table, memo map[setKey]float64) float64 {
 		p += t.Prob(x, alt) * shannon(cond, t, memo)
 	}
 	memo[key] = p
+	return p
+}
+
+// readOnce is the confidence of one non-empty clause, p_f = Π Pr[X = f(X)]
+// (Eq. 2), without a memo or a variable pick. Expanding the clause on its
+// variables in order yields Pr[x₁]·(Pr[x₂]·(…·Pr[x_k])), so the product
+// is taken right to left: the bits equal the expansion's.
+func readOnce(a vars.Assignment, t *vars.Table) float64 {
+	p := 1.0
+	for i := len(a) - 1; i >= 0; i-- {
+		p = t.Prob(a[i].Var, int(a[i].Alt)) * p
+	}
 	return p
 }
 

@@ -44,6 +44,10 @@ func BuildIndex(hashes []uint64) Index {
 	return ix
 }
 
+// Built reports whether the index was made by NewIndex or BuildIndex; the
+// zero Index is not.
+func (ix Index) Built() bool { return ix.head != nil }
+
 // First returns the first position of h's chain, or -1.
 func (ix Index) First(h uint64) int32 { return ix.head[h] - 1 }
 
@@ -57,8 +61,11 @@ func (ix *Index) Append(h uint64, head int32) {
 	ix.head[h] = int32(len(ix.next))
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy; the zero Index clones to itself.
 func (ix Index) Clone() Index {
+	if !ix.Built() {
+		return Index{}
+	}
 	out := Index{head: make(map[uint64]int32, len(ix.head)), next: append([]int32(nil), ix.next...)}
 	for h, p := range ix.head {
 		out.head[h] = p

@@ -235,14 +235,6 @@ func (r *Relation) Pos(t Tuple) int {
 // Contains reports whether the relation contains the tuple.
 func (r *Relation) Contains(t Tuple) bool { return r.Pos(t) >= 0 }
 
-// Lookup returns the stored tuple equal to t, if any.
-func (r *Relation) Lookup(t Tuple) (Tuple, bool) {
-	if i := r.Pos(t); i >= 0 {
-		return r.tuples[i], true
-	}
-	return nil, false
-}
-
 // Value returns the value of attribute a in tuple t under this relation's
 // schema. It panics if the attribute does not exist.
 func (r *Relation) Value(t Tuple, a string) Value {

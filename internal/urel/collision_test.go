@@ -40,10 +40,10 @@ func TestRelationForcedCollisions(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 distinct pairs", r.Len())
 	}
-	if pos, _ := r.find(forcedHash, y, row1); pos != 2 {
+	if pos, _ := r.find(r.idx, forcedHash, y, row1); pos != 2 {
 		t.Errorf("find(y, row1) = %d, want position 2", pos)
 	}
-	if pos, _ := r.find(forcedHash, y, row2); pos != -1 {
+	if pos, _ := r.find(r.idx, forcedHash, y, row2); pos != -1 {
 		t.Errorf("find of an absent pair = %d, want -1", pos)
 	}
 

@@ -236,13 +236,14 @@ func (x *Exec) record(op string, tuplesIn, tuplesOut, bytes int64) {
 }
 
 // Select implements σ_φ: a single pass reusing the input's stored pair
-// hashes, so surviving tuples are re-indexed without hashing or cloning.
+// hashes. A subset of a set holds no duplicates, so surviving pairs are
+// appended without hashing, cloning or an index.
 func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 	x.ensure(r)
 	out := NewRelation(r.schema)
 	for i, t := range r.tuples {
 		if pred.Holds(expr.Env{Schema: r.schema, Tuple: t.Row}) {
-			out.addPair(r.hashes[i], t.D, t.Row, false)
+			out.appendUnique(r.hashes[i], t.D, t.Row)
 		}
 	}
 	x.record("select", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
@@ -282,7 +283,14 @@ type pairOut struct {
 
 // mergeRanges folds per-range outputs into out in range order — the
 // deterministic merge making partitioned results worker-count-independent.
+// The buffered pairs bound the output, so r (empty) is sized for them.
 func (r *Relation) mergeRanges(outs [][]pairOut) {
+	n := 0
+	for _, buf := range outs {
+		n += len(buf)
+	}
+	r.reserve(n)
+	r.idx = rel.NewIndex(n)
 	for _, buf := range outs {
 		for _, p := range buf {
 			r.addPair(p.h, p.d, p.row, false)
@@ -443,8 +451,9 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 		return nil, fmt.Errorf("urel: difference schema mismatch %v vs %v", a.schema, b.schema)
 	}
 	out := NewRelation(a.schema)
+	bix := b.probeIndex()
 	for i, t := range a.tuples {
-		if pos, _ := b.find(a.hashes[i], t.D, t.Row); pos < 0 {
+		if pos, _ := b.find(bix, a.hashes[i], t.D, t.Row); pos < 0 {
 			out.addPair(a.hashes[i], nil, t.Row, false)
 		}
 	}
@@ -772,11 +781,14 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 		g.v = table.Add(name, probs, names)
 	}
 
+	// Each input pair gains a binding of its group's fresh variable, so
+	// distinct input pairs stay distinct: one output pair per input pair.
 	out := NewRelation(r.schema)
+	out.reserve(len(r.tuples))
 	for i, t := range r.tuples {
 		g := tupleGroup[i]
 		d := t.D.With(g.v, int32(tupleAlt[i]))
-		out.addPair(utHash(d, t.Row), d, t.Row, false)
+		out.appendUnique(utHash(d, t.Row), d, t.Row)
 	}
 	x.record("repairkey", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, r)

@@ -167,9 +167,11 @@ func (s *Spill) spillOut(r *Relation) {
 }
 
 // hydrate reloads a spilled relation from its file, rebuilding the tuple
-// list, stored hashes, and dedup index in the original insertion order —
-// the rebuilt relation is indistinguishable from one that never spilled,
-// which is what keeps spilled evaluations bit-identical to in-memory ones.
+// list and stored hashes in the original insertion order — the rebuilt
+// relation is indistinguishable from one that never spilled, which is what
+// keeps spilled evaluations bit-identical to in-memory ones. The pairs were
+// unique when written, so they are appended without an index; the next
+// probe builds one.
 func (r *Relation) hydrate() error {
 	if !r.spilled {
 		return nil
@@ -179,9 +181,7 @@ func (r *Relation) hydrate() error {
 		return fmt.Errorf("urel: rehydrating relation: %w", err)
 	}
 	defer f.Close()
-	r.idx = rel.NewIndex(r.sp.n)
-	r.tuples = make([]UTuple, 0, r.sp.n)
-	r.hashes = make([]uint64, 0, r.sp.n)
+	r.reserve(r.sp.n)
 	r.bytes = 0
 	br := bufio.NewReaderSize(f, 1<<16)
 	for i := 0; i < r.sp.n; i++ {
@@ -189,7 +189,7 @@ func (r *Relation) hydrate() error {
 		if err != nil {
 			return fmt.Errorf("urel: rehydrating relation: %w", err)
 		}
-		r.addPair(h, d, row, false)
+		r.appendUnique(h, d, row)
 	}
 	r.spilled = false
 	return nil

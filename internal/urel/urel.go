@@ -44,11 +44,18 @@ func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 // set semantics on the pair, deduplicated through a rel.Index over the
 // pair hashes. Stored pair hashes are kept in hashes so clones, unions and
 // selections never rehash.
+//
+// The index exists only once something probes the relation: operators that
+// cannot merge two pairs (Select, RepairKey, hydrate) append without it. A
+// published relation is never mutated — sub-plans are shared by concurrent
+// branches and the engine's memo — so a probe of an input without an index
+// builds a local one (probeIndex); only the owner, while still building the
+// relation, grows its own (addPair).
 type Relation struct {
 	schema rel.Schema
 	tuples []UTuple
 	hashes []uint64  // utHash per tuple, aligned with tuples
-	idx    rel.Index // pair hash -> positions in tuples
+	idx    rel.Index // pair hash -> positions in tuples; unbuilt until probed
 	bytes  int64     // running footprint estimate, maintained on insert
 
 	// Out-of-core state (see spill.go): when spilled, the tuple storage
@@ -61,7 +68,7 @@ type Relation struct {
 // NewRelation creates an empty U-relation with the given data schema (the
 // D column is implicit).
 func NewRelation(schema rel.Schema) *Relation {
-	return &Relation{schema: schema.Clone(), idx: rel.NewIndex(0)}
+	return &Relation{schema: schema.Clone()}
 }
 
 // FromComplete lifts a classical complete relation into a U-relation where
@@ -100,10 +107,11 @@ func (r *Relation) Tuples() []UTuple {
 }
 
 // find returns the position of the stored pair equal to (d, row) under
-// hash h, or -1, together with the head of h's chain for addPair's link.
-func (r *Relation) find(h uint64, d vars.Assignment, row rel.Tuple) (pos, head int32) {
-	head = r.idx.First(h)
-	for p := head; p >= 0; p = r.idx.Next(p) {
+// hash h in ix, r's index, or -1, together with the head of h's chain for
+// addPair's link.
+func (r *Relation) find(ix rel.Index, h uint64, d vars.Assignment, row rel.Tuple) (pos, head int32) {
+	head = ix.First(h)
+	for p := head; p >= 0; p = ix.Next(p) {
 		if r.tuples[p].D.Equal(d) && r.tuples[p].Row.Equal(row) {
 			return p, head
 		}
@@ -136,7 +144,10 @@ func (r *Relation) AddOwned(d vars.Assignment, row rel.Tuple) bool {
 // mutated after insertion — pass clone=false and save two allocations per
 // tuple. This is the hottest insert path in the engine.
 func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone bool) bool {
-	pos, head := r.find(h, d, row)
+	if !r.idx.Built() {
+		r.idx = rel.BuildIndex(r.hashes)
+	}
+	pos, head := r.find(r.idx, h, d, row)
 	if pos >= 0 {
 		return false
 	}
@@ -144,10 +155,36 @@ func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone boo
 	if clone {
 		d, row = d.Clone(), row.Clone()
 	}
+	r.appendUnique(h, d, row)
+	return true
+}
+
+// appendUnique stores a pair the caller knows differs from every stored
+// one — the output of an operator that cannot merge two pairs of a
+// deduplicated input — without probing or growing the index, which r must
+// not have built yet.
+func (r *Relation) appendUnique(h uint64, d vars.Assignment, row rel.Tuple) {
 	r.tuples = append(r.tuples, UTuple{D: d, Row: row})
 	r.hashes = append(r.hashes, h)
 	r.bytes += pairBytes(d, row)
-	return true
+}
+
+// probeIndex returns r's index for a read-only probe. r may be a published
+// input shared with concurrent readers, so an index it lacks is built
+// locally from the stored hashes and never stored.
+func (r *Relation) probeIndex() rel.Index {
+	if r.idx.Built() {
+		return r.idx
+	}
+	return rel.BuildIndex(r.hashes)
+}
+
+// reserve sizes an empty relation for n pairs. Only an operator that knows
+// its output holds at most n pairs reserves: a projection that collapses
+// its input must not hold a slot per input pair.
+func (r *Relation) reserve(n int) {
+	r.tuples = make([]UTuple, 0, n)
+	r.hashes = make([]uint64, 0, n)
 }
 
 // IsComplete reports whether every tuple carries the empty assignment,
@@ -164,7 +201,8 @@ func (r *Relation) IsComplete() bool {
 
 // Clone returns a copy. Stored tuples are immutable once inserted, so the
 // clone shares their backing arrays and only copies the relation's own
-// bookkeeping (tuple list, hashes, dedup index).
+// bookkeeping (tuple list, hashes, and the dedup index if r has built one;
+// otherwise the clone builds its own on its first insert).
 func (r *Relation) Clone() *Relation {
 	r.mustResident("Clone")
 	return &Relation{

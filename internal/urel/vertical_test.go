@@ -118,7 +118,12 @@ func TestVerticalSuccinctnessAndEquivalence(t *testing.T) {
 		t.Fatalf("possible-tuple counts differ: %d vs %d", confV.Len(), confF.Len())
 	}
 	for _, tp := range confV.Tuples() {
-		stored, ok := confF.Lookup(tp)
+		var stored rel.Tuple
+		i := confF.Pos(tp)
+		ok := i >= 0
+		if ok {
+			stored = confF.Tuples()[i]
+		}
 		if !ok {
 			// Confidence columns may differ numerically; match on data.
 			data := tp[:len(tp)-1]

@@ -10,6 +10,7 @@
 package vars
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -299,11 +300,19 @@ func (a Assignment) Without(v Var) Assignment {
 	return out
 }
 
-// With returns the assignment extended/overwritten with v = alt.
+// With returns the assignment extended/overwritten with v = alt, in one
+// allocation: the binding goes in at its sorted position.
 func (a Assignment) With(v Var, alt int32) Assignment {
-	out := a.Without(v)
-	out = append(out, Binding{Var: v, Alt: alt})
-	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
+	i, bound := slices.BinarySearchFunc(a, v, func(b Binding, v Var) int { return cmp.Compare(b.Var, v) })
+	if bound {
+		out := a.Clone()
+		out[i].Alt = alt
+		return out
+	}
+	out := make(Assignment, len(a)+1)
+	copy(out, a[:i])
+	out[i] = Binding{Var: v, Alt: alt}
+	copy(out[i+1:], a[i:])
 	return out
 }
 

@@ -139,6 +139,35 @@ func TestWithWithout(t *testing.T) {
 	}
 }
 
+// TestWithTable: With inserts at the sorted position or overwrites, and
+// leaves the receiver as it was.
+func TestWithTable(t *testing.T) {
+	a := MustAssignment(Binding{2, 0}, Binding{5, 1}, Binding{8, 2})
+	for _, tc := range []struct {
+		name string
+		a    Assignment
+		v    Var
+		alt  int32
+		want Assignment
+	}{
+		{"empty", nil, 4, 1, Assignment{{4, 1}}},
+		{"below", a, 1, 3, Assignment{{1, 3}, {2, 0}, {5, 1}, {8, 2}}},
+		{"between", a, 6, 3, Assignment{{2, 0}, {5, 1}, {6, 3}, {8, 2}}},
+		{"above", a, 9, 3, Assignment{{2, 0}, {5, 1}, {8, 2}, {9, 3}}},
+		{"bound", a, 5, 4, Assignment{{2, 0}, {5, 4}, {8, 2}}},
+		{"bound same alt", a, 8, 2, Assignment{{2, 0}, {5, 1}, {8, 2}}},
+	} {
+		before := tc.a.Clone()
+		got := tc.a.With(tc.v, tc.alt)
+		if !got.Equal(tc.want) {
+			t.Errorf("%s: %v.With(%d, %d) = %v, want %v", tc.name, tc.a, tc.v, tc.alt, got, tc.want)
+		}
+		if !tc.a.Equal(before) {
+			t.Errorf("%s: With mutated its receiver to %v", tc.name, tc.a)
+		}
+	}
+}
+
 func TestKeyCanonical(t *testing.T) {
 	a := MustAssignment(Binding{3, 1}, Binding{1, 0})
 	b := MustAssignment(Binding{1, 0}, Binding{3, 1})
