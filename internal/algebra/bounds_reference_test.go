@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,7 +85,7 @@ func refProject(in URelResult, ann refAnn, targets []expr.Target) refAnn {
 // in their last bits.
 type variedEstimators struct{ exactEstimators }
 
-func (v variedEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error) {
+func (v variedEstimators) Estimate(table *vars.Table, args [][]dnf.F, decide bool) (Estimates, error) {
 	est, err := v.exactEstimators.Estimate(table, args, decide)
 	return variedEstimates{est}, err
 }

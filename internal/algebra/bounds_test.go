@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"iter"
 	"strings"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // error bound of 0.1 each, like a sampled σ̂ would.
 type unreliableEstimators struct{ exactEstimators }
 
-func (u unreliableEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error) {
+func (u unreliableEstimators) Estimate(table *vars.Table, args [][]dnf.F, decide bool) (Estimates, error) {
 	est, err := u.exactEstimators.Estimate(table, args, decide)
 	return unreliableEstimates{est}, err
 }

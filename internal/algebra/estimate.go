@@ -1,8 +1,6 @@
 package algebra
 
 import (
-	"iter"
-	"slices"
 	"strconv"
 
 	"repro/internal/dnf"
@@ -20,12 +18,14 @@ import (
 // walker's, below. The default is exact (#P computation).
 type Estimators interface {
 	// Estimate computes, in one batch, the confidence of every lineage
-	// group of one operator. args[i] streams the clause sets of argument i's
-	// tuples in lineage order, against table; conf has one argument, σ̂ one
-	// per conf[Āᵢ] term. decide reports that the estimates feed σ̂'s
-	// predicate (Estimates.Decide) rather than conf's P column, which is
-	// what a sampling implementation budgets by.
-	Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error)
+	// group of one operator. args[i] holds the clause sets of argument i's
+	// tuples in lineage order, against table, as the grouping handed them
+	// over: the estimator reads them and may keep them, and must not
+	// modify them. conf has one argument, σ̂ one per conf[Āᵢ] term. decide
+	// reports that the estimates feed σ̂'s predicate (Estimates.Decide)
+	// rather than conf's P column, which is what a sampling implementation
+	// budgets by.
+	Estimate(table *vars.Table, args [][]dnf.F, decide bool) (Estimates, error)
 	// ConfKey is what fixes a conf batch's P values beside its lineage:
 	// batches under equal keys over one lineage estimate equal P, so the
 	// engine memo keeps them under it (confP). It must be comparable.
@@ -67,10 +67,9 @@ func (exactEstimators) ConfKey() any { return nil }
 
 func (exactEstimators) Replay(any) {}
 
-func (x exactEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], _ bool) (Estimates, error) {
+func (x exactEstimators) Estimate(table *vars.Table, args [][]dnf.F, _ bool) (Estimates, error) {
 	est := &exactEstimates{p: make([][]float64, len(args)), x: make([]float64, len(args))}
-	for a, groups := range args {
-		fs := slices.Collect(groups)
+	for a, fs := range args {
 		p := make([]float64, len(fs))
 		_ = x.pool.ForEach(len(fs), func(i int) error {
 			p[i] = dnf.Confidence(fs[i], table)
@@ -107,20 +106,13 @@ func PColName(i int) string { return "P" + strconv.Itoa(i+1) }
 
 // estimate runs one estimation batch over the lineage of rels — one
 // relation per argument — and returns each argument's distinct data tuples
-// in lineage order beside the batch's estimates. The lineage groups stream
-// into the estimator; only the rows are kept.
+// in lineage order beside the batch's estimates. The grouping's rows and
+// clause sets are handed on as they come.
 func (e *URelEvaluator) estimate(rels []*urel.Relation, decide bool) ([][]rel.Tuple, Estimates, error) {
 	rows := make([][]rel.Tuple, len(rels))
-	args := make([]iter.Seq[dnf.F], len(rels))
+	args := make([][]dnf.F, len(rels))
 	for a, r := range rels {
-		args[a] = func(yield func(dnf.F) bool) {
-			for tc := range e.exec.LineageSeq(r) {
-				rows[a] = append(rows[a], tc.Row)
-				if !yield(tc.F) {
-					return
-				}
-			}
-		}
+		rows[a], args[a] = e.exec.Lineage(r)
 	}
 	est, err := e.est.Estimate(e.db.Vars, args, decide)
 	return rows, est, err
@@ -135,25 +127,12 @@ func (e *URelEvaluator) conf(in URelResult, pcol string) (URelResult, error) {
 	if err != nil {
 		return URelResult{}, err
 	}
-	out := URelResult{Rel: withColumn(in.Rel.Schema(), pcol, rows, func(i int) rel.Value {
+	out := URelResult{Rel: urel.WithColumn(in.Rel.Schema(), pcol, rows, func(i int) rel.Value {
 		return rel.Float(est.P(0, i))
 	}), Complete: true}
 	return out.Bounded(func(row rel.Tuple) (float64, bool) {
 		return in.Bounds.BoundOf(row[:len(row)-1])
 	}, in), nil
-}
-
-// withColumn builds the complete relation of rows, each extended by one
-// value of a new column col.
-func withColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int) rel.Value) *urel.Relation {
-	out := urel.NewRelation(rel.NewSchema(append(schema.Clone(), col)...))
-	for i, row := range rows {
-		ext := make(rel.Tuple, len(row)+1)
-		copy(ext, row)
-		ext[len(row)] = val(i)
-		out.AddOwned(nil, ext)
-	}
-	return out
 }
 
 // approxSelect is σ̂ by its defining composition (Section 6):
@@ -183,14 +162,14 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 	}
 	var joined *urel.Relation
 	for a := range q.Args {
-		arg := withColumn(projs[a].Schema(), PColName(a), rows[a], func(i int) rel.Value {
+		arg := urel.WithColumn(projs[a].Schema(), PColName(a), rows[a], func(i int) rel.Value {
 			return rel.Int(int64(i))
 		})
 		if a == 0 {
 			joined = arg
 			continue
 		}
-		joined = e.exec.Join(joined, arg)
+		joined = e.exec.Join(joined, arg, nil)
 		if err := e.check(); err != nil {
 			return URelResult{}, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/expr"
 	"repro/internal/rel"
 	"repro/internal/sched"
 	"repro/internal/urel"
@@ -246,12 +247,28 @@ func (e *URelEvaluator) evalNode(n *node) (URelResult, error) {
 		return out.Bounded(in.Bounds.BoundOf, in), nil
 
 	case Project:
+		if _, ok := n.l.q.(Join); ok {
+			// π over ⋈ runs as one operator: the joined rows are never
+			// stored. Annotated inputs take the two operators, whose bound
+			// rules read the join's rows.
+			l, r, err := e.evalPair(n.l.l, n.l.r)
+			if err != nil {
+				return URelResult{}, err
+			}
+			if l.Reliable() && r.Reliable() {
+				return URelResult{Rel: e.exec.Join(l.Rel, r.Rel, q.Targets), Complete: l.Complete && r.Complete}, nil
+			}
+			in := e.join(l, r)
+			if err := e.check(); err != nil {
+				return URelResult{}, err
+			}
+			return e.project(in, q.Targets), nil
+		}
 		in, err := e.eval(n.l)
 		if err != nil {
 			return URelResult{}, err
 		}
-		return URelResult{Rel: e.exec.Project(in.Rel, q.Targets), Complete: in.Complete,
-			Bounds: ProjectBounds(in, q.Targets)}, nil
+		return e.project(in, q.Targets), nil
 
 	case Product:
 		l, r, err := e.evalPair(n.l, n.r)
@@ -273,21 +290,7 @@ func (e *URelEvaluator) evalNode(n *node) (URelResult, error) {
 		if err != nil {
 			return URelResult{}, err
 		}
-		out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}
-		// An output row is the left row followed by the right row's
-		// non-shared attributes; rIdx finds the whole right row in it.
-		nl, outSchema := len(l.Rel.Schema()), out.Rel.Schema()
-		rIdx := make([]int, len(r.Rel.Schema()))
-		for i, a := range r.Rel.Schema() {
-			rIdx[i] = outSchema.Index(a)
-		}
-		rrow := make(rel.Tuple, len(rIdx))
-		return out.Bounded(func(row rel.Tuple) (float64, bool) {
-			for i, j := range rIdx {
-				rrow[i] = row[j]
-			}
-			return pairBound(l.Bounds, row[:nl], r.Bounds, rrow)
-		}, l, r), nil
+		return e.join(l, r), nil
 
 	case Union:
 		l, r, err := e.evalPair(n.l, n.r)
@@ -399,6 +402,31 @@ func (e *URelEvaluator) evalNode(n *node) (URelResult, error) {
 	default:
 		return URelResult{}, fmt.Errorf("algebra: unknown query node %T", q)
 	}
+}
+
+// project is π with its bound rule.
+func (e *URelEvaluator) project(in URelResult, targets []expr.Target) URelResult {
+	return URelResult{Rel: e.exec.Project(in.Rel, targets), Complete: in.Complete,
+		Bounds: ProjectBounds(in, targets)}
+}
+
+// join is ⋈ with its bound rule.
+func (e *URelEvaluator) join(l, r URelResult) URelResult {
+	out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel, nil), Complete: l.Complete && r.Complete}
+	// An output row is the left row followed by the right row's
+	// non-shared attributes; rIdx finds the whole right row in it.
+	nl, outSchema := len(l.Rel.Schema()), out.Rel.Schema()
+	rIdx := make([]int, len(r.Rel.Schema()))
+	for i, a := range r.Rel.Schema() {
+		rIdx[i] = outSchema.Index(a)
+	}
+	rrow := make(rel.Tuple, len(rIdx))
+	return out.Bounded(func(row rel.Tuple) (float64, bool) {
+		for i, j := range rIdx {
+			rrow[i] = row[j]
+		}
+		return pairBound(l.Bounds, row[:nl], r.Bounds, rrow)
+	}, l, r)
 }
 
 // evalPair evaluates the two inputs of a binary operator. When the pool

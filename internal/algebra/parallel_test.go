@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"iter"
 	"math"
 	"math/rand"
 	"strconv"
@@ -172,7 +171,7 @@ type sequentialEstimators struct {
 	calls int
 }
 
-func (s *sequentialEstimators) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (Estimates, error) {
+func (s *sequentialEstimators) Estimate(table *vars.Table, args [][]dnf.F, decide bool) (Estimates, error) {
 	s.calls++ // unsynchronized on purpose: -race flags a concurrent call
 	return s.exactEstimators.Estimate(table, args, decide)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"iter"
 	"math"
 
 	"repro/internal/algebra"
@@ -28,7 +27,7 @@ import (
 // end of Section 5: l rounds of |F| trials per task, stratified under
 // Options.Strata, starting at the walk's l (Options.InitialRounds on the
 // first walk) and doubled by Round.
-func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide bool) (algebra.Estimates, error) {
+func (run *evalRun) Estimate(table *vars.Table, args [][]dnf.F, decide bool) (algebra.Estimates, error) {
 	opts := run.engine.opts
 	eps, delta := opts.confEps(), opts.confDelta()
 	budget := func(clauses int) int64 { return karpluby.TrialsFor(eps, delta, clauses) }
@@ -41,8 +40,9 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 	run.table = table
 	run.batch = make(map[contentKey]*task)
 	before := *run.stats
-	for a, groups := range args {
-		for f := range groups {
+	for a, fs := range args {
+		est.cvs[a] = make([]*confValue, len(fs))
+		for i, f := range fs {
 			cv, t, err := run.newTask(f, budget, opts.Strata)
 			if err != nil {
 				return nil, err
@@ -50,7 +50,7 @@ func (run *evalRun) Estimate(table *vars.Table, args []iter.Seq[dnf.F], decide b
 			if t != nil {
 				est.tasks = append(est.tasks, t)
 			}
-			est.cvs[a] = append(est.cvs[a], cv)
+			est.cvs[a][i] = cv
 		}
 	}
 	if err := run.runEstimates(est.tasks, tgt); err != nil {

@@ -1,9 +1,9 @@
 package urel
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/dnf"
 	"repro/internal/rel"
 	"repro/internal/vars"
 )
@@ -73,31 +73,24 @@ func TestRelationForcedCollisions(t *testing.T) {
 }
 
 func TestLineageGrouperForcedCollisions(t *testing.T) {
-	g := newLineageGrouper(0)
+	g := &lineageGrouper{idx: rel.NewIndex(0)}
 	rowA := rel.Tuple{rel.String("a")}
 	rowB := rel.Tuple{rel.String("b")}
-	d := func(alt int32) vars.Assignment { return vars.MustAssignment(vars.Binding{Var: 0, Alt: alt}) }
-	g.addClause(forcedHash, rowA, d(0))
-	g.addClause(forcedHash, rowB, d(1))
-	g.addClause(forcedHash, rowA, d(2))
-	g.add(forcedHash, rowB, dnf.F{d(3), d(4)})
-	g.add(forcedHash, rel.Tuple{rel.String("c")}, dnf.F{d(5)})
-	if len(g.groups) != 3 {
-		t.Fatalf("%d groups, want 3 (a, b, c in first-appearance order)", len(g.groups))
+	ids := []int32{
+		g.at(forcedHash, rowA, 1),
+		g.at(forcedHash, rowB, 1),
+		g.at(forcedHash, rowA, 1),
+		g.at(forcedHash, rowB, 2),
+		g.at(forcedHash, rel.Tuple{rel.String("c")}, 1),
 	}
-	for i, want := range []struct {
-		row  string
-		alts []int32
-	}{{"a", []int32{0, 2}}, {"b", []int32{1, 3, 4}}, {"c", []int32{5}}} {
-		grp := g.groups[i]
-		if grp.Row[0].AsString() != want.row || len(grp.F) != len(want.alts) {
-			t.Fatalf("group %d = %v with %d clauses, want %q with %d", i, grp.Row, len(grp.F), want.row, len(want.alts))
-		}
-		for j, alt := range want.alts {
-			if grp.F[j][0].Alt != alt {
-				t.Errorf("group %q clause %d binds alt %d, want %d (input order)", want.row, j, grp.F[j][0].Alt, alt)
-			}
-		}
+	if !slices.Equal(ids, []int32{0, 1, 0, 1, 2}) {
+		t.Fatalf("group ids %v, want [0 1 0 1 2] (a, b, c in first-appearance order)", ids)
+	}
+	if len(g.rows) != 3 || g.rows[0][0].AsString() != "a" || g.rows[1][0].AsString() != "b" || g.rows[2][0].AsString() != "c" {
+		t.Fatalf("group rows %v, want a, b, c", g.rows)
+	}
+	if !slices.Equal(g.sizes, []int32{2, 3, 1}) {
+		t.Errorf("clause counts %v, want [2 3 1]", g.sizes)
 	}
 }
 

@@ -2,7 +2,6 @@ package urel
 
 import (
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -104,12 +103,12 @@ func (x *Exec) probeStop(inflight int64) bool {
 	return x.mem.Probe(inflight)
 }
 
-// ensure rehydrates any spilled inputs before an operator touches their
-// tuples, re-charging their footprint against the budget. Hydration
-// failures are sticky on the spill manager (the operator then sees an
-// empty input; the evaluator aborts on Err before the bogus result is
-// used).
-func (x *Exec) ensure(rs ...*Relation) {
+// Ensure rehydrates any spilled inputs before an operator — or an
+// evaluation driver reading a final result — touches their tuples,
+// re-charging their footprint against the budget. Hydration failures are
+// sticky on the spill manager (the operator then sees an empty input; the
+// evaluator aborts on Err before the bogus result is used).
+func (x *Exec) Ensure(rs ...*Relation) {
 	for _, r := range rs {
 		if r == nil || !r.spilled {
 			continue
@@ -121,11 +120,6 @@ func (x *Exec) ensure(rs ...*Relation) {
 		x.mem.Add(r.bytes)
 	}
 }
-
-// Ensure is the exported form of ensure for evaluation drivers: final
-// results and relations read outside the Exec's own operators must be
-// resident before their tuples are touched.
-func (x *Exec) Ensure(rs ...*Relation) { x.ensure(rs...) }
 
 // produced registers out as spill-eligible and sheds intermediates while
 // the budget is over its limit, keeping the current operator's relations
@@ -237,10 +231,12 @@ func (x *Exec) record(op string, tuplesIn, tuplesOut, bytes int64) {
 
 // Select implements σ_φ: a single pass reusing the input's stored pair
 // hashes. A subset of a set holds no duplicates, so surviving pairs are
-// appended without hashing, cloning or an index.
+// appended without hashing, cloning or an index; a subset of a D-key
+// relation is D-key.
 func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
-	x.ensure(r)
+	x.Ensure(r)
 	out := NewRelation(r.schema)
+	out.dkey = r.dkey
 	for i, t := range r.tuples {
 		if pred.Holds(expr.Env{Schema: r.schema, Tuple: t.Row}) {
 			out.appendUnique(r.hashes[i], t.D, t.Row)
@@ -252,25 +248,39 @@ func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 }
 
 // Project implements π with expression targets. Output rows are built
-// once and handed to the relation without a defensive clone.
+// once and handed to the relation without a defensive clone. Over a D-key
+// input no two output pairs can merge — their D's differ — so the output
+// takes one slot per input pair, without an index, and is D-key itself.
 func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
-	x.ensure(r)
-	schema := make(rel.Schema, len(targets))
-	for i, tg := range targets {
-		schema[i] = tg.As
+	x.Ensure(r)
+	out := NewRelation(targetSchema(targets))
+	if r.dkey {
+		out.reserve(len(r.tuples))
+		out.dkey = true
 	}
-	out := NewRelation(rel.NewSchema(schema...))
 	for _, t := range r.tuples {
 		env := expr.Env{Schema: r.schema, Tuple: t.Row}
 		row := make(rel.Tuple, len(targets))
 		for i, tg := range targets {
 			row[i] = tg.Expr.Eval(env)
 		}
-		out.addPair(utHash(t.D, row), t.D, row, false)
+		if r.dkey {
+			out.appendUnique(utHash(t.D, row), t.D, row)
+		} else {
+			out.addPair(utHash(t.D, row), t.D, row, false)
+		}
 	}
 	x.record("project", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out
+}
+
+func targetSchema(targets []expr.Target) rel.Schema {
+	schema := make(rel.Schema, len(targets))
+	for i, tg := range targets {
+		schema[i] = tg.As
+	}
+	return rel.NewSchema(schema...)
 }
 
 // pairOut is one constructed output pair of a partitioned binary operator,
@@ -281,14 +291,15 @@ type pairOut struct {
 	row rel.Tuple
 }
 
-// mergeRanges folds per-range outputs into out in range order — the
-// deterministic merge making partitioned results worker-count-independent.
-// The buffered pairs bound the output, so r (empty) is sized for them.
-func (r *Relation) mergeRanges(outs [][]pairOut) {
+// mergeRanges folds per-range outputs into one relation in range order —
+// the deterministic merge making partitioned results worker-count
+// independent — sized for the buffered pairs, which bound it.
+func mergeRanges(schema rel.Schema, outs [][]pairOut) *Relation {
 	n := 0
 	for _, buf := range outs {
 		n += len(buf)
 	}
+	r := &Relation{schema: schema}
 	r.reserve(n)
 	r.idx = rel.NewIndex(n)
 	for _, buf := range outs {
@@ -296,54 +307,18 @@ func (r *Relation) mergeRanges(outs [][]pairOut) {
 			r.addPair(p.h, p.d, p.row, false)
 		}
 	}
+	return r
 }
 
-// Product implements [[R × S]] with the pair enumeration partitioned
-// across the pool: each fixed-size range of R's tuples is crossed with all
-// of S by one worker, and per-range outputs merge in range order.
+// Product implements [[R × S]]: the natural join of inputs with no
+// common attribute, whose every pair of tuples matches.
 func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 	for _, attr := range b.schema {
 		if a.schema.Has(attr) {
 			return nil, fmt.Errorf("urel: product schemas share attribute %q; rename first", attr)
 		}
 	}
-	x.ensure(a, b)
-	schema := append(a.schema.Clone(), b.schema...)
-	out := NewRelation(rel.NewSchema(schema...))
-	la := len(a.schema)
-	outs := make([][]pairOut, numRanges(len(a.tuples)))
-	x.forRanges(len(a.tuples), func(rg, lo, hi int) {
-		var buf []pairOut
-		var localBytes int64
-		// Cooperative memory limit: probed once per probe tuple AND every
-		// 1024 emitted pairs (a single probe tuple's fan-out is unbounded,
-		// so per-tuple probes alone could materialize a whole inner
-		// relation between checks). Once the budget trips — possibly on
-		// another worker's range — stop enumerating; the evaluation aborts
-		// between operators and the partial output is discarded.
-		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
-			ta := a.tuples[i]
-			for _, tb := range b.tuples {
-				d, ok := ta.D.Union(tb.D)
-				if !ok {
-					continue // inconsistent worlds never co-occur
-				}
-				row := make(rel.Tuple, la+len(tb.Row))
-				copy(row, ta.Row)
-				copy(row[la:], tb.Row)
-				buf = append(buf, pairOut{h: utHash(d, row), d: d, row: row})
-				localBytes += pairBytes(d, row)
-				if len(buf)&0x3ff == 0 && x.probeStop(localBytes) {
-					break
-				}
-			}
-		}
-		outs[rg] = buf
-	})
-	out.mergeRanges(outs)
-	x.record("product", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
-	x.produced(out, a, b)
-	return out, nil
+	return x.join("product", a, b, nil), nil
 }
 
 // Join implements the natural join R ⋈ S as a partitioned hash join: the
@@ -352,8 +327,28 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 // ranges, each worker emitting its range's output pairs; ranges merge in
 // order. Bucket candidates filtered by the 64-bit join-key hash are
 // confirmed by value equality on the join columns.
-func (x *Exec) Join(a, b *Relation) *Relation {
-	x.ensure(a, b)
+//
+// With targets, Join is π_targets(R ⋈ S) in one pass: each joined row lives
+// in the range's scratch buffer, is projected and never stored. It records
+// the skipped join's statistics, whose distinct pairs are the emitted ones
+// when one input's D's are all empty (two joined pairs with one row then
+// differ in D). Two uncertain inputs, or out-of-core execution, run the
+// join and then Project.
+func (x *Exec) Join(a, b *Relation, targets []expr.Target) *Relation {
+	return x.join("join", a, b, targets)
+}
+
+// join is Join and Product, recorded as op.
+func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation {
+	x.Ensure(a, b)
+	if targets != nil && (x.outOfCore() || !a.IsComplete() && !b.IsComplete()) {
+		j := x.join(op, a, b, nil)
+		if x.mem.Exceeded() {
+			// The evaluation ends before the projection would run.
+			return &Relation{schema: targetSchema(targets)}
+		}
+		return x.Project(j, targets)
+	}
 	common := a.schema.Common(b.schema)
 	var bExtra []string
 	for _, attr := range b.schema {
@@ -361,8 +356,11 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 			bExtra = append(bExtra, attr)
 		}
 	}
-	schema := append(a.schema.Clone(), bExtra...)
-	out := NewRelation(rel.NewSchema(schema...))
+	joined := rel.NewSchema(append(a.schema.Clone(), bExtra...)...)
+	schema := joined
+	if targets != nil {
+		schema = targetSchema(targets)
+	}
 
 	aIdx := make([]int, len(common))
 	bIdx := make([]int, len(common))
@@ -388,13 +386,19 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 	// Probe phase: fixed ranges of R, merged in range order.
 	la := len(a.schema)
 	outs := make([][]pairOut, numRanges(len(a.tuples)))
+	wides := make([]int64, len(outs)) // per range: the joined pairs' footprint
 	x.forRanges(len(a.tuples), func(rg, lo, hi int) {
 		var buf []pairOut
 		var localBytes int64
-		// Cooperative memory limit, probed per probe tuple and per 1024
-		// emitted pairs (a skewed key's chain is unbounded); see Product.
+		wide := make(rel.Tuple, len(joined))
+		env := expr.Env{Schema: joined, Tuple: wide}
+		// Cooperative memory limit: probed once per probe tuple AND every
+		// 1024 emitted pairs (one probe tuple's fan-out is unbounded). Once
+		// the budget trips — possibly on another worker's range — stop; the
+		// evaluation aborts between operators, discarding the output.
 		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
 			ta := a.tuples[i]
+			copy(wide, ta.Row)
 			for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
 				tb := b.tuples[j]
 				if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
@@ -404,22 +408,39 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 				if !ok {
 					continue
 				}
-				row := make(rel.Tuple, la+len(bExtraIdx))
-				copy(row, ta.Row)
 				for k, jj := range bExtraIdx {
-					row[la+k] = tb.Row[jj]
+					wide[la+k] = tb.Row[jj]
+				}
+				row := make(rel.Tuple, len(schema))
+				if targets == nil {
+					copy(row, wide)
+				}
+				for c, tg := range targets {
+					row[c] = tg.Expr.Eval(env)
 				}
 				buf = append(buf, pairOut{h: utHash(d, row), d: d, row: row})
-				localBytes += pairBytes(d, row)
+				localBytes += pairBytes(d, wide)
 				if len(buf)&0x3ff == 0 && x.probeStop(localBytes) {
 					break
 				}
 			}
 		}
-		outs[rg] = buf
+		outs[rg], wides[rg] = buf, localBytes
 	})
-	out.mergeRanges(outs)
-	x.record("join", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
+	out := mergeRanges(schema, outs)
+	in := int64(len(a.tuples) + len(b.tuples))
+	if targets == nil {
+		x.record(op, in, int64(out.Len()), out.Bytes())
+	} else {
+		var emitted, wide int64
+		for rg, buf := range outs {
+			emitted, wide = emitted+int64(len(buf)), wide+wides[rg]
+		}
+		x.record(op, in, emitted, wide)
+		if !x.mem.Exceeded() {
+			x.record("project", emitted, int64(out.Len()), out.Bytes())
+		}
+	}
 	x.produced(out, a, b)
 	return out
 }
@@ -429,7 +450,7 @@ func (x *Exec) Union(a, b *Relation) (*Relation, error) {
 	if !a.schema.Equal(b.schema) {
 		return nil, fmt.Errorf("urel: union schema mismatch %v vs %v", a.schema, b.schema)
 	}
-	x.ensure(a, b)
+	x.Ensure(a, b)
 	out := a.Clone()
 	for i, t := range b.tuples {
 		out.addPair(b.hashes[i], t.D, t.Row, false)
@@ -441,9 +462,10 @@ func (x *Exec) Union(a, b *Relation) (*Relation, error) {
 
 // DiffComplete implements −c over complete relations. Both sides carry
 // empty D columns, so their stored pair hashes are pure row hashes and the
-// membership probes reuse them unchanged.
+// membership probes reuse them unchanged. The output is a subset of a, so
+// it is appended without an index.
 func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
-	x.ensure(a, b)
+	x.Ensure(a, b)
 	if !a.IsComplete() || !b.IsComplete() {
 		return nil, fmt.Errorf("urel: -c requires complete relations")
 	}
@@ -454,7 +476,7 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 	bix := b.probeIndex()
 	for i, t := range a.tuples {
 		if pos, _ := b.find(bix, a.hashes[i], t.D, t.Row); pos < 0 {
-			out.addPair(a.hashes[i], nil, t.Row, false)
+			out.appendUnique(a.hashes[i], nil, t.Row)
 		}
 	}
 	x.record("diffc", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
@@ -465,7 +487,7 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 // Poss implements poss(R): row-level dedup through the hashed index, with
 // output rows shared with the (immutable) input.
 func (x *Exec) Poss(r *Relation) *rel.Relation {
-	x.ensure(r)
+	x.Ensure(r)
 	out := rel.NewRelation(r.schema)
 	for _, t := range r.tuples {
 		out.AddOwned(t.Row)
@@ -477,167 +499,113 @@ func (x *Exec) Poss(r *Relation) *rel.Relation {
 
 // lineageGrouper is the one grouping structure behind every lineage path
 // (single-pass, per-range local, and merge): groups found through a
-// rel.Index over the row hashes, in first-appearance order. Keeping a
-// single implementation is what guarantees the three paths stay in
-// lock-step — the worker-count bit-identity invariant depends on them
-// producing identical output.
+// rel.Index over the row hashes, in first-appearance order, each with its
+// clause count. Keeping a single implementation is what guarantees the
+// three paths stay in lock-step — the worker-count bit-identity invariant
+// depends on them producing identical output.
 type lineageGrouper struct {
 	idx    rel.Index
-	groups []TupleConf
+	rows   []rel.Tuple
 	hashes []uint64
-	bytes  int64 // running footprint estimate (clause headers + per-group overhead)
+	sizes  []int32
 }
 
-func newLineageGrouper(sizeHint int) *lineageGrouper {
-	return &lineageGrouper{idx: rel.NewIndex(sizeHint)}
-}
-
-// at returns the position of row's group under hash h, creating an empty
-// group in first-appearance order when absent.
-func (g *lineageGrouper) at(h uint64, row rel.Tuple) int32 {
+// at returns the id of row's group under hash h — creating it, in
+// first-appearance order, when absent — and counts n more clauses in it.
+func (g *lineageGrouper) at(h uint64, row rel.Tuple, n int32) int32 {
 	head := g.idx.First(h)
 	for p := head; p >= 0; p = g.idx.Next(p) {
-		if g.groups[p].Row.Equal(row) {
+		if g.rows[p].Equal(row) {
+			g.sizes[p] += n
 			return p
 		}
 	}
 	g.idx.Append(h, head)
-	g.groups = append(g.groups, TupleConf{Row: row})
+	g.rows = append(g.rows, row)
 	g.hashes = append(g.hashes, h)
-	g.bytes += pairOverheadBytes
-	return int32(len(g.groups) - 1)
+	g.sizes = append(g.sizes, n)
+	return int32(len(g.rows) - 1)
 }
 
-// add appends the clauses to (h, row)'s group; a new group takes ownership
-// of f.
-func (g *lineageGrouper) add(h uint64, row rel.Tuple, f dnf.F) {
-	grp := &g.groups[g.at(h, row)]
-	if grp.F == nil {
-		grp.F = f
-	} else {
-		grp.F = append(grp.F, f...)
-	}
-	g.bytes += int64(len(f)) * clauseHeaderBytes
-}
-
-// addClause is add for a single clause, avoiding a slice header per tuple
-// on the append path.
-func (g *lineageGrouper) addClause(h uint64, row rel.Tuple, d vars.Assignment) {
-	grp := &g.groups[g.at(h, row)]
-	grp.F = append(grp.F, d)
-	g.bytes += clauseHeaderBytes
-}
-
-// lineage is the grouping core of Lineage/LineageSeq/ConfExact/CertExact:
-// each fixed range of the input groups locally (via lineageGrouper), and
-// the local groups merge in range order, so both group order (first
-// appearance) and each group's clause order (input order) match the
-// sequential scan for any worker count. Rows are shared with the input,
-// clause lists hold the input's assignments — no copies.
-func (x *Exec) lineage(r *Relation) ([]TupleConf, int64) {
-	x.ensure(r)
+// lineage is the grouping core of Lineage, ConfExact and CertExact: group ids
+// first — in one pass, or per fixed range merged in range order — then one
+// clause array carved per group and filled in input order. Group order
+// (first appearance) and clause order (input order) are the sequential
+// scan's for any worker count; every output slice is sized exactly; rows
+// and clauses are the input's own.
+func (x *Exec) lineage(r *Relation) (rows []rel.Tuple, fs []dnf.F, bytes int64) {
+	x.Ensure(r)
 	n := len(r.tuples)
 	if n == 0 {
-		return nil, 0
+		return nil, nil, 0
 	}
-	// One worker (or one range): group in a single pass. The partitioned
-	// path below runs the same grouper per range and re-runs it to merge,
-	// producing the same first-appearance order and per-group clause
-	// order, so the choice of strategy is invisible in the output — it
-	// only avoids the local/merge copy when no parallelism is available
-	// to pay for it.
+	ids := make([]int32, n)
+	var g *lineageGrouper
+	// One worker (or one range) groups in a single pass: the partitioned
+	// path gives the same ids, at the cost of a merge.
 	if x.pool.Workers() == 1 || numRanges(n) == 1 {
-		g := newLineageGrouper(n)
-		for _, t := range r.tuples {
-			g.addClause(t.Row.Hash(), t.Row, t.D)
+		g = &lineageGrouper{idx: rel.NewIndex(n)}
+		for i, t := range r.tuples {
+			ids[i] = g.at(t.Row.Hash(), t.Row, 1)
 		}
-		return g.groups, g.bytes
-	}
-	locals := make([]*lineageGrouper, numRanges(n))
-	x.forRanges(n, func(rg, lo, hi int) {
-		g := newLineageGrouper(hi - lo)
-		for i := lo; i < hi; i++ {
-			t := r.tuples[i]
-			g.addClause(t.Row.Hash(), t.Row, t.D)
-		}
-		locals[rg] = g
-	})
-	// Deterministic merge: ranges in order, local groups in local order.
-	merged := newLineageGrouper(n)
-	for _, l := range locals {
-		for gi, grp := range l.groups {
-			merged.add(l.hashes[gi], grp.Row, grp.F)
-		}
-	}
-	return merged.groups, merged.bytes
-}
-
-// Lineage groups the relation by data tuple and returns each possible
-// tuple's clause set, in first-appearance order.
-func (x *Exec) Lineage(r *Relation) []TupleConf {
-	groups, bytes := x.lineage(r)
-	x.record("lineage", int64(len(r.tuples)), int64(len(groups)), bytes)
-	x.produced(nil, r)
-	return groups
-}
-
-// LineageSeq streams the lineage groups of Lineage in the same order. The
-// grouping work happens on first iteration; consumers that need only one
-// pass (conf estimation, exact confidence) avoid retaining a second
-// materialized []TupleConf alongside their own per-tuple state.
-func (x *Exec) LineageSeq(r *Relation) iter.Seq[TupleConf] {
-	return func(yield func(TupleConf) bool) {
-		groups, bytes := x.lineage(r)
-		x.record("lineage", int64(len(r.tuples)), int64(len(groups)), bytes)
-		x.produced(nil, r)
-		for _, tc := range groups {
-			if !yield(tc) {
-				return
+	} else {
+		locals := make([]*lineageGrouper, numRanges(n))
+		x.forRanges(n, func(rg, lo, hi int) {
+			l := &lineageGrouper{idx: rel.NewIndex(hi - lo)}
+			for i := lo; i < hi; i++ {
+				t := r.tuples[i]
+				ids[i] = l.at(t.Row.Hash(), t.Row, 1)
+			}
+			locals[rg] = l
+		})
+		// Deterministic merge: ranges in order, local groups in local
+		// order; then each pair's local id becomes its merged one.
+		g = &lineageGrouper{idx: rel.NewIndex(n)}
+		for rg, l := range locals {
+			merged := make([]int32, len(l.rows))
+			for gi, row := range l.rows {
+				merged[gi] = g.at(l.hashes[gi], row, l.sizes[gi])
+			}
+			for i := rg * rangeTuples; i < min(n, (rg+1)*rangeTuples); i++ {
+				ids[i] = merged[ids[i]]
 			}
 		}
 	}
+	rows = make([]rel.Tuple, len(g.rows))
+	copy(rows, g.rows)
+	all, off := make([]vars.Assignment, n), 0
+	fs = make([]dnf.F, len(g.sizes))
+	for i, size := range g.sizes {
+		fs[i] = all[off : off : off+int(size)]
+		off += int(size)
+	}
+	for i, t := range r.tuples {
+		fs[ids[i]] = append(fs[ids[i]], t.D)
+	}
+	return rows, fs, int64(len(rows))*pairOverheadBytes + int64(n)*clauseHeaderBytes
 }
 
-// ConfExact implements conf with exact probabilities; the per-group
-// #P-hard dnf.Confidence computations fan out across the pool (group
-// costs vary wildly, so the pool's work-stealing cursor load-balances).
-func (x *Exec) ConfExact(r *Relation, table *vars.Table, pcol string) (*rel.Relation, error) {
-	if r.schema.Has(pcol) {
-		return nil, fmt.Errorf("urel: conf column %q already in schema %v", pcol, r.schema)
-	}
-	groups, _ := x.lineage(r)
-	probs := make([]float64, len(groups))
-	_ = x.pool.ForEach(len(groups), func(i int) error {
-		probs[i] = dnf.Confidence(groups[i].F, table)
-		return nil
-	})
-	out := rel.NewRelation(rel.NewSchema(append(r.schema.Clone(), pcol)...))
-	for i, tc := range groups {
-		row := make(rel.Tuple, len(tc.Row)+1)
-		copy(row, tc.Row)
-		row[len(tc.Row)] = rel.Float(probs[i])
-		out.AddOwned(row)
-	}
-	// Conf materializes a fresh full-width row per group (input columns
-	// plus the probability), so the estimate counts the whole row payload.
-	x.record("conf", int64(len(r.tuples)), int64(out.Len()),
-		int64(out.Len())*(int64(len(out.Schema()))*valueBytes+pairOverheadBytes))
+// Lineage groups the relation by data tuple and returns each possible
+// tuple — in first-appearance order — beside its clause set.
+func (x *Exec) Lineage(r *Relation) ([]rel.Tuple, []dnf.F) {
+	rows, fs, bytes := x.lineage(r)
+	x.record("lineage", int64(len(r.tuples)), int64(len(rows)), bytes)
 	x.produced(nil, r)
-	return out, nil
+	return rows, fs
 }
 
 // CertExact implements cert(R) via exact confidences, parallel per group.
 func (x *Exec) CertExact(r *Relation, table *vars.Table) *rel.Relation {
-	groups, _ := x.lineage(r)
-	keep := make([]bool, len(groups))
-	_ = x.pool.ForEach(len(groups), func(i int) error {
-		keep[i] = dnf.Confidence(groups[i].F, table) >= 1-1e-12
+	rows, fs, _ := x.lineage(r)
+	keep := make([]bool, len(fs))
+	_ = x.pool.ForEach(len(fs), func(i int) error {
+		keep[i] = dnf.Confidence(fs[i], table) >= 1-1e-12
 		return nil
 	})
 	out := rel.NewRelation(r.schema)
-	for i, tc := range groups {
+	for i, row := range rows {
 		if keep[i] {
-			out.AddOwned(tc.Row)
+			out.AddOwned(row)
 		}
 	}
 	x.record("cert", int64(len(r.tuples)), int64(out.Len()), int64(out.Len())*pairOverheadBytes)
@@ -681,7 +649,7 @@ func (w *witnessIndex) add(h uint64, head int32, i int) {
 // fresh variable names need are built once per group and per alternative,
 // never per tuple.
 func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.Table, prefix string) (*Relation, error) {
-	x.ensure(r)
+	x.Ensure(r)
 	keyIdx := make([]int, len(key))
 	for i, a := range key {
 		j := r.schema.Index(a)
@@ -783,8 +751,14 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 
 	// Each input pair gains a binding of its group's fresh variable, so
 	// distinct input pairs stay distinct: one output pair per input pair.
+	// The output is D-key: the binding v = alt fixes the group (v is one
+	// group's fresh variable) and the alternative (alt), hence the key and
+	// residual columns, and the alternative's one weight (conflicting
+	// weights were rejected above) — so D determines the row, and two
+	// pairs with one D would be one pair.
 	out := NewRelation(r.schema)
 	out.reserve(len(r.tuples))
+	out.dkey = true
 	for i, t := range r.tuples {
 		g := tupleGroup[i]
 		d := t.D.With(g.v, int32(tupleAlt[i]))
@@ -807,7 +781,7 @@ type OpStats struct {
 }
 
 // StatsMap maps operator names (join, product, select, project, union,
-// diffc, repairkey, lineage, conf, cert, poss) to their aggregated stats.
+// diffc, repairkey, lineage, cert, poss) to their aggregated stats.
 type StatsMap map[string]OpStats
 
 // Counters is a concurrency-safe operator-statistics collector shared by

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dnf"
 	"repro/internal/expr"
 	"repro/internal/rel"
 	"repro/internal/sched"
@@ -27,11 +28,11 @@ func relFingerprint(r *Relation) string {
 	return b.String()
 }
 
-func lineageFingerprint(groups []TupleConf) string {
+func lineageFingerprint(rows []rel.Tuple, fs []dnf.F) string {
 	var b strings.Builder
-	for _, g := range groups {
-		b.WriteString(g.Row.Key())
-		for _, a := range g.F {
+	for i, row := range rows {
+		b.WriteString(row.Key())
+		for _, a := range fs[i] {
 			b.WriteString("|")
 			b.WriteString(a.Key())
 		}
@@ -88,14 +89,14 @@ func TestExecWorkersBitIdentical(t *testing.T) {
 	joined := Join(a, b)
 	wantSel := relFingerprint(Select(joined, pred))
 	wantProj := relFingerprint(Project(joined, targets))
-	wantLin := lineageFingerprint(Lineage(joined))
+	wantLin := lineageFingerprint(seqExec.Lineage(joined))
 
 	aw, _ := Product(prodA, prodB)
 	wantProd := relFingerprint(aw)
 
 	for _, workers := range []int{1, 4, 8} {
 		x := NewExec(sched.New(workers), NewCounters())
-		if got := relFingerprint(x.Join(a, b)); got != wantJoin {
+		if got := relFingerprint(x.Join(a, b, nil)); got != wantJoin {
 			t.Errorf("workers=%d: Join output differs from sequential", workers)
 		}
 		if got := relFingerprint(x.Select(joined, pred)); got != wantSel {
@@ -139,39 +140,13 @@ func renameRel(r *Relation, names ...string) *Relation {
 	return out
 }
 
-// TestLineageSeqMatchesLineage checks the streaming iterator yields the
-// exact groups of the materializing call, in order, and honours early
-// termination.
-func TestLineageSeqMatchesLineage(t *testing.T) {
-	a, b, _ := execDB()
-	j := Join(a, b)
-	want := Lineage(j)
-	var got []TupleConf
-	for tc := range LineageSeq(j) {
-		got = append(got, tc)
-	}
-	if lineageFingerprint(got) != lineageFingerprint(want) {
-		t.Fatal("LineageSeq groups differ from Lineage")
-	}
-	n := 0
-	for range LineageSeq(j) {
-		n++
-		if n == 3 {
-			break
-		}
-	}
-	if n != 3 {
-		t.Fatalf("early break iterated %d groups, want 3", n)
-	}
-}
-
 // TestExecCounters sanity-checks the per-operator statistics: calls and
 // tuple counts must reflect the work done.
 func TestExecCounters(t *testing.T) {
 	a, b, _ := execDB()
 	ctrs := NewCounters()
 	x := NewExec(sched.New(4), ctrs)
-	out := x.Join(a, b)
+	out := x.Join(a, b, nil)
 	x.Lineage(out)
 	stats := ctrs.Snapshot()
 	js, ok := stats["join"]

@@ -205,42 +205,30 @@ func writePairs(path string, r *Relation) (int64, error) {
 	bw := bufio.NewWriterSize(f, 1<<16)
 	var scratch [binary.MaxVarintLen64]byte
 	n := int64(0)
-	put := func(b []byte) error {
-		n += int64(len(b))
-		_, err := bw.Write(b)
-		return err
+	// put keeps the first write error in err; later writes are no-ops.
+	put := func(b []byte) {
+		if err == nil {
+			n += int64(len(b))
+			_, err = bw.Write(b)
+		}
 	}
-	putUvarint := func(v uint64) error {
-		return put(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
+	putUvarint := func(v uint64) { put(scratch[:binary.PutUvarint(scratch[:], v)]) }
 	for i, t := range r.tuples {
 		binary.LittleEndian.PutUint64(scratch[:8], r.hashes[i])
-		if err := put(scratch[:8]); err != nil {
-			f.Close()
-			return n, err
-		}
-		if err := putUvarint(uint64(len(t.D))); err != nil {
-			f.Close()
-			return n, err
-		}
+		put(scratch[:8])
+		putUvarint(uint64(len(t.D)))
 		for _, b := range t.D {
-			if err := putUvarint(uint64(uint32(b.Var))); err != nil {
-				f.Close()
-				return n, err
-			}
-			if err := putUvarint(uint64(uint32(b.Alt))); err != nil {
-				f.Close()
-				return n, err
-			}
+			putUvarint(uint64(uint32(b.Var)))
+			putUvarint(uint64(uint32(b.Alt)))
 		}
 		for _, v := range t.Row {
-			if err := writeValue(put, putUvarint, scratch[:], v); err != nil {
-				f.Close()
-				return n, err
-			}
+			writeValue(put, putUvarint, scratch[:], v)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return n, err
 	}
@@ -259,38 +247,31 @@ const (
 	spString
 )
 
-func writeValue(put func([]byte) error, putUvarint func(uint64) error, scratch []byte, v rel.Value) error {
+func writeValue(put func([]byte), putUvarint func(uint64), scratch []byte, v rel.Value) {
 	switch v.Kind() {
 	case rel.NullKind:
 		scratch[0] = spNull
-		return put(scratch[:1])
+		put(scratch[:1])
 	case rel.BoolKind:
-		tag := byte(spBool0)
+		scratch[0] = spBool0
 		if v.AsBool() {
-			tag = spBool1
+			scratch[0] = spBool1
 		}
-		scratch[0] = tag
-		return put(scratch[:1])
+		put(scratch[:1])
 	case rel.IntKind:
 		scratch[0] = spInt
-		if err := put(scratch[:1]); err != nil {
-			return err
-		}
-		return put(scratch[:binary.PutVarint(scratch, v.AsInt())])
+		put(scratch[:1])
+		put(scratch[:binary.PutVarint(scratch, v.AsInt())])
 	case rel.FloatKind:
 		scratch[0] = spFloat
 		binary.LittleEndian.PutUint64(scratch[1:9], math.Float64bits(v.AsFloat()))
-		return put(scratch[:9])
+		put(scratch[:9])
 	default:
 		scratch[0] = spString
-		if err := put(scratch[:1]); err != nil {
-			return err
-		}
+		put(scratch[:1])
 		s := v.AsString()
-		if err := putUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		return put([]byte(s))
+		putUvarint(uint64(len(s)))
+		put([]byte(s))
 	}
 }
 

@@ -15,7 +15,6 @@ package urel
 
 import (
 	"fmt"
-	"iter"
 	"maps"
 	"sort"
 	"strings"
@@ -46,17 +45,21 @@ func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 // selections never rehash.
 //
 // The index exists only once something probes the relation: operators that
-// cannot merge two pairs (Select, RepairKey, hydrate) append without it. A
-// published relation is never mutated — sub-plans are shared by concurrent
-// branches and the engine's memo — so a probe of an input without an index
-// builds a local one (probeIndex); only the owner, while still building the
-// relation, grows its own (addPair).
+// cannot merge two pairs (Select, RepairKey, −c, hydrate, and Project over a
+// D-key input) append without it. A published relation is never mutated —
+// sub-plans are shared by concurrent branches and the engine's memo — so a
+// probe of an input without an index builds a local one (probeIndex); only
+// the owner, while still building the relation, grows its own (addPair).
 type Relation struct {
 	schema rel.Schema
 	tuples []UTuple
 	hashes []uint64  // utHash per tuple, aligned with tuples
 	idx    rel.Index // pair hash -> positions in tuples; unbuilt until probed
 	bytes  int64     // running footprint estimate, maintained on insert
+	// dkey records that no two pairs share a D: RepairKey sets it, Select
+	// and Project keep it (a projection of such pairs cannot merge two).
+	// It survives spilling and the memo.
+	dkey bool
 
 	// Out-of-core state (see spill.go): when spilled, the tuple storage
 	// above is dropped and sp locates the file holding the pairs; bytes
@@ -73,11 +76,12 @@ func NewRelation(schema rel.Schema) *Relation {
 
 // FromComplete lifts a classical complete relation into a U-relation where
 // every tuple carries the empty assignment (the zero-column D encoding of
-// Section 3).
+// Section 3). r is a set, so its rows are appended without an index.
 func FromComplete(r *rel.Relation) *Relation {
 	out := NewRelation(r.Schema())
+	out.reserve(r.Len())
 	for _, t := range r.Tuples() {
-		out.addPair(utHash(nil, t), nil, t, false)
+		out.appendUnique(utHash(nil, t), nil, t)
 	}
 	return out
 }
@@ -187,6 +191,22 @@ func (r *Relation) reserve(n int) {
 	r.hashes = make([]uint64, 0, n)
 }
 
+// WithColumn builds the complete relation of rows — distinct data tuples,
+// as a lineage's groups are — each extended by one value of a new column
+// col. Distinct rows stay distinct, so they are appended without a dedup
+// index.
+func WithColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int) rel.Value) *Relation {
+	out := NewRelation(rel.NewSchema(append(schema.Clone(), col)...))
+	out.reserve(len(rows))
+	for i, row := range rows {
+		ext := make(rel.Tuple, len(row)+1)
+		copy(ext, row)
+		ext[len(row)] = val(i)
+		out.appendUnique(utHash(nil, ext), nil, ext)
+	}
+	return out
+}
+
 // IsComplete reports whether every tuple carries the empty assignment,
 // i.e. the relation is a classical complete relation.
 func (r *Relation) IsComplete() bool {
@@ -202,7 +222,8 @@ func (r *Relation) IsComplete() bool {
 // Clone returns a copy. Stored tuples are immutable once inserted, so the
 // clone shares their backing arrays and only copies the relation's own
 // bookkeeping (tuple list, hashes, and the dedup index if r has built one;
-// otherwise the clone builds its own on its first insert).
+// otherwise the clone builds its own on its first insert). The clone is not
+// D-key: it is made to take further pairs (Union), which may share a D.
 func (r *Relation) Clone() *Relation {
 	r.mustResident("Clone")
 	return &Relation{
@@ -231,7 +252,7 @@ func Product(a, b *Relation) (*Relation, error) { return seqExec.Product(a, b) }
 // Join implements the natural join R ⋈ S: tuples agreeing on common
 // attributes with consistent D columns. The output schema is sch(R)
 // followed by the non-common attributes of S.
-func Join(a, b *Relation) *Relation { return seqExec.Join(a, b) }
+func Join(a, b *Relation) *Relation { return seqExec.Join(a, b, nil) }
 
 // Union implements [[R ∪ S]] := U_R ∪ U_S. Schemas must match.
 func Union(a, b *Relation) (*Relation, error) { return seqExec.Union(a, b) }
@@ -254,17 +275,31 @@ type TupleConf struct {
 
 // Lineage groups the relation by data tuple and returns each possible
 // tuple's clause set, in first-appearance order.
-func Lineage(r *Relation) []TupleConf { return seqExec.Lineage(r) }
-
-// LineageSeq is the streaming form of Lineage: it yields the groups in the
-// same first-appearance order without handing the caller an owned slice to
-// keep alive. See Exec.LineageSeq.
-func LineageSeq(r *Relation) iter.Seq[TupleConf] { return seqExec.LineageSeq(r) }
+func Lineage(r *Relation) []TupleConf {
+	rows, fs := seqExec.Lineage(r)
+	out := make([]TupleConf, len(rows))
+	for i, row := range rows {
+		out[i] = TupleConf{Row: row, F: fs[i]}
+	}
+	return out
+}
 
 // ConfExact implements the conf operation with exact probabilities: the
-// result is a complete relation with schema sch(R) ∪ {pcol}.
+// result is a complete relation with schema sch(R) ∪ {pcol}. It is the
+// sequential reference the tests hold the evaluators' conf against.
 func ConfExact(r *Relation, table *vars.Table, pcol string) (*rel.Relation, error) {
-	return seqExec.ConfExact(r, table, pcol)
+	if r.schema.Has(pcol) {
+		return nil, fmt.Errorf("urel: conf column %q already in schema %v", pcol, r.schema)
+	}
+	rows, fs, _ := seqExec.lineage(r)
+	out := rel.NewRelation(rel.NewSchema(append(r.schema.Clone(), pcol)...))
+	for i, row := range rows {
+		ext := make(rel.Tuple, len(row)+1)
+		copy(ext, row)
+		ext[len(row)] = rel.Float(dnf.Confidence(fs[i], table))
+		out.AddOwned(ext)
+	}
+	return out, nil
 }
 
 // CertExact implements cert(R) = π_{sch(R)}(σ_{P=1}(conf(R))) using exact

@@ -263,8 +263,15 @@ func (a Assignment) ConsistentWith(b Assignment) bool {
 
 // Union merges two consistent assignments; ok is false when they
 // conflict. Union implements the D-column concatenation of the product
-// translation [[R × S]].
+// translation [[R × S]]. When one side is empty the other is returned
+// as it is: stored assignments are never mutated, so sharing one is safe.
 func (a Assignment) Union(b Assignment) (Assignment, bool) {
+	if len(a) == 0 {
+		return b, true
+	}
+	if len(b) == 0 {
+		return a, true
+	}
 	out := make(Assignment, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
