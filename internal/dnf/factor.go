@@ -79,7 +79,7 @@ func Factor(f F, t *vars.Table, lim FactorLimits) Factored {
 		}
 		var pc float64
 		if len(comp) == 1 {
-			pc = comp[0].Weight(t)
+			pc = readOnce(comp[0], t)
 		} else {
 			pc = shannon(comp, t, make(map[setKey]float64))
 		}

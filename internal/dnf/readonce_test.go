@@ -97,3 +97,17 @@ func TestConfidenceReadOnceBitIdentical(t *testing.T) {
 		t.Errorf("generator too tame: %v, %d sets of several single-clause components", shapes, disjointComps)
 	}
 }
+
+// TestFactorSingleClauseMatchesConfidence: a lone clause's weight is the
+// same read-once product in Factor as in Confidence, so a fully factored
+// lineage and its exact conf agree bit for bit.
+func TestFactorSingleClauseMatchesConfidence(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 2000; trial++ {
+		tab := readOnceTable(rng, 10)
+		f := F{readOnceClause(rng, tab, rng.Perm(10)[:3+rng.Intn(8)])}
+		if g, w := Factor(f, tab, DefaultFactorLimits).Exact, Confidence(f, tab); g != w {
+			t.Fatalf("trial %d: Factor(%v).Exact = %v, Confidence %v", trial, f, g, w)
+		}
+	}
+}

@@ -97,10 +97,7 @@ func refFactor(f F, t *vars.Table, lim FactorLimits) Factored {
 			out.Residue = append(out.Residue, comp...)
 			continue
 		}
-		pc := comp[0].Weight(t)
-		if len(comp) > 1 {
-			pc = refShannon(comp, t, make(map[string]float64))
-		}
+		pc := refShannon(comp, t, make(map[string]float64))
 		missAll *= 1 - pc
 		out.ExactComponents++
 	}
