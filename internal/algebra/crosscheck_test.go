@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/predapprox"
 	"repro/internal/rel"
+	"repro/internal/sched"
 	"repro/internal/urel"
 	"repro/internal/vars"
 )
@@ -269,4 +271,137 @@ func TestApproxSelectConditional(t *testing.T) {
 	if math.Abs(p1-1.0/6) > 1e-9 || math.Abs(p2-0.5) > 1e-9 {
 		t.Errorf("P1=%v (want 1/6), P2=%v (want 1/2)", p1, p2)
 	}
+}
+
+// subplans returns q and every query below it, parents first.
+func subplans(q Query) []Query {
+	out := []Query{q}
+	for _, c := range q.Children() {
+		out = append(out, subplans(c)...)
+	}
+	return out
+}
+
+// TestDKeyRelationsHaveDistinctDs: every relation a random plan's node
+// marks D-key holds no two pairs with one D — the fact that lets Project
+// append its output without a dedup index.
+func TestDKeyRelationsHaveDistinctDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3838))
+	dkeys, pairs := 0, 0
+	for trial := 0; trial < 150; trial++ {
+		db := randDB(rng)
+		var key []string
+		if rng.Intn(2) == 0 {
+			key = []string{"A"}
+		}
+		rk := Select{
+			In: Project{In: RepairKey{In: Base{Name: "K"}, Key: key, Weight: "W"},
+				Targets: []expr.Target{expr.Keep("A"), expr.As("V", expr.Add(expr.A("W"), expr.CInt(1)))}},
+			Pred: expr.Le(expr.A("A"), expr.CInt(int64(rng.Intn(2)))),
+		}
+		for _, q := range append(subplans(randQuery(rng, 1+rng.Intn(3))), subplans(Join{L: rk, R: Base{Name: "R"}})...) {
+			res, err := NewURelEvaluator(db).Eval(q)
+			if err != nil || !res.Rel.DKey() {
+				continue
+			}
+			dkeys++
+			seen := map[string]bool{}
+			for _, ut := range res.Rel.Tuples() {
+				if k := ut.D.Key(); seen[k] {
+					t.Fatalf("trial %d: D-key relation of %s holds D %v twice", trial, q, ut.D)
+				} else {
+					seen[k] = true
+				}
+				pairs++
+			}
+		}
+	}
+	if dkeys < 50 || pairs < 100 {
+		t.Fatalf("too few D-key relations checked: %d relations, %d pairs", dkeys, pairs)
+	}
+}
+
+// relPairs renders a relation's pairs in order, D column and row.
+func relPairs(r *urel.Relation) string {
+	var b strings.Builder
+	for _, ut := range r.Tuples() {
+		b.WriteString(ut.D.Key() + "|" + ut.Row.Key() + "\n")
+	}
+	return b.String()
+}
+
+// TestFusedProjectJoinMatchesTwoOperators: π over ⋈ in one pass equals
+// Join then Project pair for pair — tuples, order, footprint, the stored
+// hashes (a union of the two must merge every pair) and the join and
+// project statistics — at workers 1 and 4, over random plans joined with
+// uncertain and complete relations, and over one input of several
+// partition ranges.
+func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
+	rng := rand.New(rand.NewSource(3939))
+	check := func(name string, l, r *urel.Relation, targets []expr.Target) {
+		t.Helper()
+		for _, workers := range []int{1, 4} {
+			fc, uc := urel.NewCounters(), urel.NewCounters()
+			got := urel.NewExec(sched.New(workers), fc).Join(l, r, targets)
+			ux := urel.NewExec(sched.New(workers), uc)
+			want := ux.Project(ux.Join(l, r, nil), targets)
+			if relPairs(got) != relPairs(want) || got.Bytes() != want.Bytes() {
+				t.Fatalf("%s, workers %d: fused π∘⋈ differs from Join then Project\n got %s\nwant %s", name, workers, relPairs(got), relPairs(want))
+			}
+			for _, u := range [][2]*urel.Relation{{got, want}, {want, got}} {
+				if m, err := urel.Union(u[0], u[1]); err != nil || m.Len() != want.Len() {
+					t.Fatalf("%s, workers %d: fused output's stored hashes differ (union holds %d pairs, want %d)", name, workers, m.Len(), want.Len())
+				}
+			}
+			if g, w := fc.Snapshot(), uc.Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s, workers %d: statistics %v, want %v", name, workers, g, w)
+			}
+		}
+	}
+	oneComplete := 0
+	for trial := 0; trial < 200; trial++ {
+		db := randDB(rng)
+		db.AddComplete("C", randComplete(rng))
+		res, err := NewURelEvaluator(db).Eval(randQuery(rng, rng.Intn(3)))
+		if err != nil {
+			continue
+		}
+		l := res.Rel
+		r := db.Rels[[]string{"S", "R", "C", "K"}[rng.Intn(4)]]
+		joined := urel.Join(l, r).Schema()
+		var targets []expr.Target
+		for _, a := range joined {
+			if rng.Intn(2) == 0 {
+				targets = append(targets, expr.Keep(a))
+			}
+		}
+		if len(targets) == 0 || rng.Intn(4) == 0 {
+			targets = append(targets, expr.As("X", expr.Add(expr.A(joined[0]), expr.CInt(1))))
+		}
+		if l.IsComplete() || r.IsComplete() {
+			oneComplete++
+		}
+		check("trial "+strconv.Itoa(trial), l, r, targets)
+	}
+	if oneComplete < 50 {
+		t.Fatalf("only %d fused cases had a complete input", oneComplete)
+	}
+	// Several partition ranges on the probe side.
+	big := urel.NewRelation(rel.NewSchema("A", "B"))
+	for i := 0; i < 9000; i++ {
+		d := vars.Assignment{{Var: vars.Var(rng.Intn(40)), Alt: int32(rng.Intn(2))}}
+		big.Add(d, rel.Tuple{rel.Int(int64(rng.Intn(300))), rel.Int(int64(rng.Intn(4)))})
+	}
+	c := urel.FromComplete(randComplete(rng))
+	check("several ranges", big, c, []expr.Target{expr.Keep("B"), expr.Keep("C")})
+}
+
+// randComplete builds a complete relation C(A, C) whose A values meet the
+// random relations' and the big relation's.
+func randComplete(rng *rand.Rand) *rel.Relation {
+	c := rel.NewRelation(rel.NewSchema("A", "C"))
+	for i := 0; i < 2+rng.Intn(6); i++ {
+		c.Add(rel.Tuple{rel.Int(int64(rng.Intn(3))), rel.Int(int64(rng.Intn(3)))})
+	}
+	return c
 }

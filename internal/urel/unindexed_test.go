@@ -10,7 +10,7 @@ import (
 	"repro/internal/vars"
 )
 
-// Select and RepairKey append their output without a dedup index. These
+// Select, RepairKey and −c append their output without a dedup index. These
 // tests run every operation that probes a relation over such an output and
 // over an indexed copy of it: tuples, their order and the stored hashes
 // must agree, and probing a published input must leave it unindexed.
@@ -120,6 +120,9 @@ func TestUnindexedDiffComplete(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRelation(t, "−c", got, want)
+			if got.idx.Built() {
+				t.Error("−c built an index on its output, a subset of its left input")
+			}
 		}
 	}
 	if d, _ := DiffComplete(comp, selC); d.Len() != comp.Len()-selC.Len() {

@@ -98,6 +98,9 @@ func (r *Relation) Len() int {
 	return len(r.tuples)
 }
 
+// DKey reports whether r is known to hold no two pairs with one D.
+func (r *Relation) DKey() bool { return r.dkey }
+
 // Bytes returns the relation's footprint estimate — value and condition
 // payloads plus per-pair bookkeeping — maintained on insert, so always-on
 // operator statistics cost no extra output pass.

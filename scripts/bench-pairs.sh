@@ -6,7 +6,8 @@
 # `bash benchmark/run.sh -notrace -seed i` once in that copy and once in the
 # working tree, alternating which side goes first. Per workload and
 # end-to-end metric it then prints both medians, their ratio (working tree
-# over BASE) and the metric's BENCHMARK.json bound, and exits 1 when a
+# over BASE), the metric's BENCHMARK.json bound and how many pairs the
+# working tree won, each median with its quartiles [q1, q3]; it exits 1 when a
 # working-tree median is worse than BASE's by more than that bound, or when
 # the working tree failed more ops. Arguments after PAIRS go to run.sh
 # (e.g. `-workload sigma-strat -seconds 5` for a quick look).
@@ -53,26 +54,39 @@ for i in $(seq 1 "$pairs"); do
   fi
 done
 
-# median SIDE WORKLOAD FIELD: the median over the SIDE's runs of one
-# workload's untraced FIELD (a jq path below .untraced).
-median() {
-  jq -r --arg w "$2" ".workloads[] | select(.name == \$w) | .untraced$3" "$tmp/results/$1"-*.json |
-    sort -g | awk '{ v[NR] = $1 } END { if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+# values SIDE WORKLOAD FIELD: the SIDE's runs of one workload's untraced
+# FIELD (a jq path below .untraced), one per line in pair order.
+values() {
+  for i in $(seq 1 "$pairs"); do
+    jq -r --arg w "$2" ".workloads[] | select(.name == \$w) | .untraced$3" "$tmp/results/$1-$i.json"
+  done
+}
+# stats: the median, first and third quartile of the numbers on stdin
+# (linear interpolation between order statistics).
+stats() {
+  sort -g | awk '{ v[NR] = $1 }
+    function q(p,  h, l) { h = 1 + (NR - 1) * p; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
+    END { printf "%s %s %s", q(0.5), q(0.25), q(0.75) }'
 }
 status=0
-printf '%-12s %-20s %12s %12s %7s %6s\n' workload metric base change ratio bound
+printf '%-12s %-20s %12s %-25s %12s %-25s %7s %6s %4s\n' workload metric base '[q1, q3]' change '[q1, q3]' ratio bound won
 for w in $(jq -r '.workloads[].name' "$tmp/results/change-1.json"); do
   while read -r metric better bound; do
-    b="$(median base "$w" ".metrics.$metric")"
-    c="$(median change "$w" ".metrics.$metric")"
+    read -r b bq1 bq3 < <(values base "$w" ".metrics.$metric" | stats)
+    read -r c cq1 cq3 < <(values change "$w" ".metrics.$metric" | stats)
+    # won: pairs whose change run is strictly better than its base run.
+    won="$(paste <(values base "$w" ".metrics.$metric") <(values change "$w" ".metrics.$metric") |
+      awk -v better="$better" '{ if (better == "lower" ? $2 < $1 : $2 > $1) n++ } END { print n + 0 }')"
     verdict="$(awk -v b="$b" -v c="$c" -v better="$better" -v bound="$bound" 'BEGIN {
       worse = (better == "lower") ? c > b * (1 + bound) : c < b * (1 - bound)
       printf "%.3f %s", (b == 0 ? 0 : c / b), (worse ? "WORSE" : "ok") }')"
-    printf '%-12s %-20s %12.4f %12.4f %7s %6s %s\n' "$w" "$metric" "$b" "$c" "${verdict% *}" "$bound" "${verdict#* }"
+    printf '%-12s %-20s %12.4f [%10.4f, %10.4f] %12.4f [%10.4f, %10.4f] %7s %6s %2s/%s %s\n' \
+      "$w" "$metric" "$b" "$bq1" "$bq3" "$c" "$cq1" "$cq3" "${verdict% *}" "$bound" "$won" "$pairs" "${verdict#* }"
     [[ "$verdict" == *WORSE ]] && status=1
   done < <(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' BENCHMARK.json)
-  fb="$(median base "$w" .failed)" fc="$(median change "$w" .failed)"
-  printf '%-12s %-20s %12s %12s\n' "$w" failed_ops "$fb" "$fc"
+  read -r fb _ < <(values base "$w" .failed | stats)
+  read -r fc _ < <(values change "$w" .failed | stats)
+  printf '%-12s %-20s %12s %-25s %12s\n' "$w" failed_ops "$fb" "" "$fc"
   awk -v b="$fb" -v c="$fc" 'BEGIN { exit !(c > b) }' && status=1
 done
 exit "$status"
