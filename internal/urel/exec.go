@@ -275,6 +275,7 @@ func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
 	return out
 }
 
+// targetSchema is the output schema of a projection on targets.
 func targetSchema(targets []expr.Target) rel.Schema {
 	schema := make(rel.Schema, len(targets))
 	for i, tg := range targets {

@@ -45,11 +45,12 @@ func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 // selections never rehash.
 //
 // The index exists only once something probes the relation: operators that
-// cannot merge two pairs (Select, RepairKey, −c, hydrate, and Project over a
-// D-key input) append without it. A published relation is never mutated —
-// sub-plans are shared by concurrent branches and the engine's memo — so a
-// probe of an input without an index builds a local one (probeIndex); only
-// the owner, while still building the relation, grows its own (addPair).
+// cannot merge two pairs (Select, −c, RepairKey, Project over a D-key
+// input, FromComplete, WithColumn, hydrate) append without it. A published
+// relation is never mutated — sub-plans are shared by concurrent branches
+// and the engine's memo — so a probe of an input without an index builds a
+// local one (probeIndex); only the owner, while still building the
+// relation, grows its own (addPair).
 type Relation struct {
 	schema rel.Schema
 	tuples []UTuple

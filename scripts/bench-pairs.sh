@@ -66,7 +66,7 @@ values() {
 stats() {
   sort -g | awk '{ v[NR] = $1 }
     function q(p,  h, l) { h = 1 + (NR - 1) * p; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-    END { printf "%s %s %s", q(0.5), q(0.25), q(0.75) }'
+    END { printf "%s %s %s\n", q(0.5), q(0.25), q(0.75) }'
 }
 status=0
 printf '%-12s %-20s %12s %-25s %12s %-25s %7s %6s %4s\n' workload metric base '[q1, q3]' change '[q1, q3]' ratio bound won
