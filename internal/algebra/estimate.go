@@ -169,7 +169,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 			joined = arg
 			continue
 		}
-		joined = e.exec.Join(joined, arg, nil)
+		joined = e.exec.Join(joined, arg)
 		if err := e.check(); err != nil {
 			return URelResult{}, err
 		}

@@ -248,15 +248,16 @@ func (e *URelEvaluator) evalNode(n *node) (URelResult, error) {
 
 	case Project:
 		if _, ok := n.l.q.(Join); ok {
-			// π over ⋈ runs as one operator: the joined rows are never
-			// stored. Annotated inputs take the two operators, whose bound
-			// rules read the join's rows.
 			l, r, err := e.evalPair(n.l.l, n.l.r)
 			if err != nil {
 				return URelResult{}, err
 			}
-			if l.Reliable() && r.Reliable() {
-				return URelResult{Rel: e.exec.Join(l.Rel, r.Rel, q.Targets), Complete: l.Complete && r.Complete}, nil
+			// π over ⋈ runs as one operator, its joined rows never stored,
+			// where that changes no statistic: one input complete by c, so
+			// no two joined pairs merge. Annotated inputs take the two
+			// operators, whose bound rules read the join's rows.
+			if (l.Complete || r.Complete) && l.Reliable() && r.Reliable() {
+				return URelResult{Rel: e.exec.ProjectJoin(l.Rel, r.Rel, q.Targets), Complete: l.Complete && r.Complete}, nil
 			}
 			in := e.join(l, r)
 			if err := e.check(); err != nil {
@@ -412,7 +413,7 @@ func (e *URelEvaluator) project(in URelResult, targets []expr.Target) URelResult
 
 // join is ⋈ with its bound rule.
 func (e *URelEvaluator) join(l, r URelResult) URelResult {
-	out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel, nil), Complete: l.Complete && r.Complete}
+	out := URelResult{Rel: e.exec.Join(l.Rel, r.Rel), Complete: l.Complete && r.Complete}
 	// An output row is the left row followed by the right row's
 	// non-shared attributes; rIdx finds the whole right row in it.
 	nl, outSchema := len(l.Rel.Schema()), out.Rel.Schema()

@@ -319,7 +319,7 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 			return nil, fmt.Errorf("urel: product schemas share attribute %q; rename first", attr)
 		}
 	}
-	return x.join("product", a, b, nil), nil
+	return x.join("product", a, b, nil, false), nil
 }
 
 // Join implements the natural join R ⋈ S as a partitioned hash join: the
@@ -328,28 +328,25 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 // ranges, each worker emitting its range's output pairs; ranges merge in
 // order. Bucket candidates filtered by the 64-bit join-key hash are
 // confirmed by value equality on the join columns.
-//
-// With targets, Join is π_targets(R ⋈ S) in one pass: each joined row lives
-// in the range's scratch buffer, is projected and never stored. It records
-// the skipped join's statistics, whose distinct pairs are the emitted ones
-// when one input's D's are all empty (two joined pairs with one row then
-// differ in D). Two uncertain inputs, or out-of-core execution, run the
-// join and then Project.
-func (x *Exec) Join(a, b *Relation, targets []expr.Target) *Relation {
-	return x.join("join", a, b, targets)
+func (x *Exec) Join(a, b *Relation) *Relation {
+	return x.join("join", a, b, nil, false)
 }
 
-// join is Join and Product, recorded as op.
-func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation {
+// ProjectJoin is π_targets(R ⋈ S) in one pass: each joined row lives in the
+// range's scratch buffer, is projected and never stored. The output is
+// Project's over Join's, pair for pair. It records a join cell of the
+// emitted pairs and their footprint, then a project cell: the cells Join
+// then Project record whenever no two joined pairs merge, as when one
+// input's D's are all empty (two joined pairs with one row then differ in
+// D). An empty target list projects onto no columns.
+func (x *Exec) ProjectJoin(a, b *Relation, targets []expr.Target) *Relation {
+	return x.join("join", a, b, targets, true)
+}
+
+// join is Join, Product and ProjectJoin, recorded as op; project says
+// whether targets apply.
+func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bool) *Relation {
 	x.Ensure(a, b)
-	if targets != nil && (x.outOfCore() || !a.IsComplete() && !b.IsComplete()) {
-		j := x.join(op, a, b, nil)
-		if x.mem.Exceeded() {
-			// The evaluation ends before the projection would run.
-			return &Relation{schema: targetSchema(targets)}
-		}
-		return x.Project(j, targets)
-	}
 	common := a.schema.Common(b.schema)
 	var bExtra []string
 	for _, attr := range b.schema {
@@ -359,7 +356,7 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation 
 	}
 	joined := rel.NewSchema(append(a.schema.Clone(), bExtra...)...)
 	schema := joined
-	if targets != nil {
+	if project {
 		schema = targetSchema(targets)
 	}
 
@@ -413,7 +410,7 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation 
 					wide[la+k] = tb.Row[jj]
 				}
 				row := make(rel.Tuple, len(schema))
-				if targets == nil {
+				if !project {
 					copy(row, wide)
 				}
 				for c, tg := range targets {
@@ -430,7 +427,7 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation 
 	})
 	out := mergeRanges(schema, outs)
 	in := int64(len(a.tuples) + len(b.tuples))
-	if targets == nil {
+	if !project {
 		x.record(op, in, int64(out.Len()), out.Bytes())
 	} else {
 		var emitted, wide int64
@@ -438,7 +435,9 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target) *Relation 
 			emitted, wide = emitted+int64(len(buf)), wide+wides[rg]
 		}
 		x.record(op, in, emitted, wide)
-		if !x.mem.Exceeded() {
+		// A join that trips the budget ends the evaluation before its
+		// projection would run; out-of-core execution never ends on it.
+		if x.outOfCore() || !x.mem.Exceeded() {
 			x.record("project", emitted, int64(out.Len()), out.Bytes())
 		}
 	}

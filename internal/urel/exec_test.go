@@ -96,7 +96,7 @@ func TestExecWorkersBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 8} {
 		x := NewExec(sched.New(workers), NewCounters())
-		if got := relFingerprint(x.Join(a, b, nil)); got != wantJoin {
+		if got := relFingerprint(x.Join(a, b)); got != wantJoin {
 			t.Errorf("workers=%d: Join output differs from sequential", workers)
 		}
 		if got := relFingerprint(x.Select(joined, pred)); got != wantSel {
@@ -146,7 +146,7 @@ func TestExecCounters(t *testing.T) {
 	a, b, _ := execDB()
 	ctrs := NewCounters()
 	x := NewExec(sched.New(4), ctrs)
-	out := x.Join(a, b, nil)
+	out := x.Join(a, b)
 	x.Lineage(out)
 	stats := ctrs.Snapshot()
 	js, ok := stats["join"]

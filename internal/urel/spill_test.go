@@ -118,7 +118,7 @@ func TestSpillExecParity(t *testing.T) {
 	targets := []expr.Target{expr.Keep("K"), expr.As("S", expr.Add(expr.A("A"), expr.A("B")))}
 
 	run := func(x *Exec) (string, string, string, string) {
-		j := x.Join(a, b, nil)
+		j := x.Join(a, b)
 		s := x.Select(j, pred)
 		p := x.Project(j, targets)
 		u, err := x.Union(s, x.Select(j, pred))

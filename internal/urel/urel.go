@@ -256,7 +256,7 @@ func Product(a, b *Relation) (*Relation, error) { return seqExec.Product(a, b) }
 // Join implements the natural join R ⋈ S: tuples agreeing on common
 // attributes with consistent D columns. The output schema is sch(R)
 // followed by the non-common attributes of S.
-func Join(a, b *Relation) *Relation { return seqExec.Join(a, b, nil) }
+func Join(a, b *Relation) *Relation { return seqExec.Join(a, b) }
 
 // Union implements [[R ∪ S]] := U_R ∪ U_S. Schemas must match.
 func Union(a, b *Relation) (*Relation, error) { return seqExec.Union(a, b) }

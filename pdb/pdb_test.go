@@ -121,6 +121,43 @@ func TestEvalDeterministicAcrossWorkersAndRuns(t *testing.T) {
 	}
 }
 
+// TestBooleanConfOverJoin: project[] over an inline join is Example 2.2's
+// Boolean query, one row holding one probability, whether one input is
+// complete (π and ⋈ then run as one operator) or both are uncertain.
+func TestBooleanConfOverJoin(t *testing.T) {
+	db := coinDB(t)
+	const defs = `R := project[CoinType](repairkey[@Count](Coins));
+S := project[CoinType, Toss, Face](repairkey[CoinType, Toss @ FProb](product(Faces, Tosses)));
+`
+	for _, c := range []struct {
+		query string
+		p     float64
+	}{
+		// P(some toss of the fair coin shows heads) = 1 − 1/4.
+		{`conf(project[](join(Tosses, select[CoinType = 'fair' and Face = 'H'](S))))`, 0.75},
+		{`conf(project[](join(select[CoinType = 'fair' and Face = 'H'](S), Tosses)))`, 0.75},
+		// P(both tosses show heads) = 2/3 · 1/4 + 1/3.
+		{`conf(project[](join(join(R, project[CoinType](select[Toss = 1 and Face = 'H'](S))),
+		                      project[CoinType](select[Toss = 2 and Face = 'H'](S)))))`, 0.5},
+	} {
+		q, err := db.Prepare(defs + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.EvalExact(context.Background(), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps []float64
+		for row := range res.Rows() {
+			ps = append(ps, row.Value("P").(float64))
+		}
+		if cols := res.Columns(); len(cols) != 1 || len(ps) != 1 || math.Abs(ps[0]-c.p) > 1e-12 {
+			t.Errorf("%s: columns %v, P %v, want one row P = %v", c.query, cols, ps, c.p)
+		}
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	db := coinDB(t)
 	q, err := db.Prepare(`conf(repairkey[@Count](Coins))`)
