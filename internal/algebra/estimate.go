@@ -28,8 +28,10 @@ type Estimators interface {
 	Estimate(table *vars.Table, args [][]dnf.F, decide bool) (Estimates, error)
 	// ConfKey is what fixes a conf batch's P values beside its lineage:
 	// batches under equal keys over one lineage estimate equal P, so the
-	// engine memo keeps them under it (confP). It must be comparable.
-	ConfKey() any
+	// engine memo keeps them under it (confP). exact asks for the key of a
+	// batch whose every value is exact, which depends on fewer options. It
+	// must be comparable.
+	ConfKey(exact bool) any
 	// Replay counts a kept conf batch — kept is what its Estimates' Kept
 	// returned — as estimating it again would.
 	Replay(kept any)
@@ -51,9 +53,10 @@ type Estimates interface {
 	// is, has refined the estimates the open decisions read, so the walker
 	// decides every combination again (approxSelect).
 	Round() (again bool, err error)
-	// Kept returns what Replay needs to count this conf batch again, or
-	// false when its P values may not be kept for a later walk.
-	Kept() (kept any, ok bool)
+	// Kept returns what Replay needs to count this conf batch again and
+	// whether its every value is exact (ConfKey), or ok false when its P
+	// values may not be kept for a later walk.
+	Kept() (kept any, exact, ok bool)
 }
 
 // exactEstimators is the Q (as opposed to Q∼) semantics of Section 6:
@@ -63,7 +66,7 @@ type Estimates interface {
 type exactEstimators struct{ pool *sched.Pool }
 
 // ConfKey is nil: exact P depends on the lineage alone.
-func (exactEstimators) ConfKey() any { return nil }
+func (exactEstimators) ConfKey(bool) any { return nil }
 
 func (exactEstimators) Replay(any) {}
 
@@ -99,7 +102,7 @@ func (e *exactEstimates) Decide(pred predapprox.Pred, combo []int, mu float64, s
 
 func (e *exactEstimates) Round() (bool, error) { return false, nil }
 
-func (e *exactEstimates) Kept() (any, bool) { return nil, true }
+func (e *exactEstimates) Kept() (any, bool, bool) { return nil, true, true }
 
 // PColName returns the confidence column name for σ̂ argument i: P1, P2, …
 func PColName(i int) string { return "P" + strconv.Itoa(i+1) }

@@ -246,18 +246,23 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 }
 
 // confP returns in's distinct data tuples in lineage order and their
-// estimates. Over a memoised input, P kept under the Estimators' ConfKey
-// answer, replaying the lineage Ops, charge and Stats (Replay); otherwise
-// the grouping counts apart, as in a walkMemo miss, and the entry keeps
-// what the Estimates allow (Kept).
+// estimates. Over a memoised input, P kept under the Estimators' ConfKey —
+// an all-exact batch's first, then a sampled one's — answer, replaying the
+// lineage Ops, charge and Stats (Replay); otherwise the grouping counts
+// apart, as in a walkMemo miss, and the entry keeps what the Estimates
+// allow (Kept) under the key that fixes them.
 func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, Estimates, error) {
 	p := in.memo
 	if p == nil {
 		rows, est, err := e.estimate([]*urel.Relation{in.Rel}, false)
 		return rows[0], est, err
 	}
-	key := e.est.ConfKey()
-	if kp, ok := e.shared.conf(p, key, e.mem); ok {
+	exactKey, key := e.est.ConfKey(true), e.est.ConfKey(false)
+	kp, ok := e.shared.conf(p, exactKey, e.mem)
+	if !ok && key != exactKey {
+		kp, ok = e.shared.conf(p, key, e.mem)
+	}
+	if ok {
 		e.ctrs.Add(p.rowOps)
 		e.mem.Add(p.rowBytes)
 		e.est.Replay(kp.kept)
@@ -272,10 +277,13 @@ func (e *URelEvaluator) confP(in URelResult) ([]rel.Tuple, Estimates, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if kept, ok := est.Kept(); ok {
+	if kept, exact, ok := est.Kept(); ok {
 		ps := make([]float64, len(rows[0]))
 		for i := range ps {
 			ps[i] = est.P(0, i)
+		}
+		if exact {
+			key = exactKey
 		}
 		e.shared.putConf(p, key, rows[0], ops, keptP{ps, kept})
 	}

@@ -18,7 +18,7 @@ import (
 // so the scheduler keeps every worker busy across argument boundaries.
 //
 // A conf batch (Corollary 4.3) gives each task the paper's Chernoff budget
-// on the flat estimator, the singleton shortcut always on. With
+// on the flat estimator, exact lineage never sampled (newTask). With
 // Options.Strata set its tasks are stratified and adaptive instead
 // (factoring pre-pass, Neyman waves, empirical-Bernstein stopping below the
 // same budget).
@@ -95,7 +95,7 @@ type estimates struct {
 
 func (e *estimates) P(arg, i int) float64 { return e.cvs[arg][i].estimate() }
 
-func (e *estimates) Kept() (any, bool) { return e.kept, e.kept != nil }
+func (e *estimates) Kept() (any, bool, bool) { return e.kept, len(e.tasks) == 0, e.kept != nil }
 
 // Round is Figure 3's doubling loop, run inside one σ̂ batch instead of
 // around the plan: once every combination is decided at l rounds, the
@@ -157,15 +157,23 @@ func (e *estimates) Round() (bool, error) {
 
 // confKey is what fixes a conf batch's P values beside its lineage: the
 // seed, the Chernoff budget's ε and δ, and the strata bound. Workers, the
-// Distributor and MaxTrials do not move them.
+// Distributor and MaxTrials do not move them. A batch with no task has
+// only exact values (newTask), which depend on the strata bound alone
+// (the factoring pre-pass): it is kept once under exactConfKey, not once
+// per seed.
 type confKey struct {
 	seed       int64
 	eps, delta float64
 	strata     int
 }
 
-func (run *evalRun) ConfKey() any {
+type exactConfKey int
+
+func (run *evalRun) ConfKey(exact bool) any {
 	o := run.engine.opts
+	if exact {
+		return exactConfKey(o.Strata)
+	}
 	return confKey{o.Seed, o.confEps(), o.confDelta(), o.Strata}
 }
 
@@ -193,7 +201,7 @@ func (run *evalRun) Replay(kept any) {
 }
 
 // confValue is one approximable conf[Āᵢ] term of a σ̂ group: either an
-// exact probability (empty or singleton lineage), or a task's estimate of
+// exact probability (newTask's exact cases), or a task's estimate of
 // the sampled clause set plus the exactly-computed part of the lineage
 // (combined as p = exactPart + (1−exactPart)·p_R, see dnf.Factor; 0 for a
 // flat task, which factors nothing).

@@ -70,8 +70,10 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // pre-pass: independent easy subformulas are computed exactly and only the
 // hard residue is sampled, with the exact part folded back in as
 // p = E + (1−E)·p_R (the relative (ε,δ) guarantee on p_R carries to p —
-// see factor.go). Empty, tautological, zero-weight and single-clause sets
-// are exact values.
+// see factor.go). Empty, tautological and zero-weight sets are exact
+// values, and so is a set whose clauses exclude one another through one
+// variable (dnf.Exclusive; a single clause is one): its dnf.Confidence —
+// on a flat task, where exactPart is 0, the exact evaluator's very bits.
 //
 // What is left is canonicalized (content order — see content.go) and
 // partitioned into weight strata (karpluby.PlanStrata, a deterministic
@@ -102,8 +104,8 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 	switch {
 	case len(f) == 0:
 		return &confValue{exact: true, value: exactPart}, nil, nil
-	case len(f) == 1:
-		v := exactPart + (1-exactPart)*f[0].Weight(run.table)
+	case dnf.Exclusive(f):
+		v := exactPart + (1-exactPart)*dnf.Confidence(f, run.table)
 		return &confValue{exact: true, value: v}, nil, nil
 	}
 	if run.fper == nil {

@@ -138,6 +138,56 @@ func Confidence(f F, t *vars.Table) float64 {
 	return 1 - p
 }
 
+// Exclusive reports whether no world extends two clauses of a deduplicated
+// set of non-empty clauses because one variable occurs in every clause,
+// bound to a different alternative in each — the exclusive-or node of
+// Olteanu, Huang and Koch's d-trees (ICDE 2010), and the lineage a tuple
+// ranging over one repair-key group's alternatives has. Then p = Σ_f p_f,
+// so every Karp–Luby trial is a hit and sampling only recomputes that sum.
+// A single clause is the |F| = 1 case. The check is one pass over the
+// literals per variable of the first clause, and allocates nothing.
+func Exclusive(f F) bool {
+	if len(f) == 1 {
+		return true
+	}
+	for _, b := range f[0] {
+		if exclusiveOn(f, b.Var) {
+			return true
+		}
+	}
+	return false
+}
+
+// exclusiveBits is how many alternatives exclusiveOn tracks in its bitset;
+// an alternative past it is compared with the earlier clauses' instead.
+const exclusiveBits = 1024
+
+// exclusiveOn reports whether x occurs in every clause of f, bound to a
+// different alternative in each.
+func exclusiveOn(f F, x vars.Var) bool {
+	var seen [exclusiveBits / 64]uint64
+	for i, a := range f {
+		alt, ok := a.Get(x)
+		if !ok {
+			return false
+		}
+		if alt < exclusiveBits {
+			w, bit := alt/64, uint64(1)<<(alt%64)
+			if seen[w]&bit != 0 {
+				return false
+			}
+			seen[w] |= bit
+			continue
+		}
+		for _, b := range f[:i] {
+			if other, _ := b.Get(x); other == alt {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ConfidenceNoFactoring computes the exact confidence by memoized Shannon
 // expansion on the whole clause set, without the independent-component
 // factoring. It is the ablation baseline for the factoring optimization;

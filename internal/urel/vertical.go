@@ -24,11 +24,6 @@ type AttrAlternatives struct {
 	Probs  []float64
 }
 
-// Certain wraps a single certain value.
-func Certain(v rel.Value) AttrAlternatives {
-	return AttrAlternatives{Values: []rel.Value{v}, Probs: []float64{1}}
-}
-
 // VerticalDecomposition is the decomposed representation: one U-relation
 // per original attribute, each with schema (TID, attr).
 type VerticalDecomposition struct {
@@ -109,50 +104,4 @@ func (v *VerticalDecomposition) Joined() *Relation {
 		out.Add(ut.D, row)
 	}
 	return out
-}
-
-// FlatEncoding builds the non-decomposed representation of the same
-// attribute-uncertain relation: one fresh variable per row ranging over
-// the full cartesian product of attribute alternatives. It is the
-// baseline the decomposition's succinctness is measured against.
-func FlatEncoding(tab *vars.Table, schema rel.Schema, rows [][]AttrAlternatives, prefix string) (*Relation, error) {
-	out := NewRelation(schema)
-	for i, row := range rows {
-		if len(row) != len(schema) {
-			return nil, fmt.Errorf("urel: row %d has %d attribute specs for schema %v", i, len(row), schema)
-		}
-		// Enumerate the product of alternatives.
-		type combo struct {
-			vals rel.Tuple
-			p    float64
-		}
-		combos := []combo{{vals: rel.Tuple{}, p: 1}}
-		for _, alts := range row {
-			next := make([]combo, 0, len(combos)*len(alts.Values))
-			for _, c := range combos {
-				for a, v := range alts.Values {
-					next = append(next, combo{
-						vals: append(c.vals.Clone(), v),
-						p:    c.p * alts.Probs[a],
-					})
-				}
-			}
-			combos = next
-		}
-		if len(combos) == 1 {
-			out.Add(nil, combos[0].vals)
-			continue
-		}
-		probs := make([]float64, len(combos))
-		names := make([]string, len(combos))
-		for a, c := range combos {
-			probs[a] = c.p
-			names[a] = c.vals.String()
-		}
-		v := tab.Add(fmt.Sprintf("%s[%d]", prefix, i), probs, names)
-		for a, c := range combos {
-			out.Add(vars.MustAssignment(vars.Binding{Var: v, Alt: int32(a)}), c.vals)
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package urel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,11 @@ import (
 	"repro/internal/rel"
 	"repro/internal/vars"
 )
+
+// Certain wraps a single certain value.
+func Certain(v rel.Value) AttrAlternatives {
+	return AttrAlternatives{Values: []rel.Value{v}, Probs: []float64{1}}
+}
 
 func altRow(specs ...AttrAlternatives) []AttrAlternatives { return specs }
 
@@ -144,4 +150,50 @@ func TestVerticalSuccinctnessAndEquivalence(t *testing.T) {
 			t.Errorf("confidence mismatch for %v: %v vs %v", tp[:len(tp)-1], pv, pf)
 		}
 	}
+}
+
+// FlatEncoding builds the non-decomposed representation of the same
+// attribute-uncertain relation: one fresh variable per row ranging over
+// the full cartesian product of attribute alternatives. It is the
+// baseline the decomposition's succinctness is measured against.
+func FlatEncoding(tab *vars.Table, schema rel.Schema, rows [][]AttrAlternatives, prefix string) (*Relation, error) {
+	out := NewRelation(schema)
+	for i, row := range rows {
+		if len(row) != len(schema) {
+			return nil, fmt.Errorf("urel: row %d has %d attribute specs for schema %v", i, len(row), schema)
+		}
+		// Enumerate the product of alternatives.
+		type combo struct {
+			vals rel.Tuple
+			p    float64
+		}
+		combos := []combo{{vals: rel.Tuple{}, p: 1}}
+		for _, alts := range row {
+			next := make([]combo, 0, len(combos)*len(alts.Values))
+			for _, c := range combos {
+				for a, v := range alts.Values {
+					next = append(next, combo{
+						vals: append(c.vals.Clone(), v),
+						p:    c.p * alts.Probs[a],
+					})
+				}
+			}
+			combos = next
+		}
+		if len(combos) == 1 {
+			out.Add(nil, combos[0].vals)
+			continue
+		}
+		probs := make([]float64, len(combos))
+		names := make([]string, len(combos))
+		for a, c := range combos {
+			probs[a] = c.p
+			names[a] = c.vals.String()
+		}
+		v := tab.Add(fmt.Sprintf("%s[%d]", prefix, i), probs, names)
+		for a, c := range combos {
+			out.Add(vars.MustAssignment(vars.Binding{Var: v, Alt: int32(a)}), c.vals)
+		}
+	}
+	return out, nil
 }

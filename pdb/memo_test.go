@@ -322,8 +322,9 @@ func TestEngineMemoBound(t *testing.T) {
 func TestEngineMemoConcurrent(t *testing.T) {
 	db := whatIfDB(t)
 	var plans []algebra.Query
+	// Per supplier, lineage spans several parts' variables: it samples.
 	for _, p := range []float64{72, 78, 84, 90} {
-		plans = append(plans, mustPlan(t, db, fmt.Sprintf(`conf(project[Part](select[Cost >= %g](%s)))`, p, whatIfRK)))
+		plans = append(plans, mustPlan(t, db, fmt.Sprintf(`conf(project[Supplier](select[Cost >= %g](%s)))`, p, whatIfRK)))
 	}
 	// Sub-plans keeping every column: each retains a large share of the
 	// database's footprint, so together they evict each other.
@@ -427,12 +428,15 @@ func TestEngineMemoConfInvisible(t *testing.T) {
 // TestEngineMemoConfAdmission: a sampled conf is kept only once its batch
 // sampled nothing, so fresh seeds never grow the memo; the second
 // evaluation of a (program, seed) pair keeps its P values and the third
-// answers from them.
+// answers from them. A conf whose every value is exact — each part's
+// lineage ranges over its own repair-key group (dnf.Exclusive) — is kept
+// on first sight under a seed-free key: fresh seeds then leave the memo's
+// entries, bytes and evictions where the first evaluation left them.
 func TestEngineMemoConfAdmission(t *testing.T) {
 	db := whatIfDB(t)
-	plan := mustPlan(t, db, `conf(project[Part](select[Cost >= 84](`+whatIfRK+`)))`)
+	plan := mustPlan(t, db, `conf(project[Supplier](select[Cost >= 84](`+whatIfRK+`)))`)
 	eng := freshEngine(t, db)
-	eval := func(seed int64) *Result {
+	eval := func(plan algebra.Query, seed int64) *Result {
 		t.Helper()
 		res, err := memoEval(db, eng, plan, false, WithSeed(seed), WithConfBudget(0.1, 0.1))
 		if err != nil {
@@ -442,7 +446,7 @@ func TestEngineMemoConfAdmission(t *testing.T) {
 	}
 	var first int64
 	for seed := int64(1); seed <= 200; seed++ {
-		if res := eval(seed); res.stats.SampledTrials == 0 {
+		if res := eval(plan, seed); res.stats.SampledTrials == 0 {
 			t.Fatalf("fixture: seed %d sampled nothing", seed)
 		}
 		_, bytes, _, _ := eng.memo.Stats()
@@ -452,15 +456,31 @@ func TestEngineMemoConfAdmission(t *testing.T) {
 			t.Fatalf("fresh seed %d moved memo bytes %d → %d", seed, first, bytes)
 		}
 	}
-	eval(200)
+	eval(plan, 200)
 	_, kept, hits, _ := eng.memo.Stats()
 	if kept <= first {
 		t.Errorf("a batch that sampled nothing was not kept: memo bytes %d → %d", first, kept)
 	}
-	if eval(200); true {
+	if eval(plan, 200); true {
 		if _, bytes, h, _ := eng.memo.Stats(); bytes != kept || h != hits+2 {
 			t.Errorf("third evaluation: bytes %d → %d, hits %d → %d, want the sub-plan and its conf answered",
 				kept, bytes, hits, h)
 		}
+	}
+
+	exclusive := mustPlan(t, db, `conf(project[Part](select[Cost >= 84](`+whatIfRK+`)))`)
+	eval(exclusive, 1)
+	entries, bytes, hits, evictions := eng.memo.Stats()
+	for seed := int64(2); seed <= 201; seed++ {
+		if res := eval(exclusive, seed); res.stats.SampledTrials != 0 {
+			t.Fatalf("fixture: seed %d sampled %d trials on exclusive lineage", seed, res.stats.SampledTrials)
+		}
+		if e, b, _, ev := eng.memo.Stats(); e != entries || b != bytes || ev != evictions {
+			t.Fatalf("fresh seed %d on exclusive lineage: entries %d → %d, bytes %d → %d, evictions %d → %d",
+				seed, entries, e, bytes, b, evictions, ev)
+		}
+	}
+	if _, _, h, _ := eng.memo.Stats(); h != hits+2*200 {
+		t.Errorf("exclusive lineage: hits %d → %d, want the sub-plan and its conf answered for each fresh seed", hits, h)
 	}
 }

@@ -42,8 +42,8 @@ func evalFingerprint(res *pdb.Result) string {
 // the urel.Exec call sequence and PRNG consumption untouched must
 // reproduce them bit for bit, for any worker count. A change that moves
 // PRNG consumption on purpose re-records them (empty the map, run the
-// test, paste the printed lines): last done for the compiled lazy
-// Karp–Luby kernel and the PCG chunk streams.
+// test, paste the printed lines): last done when flat tasks took
+// mutually exclusive lineage, single clauses included, as dnf.Confidence.
 var corpusGolden = map[string]string{
 	"sensor-dedup/1/0":       "7a1852b48ade3386",
 	"sensor-dedup/1/8":       "7728175e114d155a",
@@ -51,17 +51,17 @@ var corpusGolden = map[string]string{
 	"sensor-dedup/7/8":       "7728175e114d155a",
 	"sensor-dedup/42/0":      "de2baf31fd4ae655",
 	"sensor-dedup/42/8":      "7728175e114d155a",
-	"entity-resolution/1/0":  "0f40344d8eac50dd",
+	"entity-resolution/1/0":  "90879e5f2876f436",
 	"entity-resolution/1/8":  "061d23c3c56ab325",
-	"entity-resolution/7/0":  "8184dfecaa14c03d",
+	"entity-resolution/7/0":  "6fa772d55249e78d",
 	"entity-resolution/7/8":  "061d23c3c56ab325",
-	"entity-resolution/42/0": "c7b14213d8bab75a",
+	"entity-resolution/42/0": "71b32cc8f39888ed",
 	"entity-resolution/42/8": "061d23c3c56ab325",
-	"repair-whatif/1/0":      "ef07a695590c62c3",
+	"repair-whatif/1/0":      "51b78b4d95d0399d",
 	"repair-whatif/1/8":      "51b78b4d95d0399d",
-	"repair-whatif/7/0":      "ef07a695590c62c3",
+	"repair-whatif/7/0":      "51b78b4d95d0399d",
 	"repair-whatif/7/8":      "51b78b4d95d0399d",
-	"repair-whatif/42/0":     "ef07a695590c62c3",
+	"repair-whatif/42/0":     "51b78b4d95d0399d",
 	"repair-whatif/42/8":     "51b78b4d95d0399d",
 }
 

@@ -18,10 +18,11 @@ func coinDB(t *testing.T) *DB {
 		Table("Coins", []string{"CoinType", "Count"},
 			[]any{"fair", 2},
 			[]any{"2headed", 1}).
-		Table("Faces", []string{"CoinType", "Face", "FProb"},
-			[]any{"fair", "H", 0.5},
-			[]any{"fair", "T", 0.5},
-			[]any{"2headed", "H", 1.0}).
+		Table("Faces", []string{"CoinType", "Face", "Side", "FProb"},
+			[]any{"fair", "H", 1, 0.25},
+			[]any{"fair", "H", 2, 0.25},
+			[]any{"fair", "T", 1, 0.5},
+			[]any{"2headed", "H", 1, 1.0}).
 		Table("Tosses", []string{"Toss"}, []any{1}, []any{2}).
 		Build()
 	if err != nil {
@@ -30,7 +31,11 @@ func coinDB(t *testing.T) *DB {
 	return db
 }
 
-// posteriorProgram is Example 2.2: P(CoinType | two observed heads).
+// posteriorProgram is Example 2.2: P(CoinType | two observed heads). The
+// fair coin's head is two sides of 1/4 each, which S projects onto one
+// face: a fair toss shows heads under two alternatives of its variable, so
+// the two-heads lineage is not mutually exclusive and approximate
+// evaluation samples it (dnf.Exclusive).
 const posteriorProgram = `
 R := project[CoinType](repairkey[@Count](Coins));
 S := project[CoinType, Toss, Face](repairkey[CoinType, Toss @ FProb](product(Faces, Tosses)));

@@ -2,7 +2,9 @@
 # Alternated BASE / working-tree pairs of the end-to-end benchmark — the
 # measurement a performance claim in CHANGES.md quotes. BASE (any git ref)
 # is exported with `git archive` into a fresh directory under $TMPDIR
-# (outside the checkout; removed on exit), and pair i runs
+# (outside the checkout; removed when the script succeeds — on any failure,
+# a failed run, a failed summary or a worse median, each pair's result.json
+# and log stay in its results/ directory, which is printed), and pair i runs
 # `bash benchmark/run.sh -notrace -seed i` once in that copy and once in the
 # working tree, alternating which side goes first. Per workload and
 # end-to-end metric it then prints both medians, their ratio (working tree
@@ -29,7 +31,16 @@ if ! git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
 fi
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")"
-trap 'rm -rf "$tmp"' EXIT
+cleanup() {
+  local status=$?
+  if ((status == 0)); then
+    rm -rf "$tmp"
+  else
+    rm -rf "$tmp/base"
+    echo "bench-pairs: results kept in $tmp/results" >&2
+  fi
+}
+trap cleanup EXIT
 mkdir -p "$tmp/base" "$tmp/results"
 git archive "$base" | tar -x -C "$tmp/base"
 

@@ -69,7 +69,7 @@ done
 
 q() { # q SEED HOST -> row lines
   curl -sf -m 120 "http://$2/v1/query" \
-    -d '{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":'"$1"'}' \
+    -d '{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":'"$1"'}' \
     | grep '"row"'
 }
 

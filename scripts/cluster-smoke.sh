@@ -58,7 +58,7 @@ for a in "$coord" "$single"; do
   curl -sf "http://$a/healthz" | grep '"ok":true' >/dev/null
 done
 
-req='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":7}'
+req='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":7}'
 
 echo "== clustered rows are byte-identical to single-node rows"
 cl="$(curl -sf "http://$coord/v1/query" -d "$req" | grep '"row"')"
@@ -88,7 +88,7 @@ bursty = trials_per_sec:1, burst:1
 EOF
 kill -HUP "$coord_pid"
 sleep 0.5
-treq='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":11}'
+treq='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":11}'
 code="$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Pdb-Tenant: bursty' "http://$coord/v1/query" -d "$treq")"
 [ "$code" = "200" ]
 code="$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Pdb-Tenant: bursty' "http://$coord/v1/query" -d "$treq")"
@@ -102,7 +102,7 @@ wait "$shard2_pid" 2>/dev/null || true
 # A fresh seed forces sampling (and with it shard RPCs); the victim's
 # chunk ranges are re-dispatched to the survivor, so the rows match the
 # single-node answer byte for byte.
-freq='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":23}'
+freq='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":23}'
 fcl="$(curl -sf -m 120 "http://$coord/v1/query" -d "$freq" | grep '"row"')"
 fsn="$(curl -sf "http://$single/v1/query" -d "$freq" | grep '"row"')"
 echo "$fcl"
@@ -123,7 +123,7 @@ grep -q '"sampled_trials":0' <<<"$out"
 echo "== killing the last shard yields a fast typed error and a 503 readyz"
 kill "$shard1_pid"
 wait "$shard1_pid" 2>/dev/null || true
-dreq='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":31}'
+dreq='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":31}'
 body="$(curl -s -m 120 "http://$coord/v1/query" -d "$dreq")"
 echo "$body"
 grep -q '"kind":"internal"' <<<"$body"

@@ -30,13 +30,13 @@ for _ in $(seq 1 50); do
 done
 curl -sf "http://$addr/healthz" | grep '"ok":true' >/dev/null
 
-req='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":7}'
+req='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":7}'
 
 echo "== cold query"
 out1="$(curl -sf "http://$addr/v1/query" -d "$req")"
 echo "$out1"
-echo "$out1" | grep -q '"columns":\["sensor","P"\]'
-echo "$out1" | grep -q '"row":{.*"sensor":"s1"'
+echo "$out1" | grep -q '"columns":\["room","P"\]'
+echo "$out1" | grep -q '"row":{.*"room":"lab"'
 echo "$out1" | grep -q '"stats":{'
 echo "$out1" | grep -qE '"sampled_trials":[1-9]'
 
@@ -82,7 +82,7 @@ echo "== over-quota tenant gets 429 + Retry-After; other traffic unaffected"
 # tenant's first query re-samples every trial (reused trials are free
 # and would not overdraw the 1-trial/sec bucket). The second query must
 # then be rejected while untenanted requests keep succeeding.
-treq='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":11}'
+treq='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":11}'
 code="$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Pdb-Tenant: bursty' "http://$addr/v1/query" -d "$treq")"
 [ "$code" = "200" ]
 hdrs="$(mktemp)"
@@ -96,7 +96,7 @@ curl -sf "http://$addr/metrics" | grep '^pdb_tenant_rejections_total{tenant="bur
 
 echo "== per-request trial limit maps to 422"
 code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/query" \
-  -d '{"program":"conf as P (project[sensor](repairkey[sensor @ w](sensors)));","max_trials":10,"conf_epsilon":0.01,"conf_delta":0.01}')"
+  -d '{"program":"conf as P (project[room](join(repairkey[sensor @ w](sensors), rooms)));","max_trials":10,"conf_epsilon":0.01,"conf_delta":0.01}')"
 [ "$code" = "422" ]
 
 echo "== graceful shutdown exits 0"

@@ -59,7 +59,7 @@ echo "== ...and completes bit-identically with one"
 cmp "$tmp/join-free.txt" "$tmp/join-spill.txt"
 
 echo "== pdbserve -format pdbstore serves rows byte-identical to CSV mode"
-req='{"program":"conf as P (project[sensor](select[temp >= 21](repairkey[sensor @ w](sensors))));","seed":7}'
+req='{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","seed":7}'
 serve_rows() { # serve_rows <datadir> <format> <addr> <out>
   "$srv" -addr "$3" -datadir "$1" -format "$2" &
   local pid=$!
