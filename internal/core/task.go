@@ -70,10 +70,12 @@ func stratKey(key contentKey, maxStrata, j int) contentKey {
 // pre-pass: independent easy subformulas are computed exactly and only the
 // hard residue is sampled, with the exact part folded back in as
 // p = E + (1−E)·p_R (the relative (ε,δ) guarantee on p_R carries to p —
-// see factor.go). Empty, tautological and zero-weight sets are exact
-// values, and so is a set whose clauses exclude one another through one
-// variable (dnf.Exclusive; a single clause is one): its dnf.Confidence —
-// on a flat task, where exactPart is 0, the exact evaluator's very bits.
+// see factor.go). Empty and zero-weight sets are exact values; so is a
+// set dnf.Certain proves every world extends — a tautology is one — whose
+// value is exactly 1 before any factoring, as dnf.Confidence's is; and so
+// is a set whose clauses exclude one another through one variable
+// (dnf.Exclusive; a single clause is one): its dnf.Confidence — on a flat
+// task, where exactPart is 0, the exact evaluator's very bits.
 //
 // What is left is canonicalized (content order — see content.go) and
 // partitioned into weight strata (karpluby.PlanStrata, a deterministic
@@ -92,7 +94,7 @@ func (run *evalRun) newTask(f dnf.F, trials func(clauses int) int64, maxStrata i
 	switch {
 	case len(f) == 0:
 		return &confValue{exact: true, value: 0}, nil, nil
-	case len(f[0]) == 0:
+	case dnf.Certain(f, run.table):
 		return &confValue{exact: true, value: 1}, nil, nil
 	}
 	exactPart := 0.0

@@ -105,7 +105,8 @@ func shatFixtures() (*urel.Database, *urel.Database, map[string]algebra.Query, m
 
 // shatGolden holds shatFingerprint per "fixture/seed/strata" (same
 // contract and re-recording procedure as pdb's corpusGolden; last
-// re-recorded when each σ̂ began doubling its own rounds).
+// re-recorded when lineage dnf.Certain proves became the exact value 1 —
+// three of hard-conf's six tuples; the other three still sample).
 var shatGolden = map[string]string{
 	"cert/1/0":            "445d08863e21a312",
 	"cert/1/8":            "e6f0555a9393a1fe",
@@ -125,18 +126,18 @@ var shatGolden = map[string]string{
 	"diff/42/8":           "c724dc911788ead4",
 	"diff/7/0":            "5dae0e12158ac91e",
 	"diff/7/8":            "c724dc911788ead4",
-	"hard-conf/1/0":       "37f4a2e4c4d9068c",
-	"hard-conf/1/8":       "7d9a81ffcc14c568",
-	"hard-conf/42/0":      "36d79c20d9b9af22",
-	"hard-conf/42/8":      "ee9afb3d8b511850",
-	"hard-conf/7/0":       "b3e45c4aa99ed27c",
-	"hard-conf/7/8":       "58bfea65bff1a8b1",
-	"hard-shat/1/0":       "aad60bdb44e862c8",
-	"hard-shat/1/8":       "4769e4180f7f7c3c",
-	"hard-shat/42/0":      "c6e209c8855c7b23",
-	"hard-shat/42/8":      "a807715a03bad04f",
-	"hard-shat/7/0":       "172398e68da94c50",
-	"hard-shat/7/8":       "10a3113a223bb29d",
+	"hard-conf/1/0":       "1012f082bb7f9fe2",
+	"hard-conf/1/8":       "62bb67e644d85ae2",
+	"hard-conf/42/0":      "c46d5ec2983fad10",
+	"hard-conf/42/8":      "d595f0b11b87dc24",
+	"hard-conf/7/0":       "0300c54a6c30975a",
+	"hard-conf/7/8":       "3ec11a44740f864a",
+	"hard-shat/1/0":       "6f7a8a847b1b823d",
+	"hard-shat/1/8":       "224a1a2e817ecfcb",
+	"hard-shat/42/0":      "6d47fdbaa0622e1c",
+	"hard-shat/42/8":      "791237010998f39f",
+	"hard-shat/7/0":       "27456288da0a935e",
+	"hard-shat/7/8":       "5bbd35b3a7a542be",
 	"join/1/0":            "b237c4a94e05d0a0",
 	"join/1/8":            "8508f56afd8342fd",
 	"join/42/0":           "4f11eabc3f346926",

@@ -128,6 +128,9 @@ func Confidence(f F, t *vars.Table) float64 {
 		// One clause is its own component; the wrapper keeps the bits the
 		// component loop below would produce.
 		return 1 - (1 - readOnce(f[0], t))
+	case Certain(f, t):
+		// Exactly 1, where the expansion's sum may round either way.
+		return 1
 	}
 	comps := components(f)
 	p := 1.0
@@ -270,13 +273,81 @@ func shannon(f F, t *vars.Table, memo map[setKey]float64) float64 {
 		return p
 	}
 	x := pickVar(f)
-	p := 0.0
-	for alt := 0; alt < t.DomSize(x); alt++ {
-		cond := condition(f, x, int32(alt))
-		p += t.Prob(x, alt) * shannon(cond, t, memo)
+	conds, rest := conditionAll(f, x, t.DomSize(x))
+	p, pRest, restDone := 0.0, 0.0, false
+	for alt, cond := range conds {
+		var pc float64
+		if cond != nil {
+			pc = shannon(cond, t, memo)
+		} else {
+			// F | X=alt is the rest: the same set, hence the same bits, for
+			// every such alt.
+			if !restDone {
+				pRest, restDone = shannon(rest, t, memo), true
+			}
+			pc = pRest
+		}
+		p += t.Prob(x, alt) * pc
 	}
 	memo[key] = p
 	return p
+}
+
+// conditionAll returns F | X=alt for every alternative alt < d of x: the
+// clauses binding x to alt, x removed, and the rest — the clauses free of
+// x — in their order in f. conds[alt] is nil when no clause binds x to alt;
+// F | X=alt is then rest itself. All the sets come out of one pass over f
+// and four allocations, so a variable with many alternatives costs
+// O(d + |F| + k·|rest|) for its k bound alternatives, not O(d·|F|).
+func conditionAll(f F, x vars.Var, d int) (conds []F, rest F) {
+	// cnt[alt] counts the clauses binding x to alt; where[i] is clause i's
+	// alternative, or -1; bound lists the alternatives some clause binds.
+	ints := make([]int32, d+len(f)+min(d, len(f)))
+	cnt, where, bound := ints[:d], ints[d:d+len(f)], ints[d+len(f):d+len(f)]
+	nRest, nLit := 0, 0
+	for i, a := range f {
+		alt, ok := a.Get(x)
+		if !ok {
+			where[i] = -1
+			nRest++
+			continue
+		}
+		where[i] = alt
+		if cnt[alt] == 0 {
+			bound = append(bound, alt)
+		}
+		cnt[alt]++
+		nLit += len(a) - 1
+	}
+	// One backing array: rest, then each bound alternative's clauses and
+	// the rest.
+	backing := make(F, len(f)+len(bound)*nRest)
+	rest, backing = backing[:0:nRest], backing[nRest:]
+	conds = make([]F, d)
+	for _, alt := range bound {
+		n := int(cnt[alt]) + nRest
+		conds[alt], backing = backing[:0:n], backing[n:]
+	}
+	lits := make(vars.Assignment, nLit)
+	for i, a := range f {
+		alt := where[i]
+		if alt < 0 {
+			rest = append(rest, a)
+			for _, b := range bound {
+				conds[b] = append(conds[b], a)
+			}
+			continue
+		}
+		// a without x, carved from lits.
+		j := 0
+		for a[j].Var != x {
+			j++
+		}
+		w := append(append(lits[:0:len(a)-1], a[:j]...), a[j+1:]...)
+		lits = lits[len(a)-1:]
+		conds[alt] = append(conds[alt], w)
+	}
+	return conds, rest
 }
 
 // readOnce is the confidence of one non-empty clause, p_f = Π Pr[X = f(X)]
@@ -308,23 +379,6 @@ func pickVar(f F) vars.Var {
 		}
 	}
 	return best
-}
-
-// condition returns F | X=alt: clauses conflicting with the binding are
-// dropped; the binding is removed from the rest.
-func condition(f F, x vars.Var, alt int32) F {
-	out := make(F, 0, len(f))
-	for _, a := range f {
-		if got, ok := a.Get(x); ok {
-			if got != alt {
-				continue
-			}
-			out = append(out, a.Without(x))
-		} else {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // ConfidenceByEnumeration computes the confidence by enumerating every

@@ -1,6 +1,8 @@
 package dnf
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,8 +70,9 @@ func readOnceF(rng *rand.Rand, t *vars.Table) (F, string) {
 // TestConfidenceReadOnceBitIdentical: over 20 000 seeded clause sets,
 // Confidence, ConfidenceNoFactoring and Factor equal the reference
 // expansion (reference_test.go), which expands every clause set, a lone
-// clause included, exactly — the read-once product must be taken in the
-// expansion's association, not Assignment.Weight's.
+// clause included, exactly — Confidence's under its certainty rule. The
+// read-once product must be taken in the expansion's association, not
+// Assignment.Weight's.
 func TestConfidenceReadOnceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	shapes := map[string]int{}
@@ -81,7 +84,7 @@ func TestConfidenceReadOnceBitIdentical(t *testing.T) {
 		if shape == "disjoint" && len(components(f.Dedup())) > 1 {
 			disjointComps++
 		}
-		if g, w := Confidence(f, tab), refConfidence(f, tab); g != w {
+		if g, w := Confidence(f, tab), refCertainConfidence(f, tab); g != w {
 			t.Fatalf("trial %d (%s): Confidence(%v) = %v, reference %v", trial, shape, f, g, w)
 		}
 		if g, w := ConfidenceNoFactoring(f, tab), refShannon(f, tab, map[string]float64{}); g != w {
@@ -96,6 +99,20 @@ func TestConfidenceReadOnceBitIdentical(t *testing.T) {
 	if shapes["single"] < 5000 || disjointComps < 3000 || shapes["shared"] < 5000 {
 		t.Errorf("generator too tame: %v, %d sets of several single-clause components", shapes, disjointComps)
 	}
+}
+
+// refCertainConfidence is the reference under Confidence's certainty
+// rule: a set of several clauses Certain proves is exactly 1, where the
+// reference sum is only within rounding of 1.
+func refCertainConfidence(f F, t *vars.Table) float64 {
+	p := refConfidence(f, t)
+	if d := f.Dedup(); len(d) > 1 && Certain(d, t) {
+		if math.Abs(p-1) > 1e-12 {
+			panic(fmt.Sprintf("Certain proved %v, whose reference confidence is %v", d, p))
+		}
+		return 1
+	}
+	return p
 }
 
 // TestFactorSingleClauseMatchesConfidence: a lone clause's weight is the

@@ -2,6 +2,7 @@ package urel
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -294,19 +295,41 @@ type pairOut struct {
 
 // mergeRanges folds per-range outputs into one relation in range order —
 // the deterministic merge making partitioned results worker-count
-// independent — sized for the buffered pairs, which bound it.
+// independent — keeping the first of equal pairs. Kept pairs are
+// compacted to the front of the buffers' concatenation as they are found,
+// where the dedup probes read them, so the relation's pairs and hashes are
+// sized for the pairs it keeps, not for every buffered pair.
 func mergeRanges(schema rel.Schema, outs [][]pairOut) *Relation {
-	n := 0
-	for _, buf := range outs {
-		n += len(buf)
+	// starts[rg] is the position of outs[rg][0] in the concatenation.
+	starts := make([]int, len(outs)+1)
+	for rg, buf := range outs {
+		starts[rg+1] = starts[rg] + len(buf)
 	}
-	r := &Relation{schema: schema}
-	r.reserve(n)
-	r.idx = rel.NewIndex(n)
+	at := func(p int) *pairOut {
+		rg := sort.SearchInts(starts, p+1) - 1
+		return &outs[rg][p-starts[rg]]
+	}
+	ix := rel.NewIndex(starts[len(outs)])
+	kept := 0
 	for _, buf := range outs {
-		for _, p := range buf {
-			r.addPair(p.h, p.d, p.row, false)
+	pairs:
+		for _, q := range buf {
+			head := ix.First(q.h)
+			for p := head; p >= 0; p = ix.Next(p) {
+				if o := at(int(p)); o.d.Equal(q.d) && o.row.Equal(q.row) {
+					continue pairs
+				}
+			}
+			ix.Append(q.h, head)
+			*at(kept) = q
+			kept++
 		}
+	}
+	r := &Relation{schema: schema, idx: ix}
+	r.reserve(kept)
+	for p := 0; p < kept; p++ {
+		o := at(p)
+		r.appendUnique(o.h, o.d, o.row)
 	}
 	return r
 }

@@ -326,13 +326,20 @@ func RepairKey(r *Relation, key []string, weight string, table *vars.Table, pref
 	return seqExec.RepairKey(r, key, weight, table, prefix)
 }
 
+// displayKey renders the values of row at idx for a repair-key variable's
+// name, prefix[displayKey], or an alternative's: comma-separated, each
+// value's ',', '[', ']' and '\' escaped with a backslash, so two key
+// tuples of one repair-key never render alike through their separators.
+// Values without those characters render as themselves.
 func displayKey(row rel.Tuple, idx []int) string {
 	parts := make([]string, len(idx))
 	for i, j := range idx {
-		parts[i] = row[j].String()
+		parts[i] = displayEscaper.Replace(row[j].String())
 	}
 	return strings.Join(parts, ",")
 }
+
+var displayEscaper = strings.NewReplacer(`\`, `\\`, `,`, `\,`, `[`, `\[`, `]`, `\]`)
 
 // Database is a U-relational database: named U-relations over one shared
 // variable table, plus the set of relations that are complete by

@@ -413,3 +413,38 @@ func TestAttributeUncertain(t *testing.T) {
 		t.Errorf("Bob marginal sums to %v, want 1", total["Bob"])
 	}
 }
+
+// TestRepairKeyNamesInjective: two repair-key groups whose key values
+// differ only in where a separator falls — ("x,y", "z") and ("x", "y,z")
+// — or in bracket and backslash characters get distinct variables.
+// Rendered plainly, their names would be equal, and registering the
+// second would panic.
+func TestRepairKeyNamesInjective(t *testing.T) {
+	db, err := NewBuilder().Table("T", []string{"A", "B", "C", "W"},
+		[]any{"x,y", "z", "c", 1.0}, []any{"x", "y,z", "c", 1.0},
+		[]any{"x]", "y", "c", 1.0}, []any{"x", "]y", "c", 1.0},
+		[]any{`x\`, ",y", "c", 1.0}, []any{`x\,`, "y", "c", 1.0},
+		[]any{"p", "q", "a,b", 1.0}, []any{"p", "q", "a", 1.0}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Prepare(`conf(project[A, B](repairkey[A, B @ W](T)))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.EvalExact(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for row := range res.Rows() {
+		if p := row.Float("P"); p != 1 {
+			t.Errorf("(%v, %v): P = %v, want 1 — a group's alternatives cover it", row.Value("A"), row.Value("B"), p)
+		}
+		n++
+	}
+	if n != 7 {
+		t.Errorf("%d groups, want 7", n)
+	}
+}

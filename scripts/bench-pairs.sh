@@ -65,28 +65,55 @@ for i in $(seq 1 "$pairs"); do
   fi
 done
 
+# isnum VALUE: whether VALUE is one decimal number.
+isnum() { [[ "$1" =~ ^[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$ ]]; }
 # values SIDE WORKLOAD FIELD: the SIDE's runs of one workload's untraced
-# FIELD (a jq path below .untraced), one per line in pair order.
+# FIELD (a jq path below .untraced), one per line in pair order. It fails,
+# naming the file and field, when jq fails or prints anything but a number.
 values() {
+  local f v
   for i in $(seq 1 "$pairs"); do
-    jq -r --arg w "$2" ".workloads[] | select(.name == \$w) | .untraced$3" "$tmp/results/$1-$i.json"
+    f="$tmp/results/$1-$i.json"
+    if ! v="$(jq -r --arg w "$2" ".workloads[] | select(.name == \$w) | .untraced$3" "$f")" || ! isnum "$v"; then
+      echo "bench-pairs: $f: $2 .untraced$3 is not a number: ${v:-jq failed}" >&2
+      return 1
+    fi
+    echo "$v"
   done
 }
-# stats: the median, first and third quartile of the numbers on stdin
-# (linear interpolation between order statistics).
+# stats WHAT: the median, first and third quartile of the numbers on stdin
+# (linear interpolation between order statistics); it fails, naming WHAT,
+# when one of them is not a number.
 stats() {
-  sort -g | awk '{ v[NR] = $1 }
+  local out m q1 q3
+  out="$(sort -g | awk '{ v[NR] = $1 }
     function q(p,  h, l) { h = 1 + (NR - 1) * p; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-    END { printf "%s %s %s\n", q(0.5), q(0.25), q(0.75) }'
+    END { printf "%s %s %s\n", q(0.5), q(0.25), q(0.75) }')"
+  read -r m q1 q3 <<<"$out"
+  if ! isnum "$m" || ! isnum "$q1" || ! isnum "$q3"; then
+    echo "bench-pairs: $1: median and quartiles '$out' are not numbers" >&2
+    return 1
+  fi
+  echo "$out"
 }
+# Every jq and stats result is taken by an assignment, so a failure ends
+# the script (set -e) instead of reaching the verdict.
+names="$(jq -r '.workloads[].name' "$tmp/results/change-1.json")" ||
+  { echo "bench-pairs: $tmp/results/change-1.json: .workloads[].name unreadable" >&2; exit 1; }
+metrics="$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' BENCHMARK.json)" ||
+  { echo "bench-pairs: BENCHMARK.json: .end_to_end unreadable" >&2; exit 1; }
 status=0
 printf '%-12s %-20s %12s %-25s %12s %-25s %7s %6s %4s\n' workload metric base '[q1, q3]' change '[q1, q3]' ratio bound won
-for w in $(jq -r '.workloads[].name' "$tmp/results/change-1.json"); do
+for w in $names; do
   while read -r metric better bound; do
-    read -r b bq1 bq3 < <(values base "$w" ".metrics.$metric" | stats)
-    read -r c cq1 cq3 < <(values change "$w" ".metrics.$metric" | stats)
+    bv="$(values base "$w" ".metrics.$metric")"
+    cv="$(values change "$w" ".metrics.$metric")"
+    bs="$(stats "base $w $metric" <<<"$bv")"
+    cs="$(stats "change $w $metric" <<<"$cv")"
+    read -r b bq1 bq3 <<<"$bs"
+    read -r c cq1 cq3 <<<"$cs"
     # won: pairs whose change run is strictly better than its base run.
-    won="$(paste <(values base "$w" ".metrics.$metric") <(values change "$w" ".metrics.$metric") |
+    won="$(paste <(echo "$bv") <(echo "$cv") |
       awk -v better="$better" '{ if (better == "lower" ? $2 < $1 : $2 > $1) n++ } END { print n + 0 }')"
     verdict="$(awk -v b="$b" -v c="$c" -v better="$better" -v bound="$bound" 'BEGIN {
       worse = (better == "lower") ? c > b * (1 + bound) : c < b * (1 - bound)
@@ -94,9 +121,12 @@ for w in $(jq -r '.workloads[].name' "$tmp/results/change-1.json"); do
     printf '%-12s %-20s %12.4f [%10.4f, %10.4f] %12.4f [%10.4f, %10.4f] %7s %6s %2s/%s %s\n' \
       "$w" "$metric" "$b" "$bq1" "$bq3" "$c" "$cq1" "$cq3" "${verdict% *}" "$bound" "$won" "$pairs" "${verdict#* }"
     [[ "$verdict" == *WORSE ]] && status=1
-  done < <(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' BENCHMARK.json)
-  read -r fb _ < <(values base "$w" .failed | stats)
-  read -r fc _ < <(values change "$w" .failed | stats)
+  done <<<"$metrics"
+  fbv="$(values base "$w" .failed)"
+  fcv="$(values change "$w" .failed)"
+  fbs="$(stats "base $w failed" <<<"$fbv")"
+  fcs="$(stats "change $w failed" <<<"$fcv")"
+  fb="${fbs%% *}" fc="${fcs%% *}"
   printf '%-12s %-20s %12s %-25s %12s\n' "$w" failed_ops "$fb" "" "$fc"
   awk -v b="$fb" -v c="$fc" 'BEGIN { exit !(c > b) }' && status=1
 done

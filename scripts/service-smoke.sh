@@ -95,8 +95,11 @@ curl -sf "http://$addr/v1/query" -d "$req" >/dev/null   # untenanted: still 200
 curl -sf "http://$addr/metrics" | grep '^pdb_tenant_rejections_total{tenant="bursty",reason="rate"} 1$' >/dev/null
 
 echo "== per-request trial limit maps to 422"
+# The per-room program, whose lineage samples: without the select, every
+# room holds each of its sensors' every reading, P = 1 exactly and no
+# trial is drawn.
 code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/v1/query" \
-  -d '{"program":"conf as P (project[room](join(repairkey[sensor @ w](sensors), rooms)));","max_trials":10,"conf_epsilon":0.01,"conf_delta":0.01}')"
+  -d '{"program":"conf as P (project[room](join(select[temp >= 21](repairkey[sensor @ w](sensors)), rooms)));","max_trials":10,"conf_epsilon":0.01,"conf_delta":0.01}')"
 [ "$code" = "422" ]
 
 echo "== graceful shutdown exits 0"
