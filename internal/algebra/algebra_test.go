@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -280,4 +281,37 @@ func mustExpand(t *testing.T, db *urel.Database) *worlds.Database {
 		t.Fatal(err)
 	}
 	return w.db
+}
+
+// TestRepairKeyLeavesBaseTableUntouched: an evaluation shares the base
+// table's variable descriptors instead of copying them, and its
+// repair-keys register beside them without writing one.
+func TestRepairKeyLeavesBaseTableUntouched(t *testing.T) {
+	db := coinDB()
+	x := db.Vars.Add("x", []float64{0.3, 0.7}, []string{"in", "out"})
+	db.Vars.Add("y", []float64{0.6, 0.4}, nil)
+	before := db.Vars.Since(0)
+	probs := [][]float64{slices.Clone(before[0].Probs), slices.Clone(before[1].Probs)}
+	_, _, qT, _ := coinQueries()
+	ev := NewURelEvaluator(db)
+	if _, err := ev.Eval(qT); err != nil {
+		t.Fatal(err)
+	}
+	if ev.DB().Vars.Len() <= 2 {
+		t.Fatal("the evaluation registered no repair-key variable")
+	}
+	if &ev.DB().Vars.Info(x).Probs[0] != &db.Vars.Info(x).Probs[0] {
+		t.Error("the evaluation copied the base table's probabilities")
+	}
+	if db.Vars.Len() != 2 {
+		t.Fatalf("base table grew to %d variables", db.Vars.Len())
+	}
+	for v, in := range db.Vars.Since(0) {
+		if in.ID != before[v].ID || !slices.Equal(in.Probs, probs[v]) {
+			t.Errorf("variable %d changed: %x %v, want %x %v", v, in.ID, in.Probs, before[v].ID, probs[v])
+		}
+	}
+	if db.Vars.Name(x) != "x" || db.Vars.AltName(x, 1) != "out" {
+		t.Errorf("variable x renders as %s=%s", db.Vars.Name(x), db.Vars.AltName(x, 1))
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,7 +18,12 @@ import (
 )
 
 // randDB builds a small random U-relational database with two uncertain
-// relations R(A,B), S(B,C) and a complete weighted relation K(A,W).
+// relations R(A,B), S(B,C) and a complete weighted relation K(G,A,W), no
+// two of whose tuples agree on (G, A). K's repair-key column G mixes
+// types and awkward strings: Int(1) and Float(1) are one group; "1", NULL
+// and "NULL" are three more, which render alike to 1 or NULL; the rest
+// hold the characters a rendered name escapes or a key string separates
+// on.
 func randDB(rng *rand.Rand) *urel.Database {
 	db := urel.NewDatabase()
 	nv := 2 + rng.Intn(3)
@@ -43,14 +49,22 @@ func randDB(rng *rand.Rand) *urel.Database {
 	for i := 0; i < 2+rng.Intn(4); i++ {
 		s.Add(randAssign(), rel.Tuple{rel.Int(int64(rng.Intn(3))), rel.Int(int64(rng.Intn(3)))})
 	}
-	k := rel.NewRelation(rel.NewSchema("A", "W"))
+	k := rel.NewRelation(rel.NewSchema("G", "A", "W"))
 	for i := 0; i < 2+rng.Intn(3); i++ {
-		k.Add(rel.Tuple{rel.Int(int64(rng.Intn(2))), rel.Float(0.2 + rng.Float64())})
+		t := rel.Tuple{awkwardKeys[rng.Intn(len(awkwardKeys))], rel.Int(int64(rng.Intn(2))), rel.Float(0.2 + rng.Float64())}
+		if !slices.ContainsFunc(k.Tuples(), func(o rel.Tuple) bool { return o.EqualAt([]int{0, 1}, t, []int{0, 1}) }) {
+			k.Add(t)
+		}
 	}
 	db.AddURelation("R", r, false)
 	db.AddURelation("S", s, false)
 	db.AddComplete("K", k)
 	return db
+}
+
+var awkwardKeys = []rel.Value{
+	rel.Int(1), rel.Float(1), rel.String("1"), rel.Null(), rel.String("NULL"),
+	rel.String("x,y"), rel.String("[x]"), rel.String("x]"), rel.String(`x\`), rel.String("x|y"),
 }
 
 // randQuery builds a random positive UA query over the random database.
@@ -62,8 +76,12 @@ func randQuery(rng *rand.Rand, depth int) Query {
 		case 1:
 			return Base{Name: "S"}
 		default:
+			var key []string
+			if rng.Intn(2) == 0 {
+				key = []string{"G"}
+			}
 			return Project{
-				In:      RepairKey{In: Base{Name: "K"}, Key: nil, Weight: "W"},
+				In:      RepairKey{In: Base{Name: "K"}, Key: key, Weight: "W"},
 				Targets: []expr.Target{expr.Keep("A")},
 			}
 		}

@@ -182,17 +182,16 @@ func (m *SubplanMemo) putConf(p *memoEntry, key any, rows []rel.Tuple, ops urel.
 }
 
 func sameInfo(a, b vars.Info) bool {
-	return a.Name == b.Name && slices.Equal(a.Probs, b.Probs) && slices.Equal(a.AltNames, b.AltNames)
+	return a.ID == b.ID && slices.Equal(a.Probs, b.Probs)
 }
 
-// infoBytes estimates the footprint of variable descriptors.
+// infoBytes estimates the footprint of variable descriptors: the
+// descriptor, its probabilities, and the index its registration's
+// renderer keeps per variable and per alternative.
 func infoBytes(infos []vars.Info) int64 {
 	var n int64
 	for _, in := range infos {
-		n += 64 + int64(len(in.Name)+8*len(in.Probs))
-		for _, a := range in.AltNames {
-			n += 16 + int64(len(a))
-		}
+		n += 60 + 12*int64(len(in.Probs))
 	}
 	return n
 }

@@ -127,7 +127,7 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(1)
 			return e.b
-		}(), "protocol version 1, want 4"},
+		}(), "protocol version 1, want 5"},
 		// A peer from before shards went stateless: same stream, but a
 		// fifth (reused-trials) count per record and keyed tasks.
 		{"version 2 peer", msgHello, func() []byte {
@@ -135,7 +135,7 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(2)
 			return e.b
-		}(), "protocol version 2, want 4"},
+		}(), "protocol version 2, want 5"},
 		// A peer from before chunk runs carried their Skip: it would read
 		// every request's chunks misaligned.
 		{"version 3 peer", msgHello, func() []byte {
@@ -143,7 +143,15 @@ func TestCheckHelloRejects(t *testing.T) {
 			e.u32(protocolMagic)
 			e.uv(3)
 			return e.b
-		}(), "protocol version 3, want 4"},
+		}(), "protocol version 3, want 5"},
+		// A peer from before variables travelled as identities: it would
+		// read each 8-byte identity as a name and order variables apart.
+		{"version 4 peer", msgHello, func() []byte {
+			var e enc
+			e.u32(protocolMagic)
+			e.uv(4)
+			return e.b
+		}(), "protocol version 4, want 5"},
 		{"truncated", msgHello, []byte{0x70, 0x64}, "truncated"},
 		{"empty", msgHello, nil, "truncated"},
 	}

@@ -51,10 +51,12 @@ const (
 	// counts from another stream); version 3 drops what only a stateful
 	// shard needed — the task's content key and the reused-trials count;
 	// version 4 gives every chunk run its Skip, the trials of its chunk
-	// before the run, and drops the open chunk's counts from the result.
+	// before the run, and drops the open chunk's counts from the result;
+	// version 5 ships each variable's 64-bit identity instead of its name
+	// (the kernel orders variables by identity).
 	// The handshake refuses any other version, so coordinator and shards
 	// upgrade together.
-	protocolVersion = 4
+	protocolVersion = 5
 	// maxFrame bounds a frame; a sample batch over a large clause set is
 	// the biggest legitimate message.
 	maxFrame = 1 << 28
@@ -277,7 +279,7 @@ func encodeTask(e *enc, t core.RemoteTask) {
 	e.uv(uint64(len(used)))
 	for _, v := range used {
 		in := t.Vars.Info(v)
-		e.str(in.Name)
+		e.u64(in.ID)
 		e.uv(uint64(len(in.Probs)))
 		for _, p := range in.Probs {
 			e.f64(p)
@@ -334,7 +336,7 @@ func decodeTask(d *dec) (wireTask, error) {
 	}
 	infos := make([]vars.Info, nvars)
 	for i := range infos {
-		name := d.str()
+		id := d.u64()
 		nprobs := d.uv()
 		if d.err != nil || nprobs == 0 || nprobs > uint64(len(d.b)) {
 			return t, errTrunc(d)
@@ -343,7 +345,7 @@ func decodeTask(d *dec) (wireTask, error) {
 		for j := range probs {
 			probs[j] = d.f64()
 		}
-		infos[i] = vars.Info{Name: name, Probs: probs}
+		infos[i] = vars.Info{ID: id, Probs: probs}
 	}
 	t.table = vars.RestoreTable(infos)
 	nclauses := d.uv()

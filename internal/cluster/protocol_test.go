@@ -56,7 +56,7 @@ func TestSampleRequestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d clauses, want %d", len(w.clauses), len(orig.Clauses))
 	}
 	// The remap is order-preserving: binding j of clause i names the same
-	// variable (by name) with the same bit-exact probabilities.
+	// variable (by identity) with the same bit-exact probabilities.
 	for i, a := range orig.Clauses {
 		if len(w.clauses[i]) != len(a) {
 			t.Fatalf("clause %d: %d bindings, want %d", i, len(w.clauses[i]), len(a))
@@ -67,12 +67,12 @@ func TestSampleRequestRoundTrip(t *testing.T) {
 				t.Errorf("clause %d binding %d: alt %d, want %d", i, j, wb.Alt, b.Alt)
 			}
 			oin, win := orig.Vars.Info(b.Var), w.table.Info(wb.Var)
-			if win.Name != oin.Name {
-				t.Errorf("clause %d binding %d: var %q, want %q", i, j, win.Name, oin.Name)
+			if win.ID != oin.ID {
+				t.Errorf("clause %d binding %d: var %x, want %x", i, j, win.ID, oin.ID)
 			}
 			for k := range oin.Probs {
 				if math.Float64bits(win.Probs[k]) != math.Float64bits(oin.Probs[k]) {
-					t.Errorf("var %q prob %d not bit-exact", oin.Name, k)
+					t.Errorf("var %x prob %d not bit-exact", oin.ID, k)
 				}
 			}
 		}

@@ -13,8 +13,8 @@ import (
 // sampler; a flat task (maxStrata 0) is the single-stratum plan.
 func TestWireTaskBuildRejectsUnsampleableStratum(t *testing.T) {
 	table := vars.RestoreTable([]vars.Info{
-		{Name: "x", Probs: []float64{0.5, 0.5}},
-		{Name: "y", Probs: []float64{0, 1}},
+		{ID: 1, Probs: []float64{0.5, 0.5}},
+		{ID: 2, Probs: []float64{0, 1}},
 	})
 	clauses := dnf.F{
 		vars.MustAssignment(vars.Binding{Var: 0, Alt: 0}), // weight 0.5: band 0

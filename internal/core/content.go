@@ -23,17 +23,16 @@ import (
 // Variable identity. Clause fingerprints cannot use raw variable ids:
 // repair-key registers fresh variables per evaluation, so the same id can
 // name different variables in different queries. Each variable is instead
-// fingerprinted by its observable identity — registered name plus the
-// probability vector. Names are deterministic per (database, program):
-// base-table variables keep whatever the builder registered, and
-// repair-key names embed the group's key values under an
-// evaluation-order "rkN" prefix, so the repeated-query case always keys
-// identically. Across *different* programs, sharing reaches as far as
-// the names do: base-table lineage and repair-keys at the same plan
-// position share; a repair-key at a different rkN position (or an
-// Independent/row-indexed variable registered in a different order) gets
-// a different name, which costs the reuse — a cache miss — but never
-// correctness.
+// fingerprinted by its identity (vars.Info.ID) plus the probability
+// vector. Identities are deterministic per (database, program):
+// base-table variables mix their relation name and row, and repair-key
+// variables mix the evaluation-order "rkN" prefix with the group's typed
+// key hash, so the repeated-query case always keys identically. Across
+// *different* programs, sharing reaches as far as the identities do:
+// base-table lineage and repair-keys at the same plan position share; a
+// repair-key at a different rkN position gets a different identity, which
+// costs the reuse — a cache miss — but never correctness. Identities are
+// unique within a table, so one clause set never conflates two variables.
 //
 // Canonical clause order. The Karp–Luby estimator is order-sensitive
 // (cumulative weights and the smallest-index rule), so content-equal tasks
@@ -58,13 +57,13 @@ func newFingerprinter(table *vars.Table) *fingerprinter {
 	return &fingerprinter{table: table, varFP: make(map[vars.Var]uint64)}
 }
 
-// varID fingerprints one random variable by name and distribution.
+// varID fingerprints one random variable by identity and distribution.
 func (fp *fingerprinter) varID(v vars.Var) uint64 {
 	if id, ok := fp.varFP[v]; ok {
 		return id
 	}
 	in := fp.table.Info(v)
-	h := rel.HashString(rel.HashSeed, in.Name)
+	h := rel.HashCombine(rel.HashSeed, in.ID)
 	for _, p := range in.Probs {
 		h = rel.HashCombine(h, math.Float64bits(p))
 	}

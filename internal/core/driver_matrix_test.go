@@ -80,11 +80,11 @@ var matrixGolden = map[string]string{
 	"flat-conf/remote=true/cold":      "sampled=150987 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"flat-conf/remote=true/warm":      "sampled=0 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
 	"flat-conf/remote=true/grown":     "sampled=1381356 reused=150987 cache-hits=3 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/cold":     "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=false/warm":     "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/cold":     "sampled=60928 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=false/warm":     "sampled=60928 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"flat-shat/remote=false/grown":    "sampled=125440 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=true/cold":      "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
-	"flat-shat/remote=true/warm":      "sampled=60032 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/cold":      "sampled=60928 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
+	"flat-shat/remote=true/warm":      "sampled=60928 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"flat-shat/remote=true/grown":     "sampled=125440 reused=0 cache-hits=0 restarts=0 strata=0 early-stops=0",
 	"strata8-conf/remote=false/cold":  "sampled=61452 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=3",
 	"strata8-conf/remote=false/warm":  "sampled=0 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
@@ -94,10 +94,10 @@ var matrixGolden = map[string]string{
 	"strata8-conf/remote=true/grown":  "sampled=12288 reused=61452 cache-hits=3 restarts=0 strata=15 early-stops=3",
 	"strata8-shat/remote=false/cold":  "sampled=4480 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=0",
 	"strata8-shat/remote=false/warm":  "sampled=0 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
-	"strata8-shat/remote=false/grown": "sampled=4032 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=false/grown": "sampled=4480 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
 	"strata8-shat/remote=true/cold":   "sampled=4480 reused=0 cache-hits=0 restarts=0 strata=15 early-stops=0",
 	"strata8-shat/remote=true/warm":   "sampled=0 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
-	"strata8-shat/remote=true/grown":  "sampled=4032 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
+	"strata8-shat/remote=true/grown":  "sampled=4480 reused=4480 cache-hits=3 restarts=0 strata=15 early-stops=0",
 }
 
 type matrixCase struct {

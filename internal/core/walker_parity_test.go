@@ -105,62 +105,61 @@ func shatFixtures() (*urel.Database, *urel.Database, map[string]algebra.Query, m
 
 // shatGolden holds shatFingerprint per "fixture/seed/strata" (same
 // contract and re-recording procedure as pdb's corpusGolden; last
-// re-recorded when lineage dnf.Certain proves became the exact value 1 —
-// three of hard-conf's six tuples; the other three still sample).
+// re-recorded when variables became 64-bit identities).
 var shatGolden = map[string]string{
-	"cert/1/0":            "445d08863e21a312",
+	"cert/1/0":            "d4cb16ce15a1e06e",
 	"cert/1/8":            "e6f0555a9393a1fe",
-	"cert/42/0":           "8abe2d17ae9404d0",
+	"cert/42/0":           "3cf8eff152cc0226",
 	"cert/42/8":           "e6f0555a9393a1fe",
-	"cert/7/0":            "d44399491ae3cd1a",
+	"cert/7/0":            "173b541aca2649a7",
 	"cert/7/8":            "e6f0555a9393a1fe",
-	"conf-over-shat/1/0":  "2cc72790cf1f7f80",
+	"conf-over-shat/1/0":  "f4f5e04f1fb75c6c",
 	"conf-over-shat/1/8":  "7c4c09bbef559c14",
-	"conf-over-shat/42/0": "ea5339d4f1f57676",
+	"conf-over-shat/42/0": "8b453bd88c0c817c",
 	"conf-over-shat/42/8": "7c4c09bbef559c14",
-	"conf-over-shat/7/0":  "c373aa762ff2ab68",
+	"conf-over-shat/7/0":  "2f36e65ac703c187",
 	"conf-over-shat/7/8":  "7c4c09bbef559c14",
-	"diff/1/0":            "7a207339b1eda7c2",
+	"diff/1/0":            "b061b19e2648b9be",
 	"diff/1/8":            "c724dc911788ead4",
-	"diff/42/0":           "d5b6ddf548410f0a",
+	"diff/42/0":           "2d035cd10ccc9ec8",
 	"diff/42/8":           "c724dc911788ead4",
-	"diff/7/0":            "5dae0e12158ac91e",
+	"diff/7/0":            "9d41e357ccbe842f",
 	"diff/7/8":            "c724dc911788ead4",
-	"hard-conf/1/0":       "1012f082bb7f9fe2",
-	"hard-conf/1/8":       "62bb67e644d85ae2",
-	"hard-conf/42/0":      "c46d5ec2983fad10",
-	"hard-conf/42/8":      "d595f0b11b87dc24",
-	"hard-conf/7/0":       "0300c54a6c30975a",
-	"hard-conf/7/8":       "3ec11a44740f864a",
-	"hard-shat/1/0":       "6f7a8a847b1b823d",
-	"hard-shat/1/8":       "224a1a2e817ecfcb",
-	"hard-shat/42/0":      "6d47fdbaa0622e1c",
-	"hard-shat/42/8":      "791237010998f39f",
-	"hard-shat/7/0":       "27456288da0a935e",
-	"hard-shat/7/8":       "5bbd35b3a7a542be",
-	"join/1/0":            "b237c4a94e05d0a0",
+	"hard-conf/1/0":       "de4646e710da5e3f",
+	"hard-conf/1/8":       "663f66fb63f3295a",
+	"hard-conf/42/0":      "f5f88200041729dd",
+	"hard-conf/42/8":      "ee7f07403e3a81ae",
+	"hard-conf/7/0":       "754568b5cd265195",
+	"hard-conf/7/8":       "1c901e8d58927202",
+	"hard-shat/1/0":       "bd5e421c0026594f",
+	"hard-shat/1/8":       "8904c5a8d86de810",
+	"hard-shat/42/0":      "32e433194aa7fa4d",
+	"hard-shat/42/8":      "8d0eaf6dbf07aaf2",
+	"hard-shat/7/0":       "453a65fc8846173b",
+	"hard-shat/7/8":       "4eb1597b0e6e47f2",
+	"join/1/0":            "bd378fda009ae80d",
 	"join/1/8":            "8508f56afd8342fd",
-	"join/42/0":           "4f11eabc3f346926",
+	"join/42/0":           "8eba9907b009c8fd",
 	"join/42/8":           "8508f56afd8342fd",
-	"join/7/0":            "3ae4f4969a136b0a",
+	"join/7/0":            "e19eda60e98f1028",
 	"join/7/8":            "8508f56afd8342fd",
-	"nested-shat/1/0":     "7f478e42f97a4b36",
+	"nested-shat/1/0":     "f7939688c1e2e408",
 	"nested-shat/1/8":     "37dd11e8af553e96",
-	"nested-shat/42/0":    "a0a8b09c28a62051",
+	"nested-shat/42/0":    "eed50e32887c73de",
 	"nested-shat/42/8":    "37dd11e8af553e96",
-	"nested-shat/7/0":     "4913214f21ac0897",
+	"nested-shat/7/0":     "cfeedc543718135a",
 	"nested-shat/7/8":     "37dd11e8af553e96",
-	"poss/1/0":            "445d08863e21a312",
+	"poss/1/0":            "d4cb16ce15a1e06e",
 	"poss/1/8":            "e6f0555a9393a1fe",
-	"poss/42/0":           "8abe2d17ae9404d0",
+	"poss/42/0":           "3cf8eff152cc0226",
 	"poss/42/8":           "e6f0555a9393a1fe",
-	"poss/7/0":            "d44399491ae3cd1a",
+	"poss/7/0":            "173b541aca2649a7",
 	"poss/7/8":            "e6f0555a9393a1fe",
-	"select/1/0":          "b279cfd04047e2a9",
+	"select/1/0":          "d5b8ad63c239be2e",
 	"select/1/8":          "719139b71e5322a4",
-	"select/42/0":         "d6fce3060c165d63",
+	"select/42/0":         "5b41296f2e1e7f60",
 	"select/42/8":         "719139b71e5322a4",
-	"select/7/0":          "a6d325942f62adf4",
+	"select/7/0":          "b9284fd6ed48a9b2",
 	"select/7/8":          "719139b71e5322a4",
 }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"repro/internal/dnf"
 	"repro/internal/rel"
@@ -23,7 +22,7 @@ import (
 // kernel is a clause set F compiled for sampling.
 //
 // Variables of F get dense local indices in content-canonical order: the
-// rank of the registered name among vars(F). Clause literals are sorted
+// rank of the variable's identity (vars.Info.ID) among vars(F). Clause literals are sorted
 // by that index, and a trial extends its world in literal order, so the
 // PRNG stream a trial consumes — and hence the estimate — depends only
 // on the clause-set content and the table's distributions, never on the
@@ -97,16 +96,16 @@ func compile(f dnf.F, table *vars.Table, dedup bool) (k *kernel, order []int32) 
 		return s
 	}
 
-	// byName[r] indexes the ids entry of local index r; local is its
+	// byID[r] indexes the ids entry of local index r; local is its
 	// inverse.
-	byName, local := carve(nv), carve(nv)
-	for i := range byName {
-		byName[i] = int32(i)
+	byID, local := carve(nv), carve(nv)
+	for i := range byID {
+		byID[i] = int32(i)
 	}
-	slices.SortFunc(byName, func(a, b int32) int {
-		return strings.Compare(table.Info(ids[a]).Name, table.Info(ids[b]).Name)
+	slices.SortFunc(byID, func(a, b int32) int {
+		return cmp.Compare(table.Info(ids[a]).ID, table.Info(ids[b]).ID)
 	})
-	for r, i := range byName {
+	for r, i := range byID {
 		local[i] = int32(r)
 	}
 
@@ -125,7 +124,7 @@ func compile(f dnf.F, table *vars.Table, dedup bool) (k *kernel, order []int32) 
 		sortRun(lv[o:o+len(a)], la[o:o+len(a)])
 		p := 1.0
 		for l := o; l < o+len(a); l++ {
-			p *= table.Prob(ids[byName[lv[l]]], int(la[l]))
+			p *= table.Prob(ids[byID[lv[l]]], int(la[l]))
 		}
 		w[c] = p
 	}
@@ -192,7 +191,7 @@ func compile(f dnf.F, table *vars.Table, dedup bool) (k *kernel, order []int32) 
 		k.clauseStart[p+1] = int32(len(k.litVar))
 		k.weight[p] = w[c]
 	}
-	for r, i := range byName {
+	for r, i := range byID {
 		probs := table.Info(ids[i]).Probs
 		o := int(k.varStart[r])
 		acc := 0.0

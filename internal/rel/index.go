@@ -29,8 +29,8 @@ type Index struct {
 	next []int32          // position -> next position of its chain, -1 ends
 }
 
-// NewIndex returns an empty index sized for about n distinct hashes.
-func NewIndex(n int) Index { return Index{head: make(map[uint64]int32, n)} }
+// NewIndex returns an empty index sized for about n positions.
+func NewIndex(n int) Index { return Index{head: make(map[uint64]int32, n), next: make([]int32, 0, n)} }
 
 // BuildIndex indexes positions 0..len(hashes)-1 in one pass, chaining
 // equal hashes in ascending position order — the hash join's build side,

@@ -193,7 +193,7 @@ func TestWireTrailerKeys(t *testing.T) {
 			body: q(`project[0 as C](aselect[p1 >= 0.5 over conf[Sensor]](Obs));`, `, "seed": 3`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "restarts", "sampled_trials", "reused_trials", "cache_hits", "decisions", "elapsed_ms"}},
 		{when: "a σ̂ query drops its boundary tuple as a potential singularity",
-			body: q(singularProgram, `, "seed": 4`),
+			body: q(singularProgram, `, "seed": 5`),
 			then: []string{"rows", "max_error_bound", "final_rounds", "sampled_trials", "reused_trials", "cache_hits", "decisions", "singular_drops", "elapsed_ms"}},
 		{when: "an over-budget exact join spills",
 			body: q(`project[K, X, Y](union(join(A, B), join(A, B)));`, `, "exact": true, "max_memory_bytes": 16384`),

@@ -2,6 +2,8 @@ package urel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -668,9 +670,11 @@ func (w *witnessIndex) add(h uint64, head int32, i int) {
 
 // RepairKey implements repair-key (see the package-level wrapper for the
 // full contract). Groups and alternatives are found through witnessIndex
-// tables over the key and the non-weight columns; the display strings the
-// fresh variable names need are built once per group and per alternative,
-// never per tuple.
+// tables over the key and the non-weight columns, into flat per-tuple
+// arrays; one Register call then adds every group's variable, its
+// probabilities carved from one slice. A variable's identity mixes the
+// prefix with its key columns' typed hash (rkID); names are rendered only
+// on demand (rkNames), from the input's tuples.
 func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.Table, prefix string) (*Relation, error) {
 	x.Ensure(r)
 	keyIdx := make([]int, len(key))
@@ -688,89 +692,77 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	// Residual attributes: (sch(R) − Ā) − B, the Dom of the fresh variable.
 	var resIdx []int
 	for j := range r.schema {
-		if j == wIdx {
-			continue
-		}
-		isKey := false
-		for _, k := range keyIdx {
-			if j == k {
-				isKey = true
-				break
-			}
-		}
-		if !isKey {
+		if j != wIdx && !slices.Contains(keyIdx, j) {
 			resIdx = append(resIdx, j)
 		}
 	}
 
-	type alt struct {
-		weight float64
-		name   string
-	}
-	type group struct {
-		display string
-		alts    []alt
-		total   float64
-		v       vars.Var
-	}
 	// A group is identified by the key columns, an alternative by every
-	// column but the weight: its group's key plus the residual.
-	groups, alts := newWitnessIndex(0), newWitnessIndex(len(r.tuples))
+	// column but the weight: its group's key plus the residual. Input tuple
+	// i belongs to group tupleGroup[i], as its alternative tupleAlt[i];
+	// size[g] counts group g's alternatives.
+	n := len(r.tuples)
+	groups, alts := newWitnessIndex(n), newWitnessIndex(n)
 	altIdx := append(append([]int(nil), keyIdx...), resIdx...)
-	var orderedGroups []*group
-	// tupleAlt[i] is the alternative index of input tuple i in its group.
-	tupleAlt := make([]int, len(r.tuples))
-	tupleGroup := make([]*group, len(r.tuples))
-
+	buf := make([]int32, 3*n)
+	tupleGroup, tupleAlt, size := buf[:n], buf[n:2*n], buf[2*n:2*n]
 	for i, t := range r.tuples {
-		gh := t.Row.HashAt(keyIdx)
-		first, head := groups.locate(gh, r.tuples, t.Row, keyIdx)
-		if first < 0 {
-			groups.add(gh, head, i)
-			tupleGroup[i] = &group{display: displayKey(t.Row, keyIdx)}
-			orderedGroups = append(orderedGroups, tupleGroup[i])
-		} else {
-			tupleGroup[i] = tupleGroup[first]
-		}
-		g := tupleGroup[i]
 		w := t.Row[wIdx]
-		if !w.IsNumeric() || w.AsFloat() <= 0 {
+		if !w.IsNumeric() || !(w.AsFloat() > 0) || math.IsInf(w.AsFloat(), 1) {
 			return nil, fmt.Errorf("urel: repair-key weight %v is not a positive number", w)
 		}
+		gh := t.Row.HashAt(keyIdx)
+		first, head := groups.locate(gh, r.tuples, t.Row, keyIdx)
+		g := int32(len(size))
+		if first < 0 {
+			groups.add(gh, head, i)
+			size = append(size, 0)
+		} else {
+			g = tupleGroup[first]
+		}
+		tupleGroup[i] = g
 		ah := rel.HashCombine(gh, t.Row.HashAt(resIdx))
 		first, head = alts.locate(ah, r.tuples, t.Row, altIdx)
 		if first < 0 {
 			alts.add(ah, head, i)
-			tupleAlt[i] = len(g.alts)
-			g.alts = append(g.alts, alt{weight: w.AsFloat(), name: displayKey(t.Row, resIdx)})
-		} else {
-			tupleAlt[i] = tupleAlt[first]
-			if g.alts[tupleAlt[i]].weight != w.AsFloat() {
-				return nil, fmt.Errorf("urel: repair-key group %s has conflicting weights for one alternative", g.display)
-			}
-		}
-	}
-	for _, g := range orderedGroups {
-		g.total = 0
-		for _, a := range g.alts {
-			g.total += a.weight
+			tupleAlt[i] = size[g]
+			size[g]++
+		} else if tupleAlt[i] = tupleAlt[first]; r.tuples[first].Row[wIdx].AsFloat() != w.AsFloat() {
+			return nil, fmt.Errorf("urel: repair-key group %s has conflicting weights for one alternative", displayKey(t.Row, keyIdx))
 		}
 	}
 
-	// Register one fresh variable per group.
-	for _, g := range orderedGroups {
-		probs := make([]float64, len(g.alts))
-		names := make([]string, len(g.alts))
-		for i, a := range g.alts {
-			probs[i] = a.weight / g.total
-			names[i] = a.name
-		}
-		name := prefix
-		if g.display != "" {
-			name = prefix + "[" + g.display + "]"
-		}
-		g.v = table.Add(name, probs, names)
+	// Group g's alternatives take slots start[g]..start[g+1]-1 of probs,
+	// in first-appearance order; slot[k] is the first input tuple of slot
+	// k's alternative. Each weight is divided by its group's total, summed
+	// in slot order.
+	nG, nA := len(size), len(alts.first)
+	idx := make([]int32, nG+1+nA)
+	start, slot := idx[:nG+1], idx[nG+1:]
+	for g, k := range size {
+		start[g+1] = start[g] + k
 	}
+	probs := make([]float64, nA)
+	for _, i := range alts.first {
+		k := start[tupleGroup[i]] + tupleAlt[i]
+		slot[k], probs[k] = i, r.tuples[i].Row[wIdx].AsFloat()
+	}
+	ids := make([]uint64, nG)
+	for g := range ids {
+		p := probs[start[g]:start[g+1]]
+		total := 0.0
+		for _, w := range p {
+			total += w
+		}
+		if math.IsInf(total, 1) {
+			return nil, fmt.Errorf("urel: repair-key group %s has weights summing past the float range", displayKey(r.tuples[groups.first[g]].Row, keyIdx))
+		}
+		for k := range p {
+			p[k] /= total
+		}
+		ids[g] = rkID(prefix, r.tuples[groups.first[g]].Row.HashAt(keyIdx))
+	}
+	v0 := table.Register(ids, probs, start, rkNames(prefix, r, keyIdx, resIdx, start, slot))
 
 	// Each input pair gains a binding of its group's fresh variable, so
 	// distinct input pairs stay distinct: one output pair per input pair.
@@ -780,14 +772,13 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	// weights were rejected above) — so D determines the row, and two
 	// pairs with one D would be one pair.
 	out := NewRelation(r.schema)
-	out.reserve(len(r.tuples))
+	out.reserve(n)
 	out.dkey = true
 	for i, t := range r.tuples {
-		g := tupleGroup[i]
-		d := t.D.With(g.v, int32(tupleAlt[i]))
+		d := t.D.With(v0+vars.Var(tupleGroup[i]), tupleAlt[i])
 		out.appendUnique(utHash(d, t.Row), d, t.Row)
 	}
-	x.record("repairkey", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
+	x.record("repairkey", int64(n), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out, nil
 }

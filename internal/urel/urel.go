@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dnf"
@@ -326,11 +327,43 @@ func RepairKey(r *Relation, key []string, weight string, table *vars.Table, pref
 	return seqExec.RepairKey(r, key, weight, table, prefix)
 }
 
+// rkID is the identity of the repair-key variable registered under prefix
+// for the group whose key columns hash to keyHash (rel.Tuple.HashAt, the
+// typed equality the group index uses).
+func rkID(prefix string, keyHash uint64) uint64 {
+	return rel.HashCombine(rel.HashString(rel.HashSeed, prefix), keyHash)
+}
+
+// rkNames renders one repair-key's variables from its input: group g is
+// prefix[key values] (the bare prefix when they render empty), its
+// alternative a the residual values, each read off the first input tuple
+// carrying it (slot[start[g]+a]). A spilled input renders prefix#g and
+// the alternative's index.
+func rkNames(prefix string, r *Relation, keyIdx, resIdx []int, start, slot []int32) *vars.Names {
+	return &vars.Names{
+		Var: func(g int) string {
+			if r.spilled {
+				return prefix + "#" + strconv.Itoa(g)
+			}
+			if d := displayKey(r.tuples[slot[start[g]]].Row, keyIdx); d != "" {
+				return prefix + "[" + d + "]"
+			}
+			return prefix
+		},
+		Alt: func(g, a int) string {
+			if r.spilled {
+				return strconv.Itoa(a)
+			}
+			return displayKey(r.tuples[slot[int(start[g])+a]].Row, resIdx)
+		},
+	}
+}
+
 // displayKey renders the values of row at idx for a repair-key variable's
 // name, prefix[displayKey], or an alternative's: comma-separated, each
-// value's ',', '[', ']' and '\' escaped with a backslash, so two key
-// tuples of one repair-key never render alike through their separators.
-// Values without those characters render as themselves.
+// value's ',', '[', ']' and '\' escaped with a backslash. Values without
+// those characters render as themselves. Names are display only: values
+// of different types may render alike, identities never collide.
 func displayKey(row rel.Tuple, idx []int) string {
 	parts := make([]string, len(idx))
 	for i, j := range idx {

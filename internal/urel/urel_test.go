@@ -178,14 +178,14 @@ func TestRepairKeyGrouped(t *testing.T) {
 	}
 	// The fair group's variable has two alternatives at 0.5 each; the
 	// 2headed group's variable is deterministic.
-	fairVar, ok := tab.Lookup("f[fair]")
+	fairVar, ok := lookupVar(tab, "f[fair]")
 	if !ok {
 		t.Fatal("missing variable f[fair]")
 	}
 	if tab.DomSize(fairVar) != 2 || math.Abs(tab.Prob(fairVar, 0)-0.5) > 1e-12 {
 		t.Error("fair group distribution wrong")
 	}
-	hVar, ok := tab.Lookup("f[2headed]")
+	hVar, ok := lookupVar(tab, "f[2headed]")
 	if !ok {
 		t.Fatal("missing variable f[2headed]")
 	}
@@ -213,6 +213,18 @@ func TestRepairKeyValidation(t *testing.T) {
 	)
 	if _, err := RepairKey(str, nil, "W", tab, "z"); err == nil {
 		t.Error("non-numeric weight must be rejected")
+	}
+	// An infinite weight, or finite ones whose group total overflows,
+	// would divide into NaN or zero probabilities.
+	inf := completeRel(rel.NewSchema("A", "W"), rel.Tuple{rel.String("a"), rel.Float(math.Inf(1))})
+	huge := completeRel(rel.NewSchema("A", "W"),
+		rel.Tuple{rel.String("a"), rel.Float(math.MaxFloat64)},
+		rel.Tuple{rel.String("b"), rel.Float(math.MaxFloat64)},
+	)
+	for name, r := range map[string]*Relation{"infinite": inf, "overflowing": huge} {
+		if _, err := RepairKey(r, nil, "W", tab, "i"); err == nil {
+			t.Errorf("%s weights must be rejected", name)
+		}
 	}
 	r := completeRel(rel.NewSchema("A", "W"), rel.Tuple{rel.String("a"), rel.Int(1)})
 	if _, err := RepairKey(r, []string{"missing"}, "W", tab, "k"); err == nil {
@@ -336,4 +348,14 @@ func TestDedupAddUTuple(t *testing.T) {
 	if !r.Add(nil, rel.Tuple{rel.Int(1)}) {
 		t.Error("same tuple under different D is a distinct U-tuple")
 	}
+}
+
+// lookupVar finds the variable whose rendered name is name.
+func lookupVar(tab *vars.Table, name string) (vars.Var, bool) {
+	for v := vars.Var(0); int(v) < tab.Len(); v++ {
+		if tab.Name(v) == name {
+			return v, true
+		}
+	}
+	return 0, false
 }

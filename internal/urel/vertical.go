@@ -35,16 +35,27 @@ type VerticalDecomposition struct {
 // BuildAttributeUncertainty constructs the vertical decomposition of a
 // relation with independently uncertain attributes. rows[i][j] lists the
 // alternatives of attribute schema[j] in row i. One fresh random variable
-// per (row, uncertain attribute) is registered in tab; attributes with a
-// single alternative stay deterministic (empty D).
+// per (row, uncertain attribute) is registered in tab, in one
+// registration whose identities mix prefix, row and column; its names,
+// prefix[row.attr] with the values as alternatives, render from rows,
+// which must stay unchanged. Attributes with a single alternative stay
+// deterministic (empty D).
 func BuildAttributeUncertainty(tab *vars.Table, schema rel.Schema, rows [][]AttrAlternatives, tid, prefix string) (*VerticalDecomposition, error) {
 	if schema.Has(tid) {
 		return nil, fmt.Errorf("urel: TID attribute %q collides with schema %v", tid, schema)
 	}
+	schema = schema.Clone()
 	parts := make([]*Relation, len(schema))
 	for j, attr := range schema {
 		parts[j] = NewRelation(rel.NewSchema(tid, attr))
 	}
+	var (
+		ids   []uint64
+		probs []float64
+		start = []int32{0}
+		cells [][2]int // row and column of each variable
+	)
+	first := vars.Var(tab.Len())
 	for i, row := range rows {
 		if len(row) != len(schema) {
 			return nil, fmt.Errorf("urel: row %d has %d attribute specs for schema %v", i, len(row), schema)
@@ -58,17 +69,21 @@ func BuildAttributeUncertainty(tab *vars.Table, schema rel.Schema, rows [][]Attr
 				parts[j].Add(nil, rel.Tuple{id, alts.Values[0]})
 				continue
 			}
-			names := make([]string, len(alts.Values))
-			for a, v := range alts.Values {
-				names[a] = v.String()
-			}
-			v := tab.Add(fmt.Sprintf("%s[%d.%s]", prefix, i, schema[j]), alts.Probs, names)
+			v := first + vars.Var(len(ids))
+			ids = append(ids, vars.RowID(prefix, i, j))
+			probs = append(probs, alts.Probs...)
+			start = append(start, int32(len(probs)))
+			cells = append(cells, [2]int{i, j})
 			for a, val := range alts.Values {
 				parts[j].Add(vars.MustAssignment(vars.Binding{Var: v, Alt: int32(a)}), rel.Tuple{id, val})
 			}
 		}
 	}
-	return &VerticalDecomposition{Schema: schema.Clone(), TID: tid, Parts: parts}, nil
+	tab.Register(ids, probs, start, &vars.Names{
+		Var: func(k int) string { return fmt.Sprintf("%s[%d.%s]", prefix, cells[k][0], schema[cells[k][1]]) },
+		Alt: func(k, a int) string { return rows[cells[k][0]][cells[k][1]].Values[a].String() },
+	})
+	return &VerticalDecomposition{Schema: schema, TID: tid, Parts: parts}, nil
 }
 
 // Size returns the total number of U-tuples across the parts — the

@@ -23,76 +23,126 @@ import (
 // Var identifies a random variable in a Table.
 type Var int32
 
-// Info describes one random variable: a display name and the probability
-// of each domain alternative. Alternatives are indexed 0..len(Probs)-1;
-// alternative display names are optional.
+// Info describes one random variable: its identity, unique within its
+// table, and the probability of each domain alternative, indexed
+// 0..len(Probs)-1. The registration that added it renders its name on
+// demand (Table.Name).
 type Info struct {
-	Name     string
-	Probs    []float64
-	AltNames []string
+	ID    uint64
+	Probs []float64
+	names *Names // nil renders from ID
+	at    int32  // the variable's index in its registration
+}
+
+// Names renders the display names of one registration's variables by
+// their index in it: Var names variable i, Alt (nil: the index) its
+// alternative alt. Only display — Table.String, Assignment.Format — asks;
+// identity, order and the cluster wire use Info.ID.
+type Names struct {
+	Var func(i int) string
+	Alt func(i, alt int) string
 }
 
 // Table is the W relation: the registry of independent random variables.
 // The zero value is an empty table ready for use.
 type Table struct {
-	infos  []Info
-	byName map[string]Var // names of infos[:named]; Add and Lookup index on
-	named  int            // demand, so Append and Clone write no map entries
+	infos   []Info
+	clashes int
 }
 
 // NewTable returns an empty variable table.
 func NewTable() *Table { return &Table{} }
 
-// index names the variables registered since it last ran.
-func (t *Table) index() {
-	if t.byName == nil {
-		t.byName = make(map[string]Var, len(t.infos))
-	}
-	for ; t.named < len(t.infos); t.named++ {
-		t.byName[t.infos[t.named].Name] = Var(t.named)
-	}
-}
-
-// Add registers a new variable with the given alternative probabilities.
-// Probabilities must be positive and sum to 1 (within a small tolerance,
-// after which they are renormalized exactly). Add panics on invalid input
-// or duplicate names: variable creation is driven by repair-key, which
-// validates weights first, so failures here are programming errors.
+// Add registers one variable with the given display name, alternative
+// probabilities (copied) and optional alternative names; its identity is
+// a hash of the name.
 func (t *Table) Add(name string, probs []float64, altNames []string) Var {
-	t.index()
-	if _, dup := t.byName[name]; dup {
-		panic(fmt.Sprintf("vars: duplicate variable %q", name))
-	}
-	if len(probs) == 0 {
-		panic(fmt.Sprintf("vars: variable %q has empty domain", name))
-	}
-	sum := 0.0
-	for _, p := range probs {
-		if p <= 0 {
-			panic(fmt.Sprintf("vars: variable %q has non-positive alternative probability %v", name, p))
-		}
-		sum += p
-	}
-	if sum < 1-1e-9 || sum > 1+1e-9 {
-		panic(fmt.Sprintf("vars: variable %q probabilities sum to %v, want 1", name, sum))
-	}
-	norm := make([]float64, len(probs))
-	for i, p := range probs {
-		norm[i] = p / sum
-	}
 	if altNames != nil && len(altNames) != len(probs) {
 		panic(fmt.Sprintf("vars: variable %q has %d alt names for %d alternatives", name, len(altNames), len(probs)))
 	}
-	v := Var(len(t.infos))
-	t.infos = append(t.infos, Info{Name: name, Probs: norm, AltNames: altNames})
-	t.index()
-	return v
+	names := &Names{Var: func(int) string { return name }}
+	if altNames != nil {
+		names.Alt = func(_, alt int) string { return altNames[alt] }
+	}
+	return t.Register([]uint64{rel.HashString(rel.HashSeed, name)}, slices.Clone(probs), []int32{0, int32(len(probs))}, names)
 }
 
+// RowID is the identity of the variable that row of relation (or
+// registration) name introduces, mixed with the column for an
+// attribute-level variable.
+func RowID(name string, row int, col ...int) uint64 {
+	h := rel.HashCombine(rel.HashString(rel.HashSeed, name), uint64(row))
+	for _, c := range col {
+		h = rel.HashCombine(h, uint64(c))
+	}
+	return h
+}
+
+// Register adds the variables of one registration and returns the first:
+// variable i has identity ids[i] and the alternative probabilities
+// probs[start[i]:start[i+1]], and names renders it under index i.
+// Probabilities must be positive and sum to 1 within a small tolerance;
+// Register renormalizes them in place and keeps probs. It panics on
+// invalid input: callers validate weights first, so failures here are
+// programming errors. An identity the table already holds is a clash: it
+// never panics and never aliases two variables (see unique). Register
+// sorts ids.
+func (t *Table) Register(ids []uint64, probs []float64, start []int32, names *Names) Var {
+	n := len(t.infos)
+	t.infos = slices.Grow(t.infos, len(ids))
+	for i, id := range ids {
+		p := probs[start[i]:start[i+1]:start[i+1]]
+		sum, ok := 0.0, len(p) > 0
+		for _, x := range p {
+			sum += x
+			ok = ok && x > 0
+		}
+		if !ok || sum < 1-1e-9 || sum > 1+1e-9 {
+			panic(fmt.Sprintf("vars: variable %d has probabilities %v, want positive ones summing to 1", n+i, p))
+		}
+		for j := range p {
+			p[j] /= sum
+		}
+		t.infos = append(t.infos, Info{ID: id, Probs: p, names: names, at: int32(i)})
+	}
+	t.unique(n, ids)
+	return Var(n)
+}
+
+// unique makes the identities of infos[n:], which ids lists, distinct
+// from each other and from those of infos[:n]. The common case sorts ids
+// and binary-searches it once per older variable; only a clash builds a
+// set and remixes each taken identity with its variable's index until it
+// is fresh, counting each remix.
+func (t *Table) unique(n int, ids []uint64) {
+	slices.Sort(ids)
+	clash := false
+	for i := 1; i < len(ids) && !clash; i++ {
+		clash = ids[i] == ids[i-1]
+	}
+	for j := 0; j < n && !clash && len(ids) > 0; j++ {
+		_, clash = slices.BinarySearch(ids, t.infos[j].ID)
+	}
+	if !clash {
+		return
+	}
+	seen := make(map[uint64]bool, len(t.infos))
+	for i := range t.infos {
+		for i >= n && seen[t.infos[i].ID] {
+			t.infos[i].ID = rel.HashCombine(t.infos[i].ID, uint64(i))
+			t.clashes++
+		}
+		seen[t.infos[i].ID] = true
+	}
+}
+
+// Clashes returns how many identities registrations found taken.
+func (t *Table) Clashes() int { return t.clashes }
+
 // RestoreTable rebuilds a table from variable descriptors received over a
-// trusted channel (the cluster wire protocol). Unlike Add it performs no
-// validation and — critically — no renormalization: the probabilities are
-// installed bit-for-bit as shipped, so a shard-side estimator consumes
+// trusted channel (the cluster wire protocol). Unlike Register it performs
+// no validation and — critically — no renormalization: the probabilities
+// are installed bit-for-bit as shipped, so a shard-side estimator consumes
 // exactly the same float64 stream as the coordinator's and chunk counts
 // stay bit-identical across the network. The infos slice is retained.
 func RestoreTable(infos []Info) *Table { return &Table{infos: infos} }
@@ -104,13 +154,20 @@ func (t *Table) Len() int { return len(t.infos) }
 func (t *Table) Since(n int) []Info { return slices.Clone(t.infos[n:]) }
 
 // Append registers variables Since returned, verbatim: their probability
-// bits stay, and at the table length they left, their ids too.
+// bits stay, and at the table length they left, their ids too. Their
+// identities stay unless one clashes with a variable already here.
 func (t *Table) Append(infos []Info) {
-	if len(t.infos) > 0 {
-		t.infos = append(t.infos, infos...)
-	} else {
-		t.infos = slices.Clip(infos) // shared: a later Add copies first
+	n := len(t.infos)
+	if n == 0 {
+		t.infos = slices.Clip(infos) // shared: a later Register copies first
+		return
 	}
+	t.infos = append(t.infos, infos...)
+	ids := make([]uint64, len(infos))
+	for i, in := range infos {
+		ids[i] = in.ID
+	}
+	t.unique(n, ids)
 }
 
 // Info returns the descriptor of variable v.
@@ -122,36 +179,30 @@ func (t *Table) Prob(v Var, alt int) float64 { return t.infos[v].Probs[alt] }
 // DomSize returns |Dom_v|.
 func (t *Table) DomSize(v Var) int { return len(t.infos[v].Probs) }
 
-// Lookup finds a variable by name.
-func (t *Table) Lookup(name string) (Var, bool) {
-	t.index()
-	v, ok := t.byName[name]
-	return v, ok
+// Name renders the display name of v; a variable restored without its
+// registration renders as '#' and its identity in hex.
+func (t *Table) Name(v Var) string {
+	if in := t.infos[v]; in.names != nil {
+		return in.names.Var(int(in.at))
+	}
+	return "#" + strconv.FormatUint(t.infos[v].ID, 16)
 }
 
-// AltName returns the display name of alternative alt of v.
+// AltName renders the display name of alternative alt of v.
 func (t *Table) AltName(v Var, alt int) string {
-	in := t.infos[v]
-	if in.AltNames != nil {
-		return in.AltNames[alt]
+	if in := t.infos[v]; in.names != nil && in.names.Alt != nil {
+		return in.names.Alt(int(in.at), alt)
 	}
 	return strconv.Itoa(alt)
 }
 
-// Clone returns a deep copy of the table. U-relational query evaluation
-// clones the table before repair-key introduces new variables, so the
-// input database is never mutated.
+// Clone returns a table whose later registrations leave t untouched.
+// U-relational query evaluation clones the table before repair-key
+// introduces new variables, so the input database is never mutated. The
+// descriptors are shared: probabilities are never written after Register,
+// and the clipped slice makes the clone's first Register copy it.
 func (t *Table) Clone() *Table {
-	out := NewTable()
-	for _, in := range t.infos {
-		probs := append([]float64(nil), in.Probs...)
-		var alts []string
-		if in.AltNames != nil {
-			alts = append([]string(nil), in.AltNames...)
-		}
-		out.infos = append(out.infos, Info{Name: in.Name, Probs: probs, AltNames: alts})
-	}
-	return out
+	return &Table{infos: slices.Clip(t.infos), clashes: t.clashes}
 }
 
 // WorldCount returns the number of total assignments Π|Dom_X|, or -1 on
@@ -174,7 +225,7 @@ func (t *Table) String() string {
 	b.WriteString("Var\tDom\tP\n")
 	for i, in := range t.infos {
 		for a, p := range in.Probs {
-			fmt.Fprintf(&b, "%s\t%s\t%g\n", in.Name, t.AltName(Var(i), a), p)
+			fmt.Fprintf(&b, "%s\t%s\t%g\n", t.Name(Var(i)), t.AltName(Var(i), a), p)
 		}
 	}
 	return b.String()
@@ -384,7 +435,7 @@ func (a Assignment) Format(t *Table) string {
 	parts := make([]string, len(a))
 	for i, b := range a {
 		if t != nil {
-			parts[i] = fmt.Sprintf("%s=%s", t.Info(b.Var).Name, t.AltName(b.Var, int(b.Alt)))
+			parts[i] = fmt.Sprintf("%s=%s", t.Name(b.Var), t.AltName(b.Var, int(b.Alt)))
 		} else {
 			parts[i] = fmt.Sprintf("v%d=%d", b.Var, b.Alt)
 		}

@@ -3,7 +3,11 @@ package vars
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
+
+	"repro/internal/rel"
 )
 
 func mustAdd(t *testing.T, tab *Table, name string, probs ...float64) Var {
@@ -18,8 +22,11 @@ func TestTableAddAndLookup(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	if got, ok := tab.Lookup("x"); !ok || got != x {
-		t.Error("Lookup x failed")
+	if got := tab.Name(x); got != "x" {
+		t.Errorf("Name(x) = %q", got)
+	}
+	if a, b := tab.Info(x).ID, tab.Info(y).ID; a == b {
+		t.Errorf("x and y share identity %x", a)
 	}
 	if tab.DomSize(y) != 3 {
 		t.Error("DomSize wrong")
@@ -34,10 +41,6 @@ func TestTableAddAndLookup(t *testing.T) {
 
 func TestTableAddValidation(t *testing.T) {
 	for name, fn := range map[string]func(*Table){
-		"duplicate": func(tab *Table) {
-			tab.Add("x", []float64{1}, nil)
-			tab.Add("x", []float64{1}, nil)
-		},
 		"empty":       func(tab *Table) { tab.Add("x", nil, nil) },
 		"zero prob":   func(tab *Table) { tab.Add("x", []float64{0, 1}, nil) },
 		"neg prob":    func(tab *Table) { tab.Add("x", []float64{-0.5, 1.5}, nil) },
@@ -243,8 +246,8 @@ func TestCloneIndependence(t *testing.T) {
 	if tab.Len() != 1 || cl.Len() != 2 {
 		t.Error("clone not independent")
 	}
-	if _, ok := tab.Lookup("y"); ok {
-		t.Error("clone name map leaked into original")
+	if tab.Name(0) != "x" || cl.Name(1) != "y" {
+		t.Errorf("names %q, %q; want x, y", tab.Name(0), cl.Name(1))
 	}
 }
 
@@ -274,5 +277,72 @@ func TestUnionWeightProduct(t *testing.T) {
 		if math.Abs(u.Weight(tab)-a.Weight(tab)*b.Weight(tab)) > 1e-12 {
 			t.Fatal("union weight != product for disjoint assignments")
 		}
+	}
+}
+
+// TestRegisterClash forces identities to clash — within one registration
+// and against an older variable — and checks that none panics, none
+// aliases, every clash is counted, and the first holder keeps its
+// identity.
+func TestRegisterClash(t *testing.T) {
+	tab := NewTable()
+	x := tab.Add("x", []float64{0.5, 0.5}, nil)
+	again := tab.Add("x", []float64{0.25, 0.75}, []string{"a", "b"})
+	idX := rel.HashString(rel.HashSeed, "x")
+	first := tab.Register([]uint64{idX, 7, 7}, []float64{1, 0.5, 0.5, 0.2, 0.8}, []int32{0, 1, 3, 5}, nil)
+	if tab.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", tab.Len())
+	}
+	distinctIDs(t, tab)
+	if tab.Info(x).ID != idX || tab.Info(first+1).ID != 7 {
+		t.Errorf("the first holders lost their identities: %x, %x", tab.Info(x).ID, tab.Info(first+1).ID)
+	}
+	if tab.Clashes() != 3 {
+		t.Errorf("Clashes = %d, want 3", tab.Clashes())
+	}
+	if tab.Name(again) != "x" || tab.AltName(again, 1) != "b" || tab.Prob(again, 1) != 0.75 || tab.Prob(first+2, 1) != 0.8 {
+		t.Error("a disambiguated variable lost its name or probabilities")
+	}
+	if got := tab.Name(first); got != "#"+strconv.FormatUint(tab.Info(first).ID, 16) {
+		t.Errorf("unnamed variable renders as %q", got)
+	}
+
+	// Appending descriptors whose identity is taken disambiguates the
+	// copy, never the source.
+	cl := NewTable()
+	cl.Add("x", []float64{1}, nil)
+	src := tab.Since(0)
+	cl.Append(src)
+	distinctIDs(t, cl)
+	if src[0].ID != idX || cl.Clashes() == 0 {
+		t.Errorf("Append: source ID %x, clashes %d", src[0].ID, cl.Clashes())
+	}
+}
+
+func distinctIDs(t *testing.T, tab *Table) {
+	t.Helper()
+	seen := map[uint64]Var{}
+	for v := Var(0); int(v) < tab.Len(); v++ {
+		id := tab.Info(v).ID
+		if o, dup := seen[id]; dup {
+			t.Errorf("variables %d and %d alias identity %x", o, v, id)
+		}
+		seen[id] = v
+	}
+}
+
+// TestCloneSharesInfos: a clone shares its descriptors with the original
+// until it registers, and its registrations never write the original's.
+func TestCloneSharesInfos(t *testing.T) {
+	tab := NewTable()
+	tab.Add("x", []float64{0.5, 0.5}, nil)
+	before := tab.Since(0)
+	cl := tab.Clone()
+	if &cl.infos[0] != &tab.infos[0] {
+		t.Error("Clone copied the descriptors")
+	}
+	cl.Add("x", []float64{0.5, 0.5}, nil)
+	if tab.Len() != 1 || tab.Clashes() != 0 || !reflect.DeepEqual(tab.Since(0), before) {
+		t.Error("a clone's registration changed the original")
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/dnf"
 	"repro/internal/rel"
@@ -15,12 +16,29 @@ import (
 func TupleIndependent(name string, probs []float64) *urel.Database {
 	db := urel.NewDatabase()
 	r := urel.NewRelation(rel.NewSchema("ID"))
-	for i, p := range probs {
-		v := db.Vars.Add(fmt.Sprintf("%s_t%d", name, i), []float64{p, 1 - p}, []string{"in", "out"})
-		r.Add(vars.MustAssignment(vars.Binding{Var: v, Alt: 0}), rel.Tuple{rel.Int(int64(i))})
+	for i := range probs {
+		r.Add(vars.MustAssignment(vars.Binding{Var: vars.Var(i), Alt: 0}), rel.Tuple{rel.Int(int64(i))})
 	}
+	registerBinary(db.Vars, len(probs), func(i int) float64 { return probs[i] },
+		func(i int) uint64 { return vars.RowID(name, i) },
+		func(i int) string { return name + "_t" + strconv.Itoa(i) }, "in", "out")
 	db.AddURelation(name, r, false)
 	return db
+}
+
+// registerBinary registers n two-alternative variables in tab in one
+// registration: variable i has Pr[alt 0] = p(i), identity id(i) and
+// display name name(i); alts, if given, name the two alternatives.
+func registerBinary(tab *vars.Table, n int, p func(i int) float64, id func(i int) uint64, name func(i int) string, alts ...string) {
+	ids, probs, start := make([]uint64, n), make([]float64, 2*n), make([]int32, n+1)
+	for i := range ids {
+		ids[i], probs[2*i], probs[2*i+1], start[i+1] = id(i), p(i), 1-p(i), int32(2*i+2)
+	}
+	names := &vars.Names{Var: name}
+	if alts != nil {
+		names.Alt = func(_, alt int) string { return alts[alt] }
+	}
+	tab.Register(ids, probs, start, names)
 }
 
 // UniformProbs returns n probabilities drawn uniformly from [lo, hi].
@@ -38,10 +56,14 @@ func UniformProbs(rng *rand.Rand, n int, lo, hi float64) []float64 {
 // clauses are re-drawn, so the result has exactly nClauses clauses.
 func RandomDNF(rng *rand.Rand, tab *vars.Table, nVars, nClauses, maxLits int) dnf.F {
 	base := tab.Len()
-	for i := 0; i < nVars; i++ {
-		p := 0.2 + 0.6*rng.Float64()
-		tab.Add(fmt.Sprintf("d%d_%d", base, i), []float64{p, 1 - p}, nil)
+	ps := make([]float64, nVars)
+	for i := range ps {
+		ps[i] = 0.2 + 0.6*rng.Float64()
 	}
+	prefix := "d" + strconv.Itoa(base) + "_"
+	registerBinary(tab, nVars, func(i int) float64 { return ps[i] },
+		func(i int) uint64 { return vars.RowID(prefix, i) },
+		func(i int) string { return prefix + strconv.Itoa(i) })
 	f := make(dnf.F, 0, nClauses)
 	seen := map[string]bool{}
 	for len(f) < nClauses {
@@ -174,18 +196,21 @@ func DirtyCustomers(rng *rand.Rand, clusters, altsPerCluster int) *urel.Database
 func SensorReadings(rng *rand.Rand, sensors, epochs int) *urel.Database {
 	db := urel.NewDatabase()
 	r := urel.NewRelation(rel.NewSchema("Sensor", "Epoch", "Value"))
+	ps := make([]float64, 0, sensors*epochs)
 	for s := 0; s < sensors; s++ {
 		reliability := 0.3 + 0.65*rng.Float64()
 		for e := 0; e < epochs; e++ {
-			p := reliability * (0.8 + 0.2*rng.Float64())
-			v := db.Vars.Add(fmt.Sprintf("s%d_e%d", s, e), []float64{p, 1 - p}, []string{"ok", "drop"})
-			r.Add(vars.MustAssignment(vars.Binding{Var: v, Alt: 0}), rel.Tuple{
+			ps = append(ps, reliability*(0.8+0.2*rng.Float64()))
+			r.Add(vars.MustAssignment(vars.Binding{Var: vars.Var(s*epochs + e), Alt: 0}), rel.Tuple{
 				rel.Int(int64(s)),
 				rel.Int(int64(e)),
 				rel.Float(20 + 5*rng.NormFloat64()),
 			})
 		}
 	}
+	registerBinary(db.Vars, len(ps), func(i int) float64 { return ps[i] },
+		func(i int) uint64 { return vars.RowID("Readings", i/epochs, i%epochs) },
+		func(i int) string { return "s" + strconv.Itoa(i/epochs) + "_e" + strconv.Itoa(i%epochs) }, "ok", "drop")
 	db.AddURelation("Readings", r, false)
 	return db
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 
 	"repro/internal/parser"
 	"repro/internal/rel"
@@ -145,6 +146,15 @@ func (b *Builder) Independent(name string, columns []string, rows [][]any, probs
 		return b.fail(fmt.Errorf("pdb: relation %q has %d rows but %d probabilities", name, len(rows), len(probs)))
 	}
 	r := urel.NewRelation(rel.NewSchema(columns...))
+	// One registration: uncertain row i gets identity RowID(name, i), and
+	// renders as name_t<i> with alternatives in and out.
+	var (
+		ids   []uint64
+		ps    []float64
+		start = []int32{0}
+		at    []int
+	)
+	first := vars.Var(b.udb.Vars.Len())
 	for i, row := range rows {
 		t, err := toTuple(name, columns, row)
 		if err != nil {
@@ -158,9 +168,16 @@ func (b *Builder) Independent(name string, columns []string, rows [][]any, probs
 			r.Add(nil, t)
 			continue
 		}
-		v := b.udb.Vars.Add(fmt.Sprintf("%s_t%d", name, i), []float64{p, 1 - p}, []string{"in", "out"})
-		r.Add(vars.MustAssignment(vars.Binding{Var: v, Alt: 0}), t)
+		r.Add(vars.MustAssignment(vars.Binding{Var: first + vars.Var(len(ids)), Alt: 0}), t)
+		ids = append(ids, vars.RowID(name, i))
+		ps = append(ps, p, 1-p)
+		start = append(start, int32(len(ps)))
+		at = append(at, i)
 	}
+	b.udb.Vars.Register(ids, ps, start, &vars.Names{
+		Var: func(k int) string { return name + "_t" + strconv.Itoa(at[k]) },
+		Alt: func(_, alt int) string { return [...]string{"in", "out"}[alt] },
+	})
 	b.udb.AddURelation(name, r, false)
 	return b
 }

@@ -448,3 +448,44 @@ func TestRepairKeyNamesInjective(t *testing.T) {
 		t.Errorf("%d groups, want 7", n)
 	}
 }
+
+// TestRepairKeyTypedKeysDistinct: repair-key keys whose values render alike
+// but differ in type are two groups, hence two variables — the string "1"
+// and the integer 1 from a builder, an empty CSV cell (NULL) and the text
+// NULL from CSV. Each group has one alternative, so each row is certain.
+// Registering the second name once panicked with a duplicate variable.
+func TestRepairKeyTypedKeysDistinct(t *testing.T) {
+	builder, err := NewBuilder().Table("T", []string{"A", "W"}, []any{"1", 1.0}, []any{1, 1.0}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := NewBuilder().CSV("T", strings.NewReader("A,W\n,1\nNULL,1\n")).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		db   *DB
+	}{{"builder", builder}, {"csv", csv}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := tc.db.Prepare(`conf(repairkey[A @ W](T))`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := q.EvalExact(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for row := range res.Rows() {
+				if p := row.Float("P"); p != 1 {
+					t.Errorf("%v: P = %v, want 1", row.Value("A"), p)
+				}
+				n++
+			}
+			if n != 2 {
+				t.Errorf("%d rows, want 2", n)
+			}
+		})
+	}
+}
