@@ -349,11 +349,12 @@ func relPairs(r *urel.Relation) string {
 }
 
 // TestFusedProjectJoinMatchesTwoOperators: π over ⋈ in one pass equals
-// Join then Project pair for pair — tuples, order, footprint, the stored
-// hashes (a union of the two must merge every pair) and the join and
+// Join then Project pair for pair — tuples, order, footprint, the pairs'
+// identity (a union of the two must merge every pair) and the join and
 // project statistics — at workers 1 and 4, over random plans joined with
-// uncertain and complete relations, and over one input of several
-// partition ranges.
+// uncertain and complete relations, over inputs of several partition
+// ranges, and in the semijoin case (targets read only the left input, the
+// right one is complete), where a small budget must still trip mid-chain.
 func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 	rng := rand.New(rand.NewSource(3939))
 	check := func(name string, l, r *urel.Relation, targets []expr.Target) {
@@ -385,7 +386,7 @@ func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 			}
 		}
 	}
-	oneComplete, empty := 0, 0
+	oneComplete, empty, semijoins := 0, 0, 0
 	for trial := 0; trial < 200; trial++ {
 		db := randDB(rng)
 		db.AddComplete("C", randComplete(rng))
@@ -411,10 +412,16 @@ func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 		if l.IsComplete() || r.IsComplete() {
 			oneComplete++
 		}
+		if semijoin(l, r, targets) {
+			semijoins++
+		}
 		check("trial "+strconv.Itoa(trial), l, r, targets)
 	}
 	if oneComplete < 50 || empty < 20 {
 		t.Fatalf("only %d fused cases had a complete input, %d an empty projection", oneComplete, empty)
+	}
+	if semijoins < 30 {
+		t.Fatalf("only %d fused cases ran as a semijoin", semijoins)
 	}
 	// Several partition ranges on the probe side.
 	big := urel.NewRelation(rel.NewSchema("A", "B"))
@@ -426,6 +433,65 @@ func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 	check("several ranges", big, c, []expr.Target{expr.Keep("B"), expr.Keep("C")})
 	check("several ranges, no columns", big, c, nil)
 	check("several ranges, two uncertain inputs", big, big, nil)
+
+	// Several ranges in the exact-join shape: 9 000 distinct uncertain
+	// pairs, each matching 4 to 6 complete tuples, projected onto left
+	// columns only.
+	left := urel.NewRelation(rel.NewSchema("A", "B"))
+	for i := 0; i < 9000; i++ {
+		left.Add(vars.Assignment{{Var: vars.Var(i % 40), Alt: int32(i / 40 % 2)}}, rel.Tuple{rel.Int(int64(i % 300)), rel.Int(int64(i / 300))})
+	}
+	fan := rel.NewRelation(rel.NewSchema("A", "C"))
+	for a := 0; a < 300; a++ {
+		for k := 0; k < 4+a%3; k++ {
+			fan.Add(rel.Tuple{rel.Int(int64(a)), rel.Int(int64(k))})
+		}
+	}
+	fc := urel.FromComplete(fan)
+	for _, targets := range [][]expr.Target{{expr.Keep("B")}, {expr.Keep("A"), expr.As("X", expr.Add(expr.A("B"), expr.CInt(1)))}, nil} {
+		if !semijoin(left, fc, targets) {
+			t.Fatalf("fan-out case %v is not a semijoin", targets)
+		}
+		check("several ranges, fan-out", left, fc, targets)
+	}
+
+	// A fan-out above a small budget trips inside the chain of one probe
+	// tuple, at the 1 024th match, in the semijoin as in the join that
+	// builds every pair.
+	one := urel.NewRelation(rel.NewSchema("A", "B"))
+	one.Add(vars.Assignment{{Var: 0, Alt: 1}}, rel.Tuple{rel.Int(0), rel.Int(0)})
+	wideFan := rel.NewRelation(rel.NewSchema("A", "C"))
+	for k := 0; k < 5000; k++ {
+		wideFan.Add(rel.Tuple{rel.Int(0), rel.Int(int64(k))})
+	}
+	wf := urel.FromComplete(wideFan)
+	var cells []urel.OpStats
+	for _, targets := range [][]expr.Target{{expr.Keep("B")}, {expr.Keep("C")}} {
+		ctrs, budget := urel.NewCounters(), urel.NewMemBudget(20_000)
+		urel.NewExec(sched.New(1), ctrs).WithBudget(budget).ProjectJoin(one, wf, targets)
+		ops := ctrs.Snapshot()
+		if !budget.Exceeded() || ops["join"].TuplesOut != 1024 || ops["project"].Calls != 0 {
+			t.Fatalf("targets %v (semijoin %v): budget exceeded %v, join %+v, project %+v; want a trip at match 1 024",
+				targets, semijoin(one, wf, targets), budget.Exceeded(), ops["join"], ops["project"])
+		}
+		cells = append(cells, ops["join"])
+	}
+	if cells[0] != cells[1] {
+		t.Fatalf("tripped semijoin records %+v, the join %+v", cells[0], cells[1])
+	}
+}
+
+// semijoin reports whether π_targets(l ⋈ r) takes ProjectJoin's semijoin
+// path: every target reads only l's columns and r is complete.
+func semijoin(l, r *urel.Relation, targets []expr.Target) bool {
+	for _, tg := range targets {
+		for _, a := range tg.Expr.Attrs(nil) {
+			if !l.Schema().Has(a) {
+				return false
+			}
+		}
+	}
+	return r.IsComplete()
 }
 
 // TestBooleanConfOverJoin: conf(project[](L ⋈ R)) — the parser's empty

@@ -8,6 +8,21 @@ import (
 	"repro/internal/vars"
 )
 
+// ConfidenceNoFactoring computes the exact confidence by memoized Shannon
+// expansion on the whole clause set, without the independent-component
+// factoring. It is the ablation baseline for the factoring optimization;
+// results are identical, only cost differs.
+func ConfidenceNoFactoring(f F, t *vars.Table) float64 {
+	f = f.Dedup()
+	if len(f) == 0 {
+		return 0
+	}
+	if len(f[0]) == 0 {
+		return 1
+	}
+	return shannon(f, t, make(map[setKey]float64))
+}
+
 // Factoring changes cost, never results.
 func TestFactoringAblationSameResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

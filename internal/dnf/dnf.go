@@ -191,21 +191,6 @@ func exclusiveOn(f F, x vars.Var) bool {
 	return true
 }
 
-// ConfidenceNoFactoring computes the exact confidence by memoized Shannon
-// expansion on the whole clause set, without the independent-component
-// factoring. It is the ablation baseline for the factoring optimization;
-// results are identical, only cost differs.
-func ConfidenceNoFactoring(f F, t *vars.Table) float64 {
-	f = f.Dedup()
-	if len(f) == 0 {
-		return 0
-	}
-	if len(f[0]) == 0 {
-		return 1
-	}
-	return shannon(f, t, make(map[setKey]float64))
-}
-
 // components partitions the clause set into connected components under the
 // "shares a variable" relation, via union-find over clause indices.
 func components(f F) []F {
@@ -398,42 +383,5 @@ func ConfidenceByEnumeration(f F, t *vars.Table) float64 {
 			}
 		}
 	})
-	return p
-}
-
-// ConfidenceByInclusionExclusion computes the confidence via
-// inclusion–exclusion over clause subsets: Σ_∅≠S⊆F (−1)^{|S|+1} p_{∧S}.
-// Exponential in |F|; used for cross-checks on small clause sets.
-func ConfidenceByInclusionExclusion(f F, t *vars.Table) float64 {
-	f = f.Dedup()
-	n := len(f)
-	if n == 0 {
-		return 0
-	}
-	if n > 24 {
-		panic("dnf: inclusion-exclusion on too many clauses")
-	}
-	p := 0.0
-	for mask := 1; mask < 1<<n; mask++ {
-		inter := vars.Assignment{}
-		ok := true
-		bits := 0
-		for i := 0; i < n && ok; i++ {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			bits++
-			inter, ok = inter.Union(f[i])
-		}
-		if !ok {
-			continue // conflicting conjunction has probability 0
-		}
-		w := inter.Weight(t)
-		if bits%2 == 1 {
-			p += w
-		} else {
-			p -= w
-		}
-	}
 	return p
 }

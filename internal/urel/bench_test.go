@@ -87,6 +87,26 @@ func BenchmarkRepairKey(b *testing.B) {
 	}
 }
 
+// BenchmarkProjectJoinSemi is π∘⋈ in the exact-join shape: 1 000 uncertain
+// pairs, each matching 4 tuples of a complete relation, projected onto the
+// uncertain side's columns — ProjectJoin's semijoin case.
+func BenchmarkProjectJoinSemi(b *testing.B) {
+	l := NewRelation(rel.NewSchema("K", "N"))
+	c := rel.NewRelation(rel.NewSchema("K", "O"))
+	for i := 0; i < 1000; i++ {
+		l.Add(vars.Assignment{{Var: vars.Var(i), Alt: int32(i % 2)}}, rel.Tuple{rel.Int(int64(i % 250)), rel.Int(int64(i))})
+		c.Add(rel.Tuple{rel.Int(int64(i % 250)), rel.Int(int64(i))})
+	}
+	r := FromComplete(c)
+	targets := []expr.Target{expr.Keep("K"), expr.Keep("N")}
+	x := NewExec(nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.ProjectJoin(l, r, targets)
+	}
+}
+
 // largeRelation builds an n-tuple U-relation whose join attribute (the
 // first schema column) takes values in [0, keys), so an equi-join of two
 // such relations has ~n²/keys matching pairs. D columns are single-binding

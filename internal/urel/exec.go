@@ -232,17 +232,16 @@ func (x *Exec) record(op string, tuplesIn, tuplesOut, bytes int64) {
 	c.bytes.Add(bytes)
 }
 
-// Select implements σ_φ: a single pass reusing the input's stored pair
-// hashes. A subset of a set holds no duplicates, so surviving pairs are
-// appended without hashing, cloning or an index; a subset of a D-key
-// relation is D-key.
+// Select implements σ_φ in a single pass. A subset of a set holds no
+// duplicates, so surviving pairs are appended without hashing, cloning or
+// an index; a subset of a D-key relation is D-key.
 func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 	x.Ensure(r)
 	out := NewRelation(r.schema)
 	out.dkey = r.dkey
-	for i, t := range r.tuples {
+	for _, t := range r.tuples {
 		if pred.Holds(expr.Env{Schema: r.schema, Tuple: t.Row}) {
-			out.appendUnique(r.hashes[i], t.D, t.Row)
+			out.appendUnique(t.D, t.Row)
 		}
 	}
 	x.record("select", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
@@ -253,7 +252,8 @@ func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 // Project implements π with expression targets. Output rows are built
 // once and handed to the relation without a defensive clone. Over a D-key
 // input no two output pairs can merge — their D's differ — so the output
-// takes one slot per input pair, without an index, and is D-key itself.
+// takes one slot per input pair, unhashed and without an index, and is
+// D-key itself.
 func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
 	x.Ensure(r)
 	out := NewRelation(targetSchema(targets))
@@ -268,7 +268,7 @@ func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
 			row[i] = tg.Expr.Eval(env)
 		}
 		if r.dkey {
-			out.appendUnique(utHash(t.D, row), t.D, row)
+			out.appendUnique(t.D, row)
 		} else {
 			out.addPair(utHash(t.D, row), t.D, row, false)
 		}
@@ -299,8 +299,8 @@ type pairOut struct {
 // the deterministic merge making partitioned results worker-count
 // independent — keeping the first of equal pairs. Kept pairs are
 // compacted to the front of the buffers' concatenation as they are found,
-// where the dedup probes read them, so the relation's pairs and hashes are
-// sized for the pairs it keeps, not for every buffered pair.
+// where the dedup probes read them, so the relation's pairs are sized for
+// the pairs it keeps, not for every buffered pair.
 func mergeRanges(schema rel.Schema, outs [][]pairOut) *Relation {
 	// starts[rg] is the position of outs[rg][0] in the concatenation.
 	starts := make([]int, len(outs)+1)
@@ -331,7 +331,7 @@ func mergeRanges(schema rel.Schema, outs [][]pairOut) *Relation {
 	r.reserve(kept)
 	for p := 0; p < kept; p++ {
 		o := at(p)
-		r.appendUnique(o.h, o.d, o.row)
+		r.appendUnique(o.d, o.row)
 	}
 	return r
 }
@@ -364,6 +364,11 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 // then Project record whenever no two joined pairs merge, as when one
 // input's D's are all empty (two joined pairs with one row then differ in
 // D). An empty target list projects onto no columns.
+//
+// When the targets read only R's columns and S is complete, it runs as a
+// semijoin: every match of an R pair projects to that pair's D and the
+// targets over its row, so the pair is built at the first match and the
+// rest of the chain is only counted.
 func (x *Exec) ProjectJoin(a, b *Relation, targets []expr.Target) *Relation {
 	return x.join("join", a, b, targets, true)
 }
@@ -396,6 +401,13 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 		bExtraIdx[i] = b.schema.Index(c)
 	}
 
+	semi := project && b.IsComplete()
+	for _, tg := range targets {
+		for _, attr := range tg.Expr.Attrs(nil) {
+			semi = semi && a.schema.Has(attr)
+		}
+	}
+
 	// Build phase: hash S's join columns in parallel, then index them so a
 	// chain visits S in insertion order.
 	bh := make([]uint64, len(b.tuples))
@@ -409,10 +421,11 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	// Probe phase: fixed ranges of R, merged in range order.
 	la := len(a.schema)
 	outs := make([][]pairOut, numRanges(len(a.tuples)))
-	wides := make([]int64, len(outs)) // per range: the joined pairs' footprint
+	// Per range: the joined pairs emitted and their footprint.
+	counts, wides := make([]int64, len(outs)), make([]int64, len(outs))
 	x.forRanges(len(a.tuples), func(rg, lo, hi int) {
 		var buf []pairOut
-		var localBytes int64
+		var n, localBytes int64
 		wide := make(rel.Tuple, len(joined))
 		env := expr.Env{Schema: joined, Tuple: wide}
 		// Cooperative memory limit: probed once per probe tuple AND every
@@ -422,33 +435,38 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
 			ta := a.tuples[i]
 			copy(wide, ta.Row)
+			pb := int64(0) // the last built pair's footprint; a semijoin builds one
 			for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
 				tb := b.tuples[j]
 				if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
 					continue
 				}
-				d, ok := ta.D.Union(tb.D)
-				if !ok {
-					continue
+				if !semi || pb == 0 {
+					d, ok := ta.D.Union(tb.D)
+					if !ok {
+						continue
+					}
+					for k, jj := range bExtraIdx {
+						wide[la+k] = tb.Row[jj]
+					}
+					row := make(rel.Tuple, len(schema))
+					if !project {
+						copy(row, wide)
+					}
+					for c, tg := range targets {
+						row[c] = tg.Expr.Eval(env)
+					}
+					buf = append(buf, pairOut{h: utHash(d, row), d: d, row: row})
+					pb = pairBytes(d, wide)
 				}
-				for k, jj := range bExtraIdx {
-					wide[la+k] = tb.Row[jj]
-				}
-				row := make(rel.Tuple, len(schema))
-				if !project {
-					copy(row, wide)
-				}
-				for c, tg := range targets {
-					row[c] = tg.Expr.Eval(env)
-				}
-				buf = append(buf, pairOut{h: utHash(d, row), d: d, row: row})
-				localBytes += pairBytes(d, wide)
-				if len(buf)&0x3ff == 0 && x.probeStop(localBytes) {
+				n++
+				localBytes += pb
+				if n&0x3ff == 0 && x.probeStop(localBytes) {
 					break
 				}
 			}
 		}
-		outs[rg], wides[rg] = buf, localBytes
+		outs[rg], counts[rg], wides[rg] = buf, n, localBytes
 	})
 	out := mergeRanges(schema, outs)
 	in := int64(len(a.tuples) + len(b.tuples))
@@ -456,8 +474,8 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 		x.record(op, in, int64(out.Len()), out.Bytes())
 	} else {
 		var emitted, wide int64
-		for rg, buf := range outs {
-			emitted, wide = emitted+int64(len(buf)), wide+wides[rg]
+		for rg := range outs {
+			emitted, wide = emitted+counts[rg], wide+wides[rg]
 		}
 		x.record(op, in, emitted, wide)
 		// A join that trips the budget ends the evaluation before its
@@ -470,25 +488,24 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	return out
 }
 
-// Union implements [[R ∪ S]], reusing both inputs' stored hashes.
+// Union implements [[R ∪ S]]: a's pairs, then b's probed into them.
 func (x *Exec) Union(a, b *Relation) (*Relation, error) {
 	if !a.schema.Equal(b.schema) {
 		return nil, fmt.Errorf("urel: union schema mismatch %v vs %v", a.schema, b.schema)
 	}
 	x.Ensure(a, b)
 	out := a.Clone()
-	for i, t := range b.tuples {
-		out.addPair(b.hashes[i], t.D, t.Row, false)
+	for _, t := range b.tuples {
+		out.addPair(utHash(t.D, t.Row), t.D, t.Row, false)
 	}
 	x.record("union", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
 	x.produced(out, a, b)
 	return out, nil
 }
 
-// DiffComplete implements −c over complete relations. Both sides carry
-// empty D columns, so their stored pair hashes are pure row hashes and the
-// membership probes reuse them unchanged. The output is a subset of a, so
-// it is appended without an index.
+// DiffComplete implements −c over complete relations: each of a's pairs is
+// probed into b's index. The output is a subset of a, so it is appended
+// without an index.
 func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 	x.Ensure(a, b)
 	if !a.IsComplete() || !b.IsComplete() {
@@ -499,9 +516,9 @@ func (x *Exec) DiffComplete(a, b *Relation) (*Relation, error) {
 	}
 	out := NewRelation(a.schema)
 	bix := b.probeIndex()
-	for i, t := range a.tuples {
-		if pos, _ := b.find(bix, a.hashes[i], t.D, t.Row); pos < 0 {
-			out.appendUnique(a.hashes[i], nil, t.Row)
+	for _, t := range a.tuples {
+		if pos, _ := b.find(bix, utHash(t.D, t.Row), t.D, t.Row); pos < 0 {
+			out.appendUnique(nil, t.Row)
 		}
 	}
 	x.record("diffc", int64(len(a.tuples)+len(b.tuples)), int64(out.Len()), out.Bytes())
@@ -776,7 +793,7 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	out.dkey = true
 	for i, t := range r.tuples {
 		d := t.D.With(v0+vars.Var(tupleGroup[i]), tupleAlt[i])
-		out.appendUnique(utHash(d, t.Row), d, t.Row)
+		out.appendUnique(d, t.Row)
 	}
 	x.record("repairkey", int64(n), int64(out.Len()), out.Bytes())
 	x.produced(out, r)

@@ -162,16 +162,16 @@ func (s *Spill) spillOut(r *Relation) {
 		r.sp.n = len(r.tuples)
 		s.written.Add(n)
 	}
-	r.tuples, r.hashes, r.idx = nil, nil, rel.Index{}
+	r.tuples, r.idx = nil, rel.Index{}
 	r.spilled = true
 }
 
 // hydrate reloads a spilled relation from its file, rebuilding the tuple
-// list and stored hashes in the original insertion order — the rebuilt
-// relation is indistinguishable from one that never spilled, which is what
-// keeps spilled evaluations bit-identical to in-memory ones. The pairs were
-// unique when written, so they are appended without an index; the next
-// probe builds one.
+// list in the original insertion order — the rebuilt relation is
+// indistinguishable from one that never spilled, which is what keeps
+// spilled evaluations bit-identical to in-memory ones. The pairs were
+// unique when written, so they are appended unhashed and without an index;
+// the next probe builds one.
 func (r *Relation) hydrate() error {
 	if !r.spilled {
 		return nil
@@ -185,17 +185,17 @@ func (r *Relation) hydrate() error {
 	r.bytes = 0
 	br := bufio.NewReaderSize(f, 1<<16)
 	for i := 0; i < r.sp.n; i++ {
-		h, d, row, err := readPair(br, len(r.schema))
+		d, row, err := readPair(br, len(r.schema))
 		if err != nil {
 			return fmt.Errorf("urel: rehydrating relation: %w", err)
 		}
-		r.appendUnique(h, d, row)
+		r.appendUnique(d, row)
 	}
 	r.spilled = false
 	return nil
 }
 
-// writePairs streams r's (hash, D, row) pairs to path, returning the bytes
+// writePairs streams r's (D, row) pairs to path, returning the bytes
 // written.
 func writePairs(path string, r *Relation) (int64, error) {
 	f, err := os.Create(path)
@@ -213,9 +213,7 @@ func writePairs(path string, r *Relation) (int64, error) {
 		}
 	}
 	putUvarint := func(v uint64) { put(scratch[:binary.PutUvarint(scratch[:], v)]) }
-	for i, t := range r.tuples {
-		binary.LittleEndian.PutUint64(scratch[:8], r.hashes[i])
-		put(scratch[:8])
+	for _, t := range r.tuples {
 		putUvarint(uint64(len(t.D)))
 		for _, b := range t.D {
 			putUvarint(uint64(uint32(b.Var)))
@@ -275,16 +273,11 @@ func writeValue(put func([]byte), putUvarint func(uint64), scratch []byte, v rel
 	}
 }
 
-// readPair decodes one (hash, D, row) record.
-func readPair(br *bufio.Reader, arity int) (uint64, vars.Assignment, rel.Tuple, error) {
-	var hb [8]byte
-	if _, err := io.ReadFull(br, hb[:]); err != nil {
-		return 0, nil, nil, err
-	}
-	h := binary.LittleEndian.Uint64(hb[:])
+// readPair decodes one (D, row) record.
+func readPair(br *bufio.Reader, arity int) (vars.Assignment, rel.Tuple, error) {
 	nd, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	var d vars.Assignment
 	if nd > 0 {
@@ -292,11 +285,11 @@ func readPair(br *bufio.Reader, arity int) (uint64, vars.Assignment, rel.Tuple, 
 		for i := range d {
 			vv, err := binary.ReadUvarint(br)
 			if err != nil {
-				return 0, nil, nil, err
+				return nil, nil, err
 			}
 			av, err := binary.ReadUvarint(br)
 			if err != nil {
-				return 0, nil, nil, err
+				return nil, nil, err
 			}
 			d[i] = vars.Binding{Var: vars.Var(uint32(vv)), Alt: int32(uint32(av))}
 		}
@@ -305,11 +298,11 @@ func readPair(br *bufio.Reader, arity int) (uint64, vars.Assignment, rel.Tuple, 
 	for i := range row {
 		v, err := readValue(br)
 		if err != nil {
-			return 0, nil, nil, err
+			return nil, nil, err
 		}
 		row[i] = v
 	}
-	return h, d, row, nil
+	return d, row, nil
 }
 
 func readValue(br *bufio.Reader) (rel.Value, error) {

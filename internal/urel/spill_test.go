@@ -53,7 +53,7 @@ func TestSpillRoundTrip(t *testing.T) {
 	if !r.Spilled() {
 		t.Fatal("relation not spilled")
 	}
-	if r.tuples != nil || r.hashes != nil {
+	if r.tuples != nil || r.idx.Built() {
 		t.Fatal("spilled relation retains in-memory tuple storage")
 	}
 	if r.Len() != wantLen {
@@ -182,8 +182,8 @@ func TestSpillRepairKeyParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		half := NewRelation(comp.schema)
-		for i, t := range comp.tuples[:comp.Len()/2] {
-			half.addPair(comp.hashes[i], t.D, t.Row, false)
+		for _, t := range comp.tuples[:comp.Len()/2] {
+			half.addPair(utHash(t.D, t.Row), t.D, t.Row, false)
 		}
 		d, err := x.DiffComplete(comp, half)
 		if err != nil {

@@ -10,16 +10,17 @@ import (
 	"repro/internal/vars"
 )
 
-// Select, RepairKey and −c append their output without a dedup index. These
-// tests run every operation that probes a relation over such an output and
-// over an indexed copy of it: tuples, their order and the stored hashes
-// must agree, and probing a published input must leave it unindexed.
+// Select, RepairKey, Project over a D-key input, WithColumn, hydrate and −c
+// append their output unhashed and without a dedup index. These tests run
+// every operation that probes a relation over such an output and over an
+// indexed copy of it: tuples, their order and footprint must agree, and
+// probing a published input must leave it unindexed.
 
 // indexedCopy rebuilds r pair by pair through addPair, the indexed path.
 func indexedCopy(r *Relation) *Relation {
 	out := NewRelation(r.schema)
-	for i, t := range r.tuples {
-		out.addPair(r.hashes[i], t.D, t.Row, false)
+	for _, t := range r.tuples {
+		out.addPair(utHash(t.D, t.Row), t.D, t.Row, false)
 	}
 	return out
 }
@@ -29,14 +30,15 @@ func sameRelation(t *testing.T, name string, got, want *Relation) {
 	if g, w := relFingerprint(got), relFingerprint(want); g != w {
 		t.Errorf("%s: tuples differ\n got %s\nwant %s", name, g, w)
 	}
-	if !slices.Equal(got.hashes, want.hashes) || got.bytes != want.bytes {
-		t.Errorf("%s: stored hashes or footprint differ", name)
+	if got.bytes != want.bytes {
+		t.Errorf("%s: footprint differs", name)
 	}
 }
 
 // unindexedOutputs returns a Select output over an uncertain relation, a
-// RepairKey output, and a Select output over a complete relation (the
-// input −c needs), each with an indexed copy.
+// RepairKey output, a Select output over a complete relation (the input −c
+// needs), a Project over the D-key RepairKey output, a WithColumn relation
+// and a spilled-then-hydrated complete relation, each with an indexed copy.
 func unindexedOutputs(t *testing.T) (outs, refs []*Relation, names []string) {
 	a, _, _ := execDB()
 	sel := Select(a, expr.Ge(expr.A("A"), expr.CInt(3)))
@@ -51,15 +53,30 @@ func unindexedOutputs(t *testing.T) (outs, refs []*Relation, names []string) {
 		t.Fatal(err)
 	}
 	selC := Select(comp, expr.Ge(expr.A("A"), expr.CInt(4)))
+	proj := Project(rk, []expr.Target{expr.Keep("K"), expr.As("V", expr.Add(expr.A("A"), expr.A("W")))})
+	if !proj.DKey() {
+		t.Fatal("Project over a RepairKey output is not D-key")
+	}
+	rows := Poss(comp).Tuples()
+	withCol := WithColumn(comp.schema, "X", rows, func(i int) rel.Value { return rel.Int(int64(i % 3)) })
+	sp, err := NewSpill(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	hydrated := FromComplete(Poss(comp))
+	if sp.spillOut(hydrated); !hydrated.Spilled() || hydrated.hydrate() != nil {
+		t.Fatal("spill round trip failed")
+	}
 
-	outs = []*Relation{sel, rk, selC}
+	outs = []*Relation{sel, rk, selC, proj, withCol, hydrated}
 	for i, r := range outs {
 		if r.idx.Built() {
 			t.Fatalf("output %d carries an index", i)
 		}
 		refs = append(refs, indexedCopy(r))
 	}
-	return outs, refs, []string{"select", "repairkey", "select over complete"}
+	return outs, refs, []string{"select", "repairkey", "select over complete", "D-key project", "withcolumn", "hydrated"}
 }
 
 func TestUnindexedUnionClone(t *testing.T) {
@@ -103,7 +120,7 @@ func mustUnion(t *testing.T, a, b *Relation) *Relation {
 }
 
 func TestUnindexedDiffComplete(t *testing.T) {
-	outs, refs, _ := unindexedOutputs(t)
+	outs, refs, names := unindexedOutputs(t)
 	selC, ref := outs[2], refs[2]
 	comp := FromComplete(Poss(outs[1])) // every base row
 	for _, workers := range []int{1, 4} {
@@ -130,6 +147,30 @@ func TestUnindexedDiffComplete(t *testing.T) {
 	}
 	if selC.idx.Built() {
 		t.Error("−c built an index on its published input")
+	}
+	// −c over every complete output, against a subset of itself (an
+	// unindexed Select output) and itself.
+	for i, o := range outs {
+		if !o.IsComplete() {
+			continue
+		}
+		ref, sub := refs[i], Select(o, expr.Lt(expr.A("K"), expr.CInt(200)))
+		for _, p := range []struct{ a, b, refA, refB *Relation }{
+			{o, sub, ref, sub}, {sub, o, sub, ref}, {o, o, ref, ref},
+		} {
+			got, err := DiffComplete(p.a, p.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := DiffComplete(p.refA, p.refB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRelation(t, names[i]+" −c", got, want)
+		}
+		if o.idx.Built() || sub.idx.Built() {
+			t.Errorf("%s: −c built an index on its published input", names[i])
+		}
 	}
 }
 
@@ -168,11 +209,11 @@ func TestUnindexedSpillRoundTrip(t *testing.T) {
 		if r.idx.Built() {
 			t.Errorf("%s: hydrate built an index", name)
 		}
-		if relFingerprint(r) != want || !slices.Equal(r.hashes, ref.hashes) || r.bytes != ref.bytes {
+		if relFingerprint(r) != want || r.bytes != ref.bytes {
 			t.Errorf("%s: hydrated relation differs from the indexed one", name)
 		}
-		// The first insert after hydrating builds the index from the
-		// stored hashes: stored pairs are still found.
+		// The first insert after hydrating builds the index, hashing the
+		// stored pairs: they are still found.
 		if r.Add(ref.tuples[0].D, ref.tuples[0].Row) {
 			t.Errorf("%s: hydrated relation accepted a stored pair", name)
 		}

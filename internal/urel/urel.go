@@ -42,20 +42,19 @@ func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 
 // Relation is a U-relation: a schema and a set of (D, tuple) pairs with
 // set semantics on the pair, deduplicated through a rel.Index over the
-// pair hashes. Stored pair hashes are kept in hashes so clones, unions and
-// selections never rehash.
+// pair hashes. A relation stores no hashes: most are never read, so the
+// index computes them when it is built.
 //
 // The index exists only once something probes the relation: operators that
 // cannot merge two pairs (Select, −c, RepairKey, Project over a D-key
-// input, FromComplete, WithColumn, hydrate) append without it. A published
-// relation is never mutated — sub-plans are shared by concurrent branches
-// and the engine's memo — so a probe of an input without an index builds a
-// local one (probeIndex); only the owner, while still building the
-// relation, grows its own (addPair).
+// input, FromComplete, WithColumn, hydrate) append without it and hash
+// nothing. A published relation is never mutated — sub-plans are shared by
+// concurrent branches and the engine's memo — so a probe of an input
+// without an index builds a local one (probeIndex); only the owner, while
+// still building the relation, grows its own (addPair).
 type Relation struct {
 	schema rel.Schema
 	tuples []UTuple
-	hashes []uint64  // utHash per tuple, aligned with tuples
 	idx    rel.Index // pair hash -> positions in tuples; unbuilt until probed
 	bytes  int64     // running footprint estimate, maintained on insert
 	// dkey records that no two pairs share a D: RepairKey sets it, Select
@@ -83,7 +82,7 @@ func FromComplete(r *rel.Relation) *Relation {
 	out := NewRelation(r.Schema())
 	out.reserve(r.Len())
 	for _, t := range r.Tuples() {
-		out.appendUnique(utHash(nil, t), nil, t)
+		out.appendUnique(nil, t)
 	}
 	return out
 }
@@ -147,14 +146,15 @@ func (r *Relation) AddOwned(d vars.Assignment, row rel.Tuple) bool {
 	return r.addPair(utHash(d, row), d, row, false)
 }
 
-// addPair inserts under a precomputed hash. With clone set the pair is
-// defensively copied (the public Add contract); operators inserting rows
-// they own — or rows already owned by another relation, which are never
-// mutated after insertion — pass clone=false and save two allocations per
-// tuple. This is the hottest insert path in the engine.
+// addPair inserts under the pair's precomputed utHash, building r's index
+// on its first insert. With clone set the pair is defensively copied (the
+// public Add contract); operators inserting rows they own — or rows
+// already owned by another relation, which are never mutated after
+// insertion — pass clone=false and save two allocations per tuple. This
+// is the hottest insert path in the engine.
 func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone bool) bool {
 	if !r.idx.Built() {
-		r.idx = rel.BuildIndex(r.hashes)
+		r.idx = r.pairIndex()
 	}
 	pos, head := r.find(r.idx, h, d, row)
 	if pos >= 0 {
@@ -164,7 +164,7 @@ func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone boo
 	if clone {
 		d, row = d.Clone(), row.Clone()
 	}
-	r.appendUnique(h, d, row)
+	r.appendUnique(d, row)
 	return true
 }
 
@@ -172,20 +172,29 @@ func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone boo
 // one — the output of an operator that cannot merge two pairs of a
 // deduplicated input — without probing or growing the index, which r must
 // not have built yet.
-func (r *Relation) appendUnique(h uint64, d vars.Assignment, row rel.Tuple) {
+func (r *Relation) appendUnique(d vars.Assignment, row rel.Tuple) {
 	r.tuples = append(r.tuples, UTuple{D: d, Row: row})
-	r.hashes = append(r.hashes, h)
 	r.bytes += pairBytes(d, row)
+}
+
+// pairIndex indexes r's stored pairs, hashing each one.
+func (r *Relation) pairIndex() rel.Index {
+	ix := rel.NewIndex(len(r.tuples))
+	for _, t := range r.tuples {
+		h := utHash(t.D, t.Row)
+		ix.Append(h, ix.First(h))
+	}
+	return ix
 }
 
 // probeIndex returns r's index for a read-only probe. r may be a published
 // input shared with concurrent readers, so an index it lacks is built
-// locally from the stored hashes and never stored.
+// locally and never stored.
 func (r *Relation) probeIndex() rel.Index {
 	if r.idx.Built() {
 		return r.idx
 	}
-	return rel.BuildIndex(r.hashes)
+	return r.pairIndex()
 }
 
 // reserve sizes an empty relation for n pairs. Only an operator that knows
@@ -193,7 +202,6 @@ func (r *Relation) probeIndex() rel.Index {
 // its input must not hold a slot per input pair.
 func (r *Relation) reserve(n int) {
 	r.tuples = make([]UTuple, 0, n)
-	r.hashes = make([]uint64, 0, n)
 }
 
 // WithColumn builds the complete relation of rows — distinct data tuples,
@@ -207,7 +215,7 @@ func WithColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int)
 		ext := make(rel.Tuple, len(row)+1)
 		copy(ext, row)
 		ext[len(row)] = val(i)
-		out.appendUnique(utHash(nil, ext), nil, ext)
+		out.appendUnique(nil, ext)
 	}
 	return out
 }
@@ -226,7 +234,7 @@ func (r *Relation) IsComplete() bool {
 
 // Clone returns a copy. Stored tuples are immutable once inserted, so the
 // clone shares their backing arrays and only copies the relation's own
-// bookkeeping (tuple list, hashes, and the dedup index if r has built one;
+// bookkeeping (tuple list, and the dedup index if r has built one;
 // otherwise the clone builds its own on its first insert). The clone is not
 // D-key: it is made to take further pairs (Union), which may share a D.
 func (r *Relation) Clone() *Relation {
@@ -234,7 +242,6 @@ func (r *Relation) Clone() *Relation {
 	return &Relation{
 		schema: r.schema.Clone(),
 		tuples: append([]UTuple(nil), r.tuples...),
-		hashes: append([]uint64(nil), r.hashes...),
 		idx:    r.idx.Clone(),
 		bytes:  r.bytes,
 	}
