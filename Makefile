@@ -14,15 +14,17 @@ build:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-# Two seconds each of the end-to-end benchmark's exact-join workload (exact
-# conf over a repair-key join), conf-flat workload (one lane per task, the
-# whole Chernoff budget in one wave), sigma-strat workload (σ̂ over
-# stratified tasks: Neyman-allocated doubling waves) and serve-mixed
-# workload (a shared engine serving cached, fresh and exact ops over HTTP:
-# warm estimator-cache and sub-plan-memo replays), untraced; then one
-# traced second each, whose per-layer ladder calls dnf, urel and karpluby
-# directly. Each exits 1 when its op stream fails its (ε, δ) check against
-# the exact oracle.
+# Two seconds each of the end-to-end benchmark's four workloads, untraced;
+# then one traced second each, whose per-layer ladder calls dnf, urel and
+# karpluby directly. None of them draws a Karp–Luby trial any more:
+# exact-join is exact conf over a repair-key join (parser, exact algebra,
+# dnf, result assembly); conf-flat is conf over chained repair-key
+# lineage that dnf.Certain proves certain, so P = 1 without sampling;
+# sigma-strat is σ̂ over that lineage, every decision made on exact values;
+# serve-mixed is a shared engine over HTTP whose cached, fresh and exact
+# ops replay the sub-plan memo and sum exclusive lineage exactly. Each
+# exits 1 when its op stream fails its (ε, δ) check against the exact
+# oracle.
 bench-smoke:
 	bash benchmark/run.sh -workload exact-join -seconds 2 -notrace
 	bash benchmark/run.sh -workload conf-flat -seconds 2 -notrace

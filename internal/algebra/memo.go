@@ -98,9 +98,10 @@ func (m *SubplanMemo) get(key string, mem *urel.MemBudget) *memoEntry {
 	return p
 }
 
-// put stores p and the variables its walk registered, unless they alone
-// exceed the bound or a concurrent walk stored p's key, and evicts to it.
-// It reports whether p was stored.
+// put stores p, its relation compacted (urel.Relation.Compact), and the
+// variables its walk registered, unless they alone exceed the bound or a
+// concurrent walk stored p's key, and evicts to it. It reports whether p
+// was stored.
 func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) bool {
 	vb := infoBytes(infos)
 	m.mu.Lock()
@@ -118,6 +119,7 @@ func (m *SubplanMemo) put(p *memoEntry, infos []vars.Info) bool {
 	if p.vars.refs++; p.vars.refs == 1 {
 		m.bytes += vb
 	}
+	p.res.Rel = p.res.Rel.Compact() // retain what is charged, not the slabs it shares
 	p.el = m.lru.PushFront(p)
 	m.m[p.key] = p.el
 	p.size = p.res.Rel.Bytes()

@@ -66,6 +66,66 @@ func (a Attr) String() string { return a.Name }
 // Attrs appends the attribute name.
 func (a Attr) Attrs(dst []string) []string { return append(dst, a.Name) }
 
+// col is an attribute bound to its position in a schema (Bind): Eval reads
+// the tuple at i without looking the name up. i < 0 marks an attribute the
+// schema lacks, which reads NULL, as an unbound Attr does.
+type col struct {
+	name string
+	i    int
+}
+
+// Eval returns the value at the bound position.
+func (c col) Eval(env Env) rel.Value {
+	if c.i < 0 {
+		return rel.Null()
+	}
+	return env.Tuple[c.i]
+}
+
+func (c col) String() string { return c.name }
+
+// Attrs appends the attribute name.
+func (c col) Attrs(dst []string) []string { return append(dst, c.name) }
+
+// Bind returns e with every attribute resolved against schema to its
+// position, so that evaluating it over tuples of schema scans no names.
+// Operators bind once per call; an expression type this package does not
+// define is kept as it is.
+func Bind(e Expr, schema rel.Schema) Expr {
+	switch e := e.(type) {
+	case Attr:
+		return col{name: e.Name, i: schema.Index(e.Name)}
+	case Arith:
+		return Arith{Op: e.Op, L: Bind(e.L, schema), R: Bind(e.R, schema)}
+	default:
+		return e
+	}
+}
+
+// BindPred is Bind for a predicate.
+func BindPred(p Pred, schema rel.Schema) Pred {
+	switch p := p.(type) {
+	case Cmp:
+		return Cmp{Op: p.Op, L: Bind(p.L, schema), R: Bind(p.R, schema)}
+	case And:
+		return And{Kids: bindPreds(p.Kids, schema)}
+	case Or:
+		return Or{Kids: bindPreds(p.Kids, schema)}
+	case Not:
+		return Not{Kid: BindPred(p.Kid, schema)}
+	default:
+		return p
+	}
+}
+
+func bindPreds(ps []Pred, schema rel.Schema) []Pred {
+	out := make([]Pred, len(ps))
+	for i, p := range ps {
+		out[i] = BindPred(p, schema)
+	}
+	return out
+}
+
 // ArithOp enumerates binary arithmetic operators.
 type ArithOp uint8
 
@@ -346,3 +406,35 @@ func KeepAll(s rel.Schema) []Target {
 
 // As names an expression as an output attribute.
 func As(name string, e Expr) Target { return Target{As: name, Expr: e} }
+
+// Projection is a target list bound to an input schema (Bind), built once
+// per operator call: Fill copies a plain-attribute target by position and
+// evaluates any other target without a name lookup.
+type Projection struct {
+	schema rel.Schema
+	exprs  []Expr
+	src    []int // the input position a plain attribute copies, or -1
+}
+
+// BindTargets binds targets to the schema of the tuples Fill reads.
+func BindTargets(targets []Target, schema rel.Schema) Projection {
+	p := Projection{schema: schema, exprs: make([]Expr, len(targets)), src: make([]int, len(targets))}
+	for c, tg := range targets {
+		p.exprs[c], p.src[c] = Bind(tg.Expr, schema), -1
+		if a, ok := p.exprs[c].(col); ok {
+			p.src[c] = a.i
+		}
+	}
+	return p
+}
+
+// Fill writes the targets over the input tuple in into row.
+func (p Projection) Fill(row, in rel.Tuple) {
+	for c, e := range p.exprs {
+		if j := p.src[c]; j >= 0 {
+			row[c] = in[j]
+		} else {
+			row[c] = e.Eval(Env{Schema: p.schema, Tuple: in})
+		}
+	}
+}

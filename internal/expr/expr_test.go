@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +138,85 @@ func TestCmpTotality(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBindMatchesNames is Bind's property: over random expressions and
+// predicates on random schemas and tuples, the bound tree evaluates as the
+// name-resolving one, attributes the schema lacks (NULL) included.
+func TestBindMatchesNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"A", "B", "C", "D", "E", "F"}
+	value := func() rel.Value {
+		switch rng.Intn(5) {
+		case 0:
+			return rel.Null()
+		case 1:
+			return rel.Int(int64(rng.Intn(7) - 3))
+		case 2:
+			return rel.Float(float64(rng.Intn(9)-4) / 2)
+		case 3:
+			return rel.String(string(rune('a' + rng.Intn(3))))
+		default:
+			return rel.Bool(rng.Intn(2) == 0)
+		}
+	}
+	var genExpr func(depth int) Expr
+	genExpr = func(depth int) Expr {
+		switch k := rng.Intn(3); {
+		case depth == 0 || k == 0:
+			if rng.Intn(3) == 0 {
+				return Const{V: value()}
+			}
+			return A(names[rng.Intn(len(names))]) // possibly absent
+		default:
+			return Arith{Op: ArithOp(rng.Intn(4)), L: genExpr(depth - 1), R: genExpr(depth - 1)}
+		}
+	}
+	var genPred func(depth int) Pred
+	genPred = func(depth int) Pred {
+		k := rng.Intn(4)
+		if depth == 0 {
+			k = 0
+		}
+		switch k {
+		case 0:
+			return Cmp{Op: CmpOp(rng.Intn(6)), L: genExpr(2), R: genExpr(2)}
+		case 1:
+			return And{Kids: []Pred{genPred(depth - 1), genPred(depth - 1)}}
+		case 2:
+			return Or{Kids: []Pred{genPred(depth - 1), genPred(depth - 1)}}
+		default:
+			return Not{Kid: genPred(depth - 1)}
+		}
+	}
+	absent := 0
+	for i := 0; i < 2000; i++ {
+		schema := rel.NewSchema(names[:1+rng.Intn(len(names)-1)]...)
+		rng.Shuffle(len(schema), func(a, b int) { schema[a], schema[b] = schema[b], schema[a] })
+		tuple := make(rel.Tuple, len(schema))
+		for j := range tuple {
+			tuple[j] = value()
+		}
+		e, p := genExpr(3), genPred(3)
+		for _, a := range append(e.Attrs(nil), p.Attrs(nil)...) {
+			if !schema.Has(a) {
+				absent++
+			}
+		}
+		env := Env{Schema: schema, Tuple: tuple}
+		be, bp := Bind(e, schema), BindPred(p, schema)
+		if got, want := be.Eval(env), e.Eval(env); got.Kind() != want.Kind() || rel.Compare(got, want) != 0 {
+			t.Fatalf("%s over %v%v: bound %v, by name %v", e, schema, tuple, got, want)
+		}
+		if got, want := bp.Holds(env), p.Holds(env); got != want {
+			t.Fatalf("%s over %v%v: bound %v, by name %v", p, schema, tuple, got, want)
+		}
+		if be.String() != e.String() || bp.String() != p.String() {
+			t.Fatalf("binding changed the rendering: %s → %s, %s → %s", e, be, p, bp)
+		}
+	}
+	if absent == 0 {
+		t.Fatal("no case read an attribute absent from its schema")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -143,22 +142,11 @@ func (x *Exec) produced(out *Relation, ins ...*Relation) {
 // out-of-core execution the budget never aborts the evaluation, it only
 // decides what lives in memory.
 func (x *Exec) manage(out *Relation, ins []*Relation) {
-	pinned := func(r *Relation) bool {
-		if r == out {
-			return true
-		}
-		for _, in := range ins {
-			if r == in {
-				return true
-			}
-		}
-		return false
-	}
 	for _, r := range x.reg {
 		if x.mem.Used() <= x.mem.Limit() {
 			break
 		}
-		if r.spilled || pinned(r) {
+		if r.spilled || r == out || slices.Contains(ins, r) {
 			continue
 		}
 		x.spill.spillOut(r)
@@ -214,8 +202,8 @@ const (
 	clauseHeaderBytes = 24
 )
 
-func pairBytes(d vars.Assignment, row rel.Tuple) int64 {
-	return int64(len(row))*valueBytes + int64(len(d))*bindingBytes + pairOverheadBytes
+func pairBytes(bindings, arity int) int64 {
+	return int64(arity)*valueBytes + int64(bindings)*bindingBytes + pairOverheadBytes
 }
 
 // record adds one operator application to the statistics (no-op without a
@@ -232,13 +220,15 @@ func (x *Exec) record(op string, tuplesIn, tuplesOut, bytes int64) {
 	c.bytes.Add(bytes)
 }
 
-// Select implements σ_φ in a single pass. A subset of a set holds no
-// duplicates, so surviving pairs are appended without hashing, cloning or
-// an index; a subset of a D-key relation is D-key.
+// Select implements σ_φ in a single pass, the predicate bound to the input
+// schema once. A subset of a set holds no duplicates, so surviving pairs
+// are appended without hashing, cloning or an index; a subset of a D-key
+// relation is D-key. Its pairs are its input's: it allocates no row.
 func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 	x.Ensure(r)
 	out := NewRelation(r.schema)
 	out.dkey = r.dkey
+	pred = expr.BindPred(pred, r.schema)
 	for _, t := range r.tuples {
 		if pred.Holds(expr.Env{Schema: r.schema, Tuple: t.Row}) {
 			out.appendUnique(t.D, t.Row)
@@ -249,31 +239,39 @@ func (x *Exec) Select(r *Relation, pred expr.Pred) *Relation {
 	return out
 }
 
-// Project implements π with expression targets. Output rows are built
-// once and handed to the relation without a defensive clone. Over a D-key
-// input no two output pairs can merge — their D's differ — so the output
-// takes one slot per input pair, unhashed and without an index, and is
-// D-key itself.
+// Project implements π with expression targets bound once to the input
+// schema. Each row is built in a scratch tuple and copied out only when it
+// is a new pair, into chunks as large as the output so far but no larger
+// than the input left. Over a D-key input no two output pairs can merge —
+// their D's differ — so the output takes one row per input pair, all from
+// one slab, unhashed and without an index, and is D-key itself.
 func (x *Exec) Project(r *Relation, targets []expr.Target) *Relation {
 	x.Ensure(r)
 	out := NewRelation(targetSchema(targets))
-	if r.dkey {
-		out.reserve(len(r.tuples))
-		out.dkey = true
+	proj := expr.BindTargets(targets, r.schema)
+	n, w := len(r.tuples), len(targets)
+	if out.dkey = r.dkey; out.dkey {
+		out.reserve(n)
 	}
-	for _, t := range r.tuples {
-		env := expr.Env{Schema: r.schema, Tuple: t.Row}
-		row := make(rel.Tuple, len(targets))
-		for i, tg := range targets {
-			row[i] = tg.Expr.Eval(env)
+	scratch, free := make(rel.Tuple, w), []rel.Value(nil)
+	for i, t := range r.tuples {
+		proj.Fill(scratch, t.Row)
+		if !r.dkey && !out.admit(utHash(t.D, scratch), t.D, scratch) {
+			continue
 		}
-		if r.dkey {
-			out.appendUnique(t.D, row)
-		} else {
-			out.addPair(utHash(t.D, row), t.D, row, false)
+		if len(free) < w {
+			c := n - i
+			if !r.dkey {
+				c = min(c, max(out.Len(), 16))
+			}
+			free = make([]rel.Value, w*c)
 		}
+		row := rel.Tuple(free[:w:w])
+		free = free[w:]
+		copy(row, scratch)
+		out.appendUnique(t.D, row)
 	}
-	x.record("project", int64(len(r.tuples)), int64(out.Len()), out.Bytes())
+	x.record("project", int64(n), int64(out.Len()), out.Bytes())
 	x.produced(out, r)
 	return out
 }
@@ -285,55 +283,6 @@ func targetSchema(targets []expr.Target) rel.Schema {
 		schema[i] = tg.As
 	}
 	return rel.NewSchema(schema...)
-}
-
-// pairOut is one constructed output pair of a partitioned binary operator,
-// carrying its precomputed dedup hash to the merge phase.
-type pairOut struct {
-	h   uint64
-	d   vars.Assignment
-	row rel.Tuple
-}
-
-// mergeRanges folds per-range outputs into one relation in range order —
-// the deterministic merge making partitioned results worker-count
-// independent — keeping the first of equal pairs. Kept pairs are
-// compacted to the front of the buffers' concatenation as they are found,
-// where the dedup probes read them, so the relation's pairs are sized for
-// the pairs it keeps, not for every buffered pair.
-func mergeRanges(schema rel.Schema, outs [][]pairOut) *Relation {
-	// starts[rg] is the position of outs[rg][0] in the concatenation.
-	starts := make([]int, len(outs)+1)
-	for rg, buf := range outs {
-		starts[rg+1] = starts[rg] + len(buf)
-	}
-	at := func(p int) *pairOut {
-		rg := sort.SearchInts(starts, p+1) - 1
-		return &outs[rg][p-starts[rg]]
-	}
-	ix := rel.NewIndex(starts[len(outs)])
-	kept := 0
-	for _, buf := range outs {
-	pairs:
-		for _, q := range buf {
-			head := ix.First(q.h)
-			for p := head; p >= 0; p = ix.Next(p) {
-				if o := at(int(p)); o.d.Equal(q.d) && o.row.Equal(q.row) {
-					continue pairs
-				}
-			}
-			ix.Append(q.h, head)
-			*at(kept) = q
-			kept++
-		}
-	}
-	r := &Relation{schema: schema, idx: ix}
-	r.reserve(kept)
-	for p := 0; p < kept; p++ {
-		o := at(p)
-		r.appendUnique(o.d, o.row)
-	}
-	return r
 }
 
 // Product implements [[R × S]]: the natural join of inputs with no
@@ -350,15 +299,16 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 // Join implements the natural join R ⋈ S as a partitioned hash join: the
 // build side's join-column hashes are computed in parallel and indexed in
 // insertion order (rel.BuildIndex); the probe side is scanned in fixed
-// ranges, each worker emitting its range's output pairs; ranges merge in
-// order. Bucket candidates filtered by the 64-bit join-key hash are
-// confirmed by value equality on the join columns.
+// ranges, each worker listing its range's matches, which are then built
+// into slabs sized exactly, at the range's offset. Bucket candidates
+// filtered by the 64-bit join-key hash are confirmed by value equality on
+// the join columns; of equal output pairs the first is kept.
 func (x *Exec) Join(a, b *Relation) *Relation {
 	return x.join("join", a, b, nil, false)
 }
 
-// ProjectJoin is π_targets(R ⋈ S) in one pass: each joined row lives in the
-// range's scratch buffer, is projected and never stored. The output is
+// ProjectJoin is π_targets(R ⋈ S) in one operator: each joined row lives in
+// the range's scratch tuple, is projected and never stored. The output is
 // Project's over Join's, pair for pair. It records a join cell of the
 // emitted pairs and their footprint, then a project cell: the cells Join
 // then Project record whenever no two joined pairs merge, as when one
@@ -367,8 +317,8 @@ func (x *Exec) Join(a, b *Relation) *Relation {
 //
 // When the targets read only R's columns and S is complete, it runs as a
 // semijoin: every match of an R pair projects to that pair's D and the
-// targets over its row, so the pair is built at the first match and the
-// rest of the chain is only counted.
+// targets over its row, so only the matched R pairs are listed, once each.
+// Over a D-key R their D's differ: the output is D-key, with no dedup.
 func (x *Exec) ProjectJoin(a, b *Relation, targets []expr.Target) *Relation {
 	return x.join("join", a, b, targets, true)
 }
@@ -379,9 +329,10 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	x.Ensure(a, b)
 	common := a.schema.Common(b.schema)
 	var bExtra []string
-	for _, attr := range b.schema {
+	var bExtraIdx []int
+	for j, attr := range b.schema {
 		if !a.schema.Has(attr) {
-			bExtra = append(bExtra, attr)
+			bExtra, bExtraIdx = append(bExtra, attr), append(bExtraIdx, j)
 		}
 	}
 	joined := rel.NewSchema(append(a.schema.Clone(), bExtra...)...)
@@ -389,16 +340,9 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	if project {
 		schema = targetSchema(targets)
 	}
-
-	aIdx := make([]int, len(common))
-	bIdx := make([]int, len(common))
+	aIdx, bIdx := make([]int, len(common)), make([]int, len(common))
 	for i, c := range common {
-		aIdx[i] = a.schema.Index(c)
-		bIdx[i] = b.schema.Index(c)
-	}
-	bExtraIdx := make([]int, len(bExtra))
-	for i, c := range bExtra {
-		bExtraIdx[i] = b.schema.Index(c)
+		aIdx[i], bIdx[i] = a.schema.Index(c), b.schema.Index(c)
 	}
 
 	semi := project && b.IsComplete()
@@ -418,70 +362,122 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	})
 	build := rel.BuildIndex(bh)
 
-	// Probe phase: fixed ranges of R, merged in range order.
-	la := len(a.schema)
-	outs := make([][]pairOut, numRanges(len(a.tuples)))
-	// Per range: the joined pairs emitted and their footprint.
-	counts, wides := make([]int64, len(outs)), make([]int64, len(outs))
-	x.forRanges(len(a.tuples), func(rg, lo, hi int) {
-		var buf []pairOut
-		var n, localBytes int64
-		wide := make(rel.Tuple, len(joined))
-		env := expr.Env{Schema: joined, Tuple: wide}
+	// First pass, over R's fixed ranges: range rg's output pairs — each
+	// one's R tuple in is[rg] and, unless a semijoin builds it from that
+	// alone, its S tuple in js[rg] — the bindings of the conditions they
+	// merge (nds[rg+1]; a condition met with an empty one is shared), and
+	// the joined pairs it emits and their footprint.
+	n, nr := len(a.tuples), numRanges(len(a.tuples))
+	is, js, nds := make([][]int32, nr), make([][]int32, nr), make([]int, nr+1)
+	var emitted, footprint atomic.Int64
+	x.forRanges(n, func(rg, lo, hi int) {
+		var m, localBytes int64
+		if is[rg] = make([]int32, 0, hi-lo); !semi { // one match per R tuple, to start with
+			js[rg] = make([]int32, 0, hi-lo)
+		}
 		// Cooperative memory limit: probed once per probe tuple AND every
 		// 1024 emitted pairs (one probe tuple's fan-out is unbounded). Once
 		// the budget trips — possibly on another worker's range — stop; the
 		// evaluation aborts between operators, discarding the output.
 		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
 			ta := a.tuples[i]
-			copy(wide, ta.Row)
-			pb := int64(0) // the last built pair's footprint; a semijoin builds one
 			for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
 				tb := b.tuples[j]
 				if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
 					continue
 				}
-				if !semi || pb == 0 {
-					d, ok := ta.D.Union(tb.D)
-					if !ok {
-						continue
-					}
-					for k, jj := range bExtraIdx {
-						wide[la+k] = tb.Row[jj]
-					}
-					row := make(rel.Tuple, len(schema))
-					if !project {
-						copy(row, wide)
-					}
-					for c, tg := range targets {
-						row[c] = tg.Expr.Eval(env)
-					}
-					buf = append(buf, pairOut{h: utHash(d, row), d: d, row: row})
-					pb = pairBytes(d, wide)
+				nd, ok := ta.D.UnionLen(tb.D)
+				if !ok {
+					continue
 				}
-				n++
-				localBytes += pb
-				if n&0x3ff == 0 && x.probeStop(localBytes) {
+				if !semi {
+					is[rg], js[rg] = append(is[rg], int32(i)), append(js[rg], j)
+					if len(ta.D) > 0 && len(tb.D) > 0 {
+						nds[rg+1] += nd
+					}
+				} else if k := len(is[rg]); k == 0 || is[rg][k-1] != int32(i) {
+					is[rg] = append(is[rg], int32(i))
+				}
+				m++
+				localBytes += pairBytes(nd, len(joined))
+				if m&0x3ff == 0 && x.probeStop(localBytes) {
 					break
 				}
 			}
 		}
-		outs[rg], counts[rg], wides[rg] = buf, n, localBytes
+		emitted.Add(m)
+		footprint.Add(localBytes)
 	})
-	out := mergeRanges(schema, outs)
+	kept := make([]int, nr+1) // range rg's pairs start at kept[rg]
+	for rg := range nr {
+		kept[rg+1] = kept[rg] + len(is[rg])
+		nds[rg+1] += nds[rg]
+	}
+
+	// Second pass: the pairs built into slabs sized exactly, at their
+	// ranges' offsets, and hashed for the dedup below unless the output is
+	// D-key.
+	w, la := len(schema), len(a.schema)
+	proj := expr.BindTargets(targets, joined)
+	vals, ds := make([]rel.Value, kept[nr]*w), make(vars.Assignment, nds[nr])
+	tuples := make([]UTuple, kept[nr])
+	dkey := semi && a.dkey
+	var hs []uint64
+	if !dkey {
+		hs = make([]uint64, kept[nr])
+	}
+	x.forRanges(n, func(rg, _, _ int) {
+		free, wide := ds[nds[rg]:nds[rg+1]], make(rel.Tuple, len(joined))
+		for k, i := range is[rg] {
+			ta, p := a.tuples[i], kept[rg]+k
+			d, in := ta.D, ta.Row
+			if !semi {
+				tb := b.tuples[js[rg][k]]
+				if len(ta.D) == 0 {
+					d = tb.D
+				} else if len(tb.D) > 0 {
+					d, _ = ta.D.AppendUnion(free[:0], tb.D)
+					d, free = d[:len(d):len(d)], free[len(d):]
+				}
+				copy(wide, ta.Row)
+				for c, jj := range bExtraIdx {
+					wide[la+c] = tb.Row[jj]
+				}
+				in = wide
+			}
+			row := rel.Tuple(vals[p*w : (p+1)*w : (p+1)*w])
+			if project {
+				proj.Fill(row, in)
+			} else {
+				copy(row, in)
+			}
+			if tuples[p] = (UTuple{D: d, Row: row}); hs != nil {
+				hs[p] = utHash(d, row)
+			}
+		}
+	})
+	out := &Relation{schema: schema, tuples: tuples[:0], dkey: dkey}
+	if !dkey {
+		out.idx = rel.NewIndex(len(tuples))
+	}
+	for i, t := range tuples {
+		if dkey || out.admit(hs[i], t.D, t.Row) {
+			out.appendUnique(t.D, t.Row)
+		}
+	}
+	if out.Len() < len(tuples) { // retain the kept pairs only, not the slabs
+		out = out.Compact()
+	}
+
 	in := int64(len(a.tuples) + len(b.tuples))
 	if !project {
 		x.record(op, in, int64(out.Len()), out.Bytes())
 	} else {
-		var emitted, wide int64
-		for rg := range outs {
-			emitted, wide = emitted+counts[rg], wide+wides[rg]
-		}
-		x.record(op, in, emitted, wide)
+		x.record(op, in, emitted.Load(), footprint.Load())
 		// A join that trips the budget ends the evaluation before its
 		// projection would run; out-of-core execution never ends on it.
 		if x.outOfCore() || !x.mem.Exceeded() {
-			x.record("project", emitted, int64(out.Len()), out.Bytes())
+			x.record("project", emitted.Load(), int64(out.Len()), out.Bytes())
 		}
 	}
 	x.produced(out, a, b)
@@ -723,7 +719,9 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	altIdx := append(append([]int(nil), keyIdx...), resIdx...)
 	buf := make([]int32, 3*n)
 	tupleGroup, tupleAlt, size := buf[:n], buf[n:2*n], buf[2*n:2*n]
+	total := n // Σ(|D|+1): the output's condition bindings
 	for i, t := range r.tuples {
+		total += len(t.D)
 		w := t.Row[wIdx]
 		if !w.IsNumeric() || !(w.AsFloat() > 0) || math.IsInf(w.AsFloat(), 1) {
 			return nil, fmt.Errorf("urel: repair-key weight %v is not a positive number", w)
@@ -788,11 +786,14 @@ func (x *Exec) RepairKey(r *Relation, key []string, weight string, table *vars.T
 	// residual columns, and the alternative's one weight (conflicting
 	// weights were rejected above) — so D determines the row, and two
 	// pairs with one D would be one pair.
+	// Every output D is carved from one slab.
 	out := NewRelation(r.schema)
 	out.reserve(n)
 	out.dkey = true
+	ds := make(vars.Assignment, total)
 	for i, t := range r.tuples {
-		d := t.D.With(v0+vars.Var(tupleGroup[i]), tupleAlt[i])
+		d := t.D.AppendWith(ds[:0], v0+vars.Var(tupleGroup[i]), tupleAlt[i])
+		d, ds = d[:len(d):len(d)], ds[len(d):]
 		out.appendUnique(d, t.Row)
 	}
 	x.record("repairkey", int64(n), int64(out.Len()), out.Bytes())

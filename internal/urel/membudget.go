@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// MemLimitError reports a tripped memory budget. Evaluators that own a
-// MemBudget surface it between operators (callers typically translate it
-// into their own typed limit error).
+// MemLimitError reports a tripped memory budget: Used is the estimated
+// total that tripped it, over Limit. Evaluators that own a MemBudget
+// surface it between operators (callers typically translate it into their
+// own typed limit error).
 type MemLimitError struct {
 	Limit int64
 	Used  int64
@@ -40,9 +41,11 @@ func (e *MemLimitError) Error() string {
 // workers). All methods are nil-receiver safe, so call sites need no
 // budget-configured check.
 type MemBudget struct {
-	limit   int64
-	used    atomic.Int64
-	tripped atomic.Bool
+	limit int64
+	used  atomic.Int64
+	// over is the first total that tripped the budget — always > limit —
+	// and 0 while it is not tripped; Err reports it.
+	over atomic.Int64
 }
 
 // NewMemBudget returns a budget of limit estimated bytes; limit <= 0
@@ -60,8 +63,8 @@ func (b *MemBudget) Add(n int64) {
 	if b == nil {
 		return
 	}
-	if b.used.Add(n) > b.limit {
-		b.tripped.Store(true)
+	if t := b.used.Add(n); t > b.limit {
+		b.over.CompareAndSwap(0, t)
 	}
 }
 
@@ -73,13 +76,10 @@ func (b *MemBudget) Probe(inflight int64) bool {
 	if b == nil {
 		return false
 	}
-	if b.tripped.Load() {
-		return true
+	if t := b.used.Load() + inflight; t > b.limit {
+		b.over.CompareAndSwap(0, t)
 	}
-	if b.used.Load()+inflight > b.limit {
-		b.tripped.Store(true)
-	}
-	return b.tripped.Load()
+	return b.over.Load() != 0
 }
 
 // Release subtracts n estimated bytes — a spilled relation's footprint
@@ -91,7 +91,7 @@ func (b *MemBudget) Release(n int64) {
 		return
 	}
 	if b.used.Add(-n) <= b.limit {
-		b.tripped.Store(false)
+		b.over.Store(0)
 	}
 }
 
@@ -100,19 +100,21 @@ func (b *MemBudget) Release(n int64) {
 // even when one operator's working set alone exceeds the limit.
 func (b *MemBudget) untrip() {
 	if b != nil {
-		b.tripped.Store(false)
+		b.over.Store(0)
 	}
 }
 
 // Exceeded reports whether the budget has tripped.
-func (b *MemBudget) Exceeded() bool { return b != nil && b.tripped.Load() }
+func (b *MemBudget) Exceeded() bool { return b != nil && b.over.Load() != 0 }
 
 // Err returns a *MemLimitError once the budget has tripped, nil before.
+// It reports the total that tripped it (with a Probe's in-flight bytes),
+// which exceeds the limit whatever Used holds when the evaluator asks.
 func (b *MemBudget) Err() error {
 	if !b.Exceeded() {
 		return nil
 	}
-	return &MemLimitError{Limit: b.limit, Used: b.Used()}
+	return &MemLimitError{Limit: b.limit, Used: b.over.Load()}
 }
 
 // Limit returns the configured byte limit (0 for a nil budget).

@@ -123,7 +123,7 @@ func (s *Spill) Close() error { return os.RemoveAll(s.dir) }
 type spillState struct {
 	sp      *Spill
 	path    string
-	n       int  // pair count in the file
+	n, nd   int  // pairs and condition bindings in the file
 	written bool // file holds the relation's pairs
 }
 
@@ -160,6 +160,9 @@ func (s *Spill) spillOut(r *Relation) {
 		}
 		r.sp.written = true
 		r.sp.n = len(r.tuples)
+		for _, t := range r.tuples {
+			r.sp.nd += len(t.D)
+		}
 		s.written.Add(n)
 	}
 	r.tuples, r.idx = nil, rel.Index{}
@@ -171,7 +174,8 @@ func (s *Spill) spillOut(r *Relation) {
 // indistinguishable from one that never spilled, which is what keeps
 // spilled evaluations bit-identical to in-memory ones. The pairs were
 // unique when written, so they are appended unhashed and without an index;
-// the next probe builds one.
+// the next probe builds one. Rows are carved from one slab, conditions
+// from another.
 func (r *Relation) hydrate() error {
 	if !r.spilled {
 		return nil
@@ -184,8 +188,11 @@ func (r *Relation) hydrate() error {
 	r.reserve(r.sp.n)
 	r.bytes = 0
 	br := bufio.NewReaderSize(f, 1<<16)
+	w := len(r.schema)
+	vals, ds := make([]rel.Value, r.sp.n*w), make(vars.Assignment, r.sp.nd)
 	for i := 0; i < r.sp.n; i++ {
-		d, row, err := readPair(br, len(r.schema))
+		row := rel.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
+		d, err := readPair(br, &ds, row)
 		if err != nil {
 			return fmt.Errorf("urel: rehydrating relation: %w", err)
 		}
@@ -273,36 +280,39 @@ func writeValue(put func([]byte), putUvarint func(uint64), scratch []byte, v rel
 	}
 }
 
-// readPair decodes one (D, row) record.
-func readPair(br *bufio.Reader, arity int) (vars.Assignment, rel.Tuple, error) {
+// readPair decodes one (D, row) record into row, carving the D from the
+// front of *ds.
+func readPair(br *bufio.Reader, ds *vars.Assignment, row rel.Tuple) (vars.Assignment, error) {
 	nd, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if nd > uint64(len(*ds)) {
+		return nil, fmt.Errorf("corrupt spill record: %d bindings", nd)
 	}
 	var d vars.Assignment
 	if nd > 0 {
-		d = make(vars.Assignment, nd)
+		d, *ds = (*ds)[:nd:nd], (*ds)[nd:]
 		for i := range d {
 			vv, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			av, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			d[i] = vars.Binding{Var: vars.Var(uint32(vv)), Alt: int32(uint32(av))}
 		}
 	}
-	row := make(rel.Tuple, arity)
 	for i := range row {
 		v, err := readValue(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		row[i] = v
 	}
-	return d, row, nil
+	return d, nil
 }
 
 func readValue(br *bufio.Reader) (rel.Value, error) {

@@ -16,6 +16,7 @@ package urel
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,13 +147,27 @@ func (r *Relation) AddOwned(d vars.Assignment, row rel.Tuple) bool {
 	return r.addPair(utHash(d, row), d, row, false)
 }
 
-// addPair inserts under the pair's precomputed utHash, building r's index
-// on its first insert. With clone set the pair is defensively copied (the
-// public Add contract); operators inserting rows they own — or rows
-// already owned by another relation, which are never mutated after
-// insertion — pass clone=false and save two allocations per tuple. This
-// is the hottest insert path in the engine.
+// addPair inserts under the pair's precomputed utHash. With clone set the
+// pair is defensively copied (the public Add contract); operators
+// inserting rows they own — or rows already owned by another relation,
+// which are never mutated after insertion — pass clone=false and save two
+// allocations per tuple.
 func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone bool) bool {
+	if !r.admit(h, d, row) {
+		return false
+	}
+	if clone {
+		d, row = d.Clone(), row.Clone()
+	}
+	r.appendUnique(d, row)
+	return true
+}
+
+// admit reports whether no stored pair equals (d, row) under hash h,
+// building r's index on its first use; when none does, it indexes the
+// pair at the position the caller's appendUnique fills next. This is the
+// hottest insert path in the engine.
+func (r *Relation) admit(h uint64, d vars.Assignment, row rel.Tuple) bool {
 	if !r.idx.Built() {
 		r.idx = r.pairIndex()
 	}
@@ -161,20 +176,15 @@ func (r *Relation) addPair(h uint64, d vars.Assignment, row rel.Tuple, clone boo
 		return false
 	}
 	r.idx.Append(h, head)
-	if clone {
-		d, row = d.Clone(), row.Clone()
-	}
-	r.appendUnique(d, row)
 	return true
 }
 
 // appendUnique stores a pair the caller knows differs from every stored
 // one — the output of an operator that cannot merge two pairs of a
-// deduplicated input — without probing or growing the index, which r must
-// not have built yet.
+// deduplicated input, or a pair admit let in — without probing the index.
 func (r *Relation) appendUnique(d vars.Assignment, row rel.Tuple) {
 	r.tuples = append(r.tuples, UTuple{D: d, Row: row})
-	r.bytes += pairBytes(d, row)
+	r.bytes += pairBytes(len(d), len(row))
 }
 
 // pairIndex indexes r's stored pairs, hashing each one.
@@ -206,16 +216,39 @@ func (r *Relation) reserve(n int) {
 
 // WithColumn builds the complete relation of rows — distinct data tuples,
 // as a lineage's groups are — each extended by one value of a new column
-// col. Distinct rows stay distinct, so they are appended without a dedup
-// index.
+// col, the extended rows carved from one slab. Distinct rows stay
+// distinct, so they are appended without a dedup index.
 func WithColumn(schema rel.Schema, col string, rows []rel.Tuple, val func(i int) rel.Value) *Relation {
 	out := NewRelation(rel.NewSchema(append(schema.Clone(), col)...))
 	out.reserve(len(rows))
+	w := len(schema) + 1
+	vals := make([]rel.Value, len(rows)*w)
 	for i, row := range rows {
-		ext := make(rel.Tuple, len(row)+1)
+		ext := rel.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
 		copy(ext, row)
 		ext[len(row)] = val(i)
 		out.appendUnique(nil, ext)
+	}
+	return out
+}
+
+// Compact returns a copy of r whose rows are carved from one exactly sized
+// slab and whose conditions from another. An operator's output may share
+// the slabs of the operators before it — Select, RepairKey and −c keep
+// their input's rows, which pin the whole slab those were carved from — so
+// a relation kept past its evaluation (the engine's memo) is compacted to
+// retain what its footprint charges.
+func (r *Relation) Compact() *Relation {
+	r.mustResident("Compact")
+	nv, nd := 0, 0
+	for _, t := range r.tuples {
+		nv, nd = nv+len(t.Row), nd+len(t.D)
+	}
+	vals, ds := make(rel.Tuple, 0, nv), make(vars.Assignment, 0, nd)
+	out := &Relation{schema: r.schema, tuples: make([]UTuple, len(r.tuples)), idx: r.idx, bytes: r.bytes, dkey: r.dkey}
+	for i, t := range r.tuples {
+		vals, ds = append(vals, t.Row...), append(ds, t.D...)
+		out.tuples[i] = UTuple{D: slices.Clip(ds[len(ds)-len(t.D):]), Row: slices.Clip(vals[len(vals)-len(t.Row):])}
 	}
 	return out
 }

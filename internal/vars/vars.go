@@ -294,6 +294,13 @@ func (a Assignment) Weight(t *Table) float64 {
 // ConsistentWith reports whether two partial functions agree on the
 // variables both define (the paper's consistency relation).
 func (a Assignment) ConsistentWith(b Assignment) bool {
+	_, ok := a.UnionLen(b)
+	return ok
+}
+
+// UnionLen returns the length of a.Union(b) without building it; ok is
+// false when a and b conflict.
+func (a Assignment) UnionLen(b Assignment) (n int, ok bool) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -303,13 +310,14 @@ func (a Assignment) ConsistentWith(b Assignment) bool {
 			j++
 		default:
 			if a[i].Alt != b[j].Alt {
-				return false
+				return 0, false
 			}
 			i++
 			j++
+			n--
 		}
 	}
-	return true
+	return n + len(a) + len(b), true
 }
 
 // Union merges two consistent assignments; ok is false when they
@@ -323,28 +331,35 @@ func (a Assignment) Union(b Assignment) (Assignment, bool) {
 	if len(b) == 0 {
 		return a, true
 	}
-	out := make(Assignment, 0, len(a)+len(b))
+	return a.AppendUnion(make(Assignment, 0, len(a)+len(b)), b)
+}
+
+// AppendUnion appends the merge of a and b to dst, as Union builds it; ok
+// is false when they conflict. A dst with room for len(a)+len(b) more
+// bindings is written in place, so a caller can carve merges from one
+// slab.
+func (a Assignment) AppendUnion(dst, b Assignment) (Assignment, bool) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i].Var < b[j].Var:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i].Var > b[j].Var:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
 			if a[i].Alt != b[j].Alt {
 				return nil, false
 			}
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, true
+	dst = append(dst, a[i:]...)
+	dst = append(dst, b[j:]...)
+	return dst, true
 }
 
 // Without returns the assignment with variable v removed.
@@ -361,17 +376,19 @@ func (a Assignment) Without(v Var) Assignment {
 // With returns the assignment extended/overwritten with v = alt, in one
 // allocation: the binding goes in at its sorted position.
 func (a Assignment) With(v Var, alt int32) Assignment {
+	return a.AppendWith(make(Assignment, 0, len(a)+1), v, alt)
+}
+
+// AppendWith appends a extended/overwritten with v = alt to dst, as With
+// builds it. A dst with room for len(a)+1 more bindings is written in
+// place.
+func (a Assignment) AppendWith(dst Assignment, v Var, alt int32) Assignment {
 	i, bound := slices.BinarySearchFunc(a, v, func(b Binding, v Var) int { return cmp.Compare(b.Var, v) })
+	dst = append(append(dst, a[:i]...), Binding{Var: v, Alt: alt})
 	if bound {
-		out := a.Clone()
-		out[i].Alt = alt
-		return out
+		i++
 	}
-	out := make(Assignment, len(a)+1)
-	copy(out, a[:i])
-	out[i] = Binding{Var: v, Alt: alt}
-	copy(out[i+1:], a[i:])
-	return out
+	return append(dst, a[i:]...)
 }
 
 // Vars appends the variables bound by a to dst.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -482,5 +483,42 @@ func TestEngineMemoConfAdmission(t *testing.T) {
 	}
 	if _, _, h, _ := eng.memo.Stats(); h != hits+2*200 {
 		t.Errorf("exclusive lineage: hits %d → %d, want the sub-plan and its conf answered for each fresh seed", hits, h)
+	}
+}
+
+// TestEngineMemoRetainsWhatItCharges: a memoised select keeps five of the
+// rows a projection carved from one large chunk. Stored as it is, the
+// entry would pin the whole chunk while the memo charges it for five rows;
+// the memo compacts what it admits, so the heap the engine keeps after the
+// evaluation stays within the memo's charge plus the engine's own small
+// state.
+func TestEngineMemoRetainsWhatItCharges(t *testing.T) {
+	const n = 40000
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{i, i + 1, i + 2}
+	}
+	db, err := NewBuilder().Table("R", []string{"A", "B", "C"}, rows...).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mustPlan(t, db, `conf(select[A >= 20000 and A < 20005](project[A, B](R)))`)
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	eng := freshEngine(t, db)
+	if res, err := memoEval(db, eng, plan, true); err != nil || res.Len() != 5 {
+		t.Fatalf("got %v, %v; want 5 rows", res, err)
+	}
+	retained := heap() - before
+	entries, charged, _, _ := eng.memo.Stats()
+	runtime.KeepAlive(eng)
+	// The projection's rows 16 384..32 767 share one chunk of 1.3 MB.
+	if entries != 1 || retained > charged+256<<10 {
+		t.Errorf("%d entries charged %d B; the engine retains %d B", entries, charged, retained)
 	}
 }

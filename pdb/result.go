@@ -133,43 +133,81 @@ func newResult(r *urel.Relation, complete bool, bounds *algebra.Bounds, stats St
 }
 
 // sortRows fixes a deterministic, content-based row order (conditions
-// first, then values) independent of evaluation order. Every row's value
-// key is appended once up front into one buffer, presized from the first
-// key: the comparator only compares its sub-slices, bytewise.
+// first, then values) independent of evaluation order: the bytewise order
+// of the rows' rel.Tuple.AppendKey keys. The keys of every column but the
+// last are appended once up front into one buffer, presized from the first
+// key; the last column's key only when two rows tie on the rest, at most
+// once per row. A conf result's rows never tie before P, so P is never
+// formatted.
 func (r *Result) sortRows() {
 	if len(r.rows) == 0 {
 		return
 	}
+	last := max(len(r.rows[0].vals)-1, 0)
 	// A key that outgrows the estimate moves buf; the keys cut before
 	// still hold their bytes.
-	buf := make([]byte, 0, len(r.rows[0].vals.AppendKey(nil))*len(r.rows)*5/4)
+	buf := make([]byte, 0, len(r.rows[0].vals[:last].AppendKey(nil))*len(r.rows)*5/4)
 	keys := make([][]byte, len(r.rows))
 	for i, row := range r.rows {
 		start := len(buf)
-		buf = row.vals.AppendKey(buf)
+		buf = row.vals[:last].AppendKey(buf)
 		keys[i] = buf[start:len(buf):len(buf)]
 	}
-	sort.Sort(rowOrder{r.rows, keys})
+	sort.Sort(&rowOrder{rows: r.rows, keys: keys, last: last})
 }
 
-// rowOrder sorts rows and their precomputed value keys together.
+// rowOrder sorts rows together with their keys before the last column and,
+// from the first tie on (lastKey), their last column's keys.
 type rowOrder struct {
-	rows []Row
-	keys [][]byte
+	rows        []Row
+	keys, lasts [][]byte
+	last        int
+	buf         []byte // holds the last column's keys
 }
 
-func (o rowOrder) Len() int { return len(o.rows) }
+func (o *rowOrder) Len() int { return len(o.rows) }
 
-func (o rowOrder) Less(i, j int) bool {
+// Less compares the rows' full keys, prefix '|' last: where one key before
+// the last column is a proper prefix of the other, the shorter continues
+// with the separator, which no other key holds at that position.
+func (o *rowOrder) Less(i, j int) bool {
 	if o.rows[i].cond != o.rows[j].cond {
 		return o.rows[i].cond < o.rows[j].cond
 	}
-	return bytes.Compare(o.keys[i], o.keys[j]) < 0
+	a, b := o.keys[i], o.keys[j]
+	n := min(len(a), len(b))
+	if c := bytes.Compare(a[:n], b[:n]); c != 0 {
+		return c < 0
+	}
+	switch {
+	case len(a) < len(b):
+		return '|' < b[n]
+	case len(a) > len(b):
+		return a[n] < '|'
+	}
+	return bytes.Compare(o.lastKey(i), o.lastKey(j)) < 0
 }
 
-func (o rowOrder) Swap(i, j int) {
+// lastKey returns row i's last column's key, appending it to buf the first
+// time.
+func (o *rowOrder) lastKey(i int) []byte {
+	if o.lasts == nil {
+		o.lasts = make([][]byte, len(o.rows))
+	}
+	if o.lasts[i] == nil {
+		start := len(o.buf)
+		o.buf = o.rows[i].vals[o.last:].AppendKey(o.buf)
+		o.lasts[i] = o.buf[start:len(o.buf):len(o.buf)]
+	}
+	return o.lasts[i]
+}
+
+func (o *rowOrder) Swap(i, j int) {
 	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
 	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+	if o.lasts != nil {
+		o.lasts[i], o.lasts[j] = o.lasts[j], o.lasts[i]
+	}
 }
 
 // Columns returns the result schema in order.

@@ -108,3 +108,37 @@ func TestRowOrderUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestRowOrderLastColumnTies: rows that tie on every column but the last
+// (whose keys may be proper prefixes of one another across trials), under
+// one condition or two, are ordered by their last column as the
+// string-keyed sort ordered them.
+func TestRowOrderLastColumnTies(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 4))
+	lasts := []rel.Value{rel.Null(), rel.Bool(true), rel.Int(2), rel.Float(-0.5), rel.Float(math.NaN()),
+		rel.String(""), rel.String("a|b"), rel.String(`a\`), rel.String("|"), rel.String("b")}
+	for trial := 0; trial < 200; trial++ {
+		res := &Result{}
+		width := 1 + r.IntN(3)
+		head := make(rel.Tuple, width-1)
+		for k := range head {
+			head[k] = rel.String([]string{"x", "x|", `x\`}[r.IntN(3)])
+		}
+		for i := 0; i < 2+r.IntN(40); i++ {
+			tup := append(head.Clone(), lasts[r.IntN(len(lasts))])
+			res.rows = append(res.rows, Row{res: res, vals: tup, cond: []string{"", "1=0"}[r.IntN(2)]})
+		}
+		want := legacyOrder{append([]Row(nil), res.rows...), make([]string, len(res.rows))}
+		for i, row := range want.rows {
+			want.keys[i] = legacyKey(row.vals)
+		}
+		sort.Sort(want)
+		res.sortRows()
+		for i := range want.rows {
+			if &res.rows[i].vals[0] != &want.rows[i].vals[0] {
+				t.Fatalf("trial %d: row %d is %v [%s], the string sort put %v [%s] there",
+					trial, i, res.rows[i].vals, res.rows[i].cond, want.rows[i].vals, want.rows[i].cond)
+			}
+		}
+	}
+}

@@ -167,6 +167,27 @@ func TestSpillCompletesOverBudget(t *testing.T) {
 	}
 }
 
+// TestLimitErrorReportsTrippingTotal: spillProgram's two join branches run
+// concurrently on one budget, and a branch may trip it on bytes it never
+// records; the error reports the total that tripped the budget, so in
+// every run the count it names exceeds the limit.
+func TestLimitErrorReportsTrippingTotal(t *testing.T) {
+	q, err := spillDB(t).Prepare(spillProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 50; run++ {
+		_, err := q.EvalExact(context.Background(), pdb.WithMaxMemory(20000), pdb.WithWorkers(4))
+		var lim *pdb.LimitError
+		if !errors.As(err, &lim) || lim.Resource != "memory" {
+			t.Fatalf("run %d: want a memory LimitError, got %v", run, err)
+		}
+		if lim.Used <= lim.Limit {
+			t.Fatalf("run %d: %v reports %d bytes, not over the %d limit", run, err, lim.Used, lim.Limit)
+		}
+	}
+}
+
 // TestSpillApproxParity checks the approximate path end to end: a conf
 // query under a tight budget plus spill dir matches the unlimited run
 // bit-for-bit and reports spill stats through Result.Stats.
