@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build bench-smoke bench-pairs test race bench conformance fuzz vet fmt-check docs-check links-check keys-check examples service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
+.PHONY: build bench-build bench-smoke bench-pairs test race bench conformance fuzz vet fmt-check docs-check links-check keys-check seq-check examples service-smoke cluster-smoke chaos-smoke storage-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -162,10 +162,30 @@ keys-check:
 		echo "a second identity mechanism (Key() string, rendered variable name or hand-rolled hash chain) on the evaluation path:"; \
 		echo "$$bad"; exit 1; fi
 
+# Exact evaluation is sequential but for one step: the exact operators and
+# the plan walk run on the calling goroutine, and only the per-group exact
+# confidences fan out over the pool — the one parallel path that measured
+# ≥ 1.3× on two workers (pdb.BenchmarkExactWorkers; ROADMAP item 18). The
+# check is a grep of the non-test files of internal/urel and
+# internal/algebra for goroutines and pool fan-outs; a new parallel path
+# is added to SEQ_ALLOW, with its measurement as the reason, rather than
+# slipping in unmeasured. Exempt, one alternative each:
+# - exec.go, CertExact: cert's exact confidence per lineage group;
+# - estimate.go, exactEstimators.Estimate: conf's and σ̂'s exact
+#   confidence per lineage group.
+SEQ_FILES = $(filter-out %_test.go,$(wildcard internal/urel/*.go internal/algebra/*.go))
+SEQ_ALLOW = ^internal/urel/exec\.go:[0-9]+:.*\.ForEach\(len\(fs\), |^internal/algebra/estimate\.go:[0-9]+:.*\.ForEach\(len\(fs\), 
+
+seq-check:
+	@bad="$$(grep -nE 'go func|ForEachCtx\(|sync\.WaitGroup|\.ForEach\(' $(SEQ_FILES) | grep -vE '$(SEQ_ALLOW)')"; \
+	if [ -n "$$bad" ]; then \
+		echo "a parallel path in the exact operators or the plan walker beside the per-group confidence fan-out:"; \
+		echo "$$bad"; exit 1; fi
+
 # Non-test Go lines per package — the figure a simplicity PR quotes. Last in
 # `ci`, so the PR log carries it; `make loc BASE=origin/main` prints
 # `before → after` against that ref instead.
 loc:
 	@./scripts/loc.sh $(BASE)
 
-ci: vet fmt-check docs-check links-check keys-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke loc
+ci: vet fmt-check docs-check links-check keys-check seq-check build bench-build bench-smoke test race fuzz examples service-smoke cluster-smoke chaos-smoke storage-smoke loc

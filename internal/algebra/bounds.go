@@ -16,67 +16,53 @@ import (
 // and operators over reliable inputs skip the accounting entirely.
 
 // Bounds are the Lemma 6.4 annotations of one result: its annotated data
-// tuples — µ > 0 or singular — each once, found through the same hashed
-// rel.Index as every relation's tuples, with µ and the flag beside them.
-// µ is not clamped during propagation (a sum of bounds may exceed 1);
-// readers clamp for reporting. A nil *Bounds annotates nothing.
+// tuples — µ > 0 or singular — each once, in a rel.Relation of the
+// result's schema, with µ and the flag in slices beside it, addressed by
+// position. µ is not clamped during propagation (a sum of bounds may
+// exceed 1); readers clamp for reporting. A nil *Bounds annotates nothing.
 type Bounds struct {
-	idx      rel.Index
-	rows     []rel.Tuple
+	rows     *rel.Relation
 	mu       []float64
 	singular []bool
 }
 
-func newBounds() *Bounds { return &Bounds{idx: rel.NewIndex(0)} }
+func newBounds(schema rel.Schema) *Bounds { return &Bounds{rows: rel.NewRelation(schema)} }
 
 // Len returns the number of annotated tuples.
 func (b *Bounds) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.rows)
+	return b.rows.Len()
 }
 
-// find returns row's position under hash h (or -1) and the chain head.
-func (b *Bounds) find(h uint64, row rel.Tuple) (pos, head int32) {
-	head = b.idx.First(h)
-	for p := head; p >= 0; p = b.idx.Next(p) {
-		if b.rows[p].Equal(row) {
-			return p, head
-		}
+// at returns the position of row's annotation, creating a zero one — over
+// a copy of row when clone is set — if absent.
+func (b *Bounds) at(row rel.Tuple, clone bool) int {
+	if pos := b.rows.Pos(row); pos >= 0 {
+		return pos
 	}
-	return -1, head
-}
-
-// at returns the position of row's annotation under hash h = row.Hash(),
-// creating a zero one — over a copy of row when clone is set — if absent.
-func (b *Bounds) at(h uint64, row rel.Tuple, clone bool) int32 {
-	pos, head := b.find(h, row)
-	if pos < 0 {
-		b.idx.Append(h, head)
-		if clone {
-			row = row.Clone()
-		}
-		pos = int32(len(b.rows))
-		b.rows, b.mu, b.singular = append(b.rows, row), append(b.mu, 0), append(b.singular, false)
+	if clone {
+		row = row.Clone()
 	}
-	return pos
+	b.rows.AddOwned(row)
+	b.mu, b.singular = append(b.mu, 0), append(b.singular, false)
+	return b.rows.Len() - 1
 }
 
 // set annotates row, which out's relation owns.
 func (b *Bounds) set(row rel.Tuple, mu float64, singular bool) {
-	pos := b.at(row.Hash(), row, false)
+	pos := b.at(row, false)
 	b.mu[pos], b.singular[pos] = mu, singular
 }
 
 // BoundOf returns one data tuple's annotation: its unclamped µ and whether
 // it depends on a potential singularity; (0, false) for a reliable tuple.
 func (b *Bounds) BoundOf(row rel.Tuple) (mu float64, singular bool) {
-	if b.Len() == 0 {
-		return 0, false
-	}
-	if pos, _ := b.find(row.Hash(), row); pos >= 0 {
-		return b.mu[pos], b.singular[pos]
+	if b.Len() > 0 {
+		if pos := b.rows.Pos(row); pos >= 0 {
+			return b.mu[pos], b.singular[pos]
+		}
 	}
 	return 0, false
 }
@@ -86,7 +72,7 @@ func (b *Bounds) BoundOf(row rel.Tuple) (mu float64, singular bool) {
 func (b *Bounds) All() iter.Seq2[rel.Tuple, float64] {
 	return func(yield func(rel.Tuple, float64) bool) {
 		for i := 0; i < b.Len(); i++ {
-			if !yield(b.rows[i], b.mu[i]) {
+			if !yield(b.rows.Tuples()[i], b.mu[i]) {
 				return
 			}
 		}
@@ -125,7 +111,7 @@ func (out URelResult) Bounded(rule BoundRule, ins ...URelResult) URelResult {
 	if reliable {
 		return out
 	}
-	out.Bounds = newBounds()
+	out.Bounds = newBounds(out.Rel.Schema())
 	for _, ut := range out.Rel.Tuples() {
 		// A data tuple recurs once per D it pairs with; the rule is a
 		// function of the row alone, so the repeats set the same values.
@@ -155,12 +141,16 @@ func ProjectBounds(in URelResult, targets []expr.Target) *Bounds {
 	if in.Reliable() {
 		return nil
 	}
-	out := newBounds()
+	schema := make(rel.Schema, len(targets))
+	for c, tg := range targets {
+		schema[c] = tg.As
+	}
+	out := newBounds(schema)
 	counted := make([]bool, in.Bounds.Len())
 	env := expr.Env{Schema: in.Rel.Schema()}
 	outRow := make(rel.Tuple, len(targets))
 	for _, ut := range in.Rel.Tuples() {
-		i, _ := in.Bounds.find(ut.Row.Hash(), ut.Row)
+		i := in.Bounds.rows.Pos(ut.Row)
 		if i < 0 || counted[i] {
 			continue // a reliable tuple adds nothing; an annotated one adds once
 		}
@@ -169,7 +159,7 @@ func ProjectBounds(in URelResult, targets []expr.Target) *Bounds {
 		for c, tg := range targets {
 			outRow[c] = tg.Expr.Eval(env)
 		}
-		o := out.at(outRow.Hash(), outRow, true)
+		o := out.at(outRow, true)
 		out.mu[o] += in.Bounds.mu[i]
 		out.singular[o] = out.singular[o] || in.Bounds.singular[i]
 	}

@@ -296,7 +296,7 @@ func TestBoundsMatchStringKeyedReference(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		db := randDB(rng)
 		q := randAnnotatedQuery(rng, 1+rng.Intn(3))
-		ev := NewURelEvaluator(db).WithEstimators(variedEstimators{exactEstimators{sched.New(1)}}, false)
+		ev := NewURelEvaluator(db).WithEstimators(variedEstimators{exactEstimators{sched.New(1)}})
 		res, _, err := refEval(t, ev, q)
 		if err != nil {
 			continue // schema clash, −c over an incomplete input: both reject it
@@ -314,34 +314,5 @@ func TestBoundsMatchStringKeyedReference(t *testing.T) {
 		if ops[op] == 0 {
 			t.Errorf("no annotated result with %s at the root (coverage: %v)", op, ops)
 		}
-	}
-}
-
-// TestBoundsForcedCollisions drives the annotations' hashed entry point
-// with one hash for unequal rows: they must keep separate µ and flags.
-func TestBoundsForcedCollisions(t *testing.T) {
-	b := newBounds()
-	r1 := rel.Tuple{rel.Int(1), rel.String("x")}
-	r2 := rel.Tuple{rel.Int(2), rel.String("x")}
-	const h = 99
-	p1 := b.at(h, r1, true)
-	b.mu[p1] += 0.25
-	p2 := b.at(h, r2, true)
-	b.mu[p2], b.singular[p2] = 0.5, true
-	if again := b.at(h, rel.Tuple{rel.Float(1), rel.String("x")}, true); again != p1 {
-		t.Fatalf("value-equal row under the same hash got position %d, want %d", again, p1)
-	}
-	b.mu[p1] += 0.125
-	if b.Len() != 2 {
-		t.Fatalf("%d annotated rows, want 2", b.Len())
-	}
-	if pos, _ := b.find(h, r1); b.mu[pos] != 0.375 || b.singular[pos] {
-		t.Errorf("row 1: (%v, %v), want (0.375, false)", b.mu[pos], b.singular[pos])
-	}
-	if pos, _ := b.find(h, r2); b.mu[pos] != 0.5 || !b.singular[pos] {
-		t.Errorf("row 2: (%v, %v), want (0.5, true)", b.mu[pos], b.singular[pos])
-	}
-	if pos, _ := b.find(h, rel.Tuple{rel.Int(3), rel.String("x")}); pos != -1 {
-		t.Errorf("absent row found at %d", pos)
 	}
 }

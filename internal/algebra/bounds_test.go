@@ -32,7 +32,7 @@ func (u unreliableEstimates) Decide(pred predapprox.Pred, combo []int, mu float6
 // answers the next query from its original database.
 func TestRejectedLetRestoresBinding(t *testing.T) {
 	db := parallelDB()
-	ev := NewURelEvaluator(db).WithEstimators(unreliableEstimators{exactEstimators{sched.New(1)}}, false)
+	ev := NewURelEvaluator(db).WithEstimators(unreliableEstimators{exactEstimators{sched.New(1)}})
 	want := exactFingerprint(URelResult{Rel: db.Rels["R"]})
 	shat := ApproxSelect{
 		In:   Base{Name: "R"},

@@ -352,8 +352,8 @@ func relPairs(r *urel.Relation) string {
 // Join then Project pair for pair — tuples, order, footprint, the pairs'
 // identity (a union of the two must merge every pair) and the join and
 // project statistics — at workers 1 and 4, over random plans joined with
-// uncertain and complete relations, over inputs of several partition
-// ranges, and in the semijoin case (targets read only the left input, the
+// uncertain and complete relations, over a 9 000-tuple probe side, and in
+// the semijoin case (targets read only the left input, the
 // right one is complete), where a small budget must still trip mid-chain.
 func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 	rng := rand.New(rand.NewSource(3939))
@@ -423,7 +423,7 @@ func TestFusedProjectJoinMatchesTwoOperators(t *testing.T) {
 	if semijoins < 30 {
 		t.Fatalf("only %d fused cases ran as a semijoin", semijoins)
 	}
-	// Several partition ranges on the probe side.
+	// A 9 000-tuple probe side.
 	big := urel.NewRelation(rel.NewSchema("A", "B"))
 	for i := 0; i < 9000; i++ {
 		d := vars.Assignment{{Var: vars.Var(rng.Intn(40)), Alt: int32(rng.Intn(2))}}

@@ -62,7 +62,7 @@ type Estimates interface {
 // exactEstimators is the Q (as opposed to Q∼) semantics of Section 6:
 // dnf.Confidence per group, each argument's groups fanned out across the
 // pool (group costs vary wildly, so the pool's work-stealing cursor
-// load-balances). It is stateless, so concurrent branches may share it.
+// load-balances), each confidence written to its group's own slot.
 type exactEstimators struct{ pool *sched.Pool }
 
 // ConfKey is nil: exact P depends on the lineage alone.
@@ -187,7 +187,7 @@ func (e *URelEvaluator) approxSelect(in URelResult, n *node, q ApproxSelect) (UR
 	pos := src[len(src)-k:]
 	combo := make([]int, k)
 	for {
-		out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds()}
+		out := URelResult{Rel: urel.NewRelation(schema), Complete: true, Bounds: newBounds(schema)}
 		for _, ut := range joined.Tuples() {
 			for a, j := range pos {
 				combo[a] = int(ut.Row[j].AsInt())

@@ -45,22 +45,17 @@ type URelResult struct {
 // evaluator works on a clone of the database, so repair-key never mutates
 // the caller's variable table.
 //
-// A pool-backed evaluator (NewParallelURelEvaluator) runs the partitioned
-// operator implementations across its workers and evaluates independent
-// plan branches concurrently; results are bit-identical to the sequential
-// evaluator for any worker count (the urel.Exec determinism invariant).
+// The walker visits the plan one node at a time, left input before right,
+// and every operator is one sequential pass. A pool-backed evaluator
+// (NewParallelURelEvaluator) fans out only the exact confidences of conf,
+// σ̂ and cert, one task per lineage group; results are bit-identical for
+// any worker count.
 type URelEvaluator struct {
 	db     *urel.Database
 	nextRK int
 	pool   *sched.Pool
 	ctrs   *urel.Counters
 	exec   *urel.Exec
-	// branchSem bounds concurrent branch pairs: sched.Pool is a per-call
-	// fan-out width, not a shared semaphore, so without a gate a bushy
-	// plan of d safe binary operators could run up to 2^d branches, each
-	// fanning its operators out pool-wide. Tokens are acquired
-	// non-blockingly — a pair that finds none runs sequentially.
-	branchSem chan struct{}
 	// ctx, when non-nil, is checked at every operator so a cancelled
 	// evaluation aborts between nodes with ctx.Err().
 	ctx context.Context
@@ -71,11 +66,8 @@ type URelEvaluator struct {
 	// high-water mark: over-budget intermediates move to spill files
 	// instead of aborting the evaluation (see WithSpill).
 	spill *urel.Spill
-	// est supplies the confidences of conf and σ̂; estConcurrent reports
-	// whether it may be called from concurrently evaluated branches (see
-	// WithEstimators).
-	est           Estimators
-	estConcurrent bool
+	// est supplies the confidences of conf and σ̂ (see WithEstimators).
+	est Estimators
 	// shared is the engine's memo (see WithMemo).
 	shared *SubplanMemo
 }
@@ -86,21 +78,14 @@ func NewURelEvaluator(db *urel.Database) *URelEvaluator {
 	return NewParallelURelEvaluator(db, nil)
 }
 
-// NewParallelURelEvaluator clones db and returns an evaluator whose
-// operators (and independent plan branches) run across pool's workers.
-// A nil pool selects one worker — the sequential reference path.
+// NewParallelURelEvaluator clones db and returns an evaluator whose exact
+// per-group confidences run across pool's workers. A nil pool selects one
+// worker.
 func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluator {
 	if pool == nil {
 		pool = sched.New(1)
 	}
-	return &URelEvaluator{
-		db:        db.Clone(),
-		pool:      pool,
-		branchSem: make(chan struct{}, pool.Workers()),
-		est:       exactEstimators{pool},
-		// exactEstimators is stateless.
-		estConcurrent: true,
-	}
+	return &URelEvaluator{db: db.Clone(), pool: pool, est: exactEstimators{pool}}
 }
 
 // DB exposes the evaluator's (cloned) database; repair-key applications
@@ -108,8 +93,8 @@ func NewParallelURelEvaluator(db *urel.Database, pool *sched.Pool) *URelEvaluato
 func (e *URelEvaluator) DB() *urel.Database { return e.db }
 
 // WithBudget bounds the evaluation's materialized bytes: every operator
-// charges its output's estimated footprint, the partitioned blow-up
-// operators stop producing mid-range once the budget trips, and the
+// charges its output's estimated footprint, the blow-up operators (join,
+// product) stop producing mid-operator once the budget trips, and the
 // evaluation aborts with a *urel.MemLimitError at the next operator
 // boundary. Returns e for chaining; a nil budget disables the checks.
 func (e *URelEvaluator) WithBudget(b *urel.MemBudget) *URelEvaluator {
@@ -122,23 +107,19 @@ func (e *URelEvaluator) WithBudget(b *urel.MemBudget) *URelEvaluator {
 // budget over its limit are shed to spill files and transparently reloaded
 // when a later operator needs them, so the evaluation completes instead of
 // aborting with a memory-limit error. Results are bit-identical to an
-// unspilled run. Spilled evaluation disables concurrent branch evaluation
-// (the residency bookkeeping is single-threaded); operators themselves
-// still run across the pool's workers. The caller owns s's lifecycle
-// (Close removes the directory). A nil s disables spilling.
+// unspilled run. The caller owns s's lifecycle (Close removes the
+// directory). A nil s disables spilling.
 func (e *URelEvaluator) WithSpill(s *urel.Spill) *URelEvaluator {
 	e.spill = s
 	return e
 }
 
 // WithEstimators replaces the exact confidence computation under conf and
-// σ̂ (estimate.go), turning the evaluator into an approximate one.
-// concurrent reports whether est may be called from concurrently evaluated
-// plan branches; when false, branches containing conf or σ̂ evaluate
-// sequentially (in plan order, so estimators that consume shared state stay
-// deterministic). Returns e for chaining.
-func (e *URelEvaluator) WithEstimators(est Estimators, concurrent bool) *URelEvaluator {
-	e.est, e.estConcurrent = est, concurrent
+// σ̂ (estimate.go), turning the evaluator into an approximate one. The
+// walker calls est from its own goroutine, in plan order, so estimators
+// that consume shared state stay deterministic. Returns e for chaining.
+func (e *URelEvaluator) WithEstimators(est Estimators) *URelEvaluator {
+	e.est = est
 	return e
 }
 
@@ -430,41 +411,8 @@ func (e *URelEvaluator) join(l, r URelResult) URelResult {
 	}, l, r)
 }
 
-// evalPair evaluates the two inputs of a binary operator. When the pool
-// has more than one worker, a branch token is available, and both
-// branches are branchSafe, the branches evaluate concurrently; otherwise
-// strictly left-then-right. Concurrent branches change only wall-clock
-// time: each branch's own operators are deterministic, the branches share
-// no mutable state, and error priority (left first) matches the
-// sequential path. Cancellation stays at node granularity — every eval
-// call checks the evaluator's context.
+// evalPair evaluates the two inputs of a binary operator, left then right.
 func (e *URelEvaluator) evalPair(l, r *node) (URelResult, URelResult, error) {
-	// Out-of-core execution forces sequential branches: the Exec's
-	// spill-residency bookkeeping assumes one operator at a time.
-	if e.spill == nil && e.pool.Workers() > 1 && e.branchSafe(l) && e.branchSafe(r) {
-		select {
-		case e.branchSem <- struct{}{}:
-			defer func() { <-e.branchSem }()
-			ctx := e.ctx
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			var res [2]URelResult
-			ns := [2]*node{l, r}
-			err := e.pool.ForEachCtx(ctx, 2, func(i int) error {
-				out, err := e.eval(ns[i])
-				res[i] = out
-				return err
-			})
-			if err != nil {
-				return URelResult{}, URelResult{}, err
-			}
-			return res[0], res[1], nil
-		default:
-			// No token free: enough branch pairs are already in flight to
-			// keep the pool busy — fall through to sequential evaluation.
-		}
-	}
 	lr, err := e.eval(l)
 	if err != nil {
 		return URelResult{}, URelResult{}, err
@@ -474,14 +422,4 @@ func (e *URelEvaluator) evalPair(l, r *node) (URelResult, URelResult, error) {
 		return URelResult{}, URelResult{}, err
 	}
 	return lr, rr, nil
-}
-
-// branchSafe reports whether a plan branch can run concurrently with a
-// sibling: it must hold no repair-key (which registers variables in the
-// shared table and consumes the evaluator's deterministic rk counter), no
-// let (which temporarily rebinds a relation name in the shared database)
-// and — unless the evaluator's Estimators declared themselves concurrent —
-// no conf or σ̂.
-func (e *URelEvaluator) branchSafe(n *node) bool {
-	return n.facts&holdsWrite == 0 && (e.estConcurrent || n.facts&holdsEst == 0)
 }

@@ -206,8 +206,8 @@ func infoBytes(infos []vars.Info) int64 {
 // names of the variables n registers and keys identical repair-key subtrees
 // apart. A hit appends those variables verbatim and replays n's Ops and
 // memory charge, unless the charge would trip the budget; a miss walks n
-// through counters of its own, so concurrent branches cannot mix
-// statistics, and stores the walk. A result in the memo names its entry
+// through counters of its own, whose statistics the entry keeps, and
+// stores the walk. A result in the memo names its entry
 // (URelResult.memo), where a conf over it keeps its P values.
 func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 	if e.shared == nil || e.spill != nil || n.l == nil || n.facts&(holdsEst|closed) != closed {
@@ -215,7 +215,7 @@ func (e *URelEvaluator) walkMemo(n *node) (URelResult, error) {
 	}
 	key := fmt.Sprintf("%d %d %#v", e.db.Vars.Len(), e.nextRK, n.q)
 	if p := e.shared.get(key, e.mem); p != nil {
-		if p.nextRK != e.nextRK { // repair-keys: never beside a concurrent branch
+		if p.nextRK != e.nextRK { // n registered repair-key variables
 			e.db.Vars.Append(p.vars.infos)
 			e.nextRK = p.nextRK
 		}

@@ -16,9 +16,9 @@ import (
 	"repro/internal/vars"
 )
 
-// parallelDB builds a database big enough that the partitioned operators
-// actually split work: two uncertain relations sharing variables and a
-// weighted complete relation for repair-key.
+// parallelDB builds a database whose lineage groups are many enough to
+// spread over several workers: two uncertain relations sharing variables
+// and a weighted complete relation for repair-key.
 func parallelDB() *urel.Database {
 	rng := rand.New(rand.NewSource(4242))
 	db := urel.NewDatabase()
@@ -75,10 +75,10 @@ func exactFingerprint(res URelResult) string {
 	return b.String()
 }
 
-// parallelPlans are exact UA plans covering every partitioned code path:
-// hash join, product (via disjoint schemas), union, selection, projection,
-// repair-key (sequentialized branches), exact conf, and σ̂ with a
-// two-argument predicate.
+// parallelPlans are exact UA plans over every operator — hash join, union,
+// selection, projection, repair-key — under each consumer of the per-group
+// confidence fan-out: exact conf (one over many small groups), cert, and
+// σ̂ with a two-argument predicate.
 func parallelPlans() map[string]Query {
 	joinRS := Join{L: Base{Name: "R"}, R: Base{Name: "S"}}
 	return map[string]Query{
@@ -100,6 +100,11 @@ func parallelPlans() map[string]Query {
 			},
 			As: "P",
 		},
+		"conf-many-groups": Conf{
+			In: Project{In: joinRS, Targets: []expr.Target{expr.Keep("K"), expr.Keep("A")}},
+			As: "P",
+		},
+		"cert-join": Cert{In: joinRS},
 		"shat-two-args": ApproxSelect{
 			In:   joinRS,
 			Args: []ConfArg{{Attrs: []string{"A"}}, {Attrs: nil}},
@@ -109,10 +114,12 @@ func parallelPlans() map[string]Query {
 }
 
 // TestExactWorkersBitIdentical is the exact-algebra mirror of the
-// sampler's TestWorkersBitIdentical: partitioned operators, parallel exact
-// confidence, and concurrent branch evaluation at workers 1, 4 and 8 must
-// produce results byte-identical — including float bit patterns of conf
-// and σ̂ columns and tuple order — to the sequential evaluator.
+// sampler's TestWorkersBitIdentical: the operators and the plan walk are
+// sequential, and what varies with the worker count is the per-group
+// exact confidence fan-out (exactEstimators under conf and σ̂, CertExact
+// under cert). At workers 1, 4 and 8 it must produce results
+// byte-identical — including float bit patterns of conf and σ̂ columns and
+// tuple order — to the one-worker evaluator.
 func TestExactWorkersBitIdentical(t *testing.T) {
 	db := parallelDB()
 	for name, q := range parallelPlans() {
@@ -176,59 +183,17 @@ func (s *sequentialEstimators) Estimate(table *vars.Table, args [][]dnf.F, decid
 	return s.exactEstimators.Estimate(table, args, decide)
 }
 
-// TestBranchSafety pins the concurrency guard on compiled plans: repair-key
-// and let make a branch unsafe, pure operator trees are safe, and conf / σ̂
-// branches are safe exactly when the evaluator's Estimators are concurrent.
-func TestBranchSafety(t *testing.T) {
+// TestSequentialEstimatorsPlanOrder pins the estimator contract of
+// WithEstimators on a four-worker pool: two conf branches under an
+// unsynchronized estimator (this test runs under -race in `make race`)
+// call it once each, one after the other, and the result matches the exact
+// one.
+func TestSequentialEstimatorsPlanOrder(t *testing.T) {
 	db := parallelDB()
-	safe := func(e *URelEvaluator) func(Query) bool {
-		return func(q Query) bool {
-			n, err := compile(q, db.Rels)
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			return e.branchSafe(n)
-		}
-	}
-	branchSafe := safe(NewURelEvaluator(db))
 	pure := Join{L: Base{Name: "R"}, R: Base{Name: "S"}}
-	if !branchSafe(pure) {
-		t.Error("pure operator tree reported unsafe")
-	}
-	if branchSafe(RepairKey{In: Base{Name: "T"}, Weight: "W"}) {
-		t.Error("repair-key branch reported safe")
-	}
-	if branchSafe(Let{Name: "X", Def: Base{Name: "R"}, In: Base{Name: "X"}}) {
-		t.Error("let branch reported safe")
-	}
-	if branchSafe(Select{In: RepairKey{In: Base{Name: "T"}, Weight: "W"}, Pred: expr.Ge(expr.A("G"), expr.CInt(0))}) {
-		t.Error("nested repair-key branch reported safe")
-	}
-
 	confBranch := Conf{In: pure, As: "P"}
-	shatBranch := Select{
-		In: ApproxSelect{
-			In:   Base{Name: "R"},
-			Args: []ConfArg{{Attrs: []string{"K"}}},
-			Pred: predapprox.Linear([]float64{1}, 0.5),
-		},
-		Pred: expr.Ge(expr.A("K"), expr.CInt(0)),
-	}
-	if !branchSafe(confBranch) || !branchSafe(shatBranch) {
-		t.Error("conf / σ̂ branch reported unsafe under the exact estimators")
-	}
 	est := &sequentialEstimators{exactEstimators: exactEstimators{sched.New(1)}}
-	seq := NewParallelURelEvaluator(db, sched.New(4)).WithEstimators(est, false)
-	seqSafe := safe(seq)
-	if seqSafe(confBranch) || seqSafe(shatBranch) {
-		t.Error("conf / σ̂ branch reported safe under non-concurrent estimators")
-	}
-	if !seqSafe(pure) {
-		t.Error("sampling-free branch reported unsafe under non-concurrent estimators")
-	}
-	// The guard is what evalPair acts on: two conf branches under
-	// non-concurrent estimators run one after the other (this test runs
-	// under -race in `make race`), and the result matches the exact one.
+	seq := NewParallelURelEvaluator(db, sched.New(4)).WithEstimators(est)
 	q := Join{L: confBranch, R: Conf{In: Base{Name: "R"}, As: "P2"}}
 	got, err := seq.Eval(q)
 	if err != nil {

@@ -24,10 +24,9 @@ type node struct {
 type facts uint8
 
 const (
-	holdsShat  facts = 1 << iota // a σ̂: the result is unreliable, so no repair-key may read it
-	holdsEst                     // a conf or σ̂: the Estimators run
-	holdsWrite                   // a repair-key or let: writes state the walk shares
-	closed                       // reads only database relations and lets bound inside it
+	holdsShat facts = 1 << iota // a σ̂: the result is unreliable, so no repair-key may read it
+	holdsEst                    // a conf or σ̂: the Estimators run
+	closed                      // reads only database relations and lets bound inside it
 )
 
 // InferSchema statically computes the output schema of a query against a
@@ -101,7 +100,7 @@ func (c *compiler[R]) compile(q Query) (*node, int, error) {
 			return nil, 0, err
 		}
 		n.l, n.r, n.schema, free = def, in, in.schema, min(f, g)
-		n.facts = (def.facts|in.facts)&^closed | holdsWrite
+		n.facts = (def.facts | in.facts) &^ closed
 	default:
 		for i, k := range q.Children() {
 			in, f, err := c.compile(k)
@@ -184,7 +183,6 @@ func (c *compiler[R]) check(n *node) error {
 		if !in.Has(q.Weight) {
 			return fmt.Errorf("algebra: repair-key weight %q not in schema %v", q.Weight, in)
 		}
-		n.facts |= holdsWrite
 	case Conf:
 		if in.Has(q.PCol()) {
 			return fmt.Errorf("algebra: conf column %q already in schema %v", q.PCol(), in)

@@ -201,7 +201,7 @@ func TestTrialsLimit(t *testing.T) {
 }
 
 // TestMemoryLimit pins the memory limit on a product blow-up: the
-// partitioned operator's running bytes estimate trips the budget and the
+// operator's running bytes estimate trips the budget and the
 // evaluation aborts with a typed *LimitError.
 func TestMemoryLimit(t *testing.T) {
 	db := urel.NewDatabase()

@@ -52,8 +52,11 @@ type Options struct {
 	// Workers value.
 	Seed int64
 	// Workers is the number of goroutines the engine fans Karp–Luby
-	// estimation out across; 0 (the default) selects GOMAXPROCS. Results
-	// are independent of the value — it only changes wall-clock time.
+	// estimation, and the exact confidences of conf, σ̂ and cert (one task
+	// per lineage group), out across; 0 (the default) selects GOMAXPROCS.
+	// The exact operators and the plan walk run sequentially whatever the
+	// value. Results are independent of the value — it only changes
+	// wall-clock time.
 	Workers int
 	// MaxTrials caps the number of Karp–Luby trials one evaluation may
 	// sample, over every σ̂ round and re-walk. The check is cooperative
@@ -67,9 +70,10 @@ type Options struct {
 	// reports): a relation is charged once, when it is materialized — a
 	// σ̂'s rounds materialize nothing, and a re-walk starts a fresh budget —
 	// and a sub-plan the engine's memo replays (SetMemo) as if
-	// materialized. Enforcement is cooperative: the partitioned blow-up
-	// operators stop producing mid-range once the budget trips, and the
-	// evaluation aborts with a *LimitError at the next operator boundary.
+	// materialized. Enforcement is cooperative: the blow-up operators
+	// (join, product) stop producing mid-operator once the budget trips,
+	// and the evaluation aborts with a *LimitError at the next operator
+	// boundary.
 	// 0 disables the limit.
 	MaxMemory int64
 	// SpillDir, when non-empty alongside MaxMemory, switches the memory
@@ -259,9 +263,10 @@ func (e *Engine) DB() *urel.Database { return e.db }
 
 // EvalExact evaluates the query with exact confidence computation
 // (delegating to the algebra package's U-relational evaluator). The
-// evaluator runs its partitioned operators — and independent plan
-// branches — across the engine's worker pool (Options.Workers); results
-// are bit-identical for any worker count.
+// evaluator walks the plan and runs its operators sequentially; the exact
+// confidences of each conf, σ̂ and cert fan out across the engine's worker
+// pool (Options.Workers), one task per lineage group. Results are
+// bit-identical for any worker count.
 func (e *Engine) EvalExact(q algebra.Query) (algebra.URelResult, error) {
 	return e.EvalExactContext(context.Background(), q)
 }
@@ -294,7 +299,7 @@ func (e *Engine) walk(ctx context.Context, q algebra.Query, run *evalRun) (algeb
 		w.WithSpill(spill)
 	}
 	if run != nil {
-		w.WithEstimators(run, false)
+		w.WithEstimators(run)
 	}
 	res, err := w.EvalContext(ctx, q)
 	return res, limitErr(err)
@@ -407,7 +412,7 @@ func (e *Engine) theorem67Cap(q algebra.Query) (l0 int64, d int) {
 
 // evalRun is the sampling state of one approximate evaluation. As the
 // walker's algebra.Estimators it is called (Estimate, approx.go; each σ̂
-// batch's Round) in plan order — never from concurrent branches: the batch
+// batch's Round) in plan order, from the walker's goroutine: the batch
 // maps and counters below are unsynchronized and σ̂ decisions are counted
 // in plan order.
 type evalRun struct {

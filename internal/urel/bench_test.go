@@ -134,7 +134,7 @@ func largeRelation(rng *rand.Rand, schema rel.Schema, n, keys int, tab *vars.Tab
 
 // BenchmarkJoinLarge joins two 100k-tuple U-relations on one shared
 // attribute with ~100k matching pairs — the exact-algebra hot path the
-// partitioned hash join targets. Tracked by CI's benchstat gate on both
+// hash join targets. Tracked by CI's benchstat gate on both
 // sec/op and allocs/op.
 func BenchmarkJoinLarge(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))

@@ -79,14 +79,15 @@ func TestLineageGrouperForcedCollisions(t *testing.T) {
 	rowA := rel.Tuple{rel.String("a")}
 	rowB := rel.Tuple{rel.String("b")}
 	ids := []int32{
-		g.at(forcedHash, rowA, 1),
-		g.at(forcedHash, rowB, 1),
-		g.at(forcedHash, rowA, 1),
-		g.at(forcedHash, rowB, 2),
-		g.at(forcedHash, rel.Tuple{rel.String("c")}, 1),
+		g.at(forcedHash, rowA),
+		g.at(forcedHash, rowB),
+		g.at(forcedHash, rowA),
+		g.at(forcedHash, rowB),
+		g.at(forcedHash, rowB),
+		g.at(forcedHash, rel.Tuple{rel.String("c")}),
 	}
-	if !slices.Equal(ids, []int32{0, 1, 0, 1, 2}) {
-		t.Fatalf("group ids %v, want [0 1 0 1 2] (a, b, c in first-appearance order)", ids)
+	if !slices.Equal(ids, []int32{0, 1, 0, 1, 1, 2}) {
+		t.Fatalf("group ids %v, want [0 1 0 1 1 2] (a, b, c in first-appearance order)", ids)
 	}
 	if len(g.rows) != 3 || g.rows[0][0].AsString() != "a" || g.rows[1][0].AsString() != "b" || g.rows[2][0].AsString() != "c" {
 		t.Fatalf("group rows %v, want a, b, c", g.rows)

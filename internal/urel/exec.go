@@ -15,18 +15,15 @@ import (
 	"repro/internal/vars"
 )
 
-// Exec evaluates the U-relational operators with a fixed degree of
-// parallelism and optional per-operator statistics. The package-level
-// operator functions delegate to a sequential Exec; evaluators that own a
-// sched.Pool build one Exec per evaluation and route every operator
-// through it.
+// Exec evaluates the U-relational operators with optional per-operator
+// statistics, a memory budget and spilling. The package-level operator
+// functions delegate to a one-worker Exec; evaluators build one Exec per
+// evaluation and route every operator through it.
 //
-// Determinism invariant (the exact-algebra mirror of the sampler's): every
-// partitioned operator splits its probe/grouping input into fixed-size
-// ranges whose boundaries depend only on the input length — never on the
-// worker count — and merges per-range outputs in range order. The merged
-// relation is therefore bit-identical for any Workers value, and identical
-// to the classic sequential nested-loop order.
+// Every operator is one sequential pass over its inputs. The pool serves
+// the one step whose cost justifies a fan-out: CertExact's per-group exact
+// confidences, each written to its group's own slot, so the output is the
+// same for any worker count.
 type Exec struct {
 	pool *sched.Pool
 	ctrs *Counters
@@ -50,8 +47,8 @@ func NewExec(pool *sched.Pool, ctrs *Counters) *Exec {
 }
 
 // WithBudget attaches a memory budget: every operator charges its output's
-// estimated footprint against it, and the partitioned blow-up operators
-// (join, product) stop producing mid-range once it trips. Returns x for
+// estimated footprint against it, and the blow-up operators (join,
+// product) stop producing mid-operator once it trips. Returns x for
 // chaining; a nil budget disables the checks.
 func (x *Exec) WithBudget(b *MemBudget) *Exec {
 	x.mem = b
@@ -60,7 +57,7 @@ func (x *Exec) WithBudget(b *MemBudget) *Exec {
 
 // WithSpill attaches a spill manager, turning the memory budget into
 // out-of-core execution instead of a hard limit: operators always produce
-// their complete output (the mid-range early stops are disabled — a
+// their complete output (the mid-operator early stops are disabled — a
 // truncated output that later continued would be silently wrong), and
 // after each operator the Exec sheds intermediate relations to spill
 // files, oldest first, until the live charged set is back under the
@@ -72,9 +69,8 @@ func (x *Exec) WithBudget(b *MemBudget) *Exec {
 // any single operator (its inputs plus its output) stays resident
 // regardless of the limit. Spill I/O failures are sticky on the manager;
 // evaluators check Err at each operator boundary and abort, so a failed
-// spill never yields partial results. Callers driving an Exec concurrently
-// (parallel plan branches) must serialize under spill — the shed registry
-// is not synchronized.
+// spill never yields partial results. The shed registry is not
+// synchronized: one goroutine drives an Exec.
 func (x *Exec) WithSpill(s *Spill) *Exec {
 	x.spill = s
 	return x
@@ -94,7 +90,7 @@ func (x *Exec) Err() error {
 // both the shed target — a budget — and somewhere to shed to).
 func (x *Exec) outOfCore() bool { return x.spill != nil && x.mem != nil }
 
-// probeStop is the operators' mid-range budget probe: under out-of-core
+// probeStop is the operators' mid-operator budget probe: under out-of-core
 // execution it never stops production (outputs must be complete — the
 // budget overshoot is resolved by shedding afterwards), otherwise it is
 // MemBudget.Probe.
@@ -161,35 +157,6 @@ func (x *Exec) manage(out *Relation, ins []*Relation) {
 // seqExec backs the package-level operator functions: one worker, no
 // statistics.
 var seqExec = &Exec{pool: sched.New(1)}
-
-// rangeTuples is the partition granularity of the parallel operators:
-// probe/grouping inputs are split into ranges of this many tuples. The
-// value is a constant of the data layout, not of the worker count, so
-// partition boundaries — and hence merged output order — are identical no
-// matter how many workers run the ranges.
-const rangeTuples = 4096
-
-func numRanges(n int) int { return (n + rangeTuples - 1) / rangeTuples }
-
-// forRanges fans fn out over the fixed ranges of [0, n). With one worker
-// the ranges run in order on the calling goroutine.
-func (x *Exec) forRanges(n int, fn func(rg, lo, hi int)) {
-	nr := numRanges(n)
-	if nr == 0 {
-		return
-	}
-	// fn never fails and the context is never cancelled here: operator
-	// granularity cancellation is the evaluator's job.
-	_ = x.pool.ForEach(nr, func(rg int) error {
-		lo := rg * rangeTuples
-		hi := lo + rangeTuples
-		if hi > n {
-			hi = n
-		}
-		fn(rg, lo, hi)
-		return nil
-	})
-}
 
 // Estimated per-tuple memory footprint, used for the Bytes counters.
 const (
@@ -296,19 +263,18 @@ func (x *Exec) Product(a, b *Relation) (*Relation, error) {
 	return x.join("product", a, b, nil, false), nil
 }
 
-// Join implements the natural join R ⋈ S as a partitioned hash join: the
-// build side's join-column hashes are computed in parallel and indexed in
-// insertion order (rel.BuildIndex); the probe side is scanned in fixed
-// ranges, each worker listing its range's matches, which are then built
-// into slabs sized exactly, at the range's offset. Bucket candidates
-// filtered by the 64-bit join-key hash are confirmed by value equality on
-// the join columns; of equal output pairs the first is kept.
+// Join implements the natural join R ⋈ S as a hash join: the build side's
+// join-column hashes are indexed in insertion order (rel.BuildIndex); the
+// probe side is scanned once, listing its matches, which are then built
+// into slabs sized exactly. Bucket candidates filtered by the 64-bit
+// join-key hash are confirmed by value equality on the join columns; of
+// equal output pairs the first is kept.
 func (x *Exec) Join(a, b *Relation) *Relation {
 	return x.join("join", a, b, nil, false)
 }
 
 // ProjectJoin is π_targets(R ⋈ S) in one operator: each joined row lives in
-// the range's scratch tuple, is projected and never stored. The output is
+// a scratch tuple, is projected and never stored. The output is
 // Project's over Join's, pair for pair. It records a join cell of the
 // emitted pairs and their footprint, then a project cell: the cells Join
 // then Project record whenever no two joined pairs merge, as when one
@@ -352,120 +318,96 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 		}
 	}
 
-	// Build phase: hash S's join columns in parallel, then index them so a
-	// chain visits S in insertion order.
+	// Build phase: index S's join-column hashes so a chain visits S in
+	// insertion order.
 	bh := make([]uint64, len(b.tuples))
-	x.forRanges(len(b.tuples), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bh[i] = b.tuples[i].Row.HashAt(bIdx)
-		}
-	})
+	for i, t := range b.tuples {
+		bh[i] = t.Row.HashAt(bIdx)
+	}
 	build := rel.BuildIndex(bh)
 
-	// First pass, over R's fixed ranges: range rg's output pairs — each
-	// one's R tuple in is[rg] and, unless a semijoin builds it from that
-	// alone, its S tuple in js[rg] — the bindings of the conditions they
-	// merge (nds[rg+1]; a condition met with an empty one is shared), and
-	// the joined pairs it emits and their footprint.
-	n, nr := len(a.tuples), numRanges(len(a.tuples))
-	is, js, nds := make([][]int32, nr), make([][]int32, nr), make([]int, nr+1)
-	var emitted, footprint atomic.Int64
-	x.forRanges(n, func(rg, lo, hi int) {
-		var m, localBytes int64
-		if is[rg] = make([]int32, 0, hi-lo); !semi { // one match per R tuple, to start with
-			js[rg] = make([]int32, 0, hi-lo)
-		}
-		// Cooperative memory limit: probed once per probe tuple AND every
-		// 1024 emitted pairs (one probe tuple's fan-out is unbounded). Once
-		// the budget trips — possibly on another worker's range — stop; the
-		// evaluation aborts between operators, discarding the output.
-		for i := lo; i < hi && !x.probeStop(localBytes); i++ {
-			ta := a.tuples[i]
-			for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
-				tb := b.tuples[j]
-				if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
-					continue
+	// First pass, over R: the output pairs — each one's R tuple in is and,
+	// unless a semijoin builds it from that alone, its S tuple in js — the
+	// bindings of the conditions they merge (nds; a condition met with an
+	// empty one is shared), and the joined pairs emitted and their
+	// footprint.
+	is := make([]int32, 0, len(a.tuples)) // one match per R tuple, to start with
+	var js []int32
+	if !semi {
+		js = make([]int32, 0, len(a.tuples))
+	}
+	var nds int
+	var emitted, footprint int64
+	// Cooperative memory limit: probed once per probe tuple AND every 1024
+	// emitted pairs (one probe tuple's fan-out is unbounded). Once the
+	// budget trips, stop; the evaluation aborts between operators,
+	// discarding the output.
+	for i := 0; i < len(a.tuples) && !x.probeStop(footprint); i++ {
+		ta := a.tuples[i]
+		for j := build.First(ta.Row.HashAt(aIdx)); j >= 0; j = build.Next(j) {
+			tb := b.tuples[j]
+			if !ta.Row.EqualAt(aIdx, tb.Row, bIdx) {
+				continue
+			}
+			nd, ok := ta.D.UnionLen(tb.D)
+			if !ok {
+				continue
+			}
+			if !semi {
+				is, js = append(is, int32(i)), append(js, j)
+				if len(ta.D) > 0 && len(tb.D) > 0 {
+					nds += nd
 				}
-				nd, ok := ta.D.UnionLen(tb.D)
-				if !ok {
-					continue
-				}
-				if !semi {
-					is[rg], js[rg] = append(is[rg], int32(i)), append(js[rg], j)
-					if len(ta.D) > 0 && len(tb.D) > 0 {
-						nds[rg+1] += nd
-					}
-				} else if k := len(is[rg]); k == 0 || is[rg][k-1] != int32(i) {
-					is[rg] = append(is[rg], int32(i))
-				}
-				m++
-				localBytes += pairBytes(nd, len(joined))
-				if m&0x3ff == 0 && x.probeStop(localBytes) {
-					break
-				}
+			} else if k := len(is); k == 0 || is[k-1] != int32(i) {
+				is = append(is, int32(i))
+			}
+			emitted++
+			footprint += pairBytes(nd, len(joined))
+			if emitted&0x3ff == 0 && x.probeStop(footprint) {
+				break
 			}
 		}
-		emitted.Add(m)
-		footprint.Add(localBytes)
-	})
-	kept := make([]int, nr+1) // range rg's pairs start at kept[rg]
-	for rg := range nr {
-		kept[rg+1] = kept[rg] + len(is[rg])
-		nds[rg+1] += nds[rg]
 	}
 
-	// Second pass: the pairs built into slabs sized exactly, at their
-	// ranges' offsets, and hashed for the dedup below unless the output is
-	// D-key.
+	// Second pass: the pairs built into slabs sized exactly and, unless
+	// the output is D-key, deduplicated as they come.
 	w, la := len(schema), len(a.schema)
 	proj := expr.BindTargets(targets, joined)
-	vals, ds := make([]rel.Value, kept[nr]*w), make(vars.Assignment, nds[nr])
-	tuples := make([]UTuple, kept[nr])
+	vals, free := make([]rel.Value, len(is)*w), make(vars.Assignment, nds)
 	dkey := semi && a.dkey
-	var hs []uint64
+	out := &Relation{schema: schema, tuples: make([]UTuple, 0, len(is)), dkey: dkey}
 	if !dkey {
-		hs = make([]uint64, kept[nr])
+		out.idx = rel.NewIndex(len(is))
 	}
-	x.forRanges(n, func(rg, _, _ int) {
-		free, wide := ds[nds[rg]:nds[rg+1]], make(rel.Tuple, len(joined))
-		for k, i := range is[rg] {
-			ta, p := a.tuples[i], kept[rg]+k
-			d, in := ta.D, ta.Row
-			if !semi {
-				tb := b.tuples[js[rg][k]]
-				if len(ta.D) == 0 {
-					d = tb.D
-				} else if len(tb.D) > 0 {
-					d, _ = ta.D.AppendUnion(free[:0], tb.D)
-					d, free = d[:len(d):len(d)], free[len(d):]
-				}
-				copy(wide, ta.Row)
-				for c, jj := range bExtraIdx {
-					wide[la+c] = tb.Row[jj]
-				}
-				in = wide
+	wide := make(rel.Tuple, len(joined))
+	for p, i := range is {
+		ta := a.tuples[i]
+		d, in := ta.D, ta.Row
+		if !semi {
+			tb := b.tuples[js[p]]
+			if len(ta.D) == 0 {
+				d = tb.D
+			} else if len(tb.D) > 0 {
+				d, _ = ta.D.AppendUnion(free[:0], tb.D)
+				d, free = d[:len(d):len(d)], free[len(d):]
 			}
-			row := rel.Tuple(vals[p*w : (p+1)*w : (p+1)*w])
-			if project {
-				proj.Fill(row, in)
-			} else {
-				copy(row, in)
+			copy(wide, ta.Row)
+			for c, jj := range bExtraIdx {
+				wide[la+c] = tb.Row[jj]
 			}
-			if tuples[p] = (UTuple{D: d, Row: row}); hs != nil {
-				hs[p] = utHash(d, row)
-			}
+			in = wide
 		}
-	})
-	out := &Relation{schema: schema, tuples: tuples[:0], dkey: dkey}
-	if !dkey {
-		out.idx = rel.NewIndex(len(tuples))
-	}
-	for i, t := range tuples {
-		if dkey || out.admit(hs[i], t.D, t.Row) {
-			out.appendUnique(t.D, t.Row)
+		row := rel.Tuple(vals[p*w : (p+1)*w : (p+1)*w])
+		if project {
+			proj.Fill(row, in)
+		} else {
+			copy(row, in)
+		}
+		if dkey || out.admit(utHash(d, row), d, row) {
+			out.appendUnique(d, row)
 		}
 	}
-	if out.Len() < len(tuples) { // retain the kept pairs only, not the slabs
+	if out.Len() < len(is) { // retain the kept pairs only, not the slabs
 		out = out.Compact()
 	}
 
@@ -473,11 +415,11 @@ func (x *Exec) join(op string, a, b *Relation, targets []expr.Target, project bo
 	if !project {
 		x.record(op, in, int64(out.Len()), out.Bytes())
 	} else {
-		x.record(op, in, emitted.Load(), footprint.Load())
+		x.record(op, in, emitted, footprint)
 		// A join that trips the budget ends the evaluation before its
 		// projection would run; out-of-core execution never ends on it.
 		if x.outOfCore() || !x.mem.Exceeded() {
-			x.record("project", emitted.Load(), int64(out.Len()), out.Bytes())
+			x.record("project", emitted, int64(out.Len()), out.Bytes())
 		}
 	}
 	x.produced(out, a, b)
@@ -535,42 +477,35 @@ func (x *Exec) Poss(r *Relation) *rel.Relation {
 	return out
 }
 
-// lineageGrouper is the one grouping structure behind every lineage path
-// (single-pass, per-range local, and merge): groups found through a
-// rel.Index over the row hashes, in first-appearance order, each with its
-// clause count. Keeping a single implementation is what guarantees the
-// three paths stay in lock-step — the worker-count bit-identity invariant
-// depends on them producing identical output.
+// lineageGrouper groups rows through a rel.Index over their hashes, in
+// first-appearance order, each group with its clause count.
 type lineageGrouper struct {
-	idx    rel.Index
-	rows   []rel.Tuple
-	hashes []uint64
-	sizes  []int32
+	idx   rel.Index
+	rows  []rel.Tuple
+	sizes []int32
 }
 
 // at returns the id of row's group under hash h — creating it, in
-// first-appearance order, when absent — and counts n more clauses in it.
-func (g *lineageGrouper) at(h uint64, row rel.Tuple, n int32) int32 {
+// first-appearance order, when absent — and counts one more clause in it.
+func (g *lineageGrouper) at(h uint64, row rel.Tuple) int32 {
 	head := g.idx.First(h)
 	for p := head; p >= 0; p = g.idx.Next(p) {
 		if g.rows[p].Equal(row) {
-			g.sizes[p] += n
+			g.sizes[p]++
 			return p
 		}
 	}
 	g.idx.Append(h, head)
 	g.rows = append(g.rows, row)
-	g.hashes = append(g.hashes, h)
-	g.sizes = append(g.sizes, n)
+	g.sizes = append(g.sizes, 1)
 	return int32(len(g.rows) - 1)
 }
 
-// lineage is the grouping core of Lineage, ConfExact and CertExact: group ids
-// first — in one pass, or per fixed range merged in range order — then one
-// clause array carved per group and filled in input order. Group order
-// (first appearance) and clause order (input order) are the sequential
-// scan's for any worker count; every output slice is sized exactly; rows
-// and clauses are the input's own.
+// lineage is the grouping core of Lineage, ConfExact and CertExact: group
+// ids first, in one pass, then one clause array carved per group and
+// filled in input order. Groups are in first-appearance order and clauses
+// in input order; every output slice is sized exactly; rows and clauses
+// are the input's own.
 func (x *Exec) lineage(r *Relation) (rows []rel.Tuple, fs []dnf.F, bytes int64) {
 	x.Ensure(r)
 	n := len(r.tuples)
@@ -578,36 +513,9 @@ func (x *Exec) lineage(r *Relation) (rows []rel.Tuple, fs []dnf.F, bytes int64) 
 		return nil, nil, 0
 	}
 	ids := make([]int32, n)
-	var g *lineageGrouper
-	// One worker (or one range) groups in a single pass: the partitioned
-	// path gives the same ids, at the cost of a merge.
-	if x.pool.Workers() == 1 || numRanges(n) == 1 {
-		g = &lineageGrouper{idx: rel.NewIndex(n)}
-		for i, t := range r.tuples {
-			ids[i] = g.at(t.Row.Hash(), t.Row, 1)
-		}
-	} else {
-		locals := make([]*lineageGrouper, numRanges(n))
-		x.forRanges(n, func(rg, lo, hi int) {
-			l := &lineageGrouper{idx: rel.NewIndex(hi - lo)}
-			for i := lo; i < hi; i++ {
-				t := r.tuples[i]
-				ids[i] = l.at(t.Row.Hash(), t.Row, 1)
-			}
-			locals[rg] = l
-		})
-		// Deterministic merge: ranges in order, local groups in local
-		// order; then each pair's local id becomes its merged one.
-		g = &lineageGrouper{idx: rel.NewIndex(n)}
-		for rg, l := range locals {
-			merged := make([]int32, len(l.rows))
-			for gi, row := range l.rows {
-				merged[gi] = g.at(l.hashes[gi], row, l.sizes[gi])
-			}
-			for i := rg * rangeTuples; i < min(n, (rg+1)*rangeTuples); i++ {
-				ids[i] = merged[ids[i]]
-			}
-		}
+	g := &lineageGrouper{idx: rel.NewIndex(n)}
+	for i, t := range r.tuples {
+		ids[i] = g.at(t.Row.Hash(), t.Row)
 	}
 	rows = make([]rel.Tuple, len(g.rows))
 	copy(rows, g.rows)
@@ -632,7 +540,8 @@ func (x *Exec) Lineage(r *Relation) ([]rel.Tuple, []dnf.F) {
 	return rows, fs
 }
 
-// CertExact implements cert(R) via exact confidences, parallel per group.
+// CertExact implements cert(R) via exact confidences, fanned out over the
+// pool one task per group.
 func (x *Exec) CertExact(r *Relation, table *vars.Table) *rel.Relation {
 	rows, fs, _ := x.lineage(r)
 	keep := make([]bool, len(fs))
@@ -817,8 +726,7 @@ type OpStats struct {
 type StatsMap map[string]OpStats
 
 // Counters is a concurrency-safe operator-statistics collector shared by
-// all Execs of one evaluation (partitioned operators record from pool
-// workers).
+// all Execs of one evaluation.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]*opCell

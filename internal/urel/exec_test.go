@@ -14,9 +14,8 @@ import (
 )
 
 // relFingerprint renders a relation's exact content AND insertion order —
-// the bit-identity contract of the partitioned operators is that the
-// merged output equals the sequential output tuple for tuple, not just as
-// a set.
+// the bit-identity contract is that an Exec's output equals the
+// package-level output tuple for tuple, not just as a set.
 func relFingerprint(r *Relation) string {
 	var b strings.Builder
 	for _, t := range r.Tuples() {
@@ -73,16 +72,17 @@ func execDB() (*Relation, *Relation, *vars.Table) {
 }
 
 // TestExecWorkersBitIdentical is the exact-algebra mirror of the sampler's
-// worker-count invariant: every partitioned operator produces output
-// byte-identical (content and order) to the sequential package-level path
-// at workers 1, 4 and 8.
+// worker-count invariant: the operators are sequential whatever the pool,
+// so an Exec over 1, 4 or 8 workers must produce output byte-identical
+// (content and order) to the one-worker package-level path; only
+// CertExact's per-group confidences use the pool.
 func TestExecWorkersBitIdentical(t *testing.T) {
 	a, b, _ := execDB()
 	pred := expr.Ge(expr.A("A"), expr.CInt(3))
 	targets := []expr.Target{expr.Keep("K"), expr.As("S", expr.Add(expr.A("A"), expr.A("B")))}
 
 	// Product crosses every pair, so cross small prefixes of the inputs
-	// (still spanning several partition ranges on the probe side).
+	// (a 9 000-tuple probe side).
 	prodA, prodB := prefixRel(a, 9000), renameRel(prefixRel(b, 40), "K2", "B2")
 
 	wantJoin := relFingerprint(Join(a, b))

@@ -27,9 +27,9 @@ func (e *MemLimitError) Error() string {
 //
 // Enforcement is cooperative and two-layered: every operator adds its
 // output's estimated footprint when it records statistics, and the
-// partitioned operators with multiplicative blow-up potential (join,
-// product) additionally probe the budget with their in-flight range-local
-// bytes, stopping production mid-range once it trips. A tripped budget
+// operators with multiplicative blow-up potential (join, product)
+// additionally probe the budget with their in-flight bytes, stopping
+// production mid-operator once it trips. A tripped budget
 // un-trips only through Release (bytes leaving memory for a spill file);
 // without spilling, the evaluator turns the trip into a typed limit error
 // between operators, and whatever partial output the aborted operator
@@ -37,9 +37,8 @@ func (e *MemLimitError) Error() string {
 // limit is a high-water mark for the live set, not a hard bound — see
 // Exec.WithSpill.
 //
-// A MemBudget is safe for concurrent use (operators record from pool
-// workers). All methods are nil-receiver safe, so call sites need no
-// budget-configured check.
+// A MemBudget is safe for concurrent use. All methods are nil-receiver
+// safe, so call sites need no budget-configured check.
 type MemBudget struct {
 	limit int64
 	used  atomic.Int64
@@ -70,7 +69,7 @@ func (b *MemBudget) Add(n int64) {
 
 // Probe reports whether the budget is (or would be) exhausted with
 // inflight additional bytes on top of the recorded total, tripping it if
-// so. Operators call it with range-local byte counts to stop producing
+// so. Operators call it with their in-flight byte counts to stop producing
 // output before the overshoot is ever recorded.
 func (b *MemBudget) Probe(inflight int64) bool {
 	if b == nil {

@@ -50,7 +50,7 @@ func utHash(d vars.Assignment, row rel.Tuple) uint64 {
 // cannot merge two pairs (Select, −c, RepairKey, Project over a D-key
 // input, FromComplete, WithColumn, hydrate) append without it and hash
 // nothing. A published relation is never mutated — sub-plans are shared by
-// concurrent branches and the engine's memo — so a probe of an input
+// concurrent evaluations through the engine's memo — so a probe of an input
 // without an index builds a local one (probeIndex); only the owner, while
 // still building the relation, grows its own (addPair).
 type Relation struct {

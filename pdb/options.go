@@ -104,8 +104,10 @@ func WithSeed(seed int64) Option {
 	}}
 }
 
-// WithWorkers sets the number of goroutines estimation fans out across;
-// 0 selects GOMAXPROCS. Must not be negative. Results are independent of
+// WithWorkers sets the number of goroutines estimation — and, under
+// exact evaluation, the confidence of each lineage group — fans out
+// across; 0 selects GOMAXPROCS. The exact operators run sequentially
+// whatever the value. Must not be negative. Results are independent of
 // the value — it only changes wall-clock time.
 func WithWorkers(n int) Option {
 	return Option{func(o *core.Options) error {
@@ -140,8 +142,8 @@ func WithMaxTrials(n int64) Option {
 // measurement). Each relation is charged once, when it is materialized; a
 // σ̂'s rounds materialize nothing, so a plan is charged as EvalExact of it
 // is (a re-walk starts a fresh budget). Exceeding the cap
-// aborts the evaluation with a typed *LimitError; the partitioned
-// operators stop producing mid-range once it trips. Applies to Eval and
+// aborts the evaluation with a typed *LimitError; the join and product
+// operators stop producing mid-operator once it trips. Applies to Eval and
 // EvalExact alike. Must be positive. Default: unlimited.
 func WithMaxMemory(bytes int64) Option {
 	return Option{func(o *core.Options) error {

@@ -101,9 +101,9 @@ func (q *Query) Eval(ctx context.Context, opts ...Option) (*Result, error) {
 // general — use Eval for large lineages). The context is checked between
 // plan operators.
 //
-// Exact evaluation honours WithWorkers — partitioned operators, exact
-// per-tuple confidence computations, and independent plan branches run
-// across the worker pool, with results bit-identical for any worker
+// Exact evaluation honours WithWorkers — the exact confidence of each
+// lineage group runs across the worker pool, while the operators and the
+// plan walk run sequentially, with results bit-identical for any worker
 // count — and reports per-operator work in Result.Stats().Ops. It also
 // honours WithMaxMemory (a tripped budget aborts with a typed
 // *LimitError, exactly like Eval). Accuracy and sampling options (ε, δ,

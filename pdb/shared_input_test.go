@@ -11,16 +11,16 @@ import (
 )
 
 // sharedSelectProgram binds one selection and reads it on both sides of a
-// join and of each union beneath it: the branches evaluate concurrently,
-// and every one of them clones or probes X, which a selection leaves
-// without a dedup index.
+// join and of each union beneath it: every branch clones or probes X,
+// which a selection leaves without a dedup index.
 const sharedSelectProgram = `X := select[A >= 2](T);
 join(union(diff(T, X), X), union(X, diff(U, X)))`
 
-// TestSharedSelectOutputConcurrentBranches: concurrent branches that probe
-// one published selection output neither race (run under -race) nor move
-// a row against a one-worker evaluation, on a fresh database and on an
-// engine whose memo shares the sub-plans between evaluations.
+// TestSharedSelectOutputConcurrentBranches: four goroutines evaluate the
+// program at four workers, once on the database and twice on one engine
+// whose memo shares its published sub-plans — the selection output among
+// them — between all four; they neither race (run under -race) nor move a
+// row against a one-worker evaluation.
 func TestSharedSelectOutputConcurrentBranches(t *testing.T) {
 	ctx := context.Background()
 	var trows, urows [][]any

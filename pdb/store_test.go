@@ -167,10 +167,10 @@ func TestSpillCompletesOverBudget(t *testing.T) {
 	}
 }
 
-// TestLimitErrorReportsTrippingTotal: spillProgram's two join branches run
-// concurrently on one budget, and a branch may trip it on bytes it never
-// records; the error reports the total that tripped the budget, so in
-// every run the count it names exceeds the limit.
+// TestLimitErrorReportsTrippingTotal: a join of spillProgram may trip the
+// budget mid-operator on in-flight bytes it never records; the error
+// reports the total that tripped the budget, so in every run the count it
+// names exceeds the limit.
 func TestLimitErrorReportsTrippingTotal(t *testing.T) {
 	q, err := spillDB(t).Prepare(spillProgram)
 	if err != nil {
@@ -185,6 +185,46 @@ func TestLimitErrorReportsTrippingTotal(t *testing.T) {
 		if lim.Used <= lim.Limit {
 			t.Fatalf("run %d: %v reports %d bytes, not over the %d limit", run, err, lim.Used, lim.Limit)
 		}
+	}
+}
+
+// TestJoinProbeStopsAtLimit: a join probes the budget with its whole
+// in-flight footprint, so over a 9 000-tuple probe side it stops at the
+// first probe past the limit, and the error names a total within two
+// pairs of the limit (each probe tuple matches one) — not the footprint of
+// the join's full output of 9 000 pairs.
+func TestJoinProbeStopsAtLimit(t *testing.T) {
+	var a, c [][]any
+	for i := 0; i < 9000; i++ {
+		a = append(a, []any{i % 300, i})
+	}
+	for i := 0; i < 600; i++ {
+		c = append(c, []any{i % 300, i % 5})
+	}
+	db, err := pdb.NewBuilder().
+		Table("A", []string{"K", "X"}, a...).
+		Table("C", []string{"K", "Z"}, c...).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Prepare(`join(A, C);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := q.EvalExact(context.Background(), pdb.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := full.Stats().Ops["join"].Bytes
+	limit := total * 2 / 3
+	_, err = q.EvalExact(context.Background(), pdb.WithWorkers(1), pdb.WithMaxMemory(limit))
+	var lim *pdb.LimitError
+	if !errors.As(err, &lim) || lim.Resource != "memory" {
+		t.Fatalf("want a memory LimitError, got %v", err)
+	}
+	if pairBytes := total / int64(full.Len()); lim.Used <= lim.Limit || lim.Used > lim.Limit+2*pairBytes {
+		t.Errorf("%v: want a total within two pairs (%d bytes) over the limit; the full join is %d", err, 2*pairBytes, total)
 	}
 }
 
