@@ -105,6 +105,7 @@ conformance:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
 	$(GO) test -fuzz=FuzzApproxPredicate -fuzztime=10s ./internal/predapprox
+	$(GO) test -fuzz=FuzzIndex -fuzztime=10s ./internal/rel
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzClientHandshake -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzDecodeSampleRequest -fuzztime=10s ./internal/cluster

@@ -167,60 +167,60 @@ var shatGolden = map[string]string{
 // algebra each evaluation ran, summed over its walks (recorded with
 // shatGolden, same procedure).
 var shatOpsGolden = map[string]string{
-	"cert/1/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/1/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/42/0":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/42/8":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/7/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"cert/7/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/864",
-	"conf-over-shat/1/0":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/1/8":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/42/0": "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/42/8": "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/7/0":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"conf-over-shat/7/8":  "lineage=2/12/8/768 project=2/12/12/1264",
-	"diff/1/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/1/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/42/0":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/42/8":           "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/7/0":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
-	"diff/7/8":            "diffc=1/5/3/300 lineage=1/8/4/432 project=2/12/12/1264",
+	"cert/1/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"cert/1/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"cert/42/0":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"cert/42/8":           "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"cert/7/0":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"cert/7/8":            "cert=1/4/4/240 lineage=1/8/4/432 project=1/8/8/800",
+	"conf-over-shat/1/0":  "lineage=2/12/8/768 project=2/12/12/1168",
+	"conf-over-shat/1/8":  "lineage=2/12/8/768 project=2/12/12/1168",
+	"conf-over-shat/42/0": "lineage=2/12/8/768 project=2/12/12/1168",
+	"conf-over-shat/42/8": "lineage=2/12/8/768 project=2/12/12/1168",
+	"conf-over-shat/7/0":  "lineage=2/12/8/768 project=2/12/12/1168",
+	"conf-over-shat/7/8":  "lineage=2/12/8/768 project=2/12/12/1168",
+	"diff/1/0":            "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
+	"diff/1/8":            "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
+	"diff/42/0":           "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
+	"diff/42/8":           "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
+	"diff/7/0":            "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
+	"diff/7/8":            "diffc=1/5/3/276 lineage=1/8/4/432 project=2/12/12/1168",
 	"hard-conf/1/0":       "lineage=1/120/6/3240",
 	"hard-conf/1/8":       "lineage=1/120/6/3240",
 	"hard-conf/42/0":      "lineage=1/120/6/3240",
 	"hard-conf/42/8":      "lineage=1/120/6/3240",
 	"hard-conf/7/0":       "lineage=1/120/6/3240",
 	"hard-conf/7/8":       "lineage=1/120/6/3240",
-	"hard-shat/1/0":       "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/1/8":       "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/42/0":      "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/42/8":      "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/7/0":       "lineage=1/120/6/3240 project=1/120/120/13872",
-	"hard-shat/7/8":       "lineage=1/120/6/3240 project=1/120/120/13872",
-	"join/1/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/1/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/42/0":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/42/8":           "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/7/0":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"join/7/8":            "join=1/6/2/360 lineage=1/8/4/432 project=1/8/8/864",
-	"nested-shat/1/0":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/1/8":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/42/0":    "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/42/8":    "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/7/0":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"nested-shat/7/8":     "lineage=2/12/8/768 project=3/16/16/1664",
-	"poss/1/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/1/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/42/0":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/42/8":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/7/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"poss/7/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/864",
-	"select/1/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/1/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/42/0":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/42/8":         "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/7/0":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
-	"select/7/8":          "lineage=1/8/4/432 project=1/8/8/864 select=1/4/2/280",
+	"hard-shat/1/0":       "lineage=1/120/6/3240 project=1/120/120/12912",
+	"hard-shat/1/8":       "lineage=1/120/6/3240 project=1/120/120/12912",
+	"hard-shat/42/0":      "lineage=1/120/6/3240 project=1/120/120/12912",
+	"hard-shat/42/8":      "lineage=1/120/6/3240 project=1/120/120/12912",
+	"hard-shat/7/0":       "lineage=1/120/6/3240 project=1/120/120/12912",
+	"hard-shat/7/8":       "lineage=1/120/6/3240 project=1/120/120/12912",
+	"join/1/0":            "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"join/1/8":            "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"join/42/0":           "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"join/42/8":           "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"join/7/0":            "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"join/7/8":            "join=1/6/2/312 lineage=1/8/4/432 project=1/8/8/800",
+	"nested-shat/1/0":     "lineage=2/12/8/768 project=3/16/16/1536",
+	"nested-shat/1/8":     "lineage=2/12/8/768 project=3/16/16/1536",
+	"nested-shat/42/0":    "lineage=2/12/8/768 project=3/16/16/1536",
+	"nested-shat/42/8":    "lineage=2/12/8/768 project=3/16/16/1536",
+	"nested-shat/7/0":     "lineage=2/12/8/768 project=3/16/16/1536",
+	"nested-shat/7/8":     "lineage=2/12/8/768 project=3/16/16/1536",
+	"poss/1/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"poss/1/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"poss/42/0":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"poss/42/8":           "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"poss/7/0":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"poss/7/8":            "lineage=1/8/4/432 poss=1/4/4/240 project=1/8/8/800",
+	"select/1/0":          "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
+	"select/1/8":          "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
+	"select/42/0":         "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
+	"select/42/8":         "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
+	"select/7/0":          "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
+	"select/7/8":          "lineage=1/8/4/432 project=1/8/8/800 select=1/4/2/248",
 }
 
 // TestShatFixturesGolden pins the σ̂ fixtures — estimates, propagated

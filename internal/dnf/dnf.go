@@ -18,6 +18,7 @@
 package dnf
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/rel"
@@ -348,20 +349,30 @@ func readOnce(a vars.Assignment, t *vars.Table) float64 {
 }
 
 // pickVar chooses the variable occurring in the most clauses, which keeps
-// the residual clause sets small.
+// the residual clause sets small; of those, the lowest. It counts runs in
+// one sorted list of f's variables.
 func pickVar(f F) vars.Var {
-	count := make(map[vars.Var]int)
+	n := 0
+	for _, a := range f {
+		n += len(a)
+	}
+	all := make([]vars.Var, 0, n)
 	for _, a := range f {
 		for _, b := range a {
-			count[b.Var]++
+			all = append(all, b.Var)
 		}
 	}
-	best := vars.Var(-1)
-	bestN := -1
-	for v, n := range count {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
+	slices.Sort(all)
+	best, bestN := vars.Var(-1), 0
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j] == all[i] {
+			j++
 		}
+		if j-i > bestN {
+			best, bestN = all[i], j-i
+		}
+		i = j
 	}
 	return best
 }

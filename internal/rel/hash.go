@@ -70,11 +70,7 @@ func (v Value) Hash(h uint64) uint64 {
 	case NullKind:
 		return HashCombine(h, 0)
 	case BoolKind:
-		x := uint64(2)
-		if v.b {
-			x = 3
-		}
-		return HashCombine(h, x)
+		return HashCombine(h, 2+v.n) // false 2, true 3
 	case IntKind, FloatKind:
 		f := v.AsFloat()
 		if f == 0 {

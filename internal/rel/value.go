@@ -45,26 +45,34 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is an immutable scalar database value.
+// Value is an immutable scalar database value: 32 bytes, a string header,
+// one payload word and the kind. The word n holds an int's two's-complement
+// bits, a float's IEEE-754 bits or a bool as 0/1; a string keeps its bytes
+// in s. Every value a kind does not use is zero. Go's == compares those
+// bits (+0 and −0 differ, a NaN equals itself), so values are compared with
+// Equal or Compare, never ==.
 type Value struct {
-	kind Kind
-	b    bool
-	i    int64
-	f    float64
 	s    string
+	n    uint64
+	kind Kind
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: BoolKind, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: BoolKind, n: 1}
+	}
+	return Value{kind: BoolKind}
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: IntKind, i: i} }
+func Int(i int64) Value { return Value{kind: IntKind, n: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: FloatKind, f: f} }
+func Float(f float64) Value { return Value{kind: FloatKind, n: math.Float64bits(f)} }
 
 // String returns a string value.
 func String(s string) Value { return Value{kind: StringKind, s: s} }
@@ -76,16 +84,16 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == NullKind }
 
 // AsBool returns the boolean payload; it is false for non-bool values.
-func (v Value) AsBool() bool { return v.kind == BoolKind && v.b }
+func (v Value) AsBool() bool { return v.kind == BoolKind && v.n != 0 }
 
 // AsInt returns the value as int64, truncating floats. It returns 0 for
 // non-numeric values.
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case IntKind:
-		return v.i
+		return int64(v.n)
 	case FloatKind:
-		return int64(v.f)
+		return int64(math.Float64frombits(v.n))
 	default:
 		return 0
 	}
@@ -96,9 +104,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case IntKind:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case FloatKind:
-		return v.f
+		return math.Float64frombits(v.n)
 	default:
 		return math.NaN()
 	}
@@ -122,11 +130,11 @@ func (v Value) String() string {
 	case NullKind:
 		return "NULL"
 	case BoolKind:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case IntKind:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case FloatKind:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case StringKind:
 		return v.s
 	default:
@@ -145,7 +153,7 @@ func (v Value) appendKey(dst []byte) []byte {
 	case NullKind:
 		return append(dst, 'n')
 	case BoolKind:
-		if v.b {
+		if v.n != 0 {
 			return append(dst, "b1"...)
 		}
 		return append(dst, "b0"...)
@@ -179,9 +187,9 @@ func Compare(a, b Value) int {
 		return 0
 	case a.kind == BoolKind:
 		switch {
-		case a.b == b.b:
+		case a.n == b.n:
 			return 0
-		case !a.b:
+		case a.n == 0:
 			return -1
 		default:
 			return 1
@@ -261,7 +269,7 @@ func arith(a, b Value, ff func(float64, float64) float64, fi func(int64, int64) 
 		return Null()
 	}
 	if a.kind == IntKind && b.kind == IntKind {
-		return Int(fi(a.i, b.i))
+		return Int(fi(int64(a.n), int64(b.n)))
 	}
 	return Float(ff(a.AsFloat(), b.AsFloat()))
 }

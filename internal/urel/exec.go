@@ -160,6 +160,8 @@ var seqExec = &Exec{pool: sched.New(1)}
 
 // Estimated per-tuple memory footprint, used for the Bytes counters.
 const (
+	// A row's value is its size in the slab: 32 bytes (a string header,
+	// one payload word, the kind), so operator Bytes track the layout.
 	valueBytes   = int64(unsafe.Sizeof(rel.Value{}))
 	bindingBytes = int64(unsafe.Sizeof(vars.Binding{}))
 	// Two slice headers (row, D) plus the hash/index bookkeeping.
